@@ -1,0 +1,142 @@
+//! Golden paper outputs: a Figure 8-shaped tolerance sweep and one Figure 11
+//! fine-grained characterization on LeNet, pinned to committed values.
+//!
+//! Every other equivalence suite compares two executors of the same code
+//! base against each other; this one compares against numbers recorded once
+//! and committed in `tests/golden/paper_outputs.txt`, so a refactor that
+//! changes both sides of an equivalence in the same way still fails here.
+//! Each line records the exact f32 accuracy bits and the `MemoryStats` of
+//! one point (or the exact f64 tolerance bits of one characterized site).
+//!
+//! The values are a pure function of the code: a change here means the
+//! figures the paper binaries print have moved. Regenerate the file only
+//! for an intended numerical change, and say so in the change description.
+
+use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
+use eden::core::characterize::{fine_characterize_session, FineConfig};
+use eden::core::faults::ApproximateMemory;
+use eden::core::inference::InferenceBackend;
+use eden::core::session::EvalSession;
+use eden::dnn::train::{TrainConfig, Trainer};
+use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
+use eden::dram::ErrorModel;
+use eden::tensor::Precision;
+use std::fmt::Write;
+
+const GOLDEN: &str = include_str!("golden/paper_outputs.txt");
+
+fn trained_lenet(seed: u64) -> (Network, SyntheticVision) {
+    let dataset = SyntheticVision::tiny(seed);
+    let mut net = zoo::lenet(&dataset.spec(), seed);
+    Trainer::new(TrainConfig {
+        epochs: 3,
+        ..TrainConfig::default()
+    })
+    .train(&mut net, &dataset);
+    (net, dataset)
+}
+
+/// The fig08 sweep on LeNet: native int4/int8/int16 and simulated int8,
+/// uniform and wordline error models, three BERs, with bounding. Each
+/// curve comes from `accuracy_vs_ber`; each point is re-evaluated on its own
+/// memory to record the `MemoryStats` the curve does not return.
+fn tolerance_curves(out: &mut String) {
+    let (net, dataset) = trained_lenet(3);
+    let samples = &dataset.test()[..48];
+    let bounding =
+        BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
+    let bers = [1e-3, 1e-2, 5e-2];
+    let seed = 11;
+    let configs = [
+        (Precision::Int4, InferenceBackend::NativeInt),
+        (Precision::Int8, InferenceBackend::NativeInt),
+        (Precision::Int16, InferenceBackend::NativeInt),
+        (Precision::Int8, InferenceBackend::SimulatedF32),
+    ];
+    let templates = [
+        ("uniform", ErrorModel::uniform(0.02, 0.5, 5)),
+        ("wordline", ErrorModel::wordline(0.02, 0.5, 0.9, 5)),
+    ];
+    for (precision, backend) in configs {
+        let mut session = EvalSession::new(&net, precision, backend);
+        for (name, template) in &templates {
+            let curve = session.accuracy_vs_ber(samples, template, &bers, Some(bounding), seed);
+            for (ber, acc) in curve {
+                let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed)
+                    .with_bounding(bounding);
+                let again = session.evaluate_with_faults(samples, &mut memory);
+                assert_eq!(
+                    again.to_bits(),
+                    acc.to_bits(),
+                    "{backend} {precision} {name} {ber}"
+                );
+                let s = memory.stats();
+                writeln!(
+                    out,
+                    "curve {backend} {precision} {name} ber={ber:e} acc={:#010x} loads={} flips={} corrections={}",
+                    acc.to_bits(),
+                    s.loads,
+                    s.bit_flips,
+                    s.corrections
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
+/// One Figure 11 per-data-type characterization through a native int8
+/// session, with bounding.
+fn fine_characterization(out: &mut String) {
+    let (net, dataset) = trained_lenet(2);
+    let template = ErrorModel::uniform(0.01, 0.5, 3);
+    let bounding =
+        BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
+    let cfg = FineConfig {
+        eval_samples: 24,
+        max_rounds: 8,
+        bootstrap_ber: 2e-3,
+        ..FineConfig::default()
+    };
+    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
+    let fine = fine_characterize_session(&mut session, &dataset, &template, Some(bounding), &cfg);
+    writeln!(
+        out,
+        "fine baseline={:#010x} floor={:#010x}",
+        fine.baseline_accuracy.to_bits(),
+        fine.accuracy_floor.to_bits()
+    )
+    .unwrap();
+    for (info, ber) in &fine.tolerances {
+        writeln!(
+            out,
+            "fine site={} elements={} ber={:#018x}",
+            info.site,
+            info.elements,
+            ber.to_bits()
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn paper_outputs_match_the_committed_golden_values() {
+    let mut actual = String::new();
+    tolerance_curves(&mut actual);
+    fine_characterization(&mut actual);
+    if actual != GOLDEN {
+        let expected: Vec<&str> = GOLDEN.lines().collect();
+        for (i, line) in actual.lines().enumerate() {
+            if expected.get(i) != Some(&line) {
+                eprintln!("line {}: expected {:?}", i + 1, expected.get(i));
+                eprintln!("line {}: actual   {line:?}", i + 1);
+            }
+        }
+        panic!(
+            "paper outputs differ from tests/golden/paper_outputs.txt \
+             ({} actual lines, {} golden lines); actual output:\n{actual}",
+            actual.lines().count(),
+            expected.len()
+        );
+    }
+}
