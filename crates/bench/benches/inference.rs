@@ -26,7 +26,7 @@ use eden_core::characterize::{
 use eden_core::faults::ApproximateMemory;
 use eden_core::inference::{self, InferenceBackend};
 use eden_core::mapping::{benefit_traffic_score, fine_map, multi_module_map, MultiModuleConfig};
-use eden_core::session::{EvalSession, RefetchMode};
+use eden_core::session::EvalSession;
 use eden_dnn::{data::SyntheticVision, zoo, DataKind, Dataset, Network};
 use eden_dram::characterize::{CharacterizeConfig, DramErrorProfile};
 use eden_dram::error_model::Layout;
@@ -92,27 +92,28 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dispatched integer GEMM kernels at every ISA level this host
-/// supports, on a VGG-conv-shaped problem (the dominant shape behind the
-/// `quantized_backend` group). One entry per `(kernel, ISA)` pair via the
-/// explicit `_with` dispatch, so the gate pins each SIMD tier individually:
-/// a regression in, say, the AVX2 i8 path cannot hide behind a healthy
-/// AVX-512 default. Entries exist only for ISAs the runner supports, which
-/// is fine for the gate because baseline and gate share the CI runner.
+/// The packed i8 panel GEMM — the integer kernel every int4/int8 native
+/// layer runs — at every ISA level this host supports, on a VGG-conv-shaped
+/// problem (the dominant shape behind the `quantized_backend` group). One
+/// entry per ISA via the explicit `_with` dispatch, so the gate pins each
+/// SIMD tier individually: a regression in, say, the AVX2 panel kernel
+/// cannot hide behind a healthy AVX-512 default. Entries exist only for ISAs
+/// the runner supports, which is fine for the gate because baseline and
+/// gate share the CI runner.
 fn bench_simd_kernels(c: &mut Criterion) {
     // conv3x3 over 128 input channels to 128 outputs on a 14x14 feature
-    // map, as lowered by im2col: [m=128, k=1152] x [n=196, k=1152]^T.
+    // map, as lowered by im2col: [m=128, k=1152] x [n=196, k=1152]^T (k is
+    // already a whole number of 64-lane panels, so no padding is needed).
     let (m, k, n) = (128usize, 1152usize, 196usize);
-    let a16: Vec<i16> = (0..m * k).map(|i| (i as i64 % 229 - 114) as i16).collect();
-    let b16: Vec<i16> = (0..n * k).map(|i| (i as i64 % 127 - 63) as i16).collect();
-    let a8: Vec<i8> = a16.iter().map(|&v| (v % 128) as i8).collect();
-    let b8: Vec<i8> = b16.iter().map(|&v| (v % 128) as i8).collect();
+    assert_eq!(ops::packed_stride_i8(k), k);
+    let a8: Vec<i8> = (0..m * k).map(|i| (i as i64 % 229 - 114) as i8).collect();
+    let b8: Vec<i8> = (0..n * k).map(|i| (i as i64 % 127 - 63) as i8).collect();
     let mut out = vec![0i32; m * n];
     let mut group = c.benchmark_group("simd_kernels");
     // Same sampling pin as the characterization groups: 15 samples under the
     // default 2 s budget left the per-run minimum wobbly enough (especially
-    // for the AVX-512 i8 entry, whose iteration is the shortest of the
-    // group) to trip the 20% gate on healthy builds.
+    // for the AVX-512 entry, whose iteration is the shortest of the group)
+    // to trip the 20% gate on healthy builds.
     group.sample_size(30);
     group.measurement_time(Duration::from_secs(4));
     for isa in simd::Isa::all() {
@@ -120,15 +121,9 @@ fn bench_simd_kernels(c: &mut Criterion) {
             continue;
         }
         let kr = simd::kernels_for(isa);
-        group.bench_function(format!("gemm_i16_{isa}"), |b| {
+        group.bench_function(format!("gemm_i8_packed_{isa}"), |b| {
             b.iter(|| {
-                ops::gemm_dot_i16_with(&kr, m, k, n, black_box(&a16), black_box(&b16), &mut out);
-                black_box(out[0])
-            })
-        });
-        group.bench_function(format!("gemm_i8_{isa}"), |b| {
-            b.iter(|| {
-                ops::gemm_dot_i8_with(&kr, m, k, n, black_box(&a8), black_box(&b8), &mut out);
+                ops::gemm_i8_packed_with(&kr, m, k, n, black_box(&a8), black_box(&b8), &mut out);
                 black_box(out[0])
             })
         });
@@ -189,15 +184,14 @@ fn bench_quantized_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched forward execution head to head with per-sample execution: the
-/// Table 1-scale VGG evaluation over 32 samples through a reused session at
-/// batch caps 1 (the per-sample reference), 8 and 32, on both execution
-/// backends. The error model fixes the weak-cell flip probability at 1.0 so
+/// Batched forward execution at different group widths: the Table 1-scale
+/// VGG evaluation over 32 samples through a reused session at batch caps 1
+/// (every sample a group of one), 8 and 32, on both execution backends. The error model fixes the weak-cell flip probability at 1.0 so
 /// every refetch draws identical overlays and the overlay-grouping rule
 /// merges refetch slots into full-width weight-stationary groups — the
 /// batched GEMM path this group exists to watch. Results are bit-identical
 /// across caps (pinned by `tests/batched_equivalence.rs`); the gate watches
-/// the throughput gap, which is the tentpole's payoff.
+/// the throughput gap between the widths.
 fn bench_batched(c: &mut Criterion) {
     let dataset = SyntheticVision::small(0);
     let net = zoo::vgg_mini(&dataset.spec(), 1);
@@ -309,14 +303,10 @@ fn bench_characterization(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sparse corruption-overlay refetch path head to head with the
-/// image-reload reference, on the two workloads the overlay tentpole
-/// targets: a fig08-style tolerance sweep through a reused session and the
-/// fine-grained characterization probe loop, both on the committed mini
-/// net. `fine_characterize` / `fig08_sweep` run the production
-/// [`RefetchMode::Overlay`] path (O(flips) per weight refetch);
-/// `fine_characterize_reload` keeps the O(weights) reference path under the
-/// gate so neither implementation can silently regress.
+/// The sparse corruption-overlay refetch path (O(flips) per weight refetch)
+/// on the two workloads it exists for: a fig08-style tolerance sweep through
+/// a reused session and the fine-grained characterization probe loop, both
+/// on the committed mini net.
 fn bench_overlay(c: &mut Criterion) {
     let dataset = SyntheticVision::tiny(0);
     let net = zoo::lenet(&dataset.spec(), 1);
@@ -351,24 +341,18 @@ fn bench_overlay(c: &mut Criterion) {
             )
         })
     });
-    for (id, mode) in [
-        ("fine_characterize", RefetchMode::Overlay),
-        ("fine_characterize_reload", RefetchMode::ImageReload),
-    ] {
-        group.bench_function(id, |b| {
-            let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
-                .with_refetch_mode(mode);
-            b.iter(|| {
-                fine_characterize_session(
-                    &mut session,
-                    &dataset,
-                    black_box(&template),
-                    Some(bounding),
-                    &fine_cfg,
-                )
-            })
-        });
-    }
+    group.bench_function("fine_characterize", |b| {
+        let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default());
+        b.iter(|| {
+            fine_characterize_session(
+                &mut session,
+                &dataset,
+                black_box(&template),
+                Some(bounding),
+                &fine_cfg,
+            )
+        })
+    });
     group.finish();
 }
 

@@ -28,7 +28,6 @@ fn template(kind: ErrorModelKind, seed: u64) -> ErrorModel {
 fn main() {
     report::init_threads();
     let backend = report::parse_backend();
-    let refetch = report::parse_refetch();
     let detail = std::env::args().any(|a| a == "--detail");
     report::header(
         "Figure 8",
@@ -45,7 +44,7 @@ fn main() {
     // precision, so the 4 kinds × |precisions| sweeps share them.
     let mut sessions: Vec<EvalSession> = Precision::all()
         .iter()
-        .map(|&p| EvalSession::new(&net, p, backend).with_refetch_mode(refetch))
+        .map(|&p| EvalSession::new(&net, p, backend))
         .collect();
     for kind in ErrorModelKind::all() {
         println!("\n{kind}");

@@ -16,7 +16,6 @@ use eden_tensor::Precision;
 fn main() {
     report::init_threads();
     let backend = report::parse_backend();
-    let refetch = report::parse_refetch();
     report::header(
         "Figure 11",
         "per-IFM / per-weight tolerable BER of ResNet (fine-grained characterization)",
@@ -29,7 +28,7 @@ fn main() {
     // One session serves the coarse bootstrap *and* the fine-grained sweep:
     // the weight images, corrupted-weight pools, reliable baseline and
     // weak-cell maps carry over between the two characterizations.
-    let mut session = EvalSession::new(&net, Precision::Int8, backend).with_refetch_mode(refetch);
+    let mut session = EvalSession::new(&net, Precision::Int8, backend);
     let coarse = coarse_characterize_session(
         &mut session,
         &dataset,

@@ -38,7 +38,6 @@ fn to_shares(shares: &[SlotTraffic]) -> Vec<TrafficShare> {
 fn main() {
     report::init_threads();
     let backend = report::parse_backend();
-    let refetch = report::parse_refetch();
     report::header(
         "Figure 12",
         "fine-grained mapping of ResNet data onto single- and multi-module DRAM",
@@ -48,7 +47,7 @@ fn main() {
     let template = ErrorModel::uniform(0.02, 0.5, 5);
     let bounding =
         BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
-    let mut session = EvalSession::new(&net, precision, backend).with_refetch_mode(refetch);
+    let mut session = EvalSession::new(&net, precision, backend);
     let fine = fine_characterize_session(
         &mut session,
         &dataset,

@@ -1,7 +1,6 @@
 //! Small shared helpers for the experiment binaries.
 
 use eden_core::inference::InferenceBackend;
-use eden_core::session::RefetchMode;
 use eden_dnn::data::SyntheticVision;
 use eden_dnn::train::{TrainConfig, Trainer};
 use eden_dnn::zoo::ModelId;
@@ -72,35 +71,16 @@ pub fn init_threads() -> usize {
     effective
 }
 
-/// Resolves a `--flag` / environment-variable pair to a parsed value:
-/// CLI takes precedence, then the environment, then the default. Unknown
-/// values return the parser's `Err` — callers either abort ([`fatal`], the
-/// binaries) or surface it as a request-validation error (eden-serve).
-fn choice_from<T: std::str::FromStr<Err = String> + Default>(
-    args: &[String],
-    flag: &str,
-    env_var: &str,
-) -> Result<T, String> {
-    let choice = match flag_value(args, flag) {
-        Some(v) => Some(v?),
-        None => std::env::var(env_var).ok(),
-    };
-    match choice {
-        Some(v) => v.parse::<T>(),
-        None => Ok(T::default()),
-    }
-}
-
 /// [`parse_backend`] on an explicit argument list, returning `Err` instead
-/// of exiting — the form eden-serve request validation reuses.
+/// of exiting — the form eden-serve request validation reuses. The CLI flag
+/// takes precedence, then the `EDEN_BACKEND` environment variable, then the
+/// default; an unknown value is an `Err`.
 pub fn backend_from_args(args: &[String]) -> Result<InferenceBackend, String> {
-    choice_from(args, "--backend", "EDEN_BACKEND")
-}
-
-/// [`parse_refetch`] on an explicit argument list, returning `Err` instead
-/// of exiting.
-pub fn refetch_from_args(args: &[String]) -> Result<RefetchMode, String> {
-    choice_from(args, "--refetch", "EDEN_REFETCH")
+    let choice = match flag_value(args, "--backend") {
+        Some(v) => Some(v?),
+        None => std::env::var("EDEN_BACKEND").ok(),
+    };
+    choice.map_or(Ok(InferenceBackend::default()), |v| v.parse())
 }
 
 /// Applies the `--backend simulated|native` CLI flag (falling back to the
@@ -118,23 +98,6 @@ pub fn parse_backend() -> InferenceBackend {
     let backend = backend_from_args(&args).unwrap_or_else(|e| fatal(&e));
     eprintln!("inference backend: {backend}");
     backend
-}
-
-/// Applies the `--refetch overlay|reload` CLI flag (falling back to the
-/// `EDEN_REFETCH` environment variable, then to the sparse-overlay default)
-/// and returns the selected weight-refetch mode.
-///
-/// `overlay` serves weight refetches as sparse corruption overlays (O(flips)
-/// per refetch, the production path); `reload` is the full image-reload
-/// reference implementation the overlay path is pinned against. Results are
-/// bit-identical either way — the flag exists for A/B timing and for
-/// driving the reference path end to end. An unknown mode exits non-zero
-/// rather than silently measuring the default.
-pub fn parse_refetch() -> RefetchMode {
-    let args: Vec<String> = std::env::args().collect();
-    let mode = refetch_from_args(&args).unwrap_or_else(|e| fatal(&e));
-    eprintln!("weight refetch mode: {mode}");
-    mode
 }
 
 /// Prints a CLI error and exits non-zero.
@@ -249,20 +212,6 @@ mod tests {
         assert!(backend_from_args(&args(&["bin", "--backend", "ntaive"])).is_err());
         assert!(backend_from_args(&args(&["bin", "--backend=ntaive"])).is_err());
         assert!(backend_from_args(&args(&["bin", "--backend"])).is_err());
-    }
-
-    #[test]
-    fn parse_refetch_defaults_to_overlay() {
-        assert_eq!(parse_refetch(), RefetchMode::Overlay);
-    }
-
-    #[test]
-    fn refetch_from_args_rejects_typos() {
-        assert_eq!(
-            refetch_from_args(&args(&["bin", "--refetch=reload"])),
-            Ok(RefetchMode::ImageReload)
-        );
-        assert!(refetch_from_args(&args(&["bin", "--refetch", "overlya"])).is_err());
     }
 
     #[test]

@@ -176,8 +176,8 @@ pub fn evaluate_with_faults(
 /// accumulation being associative — equally thread-count invariant.
 ///
 /// Both backends serve weight refetches as sparse corruption overlays over
-/// the cached clean bit images ([`Network::weight_images`],
-/// [`crate::session::RefetchMode`]): the persistent corrupted copies are
+/// the cached clean bit images ([`Network::weight_images`]): the
+/// persistent corrupted copies are
 /// patched with only the words each fault draw touches, so the per-refetch
 /// cost is O(flips) rather than proportional to the network size. A probe
 /// loop should hold an [`EvalSession`] instead of calling this repeatedly

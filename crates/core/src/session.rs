@@ -29,17 +29,28 @@
 //!
 //! # Sparse overlay refetches
 //!
-//! By default ([`RefetchMode::Overlay`]) every weight refetch is served as a
-//! set of sparse [`CorruptionOverlay`]s ([`ApproximateMemory::corrupt_overlay`]):
-//! the pool's corrupted copies are held at the dequantized-clean baseline
-//! and only the words a fault draw touches are patched — and reverted
-//! before the next draw (`apply ∘ revert` is the identity). At the BERs the
-//! paper operates at this makes the per-refetch weight cost O(flips)
-//! instead of O(total weights), which is the dominant cost of the
-//! characterization and tolerance-curve probe loops.
-//! [`RefetchMode::ImageReload`] keeps the full image-reload path as the
-//! reference implementation; the workspace `overlay_equivalence` suite pins
-//! the two against each other bit for bit.
+//! Every weight refetch is served as a set of sparse [`CorruptionOverlay`]s
+//! ([`ApproximateMemory::corrupt_overlay`]): the pool's corrupted copies are
+//! held at the dequantized-clean baseline and only the words a fault draw
+//! touches are patched — and reverted before the next draw
+//! (`apply ∘ revert` is the identity). At the BERs the paper operates at
+//! this makes the per-refetch weight cost O(flips) instead of O(total
+//! weights), which is the dominant cost of the characterization and
+//! tolerance-curve probe loops. The full image reload
+//! ([`Network::load_corrupted_weights`], [`NativeWeights::refresh`]) survives
+//! as a test oracle: the workspace `overlay_equivalence` suite pins the
+//! session bit for bit against a test-local reference that reloads every
+//! image per refetch and runs each sample on its own.
+//!
+//! # One executor
+//!
+//! Samples run in weight-stationary groups: maximal runs of consecutive
+//! samples whose corrupted weight states are provably equal, up to the batch
+//! cap ([`EvalSession::with_batch_limit`]). Each group runs layer by layer
+//! with one GEMM per layer over the whole group
+//! ([`qexec::forward_native_batch_observed`] on the native backend, the
+//! session's simulated group executor on the other), and a single sample is
+//! simply a group of one.
 //!
 //! # Incremental re-evaluation
 //!
@@ -112,8 +123,6 @@ use eden_dram::util::stream;
 use eden_dram::ErrorModel;
 use eden_tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
 use std::collections::HashMap;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -139,16 +148,16 @@ pub const DEFAULT_BATCH_LIMIT: usize = 32;
 /// ([`EvalSession::batch_counters`]): how the overlay-grouping rule resolved
 /// each evaluated sample. `batched_samples` counts samples executed inside a
 /// multi-sample weight-stationary group (one of `groups`);
-/// `fallback_samples` counts samples that ran alone — either because their
-/// corrupted weight state matched no neighbour's or because the batch limit
-/// is 1.
+/// `fallback_samples` counts samples that ran as a group of one — either
+/// because their corrupted weight state matched no neighbour's or because
+/// the batch limit is 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchCounters {
     /// Multi-sample groups formed (each executed as one batched forward).
     pub groups: u64,
     /// Samples executed inside a multi-sample group.
     pub batched_samples: u64,
-    /// Samples that fell back to per-sample execution.
+    /// Samples that ran as a group of one.
     pub fallback_samples: u64,
 }
 
@@ -161,56 +170,15 @@ struct BatchStats {
     fallback_samples: AtomicU64,
 }
 
-/// How the session re-loads its corrupted weight state from approximate
-/// memory on each refetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefetchMode {
-    /// Sparse corruption overlays (the production path): the persistent
-    /// corrupted copies are held at the dequantized-clean baseline and
-    /// patched/reverted per draw via [`CorruptionOverlay`]s — O(flips) per
-    /// refetch instead of O(total weights).
-    #[default]
-    Overlay,
-    /// Full image reloads (the reference implementation the overlay path is
-    /// pinned against, bit for bit): every refetch corrupts a copy of each
-    /// clean bit image and rewrites every parameter word.
-    ImageReload,
-}
-
-impl fmt::Display for RefetchMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RefetchMode::Overlay => f.write_str("overlay"),
-            RefetchMode::ImageReload => f.write_str("reload"),
-        }
-    }
-}
-
-impl FromStr for RefetchMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "overlay" => Ok(RefetchMode::Overlay),
-            "reload" | "image-reload" => Ok(RefetchMode::ImageReload),
-            other => Err(format!(
-                "unknown refetch mode {other:?} (expected \"overlay\" or \"reload\")"
-            )),
-        }
-    }
-}
-
-/// Reusable buffers of one simulated-f32 forward pass: the stored-bits
-/// image crossing every layer boundary and the dequantized activation
-/// buffer. [`QuantTensor::quantize`] is defined as `requantize_from` on a
-/// fresh buffer, so reusing one across layers (and samples) is
-/// bit-identical to allocating per layer.
+/// Reusable buffers of one simulated-f32 group pass: the stored-bits image
+/// crossing every layer boundary and the per-sample dequantized activation
+/// buffers (grown once to the group width, reused across the layer loop).
+/// [`QuantTensor::quantize`] is defined as `requantize_from` on a fresh
+/// buffer, so reusing one across layers (and samples) is bit-identical to
+/// allocating per layer.
 #[derive(Default)]
 struct SimScratch {
     stored: Option<QuantTensor>,
-    dequantized: Vec<f32>,
-    /// Per-sample dequantized-activation buffers of the batched executor:
-    /// grown once to the group width, reused across the layer loop.
     batch: Vec<Vec<f32>>,
 }
 
@@ -242,7 +210,6 @@ struct SessionCore<'a> {
     net: NetRef<'a>,
     precision: Precision,
     backend: InferenceBackend,
-    refetch: RefetchMode,
     /// Clean quantized bit images of every weight parameter, in
     /// [`Network::corrupt_weights`] visit order — captured once per session.
     images: Vec<WeightImage>,
@@ -278,9 +245,8 @@ struct SessionCore<'a> {
     /// Whether evaluations may consult and populate the checkpoint store
     /// (on by default; results are bit-identical either way).
     checkpoints_enabled: bool,
-    /// Cap on the samples of one weight-stationary batch group; 1 disables
-    /// batching (pure per-sample execution, the reference the batched path
-    /// is pinned against).
+    /// Cap on the samples of one weight-stationary batch group; 1 runs
+    /// every sample as a group of one.
     batch_limit: usize,
     /// Batch-group accounting, surfaced by [`EvalSession::batch_counters`].
     batch_stats: BatchStats,
@@ -546,53 +512,55 @@ fn checkpoint_stride(net: &Network) -> usize {
     per_sample.div_ceil(CHECKPOINT_SAMPLE_BUDGET_BYTES).max(1)
 }
 
-/// Weight state of one corrupted-copy slot with respect to the session's
-/// clean images.
-enum SlotState {
-    /// Parameters hold an image-reload result, or the master network's raw
-    /// values (a freshly cloned slot) — anything the overlay path must reset
-    /// with a full clean load before patching.
-    Unknown,
-    /// Parameters hold `clean` patched by these overlays; reverting them
-    /// restores the clean baseline in O(flips).
-    Overlaid(Vec<CorruptionOverlay>),
-}
-
-/// One reusable corrupted-weight slot: the weight state plus how it was last
-/// written.
+/// One reusable corrupted-weight slot: the weight state plus the overlays
+/// currently patched into it. `None` marks a fresh slot, whose parameters
+/// still hold the master network's raw values and need a full clean load
+/// before the first patch; after that, reverting the overlays restores the
+/// clean baseline in O(flips).
 struct Slot<T> {
     inner: T,
-    state: SlotState,
+    overlays: Option<Vec<CorruptionOverlay>>,
 }
 
 impl<T> Slot<T> {
     fn new(inner: T) -> Self {
         Self {
             inner,
-            state: SlotState::Unknown,
+            overlays: None,
         }
     }
 }
 
-/// A corrupted-weight state the session can refetch either sparsely (clean
-/// baseline + overlay patches) or by full image reload — implemented by the
-/// simulated-f32 [`Network`] copies and the [`NativeWeights`] integer state,
-/// so both backends share one refetch state machine
-/// ([`SessionCore::refetch_slot`]).
-trait RefetchTarget {
+/// The corrupted-weight state of one execution backend — the simulated-f32
+/// [`Network`] copies and the [`NativeWeights`] integer state — so both
+/// backends share one refetch state machine ([`SessionCore::refetch_slot`])
+/// and one evaluation driver ([`SessionCore::evaluate_pool`]).
+trait SlotWeights: Sync + Sized {
+    /// A fresh slot for `net`.
+    fn prepare(net: &Network) -> Self;
     fn load_clean(&mut self, images: &[WeightImage]);
-    fn load_reference(&mut self, images: &[WeightImage], memory: &mut ApproximateMemory);
     fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]);
     fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]);
+    /// Runs a group of samples through this weight state (see
+    /// [`qexec::forward_native_batch_observed`] for the `starts`/`observe`
+    /// contract both backends share).
+    fn forward_group(
+        &self,
+        core: &SessionCore<'_>,
+        inputs: &[Tensor],
+        starts: &[usize],
+        lanes: &mut [ApproximateMemory],
+        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
+    ) -> Vec<Tensor>;
 }
 
-impl RefetchTarget for Network {
-    fn load_clean(&mut self, images: &[WeightImage]) {
-        self.load_clean_weights(images);
+impl SlotWeights for Network {
+    fn prepare(net: &Network) -> Self {
+        net.clone()
     }
 
-    fn load_reference(&mut self, images: &[WeightImage], memory: &mut ApproximateMemory) {
-        self.load_corrupted_weights(images, memory);
+    fn load_clean(&mut self, images: &[WeightImage]) {
+        self.load_clean_weights(images);
     }
 
     fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
@@ -602,15 +570,26 @@ impl RefetchTarget for Network {
     fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
         Network::revert_overlay(self, images, overlays);
     }
+
+    fn forward_group(
+        &self,
+        core: &SessionCore<'_>,
+        inputs: &[Tensor],
+        starts: &[usize],
+        lanes: &mut [ApproximateMemory],
+        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
+    ) -> Vec<Tensor> {
+        core.forward_simulated_group(self, inputs, starts, lanes, observe)
+    }
 }
 
-impl RefetchTarget for NativeWeights {
-    fn load_clean(&mut self, images: &[WeightImage]) {
-        self.refresh_clean(images);
+impl SlotWeights for NativeWeights {
+    fn prepare(net: &Network) -> Self {
+        NativeWeights::prepare(net)
     }
 
-    fn load_reference(&mut self, images: &[WeightImage], memory: &mut ApproximateMemory) {
-        self.refresh(images, memory);
+    fn load_clean(&mut self, images: &[WeightImage]) {
+        self.refresh_clean(images);
     }
 
     fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
@@ -620,13 +599,35 @@ impl RefetchTarget for NativeWeights {
     fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
         NativeWeights::revert_overlay(self, images, overlays);
     }
+
+    fn forward_group(
+        &self,
+        core: &SessionCore<'_>,
+        inputs: &[Tensor],
+        starts: &[usize],
+        lanes: &mut [ApproximateMemory],
+        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
+    ) -> Vec<Tensor> {
+        // Checked-out scratch: buffer contents never influence results, so
+        // reuse across groups is thread-count invariant.
+        core.scratch.with(|scratch| {
+            qexec::forward_native_batch_observed(
+                &core.net,
+                self,
+                inputs,
+                starts,
+                core.precision,
+                lanes,
+                scratch,
+                observe,
+            )
+        })
+    }
 }
 
 /// Reusable corrupted-weight state: lazily grown to the refetch-slot count
-/// and re-written in place per refetch — patched sparsely under
-/// [`RefetchMode::Overlay`], fully re-loaded from the session's bit images
-/// under [`RefetchMode::ImageReload`] — so sequential probes never re-clone
-/// the network object graph.
+/// and patched sparsely in place per refetch, so sequential probes never
+/// re-clone the network object graph.
 #[derive(Default)]
 struct ProbePools {
     simulated: Vec<Slot<Network>>,
@@ -652,9 +653,7 @@ pub struct EvalSession<'a> {
 
 impl<'a> EvalSession<'a> {
     /// Creates a session, capturing the clean quantized weight bit images of
-    /// `net` at `precision`. Weight refetches default to the sparse
-    /// [`RefetchMode::Overlay`] path; see
-    /// [`EvalSession::with_refetch_mode`].
+    /// `net` at `precision`.
     pub fn new(net: &'a Network, precision: Precision, backend: InferenceBackend) -> Self {
         Self::from_net_ref(NetRef::Borrowed(net), precision, backend)
     }
@@ -673,7 +672,6 @@ impl<'a> EvalSession<'a> {
                 net,
                 precision,
                 backend,
-                refetch: RefetchMode::default(),
                 weak_maps: Arc::new(WeakMapCache::new()),
                 clean_corrections: Mutex::new(HashMap::new()),
                 scratch: ScratchArena::new(),
@@ -688,20 +686,6 @@ impl<'a> EvalSession<'a> {
             baselines: HashMap::new(),
             injectors: HashMap::new(),
         }
-    }
-
-    /// Selects how weight refetches are served (sparse overlays by default;
-    /// [`RefetchMode::ImageReload`] is the reference implementation the
-    /// overlay path is pinned against). Results are bit-identical either
-    /// way; only the per-refetch cost differs.
-    pub fn with_refetch_mode(mut self, mode: RefetchMode) -> Self {
-        self.core.refetch = mode;
-        self
-    }
-
-    /// The session's weight-refetch mode.
-    pub fn refetch_mode(&self) -> RefetchMode {
-        self.core.refetch
     }
 
     /// The network under evaluation.
@@ -758,9 +742,9 @@ impl<'a> EvalSession<'a> {
     }
 
     /// Overrides the cap on weight-stationary batch-group size (default
-    /// [`DEFAULT_BATCH_LIMIT`]; clamped to at least 1). A limit of 1
-    /// disables batching entirely — the reference per-sample execution the
-    /// batched path is pinned against, bit for bit.
+    /// [`DEFAULT_BATCH_LIMIT`]; clamped to at least 1). A limit of 1 runs
+    /// every sample as a group of one; results are bit-identical at any
+    /// limit.
     pub fn with_batch_limit(mut self, limit: usize) -> Self {
         self.core.batch_limit = limit.max(1);
         self
@@ -772,7 +756,7 @@ impl<'a> EvalSession<'a> {
     }
 
     /// Cumulative batch-group counters (groups formed, samples batched,
-    /// per-sample fallbacks) across every evaluation the session has run —
+    /// groups of one) across every evaluation the session has run —
     /// surfaced by the serving layer next to the checkpoint counters.
     pub fn batch_counters(&self) -> BatchCounters {
         let s = &self.core.batch_stats;
@@ -859,47 +843,21 @@ impl<'a> EvalSession<'a> {
     }
 
     /// One forward pass with weights and IFMs served from `memory` —
-    /// bit-identical to [`crate::inference::forward_with_faults_backend`].
+    /// bit-identical to [`crate::inference::forward_with_faults_backend`]:
+    /// one overlay refetch of the session's first pool slot, then the group
+    /// executor with `memory` itself as the single lane.
     pub fn forward_with_faults(
         &mut self,
         input: &Tensor,
         memory: &mut ApproximateMemory,
     ) -> Tensor {
         let core = &self.core;
-        let pools = &mut self.pools;
         memory.attach_weak_map_cache(core.weak_maps.clone());
         match effective_backend(core.backend, core.precision) {
             InferenceBackend::SimulatedF32 => {
-                if pools.simulated.is_empty() {
-                    pools.simulated.push(Slot::new((*core.net).clone()));
-                }
-                let slot = &mut pools.simulated[0];
-                slot.inner.load_corrupted_weights(&core.images, memory);
-                slot.state = SlotState::Unknown;
-                core.sim_scratch.with(|scratch| {
-                    core.forward_simulated(&slot.inner, input, 0, memory, scratch, None)
-                })
+                core.forward_one(&mut self.pools.simulated, input, memory)
             }
-            InferenceBackend::NativeInt => {
-                if pools.native.is_empty() {
-                    pools
-                        .native
-                        .push(Slot::new(NativeWeights::prepare(&core.net)));
-                }
-                let slot = &mut pools.native[0];
-                slot.inner.refresh(&core.images, memory);
-                slot.state = SlotState::Unknown;
-                core.scratch.with(|scratch| {
-                    qexec::forward_native(
-                        &core.net,
-                        &slot.inner,
-                        input,
-                        core.precision,
-                        memory,
-                        scratch,
-                    )
-                })
-            }
+            InferenceBackend::NativeInt => core.forward_one(&mut self.pools.native, input, memory),
         }
     }
 
@@ -938,8 +896,8 @@ impl<'a> EvalSession<'a> {
 
     /// [`EvalSession::evaluate_concurrent`] with a per-call batch-group size
     /// cap overriding the session's [`EvalSession::batch_limit`] — the
-    /// serving layer's batched-evaluation entry point. `batch == 1` forces
-    /// per-sample execution; results are bit-identical at any cap.
+    /// serving layer's batched-evaluation entry point. `batch == 1` runs
+    /// every sample as a group of one; results are bit-identical at any cap.
     pub fn evaluate_concurrent_batched(
         &self,
         samples: &[(Tensor, usize)],
@@ -1022,10 +980,10 @@ impl SessionCore<'_> {
         let ckpt = self.checkpoint_ctx(samples, memory);
         let correct = match effective_backend(self.backend, self.precision) {
             InferenceBackend::SimulatedF32 => {
-                self.evaluate_simulated(samples, memory, &mut pools.simulated, ckpt.as_ref(), batch)
+                self.evaluate_pool(samples, memory, &mut pools.simulated, ckpt.as_ref(), batch)
             }
             InferenceBackend::NativeInt => {
-                self.evaluate_native(samples, memory, &mut pools.native, ckpt.as_ref(), batch)
+                self.evaluate_pool(samples, memory, &mut pools.native, ckpt.as_ref(), batch)
             }
         };
         correct as f32 / samples.len() as f32
@@ -1035,16 +993,16 @@ impl SessionCore<'_> {
     /// maximal runs of consecutive samples whose corrupted weight states are
     /// provably equal, split to the batch cap. Samples sharing a refetch
     /// slot trivially qualify; a run extends across a slot boundary iff both
-    /// slots are in [`SlotState::Overlaid`] with equal overlay sets — an
-    /// O(flips) comparison — which makes batched execution bit-identical by
+    /// slots hold equal overlay sets — an O(flips) comparison (every slot
+    /// has been refetched, so none is fresh) — which makes batched execution
+    /// bit-identical by
     /// construction (the group genuinely shares one weight state, and each
     /// lane's fault stream is keyed by its own global sample index either
-    /// way). [`RefetchMode::ImageReload`] slots report
-    /// [`SlotState::Unknown`], so cross-slot merging never happens there.
+    /// way).
     ///
     /// Also the single accounting point of [`BatchCounters`]: every returned
     /// group increments either the group/batched-sample counters or the
-    /// fallback counter.
+    /// group-of-one counter.
     fn batch_groups<T>(
         &self,
         window_len: usize,
@@ -1052,10 +1010,7 @@ impl SessionCore<'_> {
         batch: Option<usize>,
     ) -> Vec<std::ops::Range<usize>> {
         let limit = batch.unwrap_or(self.batch_limit).max(1);
-        let mergeable = |a: usize, b: usize| match (&slots[a].state, &slots[b].state) {
-            (SlotState::Overlaid(x), SlotState::Overlaid(y)) => x == y,
-            _ => false,
-        };
+        let mergeable = |a: usize, b: usize| slots[a].overlays == slots[b].overlays;
         let mut groups = Vec::new();
         let mut start = 0usize;
         for i in 1..=window_len {
@@ -1112,13 +1067,9 @@ impl SessionCore<'_> {
     }
 
     /// The clean-image bounding corrections for `memory`'s bounding logic
-    /// (None without bounding, or in reload mode, which corrects inside the
-    /// full scan anyway), computed once per distinct threshold set and
-    /// shared from then on.
+    /// (None without bounding), computed once per distinct threshold set
+    /// and shared from then on.
     fn clean_corrections(&self, memory: &ApproximateMemory) -> Option<Arc<CleanCorrections>> {
-        if self.refetch != RefetchMode::Overlay {
-            return None;
-        }
         let bounding = *memory.bounding()?;
         let mut cache = self.clean_corrections.lock().unwrap();
         Some(
@@ -1146,32 +1097,23 @@ impl SessionCore<'_> {
         )
     }
 
-    /// One weight refetch of a pool slot: under [`RefetchMode::Overlay`],
-    /// revert the previous draw (or establish the clean baseline), draw the
-    /// new overlays from `memory` and patch them in — O(flips); under
-    /// [`RefetchMode::ImageReload`], a full reference reload. Shared by both
-    /// execution backends so the state-transition protocol cannot diverge.
-    fn refetch_slot<T: RefetchTarget>(
+    /// One weight refetch of a pool slot: revert the previous draw (or
+    /// establish the clean baseline in a fresh slot), draw the new overlays
+    /// from `memory` and patch them in — O(flips). Shared by both execution
+    /// backends so the state-transition protocol cannot diverge.
+    fn refetch_slot<W: SlotWeights>(
         &self,
-        slot: &mut Slot<T>,
+        slot: &mut Slot<W>,
         memory: &mut ApproximateMemory,
         corrections: Option<&CleanCorrections>,
     ) {
-        match self.refetch {
-            RefetchMode::Overlay => {
-                let overlays = self.refetch_overlays(memory, corrections.map(Vec::as_slice));
-                match std::mem::replace(&mut slot.state, SlotState::Unknown) {
-                    SlotState::Overlaid(old) => slot.inner.revert_overlay(&self.images, &old),
-                    SlotState::Unknown => slot.inner.load_clean(&self.images),
-                }
-                slot.inner.apply_overlay(&self.images, &overlays);
-                slot.state = SlotState::Overlaid(overlays);
-            }
-            RefetchMode::ImageReload => {
-                slot.inner.load_reference(&self.images, memory);
-                slot.state = SlotState::Unknown;
-            }
+        let overlays = self.refetch_overlays(memory, corrections.map(Vec::as_slice));
+        match slot.overlays.take() {
+            Some(old) => slot.inner.revert_overlay(&self.images, &old),
+            None => slot.inner.load_clean(&self.images),
         }
+        slot.inner.apply_overlay(&self.images, &overlays);
+        slot.overlays = Some(overlays);
     }
 
     /// Serves one weight refetch as overlays: one
@@ -1192,28 +1134,28 @@ impl SessionCore<'_> {
             .collect()
     }
 
-    fn evaluate_simulated(
+    /// The window loop behind [`SessionCore::evaluate`], shared by both
+    /// backends: identical window/refetch structure (and load-stream
+    /// consumption) to the seed implementation. Per window, every refetch
+    /// slot's weights are re-drawn sequentially from the parent memory's
+    /// stream, in sample order; the pool's slots are created lazily (at most
+    /// once per slot, i.e. ≤ 16 times per session) and patched in place.
+    /// The window's samples then run as weight-stationary groups across the
+    /// `eden-par` pool, and each lane's statistics merge back in order.
+    fn evaluate_pool<W: SlotWeights>(
         &self,
         samples: &[(Tensor, usize)],
         memory: &mut ApproximateMemory,
-        pool: &mut Vec<Slot<Network>>,
+        pool: &mut Vec<Slot<W>>,
         ckpt: Option<&CheckpointCtx<'_>>,
         batch: Option<usize>,
     ) -> usize {
-        // Reusable pool of corrupted network instances: cloned lazily (at
-        // most once per refetch slot, i.e. ≤ 16 times per session) and
-        // re-written in place on every refetch — the weight refetches inside
-        // each window draw sequentially from the parent memory's stream, in
-        // sample order, exactly as a fully sequential evaluation would.
-        // Under the overlay mode each refetch patches/reverts only the words
-        // its fault draw touches (O(flips)); under the reload reference mode
-        // it re-loads every parameter from the bit images.
         let corrections = self.clean_corrections(memory);
         let mut correct = 0usize;
         for (w, window) in samples.chunks(WINDOW).enumerate() {
             let slots = refetch_slots(window.len());
             while pool.len() < slots {
-                pool.push(Slot::new((*self.net).clone()));
+                pool.push(Slot::new(W::prepare(&self.net)));
             }
             for slot in pool.iter_mut().take(slots) {
                 self.refetch_slot(slot, memory, corrections.as_deref());
@@ -1221,50 +1163,11 @@ impl SessionCore<'_> {
 
             let base = w * WINDOW;
             let shared: &ApproximateMemory = memory;
-            let pool_ref: &[Slot<Network>] = pool;
-            let groups = self.batch_groups(window.len(), &pool_ref[..slots], batch);
+            let pool_ref: &[Slot<W>] = &pool[..slots];
+            let groups = self.batch_groups(window.len(), pool_ref, batch);
             let outcomes = eden_par::par_map(&groups, |_, g| {
-                if g.len() == 1 {
-                    let i = g.start;
-                    let (x, label) = &window[i];
-                    // Lane key is the sample's *global* index: invariant
-                    // under the window size, the thread count and the
-                    // grouping.
-                    let mut lane = shared.fork((base + i) as u64);
-                    let net = &pool_ref[i / WEIGHT_REFETCH_PERIOD].inner;
-                    let sample = (base + i) as u32;
-                    // Resume from the deepest clean checkpoint: set the
-                    // boundary activation, advance the lane's load cursor
-                    // past the clean prefix, run only the suffix.
-                    // Bit-identical to the full pass because the prefix is
-                    // skipped, not approximated.
-                    let resumed = ckpt.and_then(|c| c.resume(sample));
-                    let (start, resume_x) = match &resumed {
-                        Some((boundary, ck)) => {
-                            lane.skip_clean_loads(*boundary as u64, ck.corrections);
-                            (
-                                *boundary,
-                                Some(Tensor::from_vec(ck.data.clone(), &ck.shape)),
-                            )
-                        }
-                        None => (0, None),
-                    };
-                    let input = resume_x.as_ref().unwrap_or(x);
-                    let logits = self.sim_scratch.with(|scratch| {
-                        self.forward_simulated(
-                            net,
-                            input,
-                            start,
-                            &mut lane,
-                            scratch,
-                            ckpt.map(|c| (c, sample)),
-                        )
-                    });
-                    vec![(logits.argmax() == *label, lane.stats())]
-                } else {
-                    let net = &pool_ref[g.start / WEIGHT_REFETCH_PERIOD].inner;
-                    self.forward_simulated_group(net, window, g.clone(), base, shared, ckpt)
-                }
+                let weights = &pool_ref[g.start / WEIGHT_REFETCH_PERIOD].inner;
+                self.run_group(weights, window, g.clone(), base, shared, ckpt)
             });
 
             for (ok, stats) in outcomes.into_iter().flatten() {
@@ -1277,32 +1180,30 @@ impl SessionCore<'_> {
         correct
     }
 
-    /// One weight-stationary batched pass over a group of samples sharing a
-    /// corrupted network state: every sample gets its own fault lane (forked
-    /// by global index, exactly as per-sample execution forks it) and its own
-    /// checkpoint resume layer, while each layer's compute runs through
-    /// [`Layer::forward_batch`] — one GEMM over the whole group's activation
-    /// columns. Per sample, the sequence of IFM loads, harvests and layer
-    /// computations is exactly that of a solo [`SessionCore::
-    /// forward_simulated`] run, so outcomes and per-lane statistics are
-    /// bit-identical by construction.
-    fn forward_simulated_group(
+    /// One weight-stationary group of a window: every sample gets its own
+    /// fault lane, forked by its *global* index (invariant under the window
+    /// size, the thread count and the grouping), and its own checkpoint
+    /// resume layer — the deepest clean boundary stored for it, with the
+    /// lane's load cursor advanced past the skipped prefix. The group then
+    /// runs through `weights`, harvesting clean boundary activations on the
+    /// way. Per sample, the sequence of IFM loads, harvests and layer
+    /// computations depends only on that sample, so outcomes and per-lane
+    /// statistics are independent of the grouping.
+    fn run_group<W: SlotWeights>(
         &self,
-        net: &Network,
+        weights: &W,
         window: &[(Tensor, usize)],
         g: std::ops::Range<usize>,
         base: usize,
         shared: &ApproximateMemory,
         ckpt: Option<&CheckpointCtx<'_>>,
     ) -> Vec<(bool, MemoryStats)> {
-        let batch = g.len();
         let mut lanes: Vec<ApproximateMemory> =
             g.clone().map(|i| shared.fork((base + i) as u64)).collect();
-        let mut starts = vec![0usize; batch];
-        let mut xs: Vec<Tensor> = Vec::with_capacity(batch);
+        let mut starts = vec![0usize; g.len()];
+        let mut xs: Vec<Tensor> = Vec::with_capacity(g.len());
         for (j, i) in g.clone().enumerate() {
-            let sample = (base + i) as u32;
-            match ckpt.and_then(|c| c.resume(sample)) {
+            match ckpt.and_then(|c| c.resume((base + i) as u32)) {
                 Some((boundary, ck)) => {
                     lanes[j].skip_clean_loads(boundary as u64, ck.corrections);
                     starts[j] = boundary;
@@ -1311,10 +1212,73 @@ impl SessionCore<'_> {
                 None => xs.push(window[i].0.clone()),
             }
         }
+        let first = (base + g.start) as u32;
+        let logits =
+            weights.forward_group(self, &xs, &starts, &mut lanes, |j, boundary, x, lane| {
+                if let Some(ctx) = ckpt {
+                    if boundary > starts[j] {
+                        ctx.harvest(first + j as u32, boundary, x, lane.stats().corrections);
+                    }
+                }
+            });
+        lanes
+            .into_iter()
+            .zip(logits)
+            .zip(g)
+            .map(|((lane, y), i)| (y.argmax() == window[i].1, lane.stats()))
+            .collect()
+    }
+
+    /// [`EvalSession::forward_with_faults`] on one backend's pool: refetch
+    /// the first slot from `memory` and run `input` as a group of one with
+    /// `memory` as its lane.
+    fn forward_one<W: SlotWeights>(
+        &self,
+        pool: &mut Vec<Slot<W>>,
+        input: &Tensor,
+        memory: &mut ApproximateMemory,
+    ) -> Tensor {
+        if pool.is_empty() {
+            pool.push(Slot::new(W::prepare(&self.net)));
+        }
+        let corrections = self.clean_corrections(memory);
+        let slot = &mut pool[0];
+        self.refetch_slot(slot, memory, corrections.as_deref());
+        let mut out = slot.inner.forward_group(
+            self,
+            std::slice::from_ref(input),
+            &[0],
+            std::slice::from_mut(memory),
+            |_, _, _, _| {},
+        );
+        out.pop().expect("one output per input")
+    }
+
+    /// The simulated-f32 group executor, the counterpart of
+    /// [`qexec::forward_native_batch_observed`] with the same
+    /// `(inputs, starts, lanes, observe)` contract: per sample and layer the
+    /// IFM is requantized into a reused stored-bits buffer, corrupted by the
+    /// sample's lane at the session's precomputed IFM site and dequantized,
+    /// exactly as [`Network::forward_with_ifm_hook`] does; each layer's
+    /// compute then runs through [`Layer::forward_batch`] — one GEMM over
+    /// the whole group's activation columns — or, for a group of one or a
+    /// layer without a batched form, through [`Layer::forward`]. Both are
+    /// bit-identical per sample, so outcomes never depend on the grouping.
+    ///
+    /// [`Layer::forward_batch`]: eden_dnn::Layer::forward_batch
+    /// [`Layer::forward`]: eden_dnn::Layer::forward
+    fn forward_simulated_group(
+        &self,
+        net: &Network,
+        inputs: &[Tensor],
+        starts: &[usize],
+        lanes: &mut [ApproximateMemory],
+        mut observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
+    ) -> Vec<Tensor> {
+        let batch = inputs.len();
+        let mut xs: Vec<Tensor> = inputs.to_vec();
         let min_start = starts.iter().copied().min().unwrap_or(0);
         self.sim_scratch.with(|scratch| {
-            // Per-sample dequantized buffers, checked out of the scratch and
-            // grown once to the group width.
             let mut bufs = std::mem::take(&mut scratch.batch);
             bufs.resize_with(batch, Vec::new);
             for (i, layer) in net.layers().iter().enumerate().skip(min_start) {
@@ -1324,12 +1288,7 @@ impl SessionCore<'_> {
                     if starts[j] > i {
                         continue;
                     }
-                    if let Some(ctx) = ckpt {
-                        if i > starts[j] {
-                            let sample = (base + g.start + j) as u32;
-                            ctx.harvest(sample, i, &xs[j], lanes[j].stats().corrections);
-                        }
-                    }
+                    observe(j, i, &xs[j], &mut lanes[j]);
                     let q = match &mut scratch.stored {
                         Some(q) => {
                             q.requantize_from(&xs[j], self.precision);
@@ -1370,202 +1329,7 @@ impl SessionCore<'_> {
             }
             scratch.batch = bufs;
         });
-        let g0 = g.start;
-        lanes
-            .into_iter()
-            .zip(g)
-            .map(|(lane, i)| (xs[i - g0].argmax() == window[i].1, lane.stats()))
-            .collect()
-    }
-
-    /// One simulated-f32 forward pass over a corrupted pool network —
-    /// bit-identical to [`Network::forward_with_ifm_hook`] (and, from a
-    /// checkpointed `start`, to its resume form
-    /// [`Network::forward_with_ifm_hook_from`]), with the stored bits and
-    /// dequantized activations living in reused scratch buffers and the IFM
-    /// sites drawn from the session's precomputed list instead of being
-    /// re-allocated per layer. With a checkpoint context, clean boundary
-    /// activations above `start` are harvested into the store on the way
-    /// through.
-    fn forward_simulated(
-        &self,
-        corrupted: &Network,
-        input: &Tensor,
-        start: usize,
-        lane: &mut ApproximateMemory,
-        scratch: &mut SimScratch,
-        ckpt: Option<(&CheckpointCtx<'_>, u32)>,
-    ) -> Tensor {
-        let mut x = input.clone();
-        for (i, layer) in corrupted.layers().iter().enumerate().skip(start) {
-            if let Some((ctx, sample)) = ckpt {
-                if i > start {
-                    ctx.harvest(sample, i, &x, lane.stats().corrections);
-                }
-            }
-            let q = match &mut scratch.stored {
-                Some(q) => {
-                    q.requantize_from(&x, self.precision);
-                    q
-                }
-                None => scratch
-                    .stored
-                    .insert(QuantTensor::quantize(&x, self.precision)),
-            };
-            lane.corrupt(&self.ifm_sites[i], q);
-            scratch.dequantized.clear();
-            scratch.dequantized.resize(q.len(), 0.0);
-            q.dequantize_into(&mut scratch.dequantized);
-            let dequantized = Tensor::from_vec(std::mem::take(&mut scratch.dequantized), q.shape());
-            x = layer.forward(&dequantized);
-            scratch.dequantized = dequantized.into_vec();
-        }
-        x
-    }
-
-    fn evaluate_native(
-        &self,
-        samples: &[(Tensor, usize)],
-        memory: &mut ApproximateMemory,
-        pool: &mut Vec<Slot<NativeWeights>>,
-        ckpt: Option<&CheckpointCtx<'_>>,
-        batch: Option<usize>,
-    ) -> usize {
-        // Same window/refetch structure as the simulated path (and the same
-        // load-stream consumption), but the refetched state is the integer
-        // parameter set instead of an f32 network copy.
-        let corrections = self.clean_corrections(memory);
-        let mut correct = 0usize;
-        for (w, window) in samples.chunks(WINDOW).enumerate() {
-            let slots = refetch_slots(window.len());
-            while pool.len() < slots {
-                pool.push(Slot::new(NativeWeights::prepare(&self.net)));
-            }
-            for slot in pool.iter_mut().take(slots) {
-                self.refetch_slot(slot, memory, corrections.as_deref());
-            }
-
-            let base = w * WINDOW;
-            let shared: &ApproximateMemory = memory;
-            let pool_ref: &[Slot<NativeWeights>] = pool;
-            let groups = self.batch_groups(window.len(), &pool_ref[..slots], batch);
-            let outcomes = eden_par::par_map(&groups, |_, g| {
-                if g.len() == 1 {
-                    let i = g.start;
-                    let (x, label) = &window[i];
-                    let mut lane = shared.fork((base + i) as u64);
-                    let weights = &pool_ref[i / WEIGHT_REFETCH_PERIOD].inner;
-                    let sample = (base + i) as u32;
-                    // Same resume protocol as the simulated path; the
-                    // boundary activation is the f32 tensor crossing the
-                    // layer boundary, which both backends carry identically.
-                    let resumed = ckpt.and_then(|c| c.resume(sample));
-                    let (start, resume_x) = match &resumed {
-                        Some((boundary, ck)) => {
-                            lane.skip_clean_loads(*boundary as u64, ck.corrections);
-                            (
-                                *boundary,
-                                Some(Tensor::from_vec(ck.data.clone(), &ck.shape)),
-                            )
-                        }
-                        None => (0, None),
-                    };
-                    let input = resume_x.as_ref().unwrap_or(x);
-                    // Checked-out scratch: buffer contents never influence
-                    // results, so reuse across samples is thread-count
-                    // invariant.
-                    let logits = self.scratch.with(|scratch| {
-                        qexec::forward_native_observed(
-                            &self.net,
-                            weights,
-                            input,
-                            start,
-                            self.precision,
-                            &mut lane,
-                            scratch,
-                            |boundary, x, lane: &mut ApproximateMemory| {
-                                if let Some(ctx) = ckpt {
-                                    if boundary > start {
-                                        ctx.harvest(sample, boundary, x, lane.stats().corrections);
-                                    }
-                                }
-                            },
-                        )
-                    });
-                    vec![(logits.argmax() == *label, lane.stats())]
-                } else {
-                    let weights = &pool_ref[g.start / WEIGHT_REFETCH_PERIOD].inner;
-                    self.forward_native_group(weights, window, g.clone(), base, shared, ckpt)
-                }
-            });
-
-            for (ok, stats) in outcomes.into_iter().flatten() {
-                if ok {
-                    correct += 1;
-                }
-                memory.merge_stats(stats);
-            }
-        }
-        correct
-    }
-
-    /// Native-backend counterpart of [`SessionCore::forward_simulated_group`]:
-    /// per-sample lanes and checkpoint resumes feed one
-    /// [`qexec::forward_native_batch_observed`] call over the group's shared
-    /// integer weight state, which runs each layer's compute as a single
-    /// packed integer GEMM. Bit-identical to per-sample execution for the
-    /// same reasons — per sample, the observe/load/compute sequence is
-    /// exactly the solo executor's.
-    fn forward_native_group(
-        &self,
-        weights: &NativeWeights,
-        window: &[(Tensor, usize)],
-        g: std::ops::Range<usize>,
-        base: usize,
-        shared: &ApproximateMemory,
-        ckpt: Option<&CheckpointCtx<'_>>,
-    ) -> Vec<(bool, MemoryStats)> {
-        let batch = g.len();
-        let mut lanes: Vec<ApproximateMemory> =
-            g.clone().map(|i| shared.fork((base + i) as u64)).collect();
-        let mut starts = vec![0usize; batch];
-        let mut xs: Vec<Tensor> = Vec::with_capacity(batch);
-        for (j, i) in g.clone().enumerate() {
-            let sample = (base + i) as u32;
-            match ckpt.and_then(|c| c.resume(sample)) {
-                Some((boundary, ck)) => {
-                    lanes[j].skip_clean_loads(boundary as u64, ck.corrections);
-                    starts[j] = boundary;
-                    xs.push(Tensor::from_vec(ck.data.clone(), &ck.shape));
-                }
-                None => xs.push(window[i].0.clone()),
-            }
-        }
-        let g0 = g.start;
-        let logits = self.scratch.with(|scratch| {
-            qexec::forward_native_batch_observed(
-                &self.net,
-                weights,
-                &xs,
-                &starts,
-                self.precision,
-                &mut lanes,
-                scratch,
-                |j, boundary, x, lane: &mut ApproximateMemory| {
-                    if let Some(ctx) = ckpt {
-                        if boundary > starts[j] {
-                            let sample = (base + g0 + j) as u32;
-                            ctx.harvest(sample, boundary, x, lane.stats().corrections);
-                        }
-                    }
-                },
-            )
-        });
-        lanes
-            .into_iter()
-            .zip(g)
-            .map(|(lane, i)| (logits[i - g0].argmax() == window[i].1, lane.stats()))
-            .collect()
+        xs
     }
 }
 
@@ -1617,33 +1381,51 @@ mod tests {
 
     #[test]
     fn overlay_refetch_matches_image_reload_refetch() {
-        // The production overlay mode against the reference reload mode:
-        // same accuracies, same statistics, across backends, with bounding
-        // (so the sparse correction fold is exercised) and across a probe
-        // sequence that reuses the persistent pools (revert + re-apply).
+        // The session's overlay refetch against the image-reload oracle,
+        // refetch by refetch: same weights (same outputs on a probe input)
+        // and same memory statistics, across both backends' weight states,
+        // with bounding (so the sparse correction fold is exercised) and
+        // across a probe sequence that reuses the slots (revert + re-apply).
         let (net, dataset) = trained_lenet(7);
-        let samples = &dataset.test()[..24];
+        let x = &dataset.test()[0].0;
         let template = ErrorModel::uniform(0.02, 0.5, 3);
         let bounding =
             crate::bounding::BoundingLogic::new(-6.0, 6.0, crate::bounding::CorrectionPolicy::Zero);
-        for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-            let mut overlay_session = EvalSession::new(&net, Precision::Int8, backend);
-            assert_eq!(overlay_session.refetch_mode(), RefetchMode::Overlay);
-            let mut reload_session = EvalSession::new(&net, Precision::Int8, backend)
-                .with_refetch_mode(RefetchMode::ImageReload);
-            for ber in [1e-3, 1e-2, 1e-3, 5e-2] {
-                let model = template.with_ber(ber);
-                let make = || ApproximateMemory::from_model(model, 7).with_bounding(bounding);
-                let (mut a, mut b) = (make(), make());
-                let via_overlay = overlay_session.evaluate_with_faults(samples, &mut a);
-                let via_reload = reload_session.evaluate_with_faults(samples, &mut b);
-                assert_eq!(
-                    via_overlay.to_bits(),
-                    via_reload.to_bits(),
-                    "{backend} {ber}"
-                );
-                assert_eq!(a.stats(), b.stats(), "{backend} {ber}");
-            }
+        let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
+        let core = &session.core;
+        let native_out = |w: &NativeWeights| {
+            let mut out = qexec::forward_native_batch_observed(
+                &net,
+                w,
+                std::slice::from_ref(x),
+                &[0],
+                Precision::Int8,
+                &mut [eden_dnn::NoFaults],
+                &mut QuantScratch::new(),
+                |_, _, _, _| {},
+            );
+            out.pop().unwrap()
+        };
+        let mut simulated = Slot::new(net.clone());
+        let mut native = Slot::new(NativeWeights::prepare(&net));
+        for ber in [1e-3, 1e-2, 1e-3, 5e-2] {
+            let model = template.with_ber(ber);
+            let make = || ApproximateMemory::from_model(model, 7).with_bounding(bounding);
+
+            let (mut a, mut b) = (make(), make());
+            let corrections = core.clean_corrections(&a);
+            core.refetch_slot(&mut simulated, &mut a, corrections.as_deref());
+            let mut reloaded = net.clone();
+            reloaded.load_corrupted_weights(&core.images, &mut b);
+            assert_eq!(simulated.inner.forward(x), reloaded.forward(x), "{ber}");
+            assert_eq!(a.stats(), b.stats(), "{ber}");
+
+            let (mut a, mut b) = (make(), make());
+            core.refetch_slot(&mut native, &mut a, corrections.as_deref());
+            let mut refreshed = NativeWeights::prepare(&net);
+            refreshed.refresh(&core.images, &mut b);
+            assert_eq!(native_out(&native.inner), native_out(&refreshed), "{ber}");
+            assert_eq!(a.stats(), b.stats(), "{ber}");
         }
     }
 
@@ -1926,41 +1708,32 @@ mod tests {
     #[test]
     fn batched_execution_matches_per_sample_bit_for_bit() {
         // The default (batched) session against a batch-limit-1 session —
-        // the per-sample reference execution — across backends and refetch
-        // modes: same accuracies, same memory statistics.
+        // every sample a group of one — across backends: same accuracies,
+        // same memory statistics.
         let (net, dataset) = trained_lenet(14);
         let samples = &dataset.test()[..24];
         let template = ErrorModel::uniform(0.02, 0.5, 3);
         for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-            for mode in [RefetchMode::Overlay, RefetchMode::ImageReload] {
-                let mut batched =
-                    EvalSession::new(&net, Precision::Int8, backend).with_refetch_mode(mode);
-                let mut solo = EvalSession::new(&net, Precision::Int8, backend)
-                    .with_refetch_mode(mode)
-                    .with_batch_limit(1);
-                assert_eq!(batched.batch_limit(), DEFAULT_BATCH_LIMIT);
-                assert_eq!(solo.batch_limit(), 1);
-                for ber in [1e-3, 1e-2] {
-                    let model = template.with_ber(ber);
-                    let mut a = ApproximateMemory::from_model(model, 7);
-                    let mut b = ApproximateMemory::from_model(model, 7);
-                    let via_batched = batched.evaluate_with_faults(samples, &mut a);
-                    let via_solo = solo.evaluate_with_faults(samples, &mut b);
-                    assert_eq!(
-                        via_batched.to_bits(),
-                        via_solo.to_bits(),
-                        "{backend} {mode}"
-                    );
-                    assert_eq!(a.stats(), b.stats(), "{backend} {mode}");
-                }
-                let c = batched.batch_counters();
-                assert!(c.groups > 0, "{backend} {mode}: slot-mates must batch");
-                assert!(c.batched_samples > 0, "{backend} {mode}");
-                let s = solo.batch_counters();
-                assert_eq!(s.groups, 0, "{backend} {mode}: limit 1 never batches");
-                assert_eq!(s.batched_samples, 0, "{backend} {mode}");
-                assert_eq!(s.fallback_samples, 2 * samples.len() as u64);
+            let mut batched = EvalSession::new(&net, Precision::Int8, backend);
+            let mut solo = EvalSession::new(&net, Precision::Int8, backend).with_batch_limit(1);
+            assert_eq!(batched.batch_limit(), DEFAULT_BATCH_LIMIT);
+            assert_eq!(solo.batch_limit(), 1);
+            for ber in [1e-3, 1e-2] {
+                let model = template.with_ber(ber);
+                let mut a = ApproximateMemory::from_model(model, 7);
+                let mut b = ApproximateMemory::from_model(model, 7);
+                let via_batched = batched.evaluate_with_faults(samples, &mut a);
+                let via_solo = solo.evaluate_with_faults(samples, &mut b);
+                assert_eq!(via_batched.to_bits(), via_solo.to_bits(), "{backend}");
+                assert_eq!(a.stats(), b.stats(), "{backend}");
             }
+            let c = batched.batch_counters();
+            assert!(c.groups > 0, "{backend}: slot-mates must batch");
+            assert!(c.batched_samples > 0, "{backend}");
+            let s = solo.batch_counters();
+            assert_eq!(s.groups, 0, "{backend}: limit 1 never batches");
+            assert_eq!(s.batched_samples, 0, "{backend}");
+            assert_eq!(s.fallback_samples, 2 * samples.len() as u64);
         }
     }
 
@@ -1981,7 +1754,7 @@ mod tests {
         assert_eq!(c.groups, 2);
         assert_eq!(c.batched_samples, 48);
         assert_eq!(c.fallback_samples, 0);
-        // And the cross-slot groups stay pinned to per-sample execution.
+        // And the cross-slot groups stay pinned to groups of one.
         let solo = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt)
             .with_batch_limit(1);
         let mut memory2 = ApproximateMemory::from_model(model, 7);

@@ -74,26 +74,12 @@ pub trait Layer: LayerClone + Send + Sync {
         n
     }
 
-    /// Whether this layer implements [`Layer::quant_forward`]. Layers that
-    /// return `true` must have exactly a `weight` and a `bias` parameter (in
-    /// visit order) and must return `Some` from `quant_forward`.
+    /// Whether this layer implements [`Layer::quant_forward_batch`]. Layers
+    /// that return `true` must have exactly a `weight` and a `bias`
+    /// parameter (in visit order) and must return `Some` from
+    /// `quant_forward_batch`.
     fn supports_quant_forward(&self) -> bool {
         false
-    }
-
-    /// Native quantized forward pass: consumes the (corrupted) quantized
-    /// input activations and the layer's corrupted quantized parameters, and
-    /// produces the f32 layer output via exact integer accumulation — without
-    /// dequantizing the inputs. Layers without a native implementation return
-    /// `None`, and the executor falls back to `dequantize` + [`Layer::forward`].
-    fn quant_forward(
-        &self,
-        input: &QuantTensor,
-        params: &QuantLayerParams,
-        scratch: &mut QuantScratch,
-    ) -> Option<Tensor> {
-        let _ = (input, params, scratch);
-        None
     }
 
     /// Batched pure forward pass over a group of same-shape samples:
@@ -112,12 +98,17 @@ pub trait Layer: LayerClone + Send + Sync {
         None
     }
 
-    /// Batched [`Layer::quant_forward`]: one integer GEMM over a packed
-    /// multi-sample patch matrix, with each sample's own quantization scale
-    /// applied in the per-column epilogue. Must be bit-identical to the
-    /// per-sample form (integer accumulation is exact, and the f32 epilogue
-    /// is element-wise); the default returns `None` and the executor falls
-    /// back to per-sample calls.
+    /// Native quantized forward pass over a group of samples sharing the
+    /// layer's corrupted quantized parameters: consumes each sample's
+    /// (corrupted) quantized input activations and produces its f32 output
+    /// via exact integer accumulation, without dequantizing the inputs — one
+    /// integer GEMM over a packed multi-sample patch matrix, with each
+    /// sample's own quantization scale applied in the per-column epilogue.
+    /// Integer accumulation is exact and the f32 epilogue element-wise, so
+    /// each sample's output is independent of the group it runs in (a single
+    /// sample is a group of one). The default returns `None`; the executor
+    /// only calls this on layers that advertise
+    /// [`Layer::supports_quant_forward`].
     fn quant_forward_batch(
         &self,
         inputs: &[&QuantTensor],

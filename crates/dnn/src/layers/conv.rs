@@ -177,62 +177,11 @@ impl Layer for Conv2d {
         true
     }
 
-    /// Integer im2col + integer GEMM with exact accumulation, then one fused
-    /// `bias + acc · s_w·s_x` epilogue — the quantized mirror of
-    /// [`eden_tensor::ops::conv2d`].
-    fn quant_forward(
-        &self,
-        input: &QuantTensor,
-        params: &QuantLayerParams,
-        scratch: &mut QuantScratch,
-    ) -> Option<Tensor> {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 3, "conv quant_forward input must be [c, h, w]");
-        let (in_c, h, w) = (shape[0], shape[1], shape[2]);
-        assert_eq!(
-            in_c, self.in_channels,
-            "conv quant_forward channel mismatch"
-        );
-        let p = self.params;
-        let (oh, ow) = (p.out_size(h), p.out_size(w));
-        let ck = in_c * p.kernel * p.kernel;
-        if qexec::use_i8_kernels_for(input.precision(), ck) {
-            // Sign-extension is fused into the patch gather: the stored bits
-            // feed the kernel without an intermediate integer buffer.
-            ops::im2col_i8_t_stored(
-                input.stored(),
-                input.bits_per_value(),
-                in_c,
-                h,
-                w,
-                p,
-                &mut scratch.cols8,
-            );
-        } else {
-            input.q_values_into(&mut scratch.qx);
-            ops::im2col_i32(&scratch.qx, in_c, h, w, p, &mut scratch.cols);
-        }
-        let scale = params.weight_scale * input.scale();
-        let mut y = vec![0.0f32; self.out_channels * oh * ow];
-        qexec::quant_gemm_bias_into(
-            self.out_channels,
-            ck,
-            oh * ow,
-            params,
-            scratch,
-            input.precision(),
-            scale,
-            &params.bias,
-            &mut y,
-        );
-        Some(Tensor::from_vec(y, &[self.out_channels, oh, ow]))
-    }
-
-    /// Batched quantized convolution: one integer GEMM whose rhs packs every
-    /// sample's patch matrix, with each sample's own `s_w·s_x` scale applied
-    /// in the per-column epilogue. Integer accumulation is exact and the
-    /// epilogue element-wise, so the result matches per-sample
-    /// [`Layer::quant_forward`] bit for bit.
+    /// Quantized convolution, the integer mirror of
+    /// [`eden_tensor::ops::conv2d`]: integer im2col straight from the stored
+    /// bits, one integer GEMM with exact accumulation whose rhs packs every
+    /// sample's patch matrix, then one fused `bias + acc · s_w·s_x` epilogue
+    /// with each sample's own scale.
     fn quant_forward_batch(
         &self,
         inputs: &[&QuantTensor],

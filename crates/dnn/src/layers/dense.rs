@@ -171,37 +171,10 @@ impl Layer for Dense {
         true
     }
 
-    /// `y = (Σ qW·qx) · s_w·s_x + bias`, with the sum in exact integer
-    /// arithmetic — one matvec kernel call plus a fused scale/bias epilogue.
-    fn quant_forward(
-        &self,
-        input: &QuantTensor,
-        params: &QuantLayerParams,
-        scratch: &mut QuantScratch,
-    ) -> Option<Tensor> {
-        let (m, k) = (self.out_features(), self.in_features());
-        assert_eq!(input.len(), k, "dense quant_forward input length");
-        if qexec::use_i8_kernels_for(input.precision(), k) {
-            input.q_values_i8_into(&mut scratch.qx8);
-        } else {
-            input.q_values_into(&mut scratch.qx);
-        }
-        let scale = params.weight_scale * input.scale();
-        let mut y = vec![0.0f32; m];
-        qexec::quant_matvec_into(m, k, params, scratch, input.precision(), scale, &mut y);
-        // Bias added after the product, mirroring the f32 path's
-        // `matmul` + `axpy` ordering.
-        for (o, &b) in y.iter_mut().zip(&params.bias) {
-            *o += b;
-        }
-        Some(Tensor::from_vec(y, &[m]))
-    }
-
-    /// Batched quantized dense layer: every sample contributes one column to
-    /// a single integer GEMM (the multi-sample form of the per-sample
-    /// matvec), with each sample's own scale in the epilogue. Integer dots
-    /// are exact and f32 addition commutative, so `bias + acc·s` here equals
-    /// the per-sample `acc·s`-then-`+bias` bit for bit.
+    /// Quantized dense layer, `y = (Σ qW·qx) · s_w·s_x + bias` with the sum
+    /// in exact integer arithmetic: every sample contributes one column to a
+    /// single integer GEMM (a group of one is a matrix–vector product), with
+    /// each sample's own scale in the fused epilogue.
     fn quant_forward_batch(
         &self,
         inputs: &[&QuantTensor],

@@ -2,13 +2,13 @@
 //!
 //! # Serving weights from approximate DRAM
 //!
-//! Weight corruption has two production forms, both driven by the cached
-//! clean bit images of [`Network::weight_images`]:
+//! Weight corruption has two forms, both driven by the cached clean bit
+//! images of [`Network::weight_images`]:
 //!
 //! * **Image reload** ([`Network::load_corrupted_weights`]): per refetch,
 //!   clone each clean image, corrupt it through a [`FaultHook`], dequantize
 //!   into the parameter buffers — O(total weights) per refetch. This is the
-//!   reference implementation the sparse path is pinned against.
+//!   test oracle the sparse path is pinned against.
 //! * **Sparse overlays** ([`Network::apply_overlay`] /
 //!   [`Network::revert_overlay`]): hold the parameters at the dequantized
 //!   clean baseline ([`Network::load_clean_weights`]) and patch only the
@@ -17,7 +17,9 @@
 //!   corrupted copy serves any number of fault draws without full reloads.
 //!
 //! Both forms produce bit-identical parameters for the same fault draw; the
-//! workspace `overlay_equivalence` suite pins this.
+//! workspace `overlay_equivalence` suite pins the evaluation session (which
+//! refetches through overlays only) against a reference that reloads
+//! images.
 
 use crate::hooks::{DataKind, DataSite, FaultHook};
 use crate::layer::{Layer, ParamEntry};
@@ -419,44 +421,16 @@ impl Network {
     /// Pure forward pass in which every layer's IFM is round-tripped through
     /// the stored representation at `precision` and corrupted by `hook`
     /// before use — modelling IFMs that are stored to and loaded from
-    /// approximate DRAM between layers.
+    /// approximate DRAM between layers. The straightforward reference the
+    /// session's batched simulated executor is pinned against.
     pub fn forward_with_ifm_hook(
         &self,
         input: &Tensor,
         precision: Precision,
         hook: &mut dyn FaultHook,
     ) -> Tensor {
-        self.forward_with_ifm_hook_from(input, 0, precision, hook)
-    }
-
-    /// Resume form of [`Network::forward_with_ifm_hook`]: `x` is the
-    /// activation entering layer `start` (the network input when `start` is
-    /// 0), and only layers `start..` execute — each still storing, loading
-    /// and corrupting its IFM through `hook` exactly as the full pass would.
-    ///
-    /// Given the activation a full pass produces at the `start` boundary and
-    /// a hook whose state matches that point of the load sequence, the
-    /// output is bit-identical to the full pass: the prefix is *skipped*,
-    /// not approximated. This is the executor half of incremental
-    /// re-evaluation from clean-activation checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` exceeds the network depth.
-    pub fn forward_with_ifm_hook_from(
-        &self,
-        x: &Tensor,
-        start: usize,
-        precision: Precision,
-        hook: &mut dyn FaultHook,
-    ) -> Tensor {
-        assert!(
-            start <= self.layers.len(),
-            "resume layer {start} exceeds depth {}",
-            self.layers.len()
-        );
-        let mut x = x.clone();
-        for (i, layer) in self.layers.iter().enumerate().skip(start) {
+        let mut x = input.clone();
+        for (i, layer) in self.layers.iter().enumerate() {
             let site = DataSite::new(i, layer.name(), DataKind::Ifm);
             let mut q = QuantTensor::quantize(&x, precision);
             hook.corrupt(&site, &mut q);

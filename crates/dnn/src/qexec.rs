@@ -3,13 +3,20 @@
 //! The simulated-quantization path dequantizes every corrupted tensor back to
 //! f32 and runs the float layers. This module instead executes dense and
 //! convolutional layers directly on the **sign-extended quantized integers**:
-//! the corrupted stored bits feed integer GEMM kernels
-//! ([`eden_tensor::ops::gemm_i32`] / [`eden_tensor::ops::gemm_i64`]) with
-//! exact i32/i64 accumulation, and a single fused epilogue applies the
-//! per-tensor scale product and the bias. Layers without a native
-//! implementation (normalization, composite blocks) fall back to their f32
-//! forward on a weight-refreshed clone of the network, so any architecture
-//! runs under either backend.
+//! the corrupted stored bits feed one of two integer GEMMs — the packed i8
+//! panel GEMM ([`eden_tensor::ops::gemm_i8_packed`], i32 accumulation) for
+//! int4/int8 operands, the i64-accumulating
+//! [`eden_tensor::ops::gemm_i64_batch`] for int16 operands and reductions
+//! too deep for i32 — and a single fused epilogue applies the per-sample
+//! scale product and the bias. Layers without a native implementation
+//! (normalization, composite blocks) fall back to their f32 forward on a
+//! weight-refreshed clone of the network, so any architecture runs under
+//! either backend.
+//!
+//! There is one executor, [`forward_native_batch_observed`]: a group of
+//! samples sharing one corrupted weight state runs layer by layer, each
+//! layer's compute as one GEMM over the whole group, and a single sample is
+//! simply a group of one.
 //!
 //! Integer accumulation is exact and associative, so the native path is
 //! bit-identical for any thread count by construction. Against the simulated
@@ -28,13 +35,12 @@ use eden_tensor::{ops, CorruptionOverlay, Precision, QuantTensor, Tensor};
 #[derive(Debug, Clone, Default)]
 pub struct QuantLayerParams {
     /// Sign-extended corrupted quantized weight values (visit order) — the
-    /// i32 operand form used by the i64-accumulating int16 kernels.
+    /// i32 operand form of the i64-accumulating GEMM.
     pub qweight: Vec<i32>,
     /// The same weights narrowed to i8 (int4/int8 only): one-byte operands
-    /// for the widening-multiply dot kernels
-    /// ([`eden_tensor::ops::gemm_dot_i8`]), half the memory traffic of the
-    /// former i16 form. Every corrupted 4/8-bit pattern sign-extends into
-    /// `[-128, 127]` exactly.
+    /// for the packed panel GEMM ([`eden_tensor::ops::gemm_i8_packed`]).
+    /// Every corrupted 4/8-bit pattern sign-extends into `[-128, 127]`
+    /// exactly.
     pub qweight8: Vec<i8>,
     /// Dequantization scale of the (corrupted) weight tensor.
     pub weight_scale: f32,
@@ -43,22 +49,23 @@ pub struct QuantLayerParams {
 }
 
 /// Reusable per-worker scratch buffers of the native executor. One instance
-/// serves every layer of every sample a worker processes; no buffer is
+/// serves every layer of every group a worker processes; no buffer is
 /// reallocated once it has reached its high-water size.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    /// Sign-extended input activations of the current layer (i32 form).
+    /// Sign-extended input activations of one sample (i32 form).
     pub qx: Vec<i32>,
-    /// Sign-extended input activations narrowed to i8 (int4/int8 path).
+    /// Sign-extended input activations of one sample narrowed to i8
+    /// (int4/int8 path).
     pub qx8: Vec<i8>,
-    /// Integer im2col patch matrix (i32 form, `[ck, ohw]`).
+    /// Group-wide integer im2col matrix (i32 form, `[ck, batch·ohw]`).
     pub cols: Vec<i32>,
-    /// Transposed i8 im2col patch matrix (`[ohw, ck]`, int4/int8 path).
-    /// Batched layers pack rows at the k-padded panel stride instead
+    /// Group-wide transposed i8 patch rows (`[batch·ohw, ck]`, int4/int8
+    /// path), each at the k-padded panel stride
     /// ([`eden_tensor::ops::packed_stride_i8`]).
     pub cols8: Vec<i8>,
     /// i8 weight rows re-packed at the k-padded panel stride for
-    /// [`ops::gemm_i8_packed`] (batched path only).
+    /// [`ops::gemm_i8_packed`].
     pub apack8: Vec<i8>,
     /// Batch-wide dequantized GEMM output (`[m, n]`), reused across layers
     /// so no layer allocates it fresh.
@@ -136,14 +143,14 @@ impl<T: Default> ScratchArena<T> {
     }
 }
 
-/// Whether a precision's operands fit the widening-i8 dot kernels with i32
+/// Whether a precision's operands fit the widening-i8 kernels with i32
 /// accumulation (int4/int8; int16 values do not fit one byte and take the
-/// i32-operand kernels instead).
+/// i64-accumulating path instead).
 pub fn use_i8_kernels(precision: Precision) -> bool {
     precision.is_integer() && precision.bits() <= 8
 }
 
-/// Whether a `(precision, reduction depth)` pair takes the i8 dot kernels:
+/// Whether a `(precision, reduction depth)` pair takes the i8 kernels:
 /// the operands must fit i8 **and** the i32 accumulator must provably hold
 /// the `k`-term sums. Layers use this to prepare the matching operand form;
 /// the kernel dispatch below uses the same predicate, so the two can never
@@ -215,6 +222,8 @@ impl NativeWeights {
     /// each cached clean bit image (consuming `hook` load streams in the same
     /// order as [`Network::load_corrupted_weights`]) and rebuilds the integer
     /// parameters — plus the fallback network's f32 weights where needed.
+    /// The O(total weights) image-reload oracle the sparse overlay path
+    /// ([`NativeWeights::apply_overlay`]) is pinned against.
     pub fn refresh(&mut self, images: &[WeightImage], hook: &mut dyn FaultHook) {
         // Corrupt in image order so both backends consume identical load
         // streams; stash the corrupted tensors destined for the fallback net.
@@ -419,251 +428,42 @@ fn has_weight_bias_params(layer: &dyn Layer) -> bool {
     names == ["weight", "bias"]
 }
 
-/// One forward pass under the native integer backend: every layer's IFM is
-/// quantized, corrupted by `hook` at the same [`DataSite`]s (and therefore
-/// with the same load-stream sequence) as the simulated path, and then
-/// executed natively where the layer supports it — without ever dequantizing
-/// the activations for dense/conv layers. int4/int8 layers run on one-byte
-/// operands through the runtime-dispatched SIMD kernels (see
-/// [`eden_tensor::simd`]); int16 layers take the overflow-proof i64 path.
+/// Forward pass of a group of samples under the native integer backend,
+/// through one shared corrupted weight state: every layer's IFM is
+/// quantized, corrupted by the sample's own hook at the same [`DataSite`]s
+/// (and therefore with the same load-stream sequence) as the simulated path,
+/// and then executed natively where the layer supports it — without ever
+/// dequantizing the activations for dense/conv layers. Each native layer's
+/// compute is one GEMM over every active sample's activation columns
+/// (weight-stationary dataflow, [`Layer::quant_forward_batch`]); int4/int8
+/// layers run on one-byte operands through the runtime-dispatched SIMD
+/// kernels (see [`eden_tensor::simd`]), int16 layers take the overflow-proof
+/// i64 path. A single sample is a group of one.
+///
+/// `starts[j]` is sample `j`'s resume layer (0 for a full pass; otherwise
+/// `inputs[j]` is the activation entering layer `starts[j]`): a sample
+/// participates in layer `i` iff `starts[j] <= i`, which is how per-sample
+/// checkpoint resumes compose with grouping. Before each executed layer `i`
+/// loads sample `j`'s IFM, `observe(j, i, x, &mut hooks[j])` is called with
+/// the exact f32 activation entering the layer and the sample's hook (still
+/// untouched by layer `i`'s load) — what lets a caller harvest
+/// clean-activation checkpoints without the executor knowing anything about
+/// checkpoint stores. Observation never changes execution.
+///
+/// Per sample, the sequence of `observe` calls, IFM loads and layer
+/// computations depends only on that sample (integer accumulation is exact
+/// and the epilogue element-wise), so results and per-hook statistics are
+/// independent of the group a sample runs in. Given the activation a full
+/// pass produces at a resume boundary and a hook whose state matches that
+/// point of the load sequence, a resumed sample's output is bit-identical to
+/// its full pass: the prefix is skipped, not approximated.
 ///
 /// # Panics
 ///
 /// Panics if `precision` is not an integer precision (FP32 has no quantized
-/// representation to execute on), or if `weights` was prepared for a
-/// different architecture.
-pub fn forward_native(
-    net: &Network,
-    weights: &NativeWeights,
-    input: &Tensor,
-    precision: Precision,
-    hook: &mut dyn FaultHook,
-    scratch: &mut QuantScratch,
-) -> Tensor {
-    forward_native_from(net, weights, input, 0, precision, hook, scratch)
-}
-
-/// Resume form of [`forward_native`]: `x` is the activation entering layer
-/// `start` (the network input when `start` is 0), and only layers `start..`
-/// execute — each still quantizing, corrupting and natively executing its
-/// IFM exactly as the full pass would. Given the activation a full pass
-/// produces at the `start` boundary and a hook whose state matches that
-/// point of the load sequence, the output is bit-identical to the full
-/// pass: the prefix is skipped, not approximated (the executor half of
-/// incremental re-evaluation from clean-activation checkpoints).
-///
-/// # Panics
-///
-/// As [`forward_native`], plus if `start` exceeds the network depth.
-pub fn forward_native_from(
-    net: &Network,
-    weights: &NativeWeights,
-    x: &Tensor,
-    start: usize,
-    precision: Precision,
-    hook: &mut dyn FaultHook,
-    scratch: &mut QuantScratch,
-) -> Tensor {
-    forward_native_observed(
-        net,
-        weights,
-        x,
-        start,
-        precision,
-        hook,
-        scratch,
-        |_, _, _| {},
-    )
-}
-
-/// [`forward_native_from`] with a boundary observer: before each executed
-/// layer `i` loads its IFM, `observe(i, x, hook)` is called with the exact
-/// f32 activation entering the layer and the hook (still untouched by layer
-/// `i`'s load). This is what lets a caller harvest clean-activation
-/// checkpoints — boundary `i`'s activation together with the hook statistics
-/// accumulated by the first `i` loads — without the executor knowing
-/// anything about checkpoint stores. Observation never changes execution.
-///
-/// # Panics
-///
-/// As [`forward_native_from`].
-#[allow(clippy::too_many_arguments)]
-pub fn forward_native_observed<H: FaultHook + ?Sized>(
-    net: &Network,
-    weights: &NativeWeights,
-    x: &Tensor,
-    start: usize,
-    precision: Precision,
-    hook: &mut H,
-    scratch: &mut QuantScratch,
-    mut observe: impl FnMut(usize, &Tensor, &mut H),
-) -> Tensor {
-    assert!(
-        precision.is_integer(),
-        "the native backend requires an integer precision, got {precision}"
-    );
-    assert_eq!(
-        weights.native.len(),
-        net.depth(),
-        "weights/network mismatch"
-    );
-    assert!(
-        start <= net.depth(),
-        "resume layer {start} exceeds depth {}",
-        net.depth()
-    );
-    let mut x = x.clone();
-    // One stored-bits buffer serves every layer boundary of the sample.
-    let mut qt: Option<QuantTensor> = None;
-    for (i, layer) in net.layers().iter().enumerate().skip(start) {
-        observe(i, &x, hook);
-        let site = DataSite::new(i, layer.name(), DataKind::Ifm);
-        let q = match &mut qt {
-            Some(q) => {
-                q.requantize_from(&x, precision);
-                q
-            }
-            None => qt.insert(QuantTensor::quantize(&x, precision)),
-        };
-        hook.corrupt(&site, q);
-        x = match weights.native_params(i) {
-            Some(params) => layer
-                .quant_forward(q, params, scratch)
-                .expect("layer advertised native quantized support"),
-            None => match layer.quant_forward_activation(q) {
-                // Parameterless layers that commute with dequantization
-                // (ReLU, max pool, flatten) run in the quantized domain.
-                Some(out) => out,
-                None => {
-                    let l: &dyn Layer = if layer.param_count() > 0 {
-                        weights.fallback_layer(i)
-                    } else {
-                        layer.as_ref()
-                    };
-                    l.forward(&q.dequantize())
-                }
-            },
-        };
-    }
-    x
-}
-
-/// Integer matrix–vector product dispatching on accumulator width, with the
-/// fused `y[o] = acc · scale (+ bias later)` epilogue left to the caller.
-/// Used by [`crate::layers::Dense::quant_forward`].
-pub fn quant_matvec_into(
-    m: usize,
-    k: usize,
-    params: &QuantLayerParams,
-    scratch: &mut QuantScratch,
-    precision: Precision,
-    scale: f32,
-    out: &mut [f32],
-) {
-    if use_i8_kernels_for(precision, k) {
-        scratch.acc_i32.clear();
-        scratch.acc_i32.resize(m, 0);
-        ops::matvec_i8(m, k, &params.qweight8, &scratch.qx8, &mut scratch.acc_i32);
-        for (o, &acc) in out.iter_mut().zip(&scratch.acc_i32) {
-            *o = acc as f32 * scale;
-        }
-    } else if needs_wide_accumulator(precision, k) {
-        scratch.acc_i64.clear();
-        scratch.acc_i64.resize(m, 0);
-        ops::matvec_i64(m, k, &params.qweight, &scratch.qx, &mut scratch.acc_i64);
-        for (o, &acc) in out.iter_mut().zip(&scratch.acc_i64) {
-            *o = acc as f32 * scale;
-        }
-    } else {
-        scratch.acc_i32.clear();
-        scratch.acc_i32.resize(m, 0);
-        ops::matvec_i32(m, k, &params.qweight, &scratch.qx, &mut scratch.acc_i32);
-        for (o, &acc) in out.iter_mut().zip(&scratch.acc_i32) {
-            *o = acc as f32 * scale;
-        }
-    }
-}
-
-/// Integer GEMM over the im2col patch matrix in `scratch.cols`, dispatching
-/// on accumulator width; writes `bias[row] + acc · scale` into `out`
-/// (row-major `m×n`). Used by [`crate::layers::Conv2d::quant_forward`].
-#[allow(clippy::too_many_arguments)]
-pub fn quant_gemm_bias_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    params: &QuantLayerParams,
-    scratch: &mut QuantScratch,
-    precision: Precision,
-    scale: f32,
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    if use_i8_kernels_for(precision, k) {
-        scratch.acc_i32.clear();
-        scratch.acc_i32.resize(m * n, 0);
-        ops::gemm_dot_i8(
-            m,
-            k,
-            n,
-            &params.qweight8,
-            &scratch.cols8,
-            &mut scratch.acc_i32,
-        );
-        epilogue_i32(m, n, &scratch.acc_i32, scale, bias, out);
-    } else if needs_wide_accumulator(precision, k) {
-        scratch.acc_i64.clear();
-        scratch.acc_i64.resize(m * n, 0);
-        ops::gemm_i64(
-            m,
-            k,
-            n,
-            &params.qweight,
-            &scratch.cols,
-            &mut scratch.acc_i64,
-        );
-        for row in 0..m {
-            let b = bias[row];
-            for (o, &acc) in out[row * n..(row + 1) * n]
-                .iter_mut()
-                .zip(&scratch.acc_i64[row * n..(row + 1) * n])
-            {
-                *o = b + acc as f32 * scale;
-            }
-        }
-    } else {
-        scratch.acc_i32.clear();
-        scratch.acc_i32.resize(m * n, 0);
-        ops::gemm_i32(
-            m,
-            k,
-            n,
-            &params.qweight,
-            &scratch.cols,
-            &mut scratch.acc_i32,
-        );
-        epilogue_i32(m, n, &scratch.acc_i32, scale, bias, out);
-    }
-}
-
-/// Batched form of [`forward_native_observed`]: runs a whole group of
-/// samples through one shared corrupted weight state, layer by layer —
-/// weight-stationary dataflow, with each layer's GEMM packing every active
-/// sample's activation columns into a single rhs
-/// ([`Layer::quant_forward_batch`]).
-///
-/// `starts[j]` is sample `j`'s resume layer (0 for a full pass): a sample
-/// participates in layer `i` iff `starts[j] <= i`, which is how per-sample
-/// checkpoint resumes compose with batching. Per sample, the sequence of
-/// `observe` calls, IFM loads (`hooks[j].corrupt`, each against its own
-/// hook) and layer computations is exactly that of a solo
-/// [`forward_native_observed`] run, so results and per-hook statistics are
-/// bit-identical to per-sample execution by construction.
-///
-/// # Panics
-///
-/// As [`forward_native_from`]; additionally if `inputs`, `starts` and
-/// `hooks` disagree in length.
+/// representation to execute on), if `weights` was prepared for a different
+/// architecture, if a resume layer exceeds the network depth, or if
+/// `inputs`, `starts` and `hooks` disagree in length.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_native_batch_observed<H: FaultHook>(
     net: &Network,
@@ -688,8 +488,7 @@ pub fn forward_native_batch_observed<H: FaultHook>(
     assert_eq!(inputs.len(), hooks.len(), "inputs/hooks mismatch");
     let batch = inputs.len();
     let mut xs: Vec<Tensor> = inputs.to_vec();
-    // One stored-bits buffer per sample: layer boundaries of one sample
-    // reuse it exactly like the solo executor's single buffer.
+    // One stored-bits buffer per sample, reused across its layer boundaries.
     let mut qts: Vec<Option<QuantTensor>> = (0..batch).map(|_| None).collect();
     let min_start = starts.iter().copied().min().unwrap_or(0);
     assert!(
@@ -715,19 +514,11 @@ pub fn forward_native_batch_observed<H: FaultHook>(
             Some(params) => {
                 let qrefs: Vec<&QuantTensor> =
                     active.iter().map(|&j| qts[j].as_ref().unwrap()).collect();
-                match layer.quant_forward_batch(&qrefs, params, scratch) {
-                    Some(ys) => {
-                        for (&j, y) in active.iter().zip(ys) {
-                            xs[j] = y;
-                        }
-                    }
-                    None => {
-                        for &j in &active {
-                            xs[j] = layer
-                                .quant_forward(qts[j].as_ref().unwrap(), params, scratch)
-                                .expect("layer advertised native quantized support");
-                        }
-                    }
+                let ys = layer
+                    .quant_forward_batch(&qrefs, params, scratch)
+                    .expect("layer advertised native quantized support");
+                for (&j, y) in active.iter().zip(ys) {
+                    xs[j] = y;
                 }
             }
             None => {
@@ -751,16 +542,18 @@ pub fn forward_native_batch_observed<H: FaultHook>(
     xs
 }
 
-/// Batched integer GEMM over a packed multi-sample rhs, dispatching on
-/// accumulator width exactly like [`quant_gemm_bias_into`] — but each sample
-/// contributes `cols_per_sample` consecutive output columns with its **own**
-/// quantization scale, so the fused epilogue is
+/// Integer GEMM over a packed multi-sample rhs with a fused per-sample-scale
+/// epilogue, dispatching on operand width: the packed i8 panel GEMM where
+/// [`use_i8_kernels_for`] holds, the i32-operand i64-accumulating GEMM
+/// everywhere else (int16, and int4/int8 reductions too deep for i32).
+/// Each sample contributes `cols_per_sample` consecutive output columns with
+/// its **own** quantization scale, so the epilogue is
 /// `out[row·n + j] = bias[row] + acc[row·n + j] · scales[j / cols_per_sample]`
-/// (`n = cols_per_sample · batch`). On the i8 fast path, `scratch.cols8`
-/// rows must be packed at the [`ops::packed_stride_i8`] panel stride with
-/// zero-filled pad lanes. Used by
-/// [`crate::layers::Conv2d::quant_forward_batch`] (patch columns) and
-/// [`crate::layers::Dense::quant_forward_batch`] (one column per sample).
+/// (`n = cols_per_sample · batch`). On the i8 path, `scratch.cols8` rows
+/// must be packed at the [`ops::packed_stride_i8`] panel stride with
+/// zero-filled pad lanes; on the i64 path `scratch.cols` holds the
+/// `[k, n]` rhs. Used by [`crate::layers::Conv2d`] (patch columns) and
+/// [`crate::layers::Dense`] (one column per sample).
 #[allow(clippy::too_many_arguments)]
 pub fn quant_gemm_bias_batch_into(
     m: usize,
@@ -775,10 +568,9 @@ pub fn quant_gemm_bias_batch_into(
 ) {
     let n = cols_per_sample * scales.len();
     if use_i8_kernels_for(precision, k) {
-        // Batched callers pack each `cols8` row at the k-padded panel
-        // stride; mirror the weights into the same layout and run the
-        // whole-row-pair panel GEMM (zero pad lanes are exact for integer
-        // accumulation, so this matches the unpadded form bit for bit).
+        // Mirror the weights into the k-padded panel layout the rhs rows use
+        // and run the whole-row-pair panel GEMM (zero pad lanes are exact for
+        // integer accumulation).
         let k_pad = ops::packed_stride_i8(k);
         scratch.apack8.clear();
         scratch.apack8.resize(m * k_pad, 0);
@@ -799,8 +591,16 @@ pub fn quant_gemm_bias_batch_into(
             &scratch.cols8,
             &mut scratch.acc_i32,
         );
-        epilogue_batch_i32(m, cols_per_sample, &scratch.acc_i32, scales, bias, out);
-    } else if needs_wide_accumulator(precision, k) {
+        epilogue_batch(
+            m,
+            cols_per_sample,
+            &scratch.acc_i32,
+            scales,
+            bias,
+            out,
+            |a| a as f32,
+        );
+    } else {
         scratch.acc_i64.clear();
         scratch.acc_i64.resize(m * n, 0);
         ops::gemm_i64_batch(
@@ -811,41 +611,29 @@ pub fn quant_gemm_bias_batch_into(
             &scratch.cols,
             &mut scratch.acc_i64,
         );
-        for (row, &b) in bias.iter().enumerate().take(m) {
-            for (s, &scale) in scales.iter().enumerate() {
-                let lo = row * n + s * cols_per_sample;
-                for (o, &acc) in out[lo..lo + cols_per_sample]
-                    .iter_mut()
-                    .zip(&scratch.acc_i64[lo..lo + cols_per_sample])
-                {
-                    *o = b + acc as f32 * scale;
-                }
-            }
-        }
-    } else {
-        scratch.acc_i32.clear();
-        scratch.acc_i32.resize(m * n, 0);
-        ops::gemm_i32_batch(
+        epilogue_batch(
             m,
-            k,
-            n,
-            &params.qweight,
-            &scratch.cols,
-            &mut scratch.acc_i32,
+            cols_per_sample,
+            &scratch.acc_i64,
+            scales,
+            bias,
+            out,
+            |a| a as f32,
         );
-        epilogue_batch_i32(m, cols_per_sample, &scratch.acc_i32, scales, bias, out);
     }
 }
 
-/// Per-sample-scale variant of [`epilogue_i32`]:
-/// `out[row·n + j] = bias[row] + acc[row·n + j] · scales[j / cols_per_sample]`.
-fn epilogue_batch_i32(
+/// The fused per-sample-scale epilogue:
+/// `out[row·n + j] = bias[row] + acc[row·n + j] · scales[j / cols_per_sample]`,
+/// with `to_f32` the accumulator's `as f32` conversion.
+fn epilogue_batch<A: Copy>(
     m: usize,
     cols_per_sample: usize,
-    acc: &[i32],
+    acc: &[A],
     scales: &[f32],
     bias: &[f32],
     out: &mut [f32],
+    to_f32: impl Fn(A) -> f32,
 ) {
     let n = cols_per_sample * scales.len();
     for (row, &b) in bias.iter().enumerate().take(m) {
@@ -857,21 +645,8 @@ fn epilogue_batch_i32(
                 .iter_mut()
                 .zip(&acc[lo..lo + cols_per_sample])
             {
-                *o = b + a as f32 * scale;
+                *o = b + to_f32(a) * scale;
             }
-        }
-    }
-}
-
-/// Fused `out[row·n + j] = bias[row] + acc[row·n + j] · scale` epilogue.
-fn epilogue_i32(m: usize, n: usize, acc: &[i32], scale: f32, bias: &[f32], out: &mut [f32]) {
-    for row in 0..m {
-        let b = bias[row];
-        for (o, &a) in out[row * n..(row + 1) * n]
-            .iter_mut()
-            .zip(&acc[row * n..(row + 1) * n])
-        {
-            *o = b + a as f32 * scale;
         }
     }
 }
@@ -894,12 +669,32 @@ mod tests {
         net
     }
 
+    /// One sample through the native executor as a group of one.
+    fn forward_one(
+        net: &Network,
+        weights: &NativeWeights,
+        x: &Tensor,
+        precision: Precision,
+        scratch: &mut QuantScratch,
+    ) -> Tensor {
+        let mut out = forward_native_batch_observed(
+            net,
+            weights,
+            std::slice::from_ref(x),
+            &[0],
+            precision,
+            &mut [NoFaults],
+            scratch,
+            |_, _, _, _| {},
+        );
+        out.pop().unwrap()
+    }
+
     fn native_forward(net: &Network, x: &Tensor, precision: Precision) -> Tensor {
         let images = net.weight_images(precision);
         let mut weights = NativeWeights::prepare(net);
         weights.refresh(&images, &mut NoFaults);
-        let mut scratch = QuantScratch::new();
-        forward_native(net, &weights, x, precision, &mut NoFaults, &mut scratch)
+        forward_one(net, &weights, x, precision, &mut QuantScratch::new())
     }
 
     /// The simulated-f32 reference: weights round-tripped through the stored
@@ -972,10 +767,7 @@ mod tests {
             weights.refresh(&images, &mut NoFaults);
             let per: Vec<Tensor> = inputs
                 .iter()
-                .map(|x| {
-                    let mut s = QuantScratch::new();
-                    forward_native(&net, &weights, x, p, &mut NoFaults, &mut s)
-                })
+                .map(|x| forward_one(&net, &weights, x, p, &mut QuantScratch::new()))
                 .collect();
             let mut hooks: Vec<NoFaults> = (0..inputs.len()).map(|_| NoFaults).collect();
             let starts = vec![0usize; inputs.len()];
@@ -1007,22 +799,23 @@ mod tests {
         let x0 = uniform(&[2, 7, 7], -1.0, 1.0, &mut rng);
         // Sample 1 "resumes" from layer 2 with the boundary activation a full
         // pass produces there.
-        let mut s = QuantScratch::new();
         let mut boundary = None;
-        let full = forward_native_observed(
+        let full = forward_native_batch_observed(
             &net,
             &weights,
-            &x0,
-            0,
+            std::slice::from_ref(&x0),
+            &[0],
             p,
-            &mut NoFaults,
-            &mut s,
-            |i, x, _| {
+            &mut [NoFaults],
+            &mut QuantScratch::new(),
+            |_, i, x, _| {
                 if i == 2 {
                     boundary = Some(x.clone());
                 }
             },
-        );
+        )
+        .pop()
+        .unwrap();
         let boundary = boundary.unwrap();
         let inputs = vec![x0.clone(), boundary];
         let starts = vec![0usize, 2];
@@ -1116,20 +909,16 @@ mod tests {
 
                 let x = uniform(&input_shape, -1.0, 1.0, &mut rng);
                 let mut scratch = QuantScratch::new();
-                let via_reference =
-                    forward_native(&net, &reference, &x, precision, &mut NoFaults, &mut scratch);
-                let via_patch =
-                    forward_native(&net, &patched, &x, precision, &mut NoFaults, &mut scratch);
+                let via_reference = forward_one(&net, &reference, &x, precision, &mut scratch);
+                let via_patch = forward_one(&net, &patched, &x, precision, &mut scratch);
                 assert_eq!(via_reference, via_patch, "{precision}");
 
                 // Revert restores the clean state bit for bit.
                 patched.revert_overlay(&images, &overlays);
                 let mut clean = NativeWeights::prepare(&net);
                 clean.refresh_clean(&images);
-                let via_reverted =
-                    forward_native(&net, &patched, &x, precision, &mut NoFaults, &mut scratch);
-                let via_clean =
-                    forward_native(&net, &clean, &x, precision, &mut NoFaults, &mut scratch);
+                let via_reverted = forward_one(&net, &patched, &x, precision, &mut scratch);
+                let via_clean = forward_one(&net, &clean, &x, precision, &mut scratch);
                 assert_eq!(via_reverted, via_clean, "{precision}");
             }
         }
@@ -1152,7 +941,7 @@ mod tests {
     fn deep_int8_reductions_take_the_overflow_proof_path() {
         // k = 2^18 int8 worst-case products sum to ~2^32, overflowing an i32
         // accumulator — the dispatch must route such depths to the i64
-        // kernels even though the operands fit i16.
+        // kernel even though the operands fit i8.
         let k = 1 << 18;
         let m = 2;
         let mut rng = seeded_rng(0);
@@ -1185,8 +974,10 @@ mod tests {
         }
         let mut scratch = QuantScratch::new();
         let y = layer
-            .quant_forward(&qx, &params, &mut scratch)
-            .expect("dense is native");
+            .quant_forward_batch(&[&qx], &params, &mut scratch)
+            .expect("dense is native")
+            .pop()
+            .unwrap();
         // All-ones tensors quantize to q = 127 with scale 1/127, so the true
         // sum is k·127² · (1/127)² = k exactly; an overflowed i32
         // accumulator would wrap to a wildly different value.

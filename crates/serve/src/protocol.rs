@@ -173,14 +173,17 @@ pub struct EvalSpec {
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// Server/pool/cache counters.
+    /// Server/pool/cache counters. The `batches` object reports
+    /// weight-stationary groups formed (`groups`), samples executed inside
+    /// them (`samples_batched`) and samples that ran as a group of one
+    /// (`fallback_samples`).
     Stats,
     /// Graceful shutdown: drain connections, then exit the accept loop.
     Shutdown,
     /// One accuracy evaluation at `ber`.
     Eval { spec: EvalSpec, ber: f64 },
     /// One accuracy evaluation at `ber` with an explicit weight-stationary
-    /// batch-group cap (`batch == 1` forces per-sample execution). Results
+    /// batch-group cap (`batch == 1` runs every sample as a group of one). Results
     /// are bit-identical to `eval` at any cap; only the throughput differs.
     EvalBatch {
         spec: EvalSpec,

@@ -244,7 +244,7 @@ impl SessionPool {
 
     /// Batch-group counters summed over the live shards (weight-stationary
     /// batching: multi-sample groups formed, samples executed batched,
-    /// per-sample fallbacks).
+    /// samples that ran as a group of one).
     pub fn batch_counters(&self) -> BatchCounters {
         let state = self.state.lock().unwrap();
         let mut total = BatchCounters::default();

@@ -69,19 +69,17 @@ pub fn gemm_with(
     }
 }
 
-/// Shared body of the integer GEMM kernels: same cache blocking as [`gemm`],
-/// accumulating `out (m×n) += a (m×k) · b (k×n)` over sign-extended quantized
-/// operands. Integer addition is associative, so (unlike the f32 kernel) the
-/// result is independent of accumulation order by construction; the inner
-/// loop is branchless, which lets it vectorize better than the
-/// sparsity-skipping f32 nest.
-fn gemm_int_impl<T>(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [T])
-where
-    T: Copy + From<i32> + std::ops::AddAssign + std::ops::Mul<Output = T>,
-{
-    assert!(a.len() >= m * k, "integer gemm: lhs slice too short");
-    assert!(b.len() >= k * n, "integer gemm: rhs slice too short");
-    assert!(out.len() >= m * n, "integer gemm: out slice too short");
+/// Integer GEMM with **i64 accumulation**: `out (m×n) += a (m×k) · b (k×n)`
+/// over sign-extended quantized operands — the overflow-proof path for int16
+/// operands (whose products alone reach 2³⁰) and for any depth where
+/// `k · Q²` could exceed `i32`. Same cache blocking as [`gemm`]; integer
+/// addition is associative, so the result is independent of accumulation
+/// order by construction, and the branchless inner loop vectorizes better
+/// than the sparsity-skipping f32 nest.
+pub fn gemm_i64(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
+    assert!(a.len() >= m * k, "gemm_i64: lhs slice too short");
+    assert!(b.len() >= k * n, "gemm_i64: rhs slice too short");
+    assert!(out.len() >= m * n, "gemm_i64: out slice too short");
     for kk in (0..k).step_by(GEMM_KC) {
         let k_end = (kk + GEMM_KC).min(k);
         for ii in (0..m).step_by(GEMM_MC) {
@@ -90,10 +88,10 @@ where
                 let arow = &a[i * k..i * k + k];
                 let orow = &mut out[i * n..i * n + n];
                 for p in kk..k_end {
-                    let av = T::from(arow[p]);
+                    let av = arow[p] as i64;
                     let brow = &b[p * n..p * n + n];
                     for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * T::from(bv);
+                        *o += av * bv as i64;
                     }
                 }
             }
@@ -101,252 +99,11 @@ where
     }
 }
 
-/// Integer GEMM with **i32 accumulation**: `out (m×n) += a (m×k) · b (k×n)`.
-///
-/// This is the native quantized-inference kernel for int4/int8 operands. The
-/// caller guarantees no overflow: with `|a|, |b| ≤ Q` every accumulator stays
-/// within `k · Q²`, so int8 (`Q = 128`) is safe for any `k ≤ 2¹⁷` and int4
-/// for any practical `k`. Use [`gemm_i64`] for int16 operands, whose products
-/// alone reach 2³⁰.
-///
-/// The row update dispatches to the active SIMD level (see [`crate::simd`]);
-/// integer addition is associative, so every level is bit-identical.
-pub fn gemm_i32(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i32]) {
-    gemm_i32_with(simd::kernels(), m, k, n, a, b, out);
-}
-
-/// [`gemm_i32`] against an explicit kernel table — lets parity tests and
-/// benchmarks pin a specific ISA level instead of the process-wide one.
-pub fn gemm_i32_with(
-    kr: &Kernels,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i32],
-    b: &[i32],
-    out: &mut [i32],
-) {
-    assert!(a.len() >= m * k, "integer gemm: lhs slice too short");
-    assert!(b.len() >= k * n, "integer gemm: rhs slice too short");
-    assert!(out.len() >= m * n, "integer gemm: out slice too short");
-    for kk in (0..k).step_by(GEMM_KC) {
-        let k_end = (kk + GEMM_KC).min(k);
-        for ii in (0..m).step_by(GEMM_MC) {
-            let i_end = (ii + GEMM_MC).min(m);
-            for i in ii..i_end {
-                let arow = &a[i * k..i * k + k];
-                let orow = &mut out[i * n..i * n + n];
-                for p in kk..k_end {
-                    (kr.axpy_i32)(arow[p], &b[p * n..p * n + n], orow);
-                }
-            }
-        }
-    }
-}
-
-/// Integer GEMM with **i64 accumulation** — the overflow-proof variant used
-/// for int16 operands (and any shape where `k · Q²` could exceed `i32`).
-pub fn gemm_i64(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
-    gemm_int_impl::<i64>(m, k, n, a, b, out);
-}
-
-/// Shared body of the integer matrix–vector kernels:
-/// `out (m) += a (m×k) · x (k)`.
-///
-/// A dense layer applied to one sample is a GEMM with `n = 1`; a dedicated
-/// kernel avoids the blocked GEMM's per-column overhead on that degenerate
-/// shape.
-fn matvec_int_impl<T>(m: usize, k: usize, a: &[i32], x: &[i32], out: &mut [T])
-where
-    T: Copy + From<i32> + std::ops::AddAssign + std::ops::Mul<Output = T>,
-{
-    assert!(a.len() >= m * k, "integer matvec: matrix slice too short");
-    assert!(x.len() >= k, "integer matvec: vector slice too short");
-    assert!(out.len() >= m, "integer matvec: out slice too short");
-    for (o, arow) in out.iter_mut().zip(a.chunks_exact(k)) {
-        let mut acc = *o;
-        for (&av, &xv) in arow.iter().zip(x) {
-            acc += T::from(av) * T::from(xv);
-        }
-        *o = acc;
-    }
-}
-
-/// Integer matrix–vector product with i32 accumulation (int4/int8 operands;
-/// see [`gemm_i32`] for the overflow contract).
-pub fn matvec_i32(m: usize, k: usize, a: &[i32], x: &[i32], out: &mut [i32]) {
-    matvec_i32_with(simd::kernels(), m, k, a, x, out);
-}
-
-/// [`matvec_i32`] against an explicit kernel table.
-pub fn matvec_i32_with(kr: &Kernels, m: usize, k: usize, a: &[i32], x: &[i32], out: &mut [i32]) {
-    assert!(a.len() >= m * k, "integer matvec: matrix slice too short");
-    assert!(x.len() >= k, "integer matvec: vector slice too short");
-    assert!(out.len() >= m, "integer matvec: out slice too short");
-    for (o, arow) in out.iter_mut().zip(a.chunks_exact(k)).take(m) {
-        *o += (kr.dot_i32)(arow, &x[..k]);
-    }
-}
-
-/// Integer matrix–vector product with i64 accumulation (int16 operands).
-pub fn matvec_i64(m: usize, k: usize, a: &[i32], x: &[i32], out: &mut [i64]) {
-    matvec_int_impl::<i64>(m, k, a, x, out);
-}
-
-/// Dot-structured integer GEMM over i16 operands with i32 accumulation:
-/// `out[i·n + j] += Σ_p a[i·k + p] · bt[j·k + p]` — note `bt` is the rhs in
-/// **transposed** (`n×k`, row-major) layout, so every output element is one
-/// contiguous widening-dot reduction over both operands. The kernel walks
-/// 2×2 output blocks ([`crate::simd::Kernels::dot4_i16`]) so every loaded
-/// operand vector is used twice, and dispatches to the widest `pmaddwd`
-/// family the CPU offers (SSE2 `_mm_madd_epi16` → AVX2 `_mm256_madd_epi16`
-/// → AVX-512 `_mm512_madd_epi16`; see [`crate::simd`]). Integer addition is
-/// associative, so every level produces exactly the scalar result.
-///
-/// Overflow contract as [`gemm_i32`]: safe for int4/int8 operands at any
-/// practical depth; int16 operands must use [`gemm_i64`].
-pub fn gemm_dot_i16(m: usize, k: usize, n: usize, a: &[i16], bt: &[i16], out: &mut [i32]) {
-    gemm_dot_i16_with(simd::kernels(), m, k, n, a, bt, out);
-}
-
-/// [`gemm_dot_i16`] against an explicit kernel table — lets parity tests
-/// and benchmarks pin a specific ISA level instead of the process-wide one.
-pub fn gemm_dot_i16_with(
-    kr: &Kernels,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i16],
-    bt: &[i16],
-    out: &mut [i32],
-) {
-    assert!(a.len() >= m * k, "gemm_dot_i16: lhs slice too short");
-    assert!(bt.len() >= n * k, "gemm_dot_i16: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_dot_i16: out slice too short");
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            let b1 = &bt[(j + 1) * k..(j + 2) * k];
-            let (s00, s01, s10, s11) = (kr.dot4_i16)(a0, a1, b0, b1);
-            out[i * n + j] += s00;
-            out[i * n + j + 1] += s01;
-            out[(i + 1) * n + j] += s10;
-            out[(i + 1) * n + j + 1] += s11;
-            j += 2;
-        }
-        if j < n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            out[i * n + j] += (kr.dot_i16)(a0, b0);
-            out[(i + 1) * n + j] += (kr.dot_i16)(a1, b0);
-        }
-        i += 2;
-    }
-    if i < m {
-        let a0 = &a[i * k..(i + 1) * k];
-        for (o, brow) in out[i * n..i * n + n].iter_mut().zip(bt.chunks_exact(k)) {
-            *o += (kr.dot_i16)(a0, brow);
-        }
-    }
-}
-
-/// Integer matrix–vector product over i16 operands with i32 accumulation
-/// (`out[i] += Σ_p a[i·k + p] · x[p]`) — the dense-layer variant of
-/// [`gemm_dot_i16`].
-pub fn matvec_i16(m: usize, k: usize, a: &[i16], x: &[i16], out: &mut [i32]) {
-    matvec_i16_with(simd::kernels(), m, k, a, x, out);
-}
-
-/// [`matvec_i16`] against an explicit kernel table.
-pub fn matvec_i16_with(kr: &Kernels, m: usize, k: usize, a: &[i16], x: &[i16], out: &mut [i32]) {
-    assert!(a.len() >= m * k, "matvec_i16: matrix slice too short");
-    assert!(x.len() >= k, "matvec_i16: vector slice too short");
-    assert!(out.len() >= m, "matvec_i16: out slice too short");
-    for (o, arow) in out.iter_mut().zip(a.chunks_exact(k)).take(m) {
-        *o += (kr.dot_i16)(arow, &x[..k]);
-    }
-}
-
-/// Dot-structured integer GEMM over **i8** operands with i32 accumulation —
-/// the int4/int8 production path. Same transposed-rhs layout and 2×2 output
-/// blocking as [`gemm_dot_i16`], but operands stay in one byte per value,
-/// halving memory traffic. The kernels sign-extend on load (`vpmovsxbw`)
-/// and reuse the `pmaddwd` multiply–add, which is exact over the full
-/// corrupted domain `[-128, 127]` — unlike the classic `pmaddubsw`
-/// sign-trick, which wraps at `(-128)·(-128)` (see [`crate::simd`]).
-///
-/// Overflow contract as [`gemm_i32`].
-pub fn gemm_dot_i8(m: usize, k: usize, n: usize, a: &[i8], bt: &[i8], out: &mut [i32]) {
-    gemm_dot_i8_with(simd::kernels(), m, k, n, a, bt, out);
-}
-
-/// [`gemm_dot_i8`] against an explicit kernel table.
-pub fn gemm_dot_i8_with(
-    kr: &Kernels,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    bt: &[i8],
-    out: &mut [i32],
-) {
-    assert!(a.len() >= m * k, "gemm_dot_i8: lhs slice too short");
-    assert!(bt.len() >= n * k, "gemm_dot_i8: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_dot_i8: out slice too short");
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            let b1 = &bt[(j + 1) * k..(j + 2) * k];
-            let (s00, s01, s10, s11) = (kr.dot4_i8)(a0, a1, b0, b1);
-            out[i * n + j] += s00;
-            out[i * n + j + 1] += s01;
-            out[(i + 1) * n + j] += s10;
-            out[(i + 1) * n + j + 1] += s11;
-            j += 2;
-        }
-        if j < n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            out[i * n + j] += (kr.dot_i8)(a0, b0);
-            out[(i + 1) * n + j] += (kr.dot_i8)(a1, b0);
-        }
-        i += 2;
-    }
-    if i < m {
-        let a0 = &a[i * k..(i + 1) * k];
-        for (o, brow) in out[i * n..i * n + n].iter_mut().zip(bt.chunks_exact(k)) {
-            *o += (kr.dot_i8)(a0, brow);
-        }
-    }
-}
-
-/// Integer matrix–vector product over i8 operands with i32 accumulation —
-/// the dense-layer variant of [`gemm_dot_i8`].
-pub fn matvec_i8(m: usize, k: usize, a: &[i8], x: &[i8], out: &mut [i32]) {
-    matvec_i8_with(simd::kernels(), m, k, a, x, out);
-}
-
-/// [`matvec_i8`] against an explicit kernel table.
-pub fn matvec_i8_with(kr: &Kernels, m: usize, k: usize, a: &[i8], x: &[i8], out: &mut [i32]) {
-    assert!(a.len() >= m * k, "matvec_i8: matrix slice too short");
-    assert!(x.len() >= k, "matvec_i8: vector slice too short");
-    assert!(out.len() >= m, "matvec_i8: out slice too short");
-    for (o, arow) in out.iter_mut().zip(a.chunks_exact(k)).take(m) {
-        *o += (kr.dot_i8)(arow, &x[..k]);
-    }
-}
-
 /// Output-row block of the batched GEMM entry points. The block geometry is
 /// a fixed function of the shape — never of the thread count — so a batched
 /// GEMM computes bit-identical results on any pool size (each output row's
-/// accumulation chain is independent of every other row's). Kept even so the
-/// dot-structured kernels' 2×2 row pairing never straddles a block boundary.
+/// accumulation chain is independent of every other row's). Kept even so
+/// [`gemm_i8_packed`]'s row pairing never straddles a block boundary.
 const GEMM_PAR_ROWS: usize = 16;
 
 /// Minimum multiply–accumulate count (`m·k·n`) before a batched GEMM entry
@@ -398,39 +155,9 @@ pub fn gemm_batch_with(
     });
 }
 
-/// Batched integer GEMM with i32 accumulation — the multi-sample form of
-/// [`gemm_i32`], row-blocked across the [`eden_par`] pool. Integer addition
-/// is associative, so the split is exact by construction.
-pub fn gemm_i32_batch(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i32]) {
-    gemm_i32_batch_with(simd::kernels(), m, k, n, a, b, out);
-}
-
-/// [`gemm_i32_batch`] against an explicit kernel table.
-pub fn gemm_i32_batch_with(
-    kr: &Kernels,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i32],
-    b: &[i32],
-    out: &mut [i32],
-) {
-    assert!(a.len() >= m * k, "gemm_i32_batch: lhs slice too short");
-    assert!(b.len() >= k * n, "gemm_i32_batch: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_i32_batch: out slice too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let rows = gemm_par_rows(m, k, n);
-    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
-        let r0 = bi * rows;
-        let rc = chunk.len() / n;
-        gemm_i32_with(kr, rc, k, n, &a[r0 * k..(r0 + rc) * k], b, chunk);
-    });
-}
-
 /// Batched integer GEMM with i64 accumulation — the multi-sample form of
-/// [`gemm_i64`] (int16 operands), row-blocked across the [`eden_par`] pool.
+/// [`gemm_i64`], row-blocked across the [`eden_par`] pool. Integer addition
+/// is associative, so the split is exact by construction.
 pub fn gemm_i64_batch(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
     assert!(a.len() >= m * k, "gemm_i64_batch: lhs slice too short");
     assert!(b.len() >= k * n, "gemm_i64_batch: rhs slice too short");
@@ -459,10 +186,18 @@ pub const fn packed_stride_i8(k: usize) -> usize {
 /// of `k` lanes (the caller zero-pads real rows up to `k` =
 /// [`packed_stride_i8`] of the true depth), `bt` the transposed rhs in the
 /// same row form, and one [`crate::simd::Kernels::gemm2_i8`] call covers an
-/// entire row pair — the per-tile dispatch overhead and per-call scalar
-/// tails of [`gemm_dot_i8_batch`] disappear. Row-blocked across the
+/// entire row pair (an odd last row takes one
+/// [`crate::simd::Kernels::dot_i8`] per column). Row-blocked across the
 /// [`eden_par`] pool with fixed geometry; integer accumulation makes the
 /// split exact at any thread count.
+///
+/// This is the int4/int8 production kernel. Operands stay in one byte per
+/// value; the kernels sign-extend on load (`vpmovsxbw`) and use the
+/// `pmaddwd` multiply–add, which is exact over the full corrupted domain
+/// `[-128, 127]` — unlike the classic `pmaddubsw` sign-trick, which wraps at
+/// `(-128)·(-128)` (see [`crate::simd`]). The caller guarantees no i32
+/// overflow: with `|a|, |b| ≤ 128` every accumulator stays within `k · 2¹⁴`,
+/// so any `k < 2¹⁷` is safe; deeper reductions must use [`gemm_i64_batch`].
 pub fn gemm_i8_packed(m: usize, k: usize, n: usize, a: &[i8], bt: &[i8], out: &mut [i32]) {
     gemm_i8_packed_with(simd::kernels(), m, k, n, a, bt, out);
 }
@@ -507,37 +242,6 @@ pub fn gemm_i8_packed_with(
                 *o += (kr.dot_i8)(arow, brow);
             }
         }
-    });
-}
-
-/// Batched dot-structured i8 GEMM — the multi-sample form of
-/// [`gemm_dot_i8`] (transposed `n×k` rhs packing a whole batch of patch
-/// rows), row-blocked across the [`eden_par`] pool.
-pub fn gemm_dot_i8_batch(m: usize, k: usize, n: usize, a: &[i8], bt: &[i8], out: &mut [i32]) {
-    gemm_dot_i8_batch_with(simd::kernels(), m, k, n, a, bt, out);
-}
-
-/// [`gemm_dot_i8_batch`] against an explicit kernel table.
-pub fn gemm_dot_i8_batch_with(
-    kr: &Kernels,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    bt: &[i8],
-    out: &mut [i32],
-) {
-    assert!(a.len() >= m * k, "gemm_dot_i8_batch: lhs slice too short");
-    assert!(bt.len() >= n * k, "gemm_dot_i8_batch: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_dot_i8_batch: out slice too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let rows = gemm_par_rows(m, k, n);
-    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
-        let r0 = bi * rows;
-        let rc = chunk.len() / n;
-        gemm_dot_i8_with(kr, rc, k, n, &a[r0 * k..(r0 + rc) * k], bt, chunk);
     });
 }
 
@@ -639,165 +343,17 @@ pub fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
     Tensor::from_vec(cols, &[in_c * k * k, oh * ow])
 }
 
-/// Integer variant of [`im2col`] over a raw sign-extended `[in_c, h, w]`
-/// slice, writing the `[in_c·k·k, oh·ow]` patch matrix into `cols` (cleared
-/// and resized — callers reuse the buffer across layers and samples). Padding
-/// taps are zero, matching the f32 lowering exactly.
-pub fn im2col_i32(
-    input: &[i32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut Vec<i32>,
-) {
-    assert!(input.len() >= in_c * h * w, "im2col_i32: input too short");
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let k = p.kernel;
-    cols.clear();
-    cols.resize(in_c * k * k * oh * ow, 0);
-    for ic in 0..in_c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ic * k + ky) * k + kx;
-                let dst = &mut cols[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row =
-                        &input[ic * h * w + iy as usize * w..ic * h * w + (iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        dst[oy * ow + ox] = src_row[ix as usize];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Transposed integer im2col over a raw sign-extended `[in_c, h, w]` slice:
-/// writes the **patch-major** `[oh·ow, in_c·k·k]` matrix into `cols`
-/// (cleared and resized), i.e. the transpose of [`im2col_i32`]'s layout.
-/// Row `oy·ow + ox` holds the full receptive-field patch of output position
-/// `(oy, ox)` contiguously, which is exactly the rhs layout
-/// [`gemm_dot_i16`] wants.
-pub fn im2col_i16_t(
-    input: &[i16],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut Vec<i16>,
-) {
-    im2col_t_with(|i| input[i], input.len(), in_c, h, w, p, cols);
-}
-
-/// [`im2col_i16_t`] reading directly from the raw stored words of a
-/// quantized tensor, sign-extending on the fly — fuses the sign-extend pass
-/// into the patch gather so the native conv path never materializes the
-/// activation integers.
-pub fn im2col_i16_t_stored(
-    stored: &[u32],
-    bits: u32,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut Vec<i16>,
-) {
-    im2col_t_with(
-        |i| crate::bits::sign_extend(stored[i], bits) as i16,
-        stored.len(),
-        in_c,
-        h,
-        w,
-        p,
-        cols,
-    );
-}
-
-/// i8 variant of [`im2col_i16_t`] — the patch matrix in the one-byte operand
-/// form [`gemm_dot_i8`] wants. Only valid for values that fit i8 (int4/int8
-/// precisions).
-pub fn im2col_i8_t(
-    input: &[i8],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut Vec<i8>,
-) {
-    im2col_t_with(|i| input[i], input.len(), in_c, h, w, p, cols);
-}
-
-/// [`im2col_i8_t`] reading directly from the raw stored words of a quantized
-/// tensor, sign-extending on the fly (cf. [`im2col_i16_t_stored`]). `bits`
-/// must be ≤ 8 so every sign-extended value fits i8.
-pub fn im2col_i8_t_stored(
-    stored: &[u32],
-    bits: u32,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut Vec<i8>,
-) {
-    assert!(bits <= 8, "im2col_i8_t_stored: {bits}-bit values exceed i8");
-    im2col_t_with(
-        |i| crate::bits::sign_extend(stored[i], bits) as i8,
-        stored.len(),
-        in_c,
-        h,
-        w,
-        p,
-        cols,
-    );
-}
-
-/// [`im2col_i8_t_stored`] writing into a caller-provided sub-slice instead of
-/// resizing a buffer: fills the `[oh·ow, in_c·k·k]` patch matrix of one
-/// sample at `cols[..oh·ow·ck]`. Batched conv packs one such block per
-/// sample, back to back, to form the transposed rhs of
-/// [`gemm_dot_i8_batch`]. The slice must be pre-zeroed (padding taps are
-/// left untouched, exactly like the resizing variants).
-pub fn im2col_i8_t_stored_into(
-    stored: &[u32],
-    bits: u32,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut [i8],
-) {
-    assert!(
-        bits <= 8,
-        "im2col_i8_t_stored_into: {bits}-bit values exceed i8"
-    );
-    im2col_t_into_with(
-        |i| crate::bits::sign_extend(stored[i], bits) as i8,
-        stored.len(),
-        in_c,
-        h,
-        w,
-        p,
-        cols,
-    );
-}
-
-/// [`im2col_i8_t_stored_into`] writing each patch row at `row_stride` ≥
-/// `in_c·k·k` — the k-padded panel form [`gemm_i8_packed`] consumes — and
-/// gathering from a byte image instead of per-tap stored-word reads: the
-/// stored words are sign-extended **once** into `vals` (O(values) instead of
-/// O(taps), and taps outnumber values by the kernel footprint), then every
-/// in-bounds kernel row becomes one contiguous byte copy. `cols` must be
-/// pre-zeroed; padding taps and pad lanes are left untouched, so the first
-/// `in_c·k·k` lanes of each row match [`im2col_i8_t_stored_into`] exactly.
+/// Transposed i8 im2col straight from the raw stored words of a quantized
+/// `[in_c, h, w]` tensor (`bits` ≤ 8, so every sign-extended value fits
+/// i8): writes the **patch-major** `[oh·ow, in_c·k·k]` matrix — row
+/// `oy·ow + ox` holds output position `(oy, ox)`'s receptive field
+/// contiguously, i.e. the transpose of [`im2col`]'s layout — with each patch
+/// row at `row_stride` ≥ `in_c·k·k`, the k-padded panel form
+/// [`gemm_i8_packed`] consumes. The stored words are sign-extended **once**
+/// into `vals` (O(values) instead of O(taps), and taps outnumber values by
+/// the kernel footprint), then every in-bounds kernel row becomes one
+/// contiguous byte copy. `cols` must be pre-zeroed; padding taps and pad
+/// lanes are left untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_i8_t_stored_strided(
     stored: &[u32],
@@ -931,7 +487,7 @@ pub fn im2col_strided(
 
 /// Integer variant of [`im2col_strided`] over a raw sign-extended
 /// `[in_c, h, w]` slice — packs one sample's columns into the `[k, n]` rhs
-/// of [`gemm_i32_batch`]/[`gemm_i64_batch`].
+/// of [`gemm_i64_batch`].
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_i32_strided(
     input: &[i32],
@@ -997,67 +553,6 @@ fn im2col_strided_with<T: Copy>(
                             continue;
                         }
                         dst[oy * ow + ox] = read(src_base + ix as usize);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn im2col_t_with<T: Copy + Default>(
-    read: impl Fn(usize) -> T,
-    len: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut Vec<T>,
-) {
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let ck = in_c * p.kernel * p.kernel;
-    cols.clear();
-    cols.resize(oh * ow * ck, T::default());
-    im2col_t_into_with(read, len, in_c, h, w, p, cols);
-}
-
-/// Body of the transposed im2col gathers, writing into a caller-provided
-/// (pre-zeroed) slice so batched conv can pack per-sample blocks back to
-/// back without intermediate buffers.
-fn im2col_t_into_with<T: Copy>(
-    read: impl Fn(usize) -> T,
-    len: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    cols: &mut [T],
-) {
-    assert!(len >= in_c * h * w, "im2col transposed: input too short");
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let k = p.kernel;
-    let ck = in_c * k * k;
-    assert!(
-        cols.len() >= oh * ow * ck,
-        "im2col transposed: output slice too short"
-    );
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let dst = &mut cols[(oy * ow + ox) * ck..(oy * ow + ox + 1) * ck];
-            for ic in 0..in_c {
-                for ky in 0..k {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_base = ic * h * w + iy as usize * w;
-                    let drow = &mut dst[(ic * k + ky) * k..(ic * k + ky + 1) * k];
-                    for (kx, d) in drow.iter_mut().enumerate() {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        *d = read(src_base + ix as usize);
                     }
                 }
             }
@@ -1441,8 +936,6 @@ mod tests {
             let b: Vec<i32> = (0..k * n)
                 .map(|i| ((i * 53 + 7) % 255) as i32 - 127)
                 .collect();
-            let mut out32 = vec![0i32; m * n];
-            gemm_i32(m, k, n, &a, &b, &mut out32);
             let mut out64 = vec![0i64; m * n];
             gemm_i64(m, k, n, &a, &b, &mut out64);
             let mut naive = vec![0i64; m * n];
@@ -1454,51 +947,41 @@ mod tests {
                 }
             }
             assert_eq!(out64, naive, "gemm_i64 mismatch at ({m},{k},{n})");
-            let as64: Vec<i64> = out32.iter().map(|&v| v as i64).collect();
-            assert_eq!(as64, naive, "gemm_i32 mismatch at ({m},{k},{n})");
         }
     }
 
+    /// A dense layer run as a group of one is the `n = 1` GEMM: it must
+    /// equal the matching column of the same product over a wider batch.
     #[test]
     fn integer_matvec_matches_gemm_column() {
-        let (m, k) = (33, 129);
+        let (m, k, batch) = (33, 129, 3);
         let a: Vec<i32> = (0..m * k).map(|i| ((i * 29) % 255) as i32 - 127).collect();
-        let x: Vec<i32> = (0..k).map(|i| ((i * 41) % 255) as i32 - 127).collect();
-        let mut mv = vec![0i32; m];
-        matvec_i32(m, k, &a, &x, &mut mv);
-        let mut gm = vec![0i32; m];
-        gemm_i32(m, k, 1, &a, &x, &mut gm);
-        assert_eq!(mv, gm);
-        let mut mv64 = vec![0i64; m];
-        matvec_i64(m, k, &a, &x, &mut mv64);
-        assert_eq!(mv64, mv.iter().map(|&v| v as i64).collect::<Vec<_>>());
+        let b: Vec<i32> = (0..k * batch)
+            .map(|i| ((i * 41) % 255) as i32 - 127)
+            .collect();
+        let x: Vec<i32> = (0..k).map(|p| b[p * batch + 1]).collect();
+        let mut mv = vec![0i64; m];
+        gemm_i64(m, k, 1, &a, &x, &mut mv);
+        let mut gm = vec![0i64; m * batch];
+        gemm_i64_batch(m, k, batch, &a, &b, &mut gm);
+        let column: Vec<i64> = (0..m).map(|i| gm[i * batch + 1]).collect();
+        assert_eq!(mv, column);
     }
 
-    #[test]
-    fn dot_structured_i16_gemm_matches_i32_gemm() {
-        for (m, k, n) in [(1, 1, 1), (3, 5, 4), (6, 75, 64), (16, 54, 16), (7, 129, 3)] {
-            let a: Vec<i32> = (0..m * k)
-                .map(|i| ((i * 37 + 11) % 255) as i32 - 127)
-                .collect();
-            let b: Vec<i32> = (0..k * n)
-                .map(|i| ((i * 53 + 7) % 255) as i32 - 127)
-                .collect();
-            let a16: Vec<i16> = a.iter().map(|&v| v as i16).collect();
-            // Transpose b (k×n) into bt (n×k).
-            let mut bt = vec![0i16; n * k];
-            for p in 0..k {
-                for j in 0..n {
-                    bt[j * k + p] = b[p * n + j] as i16;
-                }
-            }
-            let mut reference = vec![0i32; m * n];
-            gemm_i32(m, k, n, &a, &b, &mut reference);
-            let mut dot = vec![0i32; m * n];
-            gemm_dot_i16(m, k, n, &a16, &bt, &mut dot);
-            assert_eq!(dot, reference, "gemm_dot_i16 mismatch at ({m},{k},{n})");
+    /// `a (m×k)` and `bt (n×k)` as i8, each row zero-padded to the packed
+    /// panel stride of [`gemm_i8_packed`].
+    fn pad_i8_rows(rows: &[i8], k: usize) -> Vec<i8> {
+        let k_pad = packed_stride_i8(k);
+        let mut out = vec![0i8; rows.len() / k * k_pad];
+        for (dst, src) in out.chunks_exact_mut(k_pad).zip(rows.chunks_exact(k)) {
+            dst[..k].copy_from_slice(src);
         }
+        out
     }
 
+    /// The two integer dispatch paths agree: the packed i8 GEMM (int4/int8)
+    /// equals the i32-operand GEMM with i64 accumulation (int16 and deep
+    /// reductions) on the same operands, across the full ±128 domain.
     #[test]
     fn dot_structured_i8_gemm_matches_i32_gemm() {
         for (m, k, n) in [(1, 1, 1), (3, 5, 4), (6, 75, 64), (16, 54, 16), (7, 129, 3)] {
@@ -1516,14 +999,23 @@ mod tests {
                     bt[j * k + p] = b[p * n + j] as i8;
                 }
             }
-            let mut reference = vec![0i32; m * n];
-            gemm_i32(m, k, n, &a, &b, &mut reference);
+            let mut reference = vec![0i64; m * n];
+            gemm_i64(m, k, n, &a, &b, &mut reference);
             let mut dot = vec![0i32; m * n];
-            gemm_dot_i8(m, k, n, &a8, &bt, &mut dot);
-            assert_eq!(dot, reference, "gemm_dot_i8 mismatch at ({m},{k},{n})");
+            gemm_i8_packed(
+                m,
+                packed_stride_i8(k),
+                n,
+                &pad_i8_rows(&a8, k),
+                &pad_i8_rows(&bt, k),
+                &mut dot,
+            );
+            let dot: Vec<i64> = dot.iter().map(|&v| v as i64).collect();
+            assert_eq!(dot, reference, "gemm_i8_packed mismatch at ({m},{k},{n})");
         }
     }
 
+    /// The dense group-of-one shape (`n = 1`) on both integer paths.
     #[test]
     fn i8_matvec_matches_i32_matvec() {
         let (m, k) = (33, 129);
@@ -1532,75 +1024,25 @@ mod tests {
         let x: Vec<i32> = (0..k).map(|i| ((i * 41) % 256) as i32 - 128).collect();
         let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
         let x8: Vec<i8> = x.iter().map(|&v| v as i8).collect();
-        let mut reference = vec![0i32; m];
-        matvec_i32(m, k, &a, &x, &mut reference);
+        let mut reference = vec![0i64; m];
+        gemm_i64(m, k, 1, &a, &x, &mut reference);
         let mut dot = vec![0i32; m];
-        matvec_i8(m, k, &a8, &x8, &mut dot);
+        gemm_i8_packed(
+            m,
+            packed_stride_i8(k),
+            1,
+            &pad_i8_rows(&a8, k),
+            &pad_i8_rows(&x8, k),
+            &mut dot,
+        );
+        let dot: Vec<i64> = dot.iter().map(|&v| v as i64).collect();
         assert_eq!(dot, reference);
-    }
-
-    #[test]
-    fn transposed_i8_im2col_matches_the_i16_form() {
-        for (in_c, h, w, k, stride, padding) in [(3, 9, 9, 3, 1, 1), (2, 8, 7, 3, 2, 1)] {
-            let p = Conv2dParams::new(k, stride, padding);
-            let ints: Vec<i32> = (0..in_c * h * w).map(|i| (i % 256) as i32 - 128).collect();
-            let i16s: Vec<i16> = ints.iter().map(|&v| v as i16).collect();
-            let i8s: Vec<i8> = ints.iter().map(|&v| v as i8).collect();
-            let mut wide = Vec::new();
-            im2col_i16_t(&i16s, in_c, h, w, p, &mut wide);
-            let mut narrow = vec![7i8; 2]; // junk: must be cleared
-            im2col_i8_t(&i8s, in_c, h, w, p, &mut narrow);
-            assert_eq!(narrow.len(), wide.len());
-            assert!(
-                narrow.iter().zip(&wide).all(|(&a, &b)| a as i16 == b),
-                "i8/i16 transposed im2col mismatch at k={k} s={stride} p={padding}"
-            );
-        }
-    }
-
-    #[test]
-    fn i16_matvec_matches_i32_matvec() {
-        let (m, k) = (33, 129);
-        let a: Vec<i32> = (0..m * k).map(|i| ((i * 29) % 255) as i32 - 127).collect();
-        let x: Vec<i32> = (0..k).map(|i| ((i * 41) % 255) as i32 - 127).collect();
-        let a16: Vec<i16> = a.iter().map(|&v| v as i16).collect();
-        let x16: Vec<i16> = x.iter().map(|&v| v as i16).collect();
-        let mut reference = vec![0i32; m];
-        matvec_i32(m, k, &a, &x, &mut reference);
-        let mut dot = vec![0i32; m];
-        matvec_i16(m, k, &a16, &x16, &mut dot);
-        assert_eq!(dot, reference);
-    }
-
-    #[test]
-    fn transposed_i16_im2col_is_the_transpose_of_im2col_i32() {
-        for (in_c, h, w, k, stride, padding) in [(3, 9, 9, 3, 1, 1), (2, 8, 7, 3, 2, 1)] {
-            let p = Conv2dParams::new(k, stride, padding);
-            let ints: Vec<i32> = (0..in_c * h * w).map(|i| (i % 255) as i32 - 127).collect();
-            let i16s: Vec<i16> = ints.iter().map(|&v| v as i16).collect();
-            let mut straight = Vec::new();
-            im2col_i32(&ints, in_c, h, w, p, &mut straight);
-            let mut transposed = vec![7i16; 2]; // junk: must be cleared
-            im2col_i16_t(&i16s, in_c, h, w, p, &mut transposed);
-            let (oh, ow) = (p.out_size(h), p.out_size(w));
-            let (ck, ohw) = (in_c * k * k, oh * ow);
-            assert_eq!(transposed.len(), straight.len());
-            for row in 0..ck {
-                for col in 0..ohw {
-                    assert_eq!(
-                        transposed[col * ck + row] as i32,
-                        straight[row * ohw + col],
-                        "mismatch at ({row},{col}) k={k} s={stride} p={padding}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
     fn integer_gemm_accumulates_into_out() {
-        let mut out = vec![1i32; 4];
-        gemm_i32(2, 2, 2, &[1, 0, 0, 1], &[5, 6, 7, 8], &mut out);
+        let mut out = vec![1i64; 4];
+        gemm_i64(2, 2, 2, &[1, 0, 0, 1], &[5, 6, 7, 8], &mut out);
         assert_eq!(out, vec![6, 7, 8, 9]);
     }
 
@@ -1613,9 +1055,10 @@ mod tests {
             let ints: Vec<i32> = (0..in_c * h * w).map(|i| (i % 255) as i32 - 127).collect();
             let floats: Vec<f32> = ints.iter().map(|&v| v as f32).collect();
             let reference = im2col(&Tensor::from_vec(floats, &[in_c, h, w]), p);
-            let mut cols = vec![99i32; 3]; // junk: must be cleared
-            im2col_i32(&ints, in_c, h, w, p, &mut cols);
-            assert_eq!(cols.len(), reference.len());
+            // One sample filling the whole batch matrix.
+            let ohw = p.out_size(h) * p.out_size(w);
+            let mut cols = vec![0i32; reference.len()];
+            im2col_i32_strided(&ints, in_c, h, w, p, 0, ohw, &mut cols);
             for (a, &b) in cols.iter().zip(reference.data()) {
                 assert_eq!(
                     *a as f32, b,
@@ -1783,28 +1226,15 @@ mod tests {
 
     #[test]
     fn integer_gemm_batch_variants_match_their_per_call_forms() {
+        // Above the parallel threshold, so the row blocks fan out.
         let (m, k, n) = (19, 96, 640);
         let a = lcg_i32(3, m * k, 127);
         let b = lcg_i32(4, k * n, 127);
-        let mut e32 = vec![0i32; m * n];
-        gemm_i32(m, k, n, &a, &b, &mut e32);
-        let mut g32 = vec![0i32; m * n];
-        gemm_i32_batch(m, k, n, &a, &b, &mut g32);
-        assert_eq!(e32, g32);
-
         let mut e64 = vec![0i64; m * n];
         gemm_i64(m, k, n, &a, &b, &mut e64);
         let mut g64 = vec![0i64; m * n];
         gemm_i64_batch(m, k, n, &a, &b, &mut g64);
         assert_eq!(e64, g64);
-
-        let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
-        let bt8: Vec<i8> = lcg_i32(5, n * k, 127).iter().map(|&v| v as i8).collect();
-        let mut e8 = vec![0i32; m * n];
-        gemm_dot_i8(m, k, n, &a8, &bt8, &mut e8);
-        let mut g8 = vec![0i32; m * n];
-        gemm_dot_i8_batch(m, k, n, &a8, &bt8, &mut g8);
-        assert_eq!(e8, g8);
     }
 
     #[test]
@@ -1831,27 +1261,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn im2col_i8_into_matches_the_resizing_form() {
-        let p = Conv2dParams::new(3, 2, 1);
-        let (in_c, h, w) = (3, 7, 7);
-        let (oh, ow) = (p.out_size(h), p.out_size(w));
-        let ck = in_c * 9;
-        let bits = 8u32;
-        let stored: Vec<u32> = lcg_i32(42, in_c * h * w, 127)
-            .iter()
-            .map(|&v| (v as u32) & 0xFF)
-            .collect();
-        let mut expect = Vec::new();
-        im2col_i8_t_stored(&stored, bits, in_c, h, w, p, &mut expect);
-        let mut got = vec![0i8; oh * ow * ck];
-        im2col_i8_t_stored_into(&stored, bits, in_c, h, w, p, &mut got);
-        assert_eq!(expect, got);
-    }
-
-    /// The span-copy strided gather must reproduce the per-tap form exactly
-    /// in the first `ck` lanes of every patch row and leave the pad lanes
-    /// zero, across strides/paddings and sub-byte precisions.
+    /// The span-copy strided gather must reproduce the naive per-tap patch
+    /// gather (the transpose of the f32 [`im2col`] on the sign-extended
+    /// values) in the first `ck` lanes of every patch row and leave the pad
+    /// lanes zero, across strides/paddings and sub-byte precisions.
     #[test]
     fn strided_i8_im2col_matches_the_per_tap_form_with_zero_pad_lanes() {
         for (kernel, stride, padding, bits) in [(3, 1, 1, 8u32), (3, 2, 1, 4), (5, 2, 2, 8)] {
@@ -1864,8 +1277,11 @@ mod tests {
                 .iter()
                 .map(|&v| (v as u32) & mask)
                 .collect();
-            let mut expect = Vec::new();
-            im2col_i8_t_stored(&stored, bits, in_c, h, w, p, &mut expect);
+            let values: Vec<f32> = stored
+                .iter()
+                .map(|&s| crate::bits::sign_extend(s, bits) as f32)
+                .collect();
+            let straight = im2col(&Tensor::from_vec(values, &[in_c, h, w]), p);
             let row_stride = packed_stride_i8(ck);
             let mut vals = Vec::new();
             let mut got = vec![0i8; oh * ow * row_stride];
@@ -1874,9 +1290,12 @@ mod tests {
             );
             for patch in 0..oh * ow {
                 let row = &got[patch * row_stride..(patch + 1) * row_stride];
+                let expect: Vec<i8> = (0..ck)
+                    .map(|tap| straight.data()[tap * oh * ow + patch] as i8)
+                    .collect();
                 assert_eq!(
                     &row[..ck],
-                    &expect[patch * ck..(patch + 1) * ck],
+                    &expect[..],
                     "patch {patch} at k{kernel}/s{stride}/p{padding}/{bits}b"
                 );
                 assert!(
@@ -1887,27 +1306,31 @@ mod tests {
         }
     }
 
-    /// The packed-panel GEMM must equal the unpadded dot-structured form on
-    /// the same logical operands (the pad lanes hold zeros, which contribute
-    /// nothing to an integer sum) — odd m included.
+    /// The packed-panel GEMM must equal the naive dot-structured triple
+    /// loop on the same logical operands (the pad lanes hold zeros, which
+    /// contribute nothing to an integer sum) — odd m included.
     #[test]
     fn packed_i8_gemm_matches_the_dot_structured_form() {
         for (m, k, n) in [(1usize, 27usize, 5usize), (12, 108, 33), (7, 64, 16)] {
-            let k_pad = packed_stride_i8(k);
             let a8: Vec<i8> = lcg_i32(3, m * k, 128).iter().map(|&v| v as i8).collect();
             let bt8: Vec<i8> = lcg_i32(9, n * k, 128).iter().map(|&v| v as i8).collect();
             let mut want = vec![0i32; m * n];
-            gemm_dot_i8(m, k, n, &a8, &bt8, &mut want);
-            let mut a_pad = vec![0i8; m * k_pad];
-            let mut bt_pad = vec![0i8; n * k_pad];
-            for r in 0..m {
-                a_pad[r * k_pad..r * k_pad + k].copy_from_slice(&a8[r * k..(r + 1) * k]);
-            }
-            for c in 0..n {
-                bt_pad[c * k_pad..c * k_pad + k].copy_from_slice(&bt8[c * k..(c + 1) * k]);
+            for i in 0..m {
+                for j in 0..n {
+                    for p in 0..k {
+                        want[i * n + j] += a8[i * k + p] as i32 * bt8[j * k + p] as i32;
+                    }
+                }
             }
             let mut got = vec![0i32; m * n];
-            gemm_i8_packed(m, k_pad, n, &a_pad, &bt_pad, &mut got);
+            gemm_i8_packed(
+                m,
+                packed_stride_i8(k),
+                n,
+                &pad_i8_rows(&a8, k),
+                &pad_i8_rows(&bt8, k),
+                &mut got,
+            );
             assert_eq!(got, want, "packed gemm at ({m},{k},{n})");
         }
     }

@@ -140,9 +140,26 @@ fn round_half_away(x: f32) -> i32 {
     t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32
 }
 
+/// The stored FP32 word of `v`: its bits, except that every NaN is stored
+/// as the canonical quiet NaN. The sign and payload of a NaN that arithmetic
+/// produces are unspecified — IEEE 754 leaves NaN propagation to the
+/// implementation, and the compiler may commute the operands of an f32 add —
+/// so the same layer computed by a scalar loop, a SIMD lane or a wider GEMM
+/// can yield different NaN bits. Storing them verbatim would let the bits
+/// that DRAM faults later flip (and hence the evaluation results) depend on
+/// the kernel that ran.
+fn fp32_word(v: f32) -> u32 {
+    if v.is_nan() {
+        0x7fc0_0000
+    } else {
+        v.to_bits()
+    }
+}
+
 impl QuantTensor {
     /// Quantizes an `f32` tensor into the given precision using symmetric
-    /// linear quantization (`scale = abs_max / q_max`).
+    /// linear quantization (`scale = abs_max / q_max`); FP32 stores each
+    /// value's bits (every NaN as the canonical quiet NaN).
     ///
     /// Integer values are produced by clamp-then-round: clamping before the
     /// round is equivalent to the classic round-then-clamp (both saturate
@@ -173,7 +190,7 @@ impl QuantTensor {
         match precision {
             Precision::Fp32 => {
                 self.scale = 1.0;
-                self.stored.extend(t.data().iter().map(|v| v.to_bits()));
+                self.stored.extend(t.data().iter().map(|&v| fp32_word(v)));
             }
             p => {
                 let q_max = p.q_max().expect("integer precision");
@@ -299,7 +316,7 @@ impl QuantTensor {
     /// re-quantization of one value without touching the tensor.
     pub fn word_from_value(&self, v: f32) -> u32 {
         match self.precision {
-            Precision::Fp32 => v.to_bits(),
+            Precision::Fp32 => fp32_word(v),
             p => {
                 let q_max = p.q_max().expect("integer") as f32;
                 let q_min = p.q_min().expect("integer") as f32;
@@ -310,30 +327,9 @@ impl QuantTensor {
         }
     }
 
-    /// Sign-extends every stored value into an i16 buffer (cleared and
-    /// refilled) — the operand form of the widening-multiply integer kernels.
-    /// Every integer precision (4/8/16 bits) fits i16 exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics for FP32 tensors.
-    pub fn q_values_i16_into(&self, out: &mut Vec<i16>) {
-        assert!(
-            self.precision.is_integer(),
-            "q_values_i16_into is only defined for integer precisions"
-        );
-        let bits = self.precision.bits();
-        out.clear();
-        out.extend(
-            self.stored
-                .iter()
-                .map(|&s| bits::sign_extend(s, bits) as i16),
-        );
-    }
-
     /// Sign-extends every stored value into an i8 buffer (cleared and
     /// refilled) — the one-byte operand form of the int4/int8 kernels
-    /// ([`crate::ops::gemm_dot_i8`]). Every 4- or 8-bit pattern, including
+    /// ([`crate::ops::gemm_i8_packed`]). Every 4- or 8-bit pattern, including
     /// corrupted ones, sign-extends into `[-128, 127]` exactly.
     ///
     /// # Panics
@@ -505,6 +501,28 @@ mod tests {
         let q = QuantTensor::quantize(&t, Precision::Fp32);
         assert_eq!(q.dequantize(), t);
         assert_eq!(q.total_bytes(), 16);
+    }
+
+    #[test]
+    fn fp32_stores_every_nan_as_the_canonical_quiet_nan() {
+        let nans = [
+            f32::from_bits(0x7fc0_1021),
+            f32::from_bits(0xffc0_4000),
+            f32::from_bits(0x7f80_0001),
+        ];
+        let t = Tensor::from_vec(vec![nans[0], 1.5, nans[1], f32::INFINITY, nans[2]], &[5]);
+        let q = QuantTensor::quantize(&t, Precision::Fp32);
+        assert_eq!(
+            q.stored(),
+            &[
+                0x7fc0_0000,
+                1.5f32.to_bits(),
+                0x7fc0_0000,
+                f32::INFINITY.to_bits(),
+                0x7fc0_0000
+            ]
+        );
+        assert_eq!(q.word_from_value(nans[1]), 0x7fc0_0000);
     }
 
     #[test]

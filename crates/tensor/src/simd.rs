@@ -1,7 +1,8 @@
 //! Runtime-dispatched SIMD kernels for the integer and f32 inner loops.
 //!
-//! The hot reductions in [`crate::ops`] (widening integer dot products, the
-//! i32 GEMM update, the f32 GEMM row update) are resolved **once** at first
+//! The hot loops in [`crate::ops`] (the packed i8 panel GEMM behind
+//! [`crate::ops::gemm_i8_packed`], its odd-row widening dot product, and the
+//! f32 GEMM row update) are resolved **once** at first
 //! use into a table of function pointers ([`Kernels`]) chosen by runtime CPU
 //! feature detection (`std::arch::is_x86_feature_detected!`), walking down
 //! [`Isa::Avx512`] → [`Isa::Avx2`] → [`Isa::Sse2`] → [`Isa::Scalar`].
@@ -13,7 +14,7 @@
 //!
 //! * Integer kernels: integer addition is associative, so any lane order
 //!   reproduces the scalar sum exactly (given the callers' no-overflow
-//!   contract, see [`crate::ops::gemm_i32`]).
+//!   contract, see [`crate::ops::gemm_i8_packed`]).
 //! * f32 kernels: only *element-wise independent* operations are vectorized
 //!   (`out[j] += a * b[j]`, separate multiply and add, **never** FMA), so
 //!   each output element's accumulation chain is untouched — reductions over
@@ -23,9 +24,9 @@
 //! sign-trick (`maddubs(|a|, sign(b, a))`): corrupted int8 storage spans the
 //! full `[-128, 127]` domain and `psignb` wraps `-(-128)` back to `-128`,
 //! which would mis-compute `(-128)·(-128)`. Instead the i8 paths use
-//! sign-extending widening loads (`vpmovsxbw`) followed by the same
-//! `pmaddwd` multiply–add as the i16 paths — exact over the full domain
-//! while still halving operand memory traffic versus i16 storage.
+//! sign-extending widening loads (`vpmovsxbw`) followed by the `pmaddwd`
+//! i16 multiply–add — exact over the full domain while keeping operands in
+//! one byte each.
 //!
 //! # Override
 //!
@@ -113,16 +114,12 @@ impl FromStr for Isa {
     }
 }
 
-/// A 2×2-blocked dot kernel: four simultaneous dot products over two rows
-/// and two columns (`a0·b0, a0·b1, a1·b0, a1·b1`).
-pub type Dot4Fn<T> = fn(&[T], &[T], &[T], &[T]) -> (i32, i32, i32, i32);
-
 /// A two-row i8 panel kernel: `out0[j] += a0 · bt[j·k..][..k]` and
 /// `out1[j] += a1 · bt[j·k..][..k]` for every column `j` of a transposed,
 /// contiguously packed rhs panel. One call covers a whole row pair of a
-/// GEMM, so the per-tile dispatch overhead of [`Dot4Fn`] disappears; callers
-/// that additionally pad `k` to [`crate::ops::packed_stride_i8`] never touch
-/// the scalar tail. Arguments: `(a0, a1, bt, k, out0, out1)`.
+/// GEMM, so there is no per-tile dispatch; callers that additionally pad `k`
+/// to [`crate::ops::packed_stride_i8`] never touch the scalar tail.
+/// Arguments: `(a0, a1, bt, k, out0, out1)`.
 pub type GemmPanelI8Fn = fn(&[i8], &[i8], &[i8], usize, &mut [i32], &mut [i32]);
 
 /// The dispatch table: one function pointer per hot inner loop. All entries
@@ -132,25 +129,14 @@ pub type GemmPanelI8Fn = fn(&[i8], &[i8], &[i8], usize, &mut [i32], &mut [i32]);
 pub struct Kernels {
     /// The level every entry was resolved at.
     pub isa: Isa,
-    /// Widening i16×i16 dot product with i32 accumulation.
-    pub dot_i16: fn(&[i16], &[i16]) -> i32,
-    /// Four simultaneous i16 dot products over a 2×2 operand block
-    /// (`a0·b0, a0·b1, a1·b0, a1·b1`) — each loaded vector feeds two
-    /// multiply–adds.
-    pub dot4_i16: Dot4Fn<i16>,
     /// Widening i8×i8 dot product with i32 accumulation (sign-extend +
-    /// `pmaddwd`; exact for the full `[-128, 127]` corrupted domain).
+    /// `pmaddwd`; exact for the full `[-128, 127]` corrupted domain) — the
+    /// odd last row of [`crate::ops::gemm_i8_packed`].
     pub dot_i8: fn(&[i8], &[i8]) -> i32,
-    /// 2×2-blocked variant of [`Kernels::dot_i8`].
-    pub dot4_i8: Dot4Fn<i8>,
     /// Two-row × all-columns i8 panel GEMM over a packed transposed rhs —
     /// the batched-execution workhorse (integer accumulation, so every
     /// blocking order reproduces the scalar sums exactly).
     pub gemm2_i8: GemmPanelI8Fn,
-    /// i32×i32 dot product with i32 accumulation.
-    pub dot_i32: fn(&[i32], &[i32]) -> i32,
-    /// `out[j] += a · b[j]` over i32 — the i32 GEMM row update.
-    pub axpy_i32: fn(i32, &[i32], &mut [i32]),
     /// `out[j] += a · b[j]` over f32 (separate multiply and add, never FMA —
     /// lane-exact versus the scalar loop).
     pub axpy_f32: fn(f32, &[f32], &mut [f32]),
@@ -177,48 +163,28 @@ pub fn kernels_for(isa: Isa) -> Kernels {
     match isa {
         Isa::Scalar => Kernels {
             isa,
-            dot_i16: scalar::dot_i16,
-            dot4_i16: scalar::dot4_i16,
             dot_i8: scalar::dot_i8,
-            dot4_i8: scalar::dot4_i8,
             gemm2_i8: scalar::gemm2_i8,
-            dot_i32: scalar::dot_i32,
-            axpy_i32: scalar::axpy_i32,
             axpy_f32: scalar::axpy_f32,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Sse2 => Kernels {
             isa,
-            dot_i16: sse2::dot_i16,
-            dot4_i16: sse2::dot4_i16,
             dot_i8: sse2::dot_i8,
-            dot4_i8: sse2::dot4_i8,
             gemm2_i8: sse2::gemm2_i8,
-            // SSE2 has no 4-wide i32 multiply (`pmulld` is SSE4.1); the
-            // scalar loops are the honest SSE2-era implementation.
-            dot_i32: scalar::dot_i32,
-            axpy_i32: scalar::axpy_i32,
             axpy_f32: sse2::axpy_f32,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => Kernels {
             isa,
-            dot_i16: avx2::dot_i16,
-            dot4_i16: avx2::dot4_i16,
             dot_i8: avx2::dot_i8,
-            dot4_i8: avx2::dot4_i8,
             gemm2_i8: avx2::gemm2_i8,
-            dot_i32: avx2::dot_i32,
-            axpy_i32: avx2::axpy_i32,
             axpy_f32: avx2::axpy_f32,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => Kernels {
             isa,
-            dot_i16: avx512::dot_i16,
-            dot4_i16: avx512::dot4_i16,
             dot_i8: avx512::dot_i8,
-            dot4_i8: avx512::dot4_i8,
             // VNNI is an upgrade within the avx512 level, not a level of
             // its own: the fused-dot form is bit-identical to the
             // `vpmaddwd` form, so which one a CPU gets is invisible to
@@ -228,8 +194,6 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             } else {
                 avx512::gemm2_i8
             },
-            dot_i32: avx512::dot_i32,
-            axpy_i32: avx512::axpy_i32,
             axpy_f32: avx512::axpy_f32,
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -271,29 +235,6 @@ pub fn active_isa() -> Isa {
 /// auto-vectorize the integer reductions (associative, so still exact) but
 /// never the f32 ones.
 mod scalar {
-    pub fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc = 0i32;
-        for i in 0..n {
-            acc += a[i] as i32 * b[i] as i32;
-        }
-        acc
-    }
-
-    pub fn dot4_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        let (mut s00, mut s01, mut s10, mut s11) = (0i32, 0i32, 0i32, 0i32);
-        for i in 0..n {
-            let (x0, x1) = (a0[i] as i32, a1[i] as i32);
-            let (y0, y1) = (b0[i] as i32, b1[i] as i32);
-            s00 += x0 * y0;
-            s01 += x0 * y1;
-            s10 += x1 * y0;
-            s11 += x1 * y1;
-        }
-        (s00, s01, s10, s11)
-    }
-
     pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
         let mut acc = 0i32;
@@ -303,41 +244,12 @@ mod scalar {
         acc
     }
 
-    pub fn dot4_i8(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        let (mut s00, mut s01, mut s10, mut s11) = (0i32, 0i32, 0i32, 0i32);
-        for i in 0..n {
-            let (x0, x1) = (a0[i] as i32, a1[i] as i32);
-            let (y0, y1) = (b0[i] as i32, b1[i] as i32);
-            s00 += x0 * y0;
-            s01 += x0 * y1;
-            s10 += x1 * y0;
-            s11 += x1 * y1;
-        }
-        (s00, s01, s10, s11)
-    }
-
     pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
         let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
         for j in 0..n {
             let col = &bt[j * k..(j + 1) * k];
             out0[j] += dot_i8(&a0[..k], col);
             out1[j] += dot_i8(&a1[..k], col);
-        }
-    }
-
-    pub fn dot_i32(a: &[i32], b: &[i32]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc = 0i32;
-        for i in 0..n {
-            acc += a[i] * b[i];
-        }
-        acc
-    }
-
-    pub fn axpy_i32(a: i32, b: &[i32], out: &mut [i32]) {
-        for (o, &bv) in out.iter_mut().zip(b) {
-            *o += a * bv;
         }
     }
 
@@ -377,76 +289,10 @@ mod sse2 {
         _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8)
     }
 
-    pub fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
         // SAFETY: SSE2 is unconditionally available on x86-64, and all
         // unaligned loads stay within the bounds checked by `n`.
-        unsafe {
-            // Two independent accumulators hide the multiply-add latency.
-            let mut acc0 = _mm_setzero_si128();
-            let mut acc1 = _mm_setzero_si128();
-            let pairs = n / 16;
-            for i in 0..pairs {
-                let p = i * 16;
-                let va0 = _mm_loadu_si128(a.as_ptr().add(p) as *const __m128i);
-                let vb0 = _mm_loadu_si128(b.as_ptr().add(p) as *const __m128i);
-                acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(va0, vb0));
-                let va1 = _mm_loadu_si128(a.as_ptr().add(p + 8) as *const __m128i);
-                let vb1 = _mm_loadu_si128(b.as_ptr().add(p + 8) as *const __m128i);
-                acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(va1, vb1));
-            }
-            let mut done = pairs * 16;
-            if done + 8 <= n {
-                let va = _mm_loadu_si128(a.as_ptr().add(done) as *const __m128i);
-                let vb = _mm_loadu_si128(b.as_ptr().add(done) as *const __m128i);
-                acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(va, vb));
-                done += 8;
-            }
-            let mut sum = hsum_epi32(_mm_add_epi32(acc0, acc1));
-            for i in done..n {
-                sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
-            }
-            sum
-        }
-    }
-
-    pub fn dot4_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        // SAFETY: as `dot_i16`.
-        unsafe {
-            let mut c00 = _mm_setzero_si128();
-            let mut c01 = _mm_setzero_si128();
-            let mut c10 = _mm_setzero_si128();
-            let mut c11 = _mm_setzero_si128();
-            let chunks = n / 8;
-            for i in 0..chunks {
-                let p = i * 8;
-                let va0 = _mm_loadu_si128(a0.as_ptr().add(p) as *const __m128i);
-                let va1 = _mm_loadu_si128(a1.as_ptr().add(p) as *const __m128i);
-                let vb0 = _mm_loadu_si128(b0.as_ptr().add(p) as *const __m128i);
-                let vb1 = _mm_loadu_si128(b1.as_ptr().add(p) as *const __m128i);
-                c00 = _mm_add_epi32(c00, _mm_madd_epi16(va0, vb0));
-                c01 = _mm_add_epi32(c01, _mm_madd_epi16(va0, vb1));
-                c10 = _mm_add_epi32(c10, _mm_madd_epi16(va1, vb0));
-                c11 = _mm_add_epi32(c11, _mm_madd_epi16(va1, vb1));
-            }
-            let (mut s00, mut s01) = (hsum_epi32(c00), hsum_epi32(c01));
-            let (mut s10, mut s11) = (hsum_epi32(c10), hsum_epi32(c11));
-            for i in chunks * 8..n {
-                let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-                let (y0, y1) = (*b0.get_unchecked(i) as i32, *b1.get_unchecked(i) as i32);
-                s00 += x0 * y0;
-                s01 += x0 * y1;
-                s10 += x1 * y0;
-                s11 += x1 * y1;
-            }
-            (s00, s01, s10, s11)
-        }
-    }
-
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        // SAFETY: as `dot_i16`.
         unsafe {
             let mut acc0 = _mm_setzero_si128();
             let mut acc1 = _mm_setzero_si128();
@@ -466,9 +312,12 @@ mod sse2 {
         }
     }
 
-    pub fn dot4_i8(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
+    /// Four simultaneous dot products over a 2×2 operand block
+    /// (`a0·b0, a0·b1, a1·b0, a1·b1`): each loaded vector feeds two
+    /// multiply–adds. The body of [`gemm2_i8`] at this width.
+    fn block2x2_i8(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
         let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        // SAFETY: as `dot_i16`.
+        // SAFETY: as `dot_i8`.
         unsafe {
             let mut c00 = _mm_setzero_si128();
             let mut c01 = _mm_setzero_si128();
@@ -518,7 +367,7 @@ mod sse2 {
         while j + 2 <= n {
             let b0 = &bt[j * k..(j + 1) * k];
             let b1 = &bt[(j + 1) * k..(j + 2) * k];
-            let (s00, s01, s10, s11) = dot4_i8(a0, a1, b0, b1);
+            let (s00, s01, s10, s11) = block2x2_i8(a0, a1, b0, b1);
             out0[j] += s00;
             out0[j + 1] += s01;
             out1[j] += s10;
@@ -534,7 +383,7 @@ mod sse2 {
 
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
         let n = b.len().min(out.len());
-        // SAFETY: as `dot_i16`. Separate multiply and add (no FMA), so each
+        // SAFETY: as `dot_i8`. Separate multiply and add (no FMA), so each
         // lane computes exactly the scalar `out[j] += a * b[j]`.
         unsafe {
             let va = _mm_set1_ps(a);
@@ -570,83 +419,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_i16_impl(a: &[i16], b: &[i16]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let pairs = n / 32;
-        for i in 0..pairs {
-            let p = i * 32;
-            let va0 = _mm256_loadu_si256(a.as_ptr().add(p) as *const __m256i);
-            let vb0 = _mm256_loadu_si256(b.as_ptr().add(p) as *const __m256i);
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va0, vb0));
-            let va1 = _mm256_loadu_si256(a.as_ptr().add(p + 16) as *const __m256i);
-            let vb1 = _mm256_loadu_si256(b.as_ptr().add(p + 16) as *const __m256i);
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va1, vb1));
-        }
-        let mut done = pairs * 32;
-        if done + 16 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(done) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(done) as *const __m256i);
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, vb));
-            done += 16;
-        }
-        let mut sum = hsum_epi32(_mm256_add_epi32(acc0, acc1));
-        for i in done..n {
-            sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
-        }
-        sum
-    }
-
-    pub fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
-        // SAFETY: this table entry is only constructed after `avx2` was
-        // runtime-detected; loads are unaligned and bounds-checked inside.
-        unsafe { dot_i16_impl(a, b) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot4_i16_impl(
-        a0: &[i16],
-        a1: &[i16],
-        b0: &[i16],
-        b1: &[i16],
-    ) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        let mut c00 = _mm256_setzero_si256();
-        let mut c01 = _mm256_setzero_si256();
-        let mut c10 = _mm256_setzero_si256();
-        let mut c11 = _mm256_setzero_si256();
-        let chunks = n / 16;
-        for i in 0..chunks {
-            let p = i * 16;
-            let va0 = _mm256_loadu_si256(a0.as_ptr().add(p) as *const __m256i);
-            let va1 = _mm256_loadu_si256(a1.as_ptr().add(p) as *const __m256i);
-            let vb0 = _mm256_loadu_si256(b0.as_ptr().add(p) as *const __m256i);
-            let vb1 = _mm256_loadu_si256(b1.as_ptr().add(p) as *const __m256i);
-            c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(va0, vb0));
-            c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(va0, vb1));
-            c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(va1, vb0));
-            c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(va1, vb1));
-        }
-        let (mut s00, mut s01) = (hsum_epi32(c00), hsum_epi32(c01));
-        let (mut s10, mut s11) = (hsum_epi32(c10), hsum_epi32(c11));
-        for i in chunks * 16..n {
-            let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-            let (y0, y1) = (*b0.get_unchecked(i) as i32, *b1.get_unchecked(i) as i32);
-            s00 += x0 * y0;
-            s01 += x0 * y1;
-            s10 += x1 * y0;
-            s11 += x1 * y1;
-        }
-        (s00, s01, s10, s11)
-    }
-
-    pub fn dot4_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> (i32, i32, i32, i32) {
-        // SAFETY: as `dot_i16`.
-        unsafe { dot4_i16_impl(a0, a1, b0, b1) }
-    }
-
-    #[target_feature(enable = "avx2")]
     unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
         let mut acc0 = _mm256_setzero_si256();
@@ -679,45 +451,9 @@ mod avx2 {
     }
 
     pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: as `dot_i16`.
+        // SAFETY: this table entry is only constructed after `avx2` was
+        // runtime-detected; loads are unaligned and bounds-checked inside.
         unsafe { dot_i8_impl(a, b) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot4_i8_impl(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        let mut c00 = _mm256_setzero_si256();
-        let mut c01 = _mm256_setzero_si256();
-        let mut c10 = _mm256_setzero_si256();
-        let mut c11 = _mm256_setzero_si256();
-        let chunks = n / 16;
-        for i in 0..chunks {
-            let p = i * 16;
-            let va0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a0.as_ptr().add(p) as *const __m128i));
-            let va1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a1.as_ptr().add(p) as *const __m128i));
-            let vb0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b0.as_ptr().add(p) as *const __m128i));
-            let vb1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b1.as_ptr().add(p) as *const __m128i));
-            c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(va0, vb0));
-            c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(va0, vb1));
-            c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(va1, vb0));
-            c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(va1, vb1));
-        }
-        let (mut s00, mut s01) = (hsum_epi32(c00), hsum_epi32(c01));
-        let (mut s10, mut s11) = (hsum_epi32(c10), hsum_epi32(c11));
-        for i in chunks * 16..n {
-            let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-            let (y0, y1) = (*b0.get_unchecked(i) as i32, *b1.get_unchecked(i) as i32);
-            s00 += x0 * y0;
-            s01 += x0 * y1;
-            s10 += x1 * y0;
-            s11 += x1 * y1;
-        }
-        (s00, s01, s10, s11)
-    }
-
-    pub fn dot4_i8(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
-        // SAFETY: as `dot_i16`.
-        unsafe { dot4_i8_impl(a0, a1, b0, b1) }
     }
 
     /// Reduces four 8-lane i32 accumulators to their four exact horizontal
@@ -793,56 +529,9 @@ mod avx2 {
 
     pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
         assert!(a0.len() >= k && a1.len() >= k, "gemm2_i8: lhs rows short");
-        // SAFETY: as `dot_i16`; the column count is clamped to what `bt` and
+        // SAFETY: as `dot_i8`; the column count is clamped to what `bt` and
         // both out rows can hold, and the lhs length is asserted above.
         unsafe { gemm2_i8_impl(a0, a1, bt, k, out0, out1) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_i32_impl(a: &[i32], b: &[i32]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc = _mm256_setzero_si256();
-        let chunks = n / 8;
-        for i in 0..chunks {
-            let p = i * 8;
-            let va = _mm256_loadu_si256(a.as_ptr().add(p) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(p) as *const __m256i);
-            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(va, vb));
-        }
-        let mut sum = hsum_epi32(acc);
-        for i in chunks * 8..n {
-            sum += *a.get_unchecked(i) * *b.get_unchecked(i);
-        }
-        sum
-    }
-
-    pub fn dot_i32(a: &[i32], b: &[i32]) -> i32 {
-        // SAFETY: as `dot_i16`.
-        unsafe { dot_i32_impl(a, b) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i32_impl(a: i32, b: &[i32], out: &mut [i32]) {
-        let n = b.len().min(out.len());
-        let va = _mm256_set1_epi32(a);
-        let chunks = n / 8;
-        for i in 0..chunks {
-            let p = i * 8;
-            let vb = _mm256_loadu_si256(b.as_ptr().add(p) as *const __m256i);
-            let vo = _mm256_loadu_si256(out.as_ptr().add(p) as *const __m256i);
-            _mm256_storeu_si256(
-                out.as_mut_ptr().add(p) as *mut __m256i,
-                _mm256_add_epi32(vo, _mm256_mullo_epi32(va, vb)),
-            );
-        }
-        for i in chunks * 8..n {
-            *out.get_unchecked_mut(i) += a * *b.get_unchecked(i);
-        }
-    }
-
-    pub fn axpy_i32(a: i32, b: &[i32], out: &mut [i32]) {
-        // SAFETY: as `dot_i16`.
-        unsafe { axpy_i32_impl(a, b, out) }
     }
 
     #[target_feature(enable = "avx2")]
@@ -867,7 +556,7 @@ mod avx2 {
     }
 
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
-        // SAFETY: as `dot_i16`.
+        // SAFETY: as `dot_i8`.
         unsafe { axpy_f32_impl(a, b, out) }
     }
 }
@@ -877,84 +566,6 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::*;
-
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn dot_i16_impl(a: &[i16], b: &[i16]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc0 = _mm512_setzero_si512();
-        let mut acc1 = _mm512_setzero_si512();
-        let pairs = n / 64;
-        for i in 0..pairs {
-            let p = i * 64;
-            let va0 = _mm512_loadu_si512(a.as_ptr().add(p) as *const __m512i);
-            let vb0 = _mm512_loadu_si512(b.as_ptr().add(p) as *const __m512i);
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va0, vb0));
-            let va1 = _mm512_loadu_si512(a.as_ptr().add(p + 32) as *const __m512i);
-            let vb1 = _mm512_loadu_si512(b.as_ptr().add(p + 32) as *const __m512i);
-            acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(va1, vb1));
-        }
-        let mut done = pairs * 64;
-        if done + 32 <= n {
-            let va = _mm512_loadu_si512(a.as_ptr().add(done) as *const __m512i);
-            let vb = _mm512_loadu_si512(b.as_ptr().add(done) as *const __m512i);
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va, vb));
-            done += 32;
-        }
-        let mut sum = _mm512_reduce_add_epi32(_mm512_add_epi32(acc0, acc1));
-        for i in done..n {
-            sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
-        }
-        sum
-    }
-
-    pub fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
-        // SAFETY: this table entry is only constructed after `avx512f` and
-        // `avx512bw` were runtime-detected; loads are unaligned and
-        // bounds-checked inside.
-        unsafe { dot_i16_impl(a, b) }
-    }
-
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn dot4_i16_impl(
-        a0: &[i16],
-        a1: &[i16],
-        b0: &[i16],
-        b1: &[i16],
-    ) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        let mut c00 = _mm512_setzero_si512();
-        let mut c01 = _mm512_setzero_si512();
-        let mut c10 = _mm512_setzero_si512();
-        let mut c11 = _mm512_setzero_si512();
-        let chunks = n / 32;
-        for i in 0..chunks {
-            let p = i * 32;
-            let va0 = _mm512_loadu_si512(a0.as_ptr().add(p) as *const __m512i);
-            let va1 = _mm512_loadu_si512(a1.as_ptr().add(p) as *const __m512i);
-            let vb0 = _mm512_loadu_si512(b0.as_ptr().add(p) as *const __m512i);
-            let vb1 = _mm512_loadu_si512(b1.as_ptr().add(p) as *const __m512i);
-            c00 = _mm512_add_epi32(c00, _mm512_madd_epi16(va0, vb0));
-            c01 = _mm512_add_epi32(c01, _mm512_madd_epi16(va0, vb1));
-            c10 = _mm512_add_epi32(c10, _mm512_madd_epi16(va1, vb0));
-            c11 = _mm512_add_epi32(c11, _mm512_madd_epi16(va1, vb1));
-        }
-        let (mut s00, mut s01) = (_mm512_reduce_add_epi32(c00), _mm512_reduce_add_epi32(c01));
-        let (mut s10, mut s11) = (_mm512_reduce_add_epi32(c10), _mm512_reduce_add_epi32(c11));
-        for i in chunks * 32..n {
-            let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-            let (y0, y1) = (*b0.get_unchecked(i) as i32, *b1.get_unchecked(i) as i32);
-            s00 += x0 * y0;
-            s01 += x0 * y1;
-            s10 += x1 * y0;
-            s11 += x1 * y1;
-        }
-        (s00, s01, s10, s11)
-    }
-
-    pub fn dot4_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> (i32, i32, i32, i32) {
-        // SAFETY: as `dot_i16`.
-        unsafe { dot4_i16_impl(a0, a1, b0, b1) }
-    }
 
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
@@ -991,49 +602,10 @@ mod avx512 {
     }
 
     pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: as `dot_i16`.
+        // SAFETY: this table entry is only constructed after `avx512f` and
+        // `avx512bw` were runtime-detected; loads are unaligned and
+        // bounds-checked inside.
         unsafe { dot_i8_impl(a, b) }
-    }
-
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn dot4_i8_impl(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        let mut c00 = _mm512_setzero_si512();
-        let mut c01 = _mm512_setzero_si512();
-        let mut c10 = _mm512_setzero_si512();
-        let mut c11 = _mm512_setzero_si512();
-        let chunks = n / 32;
-        for i in 0..chunks {
-            let p = i * 32;
-            let va0 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(a0.as_ptr().add(p) as *const __m256i));
-            let va1 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(a1.as_ptr().add(p) as *const __m256i));
-            let vb0 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(b0.as_ptr().add(p) as *const __m256i));
-            let vb1 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(b1.as_ptr().add(p) as *const __m256i));
-            c00 = _mm512_add_epi32(c00, _mm512_madd_epi16(va0, vb0));
-            c01 = _mm512_add_epi32(c01, _mm512_madd_epi16(va0, vb1));
-            c10 = _mm512_add_epi32(c10, _mm512_madd_epi16(va1, vb0));
-            c11 = _mm512_add_epi32(c11, _mm512_madd_epi16(va1, vb1));
-        }
-        let (mut s00, mut s01) = (_mm512_reduce_add_epi32(c00), _mm512_reduce_add_epi32(c01));
-        let (mut s10, mut s11) = (_mm512_reduce_add_epi32(c10), _mm512_reduce_add_epi32(c11));
-        for i in chunks * 32..n {
-            let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-            let (y0, y1) = (*b0.get_unchecked(i) as i32, *b1.get_unchecked(i) as i32);
-            s00 += x0 * y0;
-            s01 += x0 * y1;
-            s10 += x1 * y0;
-            s11 += x1 * y1;
-        }
-        (s00, s01, s10, s11)
-    }
-
-    pub fn dot4_i8(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
-        // SAFETY: as `dot_i16`.
-        unsafe { dot4_i8_impl(a0, a1, b0, b1) }
     }
 
     /// Folds a 16-lane i32 accumulator to 8 lanes (exact: integer addition).
@@ -1119,7 +691,7 @@ mod avx512 {
 
     pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
         assert!(a0.len() >= k && a1.len() >= k, "gemm2_i8: lhs rows short");
-        // SAFETY: as `dot_i16`; the column count is clamped to what `bt` and
+        // SAFETY: as `dot_i8`; the column count is clamped to what `bt` and
         // both out rows can hold, and the lhs length is asserted above.
         unsafe { gemm2_i8_impl(a0, a1, bt, k, out0, out1) }
     }
@@ -1222,53 +794,6 @@ mod avx512 {
     }
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn dot_i32_impl(a: &[i32], b: &[i32]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc = _mm512_setzero_si512();
-        let chunks = n / 16;
-        for i in 0..chunks {
-            let p = i * 16;
-            let va = _mm512_loadu_si512(a.as_ptr().add(p) as *const __m512i);
-            let vb = _mm512_loadu_si512(b.as_ptr().add(p) as *const __m512i);
-            acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(va, vb));
-        }
-        let mut sum = _mm512_reduce_add_epi32(acc);
-        for i in chunks * 16..n {
-            sum += *a.get_unchecked(i) * *b.get_unchecked(i);
-        }
-        sum
-    }
-
-    pub fn dot_i32(a: &[i32], b: &[i32]) -> i32 {
-        // SAFETY: as `dot_i16` (only `avx512f` needed here).
-        unsafe { dot_i32_impl(a, b) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_i32_impl(a: i32, b: &[i32], out: &mut [i32]) {
-        let n = b.len().min(out.len());
-        let va = _mm512_set1_epi32(a);
-        let chunks = n / 16;
-        for i in 0..chunks {
-            let p = i * 16;
-            let vb = _mm512_loadu_si512(b.as_ptr().add(p) as *const __m512i);
-            let vo = _mm512_loadu_si512(out.as_ptr().add(p) as *const __m512i);
-            _mm512_storeu_si512(
-                out.as_mut_ptr().add(p) as *mut __m512i,
-                _mm512_add_epi32(vo, _mm512_mullo_epi32(va, vb)),
-            );
-        }
-        for i in chunks * 16..n {
-            *out.get_unchecked_mut(i) += a * *b.get_unchecked(i);
-        }
-    }
-
-    pub fn axpy_i32(a: i32, b: &[i32], out: &mut [i32]) {
-        // SAFETY: as `dot_i32`.
-        unsafe { axpy_i32_impl(a, b, out) }
-    }
-
-    #[target_feature(enable = "avx512f")]
     unsafe fn axpy_f32_impl(a: f32, b: &[f32], out: &mut [f32]) {
         let n = b.len().min(out.len());
         let va = _mm512_set1_ps(a);
@@ -1289,7 +814,7 @@ mod avx512 {
     }
 
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
-        // SAFETY: as `dot_i32`.
+        // SAFETY: as `dot_i8` (only `avx512f` is needed here).
         unsafe { axpy_f32_impl(a, b, out) }
     }
 }
@@ -1332,15 +857,22 @@ mod tests {
 
     #[test]
     fn every_supported_table_matches_scalar_on_a_smoke_vector() {
-        let a16: Vec<i16> = (0..131).map(|i| (i * 37 % 255) as i16 - 127).collect();
-        let b16: Vec<i16> = (0..131).map(|i| (i * 53 % 255) as i16 - 127).collect();
-        let a8: Vec<i8> = a16.iter().map(|&v| v as i8).collect();
-        let b8: Vec<i8> = b16.iter().map(|&v| v as i8).collect();
-        let reference = (scalar::dot_i16(&a16, &b16), scalar::dot_i8(&a8, &b8));
+        let a8: Vec<i8> = (0..131)
+            .map(|i| ((i * 37 % 255) as i16 - 127) as i8)
+            .collect();
+        let b8: Vec<i8> = (0..131)
+            .map(|i| ((i * 53 % 255) as i16 - 127) as i8)
+            .collect();
+        let bf: Vec<f32> = b8.iter().map(|&v| v as f32 * 0.37).collect();
+        let mut reference_f = vec![0.5f32; bf.len()];
+        scalar::axpy_f32(1.25, &bf, &mut reference_f);
+        let reference = scalar::dot_i8(&a8, &b8);
         for isa in Isa::all().into_iter().filter(|i| i.is_supported()) {
             let k = kernels_for(isa);
-            assert_eq!((k.dot_i16)(&a16, &b16), reference.0, "{isa} dot_i16");
-            assert_eq!((k.dot_i8)(&a8, &b8), reference.1, "{isa} dot_i8");
+            assert_eq!((k.dot_i8)(&a8, &b8), reference, "{isa} dot_i8");
+            let mut got_f = vec![0.5f32; bf.len()];
+            (k.axpy_f32)(1.25, &bf, &mut got_f);
+            assert_eq!(got_f, reference_f, "{isa} axpy_f32");
         }
     }
 
@@ -1374,16 +906,21 @@ mod tests {
     #[test]
     fn i8_kernels_are_exact_at_negative_saturation() {
         let a = vec![-128i8; 33];
-        let b = vec![-128i8; 33];
+        let bt = vec![-128i8; 2 * 33];
         let expected = 33 * 16384;
         for isa in Isa::all().into_iter().filter(|i| i.is_supported()) {
             let k = kernels_for(isa);
-            assert_eq!((k.dot_i8)(&a, &b), expected, "{isa} dot_i8 at -128×-128");
-            let (s00, s01, s10, s11) = (k.dot4_i8)(&a, &b, &a, &b);
             assert_eq!(
-                (s00, s01, s10, s11),
-                (expected, expected, expected, expected),
-                "{isa} dot4_i8 at -128×-128"
+                (k.dot_i8)(&a, &bt[..33]),
+                expected,
+                "{isa} dot_i8 at -128×-128"
+            );
+            let (mut out0, mut out1) = (vec![0i32; 2], vec![0i32; 2]);
+            (k.gemm2_i8)(&a, &a, &bt, 33, &mut out0, &mut out1);
+            assert_eq!(
+                (out0, out1),
+                (vec![expected; 2], vec![expected; 2]),
+                "{isa} gemm2_i8 at -128×-128"
             );
         }
     }

@@ -1,5 +1,6 @@
 //! Bit-for-bit parity of every dispatched SIMD kernel against the scalar
-//! reference, at every ISA level this CPU supports.
+//! reference, and of the packed i8 GEMM built on them against a naive
+//! triple loop, at every ISA level this CPU supports.
 //!
 //! The repo's determinism contract says results never depend on which
 //! kernel table happened to be resolved, so each property here runs the
@@ -10,6 +11,7 @@
 //! domain (notably `-128`, where the `pmaddubsw` sign-trick would break —
 //! see `eden_tensor::simd`).
 
+use eden_par::ThreadPool;
 use eden_tensor::ops;
 use eden_tensor::simd::{kernels_for, Isa, Kernels};
 use proptest::prelude::*;
@@ -28,10 +30,8 @@ fn supported_tables() -> Vec<Kernels> {
 /// interior.
 const I8_EXTREMES: [i8; 8] = [-128, -127, -64, -1, 0, 1, 126, 127];
 
-/// Values for the i16-storage kernels. The production operands are int4/
-/// int8 (|q| ≤ 128), but anything with `k · q² < 2³¹` is inside the
-/// kernels' overflow contract — ±2048 at the generated lengths stays well
-/// below it while exercising magnitudes the production path never sees.
+/// Operand values whose low byte is fed to the i8 kernels (truncation keeps
+/// every value inside the corrupted int8 domain while covering all of it).
 fn i16_operand() -> impl Strategy<Value = Vec<i32>> {
     prop::collection::vec(-2048i32..2049, 1..200)
 }
@@ -40,9 +40,49 @@ fn i8_operand() -> impl Strategy<Value = Vec<i32>> {
     prop::collection::vec(-128i32..128, 1..200)
 }
 
+/// A pseudo-random row-major `rows × k` operand spanning the full corrupted
+/// int8 domain `[-128, 127]`.
+fn i8_matrix(rows: usize, k: usize, mul: u32, seed: u32) -> Vec<i8> {
+    (0..rows * k)
+        .map(|i| ((i as u32 * mul + seed * 11) % 256) as u8 as i8)
+        .collect()
+}
+
+/// `a (m×k) · bt (n×k)ᵀ` by the naive triple loop, in i32.
+fn naive_dot_gemm(m: usize, k: usize, n: usize, a: &[i8], bt: &[i8]) -> Vec<i32> {
+    let mut out = vec![0i32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for p in 0..k {
+                out[i * n + j] += a[i * k + p] as i32 * bt[j * k + p] as i32;
+            }
+        }
+    }
+    out
+}
+
+/// Rows of `k` lanes zero-padded to the packed panel stride of
+/// [`ops::gemm_i8_packed`] (pad lanes contribute nothing to integer sums).
+fn pad_rows(rows: &[i8], k: usize) -> Vec<i8> {
+    let k_pad = ops::packed_stride_i8(k);
+    let mut out = vec![0i8; rows.len() / k * k_pad];
+    for (dst, src) in out.chunks_exact_mut(k_pad).zip(rows.chunks_exact(k)) {
+        dst[..k].copy_from_slice(src);
+    }
+    out
+}
+
+/// [`ops::gemm_i8_packed_with`] on the padded forms of `a` and `bt`.
+fn packed_gemm(t: &Kernels, m: usize, k: usize, n: usize, a: &[i8], bt: &[i8]) -> Vec<i32> {
+    let mut out = vec![0i32; m * n];
+    let k_pad = ops::packed_stride_i8(k);
+    ops::gemm_i8_packed_with(t, m, k_pad, n, &pad_rows(a, k), &pad_rows(bt, k), &mut out);
+    out
+}
+
 proptest! {
-    /// Widening dot kernels (i16/i8/i32 storage), including the 2×2-blocked
-    /// forms, under ragged lengths and unaligned offsets.
+    /// The widening i8 dot kernel under ragged lengths and unaligned
+    /// offsets.
     #[test]
     fn dot_kernels_match_scalar_at_every_isa(
         xs in i16_operand(),
@@ -51,45 +91,22 @@ proptest! {
     ) {
         let n = xs.len().min(ys.len());
         let off = off.min(n.saturating_sub(1));
-        let a16: Vec<i16> = xs.iter().map(|&v| v as i16).collect();
-        let b16: Vec<i16> = ys.iter().map(|&v| v as i16).collect();
-        // Same bit patterns folded into i8/i32 storage (i8 via truncation —
-        // still a valid corrupted-domain value).
+        // Low bytes of the operands (truncation — still a valid
+        // corrupted-domain value).
         let a8: Vec<i8> = xs.iter().map(|&v| v as i8).collect();
         let b8: Vec<i8> = ys.iter().map(|&v| v as i8).collect();
-        let a32: Vec<i32> = a8.iter().map(|&v| v as i32).collect();
-        let b32: Vec<i32> = b8.iter().map(|&v| v as i32).collect();
 
         let tables = supported_tables();
-        let scalar = &tables[0];
-        let r16 = (scalar.dot_i16)(&a16[off..], &b16[off..]);
-        let r8 = (scalar.dot_i8)(&a8[off..], &b8[off..]);
-        let r32 = (scalar.dot_i32)(&a32[off..], &b32[off..]);
-        let r4_16 = (scalar.dot4_i16)(&a16[off..], &b16[off..], &b16[off..], &a16[off..]);
-        let r4_8 = (scalar.dot4_i8)(&a8[off..], &b8[off..], &b8[off..], &a8[off..]);
+        let r8 = (tables[0].dot_i8)(&a8[off..], &b8[off..]);
         for t in &tables[1..] {
-            prop_assert_eq!((t.dot_i16)(&a16[off..], &b16[off..]), r16, "{} dot_i16", t.isa);
             prop_assert_eq!((t.dot_i8)(&a8[off..], &b8[off..]), r8, "{} dot_i8", t.isa);
-            prop_assert_eq!((t.dot_i32)(&a32[off..], &b32[off..]), r32, "{} dot_i32", t.isa);
-            prop_assert_eq!(
-                (t.dot4_i16)(&a16[off..], &b16[off..], &b16[off..], &a16[off..]),
-                r4_16,
-                "{} dot4_i16",
-                t.isa
-            );
-            prop_assert_eq!(
-                (t.dot4_i8)(&a8[off..], &b8[off..], &b8[off..], &a8[off..]),
-                r4_8,
-                "{} dot4_i8",
-                t.isa
-            );
         }
     }
 
     /// The saturating corners of the corrupted int8 domain, dense: every
     /// element is drawn from the extreme set (−128 included), so the
     /// sign-extension of every wide path is exercised where approximations
-    /// would diverge.
+    /// would diverge — in the dot kernel and in the two-row panel kernel.
     #[test]
     fn i8_dots_are_exact_on_saturating_inputs(
         picks in prop::collection::vec((0usize..8, 0usize..8), 1..150),
@@ -98,23 +115,27 @@ proptest! {
         let a: Vec<i8> = picks.iter().map(|&(i, _)| I8_EXTREMES[i]).collect();
         let b: Vec<i8> = picks.iter().map(|&(_, j)| I8_EXTREMES[j]).collect();
         let off = off.min(a.len() - 1);
+        let (a, b) = (&a[off..], &b[off..]);
+        let k = a.len();
+        // Panel rows (a, b) against columns (b, a): the four cross dots.
+        let bt: Vec<i8> = b.iter().chain(a).copied().collect();
         let tables = supported_tables();
-        let reference = (tables[0].dot_i8)(&a[off..], &b[off..]);
-        let reference4 = (tables[0].dot4_i8)(&a[off..], &b[off..], &b[off..], &a[off..]);
+        let reference = (tables[0].dot_i8)(a, b);
+        let panel = |t: &Kernels| {
+            let (mut out0, mut out1) = (vec![0i32; 2], vec![0i32; 2]);
+            (t.gemm2_i8)(a, b, &bt, k, &mut out0, &mut out1);
+            (out0, out1)
+        };
+        let reference2 = panel(&tables[0]);
         for t in &tables[1..] {
-            prop_assert_eq!((t.dot_i8)(&a[off..], &b[off..]), reference, "{} dot_i8", t.isa);
-            prop_assert_eq!(
-                (t.dot4_i8)(&a[off..], &b[off..], &b[off..], &a[off..]),
-                reference4,
-                "{} dot4_i8",
-                t.isa
-            );
+            prop_assert_eq!((t.dot_i8)(a, b), reference, "{} dot_i8", t.isa);
+            prop_assert_eq!(panel(t), reference2.clone(), "{} gemm2_i8", t.isa);
         }
     }
 
-    /// Row-update kernels: i32 exactly, f32 bit-for-bit (the wide forms use
-    /// separate multiply and add, so each lane must round identically to
-    /// the scalar loop).
+    /// The f32 row-update kernel bit-for-bit (the wide forms use separate
+    /// multiply and add, so each lane must round identically to the scalar
+    /// loop).
     #[test]
     fn axpy_kernels_match_scalar_at_every_isa(
         xs in i8_operand(),
@@ -122,19 +143,12 @@ proptest! {
         off in 0usize..8,
     ) {
         let off = off.min(xs.len() - 1);
-        let b32 = &xs[off..];
-        let bf: Vec<f32> = b32.iter().map(|&v| v as f32 * 0.37).collect();
-        let a32 = (scale as i32).clamp(-99, 99);
+        let bf: Vec<f32> = xs[off..].iter().map(|&v| v as f32 * 0.37).collect();
 
         let tables = supported_tables();
-        let mut out32 = vec![3i32; b32.len()];
-        (tables[0].axpy_i32)(a32, b32, &mut out32);
         let mut outf = vec![0.125f32; bf.len()];
         (tables[0].axpy_f32)(scale, &bf, &mut outf);
         for t in &tables[1..] {
-            let mut got32 = vec![3i32; b32.len()];
-            (t.axpy_i32)(a32, b32, &mut got32);
-            prop_assert_eq!(&got32, &out32, "{} axpy_i32", t.isa);
             let mut gotf = vec![0.125f32; bf.len()];
             (t.axpy_f32)(scale, &bf, &mut gotf);
             // Bit-for-bit, not approximate: compare the raw bit patterns.
@@ -144,9 +158,9 @@ proptest! {
         }
     }
 
-    /// The composed dot-structured GEMMs (both operand widths) against a
-    /// naive triple loop, at every supported level, with shapes whose `k`
-    /// straddles the 2×2 blocking and every lane width.
+    /// The dot-structured packed i8 GEMM against a naive triple loop, at
+    /// every supported level, with shapes whose `k` straddles every lane
+    /// width and the 64-lane pad.
     #[test]
     fn dot_structured_gemms_match_naive_at_every_isa(
         m in 1usize..6,
@@ -154,76 +168,29 @@ proptest! {
         n in 1usize..6,
         seed in 0u32..1000,
     ) {
-        let a: Vec<i32> = (0..m * k)
-            .map(|i| ((i as u32 * 37 + seed * 11) % 256) as i32 - 128)
-            .collect();
-        let b: Vec<i32> = (0..k * n)
-            .map(|i| ((i as u32 * 53 + seed * 7) % 256) as i32 - 128)
-            .collect();
-        let mut naive = vec![0i32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                for j in 0..n {
-                    naive[i * n + j] += a[i * k + p] * b[p * n + j];
-                }
-            }
-        }
-        let a16: Vec<i16> = a.iter().map(|&v| v as i16).collect();
-        let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
-        let mut bt16 = vec![0i16; n * k];
-        let mut bt8 = vec![0i8; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                bt16[j * k + p] = b[p * n + j] as i16;
-                bt8[j * k + p] = b[p * n + j] as i8;
-            }
-        }
+        let a = i8_matrix(m, k, 37, seed);
+        let bt = i8_matrix(n, k, 53, seed + 1);
+        let naive = naive_dot_gemm(m, k, n, &a, &bt);
         for t in supported_tables() {
-            let mut out16 = vec![0i32; m * n];
-            ops::gemm_dot_i16_with(&t, m, k, n, &a16, &bt16, &mut out16);
-            prop_assert_eq!(&out16, &naive, "{} gemm_dot_i16 ({},{},{})", t.isa, m, k, n);
-            let mut out8 = vec![0i32; m * n];
-            ops::gemm_dot_i8_with(&t, m, k, n, &a8, &bt8, &mut out8);
-            prop_assert_eq!(&out8, &naive, "{} gemm_dot_i8 ({},{},{})", t.isa, m, k, n);
-            let mut out32 = vec![0i32; m * n];
-            ops::gemm_i32_with(&t, m, k, n, &a, &b, &mut out32);
-            prop_assert_eq!(&out32, &naive, "{} gemm_i32 ({},{},{})", t.isa, m, k, n);
+            let got = packed_gemm(&t, m, k, n, &a, &bt);
+            prop_assert_eq!(&got, &naive, "{} gemm_i8_packed ({},{},{})", t.isa, m, k, n);
         }
     }
 
-    /// The matvec forms against the `n = 1` GEMM column, at every level.
+    /// A dense layer run as a group of one: the `n = 1` packed GEMM (a
+    /// matrix–vector product) against the naive dot per row, at every level.
     #[test]
     fn matvecs_match_gemm_column_at_every_isa(
         m in 1usize..40,
         k in 1usize..130,
         seed in 0u32..1000,
     ) {
-        let a: Vec<i32> = (0..m * k)
-            .map(|i| ((i as u32 * 29 + seed * 13) % 256) as i32 - 128)
-            .collect();
-        let x: Vec<i32> = (0..k)
-            .map(|i| ((i as u32 * 41 + seed * 3) % 256) as i32 - 128)
-            .collect();
-        let mut reference = vec![0i32; m];
-        for i in 0..m {
-            for p in 0..k {
-                reference[i] += a[i * k + p] * x[p];
-            }
-        }
-        let a16: Vec<i16> = a.iter().map(|&v| v as i16).collect();
-        let x16: Vec<i16> = x.iter().map(|&v| v as i16).collect();
-        let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
-        let x8: Vec<i8> = x.iter().map(|&v| v as i8).collect();
+        let a = i8_matrix(m, k, 29, seed);
+        let x = i8_matrix(1, k, 41, seed + 3);
+        let reference = naive_dot_gemm(m, k, 1, &a, &x);
         for t in supported_tables() {
-            let mut got16 = vec![0i32; m];
-            ops::matvec_i16_with(&t, m, k, &a16, &x16, &mut got16);
-            prop_assert_eq!(&got16, &reference, "{} matvec_i16 ({},{})", t.isa, m, k);
-            let mut got8 = vec![0i32; m];
-            ops::matvec_i8_with(&t, m, k, &a8, &x8, &mut got8);
-            prop_assert_eq!(&got8, &reference, "{} matvec_i8 ({},{})", t.isa, m, k);
-            let mut got32 = vec![0i32; m];
-            ops::matvec_i32_with(&t, m, k, &a, &x, &mut got32);
-            prop_assert_eq!(&got32, &reference, "{} matvec_i32 ({},{})", t.isa, m, k);
+            let got = packed_gemm(&t, m, k, 1, &a, &x);
+            prop_assert_eq!(&got, &reference, "{} gemm_i8_packed n=1 ({},{})", t.isa, m, k);
         }
     }
 
@@ -256,5 +223,38 @@ proptest! {
         let want: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
         let got: Vec<u32> = blocked.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(got, want, "f32 gemm ({},{},{})", m, k, n);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The surviving i8 pipeline end to end: [`ops::gemm_i8_packed_with`]
+    /// on every supported table against the naive triple loop, with odd `m`
+    /// (the [`Kernels::dot_i8`] tail row), `k` on both sides of the 64-lane
+    /// pad, the full ±128 domain, and 1/2/8 pool threads. Wide cases cross
+    /// the parallel threshold so the row blocks really fan out.
+    #[test]
+    fn packed_i8_gemm_matches_naive_at_every_isa_and_thread_count(
+        m in 1usize..48,
+        k in 1usize..200,
+        n_narrow in 1usize..9,
+        wide_sel in 0u8..2,
+        threads_idx in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        let n = if wide_sel == 1 { 1024 + n_narrow } else { n_narrow };
+        let threads = [1usize, 2, 8][threads_idx];
+        let a = i8_matrix(m, k, 37, seed);
+        let bt = i8_matrix(n, k, 53, seed + 1);
+        let naive = naive_dot_gemm(m, k, n, &a, &bt);
+        let pool = ThreadPool::new(threads);
+        for t in supported_tables() {
+            let got = pool.install(|| packed_gemm(&t, m, k, n, &a, &bt));
+            prop_assert_eq!(
+                &got, &naive,
+                "{} gemm_i8_packed ({},{},{}) at {} threads", t.isa, m, k, n, threads
+            );
+        }
     }
 }

@@ -1,18 +1,20 @@
 //! Batched-execution equivalence: overlay-grouped multi-sample batching
-//! ([`EvalSession::evaluate_concurrent_batched`]) against the per-sample
-//! reference (`batch == 1`), pinned bit for bit.
+//! ([`EvalSession::evaluate_concurrent_batched`]) against groups of one
+//! (`batch == 1`), pinned bit for bit.
 //!
 //! The batched path packs every sample of a group into one weight-stationary
 //! GEMM per layer, so the properties here assert the strongest contract the
 //! implementation claims: for any backend, integer precision, worker-thread
-//! count, refetch mode and batch cap, the accuracy bits AND the memory's
-//! injection statistics are exactly those of per-sample execution — including
+//! count and batch cap, the accuracy bits AND the memory's injection
+//! statistics are exactly those of running every sample alone — including
 //! when groups split at sample-varying corruption overlays and when samples
-//! resume mid-network from clean-activation checkpoints.
+//! resume mid-network from clean-activation checkpoints. (The single-sample
+//! path itself is pinned against an independent per-sample reference in
+//! `overlay_equivalence.rs`.)
 
 use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
-use eden::core::session::{EvalSession, RefetchMode};
+use eden::core::session::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
 use eden::dram::ErrorModel;
@@ -42,13 +44,12 @@ fn eval_at_cap(
     samples: &[(Tensor, usize)],
     precision: Precision,
     backend: InferenceBackend,
-    mode: RefetchMode,
     template: &ErrorModel,
     ber: f64,
     batch: usize,
     seed: u64,
 ) -> Outcome {
-    let session = EvalSession::new(net, precision, backend).with_refetch_mode(mode);
+    let session = EvalSession::new(net, precision, backend);
     let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
     let acc = session.evaluate_concurrent_batched(samples, &mut memory, batch);
     (acc.to_bits(), memory.stats())
@@ -57,9 +58,8 @@ fn eval_at_cap(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The core contract: any batch cap is bit-identical to per-sample
-    /// execution across backends × precisions × thread counts × refetch
-    /// modes. `batch` covers a non-divisor of the window (3), a whole
+    /// The core contract: any batch cap is bit-identical to groups of one
+    /// across backends × precisions × thread counts. `batch` covers a non-divisor of the window (3), a whole
     /// refetch slot (16) and the full window (N).
     #[test]
     fn batched_evaluation_is_bit_identical_to_per_sample(
@@ -67,7 +67,6 @@ proptest! {
         precision_idx in 0usize..3,
         backend_sel in 0u8..2,
         threads_idx in 0usize..3,
-        mode_sel in 0u8..2,
         batch_idx in 0usize..3,
     ) {
         let precision = [Precision::Int4, Precision::Int8, Precision::Int16][precision_idx];
@@ -77,11 +76,6 @@ proptest! {
             InferenceBackend::NativeInt
         };
         let threads = [1usize, 2, 8][threads_idx];
-        let mode = if mode_sel == 0 {
-            RefetchMode::Overlay
-        } else {
-            RefetchMode::ImageReload
-        };
         let (net, dataset) = trained_lenet(seed % 4);
         let samples = &dataset.test()[..24];
         let batch = [3usize, 16, samples.len()][batch_idx];
@@ -89,21 +83,21 @@ proptest! {
 
         let pool = ThreadPool::new(threads);
         let reference = pool.install(|| {
-            eval_at_cap(&net, samples, precision, backend, mode, &template, 1e-2, 1, seed)
+            eval_at_cap(&net, samples, precision, backend, &template, 1e-2, 1, seed)
         });
         let batched = pool.install(|| {
-            eval_at_cap(&net, samples, precision, backend, mode, &template, 1e-2, batch, seed)
+            eval_at_cap(&net, samples, precision, backend, &template, 1e-2, batch, seed)
         });
         prop_assert_eq!(
             batched, reference,
-            "{} {} {} threads {} batch {}", precision, backend, threads, mode, batch
+            "{} {} {} threads batch {}", precision, backend, threads, batch
         );
     }
 
     /// Mixed overlay-sharing: at a low BER many refetch slots draw zero
     /// flips (equal, mergeable overlays) while others draw distinct ones,
     /// so the grouping logic exercises merged groups, split groups and
-    /// singleton fallbacks in one window — still bit-identical, and with
+    /// groups of one in one window — still bit-identical, and with
     /// every sample accounted for exactly once in the batch counters.
     #[test]
     fn mixed_overlay_sharing_groups_stay_bit_identical(
@@ -122,11 +116,9 @@ proptest! {
         let template = ErrorModel::uniform(0.02, 0.5, seed ^ 0x0E4A);
 
         let reference = eval_at_cap(
-            &net, samples, Precision::Int8, backend,
-            RefetchMode::Overlay, &template, ber, 1, seed,
+            &net, samples, Precision::Int8, backend, &template, ber, 1, seed,
         );
-        let session = EvalSession::new(&net, Precision::Int8, backend)
-            .with_refetch_mode(RefetchMode::Overlay);
+        let session = EvalSession::new(&net, Precision::Int8, backend);
         let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
         let acc = session.evaluate_concurrent_batched(samples, &mut memory, 8);
         let counters = session.batch_counters();
@@ -134,7 +126,7 @@ proptest! {
         prop_assert_eq!(
             counters.batched_samples + counters.fallback_samples,
             samples.len() as u64,
-            "every sample is either batched or a fallback"
+            "every sample is either batched or a group of one"
         );
     }
 
@@ -142,7 +134,7 @@ proptest! {
     /// session resumes samples from their clean-activation checkpoints at
     /// the first corrupted layer, so groups mix full passes with
     /// mid-network resumes — the probe sequence must stay bit-identical to
-    /// a batching-disabled session doing the same resumes.
+    /// a groups-of-one session doing the same resumes.
     #[test]
     fn checkpoint_resume_inside_batch_is_bit_identical(
         seed in 0u64..64,

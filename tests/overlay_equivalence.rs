@@ -1,25 +1,29 @@
-//! Overlay equivalence: the sparse corruption-overlay refetch path
-//! ([`eden::core::session::RefetchMode::Overlay`], the production default)
-//! pinned bit for bit against the full image-reload reference
-//! ([`RefetchMode::ImageReload`]), plus the `apply ∘ revert = identity`
+//! Overlay equivalence: the evaluation session — which serves every weight
+//! refetch as sparse corruption overlays and runs samples in
+//! weight-stationary groups — pinned bit for bit against a test-local
+//! reference of the seed evaluation protocol that reloads full weight images
+//! and runs every sample on its own, plus the `apply ∘ revert = identity`
 //! property the patch-and-restore pools rely on.
 //!
-//! The overlay path reuses persistent corrupted copies across probes —
-//! reverting the previous draw's deltas and applying the next — so the
-//! interesting property is that a whole probe *sequence* (with bounding
-//! corrections folded sparsely into the overlays) never differs from the
-//! reference in a single accuracy bit or injection statistic, across both
-//! execution backends, every precision, and 1/2/8 worker threads.
+//! The session reuses persistent corrupted copies across probes — reverting
+//! the previous draw's deltas and applying the next — so the interesting
+//! property is that a whole probe *sequence* (with bounding corrections
+//! folded sparsely into the overlays) never differs from the reference in a
+//! single accuracy bit or injection statistic, across both execution
+//! backends, every precision, and 1/2/8 worker threads.
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
+use eden::core::characterize::{fine_characterize_session, FineCharacterization, FineConfig};
 use eden::core::faults::{ApproximateMemory, MemoryStats};
 use eden::core::inference::InferenceBackend;
-use eden::core::session::{EvalSession, RefetchMode};
+use eden::core::session::{EvalSession, WEIGHT_REFETCH_PERIOD};
+use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, DataKind, DataSite, Dataset, Network};
 use eden::dram::device::ApproxDramDevice;
 use eden::dram::geometry::{partitions, DramGeometry, PartitionGranularity};
 use eden::dram::inject::Injector;
+use eden::dram::util::seed_mix;
 use eden::dram::{ErrorModel, Layout, OperatingPoint, Vendor};
 use eden::tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
 use eden_par::ThreadPool;
@@ -47,32 +51,99 @@ fn deepest_ifm(net: &Network) -> DataSite {
         .site
 }
 
-/// Runs a probe sequence that revisits operating points (so the persistent
-/// pools go through revert → re-apply cycles) through one session in the
-/// given refetch mode, returning accuracy bits and statistics per probe.
-#[allow(clippy::too_many_arguments)]
-fn probe_sequence(
+/// Samples per window of the seed protocol: at most 16 refetch slots are
+/// resident at once.
+const WINDOW: usize = 16 * WEIGHT_REFETCH_PERIOD;
+
+/// The corrupted weights of one refetch slot of the reference.
+enum ReferenceWeights {
+    Simulated(Network),
+    Native(NativeWeights),
+}
+
+/// The seed evaluation protocol, written out independently of the session:
+/// every site's DRAM placement is pinned up front; per window, each
+/// 16-sample refetch slot's weights are re-loaded from the parent memory by
+/// full image reload ([`Network::load_corrupted_weights`] /
+/// [`NativeWeights::refresh`]), in slot order; then every sample runs alone
+/// on its slot's weights with its own lane `memory.fork(global index)`
+/// ([`Network::forward_with_ifm_hook`], or the native executor with one
+/// input), and the lanes' statistics merge back in sample order. Returns
+/// the accuracy bits and the memory's final statistics.
+fn reference_evaluate(
     net: &Network,
     samples: &[(Tensor, usize)],
     precision: Precision,
     backend: InferenceBackend,
-    mode: RefetchMode,
+    memory: &mut ApproximateMemory,
+) -> (u32, MemoryStats) {
+    memory.preallocate(net, precision);
+    let images = net.weight_images(precision);
+    // FP32 has no integer representation: it always runs simulated.
+    let native = backend == InferenceBackend::NativeInt && precision.is_integer();
+    let mut correct = 0usize;
+    for (w, window) in samples.chunks(WINDOW).enumerate() {
+        let slots: Vec<ReferenceWeights> = window
+            .chunks(WEIGHT_REFETCH_PERIOD)
+            .map(|_| {
+                if native {
+                    let mut weights = NativeWeights::prepare(net);
+                    weights.refresh(&images, memory);
+                    ReferenceWeights::Native(weights)
+                } else {
+                    let mut copy = net.clone();
+                    copy.load_corrupted_weights(&images, memory);
+                    ReferenceWeights::Simulated(copy)
+                }
+            })
+            .collect();
+        for (i, (x, label)) in window.iter().enumerate() {
+            let mut lane = memory.fork((w * WINDOW + i) as u64);
+            let logits = match &slots[i / WEIGHT_REFETCH_PERIOD] {
+                ReferenceWeights::Simulated(copy) => {
+                    copy.forward_with_ifm_hook(x, precision, &mut lane)
+                }
+                ReferenceWeights::Native(weights) => forward_native_batch_observed(
+                    net,
+                    weights,
+                    std::slice::from_ref(x),
+                    &[0],
+                    precision,
+                    std::slice::from_mut(&mut lane),
+                    &mut QuantScratch::new(),
+                    |_, _, _, _| {},
+                )
+                .pop()
+                .expect("one output per input"),
+            };
+            if logits.argmax() == *label {
+                correct += 1;
+            }
+            memory.merge_stats(lane.stats());
+        }
+    }
+    (
+        (correct as f32 / samples.len() as f32).to_bits(),
+        memory.stats(),
+    )
+}
+
+/// The probe operating points: revisiting one makes the session's
+/// persistent pools go through revert → re-apply cycles.
+const PROBE_BERS: [f64; 4] = [1e-3, 1e-2, 1e-3, 5e-2];
+
+/// A fresh model-backed memory for one probe.
+fn probe_memory(
     template: &ErrorModel,
+    ber: f64,
     bounding: Option<BoundingLogic>,
     seed: u64,
-) -> Vec<(u32, MemoryStats)> {
-    let mut session = EvalSession::new(net, precision, backend).with_refetch_mode(mode);
-    [1e-3, 1e-2, 1e-3, 5e-2]
-        .iter()
-        .map(|&ber| {
-            let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
-            if let Some(b) = bounding {
-                memory = memory.with_bounding(b);
-            }
-            let acc = session.evaluate_with_faults(samples, &mut memory);
-            (acc.to_bits(), memory.stats())
-        })
-        .collect()
+) -> ApproximateMemory {
+    let memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
+    match bounding {
+        Some(b) => memory.with_bounding(b),
+        None => memory,
+    }
 }
 
 proptest! {
@@ -103,20 +174,26 @@ proptest! {
             with_bounding.then(|| BoundingLogic::new(-6.0, 6.0, CorrectionPolicy::Zero));
 
         let pool = ThreadPool::new(threads);
-        let via_overlay = pool.install(|| {
-            probe_sequence(
-                &net, samples, precision, backend, RefetchMode::Overlay,
-                &template, bounding, seed,
-            )
+        let via_session: Vec<(u32, MemoryStats)> = pool.install(|| {
+            let mut session = EvalSession::new(&net, precision, backend);
+            PROBE_BERS
+                .iter()
+                .map(|&ber| {
+                    let mut memory = probe_memory(&template, ber, bounding, seed);
+                    let acc = session.evaluate_with_faults(samples, &mut memory);
+                    (acc.to_bits(), memory.stats())
+                })
+                .collect()
         });
-        let via_reload = pool.install(|| {
-            probe_sequence(
-                &net, samples, precision, backend, RefetchMode::ImageReload,
-                &template, bounding, seed,
-            )
-        });
+        let via_reference: Vec<(u32, MemoryStats)> = PROBE_BERS
+            .iter()
+            .map(|&ber| {
+                let mut memory = probe_memory(&template, ber, bounding, seed);
+                reference_evaluate(&net, samples, precision, backend, &mut memory)
+            })
+            .collect();
         prop_assert_eq!(
-            via_overlay, via_reload,
+            via_session, via_reference,
             "{} {} {} threads bounding={}", precision, backend, threads, with_bounding
         );
     }
@@ -127,7 +204,6 @@ proptest! {
         precision_idx in 0usize..4,
         backend_sel in 0u8..2,
         threads_idx in 0usize..3,
-        mode_sel in 0u8..2,
         cold_sel in 0u8..2,
     ) {
         let precision =
@@ -138,7 +214,6 @@ proptest! {
             InferenceBackend::NativeInt
         };
         let threads = [1usize, 2, 8][threads_idx];
-        let mode = if mode_sel == 0 { RefetchMode::Overlay } else { RefetchMode::ImageReload };
         // A 64-byte budget forces every harvest to evict: the store stays
         // effectively empty and each probe runs the cold (full-forward) path
         // through the checkpointing code — still bit-identical.
@@ -154,13 +229,12 @@ proptest! {
         let pool = ThreadPool::new(threads);
         let run = |checkpoints: bool| {
             let mut session = EvalSession::new(&net, precision, backend)
-                .with_refetch_mode(mode)
                 .with_checkpoints(checkpoints);
             if checkpoints && cold {
                 session = session.with_checkpoint_budget(64);
             }
             let out: Vec<(u32, MemoryStats)> = pool.install(|| {
-                [1e-3, 1e-2, 1e-3, 5e-2]
+                PROBE_BERS
                     .iter()
                     .map(|&ber| {
                         let mut memory = ApproximateMemory::reliable(seed);
@@ -180,7 +254,7 @@ proptest! {
         let (full, _) = run(false);
         prop_assert_eq!(
             resumed, full,
-            "{} {} {} threads {:?} cold={}", precision, backend, threads, mode, cold
+            "{} {} {} threads cold={}", precision, backend, threads, cold
         );
         if cold {
             prop_assert!(counters.evictions > 0, "tiny budget must evict");
@@ -214,7 +288,7 @@ proptest! {
         let mut deltas = Vec::new();
         let mut w = (seed % 5) as u32;
         while (w as usize) < len {
-            let mask = (eden::dram::util::seed_mix(seed, &[w as u64]) as u32) & mask_limit;
+            let mask = (seed_mix(seed, &[w as u64]) as u32) & mask_limit;
             if mask != 0 {
                 deltas.push((w, mask));
             }
@@ -247,24 +321,76 @@ fn overlay_refetch_matches_reload_under_a_device_backed_memory() {
     let injector =
         Injector::from_device(device, partition, OperatingPoint::with_vdd_reduction(0.3));
     for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-        let mut overlay_session = EvalSession::new(&net, Precision::Int8, backend);
-        let mut reload_session = EvalSession::new(&net, Precision::Int8, backend)
-            .with_refetch_mode(RefetchMode::ImageReload);
+        let mut session = EvalSession::new(&net, Precision::Int8, backend);
         let mut a = ApproximateMemory::from_injector(injector.clone(), 5);
         let mut b = ApproximateMemory::from_injector(injector.clone(), 5);
-        let via_overlay = overlay_session.evaluate_with_faults(samples, &mut a);
-        let via_reload = reload_session.evaluate_with_faults(samples, &mut b);
-        assert_eq!(via_overlay.to_bits(), via_reload.to_bits(), "{backend}");
-        assert_eq!(a.stats(), b.stats(), "{backend}");
+        let via_session = session.evaluate_with_faults(samples, &mut a);
+        let via_reference = reference_evaluate(&net, samples, Precision::Int8, backend, &mut b);
+        assert_eq!(
+            (via_session.to_bits(), a.stats()),
+            via_reference,
+            "{backend}"
+        );
         assert!(a.stats().bit_flips > 0);
+    }
+}
+
+/// The Figure 11 probe loop of [`fine_characterize_session`], written out
+/// over [`reference_evaluate`]: per round, every still-active site is probed
+/// alone (reliable memory elsewhere) at its stepped BER from its own
+/// `(seed, round, site)` stream, and a site whose accuracy falls below the
+/// floor leaves the sweep.
+fn reference_fine_characterize(
+    net: &Network,
+    dataset: &SyntheticVision,
+    template: &ErrorModel,
+    bounding: Option<BoundingLogic>,
+    cfg: &FineConfig,
+) -> FineCharacterization {
+    let samples = &dataset.test()[..cfg.eval_samples.min(dataset.test().len())];
+    let evaluate = |memory: &mut ApproximateMemory| {
+        let (bits, _) = reference_evaluate(net, samples, Precision::Int8, cfg.backend, memory);
+        f32::from_bits(bits)
+    };
+    let baseline = evaluate(&mut ApproximateMemory::reliable(0));
+    let floor = baseline - cfg.accuracy_drop;
+    let sites = net.data_sites();
+    let mut tolerances = vec![cfg.bootstrap_ber; sites.len()];
+    let mut active = vec![true; sites.len()];
+    for round in 0..cfg.max_rounds {
+        // Each probe depends only on its own site's tolerance, so probing
+        // the round's sites one after another equals the session's fan-out.
+        let probes: Vec<usize> = (0..sites.len()).filter(|&i| active[i]).collect();
+        for i in probes {
+            let ber = tolerances[i] * cfg.step_factor;
+            let mut memory =
+                ApproximateMemory::reliable(seed_mix(cfg.seed, &[round as u64, i as u64]));
+            memory.assign_site(
+                sites[i].site.clone(),
+                Injector::from_model(template.with_ber(ber), Layout::default()),
+            );
+            if let Some(b) = bounding {
+                memory = memory.with_bounding(b);
+            }
+            if evaluate(&mut memory) >= floor {
+                tolerances[i] = ber;
+            } else {
+                active[i] = false;
+            }
+        }
+    }
+    FineCharacterization {
+        baseline_accuracy: baseline,
+        accuracy_floor: floor,
+        tolerances: sites.into_iter().zip(tolerances).collect(),
     }
 }
 
 #[test]
 fn characterizations_are_identical_under_both_refetch_modes() {
     // The fine-grained probe loop — the workload the overlay path exists
-    // for — must produce the exact same tolerances either way.
-    use eden::core::characterize::{fine_characterize_session, FineConfig};
+    // for — must produce the exact same tolerances through the session as
+    // through the image-reload reference.
     let (net, dataset) = trained_lenet(2);
     let template = ErrorModel::uniform(0.01, 0.5, 3);
     let bounding =
@@ -275,10 +401,9 @@ fn characterizations_are_identical_under_both_refetch_modes() {
         bootstrap_ber: 5e-4,
         ..FineConfig::default()
     };
-    let run = |mode: RefetchMode| {
-        let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
-            .with_refetch_mode(mode);
-        fine_characterize_session(&mut session, &dataset, &template, Some(bounding), &cfg)
-    };
-    assert_eq!(run(RefetchMode::Overlay), run(RefetchMode::ImageReload));
+    let mut session = EvalSession::new(&net, Precision::Int8, cfg.backend);
+    assert_eq!(
+        fine_characterize_session(&mut session, &dataset, &template, Some(bounding), &cfg),
+        reference_fine_characterize(&net, &dataset, &template, Some(bounding), &cfg)
+    );
 }
