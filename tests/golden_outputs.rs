@@ -1,5 +1,6 @@
 //! Golden paper outputs: a Figure 8-shaped tolerance sweep and one Figure 11
-//! fine-grained characterization on LeNet, pinned to committed values.
+//! fine-grained characterization on LeNet, plus output-logit digests of the
+//! native integer backend on VGG, pinned to committed values.
 //!
 //! Every other equivalence suite compares two executors of the same code
 //! base against each other; this one compares against numbers recorded once
@@ -7,6 +8,9 @@
 //! changes both sides of an equivalence in the same way still fails here.
 //! Each line records the exact f32 accuracy bits and the `MemoryStats` of
 //! one point (or the exact f64 tolerance bits of one characterized site).
+//! Accuracy over a few dozen samples moves only when an argmax flips, so
+//! the logit lines hash every output bit: a kernel that is off by one in a
+//! single accumulator still fails here.
 //!
 //! The values are a pure function of the code: a change here means the
 //! figures the paper binaries print have moved. Regenerate the file only
@@ -17,10 +21,11 @@ use eden::core::characterize::{fine_characterize_session, FineConfig};
 use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
 use eden::core::session::EvalSession;
+use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
 use eden::dram::ErrorModel;
-use eden::tensor::Precision;
+use eden::tensor::{Precision, Tensor};
 use std::fmt::Write;
 
 const GOLDEN: &str = include_str!("golden/paper_outputs.txt");
@@ -36,8 +41,8 @@ fn trained_lenet(seed: u64) -> (Network, SyntheticVision) {
     (net, dataset)
 }
 
-/// The fig08 sweep on LeNet: native int4/int8/int16 and simulated int8,
-/// uniform and wordline error models, three BERs, with bounding. Each
+/// The fig08 sweep on LeNet: native int4/int8/int16, simulated int8 and
+/// simulated FP32, uniform and wordline error models, three BERs, with bounding. Each
 /// curve comes from `accuracy_vs_ber`; each point is re-evaluated on its own
 /// memory to record the `MemoryStats` the curve does not return.
 fn tolerance_curves(out: &mut String) {
@@ -52,6 +57,7 @@ fn tolerance_curves(out: &mut String) {
         (Precision::Int8, InferenceBackend::NativeInt),
         (Precision::Int16, InferenceBackend::NativeInt),
         (Precision::Int8, InferenceBackend::SimulatedF32),
+        (Precision::Fp32, InferenceBackend::SimulatedF32),
     ];
     let templates = [
         ("uniform", ErrorModel::uniform(0.02, 0.5, 5)),
@@ -119,11 +125,100 @@ fn fine_characterization(out: &mut String) {
     }
 }
 
+/// FNV-1a over the bit patterns of every logit of every output.
+fn logit_digest(outputs: &[Tensor]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in outputs.iter().flat_map(|t| t.data()) {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Output logits of the native integer backend on an untrained `vgg_mini`
+/// (reduction depths 27 to 512, padded 3×3 convolutions) at BER 1e-1,
+/// where corrupted int16 words reach −32768. Two paths per point:
+///
+/// * `group`: weights loaded by full image reload
+///   ([`NativeWeights::refresh`]) and 16 samples as one group, each on its
+///   own lane `memory.fork(j)`;
+/// * `session`: 4 samples one at a time through
+///   [`EvalSession::forward_with_faults`], whose weights are sparse
+///   corruption overlays on the clean baseline.
+fn vgg_logits(out: &mut String) {
+    let dataset = SyntheticVision::small(4);
+    let net = zoo::vgg_mini(&dataset.spec(), 4);
+    let inputs: Vec<Tensor> = dataset.test()[..16]
+        .iter()
+        .map(|(x, _)| x.clone())
+        .collect();
+    let seed = 17;
+    let templates = [
+        ("uniform", ErrorModel::uniform(0.02, 0.5, 7)),
+        ("wordline", ErrorModel::wordline(0.02, 0.5, 0.9, 7)),
+    ];
+    for precision in [Precision::Int4, Precision::Int8, Precision::Int16] {
+        let mut session = EvalSession::new(&net, precision, InferenceBackend::NativeInt);
+        for (name, template) in &templates {
+            let model = template.with_ber(1e-1);
+
+            let mut memory = ApproximateMemory::from_model(model.clone(), seed);
+            memory.preallocate(&net, precision);
+            let images = net.weight_images(precision);
+            let mut weights = NativeWeights::prepare(&net);
+            weights.refresh(&images, &mut memory);
+            let mut lanes: Vec<ApproximateMemory> =
+                (0..inputs.len() as u64).map(|j| memory.fork(j)).collect();
+            let logits = forward_native_batch_observed(
+                &net,
+                &weights,
+                &inputs,
+                &vec![0; inputs.len()],
+                precision,
+                &mut lanes,
+                &mut QuantScratch::new(),
+                |_, _, _, _| {},
+            );
+            for lane in &lanes {
+                memory.merge_stats(lane.stats());
+            }
+            let s = memory.stats();
+            writeln!(
+                out,
+                "logits group native-int {precision} {name} ber=1e-1 digest={:#018x} loads={} flips={} corrections={}",
+                logit_digest(&logits),
+                s.loads,
+                s.bit_flips,
+                s.corrections
+            )
+            .unwrap();
+
+            let mut memory = ApproximateMemory::from_model(model, seed);
+            let logits: Vec<Tensor> = inputs[..4]
+                .iter()
+                .map(|x| session.forward_with_faults(x, &mut memory))
+                .collect();
+            let s = memory.stats();
+            writeln!(
+                out,
+                "logits session native-int {precision} {name} ber=1e-1 digest={:#018x} loads={} flips={} corrections={}",
+                logit_digest(&logits),
+                s.loads,
+                s.bit_flips,
+                s.corrections
+            )
+            .unwrap();
+        }
+    }
+}
+
 #[test]
 fn paper_outputs_match_the_committed_golden_values() {
     let mut actual = String::new();
     tolerance_curves(&mut actual);
     fine_characterization(&mut actual);
+    vgg_logits(&mut actual);
     if actual != GOLDEN {
         let expected: Vec<&str> = GOLDEN.lines().collect();
         for (i, line) in actual.lines().enumerate() {
