@@ -92,10 +92,11 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The packed i8 panel GEMM — the integer kernel every int4/int8 native
-/// layer runs — at every ISA level this host supports, on a VGG-conv-shaped
-/// problem (the dominant shape behind the `quantized_backend` group). One
-/// entry per ISA via the explicit `_with` dispatch, so the gate pins each
+/// The packed i8 and i16 panel GEMMs — the integer kernels every native
+/// int4/int8 and int16 layer runs — at every ISA level this host supports,
+/// on a VGG-conv-shaped problem (the dominant shape behind the
+/// `quantized_backend` group). One entry per (kernel, ISA) via the explicit
+/// `_with` dispatch, so the gate pins each
 /// SIMD tier individually: a regression in, say, the AVX2 panel kernel
 /// cannot hide behind a healthy AVX-512 default. Entries exist only for ISAs
 /// the runner supports, which is fine for the gate because baseline and
@@ -109,6 +110,15 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let a8: Vec<i8> = (0..m * k).map(|i| (i as i64 % 229 - 114) as i8).collect();
     let b8: Vec<i8> = (0..n * k).map(|i| (i as i64 % 127 - 63) as i8).collect();
     let mut out = vec![0i32; m * n];
+    // The i16 panel GEMM on the same shape over the full int16 domain.
+    assert_eq!(ops::packed_stride_i16(k), k);
+    let a16: Vec<i16> = (0..m * k)
+        .map(|i| (i * 40503 % 65536) as u16 as i16)
+        .collect();
+    let b16: Vec<i16> = (0..n * k)
+        .map(|i| (i * 9973 % 65536) as u16 as i16)
+        .collect();
+    let mut out64 = vec![0i64; m * n];
     let mut group = c.benchmark_group("simd_kernels");
     // Same sampling pin as the characterization groups: 15 samples under the
     // default 2 s budget left the per-run minimum wobbly enough (especially
@@ -125,6 +135,20 @@ fn bench_simd_kernels(c: &mut Criterion) {
             b.iter(|| {
                 ops::gemm_i8_packed_with(&kr, m, k, n, black_box(&a8), black_box(&b8), &mut out);
                 black_box(out[0])
+            })
+        });
+        group.bench_function(format!("gemm_i16_packed_{isa}"), |b| {
+            b.iter(|| {
+                ops::gemm_i16_packed_with(
+                    &kr,
+                    m,
+                    k,
+                    n,
+                    black_box(&a16),
+                    black_box(&b16),
+                    &mut out64,
+                );
+                black_box(out64[0])
             })
         });
     }
@@ -186,7 +210,9 @@ fn bench_quantized_backends(c: &mut Criterion) {
 
 /// Batched forward execution at different group widths: the Table 1-scale
 /// VGG evaluation over 32 samples through a reused session at batch caps 1
-/// (every sample a group of one), 8 and 32, on both execution backends. The error model fixes the weak-cell flip probability at 1.0 so
+/// (every sample a group of one), 8 and 32, on both execution backends at
+/// int8 and on the native backend at int16 (the i16 panel path). The error
+/// model fixes the weak-cell flip probability at 1.0 so
 /// every refetch draws identical overlays and the overlay-grouping rule
 /// merges refetch slots into full-width weight-stationary groups — the
 /// batched GEMM path this group exists to watch. Results are bit-identical
@@ -202,15 +228,16 @@ fn bench_batched(c: &mut Criterion) {
     // have enough spread that the default budget leaves a wobbly minimum.
     group.sample_size(15);
     group.measurement_time(Duration::from_secs(4));
-    for (tag, backend) in [
-        ("sim", InferenceBackend::SimulatedF32),
-        ("native", InferenceBackend::NativeInt),
+    for (tag, backend, precision) in [
+        ("sim", InferenceBackend::SimulatedF32, Precision::Int8),
+        ("native", InferenceBackend::NativeInt, Precision::Int8),
+        ("native", InferenceBackend::NativeInt, Precision::Int16),
     ] {
         let mut base = ApproximateMemory::from_model(template.with_ber(1e-3), 5);
-        base.preallocate(&net, Precision::Int8);
-        let session = EvalSession::new(&net, Precision::Int8, backend);
+        base.preallocate(&net, precision);
+        let session = EvalSession::new(&net, precision, backend);
         for cap in [1usize, 8, 32] {
-            group.bench_function(format!("vgg_{tag}_int8_batch{cap}"), |b| {
+            group.bench_function(format!("vgg_{tag}_{precision}_batch{cap}"), |b| {
                 b.iter(|| {
                     let mut memory = base.clone();
                     session.evaluate_concurrent_batched(black_box(samples), &mut memory, cap)

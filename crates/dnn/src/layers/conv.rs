@@ -7,7 +7,7 @@
 
 use crate::layer::{Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};
-use eden_tensor::ops::{self, Conv2dParams};
+use eden_tensor::ops::{self, Conv2dParams, PanelLane};
 use eden_tensor::{init, QuantTensor, Tensor};
 use rand::rngs::StdRng;
 
@@ -178,10 +178,10 @@ impl Layer for Conv2d {
     }
 
     /// Quantized convolution, the integer mirror of
-    /// [`eden_tensor::ops::conv2d`]: integer im2col straight from the stored
-    /// bits, one integer GEMM with exact accumulation whose rhs packs every
-    /// sample's patch matrix, then one fused `bias + acc · s_w·s_x` epilogue
-    /// with each sample's own scale.
+    /// [`eden_tensor::ops::conv2d`]: patch-major integer im2col straight from
+    /// the stored bits into panel rows, one panel GEMM with exact
+    /// accumulation whose rhs packs every sample's patch rows, then one fused
+    /// `bias + acc · s_w·s_x` epilogue with each sample's own scale.
     fn quant_forward_batch(
         &self,
         inputs: &[&QuantTensor],
@@ -215,37 +215,9 @@ impl Layer for Conv2d {
         // reused across layers and groups from then on — never reallocated
         // inside the layer loop.
         if qexec::use_i8_kernels_for(precision, ck) {
-            // Patch rows go out at the k-padded panel stride the packed
-            // GEMM consumes; pad lanes stay zero from the bulk resize.
-            let ck_pad = ops::packed_stride_i8(ck);
-            scratch.cols8.clear();
-            scratch.cols8.resize(n * ck_pad, 0);
-            let mut vals8 = std::mem::take(&mut scratch.vals8);
-            for (j, q) in inputs.iter().enumerate() {
-                ops::im2col_i8_t_stored_strided(
-                    q.stored(),
-                    q.bits_per_value(),
-                    in_c,
-                    h,
-                    w,
-                    p,
-                    ck_pad,
-                    &mut vals8,
-                    &mut scratch.cols8[j * ohw * ck_pad..(j + 1) * ohw * ck_pad],
-                );
-            }
-            scratch.vals8 = vals8;
+            pack_patches(inputs, p, ck, ohw, &mut scratch.vals8, &mut scratch.cols8);
         } else {
-            scratch.cols.clear();
-            scratch.cols.resize(ck * n, 0);
-            // `cols` is the strided batch matrix, so the per-sample integer
-            // gather lands in `qx` first.
-            let mut cols = std::mem::take(&mut scratch.cols);
-            for (j, q) in inputs.iter().enumerate() {
-                q.q_values_into(&mut scratch.qx);
-                ops::im2col_i32_strided(&scratch.qx, in_c, h, w, p, j * ohw, n, &mut cols);
-            }
-            scratch.cols = cols;
+            pack_patches(inputs, p, ck, ohw, &mut scratch.vals16, &mut scratch.cols16);
         }
         let scales: Vec<f32> = inputs
             .iter()
@@ -277,6 +249,35 @@ impl Layer for Conv2d {
             .collect();
         scratch.ybatch = y;
         Some(out)
+    }
+}
+
+/// Packs every sample's `[ohw, ck]` patch rows at the `T` panel stride, zero
+/// pad lanes, back to back into `cols` — the rhs of a packed panel GEMM.
+fn pack_patches<T: PanelLane>(
+    inputs: &[&QuantTensor],
+    p: Conv2dParams,
+    ck: usize,
+    ohw: usize,
+    vals: &mut Vec<T>,
+    cols: &mut Vec<T>,
+) {
+    let ck_pad = T::packed_stride(ck);
+    cols.clear();
+    cols.resize(inputs.len() * ohw * ck_pad, T::default());
+    for (q, rows) in inputs.iter().zip(cols.chunks_exact_mut(ohw * ck_pad)) {
+        let s = q.shape();
+        ops::im2col_t_stored_strided(
+            q.stored(),
+            q.bits_per_value(),
+            s[0],
+            s[1],
+            s[2],
+            p,
+            ck_pad,
+            vals,
+            rows,
+        );
     }
 }
 

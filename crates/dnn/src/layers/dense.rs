@@ -172,9 +172,9 @@ impl Layer for Dense {
     }
 
     /// Quantized dense layer, `y = (Σ qW·qx) · s_w·s_x + bias` with the sum
-    /// in exact integer arithmetic: every sample contributes one column to a
-    /// single integer GEMM (a group of one is a matrix–vector product), with
-    /// each sample's own scale in the fused epilogue.
+    /// in exact integer arithmetic: every sample contributes one panel row to
+    /// a single integer GEMM (a group of one is a matrix–vector product),
+    /// with each sample's own scale in the fused epilogue.
     fn quant_forward_batch(
         &self,
         inputs: &[&QuantTensor],
@@ -194,26 +194,9 @@ impl Layer for Dense {
         // Batch-wide operand matrices live in the shared scratch: grown once
         // to the group size, reused across layers without reallocation.
         if qexec::use_i8_kernels_for(precision, k) {
-            // Rows packed at the k-padded panel stride of the packed GEMM;
-            // pad lanes stay zero from the bulk resize.
-            let k_pad = ops::packed_stride_i8(k);
-            scratch.cols8.clear();
-            scratch.cols8.resize(batch * k_pad, 0);
-            for (j, q) in inputs.iter().enumerate() {
-                q.q_values_i8_into(&mut scratch.qx8);
-                scratch.cols8[j * k_pad..j * k_pad + k].copy_from_slice(&scratch.qx8);
-            }
+            qexec::pack_panel(inputs, k, &mut scratch.cols8);
         } else {
-            scratch.cols.clear();
-            scratch.cols.resize(k * batch, 0);
-            let mut cols = std::mem::take(&mut scratch.cols);
-            for (j, q) in inputs.iter().enumerate() {
-                q.q_values_into(&mut scratch.qx);
-                for (p, &v) in scratch.qx.iter().enumerate() {
-                    cols[p * batch + j] = v;
-                }
-            }
-            scratch.cols = cols;
+            qexec::pack_panel(inputs, k, &mut scratch.cols16);
         }
         let scales: Vec<f32> = inputs
             .iter()

@@ -3,15 +3,18 @@
 //! The simulated-quantization path dequantizes every corrupted tensor back to
 //! f32 and runs the float layers. This module instead executes dense and
 //! convolutional layers directly on the **sign-extended quantized integers**:
-//! the corrupted stored bits feed one of two integer GEMMs — the packed i8
-//! panel GEMM ([`eden_tensor::ops::gemm_i8_packed`], i32 accumulation) for
-//! int4/int8 operands, the i64-accumulating
-//! [`eden_tensor::ops::gemm_i64_batch`] for int16 operands and reductions
-//! too deep for i32 — and a single fused epilogue applies the per-sample
-//! scale product and the bias. Layers without a native implementation
-//! (normalization, composite blocks) fall back to their f32 forward on a
-//! weight-refreshed clone of the network, so any architecture runs under
-//! either backend.
+//! the corrupted stored bits are packed into k-padded, patch-major panel rows
+//! and feed one of two panel GEMMs of the same layout — i8 lanes with i32
+//! accumulation ([`eden_tensor::ops::gemm_i8_packed`]) where
+//! [`use_i8_kernels_for`] holds (int4/int8), i16 lanes with exact i64
+//! results ([`eden_tensor::ops::gemm_i16_packed`]) everywhere else (int16,
+//! and int4/int8 reductions too deep for i32) — and a single fused epilogue
+//! applies the per-sample scale product and the bias. Weights are packed
+//! into their panel form once per refetch ([`NativeWeights`]), and sparse
+//! corruption overlays patch the packed lanes in place. Layers without a
+//! native implementation (normalization, composite blocks) fall back to
+//! their f32 forward on a weight-refreshed clone of the network, so any
+//! architecture runs under either backend.
 //!
 //! There is one executor, [`forward_native_batch_observed`]: a group of
 //! samples sharing one corrupted weight state runs layer by layer, each
@@ -28,24 +31,103 @@
 use crate::layer::Layer;
 use crate::network::{Network, WeightImage};
 use crate::{DataKind, DataSite, FaultHook};
-use eden_tensor::{ops, CorruptionOverlay, Precision, QuantTensor, Tensor};
+use eden_tensor::ops::{self, PanelLane};
+use eden_tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
 
 /// Corrupted quantized parameters of one native layer, rebuilt on every
 /// weight refetch from the cached clean bit images.
+///
+/// The weights are held in the lhs panel form of the layer's GEMM, packed
+/// once per refetch: one row per output, `k` sign-extended lanes at the
+/// kernel's k-padded stride, zero pad lanes. Exactly one of the two forms is
+/// filled, chosen by [`use_i8_kernels_for`] on the weight precision and the
+/// row depth `k`.
 #[derive(Debug, Clone, Default)]
 pub struct QuantLayerParams {
-    /// Sign-extended corrupted quantized weight values (visit order) — the
-    /// i32 operand form of the i64-accumulating GEMM.
-    pub qweight: Vec<i32>,
-    /// The same weights narrowed to i8 (int4/int8 only): one-byte operands
-    /// for the packed panel GEMM ([`eden_tensor::ops::gemm_i8_packed`]).
-    /// Every corrupted 4/8-bit pattern sign-extends into `[-128, 127]`
-    /// exactly.
+    /// i8 panel rows at the [`ops::packed_stride_i8`] stride, the lhs of
+    /// [`ops::gemm_i8_packed`] (int4/int8). Every corrupted 4/8-bit pattern
+    /// sign-extends into `[-128, 127]` exactly.
     pub qweight8: Vec<i8>,
+    /// i16 panel rows at the [`ops::packed_stride_i16`] stride, the lhs of
+    /// [`ops::gemm_i16_packed`] (int16, and int4/int8 reductions too deep
+    /// for i32 accumulators).
+    pub qweight16: Vec<i16>,
     /// Dequantization scale of the (corrupted) weight tensor.
     pub weight_scale: f32,
     /// Dequantized corrupted bias values.
     pub bias: Vec<f32>,
+}
+
+impl QuantLayerParams {
+    /// Packs a (corrupted) weight tensor into the panel form of its kernel
+    /// path and takes its scale.
+    fn load_weight(&mut self, q: &QuantTensor) {
+        let k = weight_depth(q);
+        self.weight_scale = q.scale();
+        self.qweight8.clear();
+        self.qweight16.clear();
+        if use_i8_kernels_for(q.precision(), k) {
+            pack_panel(&[q], k, &mut self.qweight8);
+        } else {
+            pack_panel(&[q], k, &mut self.qweight16);
+        }
+    }
+
+    /// Writes every `(index, word)` pair — weight indices in visit order,
+    /// stored words of `clean`'s precision — into its packed lane.
+    fn patch_weights(&mut self, clean: &QuantTensor, words: impl Iterator<Item = (usize, u32)>) {
+        let k = weight_depth(clean);
+        let bits = clean.bits_per_value();
+        if use_i8_kernels_for(clean.precision(), k) {
+            patch_panel(&mut self.qweight8, k, bits, words);
+        } else {
+            patch_panel(&mut self.qweight16, k, bits, words);
+        }
+    }
+}
+
+/// The reduction depth of a weight tensor: the length of one output's row
+/// (`in_features` of a dense layer, `in_c·k·k` of a convolution).
+fn weight_depth(q: &QuantTensor) -> usize {
+    q.len() / q.shape()[0]
+}
+
+/// Packs the stored words of `tensors` — each a row-major `[rows, k]`
+/// operand — back to back into panel rows at the `T` stride
+/// ([`PanelLane::packed_stride`]) with zero pad lanes: the operand form of
+/// the packed panel GEMMs. `out` is cleared and regrown, so it reallocates
+/// only past its high-water size.
+pub(crate) fn pack_panel<T: PanelLane>(tensors: &[&QuantTensor], k: usize, out: &mut Vec<T>) {
+    let k_pad = T::packed_stride(k);
+    let rows: usize = tensors.iter().map(|q| q.len() / k).sum();
+    out.clear();
+    out.resize(rows * k_pad, T::default());
+    let mut at = 0;
+    for q in tensors {
+        let len = q.len() / k * k_pad;
+        ops::pack_stored_rows(
+            q.stored(),
+            q.bits_per_value(),
+            k,
+            k_pad,
+            &mut out[at..at + len],
+        );
+        at += len;
+    }
+}
+
+/// Overwrites lane `row·k_pad + col` of a packed panel for every flat
+/// index `row·k + col` in `words`.
+fn patch_panel<T: PanelLane>(
+    panel: &mut [T],
+    k: usize,
+    bits: u32,
+    words: impl Iterator<Item = (usize, u32)>,
+) {
+    let k_pad = T::packed_stride(k);
+    for (i, word) in words {
+        panel[i / k * k_pad + i % k] = T::from_stored(word, bits);
+    }
 }
 
 /// Reusable per-worker scratch buffers of the native executor. One instance
@@ -53,29 +135,23 @@ pub struct QuantLayerParams {
 /// reallocated once it has reached its high-water size.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    /// Sign-extended input activations of one sample (i32 form).
-    pub qx: Vec<i32>,
-    /// Sign-extended input activations of one sample narrowed to i8
-    /// (int4/int8 path).
-    pub qx8: Vec<i8>,
-    /// Group-wide integer im2col matrix (i32 form, `[ck, batch·ohw]`).
-    pub cols: Vec<i32>,
-    /// Group-wide transposed i8 patch rows (`[batch·ohw, ck]`, int4/int8
-    /// path), each at the k-padded panel stride
-    /// ([`eden_tensor::ops::packed_stride_i8`]).
+    /// Group-wide rhs panel rows on the i8 path (`[batch·ohw, ck]` patch
+    /// rows of a convolution, `[batch, k]` of a dense layer), each at the
+    /// [`ops::packed_stride_i8`] stride.
     pub cols8: Vec<i8>,
-    /// i8 weight rows re-packed at the k-padded panel stride for
-    /// [`ops::gemm_i8_packed`].
-    pub apack8: Vec<i8>,
+    /// The same on the i16 path, at the [`ops::packed_stride_i16`] stride.
+    pub cols16: Vec<i16>,
+    /// Whole-image sign-extended view feeding the i8 patch packer
+    /// ([`ops::im2col_t_stored_strided`]).
+    pub vals8: Vec<i8>,
+    /// The same for the i16 patch packer.
+    pub vals16: Vec<i16>,
     /// Batch-wide dequantized GEMM output (`[m, n]`), reused across layers
     /// so no layer allocates it fresh.
     pub ybatch: Vec<f32>,
-    /// Whole-image sign-extended byte view feeding the strided i8 im2col
-    /// ([`eden_tensor::ops::im2col_i8_t_stored_strided`]).
-    pub vals8: Vec<i8>,
-    /// i32 accumulators (int4/int8).
+    /// i32 accumulators (i8 path).
     pub acc_i32: Vec<i32>,
-    /// i64 accumulators (int16).
+    /// i64 results (i16 path).
     pub acc_i64: Vec<i64>,
 }
 
@@ -143,20 +219,14 @@ impl<T: Default> ScratchArena<T> {
     }
 }
 
-/// Whether a precision's operands fit the widening-i8 kernels with i32
-/// accumulation (int4/int8; int16 values do not fit one byte and take the
-/// i64-accumulating path instead).
-pub fn use_i8_kernels(precision: Precision) -> bool {
-    precision.is_integer() && precision.bits() <= 8
-}
-
 /// Whether a `(precision, reduction depth)` pair takes the i8 kernels:
-/// the operands must fit i8 **and** the i32 accumulator must provably hold
-/// the `k`-term sums. Layers use this to prepare the matching operand form;
-/// the kernel dispatch below uses the same predicate, so the two can never
+/// the operands must fit i8 (int4/int8) **and** the i32 accumulator must
+/// provably hold the `k`-term sums; every other pair takes the i16 panel
+/// kernels with i64 results. Weight packing, the layers' operand packing and
+/// the kernel dispatch all use this one predicate, so they can never
 /// disagree.
 pub fn use_i8_kernels_for(precision: Precision, k: usize) -> bool {
-    use_i8_kernels(precision) && !needs_wide_accumulator(precision, k)
+    precision.is_integer() && precision.bits() <= 8 && !needs_wide_accumulator(precision, k)
 }
 
 /// Whether integer accumulation over `k` products of `precision` operands
@@ -238,14 +308,7 @@ impl NativeWeights {
             {
                 Some(params) => {
                     if img.param_name == "weight" {
-                        q.q_values_into(&mut params.qweight);
-                        params.weight_scale = q.scale();
-                        if use_i8_kernels(q.precision()) {
-                            params.qweight8.clear();
-                            params
-                                .qweight8
-                                .extend(params.qweight.iter().map(|&v| v as i8));
-                        }
+                        params.load_weight(&q);
                     } else {
                         params.bias.clear();
                         params.bias.resize(q.len(), 0.0);
@@ -298,14 +361,7 @@ impl NativeWeights {
                 }
             };
             if img.param_name == "weight" {
-                img.clean.q_values_into(&mut params.qweight);
-                params.weight_scale = img.clean.scale();
-                if use_i8_kernels(img.clean.precision()) {
-                    params.qweight8.clear();
-                    params
-                        .qweight8
-                        .extend(params.qweight.iter().map(|&v| v as i8));
-                }
+                params.load_weight(&img.clean);
             } else {
                 params.bias.clear();
                 params.bias.resize(img.clean.len(), 0.0);
@@ -371,14 +427,7 @@ impl NativeWeights {
                 }
             };
             if img.param_name == "weight" {
-                let narrow = use_i8_kernels(img.clean.precision());
-                for (i, word) in overlay.patched_words(&img.clean, apply) {
-                    let q = img.clean.word_q_value(word);
-                    params.qweight[i] = q;
-                    if narrow {
-                        params.qweight8[i] = q as i8;
-                    }
-                }
+                params.patch_weights(&img.clean, overlay.patched_words(&img.clean, apply));
                 // The scale is a property of the clean quantization and is
                 // untouched by bit corruption, so it never needs re-patching.
             } else {
@@ -434,11 +483,11 @@ fn has_weight_bias_params(layer: &dyn Layer) -> bool {
 /// (and therefore with the same load-stream sequence) as the simulated path,
 /// and then executed natively where the layer supports it — without ever
 /// dequantizing the activations for dense/conv layers. Each native layer's
-/// compute is one GEMM over every active sample's activation columns
-/// (weight-stationary dataflow, [`Layer::quant_forward_batch`]); int4/int8
-/// layers run on one-byte operands through the runtime-dispatched SIMD
-/// kernels (see [`eden_tensor::simd`]), int16 layers take the overflow-proof
-/// i64 path. A single sample is a group of one.
+/// compute is one panel GEMM over every active sample's activation rows
+/// (weight-stationary dataflow, [`Layer::quant_forward_batch`]) through the
+/// runtime-dispatched SIMD kernels (see [`eden_tensor::simd`]): one-byte
+/// lanes for int4/int8, two-byte lanes with exact i64 results for int16 and
+/// overflow-deep reductions. A single sample is a group of one.
 ///
 /// `starts[j]` is sample `j`'s resume layer (0 for a full pass; otherwise
 /// `inputs[j]` is the activation entering layer `starts[j]`): a sample
@@ -544,16 +593,16 @@ pub fn forward_native_batch_observed<H: FaultHook>(
 
 /// Integer GEMM over a packed multi-sample rhs with a fused per-sample-scale
 /// epilogue, dispatching on operand width: the packed i8 panel GEMM where
-/// [`use_i8_kernels_for`] holds, the i32-operand i64-accumulating GEMM
-/// everywhere else (int16, and int4/int8 reductions too deep for i32).
-/// Each sample contributes `cols_per_sample` consecutive output columns with
-/// its **own** quantization scale, so the epilogue is
+/// [`use_i8_kernels_for`] holds, the packed i16 panel GEMM everywhere else
+/// (int16, and int4/int8 reductions too deep for i32). Each sample
+/// contributes `cols_per_sample` consecutive output columns with its
+/// **own** quantization scale, so the epilogue is
 /// `out[row·n + j] = bias[row] + acc[row·n + j] · scales[j / cols_per_sample]`
-/// (`n = cols_per_sample · batch`). On the i8 path, `scratch.cols8` rows
-/// must be packed at the [`ops::packed_stride_i8`] panel stride with
-/// zero-filled pad lanes; on the i64 path `scratch.cols` holds the
-/// `[k, n]` rhs. Used by [`crate::layers::Conv2d`] (patch columns) and
-/// [`crate::layers::Dense`] (one column per sample).
+/// (`n = cols_per_sample · batch`). The rhs rows — `scratch.cols8` on the i8
+/// path, `scratch.cols16` on the i16 path — must be packed at that path's
+/// panel stride with zero pad lanes, like the weights in `params`. Used by
+/// [`crate::layers::Conv2d`] (patch rows) and [`crate::layers::Dense`] (one
+/// row per sample).
 #[allow(clippy::too_many_arguments)]
 pub fn quant_gemm_bias_batch_into(
     m: usize,
@@ -568,26 +617,13 @@ pub fn quant_gemm_bias_batch_into(
 ) {
     let n = cols_per_sample * scales.len();
     if use_i8_kernels_for(precision, k) {
-        // Mirror the weights into the k-padded panel layout the rhs rows use
-        // and run the whole-row-pair panel GEMM (zero pad lanes are exact for
-        // integer accumulation).
-        let k_pad = ops::packed_stride_i8(k);
-        scratch.apack8.clear();
-        scratch.apack8.resize(m * k_pad, 0);
-        for (dst, src) in scratch
-            .apack8
-            .chunks_exact_mut(k_pad)
-            .zip(params.qweight8.chunks_exact(k))
-        {
-            dst[..k].copy_from_slice(src);
-        }
         scratch.acc_i32.clear();
         scratch.acc_i32.resize(m * n, 0);
         ops::gemm_i8_packed(
             m,
-            k_pad,
+            ops::packed_stride_i8(k),
             n,
-            &scratch.apack8,
+            &params.qweight8,
             &scratch.cols8,
             &mut scratch.acc_i32,
         );
@@ -603,12 +639,12 @@ pub fn quant_gemm_bias_batch_into(
     } else {
         scratch.acc_i64.clear();
         scratch.acc_i64.resize(m * n, 0);
-        ops::gemm_i64_batch(
+        ops::gemm_i16_packed(
             m,
-            k,
+            ops::packed_stride_i16(k),
             n,
-            &params.qweight,
-            &scratch.cols,
+            &params.qweight16,
+            &scratch.cols16,
             &mut scratch.acc_i64,
         );
         epilogue_batch(
@@ -838,10 +874,10 @@ mod tests {
     #[test]
     fn scratch_arena_reuses_buffers() {
         let arena: ScratchArena = ScratchArena::new();
-        arena.with(|s| s.qx.resize(128, 0));
+        arena.with(|s| s.cols8.resize(128, 0));
         assert_eq!(arena.resident(), 1);
         // The returned buffer comes back out with its capacity intact.
-        arena.with(|s| assert!(s.qx.capacity() >= 128));
+        arena.with(|s| assert!(s.cols8.capacity() >= 128));
         assert_eq!(arena.resident(), 1);
     }
 
@@ -953,28 +989,17 @@ mod tests {
             }
         });
         let qx = QuantTensor::quantize(&big, Precision::Int8);
-        let images = {
-            let mut net = Network::new("deep", &[k]);
-            net.push(layer.clone());
-            net.weight_images(Precision::Int8)
-        };
-        let mut params = QuantLayerParams::default();
-        for img in &images {
-            let q = img.clean.clone();
-            if img.param_name == "weight" {
-                q.q_values_into(&mut params.qweight);
-                params.weight_scale = q.scale();
-                params.qweight8.clear();
-                params
-                    .qweight8
-                    .extend(params.qweight.iter().map(|&v| v as i8));
-            } else {
-                params.bias = vec![0.0; q.len()];
-            }
-        }
+        let mut net = Network::new("deep", &[k]);
+        net.push(layer.clone());
+        let mut weights = NativeWeights::prepare(&net);
+        weights.refresh_clean(&net.weight_images(Precision::Int8));
+        let params = weights.native_params(0).expect("dense is native");
+        // Packed for the i16 panel kernels, not the i8 ones.
+        assert!(params.qweight8.is_empty());
+        assert_eq!(params.qweight16.len(), m * ops::packed_stride_i16(k));
         let mut scratch = QuantScratch::new();
         let y = layer
-            .quant_forward_batch(&[&qx], &params, &mut scratch)
+            .quant_forward_batch(&[&qx], params, &mut scratch)
             .expect("dense is native")
             .pop()
             .unwrap();

@@ -3,6 +3,15 @@
 //! All operators work on the dense [`Tensor`] type. Convolution tensors use
 //! the `[channels, height, width]` (CHW) layout for single samples and
 //! `[batch, channels, height, width]` (NCHW) for batches where noted.
+//!
+//! The native integer backend runs on two packed panel GEMMs that share one
+//! operand layout: rows of `k` sign-extended lanes, zero-padded to a fixed
+//! stride, with weights as lhs rows and patch-major activation rows as the
+//! transposed rhs (packed by [`im2col_t_stored_strided`] and
+//! [`pack_stored_rows`] straight from the stored bits).
+//! [`gemm_i8_packed`] takes i8 lanes with i32 accumulation (int4/int8);
+//! [`gemm_i16_packed`] takes i16 lanes with exact i64 results (int16, and
+//! reductions too deep for i32).
 
 use crate::simd::{self, Kernels};
 use crate::tensor::Tensor;
@@ -69,41 +78,11 @@ pub fn gemm_with(
     }
 }
 
-/// Integer GEMM with **i64 accumulation**: `out (m×n) += a (m×k) · b (k×n)`
-/// over sign-extended quantized operands — the overflow-proof path for int16
-/// operands (whose products alone reach 2³⁰) and for any depth where
-/// `k · Q²` could exceed `i32`. Same cache blocking as [`gemm`]; integer
-/// addition is associative, so the result is independent of accumulation
-/// order by construction, and the branchless inner loop vectorizes better
-/// than the sparsity-skipping f32 nest.
-pub fn gemm_i64(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
-    assert!(a.len() >= m * k, "gemm_i64: lhs slice too short");
-    assert!(b.len() >= k * n, "gemm_i64: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_i64: out slice too short");
-    for kk in (0..k).step_by(GEMM_KC) {
-        let k_end = (kk + GEMM_KC).min(k);
-        for ii in (0..m).step_by(GEMM_MC) {
-            let i_end = (ii + GEMM_MC).min(m);
-            for i in ii..i_end {
-                let arow = &a[i * k..i * k + k];
-                let orow = &mut out[i * n..i * n + n];
-                for p in kk..k_end {
-                    let av = arow[p] as i64;
-                    let brow = &b[p * n..p * n + n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv as i64;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Output-row block of the batched GEMM entry points. The block geometry is
 /// a fixed function of the shape — never of the thread count — so a batched
 /// GEMM computes bit-identical results on any pool size (each output row's
 /// accumulation chain is independent of every other row's). Kept even so
-/// [`gemm_i8_packed`]'s row pairing never straddles a block boundary.
+/// the packed GEMMs' row pairing never straddles a block boundary.
 const GEMM_PAR_ROWS: usize = 16;
 
 /// Minimum multiply–accumulate count (`m·k·n`) before a batched GEMM entry
@@ -155,24 +134,6 @@ pub fn gemm_batch_with(
     });
 }
 
-/// Batched integer GEMM with i64 accumulation — the multi-sample form of
-/// [`gemm_i64`], row-blocked across the [`eden_par`] pool. Integer addition
-/// is associative, so the split is exact by construction.
-pub fn gemm_i64_batch(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
-    assert!(a.len() >= m * k, "gemm_i64_batch: lhs slice too short");
-    assert!(b.len() >= k * n, "gemm_i64_batch: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_i64_batch: out slice too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let rows = gemm_par_rows(m, k, n);
-    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
-        let r0 = bi * rows;
-        let rc = chunk.len() / n;
-        gemm_i64(rc, k, n, &a[r0 * k..(r0 + rc) * k], b, chunk);
-    });
-}
-
 /// Row stride (in i8 lanes) of the k-padded panel layout consumed by
 /// [`gemm_i8_packed`]: the reduction depth rounded up to a whole number of
 /// 64-byte kernel chunks. Packing rows at this stride (zero-filling the pad
@@ -180,6 +141,101 @@ pub fn gemm_i64_batch(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &
 /// SIMD lane of the panel kernels full and the scalar tails unreachable.
 pub const fn packed_stride_i8(k: usize) -> usize {
     (k + 63) & !63
+}
+
+/// Row stride (in i16 lanes) of the k-padded panel layout consumed by
+/// [`gemm_i16_packed`]: the depth rounded up to whole 32-lane (64-byte)
+/// kernel chunks, with the same zero-pad rule as [`packed_stride_i8`].
+pub const fn packed_stride_i16(k: usize) -> usize {
+    (k + 31) & !31
+}
+
+/// An integer operand lane of the packed panel GEMMs: `i8` for
+/// [`gemm_i8_packed`], `i16` for [`gemm_i16_packed`]. The panel packers
+/// ([`im2col_t_stored_strided`], [`pack_stored_rows`]) are written once over
+/// this trait.
+pub trait PanelLane: Copy + Default + Send + Sync + 'static {
+    /// The widest stored precision, in bits, whose sign-extended values fit
+    /// the lane.
+    const MAX_BITS: u32;
+
+    /// Row stride of the k-padded panel layout for reduction depth `k`.
+    fn packed_stride(k: usize) -> usize;
+
+    /// The sign-extended value of a stored word of `bits` ≤
+    /// [`PanelLane::MAX_BITS`] bits.
+    fn from_stored(word: u32, bits: u32) -> Self;
+}
+
+impl PanelLane for i8 {
+    const MAX_BITS: u32 = 8;
+
+    fn packed_stride(k: usize) -> usize {
+        packed_stride_i8(k)
+    }
+
+    fn from_stored(word: u32, bits: u32) -> Self {
+        crate::bits::sign_extend(word, bits) as i8
+    }
+}
+
+impl PanelLane for i16 {
+    const MAX_BITS: u32 = 16;
+
+    fn packed_stride(k: usize) -> usize {
+        packed_stride_i16(k)
+    }
+
+    fn from_stored(word: u32, bits: u32) -> Self {
+        crate::bits::sign_extend(word, bits) as i16
+    }
+}
+
+/// The shared driver of the packed panel GEMMs: `out (m×n) += a (m×k) ·
+/// bt (n×k)ᵀ`, one `gemm2` call per row pair over every column, an odd last
+/// row through `last_row`. Row-blocked across the [`eden_par`] pool with
+/// fixed geometry; integer accumulation makes the split exact at any thread
+/// count.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed_rows<T: Sync, A: Send>(
+    name: &str,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[T],
+    bt: &[T],
+    out: &mut [A],
+    gemm2: simd::GemmPanelFn<T, A>,
+    last_row: impl Fn(&[T], &mut [A]) + Sync,
+) {
+    assert!(a.len() >= m * k, "{name}: lhs slice too short");
+    assert!(bt.len() >= n * k, "{name}: rhs slice too short");
+    assert!(out.len() >= m * n, "{name}: out slice too short");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let rows = gemm_par_rows(m, k, n);
+    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
+        let r0 = bi * rows;
+        let rc = chunk.len() / n;
+        let a = &a[r0 * k..(r0 + rc) * k];
+        let mut i = 0;
+        while i + 2 <= rc {
+            let (o0, rest) = chunk[i * n..].split_at_mut(n);
+            gemm2(
+                &a[i * k..(i + 1) * k],
+                &a[(i + 1) * k..(i + 2) * k],
+                bt,
+                k,
+                o0,
+                &mut rest[..n],
+            );
+            i += 2;
+        }
+        if i < rc {
+            last_row(&a[i * k..(i + 1) * k], &mut chunk[i * n..i * n + n]);
+        }
+    });
 }
 
 /// Blocked i8 GEMM over a k-padded packed operand pair: `a` holds `m` rows
@@ -197,7 +253,7 @@ pub const fn packed_stride_i8(k: usize) -> usize {
 /// `[-128, 127]` — unlike the classic `pmaddubsw` sign-trick, which wraps at
 /// `(-128)·(-128)` (see [`crate::simd`]). The caller guarantees no i32
 /// overflow: with `|a|, |b| ≤ 128` every accumulator stays within `k · 2¹⁴`,
-/// so any `k < 2¹⁷` is safe; deeper reductions must use [`gemm_i64_batch`].
+/// so any `k < 2¹⁷` is safe; deeper reductions must use [`gemm_i16_packed`].
 pub fn gemm_i8_packed(m: usize, k: usize, n: usize, a: &[i8], bt: &[i8], out: &mut [i32]) {
     gemm_i8_packed_with(simd::kernels(), m, k, n, a, bt, out);
 }
@@ -212,37 +268,62 @@ pub fn gemm_i8_packed_with(
     bt: &[i8],
     out: &mut [i32],
 ) {
-    assert!(a.len() >= m * k, "gemm_i8_packed: lhs slice too short");
-    assert!(bt.len() >= n * k, "gemm_i8_packed: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_i8_packed: out slice too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let rows = gemm_par_rows(m, k, n);
-    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
-        let r0 = bi * rows;
-        let rc = chunk.len() / n;
-        let a = &a[r0 * k..(r0 + rc) * k];
-        let mut i = 0;
-        while i + 2 <= rc {
-            let (o0, rest) = chunk[i * n..].split_at_mut(n);
-            (kr.gemm2_i8)(
-                &a[i * k..(i + 1) * k],
-                &a[(i + 1) * k..(i + 2) * k],
-                bt,
-                k,
-                o0,
-                &mut rest[..n],
-            );
-            i += 2;
-        }
-        if i < rc {
-            let arow = &a[i * k..(i + 1) * k];
-            for (o, brow) in chunk[i * n..i * n + n].iter_mut().zip(bt.chunks_exact(k)) {
+    gemm_packed_rows(
+        "gemm_i8_packed",
+        m,
+        k,
+        n,
+        a,
+        bt,
+        out,
+        kr.gemm2_i8,
+        |arow, orow| {
+            for (o, brow) in orow.iter_mut().zip(bt.chunks_exact(k)) {
                 *o += (kr.dot_i8)(arow, brow);
             }
-        }
-    });
+        },
+    );
+}
+
+/// Blocked i16 GEMM with exact **i64 results** over a k-padded packed
+/// operand pair: the i16 twin of [`gemm_i8_packed`] (same operand layout at
+/// the [`packed_stride_i16`] stride, same fixed-geometry row blocks), one
+/// [`crate::simd::Kernels::gemm2_i16`] call per row pair. The kernels use
+/// `pmaddwd` on full-range i16 lanes with split-digit i32 accumulators
+/// flushed into i64 (see [`crate::simd`]), so every result is the exact dot
+/// product at any depth and for every operand, `−32768` included.
+///
+/// This is the int16 production kernel, and the one for int4/int8
+/// reductions too deep for [`gemm_i8_packed`]'s i32 accumulators.
+pub fn gemm_i16_packed(m: usize, k: usize, n: usize, a: &[i16], bt: &[i16], out: &mut [i64]) {
+    gemm_i16_packed_with(simd::kernels(), m, k, n, a, bt, out);
+}
+
+/// [`gemm_i16_packed`] against an explicit kernel table.
+pub fn gemm_i16_packed_with(
+    kr: &Kernels,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[i16],
+    bt: &[i16],
+    out: &mut [i64],
+) {
+    gemm_packed_rows(
+        "gemm_i16_packed",
+        m,
+        k,
+        n,
+        a,
+        bt,
+        out,
+        kr.gemm2_i16,
+        |arow, orow| {
+            // An odd last row runs as its own pair; the twin sums are spare.
+            let mut spare = vec![0i64; orow.len()];
+            (kr.gemm2_i16)(arow, arow, bt, k, orow, &mut spare);
+        },
+    );
 }
 
 /// Matrix multiplication `a (m×k) * b (k×n) -> (m×n)`, backed by [`gemm`].
@@ -343,19 +424,20 @@ pub fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
     Tensor::from_vec(cols, &[in_c * k * k, oh * ow])
 }
 
-/// Transposed i8 im2col straight from the raw stored words of a quantized
-/// `[in_c, h, w]` tensor (`bits` ≤ 8, so every sign-extended value fits
-/// i8): writes the **patch-major** `[oh·ow, in_c·k·k]` matrix — row
-/// `oy·ow + ox` holds output position `(oy, ox)`'s receptive field
-/// contiguously, i.e. the transpose of [`im2col`]'s layout — with each patch
-/// row at `row_stride` ≥ `in_c·k·k`, the k-padded panel form
-/// [`gemm_i8_packed`] consumes. The stored words are sign-extended **once**
+/// Transposed im2col straight from the raw stored words of a quantized
+/// `[in_c, h, w]` tensor into panel lanes `T` (`bits` ≤
+/// [`PanelLane::MAX_BITS`], so every sign-extended value fits a lane):
+/// writes the **patch-major** `[oh·ow, in_c·k·k]` matrix — row `oy·ow + ox`
+/// holds output position `(oy, ox)`'s receptive field contiguously, i.e. the
+/// transpose of [`im2col`]'s layout — with each patch row at `row_stride` ≥
+/// `in_c·k·k`, the k-padded panel form [`gemm_i8_packed`] and
+/// [`gemm_i16_packed`] consume. The stored words are sign-extended **once**
 /// into `vals` (O(values) instead of O(taps), and taps outnumber values by
 /// the kernel footprint), then every in-bounds kernel row becomes one
-/// contiguous byte copy. `cols` must be pre-zeroed; padding taps and pad
+/// contiguous lane copy. `cols` must be pre-zeroed; padding taps and pad
 /// lanes are left untouched.
 #[allow(clippy::too_many_arguments)]
-pub fn im2col_i8_t_stored_strided(
+pub fn im2col_t_stored_strided<T: PanelLane>(
     stored: &[u32],
     bits: u32,
     in_c: usize,
@@ -363,33 +445,34 @@ pub fn im2col_i8_t_stored_strided(
     w: usize,
     p: Conv2dParams,
     row_stride: usize,
-    vals: &mut Vec<i8>,
-    cols: &mut [i8],
+    vals: &mut Vec<T>,
+    cols: &mut [T],
 ) {
     assert!(
-        bits <= 8,
-        "im2col_i8_t_stored_strided: {bits}-bit values exceed i8"
+        bits <= T::MAX_BITS,
+        "im2col_t_stored_strided: {bits}-bit values exceed the {}-bit lane",
+        T::MAX_BITS
     );
     assert!(
         stored.len() >= in_c * h * w,
-        "im2col_i8_t_stored_strided: input too short"
+        "im2col_t_stored_strided: input too short"
     );
     let (oh, ow) = (p.out_size(h), p.out_size(w));
     let k = p.kernel;
     let ck = in_c * k * k;
     assert!(
         row_stride >= ck,
-        "im2col_i8_t_stored_strided: row stride below patch length"
+        "im2col_t_stored_strided: row stride below patch length"
     );
     assert!(
         cols.len() >= oh * ow * row_stride,
-        "im2col_i8_t_stored_strided: output slice too short"
+        "im2col_t_stored_strided: output slice too short"
     );
     vals.clear();
     vals.extend(
         stored[..in_c * h * w]
             .iter()
-            .map(|&s| crate::bits::sign_extend(s, bits) as i8),
+            .map(|&s| T::from_stored(s, bits)),
     );
     // Output columns whose kx span covers the whole kernel row
     // (ix = ox·stride + kx − padding ∈ [0, w) for every kx): everything
@@ -402,16 +485,15 @@ pub fn im2col_i8_t_stored_strided(
         0
     };
     // One partial (edge-clipped) column: the span of in-bounds kx taps.
-    let partial =
-        |vals: &[i8], cols: &mut [i8], ox: usize, src_row: usize, tap: usize, d: usize| {
-            let kx_lo = p.padding.saturating_sub(ox * p.stride);
-            let kx_hi = (w + p.padding).saturating_sub(ox * p.stride).min(k);
-            if kx_lo < kx_hi {
-                let src = src_row + ox * p.stride + kx_lo - p.padding;
-                cols[d + tap + kx_lo..d + tap + kx_hi]
-                    .copy_from_slice(&vals[src..src + (kx_hi - kx_lo)]);
-            }
-        };
+    let partial = |vals: &[T], cols: &mut [T], ox: usize, src_row: usize, tap: usize, d: usize| {
+        let kx_lo = p.padding.saturating_sub(ox * p.stride);
+        let kx_hi = (w + p.padding).saturating_sub(ox * p.stride).min(k);
+        if kx_lo < kx_hi {
+            let src = src_row + ox * p.stride + kx_lo - p.padding;
+            cols[d + tap + kx_lo..d + tap + kx_hi]
+                .copy_from_slice(&vals[src..src + (kx_hi - kx_lo)]);
+        }
+    };
     for oy in 0..oh {
         let drow = oy * ow;
         for ic in 0..in_c {
@@ -425,7 +507,7 @@ pub fn im2col_i8_t_stored_strided(
                 for ox in 0..ox_full_lo {
                     partial(vals, cols, ox, src_row, tap, (drow + ox) * row_stride);
                 }
-                // Full-span columns: one k-byte copy each, with all index
+                // Full-span columns: one k-lane copy each, with all index
                 // math hoisted out of the loop.
                 if ox_full_hi > ox_full_lo {
                     let mut d = (drow + ox_full_lo) * row_stride + tap;
@@ -455,6 +537,59 @@ pub fn im2col_i8_t_stored_strided(
     }
 }
 
+/// [`im2col_t_stored_strided`] into i8 lanes (`bits` ≤ 8) — the int4/int8
+/// patch packer.
+#[allow(clippy::too_many_arguments)]
+pub fn im2col_i8_t_stored_strided(
+    stored: &[u32],
+    bits: u32,
+    in_c: usize,
+    h: usize,
+    w: usize,
+    p: Conv2dParams,
+    row_stride: usize,
+    vals: &mut Vec<i8>,
+    cols: &mut [i8],
+) {
+    im2col_t_stored_strided(stored, bits, in_c, h, w, p, row_stride, vals, cols);
+}
+
+/// Packs the sign-extended stored words of a row-major `[rows, k]` operand
+/// into panel rows of `row_stride` ≥ `k` lanes — the lhs (weight) and dense
+/// rhs (activation) form of the packed panel GEMMs. `out` must be
+/// pre-zeroed; pad lanes are left untouched.
+///
+/// # Panics
+///
+/// Panics if `k` does not divide `stored.len()`, if `row_stride < k`, if
+/// `out` is shorter than the packed rows, or if `bits` exceeds the lane.
+pub fn pack_stored_rows<T: PanelLane>(
+    stored: &[u32],
+    bits: u32,
+    k: usize,
+    row_stride: usize,
+    out: &mut [T],
+) {
+    assert!(
+        bits <= T::MAX_BITS,
+        "pack_stored_rows: {bits}-bit values exceed the {}-bit lane",
+        T::MAX_BITS
+    );
+    assert!(
+        k > 0 && stored.len().is_multiple_of(k) && row_stride >= k,
+        "pack_stored_rows: bad row geometry"
+    );
+    assert!(
+        out.len() >= stored.len() / k * row_stride,
+        "pack_stored_rows: output slice too short"
+    );
+    for (dst, src) in out.chunks_exact_mut(row_stride).zip(stored.chunks_exact(k)) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = T::from_stored(s, bits);
+        }
+    }
+}
+
 /// Strided f32 im2col for batched convolution: writes one sample's
 /// `[in_c·k·k, oh·ow]` patch matrix into columns
 /// `[col_offset, col_offset + oh·ow)` of a `[in_c·k·k, row_stride]` batch
@@ -472,59 +607,10 @@ pub fn im2col_strided(
     row_stride: usize,
     cols: &mut [f32],
 ) {
-    im2col_strided_with(
-        |i| input[i],
-        input.len(),
-        in_c,
-        h,
-        w,
-        p,
-        col_offset,
-        row_stride,
-        cols,
+    assert!(
+        input.len() >= in_c * h * w,
+        "strided im2col: input too short"
     );
-}
-
-/// Integer variant of [`im2col_strided`] over a raw sign-extended
-/// `[in_c, h, w]` slice — packs one sample's columns into the `[k, n]` rhs
-/// of [`gemm_i64_batch`].
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_i32_strided(
-    input: &[i32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    col_offset: usize,
-    row_stride: usize,
-    cols: &mut [i32],
-) {
-    im2col_strided_with(
-        |i| input[i],
-        input.len(),
-        in_c,
-        h,
-        w,
-        p,
-        col_offset,
-        row_stride,
-        cols,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn im2col_strided_with<T: Copy>(
-    read: impl Fn(usize) -> T,
-    len: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-    col_offset: usize,
-    row_stride: usize,
-    cols: &mut [T],
-) {
-    assert!(len >= in_c * h * w, "strided im2col: input too short");
     let (oh, ow) = (p.out_size(h), p.out_size(w));
     let k = p.kernel;
     let ck = in_c * k * k;
@@ -552,7 +638,7 @@ fn im2col_strided_with<T: Copy>(
                         if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        dst[oy * ow + ox] = read(src_base + ix as usize);
+                        dst[oy * ow + ox] = input[src_base + ix as usize];
                     }
                 }
             }
@@ -927,26 +1013,60 @@ mod tests {
         assert_eq!(out, vec![6.0, 7.0, 8.0, 9.0]);
     }
 
+    /// `a (m×k) · bt (n×k)ᵀ` by the naive triple loop, in i64.
+    fn naive_i64<T: Copy + Into<i64>>(m: usize, k: usize, n: usize, a: &[T], bt: &[T]) -> Vec<i64> {
+        let mut out = vec![0i64; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    out[i * n + j] += a[i * k + p].into() * bt[j * k + p].into();
+                }
+            }
+        }
+        out
+    }
+
+    /// `rows` of `k` lanes, each zero-padded to the lane type's panel stride.
+    fn pad_rows<T: PanelLane>(rows: &[T], k: usize) -> Vec<T> {
+        let k_pad = T::packed_stride(k);
+        let mut out = vec![T::default(); rows.len() / k * k_pad];
+        for (dst, src) in out.chunks_exact_mut(k_pad).zip(rows.chunks_exact(k)) {
+            dst[..k].copy_from_slice(src);
+        }
+        out
+    }
+
+    /// [`gemm_i16_packed`] on the padded forms of `a (m×k)` and `bt (n×k)`.
+    fn packed_i16(m: usize, k: usize, n: usize, a: &[i16], bt: &[i16], out: &mut [i64]) {
+        gemm_i16_packed(
+            m,
+            packed_stride_i16(k),
+            n,
+            &pad_rows(a, k),
+            &pad_rows(bt, k),
+            out,
+        );
+    }
+
+    /// A pseudo-random operand over the whole i16 domain.
+    fn i16_values(len: usize, mul: usize, add: usize) -> Vec<i16> {
+        (0..len)
+            .map(|i| ((i * mul + add) % 65536) as u16 as i16)
+            .collect()
+    }
+
     #[test]
     fn integer_gemm_matches_naive_reference() {
         for (m, k, n) in [(1, 1, 1), (3, 5, 4), (65, 257, 7), (70, 513, 3)] {
-            let a: Vec<i32> = (0..m * k)
-                .map(|i| ((i * 37 + 11) % 255) as i32 - 127)
-                .collect();
-            let b: Vec<i32> = (0..k * n)
-                .map(|i| ((i * 53 + 7) % 255) as i32 - 127)
-                .collect();
+            let a = i16_values(m * k, 37, 11);
+            let bt = i16_values(n * k, 53, 7);
             let mut out64 = vec![0i64; m * n];
-            gemm_i64(m, k, n, &a, &b, &mut out64);
-            let mut naive = vec![0i64; m * n];
-            for i in 0..m {
-                for p in 0..k {
-                    for j in 0..n {
-                        naive[i * n + j] += (a[i * k + p] * b[p * n + j]) as i64;
-                    }
-                }
-            }
-            assert_eq!(out64, naive, "gemm_i64 mismatch at ({m},{k},{n})");
+            packed_i16(m, k, n, &a, &bt, &mut out64);
+            assert_eq!(
+                out64,
+                naive_i64(m, k, n, &a, &bt),
+                "gemm_i16_packed mismatch at ({m},{k},{n})"
+            );
         }
     }
 
@@ -955,63 +1075,44 @@ mod tests {
     #[test]
     fn integer_matvec_matches_gemm_column() {
         let (m, k, batch) = (33, 129, 3);
-        let a: Vec<i32> = (0..m * k).map(|i| ((i * 29) % 255) as i32 - 127).collect();
-        let b: Vec<i32> = (0..k * batch)
-            .map(|i| ((i * 41) % 255) as i32 - 127)
-            .collect();
-        let x: Vec<i32> = (0..k).map(|p| b[p * batch + 1]).collect();
+        let a = i16_values(m * k, 29, 0);
+        let bt = i16_values(batch * k, 41, 0);
         let mut mv = vec![0i64; m];
-        gemm_i64(m, k, 1, &a, &x, &mut mv);
+        packed_i16(m, k, 1, &a, &bt[k..2 * k], &mut mv);
         let mut gm = vec![0i64; m * batch];
-        gemm_i64_batch(m, k, batch, &a, &b, &mut gm);
+        packed_i16(m, k, batch, &a, &bt, &mut gm);
         let column: Vec<i64> = (0..m).map(|i| gm[i * batch + 1]).collect();
         assert_eq!(mv, column);
     }
 
-    /// `a (m×k)` and `bt (n×k)` as i8, each row zero-padded to the packed
-    /// panel stride of [`gemm_i8_packed`].
-    fn pad_i8_rows(rows: &[i8], k: usize) -> Vec<i8> {
-        let k_pad = packed_stride_i8(k);
-        let mut out = vec![0i8; rows.len() / k * k_pad];
-        for (dst, src) in out.chunks_exact_mut(k_pad).zip(rows.chunks_exact(k)) {
-            dst[..k].copy_from_slice(src);
-        }
-        out
-    }
-
-    /// The two integer dispatch paths agree: the packed i8 GEMM (int4/int8)
-    /// equals the i32-operand GEMM with i64 accumulation (int16 and deep
-    /// reductions) on the same operands, across the full ±128 domain.
+    /// Both integer dispatch paths equal the naive i64 triple loop on the
+    /// same operands, across the full ±128 domain: the packed i8 GEMM
+    /// (int4/int8) and the packed i16 GEMM (int16 and deep reductions).
     #[test]
     fn dot_structured_i8_gemm_matches_i32_gemm() {
         for (m, k, n) in [(1, 1, 1), (3, 5, 4), (6, 75, 64), (16, 54, 16), (7, 129, 3)] {
-            let a: Vec<i32> = (0..m * k)
-                .map(|i| ((i * 37 + 11) % 256) as i32 - 128)
+            let a: Vec<i8> = (0..m * k)
+                .map(|i| ((i * 37 + 11) % 256) as u8 as i8)
                 .collect();
-            let b: Vec<i32> = (0..k * n)
-                .map(|i| ((i * 53 + 7) % 256) as i32 - 128)
+            let bt: Vec<i8> = (0..n * k)
+                .map(|i| ((i * 53 + 7) % 256) as u8 as i8)
                 .collect();
-            let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
-            // Transpose b (k×n) into bt (n×k).
-            let mut bt = vec![0i8; n * k];
-            for p in 0..k {
-                for j in 0..n {
-                    bt[j * k + p] = b[p * n + j] as i8;
-                }
-            }
-            let mut reference = vec![0i64; m * n];
-            gemm_i64(m, k, n, &a, &b, &mut reference);
+            let reference = naive_i64(m, k, n, &a, &bt);
             let mut dot = vec![0i32; m * n];
             gemm_i8_packed(
                 m,
                 packed_stride_i8(k),
                 n,
-                &pad_i8_rows(&a8, k),
-                &pad_i8_rows(&bt, k),
+                &pad_rows(&a, k),
+                &pad_rows(&bt, k),
                 &mut dot,
             );
             let dot: Vec<i64> = dot.iter().map(|&v| v as i64).collect();
             assert_eq!(dot, reference, "gemm_i8_packed mismatch at ({m},{k},{n})");
+            let widen = |v: &[i8]| v.iter().map(|&x| x as i16).collect::<Vec<i16>>();
+            let mut wide = vec![0i64; m * n];
+            packed_i16(m, k, n, &widen(&a), &widen(&bt), &mut wide);
+            assert_eq!(wide, reference, "gemm_i16_packed mismatch at ({m},{k},{n})");
         }
     }
 
@@ -1020,50 +1121,74 @@ mod tests {
     fn i8_matvec_matches_i32_matvec() {
         let (m, k) = (33, 129);
         // Full corrupted int8 domain including -128.
-        let a: Vec<i32> = (0..m * k).map(|i| ((i * 29) % 256) as i32 - 128).collect();
-        let x: Vec<i32> = (0..k).map(|i| ((i * 41) % 256) as i32 - 128).collect();
-        let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
-        let x8: Vec<i8> = x.iter().map(|&v| v as i8).collect();
-        let mut reference = vec![0i64; m];
-        gemm_i64(m, k, 1, &a, &x, &mut reference);
+        let a: Vec<i8> = (0..m * k).map(|i| ((i * 29) % 256) as u8 as i8).collect();
+        let x: Vec<i8> = (0..k).map(|i| ((i * 41) % 256) as u8 as i8).collect();
+        let reference = naive_i64(m, k, 1, &a, &x);
         let mut dot = vec![0i32; m];
         gemm_i8_packed(
             m,
             packed_stride_i8(k),
             1,
-            &pad_i8_rows(&a8, k),
-            &pad_i8_rows(&x8, k),
+            &pad_rows(&a, k),
+            &pad_rows(&x, k),
             &mut dot,
         );
         let dot: Vec<i64> = dot.iter().map(|&v| v as i64).collect();
         assert_eq!(dot, reference);
+        let widen = |v: &[i8]| v.iter().map(|&x| x as i16).collect::<Vec<i16>>();
+        let mut wide = vec![0i64; m];
+        packed_i16(m, k, 1, &widen(&a), &widen(&x), &mut wide);
+        assert_eq!(wide, reference);
     }
 
     #[test]
     fn integer_gemm_accumulates_into_out() {
         let mut out = vec![1i64; 4];
-        gemm_i64(2, 2, 2, &[1, 0, 0, 1], &[5, 6, 7, 8], &mut out);
+        packed_i16(2, 2, 2, &[1, 0, 0, 1], &[5, 7, 6, 8], &mut out);
         assert_eq!(out, vec![6, 7, 8, 9]);
     }
 
+    /// The i16 patch packer reproduces the f32 [`im2col`] on the same
+    /// integer values (transposed, at the panel stride, zero pad lanes),
+    /// over the full 16-bit stored domain.
     #[test]
     fn im2col_i32_matches_f32_im2col_on_integer_data() {
         for (in_c, h, w, k, stride, padding) in
             [(3, 9, 9, 3, 1, 1), (2, 8, 7, 3, 2, 1), (1, 5, 7, 1, 1, 0)]
         {
             let p = Conv2dParams::new(k, stride, padding);
-            let ints: Vec<i32> = (0..in_c * h * w).map(|i| (i % 255) as i32 - 127).collect();
-            let floats: Vec<f32> = ints.iter().map(|&v| v as f32).collect();
+            let stored: Vec<u32> = (0..in_c * h * w)
+                .map(|i| ((i * 40503 + 7) % 65536) as u32)
+                .collect();
+            let floats: Vec<f32> = stored
+                .iter()
+                .map(|&s| crate::bits::sign_extend(s, 16) as f32)
+                .collect();
             let reference = im2col(&Tensor::from_vec(floats, &[in_c, h, w]), p);
-            // One sample filling the whole batch matrix.
-            let ohw = p.out_size(h) * p.out_size(w);
-            let mut cols = vec![0i32; reference.len()];
-            im2col_i32_strided(&ints, in_c, h, w, p, 0, ohw, &mut cols);
-            for (a, &b) in cols.iter().zip(reference.data()) {
-                assert_eq!(
-                    *a as f32, b,
-                    "im2col mismatch at k={k} s={stride} p={padding}"
-                );
+            let (ohw, ck) = (p.out_size(h) * p.out_size(w), in_c * k * k);
+            let stride_lanes = packed_stride_i16(ck);
+            let mut cols = vec![0i16; ohw * stride_lanes];
+            im2col_t_stored_strided(
+                &stored,
+                16,
+                in_c,
+                h,
+                w,
+                p,
+                stride_lanes,
+                &mut Vec::new(),
+                &mut cols,
+            );
+            for patch in 0..ohw {
+                let row = &cols[patch * stride_lanes..(patch + 1) * stride_lanes];
+                for (tap, &v) in row[..ck].iter().enumerate() {
+                    assert_eq!(
+                        v as f32,
+                        reference.data()[tap * ohw + patch],
+                        "im2col mismatch at k={k} s={stride} p={padding}"
+                    );
+                }
+                assert!(row[ck..].iter().all(|&v| v == 0), "pad lanes stay zero");
             }
         }
     }
@@ -1226,15 +1351,18 @@ mod tests {
 
     #[test]
     fn integer_gemm_batch_variants_match_their_per_call_forms() {
-        // Above the parallel threshold, so the row blocks fan out.
+        // Above the parallel threshold, so the row blocks fan out; the
+        // per-call form runs every row alone (the odd-row path).
         let (m, k, n) = (19, 96, 640);
-        let a = lcg_i32(3, m * k, 127);
-        let b = lcg_i32(4, k * n, 127);
-        let mut e64 = vec![0i64; m * n];
-        gemm_i64(m, k, n, &a, &b, &mut e64);
-        let mut g64 = vec![0i64; m * n];
-        gemm_i64_batch(m, k, n, &a, &b, &mut g64);
-        assert_eq!(e64, g64);
+        let a = i16_values(m * k, 40503, 3);
+        let bt = i16_values(n * k, 9973, 4);
+        let mut whole = vec![0i64; m * n];
+        packed_i16(m, k, n, &a, &bt, &mut whole);
+        let mut per_row = vec![0i64; m * n];
+        for (i, out) in per_row.chunks_exact_mut(n).enumerate() {
+            packed_i16(1, k, n, &a[i * k..(i + 1) * k], &bt, out);
+        }
+        assert_eq!(whole, per_row);
     }
 
     #[test]
@@ -1327,8 +1455,8 @@ mod tests {
                 m,
                 packed_stride_i8(k),
                 n,
-                &pad_i8_rows(&a8, k),
-                &pad_i8_rows(&bt8, k),
+                &pad_rows(&a8, k),
+                &pad_rows(&bt8, k),
                 &mut got,
             );
             assert_eq!(got, want, "packed gemm at ({m},{k},{n})");

@@ -261,22 +261,6 @@ impl QuantTensor {
         bits::sign_extend(self.stored[i], self.precision.bits())
     }
 
-    /// Sign-extends every stored value into `out` (cleared and refilled), the
-    /// allocation-free input path of the native integer kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics for FP32 tensors.
-    pub fn q_values_into(&self, out: &mut Vec<i32>) {
-        assert!(
-            self.precision.is_integer(),
-            "q_values_into is only defined for integer precisions"
-        );
-        let bits = self.precision.bits();
-        out.clear();
-        out.extend(self.stored.iter().map(|&s| bits::sign_extend(s, bits)));
-    }
-
     /// The dequantized value of element `i`.
     pub fn value(&self, i: usize) -> f32 {
         self.word_value(self.stored[i])
@@ -325,28 +309,6 @@ impl QuantTensor {
                 (q as u32) & mask
             }
         }
-    }
-
-    /// Sign-extends every stored value into an i8 buffer (cleared and
-    /// refilled) — the one-byte operand form of the int4/int8 kernels
-    /// ([`crate::ops::gemm_i8_packed`]). Every 4- or 8-bit pattern, including
-    /// corrupted ones, sign-extends into `[-128, 127]` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics for FP32 and int16 tensors, whose values do not fit i8.
-    pub fn q_values_i8_into(&self, out: &mut Vec<i8>) {
-        assert!(
-            self.precision.is_integer() && self.precision.bits() <= 8,
-            "q_values_i8_into is only defined for integer precisions up to 8 bits"
-        );
-        let bits = self.precision.bits();
-        out.clear();
-        out.extend(
-            self.stored
-                .iter()
-                .map(|&s| bits::sign_extend(s, bits) as i8),
-        );
     }
 
     /// A copy of the stored words in `range` as a standalone 1-D tensor
@@ -660,11 +622,9 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, -2.0, 0.5, 0.0, 3.25], &[5]);
         for p in [Precision::Int4, Precision::Int8, Precision::Int16] {
             let q = QuantTensor::quantize(&t, p);
-            let mut qs = Vec::new();
-            q.q_values_into(&mut qs);
-            assert_eq!(qs.len(), q.len());
-            for (i, &qi) in qs.iter().enumerate() {
-                assert_eq!(qi, q.q_value(i));
+            for i in 0..q.len() {
+                let qi = q.q_value(i);
+                assert_eq!(qi, q.word_q_value(q.stored_bits(i)));
                 assert_eq!(qi as f32 * q.scale(), q.value(i), "{p} element {i}");
             }
         }

@@ -1,10 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the integer and f32 inner loops.
 //!
-//! The hot loops in [`crate::ops`] (the packed i8 panel GEMM behind
-//! [`crate::ops::gemm_i8_packed`], its odd-row widening dot product, and the
-//! f32 GEMM row update) are resolved **once** at first
-//! use into a table of function pointers ([`Kernels`]) chosen by runtime CPU
-//! feature detection (`std::arch::is_x86_feature_detected!`), walking down
+//! The hot loops in [`crate::ops`] (the packed i8 and i16 panel GEMMs behind
+//! [`crate::ops::gemm_i8_packed`] and [`crate::ops::gemm_i16_packed`], the
+//! i8 GEMM's odd-row widening dot product, and the f32 GEMM row update) are
+//! resolved **once** at first use into a table of function pointers
+//! ([`Kernels`]) chosen by runtime CPU feature detection
+//! (`std::arch::is_x86_feature_detected!`), walking down
 //! [`Isa::Avx512`] → [`Isa::Avx2`] → [`Isa::Sse2`] → [`Isa::Scalar`].
 //!
 //! # Parity guarantee
@@ -13,8 +14,9 @@
 //! to be **bit-for-bit identical** to them:
 //!
 //! * Integer kernels: integer addition is associative, so any lane order
-//!   reproduces the scalar sum exactly (given the callers' no-overflow
-//!   contract, see [`crate::ops::gemm_i8_packed`]).
+//!   reproduces the scalar sum exactly (given the i8 callers' no-overflow
+//!   contract, see [`crate::ops::gemm_i8_packed`]; the i16 kernels need no
+//!   contract, see below).
 //! * f32 kernels: only *element-wise independent* operations are vectorized
 //!   (`out[j] += a * b[j]`, separate multiply and add, **never** FMA), so
 //!   each output element's accumulation chain is untouched — reductions over
@@ -27,6 +29,26 @@
 //! sign-extending widening loads (`vpmovsxbw`) followed by the `pmaddwd`
 //! i16 multiply–add — exact over the full domain while keeping operands in
 //! one byte each.
+//!
+//! # Exact i16 products with `pmaddwd`
+//!
+//! The i16 panel kernels (int16 operands, and int4/int8 reductions too deep
+//! for an i32 accumulator) feed full-range i16 lanes straight into
+//! `pmaddwd`, which sums two i16×i16 products into one i32 lane. Every
+//! product fits i32, and so does every pair sum `r` but one:
+//! `(−32768)² + (−32768)² = 2³¹` wraps to `i32::MIN`. So the true pair sums
+//! lie in `[−2³¹ + 2¹⁶, 2³¹]`, a range 2³² − 2¹⁶ wide, and the kernels shift
+//! it onto the unsigned 32-bit range: `v = r + (2³¹ − 2¹⁶)` computed with
+//! wrapping i32 addition is the true `r + 2³¹ − 2¹⁶ ∈ [0, 2³² − 2¹⁶]`
+//! exactly — the wrapped sum included, because wrapping addition is exact
+//! modulo 2³² and the true value fits `u32`. The two 16-bit digits of `v`
+//! (`v >> 16` logical, `v & 0xffff`) are each at most 65535, so they
+//! accumulate in separate i32 lanes; every [`GEMM_I16_FLUSH_K`] lanes of
+//! depth the kernel flushes the digit sums into i64 as
+//! `Σr = 2¹⁶·Σhi + Σlo − pairs·(2³¹ − 2¹⁶)`. A flush block holds 2048 pair
+//! sums per output, so a digit sum stays below 2²⁷ at any lane split and no
+//! i32 lane can overflow at any depth. Results are the exact i64 dot
+//! products, equal to the scalar table's plain i64 loop.
 //!
 //! # Override
 //!
@@ -114,13 +136,32 @@ impl FromStr for Isa {
     }
 }
 
-/// A two-row i8 panel kernel: `out0[j] += a0 · bt[j·k..][..k]` and
-/// `out1[j] += a1 · bt[j·k..][..k]` for every column `j` of a transposed,
-/// contiguously packed rhs panel. One call covers a whole row pair of a
-/// GEMM, so there is no per-tile dispatch; callers that additionally pad `k`
-/// to [`crate::ops::packed_stride_i8`] never touch the scalar tail.
-/// Arguments: `(a0, a1, bt, k, out0, out1)`.
-pub type GemmPanelI8Fn = fn(&[i8], &[i8], &[i8], usize, &mut [i32], &mut [i32]);
+/// A two-row panel kernel over lanes `T` with accumulators `A`:
+/// `out0[j] += a0 · bt[j·k..][..k]` and `out1[j] += a1 · bt[j·k..][..k]`
+/// for every column `j` of a transposed, contiguously packed rhs panel. One
+/// call covers a whole row pair of a GEMM, so there is no per-tile
+/// dispatch; callers that additionally pad `k` to the panel stride
+/// ([`crate::ops::packed_stride_i8`], [`crate::ops::packed_stride_i16`])
+/// never touch the scalar tail. Arguments: `(a0, a1, bt, k, out0, out1)`.
+pub type GemmPanelFn<T, A> = fn(&[T], &[T], &[T], usize, &mut [A], &mut [A]);
+
+/// Depth, in i16 lanes, of one i32 accumulation block of the i16 panel
+/// kernels: after each block the split digit sums are flushed into i64
+/// (see the module docs). A multiple of every tier's vector width.
+pub const GEMM_I16_FLUSH_K: usize = 4096;
+
+/// The shift that maps every true `pmaddwd` pair sum onto `[0, 2³² − 2¹⁶]`
+/// (as a wrapping i32 addend: `2³¹ − 2¹⁶`).
+#[cfg(target_arch = "x86_64")]
+const PAIR_BIAS: i32 = 0x7fff_0000;
+
+/// Reassembles one flushed i16 block: the true sum of `pairs` pair sums
+/// whose biased digits summed to `hi` and `lo`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn unbias(hi: i32, lo: i32, pairs: usize) -> i64 {
+    ((hi as i64) << 16) + lo as i64 - pairs as i64 * PAIR_BIAS as i64
+}
 
 /// The dispatch table: one function pointer per hot inner loop. All entries
 /// of one table come from the same ISA level and are bit-for-bit equal to
@@ -136,7 +177,12 @@ pub struct Kernels {
     /// Two-row × all-columns i8 panel GEMM over a packed transposed rhs —
     /// the batched-execution workhorse (integer accumulation, so every
     /// blocking order reproduces the scalar sums exactly).
-    pub gemm2_i8: GemmPanelI8Fn,
+    pub gemm2_i8: GemmPanelFn<i8, i32>,
+    /// Two-row × all-columns i16 panel GEMM into i64 — the kernel of
+    /// [`crate::ops::gemm_i16_packed`]: `pmaddwd` with split-digit i32
+    /// accumulators flushed to i64, exact over the whole i16 domain
+    /// including `(−32768)·(−32768)` pairs.
+    pub gemm2_i16: GemmPanelFn<i16, i64>,
     /// `out[j] += a · b[j]` over f32 (separate multiply and add, never FMA —
     /// lane-exact versus the scalar loop).
     pub axpy_f32: fn(f32, &[f32], &mut [f32]),
@@ -165,6 +211,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             isa,
             dot_i8: scalar::dot_i8,
             gemm2_i8: scalar::gemm2_i8,
+            gemm2_i16: scalar::gemm2_i16,
             axpy_f32: scalar::axpy_f32,
         },
         #[cfg(target_arch = "x86_64")]
@@ -172,6 +219,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             isa,
             dot_i8: sse2::dot_i8,
             gemm2_i8: sse2::gemm2_i8,
+            gemm2_i16: sse2::gemm2_i16,
             axpy_f32: sse2::axpy_f32,
         },
         #[cfg(target_arch = "x86_64")]
@@ -179,6 +227,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             isa,
             dot_i8: avx2::dot_i8,
             gemm2_i8: avx2::gemm2_i8,
+            gemm2_i16: avx2::gemm2_i16,
             axpy_f32: avx2::axpy_f32,
         },
         #[cfg(target_arch = "x86_64")]
@@ -194,6 +243,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             } else {
                 avx512::gemm2_i8
             },
+            gemm2_i16: avx512::gemm2_i16,
             axpy_f32: avx512::axpy_f32,
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -231,6 +281,47 @@ pub fn active_isa() -> Isa {
     kernels().isa
 }
 
+/// Runs a 2×2 i16 block kernel (`[a0·b0, a0·b1, a1·b0, a1·b1]` over
+/// slices whose length is a whole number of `W`-lane vectors) across every
+/// column pair of a transposed panel — the shared body of the SIMD tiers'
+/// `gemm2_i16`. The last `k mod W` lanes are summed here in i64; an odd last
+/// column pairs with itself and its duplicate sums are dropped.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panel2_i16<const W: usize>(
+    a0: &[i16],
+    a1: &[i16],
+    bt: &[i16],
+    k: usize,
+    out0: &mut [i64],
+    out1: &mut [i64],
+    block: impl Fn(&[i16], &[i16], &[i16], &[i16]) -> [i64; 4],
+) {
+    let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
+    let (a0, a1) = (&a0[..k], &a1[..k]);
+    let body = k - k % W;
+    for j in (0..n).step_by(2) {
+        let j1 = (j + 1).min(n - 1);
+        let (b0, b1) = (&bt[j * k..(j + 1) * k], &bt[j1 * k..(j1 + 1) * k]);
+        let mut s = block(&a0[..body], &a1[..body], &b0[..body], &b1[..body]);
+        for i in body..k {
+            let (x0, x1) = (a0[i] as i64, a1[i] as i64);
+            let (y0, y1) = (b0[i] as i64, b1[i] as i64);
+            s[0] += x0 * y0;
+            s[1] += x0 * y1;
+            s[2] += x1 * y0;
+            s[3] += x1 * y1;
+        }
+        out0[j] += s[0];
+        out1[j] += s[2];
+        if j1 > j {
+            out0[j1] += s[1];
+            out1[j1] += s[3];
+        }
+    }
+}
+
 /// Bit-for-bit reference implementations. Plain loops; the compiler may
 /// auto-vectorize the integer reductions (associative, so still exact) but
 /// never the f32 ones.
@@ -253,6 +344,26 @@ mod scalar {
         }
     }
 
+    fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
+        a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum()
+    }
+
+    pub fn gemm2_i16(
+        a0: &[i16],
+        a1: &[i16],
+        bt: &[i16],
+        k: usize,
+        out0: &mut [i64],
+        out1: &mut [i64],
+    ) {
+        let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
+        for j in 0..n {
+            let col = &bt[j * k..(j + 1) * k];
+            out0[j] += dot_i16(&a0[..k], col);
+            out1[j] += dot_i16(&a1[..k], col);
+        }
+    }
+
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
         for (o, &bv) in out.iter_mut().zip(b) {
             *o += a * bv;
@@ -266,6 +377,9 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
     use std::arch::x86_64::*;
+
+    /// i16 lanes per vector.
+    const I16_LANES: usize = 8;
 
     /// Exact horizontal sum of the four i32 lanes.
     #[inline]
@@ -357,6 +471,90 @@ mod sse2 {
         }
     }
 
+    /// `[Σc0, Σc1, Σc2, Σc3]` of four 4-lane accumulators (a 4×4 transpose
+    /// by unpacks, then adds; exact — integer addition).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn hsum4_epi32(c0: __m128i, c1: __m128i, c2: __m128i, c3: __m128i) -> __m128i {
+        let s01 = _mm_add_epi32(_mm_unpacklo_epi32(c0, c1), _mm_unpackhi_epi32(c0, c1));
+        let s23 = _mm_add_epi32(_mm_unpacklo_epi32(c2, c3), _mm_unpackhi_epi32(c2, c3));
+        _mm_add_epi32(_mm_unpacklo_epi64(s01, s23), _mm_unpackhi_epi64(s01, s23))
+    }
+
+    /// `[a0·b0, a0·b1, a1·b0, a1·b1]` over i16 slices of one length, a
+    /// multiple of `W`, exact in i64 by the biased split-digit scheme of the
+    /// module docs.
+    #[target_feature(enable = "sse2")]
+    fn block2x2_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> [i64; 4] {
+        const W: usize = I16_LANES;
+        let chunks = a0.len().min(a1.len()).min(b0.len()).min(b1.len()) / W;
+        let mut sums = [0i64; 4];
+        let bias = _mm_set1_epi32(super::PAIR_BIAS);
+        let low = _mm_set1_epi32(0xffff);
+        let mut c = 0;
+        while c < chunks {
+            let end = (c + super::GEMM_I16_FLUSH_K / W).min(chunks);
+            let mut hi = [_mm_setzero_si128(); 4];
+            let mut lo = [_mm_setzero_si128(); 4];
+            for i in c..end {
+                let p = i * W;
+                // SAFETY: `p + W <= chunks · W`, at most the length of every
+                // operand slice.
+                let (va0, va1, vb0, vb1) = unsafe {
+                    (
+                        _mm_loadu_si128(a0.as_ptr().add(p) as *const __m128i),
+                        _mm_loadu_si128(a1.as_ptr().add(p) as *const __m128i),
+                        _mm_loadu_si128(b0.as_ptr().add(p) as *const __m128i),
+                        _mm_loadu_si128(b1.as_ptr().add(p) as *const __m128i),
+                    )
+                };
+                let rs = [
+                    _mm_madd_epi16(va0, vb0),
+                    _mm_madd_epi16(va0, vb1),
+                    _mm_madd_epi16(va1, vb0),
+                    _mm_madd_epi16(va1, vb1),
+                ];
+                for q in 0..4 {
+                    let v = _mm_add_epi32(rs[q], bias);
+                    hi[q] = _mm_add_epi32(hi[q], _mm_srli_epi32(v, 16));
+                    lo[q] = _mm_add_epi32(lo[q], _mm_and_si128(v, low));
+                }
+            }
+            let (mut h, mut l) = ([0i32; 4], [0i32; 4]);
+            // SAFETY: each store writes four i32 lanes into a four-element
+            // array.
+            unsafe {
+                _mm_storeu_si128(
+                    h.as_mut_ptr() as *mut __m128i,
+                    hsum4_epi32(hi[0], hi[1], hi[2], hi[3]),
+                );
+                _mm_storeu_si128(
+                    l.as_mut_ptr() as *mut __m128i,
+                    hsum4_epi32(lo[0], lo[1], lo[2], lo[3]),
+                );
+            }
+            for q in 0..4 {
+                sums[q] += super::unbias(h[q], l[q], (end - c) * W / 2);
+            }
+            c = end;
+        }
+        sums
+    }
+
+    pub fn gemm2_i16(
+        a0: &[i16],
+        a1: &[i16],
+        bt: &[i16],
+        k: usize,
+        out0: &mut [i64],
+        out1: &mut [i64],
+    ) {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        super::panel2_i16::<I16_LANES>(a0, a1, bt, k, out0, out1, |a0, a1, b0, b1| unsafe {
+            block2x2_i16(a0, a1, b0, b1)
+        });
+    }
+
     pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
         // Direct (inlinable) calls into this module's dot kernels: the panel
         // form buys SSE2 the loss of the per-tile function-pointer dispatch,
@@ -406,6 +604,9 @@ mod sse2 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
+
+    /// i16 lanes per vector.
+    const I16_LANES: usize = 16;
 
     /// Exact horizontal sum of the eight i32 lanes.
     #[inline]
@@ -534,6 +735,79 @@ mod avx2 {
         unsafe { gemm2_i8_impl(a0, a1, bt, k, out0, out1) }
     }
 
+    /// The AVX2 form of the SSE2 table's `block2x2_i16`.
+    #[target_feature(enable = "avx2")]
+    fn block2x2_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> [i64; 4] {
+        const W: usize = I16_LANES;
+        let chunks = a0.len().min(a1.len()).min(b0.len()).min(b1.len()) / W;
+        let mut sums = [0i64; 4];
+        let bias = _mm256_set1_epi32(super::PAIR_BIAS);
+        let low = _mm256_set1_epi32(0xffff);
+        let mut c = 0;
+        while c < chunks {
+            let end = (c + super::GEMM_I16_FLUSH_K / W).min(chunks);
+            let mut hi = [_mm256_setzero_si256(); 4];
+            let mut lo = [_mm256_setzero_si256(); 4];
+            for i in c..end {
+                let p = i * W;
+                // SAFETY: `p + W <= chunks · W`, at most the length of every
+                // operand slice.
+                let (va0, va1, vb0, vb1) = unsafe {
+                    (
+                        _mm256_loadu_si256(a0.as_ptr().add(p) as *const __m256i),
+                        _mm256_loadu_si256(a1.as_ptr().add(p) as *const __m256i),
+                        _mm256_loadu_si256(b0.as_ptr().add(p) as *const __m256i),
+                        _mm256_loadu_si256(b1.as_ptr().add(p) as *const __m256i),
+                    )
+                };
+                let rs = [
+                    _mm256_madd_epi16(va0, vb0),
+                    _mm256_madd_epi16(va0, vb1),
+                    _mm256_madd_epi16(va1, vb0),
+                    _mm256_madd_epi16(va1, vb1),
+                ];
+                for q in 0..4 {
+                    let v = _mm256_add_epi32(rs[q], bias);
+                    hi[q] = _mm256_add_epi32(hi[q], _mm256_srli_epi32(v, 16));
+                    lo[q] = _mm256_add_epi32(lo[q], _mm256_and_si256(v, low));
+                }
+            }
+            let (mut h, mut l) = ([0i32; 4], [0i32; 4]);
+            // SAFETY: `hsum4_epi32` needs only AVX2, enabled here; each
+            // store writes four i32 lanes into a four-element array.
+            unsafe {
+                _mm_storeu_si128(
+                    h.as_mut_ptr() as *mut __m128i,
+                    hsum4_epi32(hi[0], hi[1], hi[2], hi[3]),
+                );
+                _mm_storeu_si128(
+                    l.as_mut_ptr() as *mut __m128i,
+                    hsum4_epi32(lo[0], lo[1], lo[2], lo[3]),
+                );
+            }
+            for q in 0..4 {
+                sums[q] += super::unbias(h[q], l[q], (end - c) * W / 2);
+            }
+            c = end;
+        }
+        sums
+    }
+
+    pub fn gemm2_i16(
+        a0: &[i16],
+        a1: &[i16],
+        bt: &[i16],
+        k: usize,
+        out0: &mut [i64],
+        out1: &mut [i64],
+    ) {
+        // SAFETY: this table entry is only constructed after `avx2` was
+        // runtime-detected.
+        super::panel2_i16::<I16_LANES>(a0, a1, bt, k, out0, out1, |a0, a1, b0, b1| unsafe {
+            block2x2_i16(a0, a1, b0, b1)
+        });
+    }
+
     #[target_feature(enable = "avx2")]
     unsafe fn axpy_f32_impl(a: f32, b: &[f32], out: &mut [f32]) {
         let n = b.len().min(out.len());
@@ -566,6 +840,9 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::*;
+
+    /// i16 lanes per vector.
+    const I16_LANES: usize = 32;
 
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
@@ -793,6 +1070,90 @@ mod avx512 {
         unsafe { gemm2_i8_vnni_impl(a0, a1, bt, k, out0, out1) }
     }
 
+    /// The 512-bit form of the SSE2 table's `block2x2_i16`.
+    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx2")]
+    fn block2x2_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> [i64; 4] {
+        const W: usize = I16_LANES;
+        let chunks = a0.len().min(a1.len()).min(b0.len()).min(b1.len()) / W;
+        let mut sums = [0i64; 4];
+        let bias = _mm512_set1_epi32(super::PAIR_BIAS);
+        let low = _mm512_set1_epi32(0xffff);
+        let mut c = 0;
+        while c < chunks {
+            let end = (c + super::GEMM_I16_FLUSH_K / W).min(chunks);
+            let mut hi = [_mm512_setzero_si512(); 4];
+            let mut lo = [_mm512_setzero_si512(); 4];
+            for i in c..end {
+                let p = i * W;
+                // SAFETY: `p + W <= chunks · W`, at most the length of every
+                // operand slice.
+                let (va0, va1, vb0, vb1) = unsafe {
+                    (
+                        _mm512_loadu_si512(a0.as_ptr().add(p) as *const __m512i),
+                        _mm512_loadu_si512(a1.as_ptr().add(p) as *const __m512i),
+                        _mm512_loadu_si512(b0.as_ptr().add(p) as *const __m512i),
+                        _mm512_loadu_si512(b1.as_ptr().add(p) as *const __m512i),
+                    )
+                };
+                let rs = [
+                    _mm512_madd_epi16(va0, vb0),
+                    _mm512_madd_epi16(va0, vb1),
+                    _mm512_madd_epi16(va1, vb0),
+                    _mm512_madd_epi16(va1, vb1),
+                ];
+                for q in 0..4 {
+                    let v = _mm512_add_epi32(rs[q], bias);
+                    hi[q] = _mm512_add_epi32(hi[q], _mm512_srli_epi32(v, 16));
+                    lo[q] = _mm512_add_epi32(lo[q], _mm512_and_si512(v, low));
+                }
+            }
+            let (mut h, mut l) = ([0i32; 4], [0i32; 4]);
+            // SAFETY: `fold_epi32` and `hsum4_epi32` need only the features
+            // enabled here; each store writes four i32 lanes into a
+            // four-element array.
+            unsafe {
+                _mm_storeu_si128(
+                    h.as_mut_ptr() as *mut __m128i,
+                    hsum4_epi32(
+                        fold_epi32(hi[0]),
+                        fold_epi32(hi[1]),
+                        fold_epi32(hi[2]),
+                        fold_epi32(hi[3]),
+                    ),
+                );
+                _mm_storeu_si128(
+                    l.as_mut_ptr() as *mut __m128i,
+                    hsum4_epi32(
+                        fold_epi32(lo[0]),
+                        fold_epi32(lo[1]),
+                        fold_epi32(lo[2]),
+                        fold_epi32(lo[3]),
+                    ),
+                );
+            }
+            for q in 0..4 {
+                sums[q] += super::unbias(h[q], l[q], (end - c) * W / 2);
+            }
+            c = end;
+        }
+        sums
+    }
+
+    pub fn gemm2_i16(
+        a0: &[i16],
+        a1: &[i16],
+        bt: &[i16],
+        k: usize,
+        out0: &mut [i64],
+        out1: &mut [i64],
+    ) {
+        // SAFETY: this table entry is only constructed after `avx512f` and
+        // `avx512bw` were runtime-detected (AVX-512 implies AVX2).
+        super::panel2_i16::<I16_LANES>(a0, a1, bt, k, out0, out1, |a0, a1, b0, b1| unsafe {
+            block2x2_i16(a0, a1, b0, b1)
+        });
+    }
+
     #[target_feature(enable = "avx512f")]
     unsafe fn axpy_f32_impl(a: f32, b: &[f32], out: &mut [f32]) {
         let n = b.len().min(out.len());
@@ -921,6 +1282,62 @@ mod tests {
                 (out0, out1),
                 (vec![expected; 2], vec![expected; 2]),
                 "{isa} gemm2_i8 at -128×-128"
+            );
+        }
+    }
+
+    /// Every ISA's i16 panel kernel must reproduce the scalar i64 sums —
+    /// across odd column counts, k values that leave scalar tails, a k past
+    /// the i64 flush block, and the full i16 domain.
+    #[test]
+    fn gemm2_i16_matches_scalar_on_every_supported_table() {
+        for (k, n) in [
+            (1usize, 5usize),
+            (8, 3),
+            (27, 7),
+            (64, 32),
+            (108, 33),
+            (GEMM_I16_FLUSH_K + 37, 3),
+        ] {
+            let lanes = |len: usize, mul: usize, add: usize| -> Vec<i16> {
+                (0..len)
+                    .map(|i| ((i * mul + add) % 65536) as u16 as i16)
+                    .collect()
+            };
+            let a0 = lanes(k, 40503, 13);
+            let a1 = lanes(k, 9973, 32768);
+            let bt = lanes(n * k, 25013, 7);
+            let mut want0 = vec![3i64; n];
+            let mut want1 = vec![-5i64; n];
+            scalar::gemm2_i16(&a0, &a1, &bt, k, &mut want0, &mut want1);
+            for isa in Isa::all().into_iter().filter(|i| i.is_supported()) {
+                let kr = kernels_for(isa);
+                let mut got0 = vec![3i64; n];
+                let mut got1 = vec![-5i64; n];
+                (kr.gemm2_i16)(&a0, &a1, &bt, k, &mut got0, &mut got1);
+                assert_eq!(got0, want0, "{isa} gemm2_i16 row0 at k={k} n={n}");
+                assert_eq!(got1, want1, "{isa} gemm2_i16 row1 at k={k} n={n}");
+            }
+        }
+    }
+
+    /// The one `pmaddwd` pair sum that wraps, `(−32768)² + (−32768)² = 2³¹`,
+    /// in every lane of several flush blocks: each product must count
+    /// `+2³⁰`.
+    #[test]
+    fn i16_kernels_are_exact_at_the_pmaddwd_wrap() {
+        let k = 2 * GEMM_I16_FLUSH_K + 33;
+        let a = vec![i16::MIN; k];
+        let bt = vec![i16::MIN; 3 * k];
+        let expected = k as i64 * (1 << 30);
+        for isa in Isa::all().into_iter().filter(|i| i.is_supported()) {
+            let kr = kernels_for(isa);
+            let (mut out0, mut out1) = (vec![0i64; 3], vec![0i64; 3]);
+            (kr.gemm2_i16)(&a, &a, &bt, k, &mut out0, &mut out1);
+            assert_eq!(
+                (out0, out1),
+                (vec![expected; 3], vec![expected; 3]),
+                "{isa} gemm2_i16 at -32768×-32768"
             );
         }
     }

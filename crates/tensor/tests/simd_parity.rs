@@ -1,6 +1,6 @@
 //! Bit-for-bit parity of every dispatched SIMD kernel against the scalar
-//! reference, and of the packed i8 GEMM built on them against a naive
-//! triple loop, at every ISA level this CPU supports.
+//! reference, and of the packed i8 and i16 GEMMs built on them against a
+//! naive triple loop, at every ISA level this CPU supports.
 //!
 //! The repo's determinism contract says results never depend on which
 //! kernel table happened to be resolved, so each property here runs the
@@ -9,11 +9,12 @@
 //! ragged lengths (not multiples of any lane width), unaligned slice
 //! offsets, and the negative/saturating corners of the corrupted quantized
 //! domain (notably `-128`, where the `pmaddubsw` sign-trick would break —
-//! see `eden_tensor::simd`).
+//! see `eden_tensor::simd`) and, for the i16 kernels, `-32768`, where a
+//! `pmaddwd` pair sum wraps.
 
 use eden_par::ThreadPool;
-use eden_tensor::ops;
-use eden_tensor::simd::{kernels_for, Isa, Kernels};
+use eden_tensor::ops::{self, PanelLane};
+use eden_tensor::simd::{kernels_for, Isa, Kernels, GEMM_I16_FLUSH_K};
 use proptest::prelude::*;
 
 /// Every kernel table this CPU can run, scalar first.
@@ -61,11 +62,32 @@ fn naive_dot_gemm(m: usize, k: usize, n: usize, a: &[i8], bt: &[i8]) -> Vec<i32>
     out
 }
 
-/// Rows of `k` lanes zero-padded to the packed panel stride of
-/// [`ops::gemm_i8_packed`] (pad lanes contribute nothing to integer sums).
-fn pad_rows(rows: &[i8], k: usize) -> Vec<i8> {
-    let k_pad = ops::packed_stride_i8(k);
-    let mut out = vec![0i8; rows.len() / k * k_pad];
+/// A pseudo-random row-major `rows × k` operand spanning the full i16
+/// domain.
+fn i16_matrix(rows: usize, k: usize, mul: u32, seed: u32) -> Vec<i16> {
+    (0..rows * k)
+        .map(|i| ((i as u32).wrapping_mul(mul).wrapping_add(seed * 11) % 65536) as u16 as i16)
+        .collect()
+}
+
+/// `a (m×k) · bt (n×k)ᵀ` by the naive triple loop, in i64.
+fn naive_i64_gemm(m: usize, k: usize, n: usize, a: &[i16], bt: &[i16]) -> Vec<i64> {
+    let mut out = vec![0i64; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for p in 0..k {
+                out[i * n + j] += a[i * k + p] as i64 * bt[j * k + p] as i64;
+            }
+        }
+    }
+    out
+}
+
+/// Rows of `k` lanes zero-padded to the lane type's packed panel stride
+/// (pad lanes contribute nothing to integer sums).
+fn pad_rows<T: PanelLane>(rows: &[T], k: usize) -> Vec<T> {
+    let k_pad = T::packed_stride(k);
+    let mut out = vec![T::default(); rows.len() / k * k_pad];
     for (dst, src) in out.chunks_exact_mut(k_pad).zip(rows.chunks_exact(k)) {
         dst[..k].copy_from_slice(src);
     }
@@ -77,6 +99,14 @@ fn packed_gemm(t: &Kernels, m: usize, k: usize, n: usize, a: &[i8], bt: &[i8]) -
     let mut out = vec![0i32; m * n];
     let k_pad = ops::packed_stride_i8(k);
     ops::gemm_i8_packed_with(t, m, k_pad, n, &pad_rows(a, k), &pad_rows(bt, k), &mut out);
+    out
+}
+
+/// [`ops::gemm_i16_packed_with`] on the padded forms of `a` and `bt`.
+fn packed_gemm_i16(t: &Kernels, m: usize, k: usize, n: usize, a: &[i16], bt: &[i16]) -> Vec<i64> {
+    let mut out = vec![0i64; m * n];
+    let k_pad = ops::packed_stride_i16(k);
+    ops::gemm_i16_packed_with(t, m, k_pad, n, &pad_rows(a, k), &pad_rows(bt, k), &mut out);
     out
 }
 
@@ -254,6 +284,53 @@ proptest! {
             prop_assert_eq!(
                 &got, &naive,
                 "{} gemm_i8_packed ({},{},{}) at {} threads", t.isa, m, k, n, threads
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The i16 panel pipeline end to end: [`ops::gemm_i16_packed_with`] on
+    /// every supported table against the naive i64 triple loop, with odd
+    /// `m` (the spare-pair tail row), `k` on both sides of the 32-lane pad
+    /// or past the kernels' i64 flush block, the full i16 domain, forced
+    /// all-`i16::MIN` rows and columns (every `pmaddwd` pair sum of that
+    /// output wraps), and 1/2/8 pool threads. Wide shallow cases cross the
+    /// parallel threshold so the row blocks really fan out.
+    #[test]
+    fn packed_i16_gemm_matches_naive_at_every_isa_and_thread_count(
+        m in 1usize..24,
+        k_small in 1usize..100,
+        // depth (shallow, shallow, past the flush block) × (narrow, wide)
+        // × narrow column count 1..=8
+        shape in 0usize..6 * 8,
+        // whether to force the wrap, and at which (row, column)
+        wrap in 0usize..2 * 24 * 9,
+        threads_idx in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        let (mode, n_narrow) = (shape % 6, 1 + shape / 6);
+        let deep = mode % 3 == 2;
+        let k = if deep { GEMM_I16_FLUSH_K + k_small } else { k_small };
+        let n = if mode >= 3 && !deep { 1024 + n_narrow } else { n_narrow };
+        let (wrap_sel, wrap_row, wrap_col) = (wrap % 2, wrap / 2 % 24, wrap / 48);
+        let threads = [1usize, 2, 8][threads_idx];
+        let mut a = i16_matrix(m, k, 40503, seed);
+        let mut bt = i16_matrix(n, k, 9973, seed + 1);
+        if wrap_sel == 1 {
+            let (r, c) = (wrap_row % m, wrap_col % n);
+            a[r * k..(r + 1) * k].fill(i16::MIN);
+            bt[c * k..(c + 1) * k].fill(i16::MIN);
+        }
+        let naive = naive_i64_gemm(m, k, n, &a, &bt);
+        let pool = ThreadPool::new(threads);
+        for t in supported_tables() {
+            let got = pool.install(|| packed_gemm_i16(&t, m, k, n, &a, &bt));
+            prop_assert_eq!(
+                &got, &naive,
+                "{} gemm_i16_packed ({},{},{}) at {} threads", t.isa, m, k, n, threads
             );
         }
     }

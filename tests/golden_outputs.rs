@@ -163,7 +163,7 @@ fn vgg_logits(out: &mut String) {
         for (name, template) in &templates {
             let model = template.with_ber(1e-1);
 
-            let mut memory = ApproximateMemory::from_model(model.clone(), seed);
+            let mut memory = ApproximateMemory::from_model(model, seed);
             memory.preallocate(&net, precision);
             let images = net.weight_images(precision);
             let mut weights = NativeWeights::prepare(&net);
