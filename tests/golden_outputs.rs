@@ -1,6 +1,7 @@
-//! Golden paper outputs: a Figure 8-shaped tolerance sweep and one Figure 11
-//! fine-grained characterization on LeNet, plus output-logit digests of the
-//! native integer backend on VGG, pinned to committed values.
+//! Golden paper outputs: a Figure 8-shaped tolerance sweep, one Figure 11
+//! fine-grained characterization and Figure 12-shaped multi-module plans on
+//! LeNet, plus output-logit digests of the native integer backend on VGG,
+//! pinned to committed values.
 //!
 //! Every other equivalence suite compares two executors of the same code
 //! base against each other; this one compares against numbers recorded once
@@ -17,14 +18,18 @@
 //! for an intended numerical change, and say so in the change description.
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
+use eden::core::characterize::FineCharacterization;
 use eden::core::characterize::{fine_characterize_session, FineConfig};
 use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
+use eden::core::mapping::{benefit_traffic_score, multi_module_map, MultiModuleConfig};
 use eden::core::session::EvalSession;
 use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
-use eden::dram::ErrorModel;
+use eden::dram::characterize::CharacterizeConfig;
+use eden::dram::geometry::{DramGeometry, Partition};
+use eden::dram::{ApproxDramDevice, DramModule, ErrorModel, MemorySystem, OperatingPoint, Vendor};
 use eden::tensor::{Precision, Tensor};
 use std::fmt::Write;
 
@@ -42,7 +47,9 @@ fn trained_lenet(seed: u64) -> (Network, SyntheticVision) {
 }
 
 /// The fig08 sweep on LeNet: native int4/int8/int16, simulated int8 and
-/// simulated FP32, uniform and wordline error models, three BERs, with bounding. Each
+/// simulated FP32, all four error models (Error Model 3 is the only one
+/// whose failure probability depends on the stored bit), three BERs, with
+/// bounding. Each
 /// curve comes from `accuracy_vs_ber`; each point is re-evaluated on its own
 /// memory to record the `MemoryStats` the curve does not return.
 fn tolerance_curves(out: &mut String) {
@@ -62,6 +69,11 @@ fn tolerance_curves(out: &mut String) {
     let templates = [
         ("uniform", ErrorModel::uniform(0.02, 0.5, 5)),
         ("wordline", ErrorModel::wordline(0.02, 0.5, 0.9, 5)),
+        ("bitline", ErrorModel::bitline(0.02, 0.5, 0.9, 5)),
+        (
+            "data_dependent",
+            ErrorModel::data_dependent(0.02, 0.8, 0.2, 5),
+        ),
     ];
     for (precision, backend) in configs {
         let mut session = EvalSession::new(&net, precision, backend);
@@ -92,8 +104,16 @@ fn tolerance_curves(out: &mut String) {
 }
 
 /// One Figure 11 per-data-type characterization through a native int8
-/// session, with bounding.
-fn fine_characterization(out: &mut String) {
+/// session, with bounding. Returns the characterized network, its dataset,
+/// the bounding logic and the characterization for the Figure 12 plans.
+fn fine_characterization(
+    out: &mut String,
+) -> (
+    Network,
+    SyntheticVision,
+    BoundingLogic,
+    FineCharacterization,
+) {
     let (net, dataset) = trained_lenet(2);
     let template = ErrorModel::uniform(0.01, 0.5, 3);
     let bounding =
@@ -120,6 +140,114 @@ fn fine_characterization(out: &mut String) {
             info.site,
             info.elements,
             ber.to_bits()
+        )
+        .unwrap();
+    }
+    (net, dataset, bounding, fine)
+}
+
+/// Two simulated DRAM modules (vendor A with voltage reductions, vendor B
+/// with `tRCD` reductions, nominal on both) of two small partitions each,
+/// over 64-byte rows so the plan's sites start at many row offsets and the
+/// largest site must be split across partitions.
+fn two_module_system() -> MemorySystem {
+    let geometry = DramGeometry {
+        banks: 2,
+        subarrays_per_bank: 2,
+        rows_per_subarray: 512,
+        row_bytes: 64,
+    };
+    let parts: Vec<Partition> = (0..2)
+        .map(|i| Partition {
+            index: i,
+            bank: i,
+            first_subarray: i,
+            subarrays: 1,
+            capacity_bytes: 24 * geometry.row_bytes as u64,
+        })
+        .collect();
+    let cfg = CharacterizeConfig {
+        rows_per_pattern: 1,
+        bitlines_per_row: 64,
+        reads_per_row: 1,
+        seed: 9,
+    };
+    let module = |vendor, seed, ops: &[OperatingPoint]| {
+        DramModule::characterize(
+            ApproxDramDevice::with_geometry(vendor, geometry, seed),
+            &parts,
+            ops,
+            &cfg,
+        )
+    };
+    MemorySystem::new(vec![
+        module(
+            Vendor::A,
+            41,
+            &[
+                OperatingPoint::nominal(),
+                OperatingPoint::with_vdd_reduction(0.15),
+                OperatingPoint::with_vdd_reduction(0.30),
+            ],
+        ),
+        module(
+            Vendor::B,
+            42,
+            &[
+                OperatingPoint::nominal(),
+                OperatingPoint::with_trcd_reduction(3.0),
+                OperatingPoint::with_trcd_reduction(5.5),
+            ],
+        ),
+    ])
+}
+
+/// Figure 12-shaped multi-module mapping: the Figure 11 characterization
+/// (tolerances scaled up so the plan reaches the reduced operating points)
+/// mapped by `multi_module_map` onto a two-module device system, lowered
+/// onto a reliable memory and evaluated — every mapped load is a read of
+/// the simulated device at its partition's operating point.
+fn multi_module_plans(
+    out: &mut String,
+    net: &Network,
+    dataset: &SyntheticVision,
+    bounding: BoundingLogic,
+    fine: &FineCharacterization,
+) {
+    let mut scaled = fine.clone();
+    for (_, ber) in &mut scaled.tolerances {
+        *ber = (*ber * 4.0).min(0.2);
+    }
+    let system = two_module_system();
+    let samples = &dataset.test()[..24];
+    for (precision, backend) in [
+        (Precision::Int4, InferenceBackend::NativeInt),
+        (Precision::Int8, InferenceBackend::NativeInt),
+        (Precision::Int16, InferenceBackend::NativeInt),
+        (Precision::Fp32, InferenceBackend::SimulatedF32),
+    ] {
+        let plan = multi_module_map(
+            &scaled,
+            &system,
+            precision,
+            &MultiModuleConfig::default(),
+            &benefit_traffic_score,
+        );
+        let spans: usize = plan.placements.iter().map(|p| p.spans.len()).sum();
+        let mut session = EvalSession::new(net, precision, backend);
+        let mut memory = ApproximateMemory::reliable(23).with_bounding(bounding);
+        plan.apply_to(&mut memory, &system);
+        let acc = session.evaluate_with_faults(samples, &mut memory);
+        let s = memory.stats();
+        writeln!(
+            out,
+            "plan {backend} {precision} modules=2 spans={spans} unmapped={} mapped={:#018x} acc={:#010x} loads={} flips={} corrections={}",
+            plan.unmapped.len(),
+            plan.mapped_fraction(precision).to_bits(),
+            acc.to_bits(),
+            s.loads,
+            s.bit_flips,
+            s.corrections
         )
         .unwrap();
     }
@@ -217,7 +345,8 @@ fn vgg_logits(out: &mut String) {
 fn paper_outputs_match_the_committed_golden_values() {
     let mut actual = String::new();
     tolerance_curves(&mut actual);
-    fine_characterization(&mut actual);
+    let (net, dataset, bounding, fine) = fine_characterization(&mut actual);
+    multi_module_plans(&mut actual, &net, &dataset, bounding, &fine);
     vgg_logits(&mut actual);
     if actual != GOLDEN {
         let expected: Vec<&str> = GOLDEN.lines().collect();
