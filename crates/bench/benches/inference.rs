@@ -27,14 +27,14 @@ use eden_core::faults::ApproximateMemory;
 use eden_core::inference::{self, InferenceBackend};
 use eden_core::mapping::{benefit_traffic_score, fine_map, multi_module_map, MultiModuleConfig};
 use eden_core::session::EvalSession;
-use eden_dnn::{data::SyntheticVision, zoo, DataKind, Dataset, Network};
+use eden_dnn::{data::SyntheticVision, zoo, DataKind, DataSite, Dataset, FaultHook, Network};
 use eden_dram::characterize::{CharacterizeConfig, DramErrorProfile};
 use eden_dram::error_model::Layout;
 use eden_dram::geometry::{DramGeometry, Partition};
 use eden_dram::inject::Injector;
 use eden_dram::system::{DramModule, MemorySystem};
 use eden_dram::{ApproxDramDevice, ErrorModel, OperatingPoint, Vendor};
-use eden_tensor::{ops, simd, Precision};
+use eden_tensor::{ops, simd, Precision, QuantTensor, Tensor};
 
 /// A fixed, optimizer-resistant scalar workload whose runtime tracks the
 /// host's single-core speed. The gate divides every measurement by this to
@@ -581,6 +581,121 @@ fn bench_incremental(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fault draws at O(weak cells), one entry per error source:
+///
+/// * `ifm_inject_vgg_int8_ber1e-1` — every IFM load of one `vgg_mini` int8
+///   sample at BER 1e-1 through a preallocated memory (the per-sample
+///   corruption of a Figure 8 sweep's most aggressive point): weak-map
+///   draws from a fitted error model.
+/// * `device_span_eval_resnet_int8` — a `multi_module_map` plan over two
+///   simulated DRAM modules (voltage- and `tRCD`-reduced partitions),
+///   evaluated on 16 `resnet_mini` int8 samples: every mapped load is a
+///   device read through a per-span weak map (the Figure 12 evaluation).
+fn bench_faults(c: &mut Criterion) {
+    let mut group = c.benchmark_group("faults");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(3));
+
+    let dataset = SyntheticVision::small(4);
+    let net = zoo::vgg_mini(&dataset.spec(), 4);
+    let mut memory =
+        ApproximateMemory::from_model(ErrorModel::uniform(0.2, 0.5, 7).with_ber(1e-1), 3);
+    memory.preallocate(&net, Precision::Int8);
+    let ifms: Vec<(DataSite, QuantTensor)> = net
+        .data_sites()
+        .into_iter()
+        .filter(|info| info.site.kind == DataKind::Ifm)
+        .map(|info| {
+            let x = Tensor::from_vec(
+                (0..info.elements)
+                    .map(|i| (i as f32 * 0.37).sin())
+                    .collect(),
+                &[info.elements],
+            );
+            (info.site, QuantTensor::quantize(&x, Precision::Int8))
+        })
+        .collect();
+    let mut lane = 0u64;
+    group.bench_function("ifm_inject_vgg_int8_ber1e-1", |b| {
+        b.iter(|| {
+            let mut sample = memory.fork(lane);
+            lane += 1;
+            for (site, clean) in &ifms {
+                let mut q = clean.clone();
+                sample.corrupt(site, &mut q);
+                black_box(&q);
+            }
+            sample.stats().bit_flips
+        })
+    });
+
+    let dataset = SyntheticVision::tiny(0);
+    let net = zoo::resnet_mini(&dataset.spec(), 1);
+    let samples = &dataset.test()[..16];
+    let geometry = DramGeometry::ddr4_module();
+    let parts: Vec<Partition> = (0..2)
+        .map(|i| Partition {
+            index: i,
+            bank: i,
+            first_subarray: 0,
+            subarrays: 1,
+            capacity_bytes: 8 * geometry.row_bytes as u64,
+        })
+        .collect();
+    let cfg = CharacterizeConfig {
+        rows_per_pattern: 1,
+        bitlines_per_row: 256,
+        reads_per_row: 1,
+        seed: 9,
+    };
+    let module = |vendor, seed, ops: &[OperatingPoint]| {
+        DramModule::characterize(
+            ApproxDramDevice::with_geometry(vendor, geometry, seed),
+            &parts,
+            ops,
+            &cfg,
+        )
+    };
+    let system = MemorySystem::new(vec![
+        module(
+            Vendor::A,
+            41,
+            &[
+                OperatingPoint::nominal(),
+                OperatingPoint::with_vdd_reduction(0.10),
+                OperatingPoint::with_vdd_reduction(0.25),
+            ],
+        ),
+        module(
+            Vendor::B,
+            42,
+            &[
+                OperatingPoint::nominal(),
+                OperatingPoint::with_trcd_reduction(1.0),
+                OperatingPoint::with_trcd_reduction(2.5),
+            ],
+        ),
+    ]);
+    let plan = multi_module_map(
+        &synthetic_characterization(&net),
+        &system,
+        Precision::Int8,
+        &MultiModuleConfig::default(),
+        &benefit_traffic_score,
+    );
+    group.bench_function("device_span_eval_resnet_int8", |b| {
+        let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
+        let mut seed = 0u64;
+        b.iter(|| {
+            let mut memory = ApproximateMemory::reliable(seed);
+            seed += 1;
+            plan.apply_to(&mut memory, &system);
+            session.evaluate_with_faults(black_box(samples), &mut memory)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_calibration,
@@ -592,6 +707,7 @@ criterion_group!(
     bench_characterization,
     bench_overlay,
     bench_mapping,
-    bench_incremental
+    bench_incremental,
+    bench_faults
 );
 criterion_main!(benches);

@@ -73,14 +73,15 @@ use std::sync::{Arc, Mutex};
 /// Salt separating fork-lane seeds from the parent's own load streams.
 const FORK_SALT: u64 = 0xF0_4B_1A_9E_5A_17_ED_01;
 
-/// Cache key of one precomputed weak-cell map: the error model's full
-/// parameter fingerprint plus the exact placement and tensor geometry the map
-/// was computed for. A map is a pure function of this key, so sharing cached
-/// entries across memories can never change results.
+/// Cache key of one precomputed weak-cell map: the injector's fingerprint
+/// ([`Injector::fingerprint`]: the error model's parameters, or the device,
+/// partition and operating point) plus the exact placement and tensor
+/// geometry the map was computed for. A map is a pure function of this key,
+/// so sharing cached entries across memories can never change results.
 type WeakMapKey = (u64, Layout, usize, u32);
 
 /// A shared, thread-safe cache of precomputed [`WeakCellMap`]s, keyed by
-/// `(error model fingerprint, placement, tensor geometry)`.
+/// `(injector fingerprint, placement, tensor geometry)`.
 ///
 /// Every [`ApproximateMemory`] keeps its own per-site map cache, but that
 /// cache dies with the memory — and characterization sweeps build a *fresh*
@@ -88,7 +89,7 @@ type WeakMapKey = (u64, Layout, usize, u32);
 /// times for placements whose error model never changed between probes.
 /// Attaching one `WeakMapCache` (via
 /// [`ApproximateMemory::attach_weak_map_cache`]) to every probe's memory
-/// makes those scans run once per distinct `(model, placement, geometry)`
+/// makes those scans run once per distinct `(injector, placement, geometry)`
 /// and be shared from then on. [`crate::session::EvalSession`] owns one such
 /// cache and attaches it to every memory it evaluates with.
 ///
@@ -175,8 +176,8 @@ impl WeakMapCache {
     fn get_or_compute(
         &self,
         key: WeakMapKey,
-        compute: impl FnOnce() -> Option<WeakCellMap>,
-    ) -> Option<Arc<WeakCellMap>> {
+        compute: impl FnOnce() -> WeakCellMap,
+    ) -> Arc<WeakCellMap> {
         {
             let mut state = self.maps.lock().unwrap();
             let tick = state.tick;
@@ -185,11 +186,11 @@ impl WeakMapCache {
                 let map = entry.map.clone();
                 state.tick += 1;
                 self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                return Some(map);
+                return map;
             }
         }
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-        let map = Arc::new(compute()?);
+        let map = Arc::new(compute());
         let mut state = self.maps.lock().unwrap();
         if state.entries.len() >= Self::MAX_ENTRIES {
             state.evict_lru_half();
@@ -201,7 +202,7 @@ impl WeakMapCache {
             last_used: tick,
         });
         entry.last_used = tick;
-        Some(entry.map.clone())
+        entry.map.clone()
     }
 }
 
@@ -287,13 +288,23 @@ struct PlacementState {
     /// share the span lists.
     site_spans: HashMap<DataSite, Arc<Vec<PlacedSpan>>>,
     site_layouts: HashMap<DataSite, Layout>,
-    /// Precomputed weak-cell maps per site, one entry per tensor geometry
-    /// `(element count, bits per value)` — a layer's weight and bias tensors
-    /// share a site but have different lengths, and one memory may serve
-    /// loads at several precisions. `Arc` so per-sample forks share the maps
-    /// instead of recomputing them.
-    weak_maps: HashMap<DataSite, Vec<(usize, u32, Arc<WeakCellMap>)>>,
+    /// Precomputed weak-cell maps per site — a layer's weight and bias
+    /// tensors share a site but have different lengths, one memory may serve
+    /// loads at several precisions, and a span-placed site has one map per
+    /// span.
+    weak_maps: HashMap<DataSite, Vec<SiteMap>>,
     allocator: AddressAllocator,
+}
+
+/// One precomputed weak-cell map of a site: span `span` (0 for a site with a
+/// single placement) loaded as `values × bits`. `Arc` so per-sample forks
+/// share the maps instead of recomputing them.
+#[derive(Clone)]
+struct SiteMap {
+    span: usize,
+    values: usize,
+    bits: u32,
+    map: Arc<WeakCellMap>,
 }
 
 impl PlacementState {
@@ -367,7 +378,7 @@ impl ApproximateMemory {
 
     /// Attaches a shared weak-map cache: local misses consult (and populate)
     /// `cache` before falling back to a fresh weak-cell scan. Maps are pure
-    /// functions of `(error model, placement, geometry)`, so attaching a
+    /// functions of `(injector, placement, geometry)`, so attaching a
     /// cache never changes injection results — only how often the O(total
     /// bits) scans run. Forks and clones share the attachment.
     pub fn attach_weak_map_cache(&mut self, cache: Arc<WeakMapCache>) {
@@ -433,10 +444,11 @@ impl ApproximateMemory {
     /// Replaces the default error source for all unassigned sites.
     pub fn set_default(&mut self, injector: Option<Injector>) {
         let state = Arc::make_mut(&mut self.placement);
-        // Keep only maps pinned by per-site overrides; default-backed maps
-        // are stale under the new error source.
-        let overridden: Vec<DataSite> = state.site_injectors.keys().cloned().collect();
-        state.weak_maps.retain(|s, _| overridden.contains(s));
+        // Keep only maps pinned by per-site overrides and span placements;
+        // default-backed maps are stale under the new error source.
+        state.weak_maps.retain(|s, _| {
+            state.site_injectors.contains_key(s) || state.site_spans.contains_key(s)
+        });
         state.default_injector = injector;
     }
 
@@ -492,26 +504,23 @@ impl ApproximateMemory {
 
     /// Assigns DRAM placements to every data site of `net` (weights and
     /// IFMs, in network order) that does not have one yet, and precomputes
-    /// each placement's weak-cell map.
+    /// each placement's weak-cell maps (one per span of a span-placed site).
     ///
     /// Lazy allocation is deterministic for a *single* memory serving loads
     /// in sequence, but forks must agree on addresses without communicating;
     /// pre-allocating from the network structure pins every site's placement
     /// before the forks are taken. The weak-cell maps shift the O(total
     /// bits) weak-cell scan from every load to this one call: forks share
-    /// the precomputed maps, so per-sample IFM corruption touches only the
-    /// weak cells.
+    /// the precomputed maps, so per-sample loads touch only the weak cells.
     pub fn preallocate(&mut self, net: &Network, precision: Precision) {
+        let bits = precision.bits();
         for info in net.data_sites() {
-            // Span-placed sites carry explicit per-span layouts and skip the
-            // weak-map machinery entirely.
-            if self.placement.site_spans.contains_key(&info.site) {
-                continue;
+            // Span-placed sites carry explicit per-span layouts.
+            if !self.placement.site_spans.contains_key(&info.site) {
+                self.layout_for(&info.site, info.elements as u64 * bits as u64);
             }
-            let bits = info.elements as u64 * precision.bits() as u64;
-            self.layout_for(&info.site, bits);
             if info.site.kind == DataKind::Ifm {
-                self.weak_map_for(&info.site, info.elements, precision.bits());
+                self.site_maps(&info.site, info.elements, bits);
             }
         }
         // Weight sites serve one load per *parameter tensor* (a layer's
@@ -521,54 +530,110 @@ impl ApproximateMemory {
                 continue;
             }
             let site = DataSite::new(i, layer.name(), DataKind::Weight);
-            if self.placement.site_spans.contains_key(&site) {
-                continue;
-            }
             layer.visit_params_ref(&mut |_, t| {
-                self.weak_map_for(&site, t.len(), precision.bits());
+                self.site_maps(&site, t.len(), bits);
             });
         }
     }
 
+    /// Precomputes the weak-cell maps a `values × bits` load of `site`
+    /// draws from: one per span it intersects, or its single placement's.
+    fn site_maps(&mut self, site: &DataSite, values: usize, bits: u32) {
+        match self.placement.site_spans.get(site).cloned() {
+            Some(spans) => {
+                for (k, span) in spans.iter().enumerate() {
+                    let lo = span.start_value.min(values);
+                    let hi = (span.start_value + span.values).min(values);
+                    if lo < hi {
+                        self.span_map_for(site, k, span, hi - lo, bits);
+                    }
+                }
+            }
+            None => {
+                self.weak_map_for(site, values, bits);
+            }
+        }
+    }
+
     /// The cached weak-cell map of a `(site, tensor length)` placement,
-    /// computing and caching it if absent (`None` for reliable memory and
-    /// device-backed sites).
+    /// computing and caching it if absent (`None` for reliable memory).
     fn weak_map_for(
         &mut self,
         site: &DataSite,
         values: usize,
         bits: u32,
     ) -> Option<Arc<WeakCellMap>> {
-        // Borrowed-key lookup first: cloning the `DataSite` (and its name
-        // string) on every load would dominate the hit path.
-        if let Some(map) = self.placement.weak_maps.get(site).and_then(|geos| {
-            geos.iter()
-                .find(|(v, b, _)| *v == values && *b == bits)
-                .map(|(_, _, m)| m.clone())
-        }) {
+        if let Some(map) = self.cached_map(site, 0, values, bits) {
             return Some(map);
         }
         let layout = self.layout_for(site, values as u64 * bits as u64);
-        let map = {
-            let injector = self.placement.injector_for(site)?;
-            // Model-backed placements go through the shared cache when one is
-            // attached (the map depends only on the model, not the site name,
-            // so probes sweeping per-site error rates share every unchanged
-            // map).
-            match (&self.shared_maps, injector) {
-                (Some(shared), Injector::Model { model, .. }) => shared
-                    .get_or_compute((model.fingerprint(), layout, values, bits), || {
-                        injector.weak_map(values, bits, &layout)
-                    })?,
-                _ => Arc::new(injector.weak_map(values, bits, &layout)?),
+        let injector = self.placement.injector_for(site)?.clone();
+        Some(self.compute_map(site, 0, &injector, layout, values, bits))
+    }
+
+    /// The cached weak-cell map of span `k` of a span-placed site, for the
+    /// `values` of it a load intersects.
+    fn span_map_for(
+        &mut self,
+        site: &DataSite,
+        k: usize,
+        span: &PlacedSpan,
+        values: usize,
+        bits: u32,
+    ) -> Arc<WeakCellMap> {
+        match self.cached_map(site, k, values, bits) {
+            Some(map) => map,
+            None => self.compute_map(site, k, &span.injector, span.layout, values, bits),
+        }
+    }
+
+    fn cached_map(
+        &self,
+        site: &DataSite,
+        span: usize,
+        values: usize,
+        bits: u32,
+    ) -> Option<Arc<WeakCellMap>> {
+        // Borrowed-key lookup: cloning the `DataSite` (and its name string)
+        // on every load would dominate the hit path.
+        self.placement.weak_maps.get(site).and_then(|maps| {
+            maps.iter()
+                .find(|m| (m.span, m.values, m.bits) == (span, values, bits))
+                .map(|m| m.map.clone())
+        })
+    }
+
+    /// Computes (or fetches from the shared cache — the map depends only on
+    /// the injector and placement, not the site name, so probes sweeping
+    /// per-site error rates share every unchanged map) and records the map
+    /// of one placement.
+    fn compute_map(
+        &mut self,
+        site: &DataSite,
+        span: usize,
+        injector: &Injector,
+        layout: Layout,
+        values: usize,
+        bits: u32,
+    ) -> Arc<WeakCellMap> {
+        let compute = || injector.weak_map(values, bits, &layout);
+        let map = match &self.shared_maps {
+            Some(shared) => {
+                shared.get_or_compute((injector.fingerprint(), layout, values, bits), compute)
             }
+            None => Arc::new(compute()),
         };
         Arc::make_mut(&mut self.placement)
             .weak_maps
             .entry(site.clone())
             .or_default()
-            .push((values, bits, map.clone()));
-        Some(map)
+            .push(SiteMap {
+                span,
+                values,
+                bits,
+                map: map.clone(),
+            });
+        map
     }
 
     /// Serves one load of `site` as a sparse [`CorruptionOverlay`] over its
@@ -596,7 +661,7 @@ impl ApproximateMemory {
         self.next_load += 1;
         self.stats.loads += 1;
         let mut overlay = match self.placement.site_spans.get(site).cloned() {
-            Some(spans) => self.span_overlay(&spans, clean, load_stream),
+            Some(spans) => self.span_overlay(site, &spans, clean, load_stream),
             None if self.site_is_dirty(site) => {
                 let layout = self.layout_for(site, clean.total_bits());
                 let map = self.weak_map_for(site, clean.len(), clean.bits_per_value());
@@ -639,26 +704,29 @@ impl ApproximateMemory {
     /// memory seed, the load index and the span list — never on thread
     /// interleaving.
     fn span_overlay(
-        &self,
+        &mut self,
+        site: &DataSite,
         spans: &[PlacedSpan],
         clean: &QuantTensor,
         load_stream: u64,
     ) -> CorruptionOverlay {
         let values = clean.len();
         let bits = clean.bits_per_value();
-        let sub_overlays = spans.iter().enumerate().filter_map(|(k, span)| {
+        let mut sub_overlays = Vec::with_capacity(spans.len());
+        for (k, span) in spans.iter().enumerate() {
             let lo = span.start_value.min(values);
             let hi = (span.start_value + span.values).min(values);
-            if lo >= hi {
-                return None;
+            if lo >= hi || span.injector.is_provably_clean() {
+                continue;
             }
-            let slice = clean.slice_values(lo..hi);
-            let span_seed = seed_mix(load_stream, &[k as u64]);
-            let sub = span
-                .injector
-                .overlay_placed_seeded(&slice, &span.layout, span_seed, None);
-            Some(sub.lifted(lo, values))
-        });
+            let map = self.span_map_for(site, k, span, hi - lo, bits);
+            let sub = map.draw_overlay(
+                &clean.stored()[lo..hi],
+                seed_mix(load_stream, &[k as u64]),
+                span.injector.flip_thresholds(),
+            );
+            sub_overlays.push(sub.lifted(lo, values));
+        }
         match self.span_composition {
             SpanComposition::Merged => {
                 let mut composed = CorruptionOverlay::empty(values, bits);
@@ -781,7 +849,7 @@ impl FaultHook for ApproximateMemory {
             // The tensor's bits are the clean image at load time, so
             // composing the per-span overlays against them and applying the
             // result equals corrupting each span's slice in place.
-            let overlay = self.span_overlay(&spans, tensor, load_stream);
+            let overlay = self.span_overlay(site, &spans, tensor, load_stream);
             self.stats.bit_flips += overlay.bit_flips();
             overlay.apply(tensor);
         } else if self.site_is_dirty(site) {
@@ -850,7 +918,7 @@ mod tests {
         // BERs; the cache must evict at the cap instead of growing forever.
         for i in 0..(WeakMapCache::MAX_ENTRIES + 10) as u64 {
             let key = (i, Layout::default(), 64, 8);
-            cache.get_or_compute(key, || Some(model.weak_map(64, 8, &Layout::default())));
+            cache.get_or_compute(key, || model.weak_map(64, 8, &Layout::default()));
         }
         assert!(cache.len() <= WeakMapCache::MAX_ENTRIES);
         assert!(!cache.is_empty());
@@ -874,17 +942,17 @@ mod tests {
         let mut hot_computes = 0usize;
         cache.get_or_compute(hot, || {
             hot_computes += 1;
-            Some(model.weak_map(64, 8, &layout))
+            model.weak_map(64, 8, &layout)
         });
         // Flood well past the cap, re-touching the hot key all along (every
         // probe of an in-flight sweep re-reads its accepted maps).
         for i in 0..(2 * WeakMapCache::MAX_ENTRIES) as u64 {
             let key = (i, layout, 64, 8);
-            cache.get_or_compute(key, || Some(model.weak_map(64, 8, &layout)));
+            cache.get_or_compute(key, || model.weak_map(64, 8, &layout));
             if i % 64 == 0 {
                 cache.get_or_compute(hot, || {
                     hot_computes += 1;
-                    Some(model.weak_map(64, 8, &layout))
+                    model.weak_map(64, 8, &layout)
                 });
             }
         }

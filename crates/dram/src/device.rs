@@ -9,12 +9,12 @@
 //! Chang et al. and Lee et al. report, which the paper's Error Models 1 and 2
 //! capture). See `DESIGN.md` for the substitution rationale.
 
-use crate::error_model::INJECT_CHUNK_VALUES;
+use crate::error_model::{flip_threshold, WeakCellMap, INJECT_CHUNK_VALUES};
 use crate::geometry::{DramGeometry, Partition};
 use crate::params::OperatingPoint;
 use crate::util::{seed_mix, unit_for};
 use crate::vendor::{Vendor, VendorProfile};
-use eden_tensor::{CorruptionOverlay, QuantTensor};
+use eden_tensor::QuantTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -78,31 +78,58 @@ impl ApproxDramDevice {
         self.profile.ber(op)
     }
 
-    /// Spatial weakness multiplier of a cell (bitline factor × row factor).
-    fn spatial_factor(&self, bank: u64, row: u64, bitline: u64) -> f64 {
-        let cold_bl =
-            (1.0 - HOT_BITLINE_FRACTION * HOT_BITLINE_FACTOR) / (1.0 - HOT_BITLINE_FRACTION);
-        let cold_row = (1.0 - HOT_ROW_FRACTION * HOT_ROW_FACTOR) / (1.0 - HOT_ROW_FRACTION);
-        let bl_factor = if unit_for(self.seed ^ 0xB17, bank, bitline, 0) < HOT_BITLINE_FRACTION {
+    /// Weakness multiplier of a bitline.
+    fn bitline_factor(&self, bank: u64, bitline: u64) -> f64 {
+        if unit_for(self.seed ^ 0xB17, bank, bitline, 0) < HOT_BITLINE_FRACTION {
             HOT_BITLINE_FACTOR
         } else {
-            cold_bl
-        };
-        let row_factor = if unit_for(self.seed ^ 0x40D, bank, row, 0) < HOT_ROW_FRACTION {
+            (1.0 - HOT_BITLINE_FRACTION * HOT_BITLINE_FACTOR) / (1.0 - HOT_BITLINE_FRACTION)
+        }
+    }
+
+    /// Weakness multiplier of a row.
+    fn row_factor(&self, bank: u64, row: u64) -> f64 {
+        if unit_for(self.seed ^ 0x40D, bank, row, 0) < HOT_ROW_FRACTION {
             HOT_ROW_FACTOR
         } else {
-            cold_row
-        };
-        bl_factor * row_factor
+            (1.0 - HOT_ROW_FRACTION * HOT_ROW_FACTOR) / (1.0 - HOT_ROW_FRACTION)
+        }
+    }
+
+    /// Probability that a cell of average spatial weakness is weak at `op`.
+    fn base_weak_prob(&self, op: &OperatingPoint) -> f64 {
+        self.expected_ber(op) / self.profile.weak_cell_flip_prob
+    }
+
+    /// [`ApproxDramDevice::is_weak`] with the operating point reduced to its
+    /// base weak-cell probability and the row's factor precomputed.
+    fn is_weak_cell(&self, bank: u64, row: u64, bitline: u64, base_p: f64, row_f: f64) -> bool {
+        let p = (base_p * (self.bitline_factor(bank, bitline) * row_f)).min(1.0);
+        unit_for(self.seed, bank.wrapping_mul(1 << 40) ^ row, bitline, 0xCE11) < p
     }
 
     /// Whether the cell at `(bank, row, bitline)` is weak at the given
     /// operating point. Weak sets are nested: a cell weak at a mild operating
     /// point stays weak at a more aggressive one.
     pub fn is_weak(&self, bank: u64, row: u64, bitline: u64, op: &OperatingPoint) -> bool {
-        let base_p = self.expected_ber(op) / self.profile.weak_cell_flip_prob;
-        let p = (base_p * self.spatial_factor(bank, row, bitline)).min(1.0);
-        unit_for(self.seed, bank.wrapping_mul(1 << 40) ^ row, bitline, 0xCE11) < p
+        let row_f = self.row_factor(bank, row);
+        self.is_weak_cell(bank, row, bitline, self.base_weak_prob(op), row_f)
+    }
+
+    /// Per-access failure probability of a weak cell storing `stored_one`
+    /// at `op`: the vendor's weak-cell flip probability scaled by the ratio
+    /// of the per-value BER to the average BER (the direction preference).
+    pub fn weak_flip_prob(&self, op: &OperatingPoint, stored_one: bool) -> f64 {
+        let avg = self.expected_ber(op).max(1e-18);
+        let dir = self.profile.ber_for_stored(op, stored_one) / avg;
+        (self.profile.weak_cell_flip_prob * dir).min(1.0)
+    }
+
+    /// The `[t_zero, t_one]` draw thresholds
+    /// ([`crate::error_model::flip_threshold`]) of a weak cell storing a zero
+    /// and a one at `op`.
+    pub fn flip_thresholds(&self, op: &OperatingPoint) -> [u64; 2] {
+        [false, true].map(|one| flip_threshold(self.weak_flip_prob(op, one)))
     }
 
     /// Reads one bit: returns `true` if the stored value is corrupted (flips)
@@ -116,15 +143,51 @@ impl ApproxDramDevice {
         op: &OperatingPoint,
         rng: &mut StdRng,
     ) -> bool {
-        if !self.is_weak(bank, row, bitline, op) {
-            return false;
+        self.is_weak(bank, row, bitline, op)
+            && rng.gen::<f64>() < self.weak_flip_prob(op, stored_one)
+    }
+
+    /// The weak cells of a `values × bits` tensor placed `row_offset` rows
+    /// into `partition` and read at `op`, in the chunk and bit order of
+    /// [`ApproxDramDevice::read_tensor_at_seeded`].
+    ///
+    /// Whether a cell is weak depends only on its address and the operating
+    /// point; only its failure probability depends on the stored bit
+    /// ([`ApproxDramDevice::flip_thresholds`]). So the O(total bits) address
+    /// scan runs once per placement and every read of it costs O(weak
+    /// cells) ([`WeakCellMap::draw`]). A nominal operating point
+    /// reads error-free and maps no cell.
+    pub fn weak_map(
+        &self,
+        partition: &Partition,
+        row_offset: u64,
+        op: &OperatingPoint,
+        values: usize,
+        bits: u32,
+    ) -> WeakCellMap {
+        if op.is_nominal() {
+            return WeakCellMap::empty(values, bits);
         }
-        // Direction preference: scale the weak-cell flip probability by the
-        // ratio of the per-value BER to the average BER.
-        let avg = self.expected_ber(op).max(1e-18);
-        let dir = self.profile.ber_for_stored(op, stored_one) / avg;
-        let f = (self.profile.weak_cell_flip_prob * dir).min(1.0);
-        rng.gen::<f64>() < f
+        let base_p = self.base_weak_prob(op);
+        let bank = partition.bank as u64;
+        let row_bits = self.geometry.row_bits() as u64;
+        let partition_rows = (partition.subarrays * self.geometry.rows_per_subarray) as u64;
+        let base_row = (partition.first_subarray * self.geometry.rows_per_subarray) as u64;
+        // Offsets arrive in ascending order, so the row (and its factor)
+        // changes once per `row_bits` offsets.
+        let mut cached_row: Option<(u64, f64)> = None;
+        WeakCellMap::scan(values, bits, |offset| {
+            let row = base_row + (row_offset + offset / row_bits) % partition_rows;
+            let row_f = match cached_row {
+                Some((r, f)) if r == row => f,
+                _ => {
+                    let f = self.row_factor(bank, row);
+                    cached_row = Some((row, f));
+                    f
+                }
+            };
+            self.is_weak_cell(bank, row, offset % row_bits, base_p, row_f)
+        })
     }
 
     /// Reads a stored tensor placed contiguously in `partition` at operating
@@ -156,16 +219,28 @@ impl ApproxDramDevice {
         rng: &mut StdRng,
     ) -> u64 {
         let stream_seed = rng.gen::<u64>();
-        self.read_tensor_at_seeded(tensor, partition, row_offset, op, stream_seed)
+        let map = self.weak_map(
+            partition,
+            row_offset,
+            op,
+            tensor.len(),
+            tensor.bits_per_value(),
+        );
+        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds(op))
     }
 
-    /// Like [`ApproxDramDevice::read_tensor_at`], but drawing per-access
-    /// failures from independent per-chunk RNG streams derived from
-    /// `stream_seed` (chunks of [`INJECT_CHUNK_VALUES`] values, corrupted in
-    /// parallel on the current `eden-par` pool). The result is bit-identical
-    /// for any thread count — weak cells are a pure function of the device
-    /// seed and the address, and per-access failure draws are a pure function
-    /// of the stream seed and the value's position.
+    /// The reference read: like [`ApproxDramDevice::read_tensor_at`], but
+    /// testing every bit with [`ApproxDramDevice::read_bit_flips`] and
+    /// drawing per-access failures from independent per-chunk RNG streams
+    /// derived from `stream_seed` (chunks of [`INJECT_CHUNK_VALUES`] values,
+    /// corrupted in parallel on the current `eden-par` pool). The result is
+    /// bit-identical for any thread count — weak cells are a pure function
+    /// of the device seed and the address, and per-access failure draws are
+    /// a pure function of the stream seed and the value's position.
+    ///
+    /// This O(total bits) scan is the equivalence oracle of the mapped read
+    /// ([`ApproxDramDevice::weak_map`] + [`WeakCellMap::draw`]) that every
+    /// production load uses.
     pub fn read_tensor_at_seeded(
         &self,
         tensor: &mut QuantTensor,
@@ -212,33 +287,6 @@ impl ApproxDramDevice {
             },
         );
         flips.iter().sum()
-    }
-
-    /// The sparse-overlay form of [`ApproxDramDevice::read_tensor_at_seeded`]:
-    /// computes the [`CorruptionOverlay`] the read would produce on `clean`
-    /// instead of mutating it. Device failures are resampled per read and
-    /// direction-dependent on the live stored bits, so there is no
-    /// precomputable weak map to consume — the overlay is derived by
-    /// corrupting a copy and diffing, which is O(total bits) like every
-    /// device read, but lets consumers apply/revert in O(flips) against
-    /// their persistent clean state.
-    pub fn read_overlay_at_seeded(
-        &self,
-        clean: &QuantTensor,
-        partition: &Partition,
-        row_offset: u64,
-        op: &OperatingPoint,
-        stream_seed: u64,
-    ) -> CorruptionOverlay {
-        if op.is_nominal() {
-            return CorruptionOverlay::empty(clean.len(), clean.bits_per_value());
-        }
-        let mut corrupted = clean.clone();
-        let flips =
-            self.read_tensor_at_seeded(&mut corrupted, partition, row_offset, op, stream_seed);
-        let overlay = CorruptionOverlay::from_diff(clean, &corrupted);
-        debug_assert_eq!(overlay.bit_flips(), flips);
-        overlay
     }
 
     /// Reads a full row previously written with a repeating byte `pattern`,
@@ -296,6 +344,69 @@ mod tests {
         );
         assert_eq!(flips, 0);
         assert_eq!(t, clean);
+    }
+
+    #[test]
+    fn mapped_reads_match_the_reference_scan() {
+        // The mapped in-place read and the mapped overlay must reproduce
+        // `read_tensor_at_seeded` bit for bit — flips, count and RNG order —
+        // at nominal, voltage- and tRCD-reduced operating points (tRCD
+        // reduction flips 0→1 preferentially, voltage reduction 1→0), on two
+        // partitions, at row offsets that wrap the partition, for every
+        // precision and for tensors spanning several injection chunks.
+        let geometry = DramGeometry {
+            banks: 2,
+            subarrays_per_bank: 4,
+            rows_per_subarray: 16,
+            row_bytes: 64,
+        };
+        let parts = partitions(&geometry, PartitionGranularity::Bank);
+        let ops = [
+            OperatingPoint::nominal(),
+            OperatingPoint::with_vdd_reduction(0.30),
+            OperatingPoint::with_trcd_reduction(5.5),
+        ];
+        let mut flipped = 0;
+        for (vendor, seed) in [(Vendor::A, 7), (Vendor::B, 8)] {
+            let dev = ApproxDramDevice::with_geometry(vendor, geometry, seed);
+            for part in &parts {
+                for op in &ops {
+                    for (n, precision, row_offset) in [
+                        (3 * INJECT_CHUNK_VALUES + 17, Precision::Int8, 3),
+                        (INJECT_CHUNK_VALUES + 5, Precision::Int16, 61),
+                        (999, Precision::Int4, 0),
+                        (700, Precision::Fp32, 200),
+                    ] {
+                        let t = Tensor::from_vec(
+                            (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(),
+                            &[n],
+                        );
+                        let clean = QuantTensor::quantize(&t, precision);
+                        let mut scanned = clean.clone();
+                        let scan_flips =
+                            dev.read_tensor_at_seeded(&mut scanned, part, row_offset, op, 5);
+                        let map = dev.weak_map(part, row_offset, op, n, precision.bits());
+                        let thresholds = dev.flip_thresholds(op);
+                        let mut mapped = clean.clone();
+                        let map_flips = map.draw(mapped.stored_mut(), 5, thresholds);
+                        let case = format!("{vendor} {op:?} {precision} n={n} row={row_offset}");
+                        assert_eq!(map_flips, scan_flips, "{case}: flip count");
+                        assert_eq!(mapped, scanned, "{case}: flip pattern");
+                        let overlay = map.draw_overlay(clean.stored(), 5, thresholds);
+                        assert_eq!(overlay.bit_flips(), scan_flips, "{case}: overlay flips");
+                        let mut patched = clean.clone();
+                        overlay.apply(&mut patched);
+                        assert_eq!(patched, scanned, "{case}: overlay pattern");
+                        if op.is_nominal() {
+                            assert!(map.is_empty(), "{case}: nominal reads map no cell");
+                        }
+                        flipped += (scan_flips > 0) as usize;
+                    }
+                }
+            }
+        }
+        // Every reduced point on every partition and precision flips bits.
+        assert_eq!(flipped, 2 * 2 * 2 * 4);
     }
 
     #[test]

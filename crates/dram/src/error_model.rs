@@ -17,7 +17,7 @@
 use crate::util::{seed_mix, stream, unit_for};
 use eden_tensor::{CorruptionOverlay, QuantTensor};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -112,42 +112,266 @@ impl fmt::Display for ErrorModelKind {
 /// by the spatially-correlated models.
 const HOT_LINE_FRACTION: f64 = 0.08;
 
-/// One weak cell within an injection chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WeakCell {
-    /// Value index relative to the chunk start.
-    local_value: u32,
-    /// Bit within the value (0 = LSB).
-    bit: u8,
+/// Maps with fewer weak cells than this draw their chunks sequentially:
+/// below it, fanning chunks out to the worker pool costs more than the
+/// draws. The result is the same either way.
+const PAR_MIN_CELLS: usize = 1 << 15;
+
+/// `2^53`: the resolution of a uniform `f64` draw in `[0, 1)`.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer threshold of a per-access failure draw with probability `f`.
+///
+/// Every per-cell draw consumes one `u64` `u` from the chunk's RNG stream.
+/// The reference scans turn it into the uniform `f64`
+/// `(u >> 11) as f64 · 2^-53` (the `rand` `Standard` conversion) and flip
+/// when that is `< f`. With `k = u >> 11` (an integer in `[0, 2^53)`) and
+/// `t = ceil(f · 2^53)`, the draw is exactly `k < t`:
+///
+/// * `k · 2^-53` and `f · 2^53` are both exact — scaling by a power of two
+///   neither rounds nor (for `f` in `[0, 1]`) overflows;
+/// * `k · 2^-53 < f` ⇔ `k < f · 2^53` ⇔ `k < ceil(f · 2^53)`, because `k`
+///   is an integer;
+/// * `t ≤ 2^53`, so `t as u64` is exact too.
+///
+/// So [`WeakCellMap::draw`] compares integers and flips the same cells as
+/// the `f64` compare, with no float conversion and no branch per cell.
+///
+/// # Panics
+///
+/// Debug builds panic if `f` is not a probability.
+pub fn flip_threshold(f: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&f), "flip probability {f}");
+    (f * UNIT_SCALE).ceil() as u64
 }
 
-/// Precomputed weak-cell positions of one tensor placement (see
-/// [`ErrorModel::weak_map`]): ascending bit positions grouped per
-/// [`INJECT_CHUNK_VALUES`] chunk, so [`ErrorModel::inject_seeded_mapped`]
-/// consumes each chunk's RNG stream exactly like the full scan.
+/// One weak cell within an injection chunk, packed into one word as
+/// `local value << 5 | bit`: the value index relative to the chunk start
+/// (below [`INJECT_CHUNK_VALUES`]) and the bit within the value (0 = LSB,
+/// below 32).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WeakCell(u32);
+
+impl WeakCell {
+    fn new(local_value: usize, bit: u32) -> Self {
+        debug_assert!(local_value < INJECT_CHUNK_VALUES && bit < 32);
+        WeakCell((local_value as u32) << 5 | bit)
+    }
+
+    fn value(self) -> usize {
+        (self.0 >> 5) as usize
+    }
+
+    fn bit(self) -> u32 {
+        self.0 & 31
+    }
+}
+
+/// Precomputed weak-cell positions of one tensor placement: ascending bit
+/// positions grouped per [`INJECT_CHUNK_VALUES`] chunk, so the draw kernels
+/// consume each chunk's RNG stream exactly like the full scans
+/// ([`ErrorModel::inject_seeded`],
+/// [`crate::ApproxDramDevice::read_tensor_at_seeded`]).
+///
+/// Which cells are weak depends only on the cell address and the error
+/// source (the model seed, or the device seed and operating point) — never
+/// on the stored data — so a map is computed once per placement
+/// ([`ErrorModel::weak_map`], [`crate::ApproxDramDevice::weak_map`]) and
+/// every load of that placement costs O(weak cells) instead of O(total
+/// bits). Only the failure probability of a weak cell depends on the bit it
+/// stores; the draw kernels take it as the two integer thresholds
+/// `[t_zero, t_one]` of [`flip_threshold`].
 #[derive(Debug, Clone, Default)]
 pub struct WeakCellMap {
-    chunks: Vec<Vec<WeakCell>>,
+    /// Weak cells of every chunk, concatenated in chunk order.
+    cells: Vec<WeakCell>,
+    /// `cells[chunk_ends[c - 1]..chunk_ends[c]]` are chunk `c`'s cells.
+    chunk_ends: Vec<usize>,
     values: usize,
     bits: u32,
-    /// Cached total cell count, so the empty-map fast path of the injection
-    /// entry points is O(1) instead of a per-load sum over chunks.
-    total: usize,
 }
 
 impl WeakCellMap {
+    /// The map of a placement with no weak cells.
+    pub(crate) fn empty(values: usize, bits: u32) -> Self {
+        Self {
+            cells: Vec::new(),
+            chunk_ends: vec![0; values.div_ceil(INJECT_CHUNK_VALUES)],
+            values,
+            bits,
+        }
+    }
+
+    /// Scans a `values × bits` placement in bit-offset order, keeping the
+    /// offsets (`value · bits + bit`) for which `is_weak` holds. `is_weak`
+    /// is called once per offset, in ascending order.
+    pub(crate) fn scan(values: usize, bits: u32, mut is_weak: impl FnMut(u64) -> bool) -> Self {
+        let mut map = Self::empty(values, bits);
+        for (c, end) in map.chunk_ends.iter_mut().enumerate() {
+            let first = c * INJECT_CHUNK_VALUES;
+            for i in first..(first + INJECT_CHUNK_VALUES).min(values) {
+                for b in 0..bits {
+                    if is_weak(i as u64 * bits as u64 + b as u64) {
+                        map.cells.push(WeakCell::new(i - first, b));
+                    }
+                }
+            }
+            *end = map.cells.len();
+        }
+        map
+    }
+
     /// Total number of weak cells in the placement.
     pub fn weak_cells(&self) -> usize {
-        self.total
+        self.cells.len()
     }
 
     /// Whether the placement has no weak cells at all (e.g. a model rescaled
-    /// to BER 0, or a placement that happens to dodge every weak line).
-    /// Injection over an empty map is a no-op, and the entry points
-    /// early-return without constructing any RNG stream.
+    /// to BER 0, a device at its nominal operating point, or a placement
+    /// that happens to dodge every weak line). Drawing over an empty map is
+    /// a no-op that constructs no RNG stream.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.cells.is_empty()
     }
+
+    /// Bits per stored value of the placement the map was computed for.
+    pub(crate) fn bits_per_value(&self) -> u32 {
+        self.bits
+    }
+
+    fn chunk(&self, c: usize) -> &[WeakCell] {
+        let start = if c == 0 { 0 } else { self.chunk_ends[c - 1] };
+        &self.cells[start..self.chunk_ends[c]]
+    }
+
+    /// One access of the placement, corrupting `words` in place; returns
+    /// the number of flipped bits.
+    ///
+    /// Chunk `c` draws from `StdRng` seeded with `seed_mix(stream_seed, c)`,
+    /// one `next_u64` per weak cell in map order, and flips the cell iff
+    /// the draw is below `thresholds[stored bit]` (see [`flip_threshold`]) —
+    /// the same flips as the reference scans. Large maps spread their
+    /// chunks over the current `eden-par` pool; the result does not depend
+    /// on the thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not the map's element count.
+    pub fn draw(&self, words: &mut [u32], stream_seed: u64, thresholds: [u64; 2]) -> u64 {
+        assert_eq!(words.len(), self.values, "weak map geometry (values)");
+        if self.is_empty() {
+            return 0;
+        }
+        let chunk = |c: usize, chunk: &mut [u32]| {
+            let cells = self.chunk(c);
+            if cells.is_empty() {
+                return 0;
+            }
+            let mut rng = chunk_rng(stream_seed, c);
+            let mut flips = 0u64;
+            for &cell in cells {
+                let (word, bit) = (&mut chunk[cell.value()], cell.bit());
+                let hit = (rng.next_u64() >> 11) < thresholds[(*word >> bit & 1) as usize];
+                *word ^= (hit as u32) << bit;
+                flips += hit as u64;
+            }
+            flips
+        };
+        if self.cells.len() < PAR_MIN_CELLS {
+            let chunks = words.chunks_mut(INJECT_CHUNK_VALUES).enumerate();
+            chunks.map(|(c, words)| chunk(c, words)).sum()
+        } else {
+            eden_par::par_map_chunks_mut(words, INJECT_CHUNK_VALUES, chunk)
+                .iter()
+                .sum()
+        }
+    }
+
+    /// The sparse-overlay form of [`WeakCellMap::draw`]: the
+    /// [`CorruptionOverlay`] (over a `words.len()`-element image) that the
+    /// draw would apply to the clean `words`, with identical RNG stream
+    /// consumption. O(weak cells) to produce, O(flips) to apply and revert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not the map's element count.
+    pub fn draw_overlay(
+        &self,
+        words: &[u32],
+        stream_seed: u64,
+        thresholds: [u64; 2],
+    ) -> CorruptionOverlay {
+        assert_eq!(words.len(), self.values, "weak map geometry (values)");
+        let mut deltas = Vec::new();
+        let mut flips = 0u64;
+        if self.cells.len() < PAR_MIN_CELLS {
+            for c in 0..self.chunk_ends.len() {
+                flips += self.overlay_chunk(c, words, stream_seed, thresholds, &mut deltas);
+            }
+        } else {
+            let per_chunk = eden_par::par_map(&self.chunk_ends, |c, _| {
+                let mut deltas = Vec::new();
+                let flips = self.overlay_chunk(c, words, stream_seed, thresholds, &mut deltas);
+                (deltas, flips)
+            });
+            for (chunk_deltas, chunk_flips) in per_chunk {
+                deltas.extend(chunk_deltas);
+                flips += chunk_flips;
+            }
+        }
+        CorruptionOverlay::new(self.values, self.bits, deltas, flips, 0)
+    }
+
+    /// Draws chunk `c` of [`WeakCellMap::draw_overlay`], appending its
+    /// `(word, xor mask)` deltas to `out`; returns its flips.
+    ///
+    /// Each cell is a distinct `(value, bit)` and a draw only ever flips its
+    /// own bit, so the bit a cell reads is the clean bit even after earlier
+    /// cells of the same word flipped — reading `words` unmodified is exact.
+    /// Cells of one word are adjacent, so the word's mask accumulates in
+    /// the slot after the last committed delta and is committed (the slot
+    /// kept) when the next word starts with a nonzero mask: no branch
+    /// depends on a draw.
+    fn overlay_chunk(
+        &self,
+        c: usize,
+        words: &[u32],
+        stream_seed: u64,
+        thresholds: [u64; 2],
+        out: &mut Vec<(u32, u32)>,
+    ) -> u64 {
+        let cells = self.chunk(c);
+        if cells.is_empty() {
+            return 0;
+        }
+        let first = c * INJECT_CHUNK_VALUES;
+        let words = &words[first..];
+        let mut rng = chunk_rng(stream_seed, c);
+        // One slot per cell bounds the distinct words.
+        let base = out.len();
+        out.resize(base + cells.len(), (0, 0));
+        let slots = &mut out[base..];
+        let (mut committed, mut value, mut mask, mut flips) = (0usize, usize::MAX, 0u32, 0u64);
+        for &cell in cells {
+            let new_word = cell.value() != value;
+            committed += (new_word & (mask != 0)) as usize;
+            mask &= (new_word as u32).wrapping_sub(1);
+            value = cell.value();
+            let bit = cell.bit();
+            let hit = (rng.next_u64() >> 11) < thresholds[(words[value] >> bit & 1) as usize];
+            mask |= (hit as u32) << bit;
+            flips += hit as u64;
+            slots[committed] = ((first + value) as u32, mask);
+        }
+        committed += (mask != 0) as usize;
+        out.truncate(base + committed);
+        flips
+    }
+}
+
+/// The RNG stream of injection chunk `chunk` of one access.
+fn chunk_rng(stream_seed: u64, chunk: usize) -> StdRng {
+    StdRng::seed_from_u64(seed_mix(stream_seed, &[chunk as u64]))
 }
 
 /// A parameterized, seedable DRAM error model.
@@ -360,11 +584,12 @@ impl ErrorModel {
     /// `layout`, drawing per-access failures from `rng`.
     ///
     /// Returns the number of bits flipped. This is a convenience wrapper that
-    /// draws one stream seed from `rng` and delegates to
-    /// [`ErrorModel::inject_seeded`].
+    /// draws one stream seed from `rng`, maps the placement's weak cells and
+    /// draws over them ([`ErrorModel::inject_seeded_mapped`]).
     pub fn inject(&self, tensor: &mut QuantTensor, layout: &Layout, rng: &mut StdRng) -> u64 {
         let stream_seed = rng.gen::<u64>();
-        self.inject_seeded(tensor, layout, stream_seed)
+        let map = self.weak_map(tensor.len(), tensor.bits_per_value(), layout);
+        self.inject_seeded_mapped(tensor, stream_seed, &map)
     }
 
     /// Enumerates the weak cells of a `values × bits` tensor placed at
@@ -379,33 +604,19 @@ impl ErrorModel {
     /// injection cost from O(total bits) hash evaluations into O(weak cells)
     /// RNG draws — a ~`1/P` speedup at the BERs the paper operates at.
     pub fn weak_map(&self, values: usize, bits: u32, layout: &Layout) -> WeakCellMap {
-        let mut chunks = Vec::with_capacity(values.div_ceil(INJECT_CHUNK_VALUES));
-        if self.weak_fraction > 0.0 {
-            for chunk_start in (0..values).step_by(INJECT_CHUNK_VALUES) {
-                let chunk_end = (chunk_start + INJECT_CHUNK_VALUES).min(values);
-                let mut weak = Vec::new();
-                for i in chunk_start..chunk_end {
-                    for b in 0..bits {
-                        let offset = i as u64 * bits as u64 + b as u64;
-                        let (row, bitline) = layout.locate(offset);
-                        if self.is_weak(row, bitline) {
-                            weak.push(WeakCell {
-                                local_value: (i - chunk_start) as u32,
-                                bit: b as u8,
-                            });
-                        }
-                    }
-                }
-                chunks.push(weak);
-            }
+        if self.weak_fraction == 0.0 {
+            return WeakCellMap::empty(values, bits);
         }
-        let total = chunks.iter().map(|c| c.len()).sum();
-        WeakCellMap {
-            chunks,
-            values,
-            bits,
-            total,
-        }
+        WeakCellMap::scan(values, bits, |offset| {
+            let (row, bitline) = layout.locate(offset);
+            self.is_weak(row, bitline)
+        })
+    }
+
+    /// The `[t_zero, t_one]` draw thresholds ([`flip_threshold`]) of a weak
+    /// cell storing a zero and a one.
+    pub fn flip_thresholds(&self) -> [u64; 2] {
+        [false, true].map(|one| flip_threshold(self.weak_flip_prob(0, 0, one)))
     }
 
     /// [`ErrorModel::inject_seeded`] over a precomputed [`WeakCellMap`] —
@@ -423,45 +634,18 @@ impl ErrorModel {
         stream_seed: u64,
         map: &WeakCellMap,
     ) -> u64 {
-        assert_eq!(map.values, tensor.len(), "weak map geometry (values)");
         assert_eq!(
             map.bits,
             tensor.bits_per_value(),
             "weak map geometry (bits)"
         );
-        // Fast path: no weak cells means no flips and no RNG draws — skip
-        // the chunk fan-out and per-chunk stream construction entirely.
-        if self.weak_fraction == 0.0 || map.is_empty() {
-            return 0;
-        }
-        let flips = eden_par::par_map_chunks_mut(
-            tensor.stored_mut(),
-            INJECT_CHUNK_VALUES,
-            |chunk_idx, chunk| {
-                let mut rng = StdRng::seed_from_u64(seed_mix(stream_seed, &[chunk_idx as u64]));
-                let mut flipped = 0u64;
-                for cell in &map.chunks[chunk_idx] {
-                    let word = &mut chunk[cell.local_value as usize];
-                    let stored_one = (*word >> cell.bit) & 1 == 1;
-                    let f = self.weak_flip_prob(0, 0, stored_one);
-                    if rng.gen::<f64>() < f {
-                        *word ^= 1 << cell.bit;
-                        flipped += 1;
-                    }
-                }
-                flipped
-            },
-        );
-        flips.iter().sum()
+        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds())
     }
 
     /// The sparse-overlay form of [`ErrorModel::inject_seeded_mapped`]:
     /// instead of mutating the tensor, computes the
-    /// [`CorruptionOverlay`] the injection *would* produce on `clean` — the
-    /// per-word `(word index, xor mask)` deltas of exactly the flips the
-    /// mapped injection makes, with identical per-chunk RNG stream
-    /// consumption (one draw per weak cell, in map order, including the
-    /// data-dependent model's evaluation of partially-corrupted words).
+    /// [`CorruptionOverlay`] the injection *would* produce on `clean`, with
+    /// identical per-chunk RNG stream consumption ([`WeakCellMap::draw_overlay`]).
     ///
     /// Applying the returned overlay to `clean` is bit-identical to calling
     /// `inject_seeded_mapped` on it, at O(weak cells) to produce and
@@ -477,79 +661,21 @@ impl ErrorModel {
         stream_seed: u64,
         map: &WeakCellMap,
     ) -> CorruptionOverlay {
-        assert_eq!(map.values, clean.len(), "weak map geometry (values)");
         assert_eq!(map.bits, clean.bits_per_value(), "weak map geometry (bits)");
-        if self.weak_fraction == 0.0 || map.is_empty() {
-            return CorruptionOverlay::empty(clean.len(), clean.bits_per_value());
-        }
-        let stored = clean.stored();
-        let per_chunk = eden_par::par_map(&map.chunks, |chunk_idx, cells| {
-            let mut rng = StdRng::seed_from_u64(seed_mix(stream_seed, &[chunk_idx as u64]));
-            let base = chunk_idx * INJECT_CHUNK_VALUES;
-            let mut deltas: Vec<(u32, u32)> = Vec::new();
-            let mut flips = 0u64;
-            // Track the live (partially corrupted) bits of the word under
-            // the cursor: the data-dependent model reads the *current* bit
-            // value, which earlier flips of the same word may have changed —
-            // exactly as the in-place injection does.
-            let mut cur: Option<(u32, u32, u32)> = None; // (word, live bits, mask)
-            for cell in cells.iter() {
-                let g = (base + cell.local_value as usize) as u32;
-                let (mut word, mut mask) = match cur {
-                    Some((w, live, m)) if w == g => (live, m),
-                    other => {
-                        if let Some((w, _, m)) = other {
-                            if m != 0 {
-                                deltas.push((w, m));
-                            }
-                        }
-                        (stored[g as usize], 0)
-                    }
-                };
-                let stored_one = (word >> cell.bit) & 1 == 1;
-                let f = self.weak_flip_prob(0, 0, stored_one);
-                if rng.gen::<f64>() < f {
-                    word ^= 1 << cell.bit;
-                    mask ^= 1 << cell.bit;
-                    flips += 1;
-                }
-                cur = Some((g, word, mask));
-            }
-            if let Some((w, _, m)) = cur {
-                if m != 0 {
-                    deltas.push((w, m));
-                }
-            }
-            (deltas, flips)
-        });
-        let mut deltas = Vec::new();
-        let mut flips = 0u64;
-        for (chunk_deltas, chunk_flips) in per_chunk {
-            deltas.extend(chunk_deltas);
-            flips += chunk_flips;
-        }
-        CorruptionOverlay::new(clean.len(), clean.bits_per_value(), deltas, flips, 0)
+        map.draw_overlay(clean.stored(), stream_seed, self.flip_thresholds())
     }
 
-    /// [`ErrorModel::overlay_seeded_mapped`] without a precomputed map: scans
-    /// the placement for weak cells first (O(total bits), like
-    /// [`ErrorModel::inject_seeded`]) and then derives the overlay. Callers
-    /// on a hot path should precompute the [`WeakCellMap`] instead.
-    pub fn overlay_seeded(
-        &self,
-        clean: &QuantTensor,
-        layout: &Layout,
-        stream_seed: u64,
-    ) -> CorruptionOverlay {
-        let map = self.weak_map(clean.len(), clean.bits_per_value(), layout);
-        self.overlay_seeded_mapped(clean, stream_seed, &map)
-    }
-
-    /// Injects bit errors into a stored tensor, drawing per-access failures
-    /// from independent per-chunk RNG streams derived from `stream_seed`
-    /// (see [`INJECT_CHUNK_VALUES`]). Chunks are corrupted in parallel on the
-    /// current `eden-par` pool; the result is bit-identical for any thread
-    /// count, including 1.
+    /// The reference scan: injects bit errors into a stored tensor by
+    /// testing every bit for weakness and drawing `rng.gen::<f64>() < F`
+    /// for each weak one, from independent per-chunk RNG streams derived
+    /// from `stream_seed` (see [`INJECT_CHUNK_VALUES`]). Chunks are
+    /// corrupted in parallel on the current `eden-par` pool; the result is
+    /// bit-identical for any thread count, including 1.
+    ///
+    /// This is the equivalence oracle of the mapped draws
+    /// ([`ErrorModel::inject_seeded_mapped`]), which production loads use:
+    /// O(total bits) hashes and a float compare per weak cell, kept simple
+    /// on purpose.
     ///
     /// Returns the number of bits flipped.
     pub fn inject_seeded(
@@ -567,8 +693,8 @@ impl ErrorModel {
             tensor.stored_mut(),
             INJECT_CHUNK_VALUES,
             |chunk_idx, chunk| {
-                let mut rng = StdRng::seed_from_u64(seed_mix(stream_seed, &[chunk_idx as u64]));
                 let first_value = chunk_idx * INJECT_CHUNK_VALUES;
+                let mut rng = chunk_rng(stream_seed, chunk_idx);
                 self.inject_chunk(chunk, bits, first_value, &layout, &mut rng)
             },
         );
@@ -698,14 +824,59 @@ mod tests {
                 // Revert restores the clean image exactly.
                 overlay.revert(&mut patched);
                 assert_eq!(patched, clean, "{model} revert at n={n}");
-                // The map-less overlay agrees with the mapped one.
+                // Both agree with the reference scan.
+                let mut scanned = clean.clone();
+                assert_eq!(model.inject_seeded(&mut scanned, &layout, 77), inject_flips);
+                assert_eq!(scanned, injected, "{model} scan pattern at n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn flip_threshold_is_exact_against_the_f64_compare() {
+        // The integer draw `(u >> 11) < flip_threshold(f)` must agree with
+        // the reference `(u >> 11) as f64 · 2^-53 < f` everywhere, and in
+        // particular at the boundary draws t − 1 and t and at probabilities
+        // one ulp either side of a representable draw value k · 2^-53.
+        let unit = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut probs = vec![0.0, 1.0, unit(1), 0.3, 0.5, 0.7, 1e-9, 0.35 * 1.6];
+        for k in [1u64, 2, 3, 1 << 20, 12_345_678_901, 1 << 52, (1 << 53) - 1] {
+            let f = unit(k);
+            probs.extend([
+                f,
+                f64::from_bits(f.to_bits() - 1),
+                f64::from_bits(f.to_bits() + 1),
+            ]);
+        }
+        for f in probs.into_iter().filter(|f| (0.0..=1.0).contains(f)) {
+            let t = flip_threshold(f);
+            assert!(t <= 1 << 53, "threshold of {f} out of range");
+            for k in [t.wrapping_sub(1), t, t + 1, 0, (1 << 53) - 1] {
+                if k >= 1 << 53 {
+                    continue;
+                }
+                // Any low 11 bits of the raw draw are discarded by both forms.
+                let u = k << 11 | 0x5a5;
                 assert_eq!(
-                    model.overlay_seeded(&clean, &layout, 77),
-                    overlay,
-                    "{model} scan overlay at n={n}"
+                    (u >> 11) < t,
+                    unit(u >> 11) < f,
+                    "f = {f:e} ({:#x}), k = {k}, t = {t}",
+                    f.to_bits()
                 );
             }
         }
+        assert_eq!(flip_threshold(0.0), 0);
+        assert_eq!(flip_threshold(1.0), 1 << 53);
+        assert_eq!(flip_threshold(unit(1)), 1);
+    }
+
+    #[test]
+    fn packed_weak_cells_round_trip() {
+        for (value, bit) in [(0, 0), (1, 31), (INJECT_CHUNK_VALUES - 1, 7), (77, 15)] {
+            let cell = WeakCell::new(value, bit);
+            assert_eq!((cell.value(), cell.bit()), (value, bit));
+        }
+        assert_eq!(std::mem::size_of::<WeakCell>(), 4);
     }
 
     #[test]

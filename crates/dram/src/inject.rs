@@ -3,7 +3,9 @@
 //! An [`Injector`] corrupts stored tensors either through a fitted
 //! probabilistic [`ErrorModel`] (the fast path used for EDEN "offloading",
 //! Section 4) or through the simulated [`ApproxDramDevice`] itself (the
-//! "real device" path used for validation, Section 6.2). An
+//! "real device" path used for validation, Section 6.2). Both sources draw
+//! through the same [`WeakCellMap`] kernel: a placement's weak cells are
+//! mapped once ([`Injector::weak_map`]) and every load costs O(weak cells). An
 //! [`AddressAllocator`] hands out non-overlapping DRAM placements so that
 //! different DNN data types occupy different rows, as they would in a real
 //! module.
@@ -12,8 +14,10 @@ use crate::device::ApproxDramDevice;
 use crate::error_model::{ErrorModel, Layout, WeakCellMap};
 use crate::geometry::Partition;
 use crate::params::OperatingPoint;
+use crate::util::seed_mix;
 use eden_tensor::{CorruptionOverlay, QuantTensor};
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 
 /// Where injected errors come from.
 #[derive(Debug, Clone)]
@@ -85,6 +89,67 @@ impl Injector {
         }
     }
 
+    /// A stable 64-bit fingerprint of everything that determines this
+    /// injector's *placed* draws: the error model's parameters, or the
+    /// device (vendor, seed, geometry), partition and operating point.
+    ///
+    /// A [`WeakCellMap`] is a pure function of `(fingerprint, placement,
+    /// tensor geometry)`, which is how evaluation sessions share maps
+    /// across memories and probes. A model injector's default [`Layout`] is
+    /// left out: placed loads bring their own.
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            Injector::Model { model, .. } => seed_mix(0x5E55_10F1, &[0, model.fingerprint()]),
+            Injector::Device {
+                device,
+                partition,
+                op,
+            } => {
+                let g = device.geometry();
+                seed_mix(
+                    0x5E55_10F1,
+                    &[
+                        1,
+                        device.vendor() as u64,
+                        device.seed(),
+                        g.banks as u64,
+                        g.subarrays_per_bank as u64,
+                        g.rows_per_subarray as u64,
+                        g.row_bytes as u64,
+                        partition.bank as u64,
+                        partition.first_subarray as u64,
+                        partition.subarrays as u64,
+                        op.vdd.to_bits() as u64,
+                        op.timing.trcd_ns.to_bits() as u64,
+                    ],
+                )
+            }
+        }
+    }
+
+    /// The weak cells of a `values × bits` tensor placed according to
+    /// `layout` (for a device injector, `layout.base_row` rows into its
+    /// partition; see [`Injector::corrupt_placed`]).
+    pub fn weak_map(&self, values: usize, bits: u32, layout: &Layout) -> WeakCellMap {
+        match self {
+            Injector::Model { model, .. } => model.weak_map(values, bits, layout),
+            Injector::Device {
+                device,
+                partition,
+                op,
+            } => device.weak_map(partition, layout.base_row as u64, op, values, bits),
+        }
+    }
+
+    /// The `[t_zero, t_one]` draw thresholds of a weak cell storing a zero
+    /// and a one (see [`crate::error_model::flip_threshold`]).
+    pub fn flip_thresholds(&self) -> [u64; 2] {
+        match self {
+            Injector::Model { model, .. } => model.flip_thresholds(),
+            Injector::Device { device, op, .. } => device.flip_thresholds(op),
+        }
+    }
+
     /// Corrupts a stored tensor placed according to `layout`, drawing all
     /// per-access failures from RNG streams derived from `stream_seed`.
     ///
@@ -104,12 +169,15 @@ impl Injector {
     }
 
     /// [`Injector::corrupt_placed_seeded`] with an optional precomputed
-    /// [`WeakCellMap`] for the placement. With a map, a model-backed injector
-    /// skips the per-bit weak-cell scan and touches only the weak cells —
-    /// bit-identical flips at a fraction of the cost (see
-    /// [`ErrorModel::inject_seeded_mapped`]). Without one (or for a
-    /// device-backed injector, whose failures are resampled per read) it
-    /// falls back to the full scan.
+    /// [`WeakCellMap`] of the placement ([`Injector::weak_map`]). With a
+    /// map, the load touches only the weak cells; without one, the map is
+    /// computed first. Either way the flips are bit-identical to the
+    /// reference scans ([`ErrorModel::inject_seeded`],
+    /// [`ApproxDramDevice::read_tensor_at_seeded`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map` was computed for a different tensor geometry.
     pub fn corrupt_placed_seeded_mapped(
         &self,
         tensor: &mut QuantTensor,
@@ -117,38 +185,27 @@ impl Injector {
         stream_seed: u64,
         map: Option<&WeakCellMap>,
     ) -> u64 {
-        // Fast path: an error-free source (a model rescaled to BER 0, a
-        // device at its nominal operating point) can never flip a bit — skip
-        // RNG stream construction and leave the tensor untouched. An expected
-        // BER of 0 implies a weak-cell probability of 0 under every source,
-        // so no draw could succeed anyway; skipping the draws is exact
-        // because every load derives its streams from `stream_seed` alone.
-        // (Every seeded entry point funnels through here, so the production
-        // hook path benefits too; an empty weak map additionally
-        // early-returns inside `inject_seeded_mapped`.)
-        if self.expected_ber() == 0.0 {
+        // An error-free source (a model rescaled to BER 0) can never flip a
+        // bit: skip the map and leave the tensor untouched. Skipping the
+        // draws is exact because every load derives its streams from
+        // `stream_seed` alone.
+        if self.is_provably_clean() {
             return 0;
         }
-        match (self, map) {
-            (Injector::Model { model, .. }, Some(map)) => {
-                model.inject_seeded_mapped(tensor, stream_seed, map)
-            }
-            _ => self.corrupt_placed_seeded_scan(tensor, layout, stream_seed),
-        }
+        let map = self.map_or_scan(map, tensor, layout);
+        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds())
     }
 
     /// The sparse-overlay form of [`Injector::corrupt_placed_seeded_mapped`]:
     /// computes the [`CorruptionOverlay`] the corruption would produce on
     /// `clean` instead of mutating it, with identical RNG stream consumption
     /// (applying the overlay to `clean` is bit-identical to corrupting it).
+    /// O(weak cells) to produce with a precomputed map, O(flips) to apply
+    /// and revert — for model- and device-backed injectors alike.
     ///
-    /// A model-backed injector with a precomputed map produces the overlay
-    /// in O(weak cells) ([`ErrorModel::overlay_seeded_mapped`]); without a
-    /// map it scans the placement first. A device-backed injector has no
-    /// precomputable weak map (its failures are resampled per read under
-    /// data-dependent direction preferences), so its overlay is derived by
-    /// diffing a corrupted copy — O(total bits) to *produce*, like every
-    /// device read, but still O(flips) for consumers to apply and revert.
+    /// # Panics
+    ///
+    /// Panics if `map` was computed for a different tensor geometry.
     pub fn overlay_placed_seeded(
         &self,
         clean: &QuantTensor,
@@ -156,59 +213,28 @@ impl Injector {
         stream_seed: u64,
         map: Option<&WeakCellMap>,
     ) -> CorruptionOverlay {
-        match (self, map) {
-            (Injector::Model { model, .. }, Some(map)) => {
-                model.overlay_seeded_mapped(clean, stream_seed, map)
-            }
-            (Injector::Model { model, .. }, None) => {
-                model.overlay_seeded(clean, layout, stream_seed)
-            }
-            (
-                Injector::Device {
-                    device,
-                    partition,
-                    op,
-                },
-                _,
-            ) => device.read_overlay_at_seeded(
-                clean,
-                partition,
-                layout.base_row as u64,
-                op,
-                stream_seed,
-            ),
+        if self.is_provably_clean() {
+            return CorruptionOverlay::empty(clean.len(), clean.bits_per_value());
         }
+        let map = self.map_or_scan(map, clean, layout);
+        map.draw_overlay(clean.stored(), stream_seed, self.flip_thresholds())
     }
 
-    /// Precomputes the weak-cell map of a `values × bits` placement for a
-    /// model-backed injector (`None` for device-backed injectors).
-    pub fn weak_map(&self, values: usize, bits: u32, layout: &Layout) -> Option<WeakCellMap> {
-        match self {
-            Injector::Model { model, .. } => Some(model.weak_map(values, bits, layout)),
-            Injector::Device { .. } => None,
-        }
-    }
-
-    fn corrupt_placed_seeded_scan(
+    /// `map`, checked against `tensor`'s geometry, or the placement's map
+    /// scanned now.
+    fn map_or_scan<'a>(
         &self,
-        tensor: &mut QuantTensor,
+        map: Option<&'a WeakCellMap>,
+        tensor: &QuantTensor,
         layout: &Layout,
-        stream_seed: u64,
-    ) -> u64 {
-        match self {
-            Injector::Model { model, .. } => model.inject_seeded(tensor, layout, stream_seed),
-            Injector::Device {
-                device,
-                partition,
-                op,
-            } => device.read_tensor_at_seeded(
-                tensor,
-                partition,
-                layout.base_row as u64,
-                op,
-                stream_seed,
-            ),
-        }
+    ) -> Cow<'a, WeakCellMap> {
+        let bits = tensor.bits_per_value();
+        let map = map.map_or_else(
+            || Cow::Owned(self.weak_map(tensor.len(), bits, layout)),
+            Cow::Borrowed,
+        );
+        assert_eq!(map.bits_per_value(), bits, "weak map geometry (bits)");
+        map
     }
 
     /// Corrupts a stored tensor placed according to `layout` (overriding the
@@ -340,9 +366,9 @@ mod tests {
 
     #[test]
     fn injector_overlay_matches_in_place_corruption() {
-        // For both injector kinds (model with/without a precomputed map,
-        // device by diff), the overlay applied to the clean image must equal
-        // the in-place corruption bit for bit.
+        // For both injector kinds, with and without a precomputed map, the
+        // overlay applied to the clean image must equal the in-place
+        // corruption bit for bit.
         let clean = stored(3 * 4096 + 17);
         let layout = Layout::new(1024, 3);
         for inj in [
@@ -359,9 +385,13 @@ mod tests {
         ] {
             let map = inj.weak_map(clean.len(), clean.bits_per_value(), &layout);
             let mut corrupted = clean.clone();
-            let flips = inj.corrupt_placed_seeded_mapped(&mut corrupted, &layout, 99, map.as_ref());
+            let flips = inj.corrupt_placed_seeded_mapped(&mut corrupted, &layout, 99, Some(&map));
             assert!(flips > 0, "injector must flip something");
-            let overlay = inj.overlay_placed_seeded(&clean, &layout, 99, map.as_ref());
+            let overlay = inj.overlay_placed_seeded(&clean, &layout, 99, Some(&map));
+            assert_eq!(
+                inj.overlay_placed_seeded(&clean, &layout, 99, None),
+                overlay
+            );
             assert_eq!(overlay.bit_flips(), flips);
             let mut patched = clean.clone();
             overlay.apply(&mut patched);

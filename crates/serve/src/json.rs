@@ -99,10 +99,15 @@ impl Json {
     }
 
     /// Parses a JSON document (the whole input must be one value).
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep: the parser
+    /// recurses once per level, so an unbounded depth would let one frame
+    /// of brackets overflow the stack of the thread parsing it.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -169,9 +174,15 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts; protocol
+/// documents nest three levels at most.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -218,8 +229,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -399,6 +424,21 @@ mod tests {
             "nan",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH - 1))).is_ok());
+        for deep in [
+            nested(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{err}");
         }
     }
 

@@ -234,10 +234,14 @@ fn accept_loop(listener: UnixListener, state: Arc<ServerState>) {
 /// observe the shutdown flag: an idle keep-alive connection closes promptly
 /// on shutdown instead of pinning the drain forever, while a frame already
 /// in flight is always completed (and its response sent) first.
+///
+/// A complete frame that is not a JSON document comes back as
+/// `Ok(Some(Err(message)))`: the stream is still in sync, so the caller
+/// answers it with an error frame and keeps the connection.
 fn read_json_interruptible(
     stream: &mut UnixStream,
     shutdown: &AtomicBool,
-) -> std::io::Result<Option<Json>> {
+) -> std::io::Result<Option<Result<Json, String>>> {
     use std::io::Read;
     let read_some = |stream: &mut UnixStream, buf: &mut [u8], mid_frame: bool| loop {
         match stream.read(buf) {
@@ -291,20 +295,20 @@ fn read_json_interruptible(
             Some(n) => filled += n,
         }
     }
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Json::parse(text)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    Ok(Some(
+        std::str::from_utf8(&payload)
+            .map_err(|e| e.to_string())
+            .and_then(Json::parse),
+    ))
 }
 
 fn handle_connection(stream: UnixStream, state: Arc<ServerState>) -> std::io::Result<()> {
     let mut reader = stream.try_clone()?;
     reader.set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut writer = stream;
-    while let Some(value) = read_json_interruptible(&mut reader, &state.shutdown)? {
+    while let Some(frame) = read_json_interruptible(&mut reader, &state.shutdown)? {
         state.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let request = match Request::parse(&value) {
+        let request = match frame.and_then(|value| Request::parse(&value)) {
             Ok(request) => request,
             Err(message) => {
                 state.stats.errors.fetch_add(1, Ordering::Relaxed);

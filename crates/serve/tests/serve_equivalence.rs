@@ -216,6 +216,38 @@ fn invalid_requests_get_structured_errors() {
 }
 
 #[test]
+fn malformed_frames_get_errors_and_keep_the_connection() {
+    use eden_serve::protocol::{read_json, write_frame};
+    let server = serve(config("malformed", 1)).unwrap();
+    // Connect through a client first: it retries until the server listens.
+    drop(Client::connect_with_retry(server.socket(), Duration::from_secs(5)).unwrap());
+    let mut stream = std::os::unix::net::UnixStream::connect(server.socket()).unwrap();
+    // A 200 000-deep array fits the frame limit; parsing it unbounded
+    // overflowed the connection thread's stack and aborted the process.
+    for frame in [
+        "[".repeat(200_000),
+        "{\"op\":".to_string(),
+        "\u{0}".to_string(),
+    ] {
+        write_frame(&mut stream, frame.as_bytes()).unwrap();
+        let response = read_json(&mut stream).unwrap().expect("an error frame");
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(response.get("error").and_then(Json::as_str).is_some());
+    }
+    write_frame(
+        &mut stream,
+        eval_request("int8", 1e-3).to_string().as_bytes(),
+    )
+    .unwrap();
+    let response = read_json(&mut stream).unwrap().expect("an eval response");
+    assert_eq!(
+        accuracy(&response).to_bits(),
+        standalone(Precision::Int8, 1e-3).to_bits()
+    );
+    server.join();
+}
+
+#[test]
 fn eval_batch_matches_eval_and_reports_group_counters() {
     let server = serve(config("eval-batch", 2)).unwrap();
     let mut client = Client::connect_with_retry(server.socket(), Duration::from_secs(5)).unwrap();

@@ -311,9 +311,9 @@ proptest! {
 
 #[test]
 fn overlay_refetch_matches_reload_under_a_device_backed_memory() {
-    // Device-backed injectors have no precomputable weak map: their overlays
-    // are derived by corrupt-and-diff. The evaluation results must still be
-    // bit-identical to the image-reload reference.
+    // Device-backed injectors draw overlays from device weak maps whose
+    // failure thresholds depend on the stored bit. The evaluation results
+    // must still be bit-identical to the image-reload reference.
     let (net, dataset) = trained_lenet(1);
     let samples = &dataset.test()[..16];
     let device = ApproxDramDevice::new(Vendor::B, 9);
