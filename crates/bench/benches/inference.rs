@@ -583,15 +583,19 @@ fn bench_incremental(c: &mut Criterion) {
 
 /// Fault draws at O(weak cells), one entry per error source:
 ///
-/// * `ifm_inject_vgg_int8_ber1e-1` — every IFM load of one `vgg_mini` int8
-///   sample at BER 1e-1 through a preallocated memory (the per-sample
-///   corruption of a Figure 8 sweep's most aggressive point): weak-map
-///   draws from a fitted error model.
+/// * `ifm_inject_vgg_int8_ber1e-1` — every IFM load of `IFM_LANES` (64)
+///   `vgg_mini` int8 samples at BER 1e-1 through a preallocated memory (the
+///   per-sample corruption of a Figure 8 sweep's most aggressive point):
+///   weak-map draws from a fitted error model. Each sample runs on its own
+///   forked fault lane, and the lanes run in parallel as an evaluation
+///   session runs them; one IFM fits one injection chunk, so the lanes are
+///   the parallelism.
 /// * `device_span_eval_resnet_int8` — a `multi_module_map` plan over two
 ///   simulated DRAM modules (voltage- and `tRCD`-reduced partitions),
 ///   evaluated on 16 `resnet_mini` int8 samples: every mapped load is a
 ///   device read through a per-span weak map (the Figure 12 evaluation).
 fn bench_faults(c: &mut Criterion) {
+    const IFM_LANES: u64 = 64;
     let mut group = c.benchmark_group("faults");
     group.sample_size(20);
     group.measurement_time(Duration::from_secs(3));
@@ -615,17 +619,22 @@ fn bench_faults(c: &mut Criterion) {
             (info.site, QuantTensor::quantize(&x, Precision::Int8))
         })
         .collect();
-    let mut lane = 0u64;
+    let mut window = 0u64;
     group.bench_function("ifm_inject_vgg_int8_ber1e-1", |b| {
         b.iter(|| {
-            let mut sample = memory.fork(lane);
-            lane += 1;
-            for (site, clean) in &ifms {
-                let mut q = clean.clone();
-                sample.corrupt(site, &mut q);
-                black_box(&q);
-            }
-            sample.stats().bit_flips
+            let base = window * IFM_LANES;
+            window += 1;
+            let lanes: Vec<u64> = (base..base + IFM_LANES).collect();
+            let flips = eden_par::par_map(&lanes, |_, &lane| {
+                let mut sample = memory.fork(lane);
+                for (site, clean) in &ifms {
+                    let mut q = clean.clone();
+                    sample.corrupt(site, &mut q);
+                    black_box(&q);
+                }
+                sample.stats().bit_flips
+            });
+            flips.iter().sum::<u64>()
         })
     });
 

@@ -373,10 +373,10 @@ mod tests {
                 let map = model.weak_map(clean.len(), clean.bits_per_value(), &layout);
 
                 let mut reference = clean.clone();
-                model.inject_seeded_mapped(&mut reference, 55, &map);
+                map.draw(reference.stored_mut(), 55, model.flip_thresholds());
                 let scan_corrections = logic.correct(&mut reference);
 
-                let raw = model.overlay_seeded_mapped(&clean, 55, &map);
+                let raw = map.draw_overlay(clean.stored(), 55, model.flip_thresholds());
                 let folded = logic.fold_overlay(&clean, raw, &logic.clean_corrections(&clean));
                 assert_eq!(folded.corrections(), scan_corrections as u64, "{policy:?}");
                 let mut patched = clean.clone();

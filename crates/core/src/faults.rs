@@ -663,13 +663,11 @@ impl ApproximateMemory {
         let mut overlay = match self.placement.site_spans.get(site).cloned() {
             Some(spans) => self.span_overlay(site, &spans, clean, load_stream),
             None if self.site_is_dirty(site) => {
-                let layout = self.layout_for(site, clean.total_bits());
-                let map = self.weak_map_for(site, clean.len(), clean.bits_per_value());
-                let injector = self
-                    .placement
-                    .injector_for(site)
+                let map = self
+                    .weak_map_for(site, clean.len(), clean.bits_per_value())
                     .expect("dirty site has an injector");
-                injector.overlay_placed_seeded(clean, &layout, load_stream, map.as_deref())
+                let injector = self.placement.injector_for(site).expect("checked dirty");
+                injector.overlay_mapped(clean, load_stream, &map)
             }
             None => CorruptionOverlay::empty(clean.len(), clean.bits_per_value()),
         };
@@ -853,14 +851,11 @@ impl FaultHook for ApproximateMemory {
             self.stats.bit_flips += overlay.bit_flips();
             overlay.apply(tensor);
         } else if self.site_is_dirty(site) {
-            let layout = self.layout_for(site, tensor.total_bits());
-            let map = self.weak_map_for(site, tensor.len(), tensor.bits_per_value());
-            let injector = self
-                .placement
-                .injector_for(site)
+            let map = self
+                .weak_map_for(site, tensor.len(), tensor.bits_per_value())
                 .expect("dirty site has an injector");
-            self.stats.bit_flips +=
-                injector.corrupt_placed_seeded_mapped(tensor, &layout, load_stream, map.as_deref());
+            let injector = self.placement.injector_for(site).expect("checked dirty");
+            self.stats.bit_flips += injector.corrupt_mapped(tensor, load_stream, &map);
         }
         if let Some(bounding) = &self.bounding {
             // Integer tensors whose whole quantization grid is plausible can

@@ -73,6 +73,30 @@ impl ApproxDramDevice {
         &self.profile
     }
 
+    /// A stable 64-bit fingerprint of every field of the device: geometry,
+    /// vendor, vendor profile and seed. Together with a partition and an
+    /// operating point it determines the device's weak cells and failure
+    /// probabilities (see [`crate::inject::Injector::fingerprint`]).
+    pub fn fingerprint(&self) -> u64 {
+        let g = &self.geometry;
+        let p = &self.profile;
+        seed_mix(
+            0xDE71_CE00,
+            &[
+                g.banks as u64,
+                g.subarrays_per_bank as u64,
+                g.rows_per_subarray as u64,
+                g.row_bytes as u64,
+                self.vendor as u64,
+                p.vendor() as u64,
+                p.weak_cell_flip_prob.to_bits(),
+                p.voltage_one_bias.to_bits(),
+                p.trcd_zero_bias.to_bits(),
+                self.seed,
+            ],
+        )
+    }
+
     /// Module-average BER at an operating point (50/50 data).
     pub fn expected_ber(&self, op: &OperatingPoint) -> f64 {
         self.profile.ber(op)
@@ -483,6 +507,50 @@ mod tests {
         }
         assert!(differing > 0);
         assert!(weak_map(&a) > 0 && weak_map(&b) > 0);
+    }
+
+    #[test]
+    fn injector_fingerprints_cover_every_map_input() {
+        // Sessions share weak maps across memories by injector fingerprint,
+        // so any input of the map or the failure probabilities — device
+        // seed, vendor, vendor profile, partition, operating point — must
+        // change it.
+        use crate::inject::Injector;
+        let dev = ApproxDramDevice::new(Vendor::A, 10);
+        let parts = partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank);
+        let op = OperatingPoint::with_vdd_reduction(0.30);
+        let fp = |d: ApproxDramDevice, p: Partition, o: OperatingPoint| {
+            Injector::from_device(d, p, o).fingerprint()
+        };
+        let base = fp(dev, parts[0], op);
+        assert_eq!(base, fp(ApproxDramDevice::new(Vendor::A, 10), parts[0], op));
+        let mut leakier = dev;
+        leakier.profile.weak_cell_flip_prob = 0.5;
+        let mut biased = dev;
+        biased.profile.voltage_one_bias = 2.0;
+        for (what, other) in [
+            (
+                "seed",
+                fp(ApproxDramDevice::new(Vendor::A, 11), parts[0], op),
+            ),
+            (
+                "vendor",
+                fp(ApproxDramDevice::new(Vendor::B, 10), parts[0], op),
+            ),
+            ("profile flip prob", fp(leakier, parts[0], op)),
+            ("profile bias", fp(biased, parts[0], op)),
+            ("partition", fp(dev, parts[1], op)),
+            (
+                "vdd",
+                fp(dev, parts[0], OperatingPoint::with_vdd_reduction(0.25)),
+            ),
+            (
+                "tRCD",
+                fp(dev, parts[0], OperatingPoint::with_trcd_reduction(3.0)),
+            ),
+        ] {
+            assert_ne!(base, other, "{what} must change the fingerprint");
+        }
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl fmt::Display for ErrorModelKind {
 /// by the spatially-correlated models.
 const HOT_LINE_FRACTION: f64 = 0.08;
 
-/// Maps with fewer weak cells than this draw their chunks sequentially:
-/// below it, fanning chunks out to the worker pool costs more than the
-/// draws. The result is the same either way.
-const PAR_MIN_CELLS: usize = 1 << 15;
-
 /// `2^53`: the resolution of a uniform `f64` draw in `[0, 1)`.
 const UNIT_SCALE: f64 = (1u64 << 53) as f64;
 
@@ -250,9 +245,9 @@ impl WeakCellMap {
     /// Chunk `c` draws from `StdRng` seeded with `seed_mix(stream_seed, c)`,
     /// one `next_u64` per weak cell in map order, and flips the cell iff
     /// the draw is below `thresholds[stored bit]` (see [`flip_threshold`]) —
-    /// the same flips as the reference scans. Large maps spread their
-    /// chunks over the current `eden-par` pool; the result does not depend
-    /// on the thread count.
+    /// the same flips as the reference scans. Chunks run in parallel on the
+    /// current `eden-par` pool; the result does not depend on the thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -277,14 +272,9 @@ impl WeakCellMap {
             }
             flips
         };
-        if self.cells.len() < PAR_MIN_CELLS {
-            let chunks = words.chunks_mut(INJECT_CHUNK_VALUES).enumerate();
-            chunks.map(|(c, words)| chunk(c, words)).sum()
-        } else {
-            eden_par::par_map_chunks_mut(words, INJECT_CHUNK_VALUES, chunk)
-                .iter()
-                .sum()
-        }
+        eden_par::par_map_chunks_mut(words, INJECT_CHUNK_VALUES, chunk)
+            .iter()
+            .sum()
     }
 
     /// The sparse-overlay form of [`WeakCellMap::draw`]: the
@@ -302,22 +292,16 @@ impl WeakCellMap {
         thresholds: [u64; 2],
     ) -> CorruptionOverlay {
         assert_eq!(words.len(), self.values, "weak map geometry (values)");
+        let per_chunk = eden_par::par_map(&self.chunk_ends, |c, _| {
+            let mut deltas = Vec::new();
+            let flips = self.overlay_chunk(c, words, stream_seed, thresholds, &mut deltas);
+            (deltas, flips)
+        });
         let mut deltas = Vec::new();
         let mut flips = 0u64;
-        if self.cells.len() < PAR_MIN_CELLS {
-            for c in 0..self.chunk_ends.len() {
-                flips += self.overlay_chunk(c, words, stream_seed, thresholds, &mut deltas);
-            }
-        } else {
-            let per_chunk = eden_par::par_map(&self.chunk_ends, |c, _| {
-                let mut deltas = Vec::new();
-                let flips = self.overlay_chunk(c, words, stream_seed, thresholds, &mut deltas);
-                (deltas, flips)
-            });
-            for (chunk_deltas, chunk_flips) in per_chunk {
-                deltas.extend(chunk_deltas);
-                flips += chunk_flips;
-            }
+        for (chunk_deltas, chunk_flips) in per_chunk {
+            deltas.extend(chunk_deltas);
+            flips += chunk_flips;
         }
         CorruptionOverlay::new(self.values, self.bits, deltas, flips, 0)
     }
@@ -584,12 +568,12 @@ impl ErrorModel {
     /// `layout`, drawing per-access failures from `rng`.
     ///
     /// Returns the number of bits flipped. This is a convenience wrapper that
-    /// draws one stream seed from `rng`, maps the placement's weak cells and
-    /// draws over them ([`ErrorModel::inject_seeded_mapped`]).
+    /// draws one stream seed from `rng`, maps the placement's weak cells
+    /// ([`ErrorModel::weak_map`]) and draws over them ([`WeakCellMap::draw`]).
     pub fn inject(&self, tensor: &mut QuantTensor, layout: &Layout, rng: &mut StdRng) -> u64 {
         let stream_seed = rng.gen::<u64>();
         let map = self.weak_map(tensor.len(), tensor.bits_per_value(), layout);
-        self.inject_seeded_mapped(tensor, stream_seed, &map)
+        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds())
     }
 
     /// Enumerates the weak cells of a `values × bits` tensor placed at
@@ -619,52 +603,6 @@ impl ErrorModel {
         [false, true].map(|one| flip_threshold(self.weak_flip_prob(0, 0, one)))
     }
 
-    /// [`ErrorModel::inject_seeded`] over a precomputed [`WeakCellMap`] —
-    /// bit-identical flips (the map enumerates exactly the cells the full
-    /// scan would visit, in the same order, and the per-access RNG draws are
-    /// consumed identically), at O(weak cells) instead of O(total bits) per
-    /// load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map was computed for a different tensor geometry.
-    pub fn inject_seeded_mapped(
-        &self,
-        tensor: &mut QuantTensor,
-        stream_seed: u64,
-        map: &WeakCellMap,
-    ) -> u64 {
-        assert_eq!(
-            map.bits,
-            tensor.bits_per_value(),
-            "weak map geometry (bits)"
-        );
-        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds())
-    }
-
-    /// The sparse-overlay form of [`ErrorModel::inject_seeded_mapped`]:
-    /// instead of mutating the tensor, computes the
-    /// [`CorruptionOverlay`] the injection *would* produce on `clean`, with
-    /// identical per-chunk RNG stream consumption ([`WeakCellMap::draw_overlay`]).
-    ///
-    /// Applying the returned overlay to `clean` is bit-identical to calling
-    /// `inject_seeded_mapped` on it, at O(weak cells) to produce and
-    /// O(flips) to apply/revert — the contract the evaluation-session layer
-    /// builds its patch-and-restore weight pools on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map was computed for a different tensor geometry.
-    pub fn overlay_seeded_mapped(
-        &self,
-        clean: &QuantTensor,
-        stream_seed: u64,
-        map: &WeakCellMap,
-    ) -> CorruptionOverlay {
-        assert_eq!(map.bits, clean.bits_per_value(), "weak map geometry (bits)");
-        map.draw_overlay(clean.stored(), stream_seed, self.flip_thresholds())
-    }
-
     /// The reference scan: injects bit errors into a stored tensor by
     /// testing every bit for weakness and drawing `rng.gen::<f64>() < F`
     /// for each weak one, from independent per-chunk RNG streams derived
@@ -673,7 +611,8 @@ impl ErrorModel {
     /// bit-identical for any thread count, including 1.
     ///
     /// This is the equivalence oracle of the mapped draws
-    /// ([`ErrorModel::inject_seeded_mapped`]), which production loads use:
+    /// ([`ErrorModel::weak_map`] + [`WeakCellMap::draw`]), which production
+    /// loads use:
     /// O(total bits) hashes and a float compare per weak cell, kept simple
     /// on purpose.
     ///
@@ -783,7 +722,7 @@ mod tests {
                 let scan_flips = model.inject_seeded(&mut scanned, &layout, 77);
                 let map = model.weak_map(n, precision.bits(), &layout);
                 let mut mapped = clean.clone();
-                let map_flips = model.inject_seeded_mapped(&mut mapped, 77, &map);
+                let map_flips = map.draw(mapped.stored_mut(), 77, model.flip_thresholds());
                 assert_eq!(scan_flips, map_flips, "{model} flip count at n={n}");
                 assert_eq!(scanned, mapped, "{model} flip pattern at n={n}");
             }
@@ -815,8 +754,8 @@ mod tests {
                 let clean = stored(n, precision);
                 let map = model.weak_map(n, precision.bits(), &layout);
                 let mut injected = clean.clone();
-                let inject_flips = model.inject_seeded_mapped(&mut injected, 77, &map);
-                let overlay = model.overlay_seeded_mapped(&clean, 77, &map);
+                let inject_flips = map.draw(injected.stored_mut(), 77, model.flip_thresholds());
+                let overlay = map.draw_overlay(clean.stored(), 77, model.flip_thresholds());
                 assert_eq!(overlay.bit_flips(), inject_flips, "{model} flips at n={n}");
                 let mut patched = clean.clone();
                 overlay.apply(&mut patched);
@@ -891,9 +830,9 @@ mod tests {
         assert_eq!(map.weak_cells(), 0);
         let clean = stored(10_000, Precision::Int8);
         let mut t = clean.clone();
-        assert_eq!(model.inject_seeded_mapped(&mut t, 9, &map), 0);
+        assert_eq!(map.draw(t.stored_mut(), 9, model.flip_thresholds()), 0);
         assert_eq!(t, clean);
-        let overlay = model.overlay_seeded_mapped(&clean, 9, &map);
+        let overlay = map.draw_overlay(clean.stored(), 9, model.flip_thresholds());
         assert!(overlay.is_empty());
         assert_eq!(overlay.bit_flips(), 0);
     }

@@ -17,7 +17,6 @@ use crate::params::OperatingPoint;
 use crate::util::seed_mix;
 use eden_tensor::{CorruptionOverlay, QuantTensor};
 use rand::rngs::StdRng;
-use std::borrow::Cow;
 
 /// Where injected errors come from.
 #[derive(Debug, Clone)]
@@ -91,7 +90,8 @@ impl Injector {
 
     /// A stable 64-bit fingerprint of everything that determines this
     /// injector's *placed* draws: the error model's parameters, or the
-    /// device (vendor, seed, geometry), partition and operating point.
+    /// device ([`ApproxDramDevice::fingerprint`]), partition and operating
+    /// point.
     ///
     /// A [`WeakCellMap`] is a pure function of `(fingerprint, placement,
     /// tensor geometry)`, which is how evaluation sessions share maps
@@ -104,26 +104,18 @@ impl Injector {
                 device,
                 partition,
                 op,
-            } => {
-                let g = device.geometry();
-                seed_mix(
-                    0x5E55_10F1,
-                    &[
-                        1,
-                        device.vendor() as u64,
-                        device.seed(),
-                        g.banks as u64,
-                        g.subarrays_per_bank as u64,
-                        g.rows_per_subarray as u64,
-                        g.row_bytes as u64,
-                        partition.bank as u64,
-                        partition.first_subarray as u64,
-                        partition.subarrays as u64,
-                        op.vdd.to_bits() as u64,
-                        op.timing.trcd_ns.to_bits() as u64,
-                    ],
-                )
-            }
+            } => seed_mix(
+                0x5E55_10F1,
+                &[
+                    1,
+                    device.fingerprint(),
+                    partition.bank as u64,
+                    partition.first_subarray as u64,
+                    partition.subarrays as u64,
+                    op.vdd.to_bits() as u64,
+                    op.timing.trcd_ns.to_bits() as u64,
+                ],
+            ),
         }
     }
 
@@ -157,84 +149,72 @@ impl Injector {
     /// RNG, so concurrent corruptions of different tensors cannot perturb
     /// each other: the flip set is a pure function of
     /// `(injector, layout, stored bits, stream_seed)` and is bit-identical
-    /// for any thread count. The injection itself runs chunk-parallel on the
-    /// current `eden-par` pool.
+    /// for any thread count. It maps the placement's weak cells
+    /// ([`Injector::weak_map`]) and draws over them
+    /// ([`Injector::corrupt_mapped`]); a placement loaded more than once
+    /// should keep its map and call `corrupt_mapped` directly.
     pub fn corrupt_placed_seeded(
         &self,
         tensor: &mut QuantTensor,
         layout: &Layout,
         stream_seed: u64,
     ) -> u64 {
-        self.corrupt_placed_seeded_mapped(tensor, layout, stream_seed, None)
+        // An error-free source (a model rescaled to BER 0) can never flip a
+        // bit: skip the O(total bits) map scan and leave the tensor
+        // untouched. Skipping the draws is exact because every load derives
+        // its streams from `stream_seed` alone.
+        if self.is_provably_clean() {
+            return 0;
+        }
+        let map = self.weak_map(tensor.len(), tensor.bits_per_value(), layout);
+        self.corrupt_mapped(tensor, stream_seed, &map)
     }
 
-    /// [`Injector::corrupt_placed_seeded`] with an optional precomputed
-    /// [`WeakCellMap`] of the placement ([`Injector::weak_map`]). With a
-    /// map, the load touches only the weak cells; without one, the map is
-    /// computed first. Either way the flips are bit-identical to the
-    /// reference scans ([`ErrorModel::inject_seeded`],
+    /// One load of a placement through its precomputed [`WeakCellMap`]
+    /// ([`Injector::weak_map`]): corrupts `tensor` in place at O(weak
+    /// cells) and returns the number of flipped bits. The flips are
+    /// bit-identical to the reference scans ([`ErrorModel::inject_seeded`],
     /// [`ApproxDramDevice::read_tensor_at_seeded`]).
     ///
     /// # Panics
     ///
     /// Panics if `map` was computed for a different tensor geometry.
-    pub fn corrupt_placed_seeded_mapped(
+    pub fn corrupt_mapped(
         &self,
         tensor: &mut QuantTensor,
-        layout: &Layout,
         stream_seed: u64,
-        map: Option<&WeakCellMap>,
+        map: &WeakCellMap,
     ) -> u64 {
-        // An error-free source (a model rescaled to BER 0) can never flip a
-        // bit: skip the map and leave the tensor untouched. Skipping the
-        // draws is exact because every load derives its streams from
-        // `stream_seed` alone.
-        if self.is_provably_clean() {
-            return 0;
-        }
-        let map = self.map_or_scan(map, tensor, layout);
+        assert_eq!(
+            map.bits_per_value(),
+            tensor.bits_per_value(),
+            "weak map geometry (bits)"
+        );
         map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds())
     }
 
-    /// The sparse-overlay form of [`Injector::corrupt_placed_seeded_mapped`]:
-    /// computes the [`CorruptionOverlay`] the corruption would produce on
-    /// `clean` instead of mutating it, with identical RNG stream consumption
-    /// (applying the overlay to `clean` is bit-identical to corrupting it).
-    /// O(weak cells) to produce with a precomputed map, O(flips) to apply
-    /// and revert — for model- and device-backed injectors alike.
+    /// The sparse-overlay form of [`Injector::corrupt_mapped`]: the
+    /// [`CorruptionOverlay`] the load would produce on `clean` instead of
+    /// mutating it, with identical RNG stream consumption (applying the
+    /// overlay to `clean` is bit-identical to corrupting it). O(weak cells)
+    /// to produce, O(flips) to apply and revert — for model- and
+    /// device-backed injectors alike.
     ///
     /// # Panics
     ///
     /// Panics if `map` was computed for a different tensor geometry.
-    pub fn overlay_placed_seeded(
+    pub fn overlay_mapped(
         &self,
         clean: &QuantTensor,
-        layout: &Layout,
         stream_seed: u64,
-        map: Option<&WeakCellMap>,
+        map: &WeakCellMap,
     ) -> CorruptionOverlay {
-        if self.is_provably_clean() {
-            return CorruptionOverlay::empty(clean.len(), clean.bits_per_value());
-        }
-        let map = self.map_or_scan(map, clean, layout);
-        map.draw_overlay(clean.stored(), stream_seed, self.flip_thresholds())
-    }
-
-    /// `map`, checked against `tensor`'s geometry, or the placement's map
-    /// scanned now.
-    fn map_or_scan<'a>(
-        &self,
-        map: Option<&'a WeakCellMap>,
-        tensor: &QuantTensor,
-        layout: &Layout,
-    ) -> Cow<'a, WeakCellMap> {
-        let bits = tensor.bits_per_value();
-        let map = map.map_or_else(
-            || Cow::Owned(self.weak_map(tensor.len(), bits, layout)),
-            Cow::Borrowed,
+        assert_eq!(
+            map.bits_per_value(),
+            clean.bits_per_value(),
+            "weak map geometry (bits)"
         );
-        assert_eq!(map.bits_per_value(), bits, "weak map geometry (bits)");
-        map
+        map.draw_overlay(clean.stored(), stream_seed, self.flip_thresholds())
     }
 
     /// Corrupts a stored tensor placed according to `layout` (overriding the
@@ -366,9 +346,9 @@ mod tests {
 
     #[test]
     fn injector_overlay_matches_in_place_corruption() {
-        // For both injector kinds, with and without a precomputed map, the
-        // overlay applied to the clean image must equal the in-place
-        // corruption bit for bit.
+        // For both injector kinds, the overlay applied to the clean image
+        // must equal the in-place mapped corruption bit for bit, and so must
+        // the map-computing `corrupt_placed_seeded`.
         let clean = stored(3 * 4096 + 17);
         let layout = Layout::new(1024, 3);
         for inj in [
@@ -385,13 +365,12 @@ mod tests {
         ] {
             let map = inj.weak_map(clean.len(), clean.bits_per_value(), &layout);
             let mut corrupted = clean.clone();
-            let flips = inj.corrupt_placed_seeded_mapped(&mut corrupted, &layout, 99, Some(&map));
+            let flips = inj.corrupt_mapped(&mut corrupted, 99, &map);
             assert!(flips > 0, "injector must flip something");
-            let overlay = inj.overlay_placed_seeded(&clean, &layout, 99, Some(&map));
-            assert_eq!(
-                inj.overlay_placed_seeded(&clean, &layout, 99, None),
-                overlay
-            );
+            let mut placed = clean.clone();
+            assert_eq!(inj.corrupt_placed_seeded(&mut placed, &layout, 99), flips);
+            assert_eq!(placed, corrupted);
+            let overlay = inj.overlay_mapped(&clean, 99, &map);
             assert_eq!(overlay.bit_flips(), flips);
             let mut patched = clean.clone();
             overlay.apply(&mut patched);
@@ -431,8 +410,9 @@ mod tests {
             let mut t = clean.clone();
             assert_eq!(inj.corrupt_placed_seeded(&mut t, &layout, 42), 0);
             assert_eq!(t, clean, "error-free injector must not touch the tensor");
-            let overlay = inj.overlay_placed_seeded(&clean, &layout, 42, None);
-            assert!(overlay.is_empty());
+            let map = inj.weak_map(clean.len(), clean.bits_per_value(), &layout);
+            assert!(map.is_empty(), "error-free injector maps no weak cell");
+            assert!(inj.overlay_mapped(&clean, 42, &map).is_empty());
         }
     }
 
