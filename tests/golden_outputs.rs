@@ -1,7 +1,9 @@
 //! Golden paper outputs: a Figure 8-shaped tolerance sweep, one Figure 11
 //! fine-grained characterization and Figure 12-shaped multi-module plans on
-//! LeNet, plus output-logit digests of the native integer backend on VGG,
-//! pinned to committed values.
+//! LeNet, output-logit digests of the native integer backend on VGG, a
+//! baseline training run on ResNet and a Table 3-shaped chain (curricular
+//! retraining, coarse characterization, coarse mapping) on LeNet, pinned to
+//! committed values.
 //!
 //! Every other equivalence suite compares two executors of the same code
 //! base against each other; this one compares against numbers recorded once
@@ -19,10 +21,14 @@
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden::core::characterize::FineCharacterization;
+use eden::core::characterize::{coarse_characterize_session, CoarseConfig};
 use eden::core::characterize::{fine_characterize_session, FineConfig};
+use eden::core::curricular::{CurricularConfig, CurricularTrainer};
 use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
-use eden::core::mapping::{benefit_traffic_score, multi_module_map, MultiModuleConfig};
+use eden::core::mapping::{
+    benefit_traffic_score, coarse_map, multi_module_map, MultiModuleConfig,
+};
 use eden::core::session::EvalSession;
 use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
 use eden::dnn::train::{TrainConfig, Trainer};
@@ -341,6 +347,109 @@ fn vgg_logits(out: &mut String) {
     }
 }
 
+/// FNV-1a over the bit patterns of every parameter of `net`, in visit
+/// order.
+fn param_digest(net: &Network) -> u64 {
+    let mut params = Vec::new();
+    net.visit_params_ref(&mut |_, t| params.push(t.clone()));
+    logit_digest(&params)
+}
+
+/// Baseline training of `resnet_mini` (convolutions, channel norms, residual
+/// projections, a dense classifier): per-epoch loss bits, every trained
+/// parameter bit, and the output logits of pure forward passes — which read
+/// the norms' running statistics, so those are pinned too.
+fn baseline_training(out: &mut String) {
+    let dataset = SyntheticVision::tiny(6);
+    let mut net = zoo::resnet_mini(&dataset.spec(), 6);
+    let report = Trainer::new(TrainConfig {
+        epochs: 2,
+        ..TrainConfig::default()
+    })
+    .train(&mut net, &dataset);
+    for (epoch, loss) in report.epoch_losses.iter().enumerate() {
+        writeln!(out, "train resnet epoch={epoch} loss={:#010x}", loss.to_bits()).unwrap();
+    }
+    let logits: Vec<Tensor> = dataset.test()[..8]
+        .iter()
+        .map(|(x, _)| net.forward(x))
+        .collect();
+    writeln!(
+        out,
+        "train resnet train_acc={:#010x} test_acc={:#010x} params={:#018x} logits={:#018x}",
+        report.final_train_accuracy.to_bits(),
+        report.final_test_accuracy.to_bits(),
+        param_digest(&net),
+        logit_digest(&logits)
+    )
+    .unwrap();
+}
+
+/// The Table 3 chain on LeNet: curricular retraining (boost), then
+/// coarse-grained characterization of the boosted DNN at FP32 and int8,
+/// then the coarse ΔVDD / ΔtRCD mapping of each tolerable BER onto the
+/// vendor-A device.
+fn table3_chain(out: &mut String) {
+    let (mut net, dataset) = trained_lenet(4);
+    let template = ErrorModel::uniform(0.02, 0.5, 7);
+    let report = CurricularTrainer::new(CurricularConfig {
+        epochs: 3,
+        step_epochs: 1,
+        target_ber: 1e-2,
+        ..CurricularConfig::default()
+    })
+    .retrain(&mut net, &dataset, &template);
+    for (ber, loss) in &report.epochs {
+        writeln!(
+            out,
+            "retrain lenet ber={:#018x} loss={:#010x}",
+            ber.to_bits(),
+            loss.to_bits()
+        )
+        .unwrap();
+    }
+    writeln!(
+        out,
+        "retrain lenet reliable={:#010x} approximate={:#010x} params={:#018x}",
+        report.final_reliable_accuracy.to_bits(),
+        report.final_approximate_accuracy.to_bits(),
+        param_digest(&net)
+    )
+    .unwrap();
+    let vendor = Vendor::A.profile();
+    for (precision, backend) in [
+        (Precision::Fp32, InferenceBackend::SimulatedF32),
+        (Precision::Int8, InferenceBackend::NativeInt),
+    ] {
+        let bounding =
+            BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
+        let mut session = EvalSession::new(&net, precision, backend);
+        let coarse = coarse_characterize_session(
+            &mut session,
+            &dataset,
+            &template,
+            Some(bounding),
+            &CoarseConfig {
+                eval_samples: 48,
+                iterations: 6,
+                accuracy_drop: 0.01,
+                backend,
+                ..CoarseConfig::default()
+            },
+        );
+        let mapping = coarse_map(coarse.max_tolerable_ber, &vendor);
+        writeln!(
+            out,
+            "table3 lenet {backend} {precision} baseline={:#010x} max_ber={:#018x} dvdd={:#010x} dtrcd={:#010x}",
+            coarse.baseline_accuracy.to_bits(),
+            coarse.max_tolerable_ber.to_bits(),
+            mapping.vdd_reduction.to_bits(),
+            mapping.trcd_reduction_ns.to_bits()
+        )
+        .unwrap();
+    }
+}
+
 #[test]
 fn paper_outputs_match_the_committed_golden_values() {
     let mut actual = String::new();
@@ -348,6 +457,8 @@ fn paper_outputs_match_the_committed_golden_values() {
     let (net, dataset, bounding, fine) = fine_characterization(&mut actual);
     multi_module_plans(&mut actual, &net, &dataset, bounding, &fine);
     vgg_logits(&mut actual);
+    baseline_training(&mut actual);
+    table3_chain(&mut actual);
     if actual != GOLDEN {
         let expected: Vec<&str> = GOLDEN.lines().collect();
         for (i, line) in actual.lines().enumerate() {
