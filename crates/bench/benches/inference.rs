@@ -23,10 +23,13 @@ use eden_core::characterize::{
     coarse_characterize, fine_characterize, fine_characterize_session, CoarseConfig,
     FineCharacterization, FineConfig,
 };
+use eden_core::curricular::{CurricularConfig, CurricularTrainer};
 use eden_core::faults::ApproximateMemory;
 use eden_core::inference::{self, InferenceBackend};
 use eden_core::mapping::{benefit_traffic_score, fine_map, multi_module_map, MultiModuleConfig};
 use eden_core::session::EvalSession;
+use eden_dnn::optimizer::Sgd;
+use eden_dnn::train::{TrainConfig, Trainer};
 use eden_dnn::{data::SyntheticVision, zoo, DataKind, DataSite, Dataset, FaultHook, Network};
 use eden_dram::characterize::{CharacterizeConfig, DramErrorProfile};
 use eden_dram::error_model::Layout;
@@ -35,6 +38,8 @@ use eden_dram::inject::Injector;
 use eden_dram::system::{DramModule, MemorySystem};
 use eden_dram::{ApproxDramDevice, ErrorModel, OperatingPoint, Vendor};
 use eden_tensor::{ops, simd, Precision, QuantTensor, Tensor};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A fixed, optimizer-resistant scalar workload whose runtime tracks the
 /// host's single-core speed. The gate divides every measurement by this to
@@ -705,6 +710,58 @@ fn bench_faults(c: &mut Criterion) {
     group.finish();
 }
 
+/// Data-parallel training: one epoch of each trainer over the tiny
+/// synthetic dataset (96 samples, batches of 16), every minibatch run on
+/// lane replicas of the network and folded in sample order.
+///
+/// * `resnet_epoch` — a baseline [`Trainer`] epoch on `resnet_mini`
+///   (convolutions, channel norms, residual projections).
+/// * `curricular_lenet_epoch` — a curricular retraining epoch on `lenet` at
+///   BER 1e-2 with bounding: per batch a weight fetch through sparse
+///   overlays, then every sample's IFM loads served by memory cursors.
+///
+/// Each iteration restarts from the same untrained network.
+fn bench_training(c: &mut Criterion) {
+    let dataset = SyntheticVision::tiny(0);
+    let resnet = zoo::resnet_mini(&dataset.spec(), 1);
+    let lenet = zoo::lenet(&dataset.spec(), 1);
+    let bounding =
+        BoundingLogic::calibrated(&lenet, &dataset.train()[..8], 1.5, CorrectionPolicy::Zero);
+    let model = ErrorModel::uniform(0.02, 0.5, 3).with_ber(1e-2);
+    let train = TrainConfig::default();
+    let curricular = CurricularConfig::default();
+    let mut group = c.benchmark_group("training");
+    group.sample_size(15);
+    group.measurement_time(Duration::from_secs(4));
+    group.bench_function("resnet_epoch", |b| {
+        b.iter(|| {
+            let mut net = resnet.clone();
+            Trainer::new(train).train_epoch(
+                &mut net,
+                &dataset,
+                &mut Sgd::new(train.learning_rate, train.momentum, train.weight_decay),
+                &mut StdRng::seed_from_u64(train.seed),
+            )
+        })
+    });
+    group.bench_function("curricular_lenet_epoch", |b| {
+        b.iter(|| {
+            let (mut net, mut corrupted) = (lenet.clone(), lenet.clone());
+            let mut memory =
+                ApproximateMemory::from_model(black_box(model), 3).with_bounding(bounding);
+            CurricularTrainer::new(curricular).train_epoch(
+                &mut net,
+                &mut corrupted,
+                &dataset,
+                &mut Sgd::new(curricular.learning_rate, curricular.momentum, 1e-4),
+                &mut memory,
+                &mut StdRng::seed_from_u64(curricular.seed),
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_calibration,
@@ -717,6 +774,7 @@ criterion_group!(
     bench_overlay,
     bench_mapping,
     bench_incremental,
-    bench_faults
+    bench_faults,
+    bench_training
 );
 criterion_main!(benches);

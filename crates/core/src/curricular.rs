@@ -13,9 +13,9 @@ use crate::faults::ApproximateMemory;
 use crate::inference::InferenceBackend;
 use crate::session::EvalSession;
 use eden_dnn::data::Dataset;
-use eden_dnn::loss;
 use eden_dnn::metrics;
 use eden_dnn::optimizer::Sgd;
+use eden_dnn::train::minibatch_step;
 use eden_dnn::Network;
 use eden_dram::ErrorModel;
 use eden_tensor::Precision;
@@ -133,7 +133,9 @@ impl CurricularTrainer {
         // batch resets its parameters in place from the master network's
         // current bit images and patches the batch's sparse corruption
         // overlay on top, instead of deep-cloning the network object graph
-        // per batch (bit-identical — see `train_epoch`).
+        // per batch. Its running statistics persist across batches; each
+        // batch's samples train on lane replicas of it (bit-identical — see
+        // `train_epoch`).
         let mut corrupted = net.clone();
         for epoch in 0..cfg.epochs {
             let ber = self.ber_for_epoch(epoch);
@@ -165,7 +167,9 @@ impl CurricularTrainer {
 
     /// One epoch of retraining: the forward pass runs on approximate DRAM
     /// (weights and IFMs corrupted and bound-corrected), the backward pass
-    /// and weight update run on reliable DRAM.
+    /// and weight update run on reliable DRAM. Returns the epoch's mean
+    /// loss; `memory` serves every load of the epoch and accumulates its
+    /// statistics.
     ///
     /// `corrupted` is the run's persistent approximate-DRAM copy of `net`:
     /// per batch, the master's parameters are quantized to fresh bit images
@@ -175,11 +179,19 @@ impl CurricularTrainer {
     /// ([`ApproximateMemory::corrupt_overlay`] / [`Network::apply_overlay`]).
     /// This consumes the same load streams and produces the same parameter
     /// values as corrupting a fresh clone — or a full
-    /// [`Network::load_corrupted_weights`] image reload — would; the
-    /// clone-based reference implementation in the test suite pins this bit
-    /// for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn train_epoch(
+    /// [`Network::load_corrupted_weights`] image reload — would.
+    ///
+    /// The batch's samples then train data-parallel on lane replicas of
+    /// `corrupted` ([`eden_dnn::train::minibatch_step`]). Each sample makes
+    /// one IFM load per layer, so sample `k` of the batch is served by the
+    /// [`ApproximateMemory::cursor`] `k · depth` loads ahead — the draws the
+    /// sequential loop would have made for it — after
+    /// [`ApproximateMemory::preallocate`] has placed every IFM site in the
+    /// order that loop allocates them lazily (weights at the fetch, then
+    /// IFMs in layer order). Sequential references in the test suites (one
+    /// clone-based, one on a persistent copy) pin the whole epoch bit for
+    /// bit: losses, parameters, running statistics and memory statistics.
+    pub fn train_epoch(
         &self,
         net: &mut Network,
         corrupted: &mut Network,
@@ -191,6 +203,7 @@ impl CurricularTrainer {
         let cfg = &self.config;
         let mut order: Vec<usize> = (0..dataset.train().len()).collect();
         order.shuffle(rng);
+        let loads_per_sample = corrupted.depth() as u64;
         let mut total_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
@@ -204,15 +217,18 @@ impl CurricularTrainer {
                 .collect();
             corrupted.load_clean_weights(&images);
             corrupted.apply_overlay(&images, &overlays);
-            corrupted.zero_grads();
-            let mut batch_loss = 0.0;
-            for &i in chunk {
-                let (x, label) = &dataset.train()[i];
-                let logits = corrupted.forward_train_with_ifm_hook(x, cfg.precision, memory);
-                let (l, d_logits) = loss::cross_entropy(&logits, *label);
-                batch_loss += l;
-                corrupted.backward(&d_logits.scale(1.0 / chunk.len() as f32));
+            memory.preallocate(corrupted, cfg.precision);
+            let parent = &*memory;
+            let (batch_loss, stats) =
+                minibatch_step(corrupted, dataset.train(), chunk, |lane, k, x| {
+                    let mut cursor = parent.cursor(k as u64 * loads_per_sample);
+                    let logits = lane.forward_train_with_ifm_hook(x, cfg.precision, &mut cursor);
+                    (logits, cursor.stats())
+                });
+            for s in stats {
+                memory.merge_stats(s);
             }
+            memory.advance(chunk.len() as u64 * loads_per_sample);
             // Transfer gradients to the clean master copy and update it on
             // reliable memory.
             let grads = corrupted.collect_grads();
@@ -230,7 +246,7 @@ impl CurricularTrainer {
 mod tests {
     use super::*;
     use eden_dnn::data::SyntheticVision;
-    use eden_dnn::train::{TrainConfig, Trainer};
+    use eden_dnn::train::{sequential_minibatch_step, TrainConfig, Trainer};
     use eden_dnn::{zoo, Dataset};
 
     fn baseline(seed: u64) -> (Network, SyntheticVision) {
@@ -328,9 +344,11 @@ mod tests {
     #[test]
     fn persistent_corrupted_copy_matches_clone_based_epochs() {
         // Reference implementation of the pre-session algorithm: a fresh
-        // `net.clone()` corrupted per batch. The production path re-loads a
-        // persistent copy from per-batch bit images and must match it bit
-        // for bit — same losses, same final weights.
+        // `net.clone()` corrupted per batch, its samples run one after the
+        // other on one memory. The production path re-loads a persistent
+        // copy from per-batch bit images, trains the samples on lane
+        // replicas served by memory cursors, and must match it bit for bit
+        // — same losses, same final weights.
         fn retrain_clone_based(
             trainer: &CurricularTrainer,
             net: &mut Network,
@@ -361,16 +379,12 @@ mod tests {
                 for chunk in order.chunks(cfg.batch_size) {
                     let mut corrupted = net.clone();
                     corrupted.corrupt_weights(cfg.precision, &mut memory);
-                    corrupted.zero_grads();
-                    let mut batch_loss = 0.0;
-                    for &i in chunk {
-                        let (x, label) = &dataset.train()[i];
-                        let logits =
-                            corrupted.forward_train_with_ifm_hook(x, cfg.precision, &mut memory);
-                        let (l, d_logits) = loss::cross_entropy(&logits, *label);
-                        batch_loss += l;
-                        corrupted.backward(&d_logits.scale(1.0 / chunk.len() as f32));
-                    }
+                    let batch_loss = sequential_minibatch_step(
+                        &mut corrupted,
+                        dataset.train(),
+                        chunk,
+                        |n, x| n.forward_train_with_ifm_hook(x, cfg.precision, &mut memory),
+                    );
                     let grads = corrupted.collect_grads();
                     net.set_grads(&grads);
                     optimizer.step(net);

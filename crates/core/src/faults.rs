@@ -493,6 +493,32 @@ impl ApproximateMemory {
         child
     }
 
+    /// A cursor into this memory's own load sequence, starting `ahead`
+    /// loads past the next one: same seed, placements and bounding, zero
+    /// statistics.
+    ///
+    /// Where [`ApproximateMemory::fork`] re-seeds a lane, a cursor replays
+    /// the draws the parent itself would make at those positions — so a
+    /// sequence of loads can be split into disjoint ranges served in
+    /// parallel, each by the cursor at its range's start, bit-identical to
+    /// the parent serving them in turn. Call
+    /// [`ApproximateMemory::preallocate`] first (placements a cursor
+    /// allocates lazily are not written back), then
+    /// [`ApproximateMemory::merge_stats`] the cursors' statistics and
+    /// [`ApproximateMemory::advance`] the parent past the ranges they served.
+    pub fn cursor(&self, ahead: u64) -> ApproximateMemory {
+        let mut child = self.clone();
+        child.next_load += ahead;
+        child.stats = MemoryStats::default();
+        child
+    }
+
+    /// Moves the load cursor past `loads` loads served elsewhere (by
+    /// [`ApproximateMemory::cursor`]s), without touching the statistics.
+    pub fn advance(&mut self, loads: u64) {
+        self.next_load += loads;
+    }
+
     /// Accumulates statistics from a fork (or any other source) into this
     /// memory. Counter addition is commutative, so the merge order of
     /// parallel forks does not affect the totals.
@@ -1046,6 +1072,42 @@ mod tests {
         a.corrupt(&site(1, DataKind::Weight), &mut ta);
         b.corrupt(&site(1, DataKind::Weight), &mut tb);
         assert_eq!(ta, tb);
+    }
+
+    #[test]
+    fn cursors_split_the_parent_load_sequence_exactly() {
+        // Seven loads alternating over two sites, served in turn by one
+        // memory, against: the first two on the parent (placing both
+        // sites), loads 2-3 and 4-5 on cursors 0 and 2 ahead, then the
+        // parent merged and advanced past them for load 6.
+        let model = ErrorModel::uniform(0.02, 0.5, 1).with_ber(5e-2);
+        let sites = [site(0, DataKind::Ifm), site(1, DataKind::Ifm)];
+        let clean = stored(2048);
+        let load = |mem: &mut ApproximateMemory, k: usize| {
+            let mut t = clean.clone();
+            mem.corrupt(&sites[k % 2], &mut t);
+            t
+        };
+        let mut sequential = ApproximateMemory::from_model(model, 4);
+        let expected: Vec<QuantTensor> = (0..7).map(|k| load(&mut sequential, k)).collect();
+
+        let mut parent = ApproximateMemory::from_model(model, 4);
+        let mut actual: Vec<QuantTensor> = (0..2).map(|k| load(&mut parent, k)).collect();
+        let mut cursors = [parent.cursor(0), parent.cursor(2)];
+        for (c, cursor) in cursors.iter_mut().enumerate() {
+            assert_eq!(cursor.stats(), MemoryStats::default());
+            for k in 2 + 2 * c..4 + 2 * c {
+                actual.push(load(cursor, k));
+            }
+        }
+        for cursor in &cursors {
+            parent.merge_stats(cursor.stats());
+        }
+        parent.advance(4);
+        actual.push(load(&mut parent, 6));
+        assert_eq!(actual, expected);
+        assert_eq!(parent.stats(), sequential.stats());
+        assert!(parent.stats().bit_flips > 0);
     }
 
     #[test]

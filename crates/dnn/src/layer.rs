@@ -2,6 +2,7 @@
 
 use crate::qexec::{QuantLayerParams, QuantScratch};
 use eden_tensor::{QuantTensor, Tensor};
+use std::any::Any;
 
 /// A named, mutable view of a layer parameter and its accumulated gradient.
 pub struct ParamEntry<'a> {
@@ -16,14 +17,22 @@ pub struct ParamEntry<'a> {
 /// A neural-network layer.
 ///
 /// Layers operate on single samples in `[channels, height, width]` layout for
-/// spatial layers or `[features]` for dense layers; batching is handled by the
-/// trainer. Each layer supports:
+/// spatial layers or `[features]` for dense layers. Each layer supports:
 ///
-/// * a **pure forward pass** ([`Layer::forward`]) used for inference,
+/// * a **pure forward pass** ([`Layer::forward`]) used for inference, with
+///   an optional multi-sample form ([`Layer::forward_batch`]),
 /// * a **training forward pass** ([`Layer::forward_train`]) that caches the
-///   intermediates needed by [`Layer::backward`], and
-/// * a **backward pass** that accumulates parameter gradients and returns the
-///   gradient with respect to the layer input.
+///   intermediates of *one* sample for [`Layer::backward`],
+/// * a **backward pass** that accumulates that sample's parameter gradients
+///   and returns the gradient with respect to the layer input, and
+/// * a **lane fold** ([`Layer::fold_lane`]) that replays the gradient (and
+///   running-statistic) updates of one sample run on a replica of the layer.
+///
+/// Minibatches are trained data-parallel by
+/// [`crate::train::minibatch_step`]: each sample runs `forward_train` +
+/// `backward` on a *lane replica* of the network, and the master folds the
+/// lanes in sample order — bit-identical to running every sample on the
+/// master in turn.
 ///
 /// Layers are `Send + Sync`: the batch-parallel inference engine shares one
 /// `&Network` across worker threads, each running independent pure forward
@@ -38,15 +47,52 @@ pub trait Layer: LayerClone + Send + Sync {
     /// Training forward pass; caches intermediates for [`Layer::backward`].
     fn forward_train(&mut self, input: &Tensor) -> Tensor;
 
-    /// Backward pass. Consumes the cached intermediates of the most recent
-    /// [`Layer::forward_train`] call, accumulates parameter gradients and
-    /// returns the gradient with respect to the layer input.
+    /// Backward pass for the sample of the most recent
+    /// [`Layer::forward_train`] call: adds the sample's parameter gradients
+    /// onto the accumulated ones (so a minibatch accumulates by calling
+    /// `forward_train` + `backward` once per sample) and returns the
+    /// gradient with respect to the layer input.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called without a preceding
     /// [`Layer::forward_train`].
     fn backward(&mut self, d_out: &Tensor) -> Tensor;
+
+    /// Folds one sample's training updates from `lane` — a replica of this
+    /// layer (same type and structure) that ran `zero_grads`,
+    /// `forward_train` and `backward` on that sample — into this layer,
+    /// leaving it bit-identical to having run the sample itself.
+    ///
+    /// Folding the lanes of a minibatch **in sample order** therefore
+    /// reproduces the sequential per-sample loop exactly. How a layer folds
+    /// depends on how its `backward` accumulates:
+    ///
+    /// * **Separable** layers (convolutions, dense) add exactly one term per
+    ///   gradient element per sample, so the fold is `grad += lane.grad`.
+    ///   The lane's gradient is `+0 + term`, and a master gradient that
+    ///   starts at `+0` can never become `−0`, so adding it is exact.
+    /// * **Chained** layers (channel normalization) accumulate many terms per
+    ///   gradient element per sample and update running statistics once per
+    ///   sample; their lanes cache the per-sample intermediates and the fold
+    ///   replays both chains in order.
+    /// * **Composite** blocks recurse into their children.
+    ///
+    /// The default suits parameterless layers: there is nothing to fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a replica of this layer, or (the default) if
+    /// the layer has parameters but does not implement the fold.
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let _ = lane;
+        assert_eq!(
+            self.param_count(),
+            0,
+            "layer {} has parameters and must implement fold_lane",
+            self.name()
+        );
+    }
 
     /// Visits every trainable parameter (and its gradient) of this layer.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>));
@@ -142,10 +188,14 @@ pub trait Layer: LayerClone + Send + Sync {
     }
 }
 
-/// Object-safe cloning support for boxed layers.
+/// Object-safe cloning and downcasting support for boxed layers.
 pub trait LayerClone {
     /// Clones the layer into a new box.
     fn clone_box(&self) -> Box<dyn Layer>;
+
+    /// The layer as [`Any`], so [`Layer::fold_lane`] can recover its lane's
+    /// concrete type.
+    fn as_any(&self) -> &dyn Any;
 }
 
 impl<T> LayerClone for T
@@ -155,6 +205,21 @@ where
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// `lane` as the concrete layer type `T` of the layer folding it.
+///
+/// # Panics
+///
+/// Panics if `lane` is not a `T`.
+pub(crate) fn lane_as<T: 'static>(lane: &dyn Layer) -> &T {
+    lane.as_any()
+        .downcast_ref()
+        .expect("fold_lane: the lane is not a replica of this layer")
 }
 
 impl Clone for Box<dyn Layer> {

@@ -5,7 +5,7 @@
 //! (ResNet101), fire modules (SqueezeNet1.1), depthwise-separable blocks
 //! (MobileNetV2) and densely-connected blocks (DenseNet201).
 
-use crate::layer::{Layer, ParamEntry};
+use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::layers::basic::Relu;
 use crate::layers::conv::{concat_channels, split_channels, Conv2d, DepthwiseConv2d};
 use crate::layers::norm::ChannelNorm;
@@ -141,6 +141,17 @@ impl Layer for Residual {
         d_main_input.add(&d_short_input)
     }
 
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let lane = lane_as::<Self>(lane);
+        self.conv1.fold_lane(&lane.conv1);
+        self.norm1.fold_lane(&lane.norm1);
+        self.conv2.fold_lane(&lane.conv2);
+        self.norm2.fold_lane(&lane.norm2);
+        if let (Some(p), Some(lane_p)) = (&mut self.projection, &lane.projection) {
+            p.fold_lane(lane_p);
+        }
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {
         self.conv1.visit_params(f);
         self.norm1.visit_params(f);
@@ -266,6 +277,13 @@ impl Layer for Fire {
         self.squeeze.backward(&self.relu_s.backward(&d_s))
     }
 
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let lane = lane_as::<Self>(lane);
+        self.squeeze.fold_lane(&lane.squeeze);
+        self.expand1.fold_lane(&lane.expand1);
+        self.expand3.fold_lane(&lane.expand3);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {
         self.squeeze.visit_params(f);
         self.expand1.visit_params(f);
@@ -364,6 +382,14 @@ impl Layer for DepthwiseSeparable {
         self.depthwise.backward(&d)
     }
 
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let lane = lane_as::<Self>(lane);
+        self.depthwise.fold_lane(&lane.depthwise);
+        self.norm1.fold_lane(&lane.norm1);
+        self.pointwise.fold_lane(&lane.pointwise);
+        self.norm2.fold_lane(&lane.norm2);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {
         self.depthwise.visit_params(f);
         self.norm1.visit_params(f);
@@ -439,6 +465,10 @@ impl Layer for DenseBlock {
         let parts = split_channels(d_out, &[self.in_channels, self.growth]);
         let d_new = self.conv.backward(&self.relu.backward(&parts[1]));
         parts[0].add(&d_new)
+    }
+
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        self.conv.fold_lane(&lane_as::<Self>(lane).conv);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {

@@ -5,7 +5,7 @@
 //! hot path with the dense layers. The lowering is bit-identical to a direct
 //! loop nest — see [`eden_tensor::ops::conv2d`].
 
-use crate::layer::{Layer, ParamEntry};
+use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};
 use eden_tensor::ops::{self, Conv2dParams, PanelLane};
 use eden_tensor::{init, QuantTensor, Tensor};
@@ -92,6 +92,12 @@ impl Layer for Conv2d {
         self.grad_weight.axpy(1.0, &grads.d_weight);
         self.grad_bias.axpy(1.0, &grads.d_bias);
         grads.d_input
+    }
+
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let lane = lane_as::<Self>(lane);
+        self.grad_weight.axpy(1.0, &lane.grad_weight);
+        self.grad_bias.axpy(1.0, &lane.grad_bias);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {
@@ -362,13 +368,13 @@ impl Layer for DepthwiseConv2d {
     fn backward(&mut self, d_out: &Tensor) -> Tensor {
         let input = self
             .cache_input
-            .clone()
+            .as_ref()
             .expect("backward before forward_train");
         let (h, w) = (input.shape()[1], input.shape()[2]);
         let k = self.params.kernel;
         let mut d_in = Vec::with_capacity(self.channels);
         for c in 0..self.channels {
-            let x = Self::channel_slice(&input, c);
+            let x = Self::channel_slice(input, c);
             let wt = self.kernel_slice(c);
             let d_c = Self::channel_slice(d_out, c);
             let g = ops::conv2d_backward(&x, &wt, &d_c, self.params);
@@ -380,6 +386,12 @@ impl Layer for DepthwiseConv2d {
         }
         let out = concat_channels(&d_in);
         out.reshape(&[self.channels, h, w])
+    }
+
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let lane = lane_as::<Self>(lane);
+        self.grad_weight.axpy(1.0, &lane.grad_weight);
+        self.grad_bias.axpy(1.0, &lane.grad_bias);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {

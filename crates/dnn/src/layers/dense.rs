@@ -4,7 +4,7 @@
 //! `eden_tensor::ops` — the same kernel that backs the convolution layers
 //! after their im2col lowering.
 
-use crate::layer::{Layer, ParamEntry};
+use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};
 use eden_tensor::{init, ops, QuantTensor, Tensor};
 use rand::rngs::StdRng;
@@ -105,6 +105,12 @@ impl Layer for Dense {
             }
         }
         Tensor::from_vec(d_in, &[n_in])
+    }
+
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let lane = lane_as::<Self>(lane);
+        self.grad_weight.axpy(1.0, &lane.grad_weight);
+        self.grad_bias.axpy(1.0, &lane.grad_bias);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {

@@ -1,6 +1,6 @@
 //! Per-channel normalization.
 
-use crate::layer::{Layer, ParamEntry};
+use crate::layer::{lane_as, Layer, ParamEntry};
 use eden_tensor::Tensor;
 
 /// Per-channel normalization with learnable scale and shift.
@@ -24,12 +24,19 @@ pub struct ChannelNorm {
     cache: Option<NormCache>,
 }
 
+/// One sample's training intermediates: what `backward` needs, plus what
+/// [`Layer::fold_lane`] replays on the master (the sample's channel
+/// statistics for the running-statistic updates, and its `d_out` for the
+/// `gamma`/`beta` gradient chains).
 #[derive(Debug, Clone)]
 struct NormCache {
     normalized: Tensor,
     inv_std: Vec<f32>,
+    means: Vec<f32>,
+    vars: Vec<f32>,
     channels: usize,
     spatial: usize,
+    d_out: Option<Tensor>,
 }
 
 impl ChannelNorm {
@@ -81,6 +88,37 @@ impl ChannelNorm {
         }
         (Tensor::from_vec(out, input.shape()), inv_std)
     }
+
+    /// Moves the running statistics one momentum step towards a sample's
+    /// channel statistics.
+    fn update_running(&mut self, means: &[f32], vars: &[f32]) {
+        for (rm, m) in self.running_mean.data_mut().iter_mut().zip(means) {
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * m;
+        }
+        for (rv, v) in self.running_var.data_mut().iter_mut().zip(vars) {
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * v;
+        }
+    }
+
+    /// Adds one sample's `gamma`/`beta` gradients, element by element in
+    /// spatial order — a chain of `spatial` additions per channel, which is
+    /// why this layer's lanes fold by replaying it rather than by adding
+    /// their gradients.
+    fn accumulate_grads(&mut self, normalized: &Tensor, d_out: &Tensor, spatial: usize) {
+        let gg = self.grad_gamma.data_mut();
+        let gb = self.grad_beta.data_mut();
+        for (ch, (go, n)) in d_out
+            .data()
+            .chunks_exact(spatial)
+            .zip(normalized.data().chunks_exact(spatial))
+            .enumerate()
+        {
+            for (&go, &n) in go.iter().zip(n) {
+                gg[ch] += go * n;
+                gb[ch] += go;
+            }
+        }
+    }
 }
 
 impl Layer for ChannelNorm {
@@ -95,12 +133,7 @@ impl Layer for ChannelNorm {
 
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let (means, vars) = Self::stats(input);
-        for (rm, m) in self.running_mean.data_mut().iter_mut().zip(&means) {
-            *rm = (1.0 - self.momentum) * *rm + self.momentum * m;
-        }
-        for (rv, v) in self.running_var.data_mut().iter_mut().zip(&vars) {
-            *rv = (1.0 - self.momentum) * *rv + self.momentum * v;
-        }
+        self.update_running(&means, &vars);
         let (out, inv_std) = self.normalize(input, &means, &vars);
         // Store the normalized (pre-affine) values for the backward pass.
         let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
@@ -115,29 +148,50 @@ impl Layer for ChannelNorm {
         self.cache = Some(NormCache {
             normalized: Tensor::from_vec(normalized, input.shape()),
             inv_std,
+            means,
+            vars,
             channels: c,
             spatial,
+            d_out: None,
         });
         out
     }
 
     fn backward(&mut self, d_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward_train");
-        let c = cache.channels;
+        let mut cache = self.cache.take().expect("backward before forward_train");
         let spatial = cache.spatial;
-        let mut d_in = vec![0.0f32; c * spatial];
-        for ch in 0..c {
-            let g = self.gamma.data()[ch];
-            let istd = cache.inv_std[ch];
-            for i in 0..spatial {
-                let idx = ch * spatial + i;
-                let go = d_out.data()[idx];
-                self.grad_gamma.data_mut()[ch] += go * cache.normalized.data()[idx];
-                self.grad_beta.data_mut()[ch] += go;
-                d_in[idx] = go * g * istd;
+        self.accumulate_grads(&cache.normalized, d_out, spatial);
+        let mut d_in = vec![0.0f32; cache.channels * spatial];
+        for (ch, (di, go)) in d_in
+            .chunks_exact_mut(spatial)
+            .zip(d_out.data().chunks_exact(spatial))
+            .enumerate()
+        {
+            let (g, istd) = (self.gamma.data()[ch], cache.inv_std[ch]);
+            for (di, &go) in di.iter_mut().zip(go) {
+                *di = go * g * istd;
             }
         }
+        cache.d_out = Some(d_out.clone());
+        self.cache = Some(cache);
         Tensor::from_vec(d_in, d_out.shape())
+    }
+
+    /// Replays the lane's sample on this layer: one running-statistic step
+    /// from the sample's channel statistics, then the sample's `gamma`/`beta`
+    /// gradient chains — exactly the updates `forward_train` + `backward`
+    /// would have made here.
+    fn fold_lane(&mut self, lane: &dyn Layer) {
+        let cache = lane_as::<Self>(lane)
+            .cache
+            .as_ref()
+            .expect("fold_lane before the lane's forward_train");
+        let d_out = cache
+            .d_out
+            .as_ref()
+            .expect("fold_lane before the lane's backward");
+        self.update_running(&cache.means, &cache.vars);
+        self.accumulate_grads(&cache.normalized, d_out, cache.spatial);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamEntry<'_>)) {

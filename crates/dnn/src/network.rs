@@ -142,11 +142,31 @@ impl Network {
     /// Backward pass through all layers; returns the gradient with respect to
     /// the network input.
     pub fn backward(&mut self, d_out: &Tensor) -> Tensor {
-        let mut d = d_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return d_out.clone();
+        };
+        let mut d = last.backward(d_out);
+        for layer in layers {
             d = layer.backward(&d);
         }
         d
+    }
+
+    /// Folds one sample's training updates from `lane` — a replica of this
+    /// network that ran `zero_grads`, `forward_train` and `backward` on the
+    /// sample — into this network, layer by layer ([`Layer::fold_lane`]).
+    /// Folding a minibatch's lanes in sample order is bit-identical to
+    /// running each sample on this network in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` does not have this network's layer structure.
+    pub fn fold_lane(&mut self, lane: &Network) {
+        assert_eq!(self.layers.len(), lane.layers.len(), "lane layer count");
+        for (layer, lane_layer) in self.layers.iter_mut().zip(&lane.layers) {
+            layer.fold_lane(lane_layer.as_ref());
+        }
     }
 
     /// Zeros all accumulated gradients.

@@ -1,10 +1,24 @@
-//! Standard (reliable-memory) training.
+//! Standard (reliable-memory) training, and the data-parallel minibatch
+//! step every trainer in the workspace shares.
+//!
+//! # Data-parallel minibatches
+//!
+//! [`minibatch_step`] trains one minibatch on the [`eden_tensor::par`] pool.
+//! It clones at most pool-size *lane replicas* of the network once per
+//! batch and runs the samples wave by wave: each sample zeroes its lane's
+//! gradients and runs `forward_train` + `backward` there, in parallel with
+//! the other lanes of its wave. The master then folds the wave's lanes
+//! **in sample order** ([`Network::fold_lane`]). Every layer's fold replays
+//! exactly the updates the sample would have made on the master, so the
+//! step is bit-identical to [`sequential_minibatch_step`] — the per-sample
+//! loop kept as the reference it is tested against — at any pool size.
 
 use crate::data::Dataset;
 use crate::loss;
 use crate::metrics;
 use crate::network::Network;
 use crate::optimizer::Sgd;
+use eden_tensor::{par, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -101,21 +115,91 @@ impl Trainer {
         let mut total_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(self.config.batch_size) {
-            net.zero_grads();
-            let mut batch_loss = 0.0;
-            for &i in chunk {
-                let (x, label) = &dataset.train()[i];
-                let logits = net.forward_train(x);
-                let (l, d_logits) = loss::cross_entropy(&logits, *label);
-                batch_loss += l;
-                net.backward(&d_logits.scale(1.0 / chunk.len() as f32));
-            }
+            let (batch_loss, _) = minibatch_step(net, dataset.train(), chunk, |lane, _, x| {
+                (lane.forward_train(x), ())
+            });
             optimizer.step(net);
             total_loss += batch_loss / chunk.len() as f32;
             batches += 1;
         }
         total_loss / batches.max(1) as f32
     }
+}
+
+/// Accumulates the gradients of one minibatch into `net`, data-parallel on
+/// the current [`eden_tensor::par`] pool, and returns the summed sample
+/// losses (in sample order) plus each sample's `forward` side result.
+///
+/// `batch` indexes the samples of `data`. `net`'s gradients are zeroed
+/// first; afterwards they (and any running statistics) are bit-identical to
+/// [`sequential_minibatch_step`]'s, as is the returned loss. Each sample
+/// calls `forward(lane, position, input)` on a lane replica, where
+/// `position` is the sample's index within `batch`: the training forward
+/// pass must be a pure function of the lane's parameters, the position and
+/// the input (callers that draw faults derive the draw from the position).
+/// The cross-entropy loss and its gradient, scaled by `1 / batch.len()`,
+/// are then back-propagated on the lane, and the lane is folded into `net`
+/// in sample order (see the module docs).
+pub fn minibatch_step<T, F>(
+    net: &mut Network,
+    data: &[(Tensor, usize)],
+    batch: &[usize],
+    forward: F,
+) -> (f32, Vec<T>)
+where
+    T: Send,
+    F: Fn(&mut Network, usize, &Tensor) -> (Tensor, T) + Sync,
+{
+    net.zero_grads();
+    let scale = 1.0 / batch.len() as f32;
+    let width = par::current_num_threads().min(batch.len()).max(1);
+    let mut lanes: Vec<Network> = (0..width).map(|_| net.clone()).collect();
+    let mut batch_loss = 0.0;
+    let mut results = Vec::with_capacity(batch.len());
+    for (w, wave) in batch.chunks(width).enumerate() {
+        let outputs = par::par_map_chunks_mut(&mut lanes[..wave.len()], 1, |k, lane| {
+            let lane = &mut lane[0];
+            let (x, label) = &data[wave[k]];
+            lane.zero_grads();
+            let (logits, result) = forward(lane, w * width + k, x);
+            let (l, d_logits) = loss::cross_entropy(&logits, *label);
+            lane.backward(&d_logits.scale(scale));
+            (l, result)
+        });
+        for (lane, (l, result)) in lanes.iter().zip(outputs) {
+            net.fold_lane(lane);
+            batch_loss += l;
+            results.push(result);
+        }
+    }
+    (batch_loss, results)
+}
+
+/// The sequential per-sample minibatch loop: zero `net`'s gradients, then
+/// per sample of `batch` in order run `forward` on `net` itself, take the
+/// cross-entropy loss and back-propagate its gradient scaled by
+/// `1 / batch.len()`. Returns the summed sample losses.
+///
+/// This is the reference [`minibatch_step`] is pinned against (the
+/// training equivalence suite compares the two bit for bit); `forward` may
+/// carry state from sample to sample, such as one fault hook serving every
+/// load in turn.
+pub fn sequential_minibatch_step(
+    net: &mut Network,
+    data: &[(Tensor, usize)],
+    batch: &[usize],
+    mut forward: impl FnMut(&mut Network, &Tensor) -> Tensor,
+) -> f32 {
+    net.zero_grads();
+    let mut batch_loss = 0.0;
+    for &i in batch {
+        let (x, label) = &data[i];
+        let logits = forward(net, x);
+        let (l, d_logits) = loss::cross_entropy(&logits, *label);
+        batch_loss += l;
+        net.backward(&d_logits.scale(1.0 / batch.len() as f32));
+    }
+    batch_loss
 }
 
 #[cfg(test)]

@@ -26,9 +26,7 @@ use eden::core::characterize::{fine_characterize_session, FineConfig};
 use eden::core::curricular::{CurricularConfig, CurricularTrainer};
 use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
-use eden::core::mapping::{
-    benefit_traffic_score, coarse_map, multi_module_map, MultiModuleConfig,
-};
+use eden::core::mapping::{benefit_traffic_score, coarse_map, multi_module_map, MultiModuleConfig};
 use eden::core::session::EvalSession;
 use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
 use eden::dnn::train::{TrainConfig, Trainer};
@@ -368,7 +366,12 @@ fn baseline_training(out: &mut String) {
     })
     .train(&mut net, &dataset);
     for (epoch, loss) in report.epoch_losses.iter().enumerate() {
-        writeln!(out, "train resnet epoch={epoch} loss={:#010x}", loss.to_bits()).unwrap();
+        writeln!(
+            out,
+            "train resnet epoch={epoch} loss={:#010x}",
+            loss.to_bits()
+        )
+        .unwrap();
     }
     let logits: Vec<Tensor> = dataset.test()[..8]
         .iter()
