@@ -25,7 +25,7 @@ use eden_core::characterize::{
 };
 use eden_core::curricular::{CurricularConfig, CurricularTrainer};
 use eden_core::faults::ApproximateMemory;
-use eden_core::inference::{self, InferenceBackend};
+use eden_core::inference::InferenceBackend;
 use eden_core::mapping::{benefit_traffic_score, fine_map, multi_module_map, MultiModuleConfig};
 use eden_core::session::EvalSession;
 use eden_dnn::optimizer::Sgd;
@@ -84,14 +84,17 @@ fn bench_inference(c: &mut Criterion) {
         BoundingLogic::calibrated(&net, &dataset.train()[..8], 1.5, CorrectionPolicy::Zero);
     let mut group = c.benchmark_group("lenet_inference_16_samples");
     group.sample_size(15);
+    // Each iteration builds its own session: these entries measure a
+    // single evaluation, session construction included.
+    let session = || EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
     group.bench_function("reliable", |b| {
-        b.iter(|| inference::evaluate_reliable(&net, samples, Precision::Int8))
+        b.iter(|| session().evaluate_reliable(samples))
     });
     group.bench_function("approximate_ber_1e-2", |b| {
         b.iter(|| {
             let mut memory = ApproximateMemory::from_model(ErrorModel::uniform(0.02, 0.5, 3), 5)
                 .with_bounding(bounding);
-            inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut memory)
+            session().evaluate_with_faults(samples, &mut memory)
         })
     });
     group.finish();
@@ -200,13 +203,8 @@ fn bench_quantized_backends(c: &mut Criterion) {
         group.bench_function(id, |b| {
             b.iter(|| {
                 let mut memory = base.clone();
-                inference::evaluate_with_faults_backend(
-                    &net,
-                    black_box(samples),
-                    precision,
-                    &mut memory,
-                    backend,
-                )
+                EvalSession::new(&net, precision, backend)
+                    .evaluate_with_faults(black_box(samples), &mut memory)
             })
         });
     }
@@ -267,10 +265,8 @@ fn bench_tolerance_sweep(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("lenet_4points_32samples", |b| {
         b.iter(|| {
-            inference::accuracy_vs_ber(
-                &net,
+            EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32).accuracy_vs_ber(
                 samples,
-                Precision::Int8,
                 &template,
                 &[1e-4, 1e-3, 1e-2, 5e-2],
                 Some(bounding),

@@ -6,7 +6,8 @@
 use eden_bench::report;
 use eden_core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden_core::faults::ApproximateMemory;
-use eden_core::inference;
+use eden_core::inference::InferenceBackend;
+use eden_core::session::EvalSession;
 use eden_dnn::zoo::ModelId;
 use eden_dnn::Dataset;
 use eden_dram::characterize::{characterize_bank, CharacterizeConfig};
@@ -32,6 +33,9 @@ fn main() {
         reads_per_row: 3,
         seed: 9,
     };
+    // Every device/model pair evaluates the same (net, int8, backend) triple,
+    // so one session serves the whole figure.
+    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
 
     for vendor in Vendor::all() {
         let device = ApproxDramDevice::new(vendor, 50 + vendor as u64);
@@ -49,12 +53,10 @@ fn main() {
             let mut dev_mem =
                 ApproximateMemory::from_injector(Injector::from_device(device, partition, op), 1)
                     .with_bounding(bounding);
-            let dev_acc =
-                inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut dev_mem);
+            let dev_acc = session.evaluate_with_faults(samples, &mut dev_mem);
 
             let mut model_mem = ApproximateMemory::from_model(model, 1).with_bounding(bounding);
-            let model_acc =
-                inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut model_mem);
+            let model_acc = session.evaluate_with_faults(samples, &mut model_mem);
 
             println!("{:>7.2}V {:>13.3} {:>16.3}", op.vdd, dev_acc, model_acc);
         }
@@ -70,11 +72,9 @@ fn main() {
             let mut dev_mem =
                 ApproximateMemory::from_injector(Injector::from_device(device, partition, op), 1)
                     .with_bounding(bounding);
-            let dev_acc =
-                inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut dev_mem);
+            let dev_acc = session.evaluate_with_faults(samples, &mut dev_mem);
             let mut model_mem = ApproximateMemory::from_model(model, 1).with_bounding(bounding);
-            let model_acc =
-                inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut model_mem);
+            let model_acc = session.evaluate_with_faults(samples, &mut model_mem);
             println!(
                 "{:>6.1}ns {:>13.3} {:>16.3}",
                 op.timing.trcd_ns, dev_acc, model_acc

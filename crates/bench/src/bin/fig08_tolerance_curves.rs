@@ -9,7 +9,6 @@
 
 use eden_bench::report;
 use eden_core::bounding::{BoundingLogic, CorrectionPolicy};
-use eden_core::inference::accuracy_vs_ber_backend;
 use eden_core::session::EvalSession;
 use eden_dnn::zoo::ModelId;
 use eden_dnn::Dataset;
@@ -74,15 +73,12 @@ fn main() {
         ] {
             let (m, d) = report::train_model(id, 5, 4);
             let b = BoundingLogic::calibrated(&m, &d.train()[..16], 1.5, CorrectionPolicy::Zero);
-            let curve = accuracy_vs_ber_backend(
-                &m,
+            let curve = EvalSession::new(&m, Precision::Int8, backend).accuracy_vs_ber(
                 &d.test()[..48],
-                Precision::Int8,
                 &template(ErrorModelKind::Uniform, 6),
                 &[1e-2],
                 Some(b),
                 13,
-                backend,
             );
             println!(
                 "  {:<14} {:>6}",
@@ -94,26 +90,15 @@ fn main() {
         println!(
             "\nSection 6.3 detail — FP32 accuracy collapse without bounding (BER 1e-4..1e-2):"
         );
-        let no_bounding = accuracy_vs_ber_backend(
-            &net,
-            samples,
-            Precision::Fp32,
-            &template(ErrorModelKind::Uniform, 5),
-            &[1e-4, 1e-3, 1e-2],
-            None,
-            11,
-            backend,
-        );
-        let with_bounding = accuracy_vs_ber_backend(
-            &net,
-            samples,
-            Precision::Fp32,
-            &template(ErrorModelKind::Uniform, 5),
-            &[1e-4, 1e-3, 1e-2],
-            Some(bounding),
-            11,
-            backend,
-        );
+        // The FP32 session of the main sweep serves both curves.
+        let fp32 = sessions
+            .iter_mut()
+            .find(|s| s.precision() == Precision::Fp32)
+            .expect("the sweep covers FP32");
+        let uniform = template(ErrorModelKind::Uniform, 5);
+        let fp32_bers = [1e-4, 1e-3, 1e-2];
+        let no_bounding = fp32.accuracy_vs_ber(samples, &uniform, &fp32_bers, None, 11);
+        let with_bounding = fp32.accuracy_vs_ber(samples, &uniform, &fp32_bers, Some(bounding), 11);
         println!(
             "  {:<12} {:>12} {:>12}",
             "BER", "no bounding", "with bounding"

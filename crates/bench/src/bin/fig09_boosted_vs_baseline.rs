@@ -6,7 +6,8 @@ use eden_bench::report;
 use eden_core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden_core::curricular::{CurricularConfig, CurricularTrainer};
 use eden_core::faults::ApproximateMemory;
-use eden_core::inference;
+use eden_core::inference::InferenceBackend;
+use eden_core::session::EvalSession;
 use eden_dnn::zoo::ModelId;
 use eden_dnn::{Dataset, Network};
 use eden_dram::characterize::{characterize_bank, CharacterizeConfig};
@@ -17,18 +18,26 @@ use eden_dram::{ApproxDramDevice, OperatingPoint, Vendor};
 use eden_tensor::Precision;
 
 fn device_accuracy(
-    net: &Network,
+    session: &mut EvalSession,
     dataset: &eden_dnn::data::SyntheticVision,
     device: &ApproxDramDevice,
     op: OperatingPoint,
 ) -> f32 {
     let partition = partitions(device.geometry(), PartitionGranularity::Bank)[0];
-    let bounding =
-        BoundingLogic::calibrated(net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
+    let bounding = BoundingLogic::calibrated(
+        session.net(),
+        &dataset.train()[..16],
+        1.5,
+        CorrectionPolicy::Zero,
+    );
     let mut memory =
         ApproximateMemory::from_injector(Injector::from_device(*device, partition, op), 1)
             .with_bounding(bounding);
-    inference::evaluate_with_faults(net, &dataset.test()[..96], Precision::Int8, &mut memory)
+    session.evaluate_with_faults(&dataset.test()[..96], &mut memory)
+}
+
+fn int8_session(net: &Network) -> EvalSession<'_> {
+    EvalSession::new(net, Precision::Int8, InferenceBackend::SimulatedF32)
 }
 
 fn main() {
@@ -61,6 +70,8 @@ fn main() {
         ..CurricularConfig::default()
     })
     .retrain(&mut boosted, &dataset, &fitted);
+    let mut baseline_session = int8_session(&baseline);
+    let mut boosted_session = int8_session(&boosted);
 
     println!("\nvoltage sweep (accuracy)");
     println!("{:>8} {:>10} {:>10}", "VDD", "baseline", "boosted");
@@ -69,8 +80,8 @@ fn main() {
         println!(
             "{:>7.2}V {:>10.3} {:>10.3}",
             op.vdd,
-            device_accuracy(&baseline, &dataset, &device, op),
-            device_accuracy(&boosted, &dataset, &device, op)
+            device_accuracy(&mut baseline_session, &dataset, &device, op),
+            device_accuracy(&mut boosted_session, &dataset, &device, op)
         );
     }
 
@@ -81,8 +92,8 @@ fn main() {
         println!(
             "{:>6.1}ns {:>10.3} {:>10.3}",
             op.timing.trcd_ns,
-            device_accuracy(&baseline, &dataset, &device, op),
-            device_accuracy(&boosted, &dataset, &device, op)
+            device_accuracy(&mut baseline_session, &dataset, &device, op),
+            device_accuracy(&mut boosted_session, &dataset, &device, op)
         );
     }
     println!("\npaper shape: the boosted DNN sustains its accuracy ~0.25 V / ~4.5 ns further");

@@ -5,7 +5,8 @@
 use eden_bench::report;
 use eden_core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden_core::curricular::{CurricularConfig, CurricularTrainer};
-use eden_core::inference::accuracy_vs_ber;
+use eden_core::inference::InferenceBackend;
+use eden_core::session::EvalSession;
 use eden_dnn::zoo::ModelId;
 use eden_dnn::{Dataset, Network};
 use eden_dram::ErrorModel;
@@ -14,21 +15,21 @@ use eden_tensor::Precision;
 const BERS: [f64; 5] = [1e-4, 1e-3, 5e-3, 2e-2, 1e-1];
 
 fn curve(
-    net: &Network,
+    session: &mut EvalSession,
     dataset: &eden_dnn::data::SyntheticVision,
     eval_model: &ErrorModel,
 ) -> Vec<(f64, f32)> {
-    let bounding =
-        BoundingLogic::calibrated(net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
-    accuracy_vs_ber(
-        net,
-        &dataset.test()[..64],
-        Precision::Int8,
-        eval_model,
-        &BERS,
-        Some(bounding),
-        17,
-    )
+    let bounding = BoundingLogic::calibrated(
+        session.net(),
+        &dataset.train()[..16],
+        1.5,
+        CorrectionPolicy::Zero,
+    );
+    session.accuracy_vs_ber(&dataset.test()[..64], eval_model, &BERS, Some(bounding), 17)
+}
+
+fn int8_session(net: &Network) -> EvalSession<'_> {
+    EvalSession::new(net, Precision::Int8, InferenceBackend::SimulatedF32)
 }
 
 fn print_curves(label: &str, curves: &[(&str, Vec<(f64, f32)>)]) {
@@ -80,21 +81,27 @@ fn main() {
     let good_net = retrain(&good_fit, true, 1);
     let poor_net = retrain(&poor_fit, true, 2);
     let noncurricular_net = retrain(&good_fit, false, 3);
+    // One session per net: the baseline and good-fit curves appear in both
+    // panels and reuse their session.
+    let mut baseline_session = int8_session(&baseline);
+    let mut good_session = int8_session(&good_net);
+    let mut poor_session = int8_session(&poor_net);
+    let mut noncurricular_session = int8_session(&noncurricular_net);
 
     print_curves(
         "left: fit quality (evaluated against the good-fit model's errors)",
         &[
             (
                 "baseline (no retraining)",
-                curve(&baseline, &dataset, &eval_model),
+                curve(&mut baseline_session, &dataset, &eval_model),
             ),
             (
                 "poor-fit retraining",
-                curve(&poor_net, &dataset, &eval_model),
+                curve(&mut poor_session, &dataset, &eval_model),
             ),
             (
                 "good-fit retraining",
-                curve(&good_net, &dataset, &eval_model),
+                curve(&mut good_session, &dataset, &eval_model),
             ),
         ],
     );
@@ -103,15 +110,15 @@ fn main() {
         &[
             (
                 "baseline (no retraining)",
-                curve(&baseline, &dataset, &eval_model),
+                curve(&mut baseline_session, &dataset, &eval_model),
             ),
             (
                 "non-curricular retraining",
-                curve(&noncurricular_net, &dataset, &eval_model),
+                curve(&mut noncurricular_session, &dataset, &eval_model),
             ),
             (
                 "curricular retraining",
-                curve(&good_net, &dataset, &eval_model),
+                curve(&mut good_session, &dataset, &eval_model),
             ),
         ],
     );

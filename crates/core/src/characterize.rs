@@ -13,7 +13,7 @@ use crate::faults::ApproximateMemory;
 use crate::inference::InferenceBackend;
 use crate::session::EvalSession;
 use eden_dnn::network::DataTypeInfo;
-use eden_dnn::{DataSite, Dataset, Network};
+use eden_dnn::{Dataset, Network};
 use eden_dram::inject::Injector;
 use eden_dram::util::seed_mix;
 use eden_dram::ErrorModel;
@@ -210,14 +210,6 @@ pub struct FineCharacterization {
 }
 
 impl FineCharacterization {
-    /// Tolerable BER of a specific data type, if characterized.
-    pub fn tolerance_of(&self, site: &DataSite) -> Option<f64> {
-        self.tolerances
-            .iter()
-            .find(|(info, _)| &info.site == site)
-            .map(|(_, ber)| *ber)
-    }
-
     /// The highest per-data-type BER found.
     pub fn max_tolerance(&self) -> f64 {
         self.tolerances.iter().map(|(_, b)| *b).fold(0.0, f64::max)

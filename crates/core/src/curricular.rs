@@ -299,6 +299,8 @@ mod tests {
         let bounding =
             BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
         let mean_acc = |candidate: &Network| {
+            let mut session =
+                EvalSession::new(candidate, Precision::Int8, InferenceBackend::SimulatedF32);
             let seeds = [9u64, 10, 11, 12];
             seeds
                 .iter()
@@ -306,12 +308,7 @@ mod tests {
                     let mut memory =
                         ApproximateMemory::from_model(template.with_ber(target_ber), s)
                             .with_bounding(bounding);
-                    crate::inference::evaluate_with_faults(
-                        candidate,
-                        samples,
-                        Precision::Int8,
-                        &mut memory,
-                    )
+                    session.evaluate_with_faults(samples, &mut memory)
                 })
                 .sum::<f32>()
                 / seeds.len() as f32

@@ -60,6 +60,7 @@
 //! corrupting each span's slice separately, at any thread count.
 
 use crate::bounding::BoundingLogic;
+use crate::lru::BudgetedLru;
 use eden_dnn::{DataKind, DataSite, FaultHook, Network};
 use eden_dram::error_model::{Layout, WeakCellMap};
 use eden_dram::inject::{AddressAllocator, Injector};
@@ -67,8 +68,9 @@ use eden_dram::util::{seed_mix, stream};
 use eden_dram::ErrorModel;
 use eden_tensor::{CorruptionOverlay, Precision, QuantTensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
+
+pub use crate::lru::CacheCounters;
 
 /// Salt separating fork-lane seeds from the parent's own load streams.
 const FORK_SALT: u64 = 0xF0_4B_1A_9E_5A_17_ED_01;
@@ -95,47 +97,28 @@ type WeakMapKey = (u64, Layout, usize, u32);
 ///
 /// The cache is bounded: a fine-grained sweep inserts one map per *rejected*
 /// candidate BER that is never looked up again, so an unbounded cache would
-/// grow monotonically for the owning session's lifetime. Once
-/// [`WeakMapCache::MAX_ENTRIES`] is reached the *least-recently-used half*
-/// of the entries is evicted: the hot maps (the currently-accepted
-/// tolerances, re-stamped on every probe) survive, the dead
-/// rejected-candidate entries go — so an overflow mid-sweep never triggers
-/// an O(total bits) recompute storm of the maps every in-flight probe is
-/// about to use again. Results are unaffected either way: an evicted map is
-/// simply recomputed on its next (if any) use.
+/// grow monotonically for the owning session's lifetime. It holds at most
+/// [`WeakMapCache::MAX_ENTRIES`] maps in a [`BudgetedLru`]: the hot maps (the
+/// currently-accepted tolerances, re-stamped on every probe) survive, the
+/// dead rejected-candidate entries go first — so an overflow mid-sweep never
+/// triggers an O(total bits) recompute storm of the maps every in-flight
+/// probe is about to use again. Results are unaffected either way: an
+/// evicted map is simply recomputed on its next (if any) use.
 ///
-/// Hit/miss totals are tracked ([`WeakMapCache::counters`]) so long-running
-/// consumers — the evaluation service in particular — can report cache
-/// effectiveness.
-#[derive(Debug, Default)]
-pub struct WeakMapCache {
-    maps: Mutex<CacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// The keyed entries plus the logical access clock that orders them for
-/// LRU eviction (a counter, not wall-clock time, so eviction order is
-/// deterministic for a deterministic access sequence).
-#[derive(Debug, Default)]
-struct CacheState {
-    entries: HashMap<WeakMapKey, CacheEntry>,
-    tick: u64,
-}
-
+/// Hit/miss/eviction totals are tracked ([`WeakMapCache::counters`]) so
+/// long-running consumers — the evaluation service in particular — can
+/// report cache effectiveness.
 #[derive(Debug)]
-struct CacheEntry {
-    map: Arc<WeakCellMap>,
-    last_used: u64,
+pub struct WeakMapCache {
+    maps: Mutex<BudgetedLru<WeakMapKey, Arc<WeakCellMap>>>,
 }
 
-/// Cumulative hit/miss totals of a [`WeakMapCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to run the weak-cell scan.
-    pub misses: u64,
+impl Default for WeakMapCache {
+    fn default() -> Self {
+        Self {
+            maps: Mutex::new(BudgetedLru::new(Self::MAX_ENTRIES)),
+        }
+    }
 }
 
 impl WeakMapCache {
@@ -151,7 +134,7 @@ impl WeakMapCache {
 
     /// Number of cached maps.
     pub fn len(&self) -> usize {
-        self.maps.lock().unwrap().entries.len()
+        self.maps.lock().unwrap().len()
     }
 
     /// Whether the cache holds no maps.
@@ -159,69 +142,29 @@ impl WeakMapCache {
         self.len() == 0
     }
 
-    /// Cumulative hit/miss totals since the cache was created.
+    /// Cumulative hit/miss/eviction totals since the cache was created, and
+    /// the number of resident maps.
     pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(AtomicOrdering::Relaxed),
-            misses: self.misses.load(AtomicOrdering::Relaxed),
-        }
+        self.maps.lock().unwrap().counters()
     }
 
     /// The cached map for `key`, computing it with `compute` on a miss.
     ///
     /// `compute` runs outside the cache lock (a weak-cell scan can be long,
     /// and concurrent probes must not serialize on it); if two threads race
-    /// on the same key, the first inserted map wins and both observe it —
-    /// the maps are identical by construction, so the race is benign.
+    /// on the same key, the first inserted map wins, both observe it and the
+    /// second insert evicts nothing — the maps are identical by
+    /// construction, so the race is benign.
     fn get_or_compute(
         &self,
         key: WeakMapKey,
         compute: impl FnOnce() -> WeakCellMap,
     ) -> Arc<WeakCellMap> {
-        {
-            let mut state = self.maps.lock().unwrap();
-            let tick = state.tick;
-            if let Some(entry) = state.entries.get_mut(&key) {
-                entry.last_used = tick;
-                let map = entry.map.clone();
-                state.tick += 1;
-                self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                return map;
-            }
+        if let Some(map) = self.maps.lock().unwrap().get(&key) {
+            return map.clone();
         }
-        self.misses.fetch_add(1, AtomicOrdering::Relaxed);
         let map = Arc::new(compute());
-        let mut state = self.maps.lock().unwrap();
-        if state.entries.len() >= Self::MAX_ENTRIES {
-            state.evict_lru_half();
-        }
-        let tick = state.tick;
-        state.tick += 1;
-        let entry = state.entries.entry(key).or_insert(CacheEntry {
-            map,
-            last_used: tick,
-        });
-        entry.last_used = tick;
-        entry.map.clone()
-    }
-}
-
-impl CacheState {
-    /// Evicts the least-recently-used half of the entries, preserving the
-    /// most recently touched ones. Access ticks are unique, so the cut is
-    /// exact and deterministic.
-    fn evict_lru_half(&mut self) {
-        let keep = WeakMapCache::MAX_ENTRIES / 2;
-        let evict = self.entries.len().saturating_sub(keep);
-        if evict == 0 {
-            return;
-        }
-        let mut ticks: Vec<u64> = self.entries.values().map(|e| e.last_used).collect();
-        ticks.sort_unstable();
-        // Everything strictly below the threshold tick goes; `evict` entries
-        // exactly, because ticks are unique.
-        let threshold = ticks[evict];
-        self.entries.retain(|_, e| e.last_used >= threshold);
+        self.maps.lock().unwrap().insert_with(key, || (map, 1)).0
     }
 }
 
@@ -455,11 +398,6 @@ impl ApproximateMemory {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> MemoryStats {
         self.stats
-    }
-
-    /// Resets accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = MemoryStats::default();
     }
 
     /// The bounding logic, if enabled.
@@ -985,6 +923,34 @@ mod tests {
         // Eviction kept roughly the recent half, not a single survivor.
         assert!(cache.len() > WeakMapCache::MAX_ENTRIES / 4);
         assert!(cache.counters().hits > 0);
+    }
+
+    #[test]
+    fn weak_map_cache_race_on_a_present_key_evicts_nothing() {
+        // Two probes miss on the same key; the second's insert finds the
+        // first's map already resident. With the cache at its cap, that
+        // insert must keep the resident map and evict nothing (it used to
+        // evict half the cache before discovering the key was present).
+        let cache = WeakMapCache::new();
+        let model = ErrorModel::uniform(0.02, 0.5, 1);
+        let layout = Layout::default();
+        for i in 0..(WeakMapCache::MAX_ENTRIES - 1) as u64 {
+            cache.get_or_compute((i, layout, 64, 8), || model.weak_map(64, 8, &layout));
+        }
+        let raced = (u64::MAX, layout, 64, 8);
+        let mut winner = None;
+        let loser = cache.get_or_compute(raced, || {
+            // The racing probe completes its insert while this one computes
+            // outside the lock, filling the cache to its cap.
+            winner = Some(cache.get_or_compute(raced, || model.weak_map(64, 8, &layout)));
+            model.weak_map(64, 8, &layout)
+        });
+        assert!(Arc::ptr_eq(&loser, &winner.unwrap()), "first insert wins");
+        assert_eq!(cache.len(), WeakMapCache::MAX_ENTRIES);
+        let counters = cache.counters();
+        assert_eq!(counters.evictions, 0);
+        assert_eq!(counters.misses, WeakMapCache::MAX_ENTRIES as u64 + 1);
+        assert_eq!(counters.resident, WeakMapCache::MAX_ENTRIES as u64);
     }
 
     #[test]

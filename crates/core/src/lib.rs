@@ -16,30 +16,29 @@
 //!    Section 3.4.
 //!
 //! [`faults`] provides the approximate-memory fault hook that backs both
-//! retraining and inference ([`inference`]), [`session`] provides the
-//! reusable evaluation-session layer that the characterization, retraining
-//! and mapping probe loops share, and [`pipeline`] chains the three steps
-//! into the iterative loop of Figure 4.
+//! retraining and inference, [`session`] provides the evaluation session —
+//! the one evaluation API, shared by single evaluations and by the
+//! characterization, retraining and mapping probe loops — on the execution
+//! backends of [`inference`], [`lru`] provides the one bounded cache policy
+//! behind the session's caches, and [`pipeline`] chains the three steps into
+//! the iterative loop of Figure 4.
 //!
 //! # Example
 //!
 //! ```
 //! use eden_core::faults::ApproximateMemory;
-//! use eden_core::inference;
+//! use eden_core::inference::InferenceBackend;
+//! use eden_core::session::EvalSession;
 //! use eden_dnn::{data::SyntheticVision, zoo, Dataset};
 //! use eden_dram::ErrorModel;
 //! use eden_tensor::Precision;
 //!
 //! let dataset = SyntheticVision::tiny(0);
 //! let net = zoo::lenet(&dataset.spec(), 1);
+//! let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
 //! let model = ErrorModel::uniform(0.001, 0.5, 7);
 //! let mut memory = ApproximateMemory::from_model(model, 3);
-//! let accuracy = inference::evaluate_with_faults(
-//!     &net,
-//!     &dataset.test()[..8],
-//!     Precision::Int8,
-//!     &mut memory,
-//! );
+//! let accuracy = session.evaluate_with_faults(&dataset.test()[..8], &mut memory);
 //! assert!((0.0..=1.0).contains(&accuracy));
 //! ```
 
@@ -48,6 +47,7 @@ pub mod characterize;
 pub mod curricular;
 pub mod faults;
 pub mod inference;
+pub mod lru;
 pub mod mapping;
 pub mod pipeline;
 pub mod session;

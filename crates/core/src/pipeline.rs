@@ -119,7 +119,7 @@ impl EdenPipeline {
         // model (Section 4). Device profiling and bounding-threshold
         // calibration are independent, so they run concurrently; every
         // evaluation below additionally fans its sample batch out over the
-        // `eden-par` pool (see `inference::evaluate_with_faults`), and all of
+        // `eden-par` pool (see `EvalSession::evaluate_with_faults`), and all of
         // it is bit-identical for any thread count.
         let (error_model, bounding) = eden_par::join(
             || {

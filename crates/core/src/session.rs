@@ -5,14 +5,13 @@
 //! (Table 3) probes a dozen BER operating points, the fine-grained sweep
 //! (Figure 11) runs `sites × rounds` probes, the BER tolerance curves
 //! (Figure 8) fan dozens of points out, and curricular retraining evaluates
-//! after every boost iteration. The one-shot functions in
-//! [`crate::inference`] are correct but rebuild everything per call: the
-//! clean quantized weight bit images, the corrupted-weight pools, and —
-//! through a fresh [`ApproximateMemory`] per probe — every placement's
-//! O(total bits) weak-cell scan.
+//! after every boost iteration. Rebuilding the evaluation state per call
+//! would redo the clean quantized weight bit images, the corrupted-weight
+//! pools, and — through a fresh [`ApproximateMemory`] per probe — every
+//! placement's O(total bits) weak-cell scan.
 //!
-//! [`EvalSession`] is the session layer those loops share. Constructed once
-//! from `(network, precision, backend)`, it owns:
+//! [`EvalSession`] is the one evaluation API those loops share. Constructed
+//! once from `(network, precision, backend)`, it owns:
 //!
 //! * the clean quantized **weight bit images** ([`Network::weight_images`]),
 //!   captured once instead of once per probe;
@@ -74,19 +73,20 @@
 //! O(layers) to O(suffix from the probed site).
 //!
 //! The store is byte-budgeted (64 MiB by default,
-//! [`EvalSession::with_checkpoint_budget`]) with LRU-half eviction, drained
-//! by [`EvalSession::release_transient_state`], and can be disabled
+//! [`EvalSession::with_checkpoint_budget`]) with least-recently-used
+//! eviction ([`crate::lru::BudgetedLru`]), drained by
+//! [`EvalSession::release_transient_state`], and can be disabled
 //! ([`EvalSession::with_checkpoints`]) — it is a pure cache, so eviction,
 //! draining and disabling never change results, only recomputation cost.
 //! The workspace `overlay_equivalence` suite pins checkpoints-on against
 //! checkpoints-off bit for bit.
 //!
-//! Results are **bit-for-bit identical** to the one-shot API (which is
-//! itself implemented as a thin wrapper constructing a throwaway session):
-//! everything the session reuses is either a pure function of unchanged
-//! inputs (images, weak maps, layouts) or state that each probe fully
-//! re-initializes (pools, scratch). The workspace `session_equivalence`
-//! suite pins this across backends, precisions and thread counts.
+//! Reusing a session is **bit-for-bit identical** to evaluating every probe
+//! on a fresh session: everything the session reuses is either a pure
+//! function of unchanged inputs (images, weak maps, layouts) or state that
+//! each probe fully re-initializes (pools, scratch). The workspace
+//! `session_equivalence` suite pins this across backends, precisions and
+//! thread counts.
 //!
 //! # Example
 //!
@@ -114,6 +114,7 @@
 use crate::bounding::{BoundingLogic, CorrectionPolicy};
 use crate::faults::{ApproximateMemory, MemoryStats, WeakMapCache};
 use crate::inference::{effective_backend, InferenceBackend};
+use crate::lru::BudgetedLru;
 use eden_dnn::network::WeightImage;
 use eden_dnn::qexec::{self, NativeWeights, QuantScratch, ScratchArena};
 use eden_dnn::{DataKind, DataSite, FaultHook, Network};
@@ -327,119 +328,57 @@ pub struct CheckpointCounters {
 /// Entries are a pure cache: a lookup either returns the bit-exact
 /// activation a full forward pass would compute at that boundary or nothing,
 /// so eviction (and the store being disabled entirely) can never change
-/// results — only how much of each forward pass is recomputed. Eviction
-/// drops the least-recently-used half of the entries, ordered by a logical
-/// access clock exactly like [`WeakMapCache`].
+/// results — only how much of each forward pass is recomputed. The entries
+/// live in a [`BudgetedLru`] whose cost is each checkpoint's byte size.
 struct CheckpointStore {
-    state: Mutex<CheckpointState>,
-    budget: usize,
+    entries: Mutex<BudgetedLru<CheckpointKey, Arc<Checkpoint>>>,
+    /// Lane-level resume outcomes, one per lane with a clean prefix (the
+    /// store's own lookups count every boundary probed).
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Mirror of `state.resident_bytes` readable without the lock.
-    resident: AtomicU64,
-}
-
-#[derive(Default)]
-struct CheckpointState {
-    entries: HashMap<CheckpointKey, CheckpointEntry>,
-    tick: u64,
-    resident_bytes: usize,
-}
-
-struct CheckpointEntry {
-    value: Arc<Checkpoint>,
-    last_used: u64,
 }
 
 impl CheckpointStore {
     fn new(budget: usize) -> Self {
         Self {
-            state: Mutex::new(CheckpointState::default()),
-            budget,
+            entries: Mutex::new(BudgetedLru::new(budget)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
         }
     }
 
     /// The checkpoint stored under `key`, refreshing its LRU position.
     fn get(&self, key: &CheckpointKey) -> Option<Arc<Checkpoint>> {
-        let mut state = self.state.lock().unwrap();
-        let tick = state.tick;
-        state.tick += 1;
-        let entry = state.entries.get_mut(key)?;
-        entry.last_used = tick;
-        Some(entry.value.clone())
+        self.entries.lock().unwrap().get(key).cloned()
     }
 
     /// Stores `make()` under `key` unless an entry already exists (the
     /// existing entry's LRU position is refreshed instead — concurrent lanes
     /// of one window harvest the same boundaries, and the first insert
-    /// wins). Evicts the LRU half when the byte budget is exceeded.
+    /// wins), evicting least-recently-used checkpoints past the byte budget.
     fn insert_with(&self, key: CheckpointKey, make: impl FnOnce() -> Checkpoint) {
-        let mut state = self.state.lock().unwrap();
-        let tick = state.tick;
-        state.tick += 1;
-        if let Some(entry) = state.entries.get_mut(&key) {
-            entry.last_used = tick;
-            return;
-        }
-        let value = Arc::new(make());
-        state.resident_bytes += value.bytes();
-        state.entries.insert(
-            key,
-            CheckpointEntry {
-                value,
-                last_used: tick,
-            },
-        );
-        if state.resident_bytes > self.budget {
-            let evicted = state.evict_lru_half();
-            self.evictions.fetch_add(evicted, AtomicOrdering::Relaxed);
-        }
-        self.resident
-            .store(state.resident_bytes as u64, AtomicOrdering::Relaxed);
+        let (_, evicted) = self.entries.lock().unwrap().insert_with(key, || {
+            let checkpoint = make();
+            let bytes = checkpoint.bytes();
+            (Arc::new(checkpoint), bytes)
+        });
+        // Evicted activations are freed here, outside the lock.
+        drop(evicted);
     }
 
     /// Drops every checkpoint, keeping the cumulative counters.
     fn clear(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.entries.clear();
-        state.resident_bytes = 0;
-        self.resident.store(0, AtomicOrdering::Relaxed);
+        self.entries.lock().unwrap().clear();
     }
 
     fn counters(&self) -> CheckpointCounters {
+        let store = self.entries.lock().unwrap().counters();
         CheckpointCounters {
             hits: self.hits.load(AtomicOrdering::Relaxed),
             misses: self.misses.load(AtomicOrdering::Relaxed),
-            evictions: self.evictions.load(AtomicOrdering::Relaxed),
-            resident_bytes: self.resident.load(AtomicOrdering::Relaxed),
+            evictions: store.evictions,
+            resident_bytes: store.resident,
         }
-    }
-}
-
-impl CheckpointState {
-    /// Evicts the least-recently-used half of the entries (by unique access
-    /// tick, as [`WeakMapCache`] does) and returns how many were dropped.
-    fn evict_lru_half(&mut self) -> u64 {
-        let keep = self.entries.len() / 2;
-        let evict = self.entries.len() - keep;
-        if evict == 0 {
-            return 0;
-        }
-        let mut ticks: Vec<u64> = self.entries.values().map(|e| e.last_used).collect();
-        ticks.sort_unstable();
-        match ticks.get(evict) {
-            // Keep the `keep` most recently used entries.
-            Some(&threshold) => self.entries.retain(|_, e| e.last_used >= threshold),
-            // `keep == 0` (a single entry over a sub-entry budget): drop all.
-            None => self.entries.clear(),
-        }
-        self.resident_bytes = self.entries.values().map(|e| e.value.bytes()).sum();
-        evict as u64
     }
 }
 
@@ -767,10 +706,20 @@ impl<'a> EvalSession<'a> {
         }
     }
 
-    /// Classification accuracy over `samples` served from `memory` —
-    /// bit-identical to [`crate::inference::evaluate_with_faults_backend`],
-    /// with the session amortizing images, pools and weak-cell maps across
-    /// calls. Returns the [`f32::NAN`] sentinel for an empty sample slice.
+    /// Classification accuracy over `samples` served from `memory`, with
+    /// the session amortizing images, pools and weak-cell maps across calls.
+    ///
+    /// Weights are re-loaded (and re-corrupted) once per
+    /// [`WEIGHT_REFETCH_PERIOD`] samples to model periodic re-fetching from
+    /// DRAM. Samples run batch-parallel on the current `eden-par` pool: the
+    /// weight refetches consume `memory`'s own load streams in sequence,
+    /// while each sample's IFM loads come from `memory.fork(sample index)`,
+    /// so the accuracy and the accumulated [`ApproximateMemory::stats`] are
+    /// bit-identical for any thread count.
+    ///
+    /// An **empty** sample slice has no defined accuracy: the method returns
+    /// [`f32::NAN`] as an explicit sentinel (distinguishable from a genuinely
+    /// collapsed model's `0.0`).
     pub fn evaluate_with_faults(
         &mut self,
         samples: &[(Tensor, usize)],
@@ -781,7 +730,7 @@ impl<'a> EvalSession<'a> {
 
     /// Runs two independent probes concurrently on the `eden-par` pool (the
     /// coarse search's speculative boundary probes). Each probe gets its own
-    /// transient pools, exactly like two one-shot calls would.
+    /// transient pools, exactly like two fresh sessions would.
     pub fn evaluate_pair(
         &mut self,
         samples: &[(Tensor, usize)],
@@ -815,10 +764,12 @@ impl<'a> EvalSession<'a> {
         accuracy
     }
 
-    /// Accuracy at a sequence of bit error rates (the Figure 8 sweep) —
-    /// bit-identical to [`crate::inference::accuracy_vs_ber_backend`]. The
-    /// points fan out over the `eden-par` pool and share the session's
-    /// images and weak-map cache.
+    /// Accuracy at a sequence of bit error rates using a template error
+    /// model (the sweep behind the paper's error-tolerance curves, Figure 8).
+    /// The points are mutually independent — each builds its own
+    /// [`ApproximateMemory`] from `seed` — so they fan out over the
+    /// `eden-par` pool and share the session's images and weak-map cache.
+    /// An empty `samples` slice yields [`f32::NAN`] at every point.
     pub fn accuracy_vs_ber(
         &mut self,
         samples: &[(Tensor, usize)],
@@ -842,10 +793,10 @@ impl<'a> EvalSession<'a> {
         })
     }
 
-    /// One forward pass with weights and IFMs served from `memory` —
-    /// bit-identical to [`crate::inference::forward_with_faults_backend`]:
-    /// one overlay refetch of the session's first pool slot, then the group
-    /// executor with `memory` itself as the single lane.
+    /// One forward pass with weights and IFMs served from `memory`,
+    /// returning the output logits: one overlay refetch of the session's
+    /// first pool slot, then the group executor with `memory` itself as the
+    /// single lane.
     pub fn forward_with_faults(
         &mut self,
         input: &Tensor,
@@ -1336,7 +1287,6 @@ impl SessionCore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inference;
     use eden_dnn::data::SyntheticVision;
     use eden_dnn::train::{TrainConfig, Trainer};
     use eden_dnn::{zoo, Dataset};
@@ -1364,17 +1314,12 @@ mod tests {
             for ber in [1e-3, 1e-2, 1e-3, 5e-2] {
                 let model = template.with_ber(ber);
                 let mut session_memory = ApproximateMemory::from_model(model, 7);
-                let mut oneshot_memory = ApproximateMemory::from_model(model, 7);
+                let mut fresh_memory = ApproximateMemory::from_model(model, 7);
                 let via_session = session.evaluate_with_faults(samples, &mut session_memory);
-                let via_oneshot = inference::evaluate_with_faults_backend(
-                    &net,
-                    samples,
-                    Precision::Int8,
-                    &mut oneshot_memory,
-                    backend,
-                );
-                assert_eq!(via_session.to_bits(), via_oneshot.to_bits(), "{backend}");
-                assert_eq!(session_memory.stats(), oneshot_memory.stats(), "{backend}");
+                let via_fresh = EvalSession::new(&net, Precision::Int8, backend)
+                    .evaluate_with_faults(samples, &mut fresh_memory);
+                assert_eq!(via_session.to_bits(), via_fresh.to_bits(), "{backend}");
+                assert_eq!(session_memory.stats(), fresh_memory.stats(), "{backend}");
             }
         }
     }
@@ -1442,10 +1387,9 @@ mod tests {
         assert_eq!(session.baselines.len(), 1);
         let c = session.evaluate_reliable(&dataset.test()[..8]);
         assert_eq!(session.baselines.len(), 2);
-        assert_eq!(
-            c.to_bits(),
-            inference::evaluate_reliable(&net, &dataset.test()[..8], Precision::Int8).to_bits()
-        );
+        let fresh = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
+            .evaluate_reliable(&dataset.test()[..8]);
+        assert_eq!(c.to_bits(), fresh.to_bits());
     }
 
     #[test]
@@ -1456,17 +1400,9 @@ mod tests {
         let bers = [1e-4, 1e-3, 1e-2];
         let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
         let via_session = session.accuracy_vs_ber(samples, &template, &bers, None, 11);
-        let via_oneshot = inference::accuracy_vs_ber_backend(
-            &net,
-            samples,
-            Precision::Int8,
-            &template,
-            &bers,
-            None,
-            11,
-            InferenceBackend::NativeInt,
-        );
-        assert_eq!(via_session, via_oneshot);
+        let via_fresh = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt)
+            .accuracy_vs_ber(samples, &template, &bers, None, 11);
+        assert_eq!(via_session, via_fresh);
     }
 
     #[test]

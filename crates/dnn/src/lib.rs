@@ -2,8 +2,8 @@
 //!
 //! The DNN substrate for the EDEN reproduction: layers with forward/backward
 //! passes, sequential networks, an SGD trainer, deterministic synthetic
-//! datasets, a model zoo mirroring the paper's Table 1, pruning, and
-//! quantized inference with fault-injection hooks.
+//! datasets, a model zoo mirroring the paper's Table 1, and quantized
+//! inference with fault-injection hooks.
 //!
 //! The paper evaluates EDEN on eight DNN families (ResNet101, MobileNetV2,
 //! VGG-16, DenseNet201, SqueezeNet1.1, AlexNet, YOLO, YOLO-Tiny) plus LeNet.
@@ -31,7 +31,6 @@ pub mod loss;
 pub mod metrics;
 pub mod network;
 pub mod optimizer;
-pub mod pruning;
 pub mod qexec;
 pub mod quantized;
 pub mod train;

@@ -90,12 +90,6 @@ impl Network {
         self
     }
 
-    /// Appends a boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// The network name.
     pub fn name(&self) -> &str {
         &self.name

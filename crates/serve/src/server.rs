@@ -550,6 +550,7 @@ fn stats_response(state: &ServerState) -> Json {
             Json::obj([
                 ("hits", Json::num(weak.hits as f64)),
                 ("misses", Json::num(weak.misses as f64)),
+                ("evictions", Json::num(weak.evictions as f64)),
             ]),
         ),
         (

@@ -11,16 +11,15 @@
 //! released before any model training or session construction runs: two
 //! racing requests for the same new key serialize on the slot's `OnceLock`
 //! while requests for other keys proceed. Eviction removes the
-//! least-recently-used slot (by logical tick, for determinism); in-flight
-//! requests keep an evicted shard alive through their own `Arc` and simply
-//! finish on it.
+//! least-recently-used slot ([`BudgetedLru`], exact and deterministic);
+//! in-flight requests keep an evicted shard alive through their own `Arc`
+//! and simply finish on it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use eden_core::faults::CacheCounters;
 use eden_core::inference::InferenceBackend;
+use eden_core::lru::BudgetedLru;
 use eden_core::session::{BatchCounters, CheckpointCounters, EvalSession};
 use eden_dnn::zoo::{ModelId, ModelZoo};
 use eden_dnn::SyntheticVision;
@@ -70,15 +69,8 @@ pub struct Shard {
     pub dataset: Arc<SyntheticVision>,
 }
 
-struct SlotEntry {
-    cell: Arc<OnceLock<Arc<Shard>>>,
-    last_used: u64,
-}
-
-struct PoolState {
-    slots: HashMap<ShardKey, SlotEntry>,
-    tick: u64,
-}
+/// A pooled shard slot: filled once by whichever request builds the shard.
+type ShardCell = Arc<OnceLock<Arc<Shard>>>;
 
 /// Snapshot of the pool's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,14 +85,11 @@ pub struct PoolCounters {
     pub live: usize,
 }
 
-/// The LRU pool of session shards.
+/// The LRU pool of session shards: a [`BudgetedLru`] in which every shard
+/// costs 1 and the budget is the shard capacity.
 pub struct SessionPool {
     zoo: Arc<ModelZoo>,
-    capacity: usize,
-    state: Mutex<PoolState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    slots: Mutex<BudgetedLru<ShardKey, ShardCell>>,
 }
 
 impl SessionPool {
@@ -109,14 +98,7 @@ impl SessionPool {
     pub fn new(zoo: Arc<ModelZoo>, capacity: usize) -> Self {
         SessionPool {
             zoo,
-            capacity: capacity.max(1),
-            state: Mutex::new(PoolState {
-                slots: HashMap::new(),
-                tick: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            slots: Mutex::new(BudgetedLru::new(capacity.max(1))),
         }
     }
 
@@ -137,35 +119,21 @@ impl SessionPool {
     /// Like [`SessionPool::get_or_build`], also reporting whether the lookup
     /// hit a live shard (for per-request cache attribution in responses).
     pub fn get_or_build_traced(&self, key: ShardKey) -> (Arc<Shard>, bool) {
-        let cell = {
-            let mut state = self.state.lock().unwrap();
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(entry) = state.slots.get_mut(&key) {
-                entry.last_used = tick;
-                let cell = entry.cell.clone();
-                drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (self.init(cell, key), true);
+        let (cell, hit, evicted) = {
+            let mut slots = self.slots.lock().unwrap();
+            match slots.get(&key).cloned() {
+                Some(cell) => (cell, true, Vec::new()),
+                None => {
+                    let (cell, evicted) = slots.insert_with(key, || (ShardCell::default(), 1));
+                    (cell, false, evicted)
+                }
             }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if state.slots.len() >= self.capacity {
-                self.evict_lru(&mut state);
-            }
-            let cell = Arc::new(OnceLock::new());
-            state.slots.insert(
-                key,
-                SlotEntry {
-                    cell: cell.clone(),
-                    last_used: tick,
-                },
-            );
-            cell
         };
-        (self.init(cell, key), false)
+        evicted.into_iter().for_each(release);
+        (self.init(cell, key), hit)
     }
 
-    fn init(&self, cell: Arc<OnceLock<Arc<Shard>>>, key: ShardKey) -> Arc<Shard> {
+    fn init(&self, cell: ShardCell, key: ShardKey) -> Arc<Shard> {
         cell.get_or_init(|| {
             let entry = self.zoo.get(key.model);
             let session = EvalSession::new_shared(entry.net, key.precision, key.backend);
@@ -178,85 +146,75 @@ impl SessionPool {
         .clone()
     }
 
-    /// Evicts the least-recently-used slot. Requests still holding the
-    /// shard's `Arc` finish on it; if the pool held the last reference, the
-    /// session's transient probe state is released immediately so the memory
-    /// comes back before the `Arc` drops.
-    fn evict_lru(&self, state: &mut PoolState) {
-        let Some(victim) = state
-            .slots
-            .iter()
-            .min_by_key(|(_, entry)| entry.last_used)
-            .map(|(key, _)| *key)
-        else {
-            return;
-        };
-        let entry = state.slots.remove(&victim).unwrap();
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if let Ok(lock) = Arc::try_unwrap(entry.cell) {
-            if let Some(mut shard) = lock.into_inner().and_then(|a| Arc::try_unwrap(a).ok()) {
-                shard.session.release_transient_state();
-            }
-        }
-    }
-
     /// The pool's hit/miss/eviction counters.
     pub fn counters(&self) -> PoolCounters {
+        let slots = self.slots.lock().unwrap();
+        let c = slots.counters();
         PoolCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            live: self.state.lock().unwrap().slots.len(),
+            hits: c.hits,
+            misses: c.misses,
+            evictions: c.evictions,
+            live: slots.len(),
         }
     }
 
-    /// Weak-map cache hits/misses summed over the live shards.
+    /// Weak-map cache counters summed over the live shards.
     pub fn weak_map_counters(&self) -> CacheCounters {
-        let state = self.state.lock().unwrap();
-        let mut total = CacheCounters { hits: 0, misses: 0 };
-        for entry in state.slots.values() {
-            if let Some(shard) = entry.cell.get() {
-                let c = shard.session.weak_map_cache().counters();
-                total.hits += c.hits;
-                total.misses += c.misses;
-            }
-        }
-        total
+        self.sum_over_shards(|total: &mut CacheCounters, shard| {
+            let c = shard.session.weak_map_cache().counters();
+            total.hits += c.hits;
+            total.misses += c.misses;
+            total.evictions += c.evictions;
+            total.resident += c.resident;
+        })
     }
 
     /// Clean-activation checkpoint counters summed over the live shards
     /// (incremental re-evaluation: resumed lanes / cold lanes / evicted
     /// checkpoints / bytes currently resident across every shard's store).
     pub fn checkpoint_counters(&self) -> CheckpointCounters {
-        let state = self.state.lock().unwrap();
-        let mut total = CheckpointCounters::default();
-        for entry in state.slots.values() {
-            if let Some(shard) = entry.cell.get() {
-                let c = shard.session.checkpoint_counters();
-                total.hits += c.hits;
-                total.misses += c.misses;
-                total.evictions += c.evictions;
-                total.resident_bytes += c.resident_bytes;
-            }
-        }
-        total
+        self.sum_over_shards(|total: &mut CheckpointCounters, shard| {
+            let c = shard.session.checkpoint_counters();
+            total.hits += c.hits;
+            total.misses += c.misses;
+            total.evictions += c.evictions;
+            total.resident_bytes += c.resident_bytes;
+        })
     }
 
     /// Batch-group counters summed over the live shards (weight-stationary
     /// batching: multi-sample groups formed, samples executed batched,
     /// samples that ran as a group of one).
     pub fn batch_counters(&self) -> BatchCounters {
-        let state = self.state.lock().unwrap();
-        let mut total = BatchCounters::default();
-        for entry in state.slots.values() {
-            if let Some(shard) = entry.cell.get() {
-                let c = shard.session.batch_counters();
-                total.groups += c.groups;
-                total.batched_samples += c.batched_samples;
-                total.fallback_samples += c.fallback_samples;
-            }
+        self.sum_over_shards(|total: &mut BatchCounters, shard| {
+            let c = shard.session.batch_counters();
+            total.groups += c.groups;
+            total.batched_samples += c.batched_samples;
+            total.fallback_samples += c.fallback_samples;
+        })
+    }
+
+    /// Folds `add` over the pooled shards that have finished building,
+    /// under the pool lock.
+    fn sum_over_shards<T: Default>(&self, mut add: impl FnMut(&mut T, &Shard)) -> T {
+        let slots = self.slots.lock().unwrap();
+        let mut total = T::default();
+        for shard in slots.values().filter_map(|cell| cell.get()) {
+            add(&mut total, shard);
         }
         total
+    }
+}
+
+/// Disposes of an evicted slot. Requests still holding the shard's `Arc`
+/// finish on it; if the pool held the last reference, the session's
+/// transient probe state is released immediately so the memory comes back
+/// before the `Arc` drops.
+fn release(cell: ShardCell) {
+    if let Ok(lock) = Arc::try_unwrap(cell) {
+        if let Some(mut shard) = lock.into_inner().and_then(|a| Arc::try_unwrap(a).ok()) {
+            shard.session.release_transient_state();
+        }
     }
 }
 

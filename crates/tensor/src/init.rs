@@ -14,14 +14,6 @@ pub fn he_uniform(dims: &[usize], fan_in: usize, rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(data, dims)
 }
 
-/// Xavier/Glorot uniform initialization.
-pub fn xavier_uniform(dims: &[usize], fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    let n: usize = dims.iter().product();
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-bound..bound)).collect();
-    Tensor::from_vec(data, dims)
-}
-
 /// A seedable RNG for reproducible initialization.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)

@@ -62,11 +62,6 @@ impl Tensor {
         self.shape.dims()
     }
 
-    /// The tensor's [`Shape`].
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -117,13 +112,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies a function element-wise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

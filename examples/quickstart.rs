@@ -6,7 +6,8 @@
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden::core::curricular::{CurricularConfig, CurricularTrainer};
 use eden::core::faults::ApproximateMemory;
-use eden::core::inference;
+use eden::core::inference::InferenceBackend;
+use eden::core::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset};
 use eden::dram::ErrorModel;
@@ -32,16 +33,14 @@ fn main() {
     let template = ErrorModel::uniform(0.01, 0.5, 7);
     let bounding =
         BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
+    // One evaluation session per network: it caches the quantized weight
+    // images and weak-cell maps across the sweep's operating points.
+    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
     println!("\nBER sweep of the *baseline* DNN (int8, with bounding):");
     for &ber in &[1e-4, 1e-3, 5e-3, 2e-2, 5e-2] {
         let mut memory =
             ApproximateMemory::from_model(template.with_ber(ber), 3).with_bounding(bounding);
-        let acc = inference::evaluate_with_faults(
-            &net,
-            &dataset.test()[..96],
-            Precision::Int8,
-            &mut memory,
-        );
+        let acc = session.evaluate_with_faults(&dataset.test()[..96], &mut memory);
         println!("  BER {ber:>8.1e} → accuracy {acc:.3}");
     }
 
@@ -69,15 +68,11 @@ fn main() {
         1.5,
         CorrectionPolicy::Zero,
     );
+    let mut session = EvalSession::new(&boosted, Precision::Int8, InferenceBackend::SimulatedF32);
     for &ber in &[1e-4, 1e-3, 5e-3, 2e-2, 5e-2] {
         let mut memory = ApproximateMemory::from_model(template.with_ber(ber), 3)
             .with_bounding(boosted_bounding);
-        let acc = inference::evaluate_with_faults(
-            &boosted,
-            &dataset.test()[..96],
-            Precision::Int8,
-            &mut memory,
-        );
+        let acc = session.evaluate_with_faults(&dataset.test()[..96], &mut memory);
         println!("  BER {ber:>8.1e} → accuracy {acc:.3}");
     }
 }

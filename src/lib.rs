@@ -22,16 +22,17 @@
 //!
 //! ```
 //! use eden::core::faults::ApproximateMemory;
-//! use eden::core::inference;
+//! use eden::core::inference::InferenceBackend;
+//! use eden::core::EvalSession;
 //! use eden::dnn::{data::SyntheticVision, zoo, Dataset};
 //! use eden::dram::ErrorModel;
 //! use eden::tensor::Precision;
 //!
 //! let dataset = SyntheticVision::tiny(0);
 //! let net = zoo::lenet(&dataset.spec(), 1);
+//! let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
 //! let mut memory = ApproximateMemory::from_model(ErrorModel::uniform(0.001, 0.5, 7), 3);
-//! let accuracy =
-//!     inference::evaluate_with_faults(&net, &dataset.test()[..8], Precision::Int8, &mut memory);
+//! let accuracy = session.evaluate_with_faults(&dataset.test()[..8], &mut memory);
 //! assert!((0.0..=1.0).contains(&accuracy));
 //! ```
 

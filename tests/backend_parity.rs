@@ -20,7 +20,8 @@
 //!    the precision's quantization step, and batch accuracies agree.
 
 use eden::core::faults::ApproximateMemory;
-use eden::core::inference::{self, InferenceBackend};
+use eden::core::inference::InferenceBackend;
+use eden::core::session::EvalSession;
 use eden::dnn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
 use eden::dnn::{DataKind, DataSite, FaultHook, Layer, Network};
 use eden::dram::ErrorModel;
@@ -87,7 +88,7 @@ fn logits(
     backend: InferenceBackend,
 ) -> Tensor {
     let mut memory = make_memory(net, precision, ber, seed);
-    inference::forward_with_faults_backend(net, x, precision, &mut memory, backend)
+    EvalSession::new(net, precision, backend).forward_with_faults(x, &mut memory)
 }
 
 /// A naive scalar reimplementation of the native integer semantics: same
@@ -318,18 +319,9 @@ proptest! {
         let samples: Vec<(Tensor, usize)> = (0..24)
             .map(|i| (uniform(&input_shape, -1.0, 1.0, &mut rng), i % 3))
             .collect();
-        let sim = inference::evaluate_reliable_backend(
-            &net,
-            &samples,
-            precision,
-            InferenceBackend::SimulatedF32,
-        );
-        let native = inference::evaluate_reliable_backend(
-            &net,
-            &samples,
-            precision,
-            InferenceBackend::NativeInt,
-        );
+        let oneshot = |backend| EvalSession::new(&net, precision, backend).evaluate_reliable(&samples);
+        let sim = oneshot(InferenceBackend::SimulatedF32);
+        let native = oneshot(InferenceBackend::NativeInt);
         // Allow a couple of marginal-sample disagreements out of 24 (logit
         // near-ties can re-quantize either way).
         prop_assert!(
@@ -344,7 +336,7 @@ proptest! {
             (InferenceBackend::SimulatedF32, sim),
             (InferenceBackend::NativeInt, native),
         ] {
-            let mut session = eden::core::session::EvalSession::new(&net, precision, backend);
+            let mut session = EvalSession::new(&net, precision, backend);
             let first = session.evaluate_reliable(&samples);
             let second = session.evaluate_reliable(&samples);
             prop_assert_eq!(first.to_bits(), oneshot.to_bits(), "{} session != one-shot", precision);

@@ -5,8 +5,9 @@ use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden::core::characterize::{coarse_characterize, CoarseConfig};
 use eden::core::curricular::{CurricularConfig, CurricularTrainer};
 use eden::core::faults::ApproximateMemory;
-use eden::core::inference;
+use eden::core::inference::InferenceBackend;
 use eden::core::mapping::coarse_map;
+use eden::core::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
 use eden::dram::characterize::{characterize_bank, CharacterizeConfig};
@@ -71,13 +72,14 @@ fn device_fitted_error_model_predicts_device_accuracy() {
         eden::dram::geometry::PartitionGranularity::Bank,
     )[0];
 
-    let mean_acc = |memory_for_seed: &mut dyn FnMut(u64) -> ApproximateMemory| {
+    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+    let mut mean_acc = |memory_for_seed: &mut dyn FnMut(u64) -> ApproximateMemory| {
         let seeds = [3u64, 4, 5];
         seeds
             .iter()
             .map(|&s| {
                 let mut memory = memory_for_seed(s);
-                inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut memory)
+                session.evaluate_with_faults(samples, &mut memory)
             })
             .sum::<f32>()
             / seeds.len() as f32
@@ -148,8 +150,8 @@ fn boosting_then_mapping_yields_reduced_parameters_and_valid_accuracy() {
     let op_ber = vendor.ber(&OperatingPoint::with_vdd_reduction(mapping.vdd_reduction));
     let mut memory =
         ApproximateMemory::from_model(template.with_ber(op_ber), 9).with_bounding(bounding);
-    let acc =
-        inference::evaluate_with_faults(&net, &dataset.test()[..48], Precision::Int8, &mut memory);
+    let acc = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32)
+        .evaluate_with_faults(&dataset.test()[..48], &mut memory);
     assert!(
         acc >= coarse.accuracy_floor - 0.1,
         "accuracy {acc} at the mapped point fell far below the floor {}",
@@ -192,6 +194,7 @@ fn quantized_zoo_models_run_under_injection_for_all_precisions() {
     let net = zoo::lenet(&dataset.spec(), 5);
     let samples = &dataset.test()[..8];
     for precision in Precision::all() {
+        let mut session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
         for model in [
             ErrorModel::uniform(0.01, 0.3, 1),
             ErrorModel::bitline(0.01, 0.3, 0.8, 1),
@@ -199,7 +202,7 @@ fn quantized_zoo_models_run_under_injection_for_all_precisions() {
             ErrorModel::data_dependent(0.01, 0.4, 0.2, 1),
         ] {
             let mut memory = ApproximateMemory::from_model(model, 2);
-            let acc = inference::evaluate_with_faults(&net, samples, precision, &mut memory);
+            let acc = session.evaluate_with_faults(samples, &mut memory);
             assert!((0.0..=1.0).contains(&acc));
         }
     }

@@ -1,8 +1,9 @@
 //! Integration tests for the fault-injection path: `ApproximateMemory` +
-//! `inference::evaluate_with_faults` across bit error rates.
+//! `EvalSession::evaluate_with_faults` across bit error rates.
 
 use eden::core::faults::ApproximateMemory;
-use eden::core::inference;
+use eden::core::inference::InferenceBackend;
+use eden::core::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
 use eden::dram::ErrorModel;
@@ -26,9 +27,10 @@ fn accuracy_is_a_probability_at_every_bit_error_rate() {
     let template = ErrorModel::uniform(0.01, 0.5, 7);
 
     for precision in [Precision::Int8, Precision::Fp32] {
+        let mut session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
         for ber in [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.4] {
             let mut memory = ApproximateMemory::from_model(template.with_ber(ber), 3);
-            let accuracy = inference::evaluate_with_faults(&net, samples, precision, &mut memory);
+            let accuracy = session.evaluate_with_faults(samples, &mut memory);
             assert!(
                 (0.0..=1.0).contains(&accuracy),
                 "accuracy {accuracy} out of range at BER {ber} ({precision:?})"
@@ -61,15 +63,15 @@ fn zero_ber_inference_is_bit_exact_with_fault_free_inference() {
         Precision::Int16,
         Precision::Fp32,
     ] {
+        let mut session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
         // Per-sample logits must match bit-exactly, not just the headline
         // accuracy: the zero-BER model must be indistinguishable from
         // reliable memory.
         for (x, _) in samples {
             let mut zero_memory = ApproximateMemory::from_model(template.with_ber(0.0), 5);
-            let zero_logits = inference::forward_with_faults(&net, x, precision, &mut zero_memory);
+            let zero_logits = session.forward_with_faults(x, &mut zero_memory);
             let mut reliable_memory = ApproximateMemory::reliable(5);
-            let reliable_logits =
-                inference::forward_with_faults(&net, x, precision, &mut reliable_memory);
+            let reliable_logits = session.forward_with_faults(x, &mut reliable_memory);
             assert_eq!(
                 zero_logits.data(),
                 reliable_logits.data(),
@@ -78,8 +80,8 @@ fn zero_ber_inference_is_bit_exact_with_fault_free_inference() {
         }
 
         let mut zero_memory = ApproximateMemory::from_model(template.with_ber(0.0), 5);
-        let zero_acc = inference::evaluate_with_faults(&net, samples, precision, &mut zero_memory);
-        let reliable_acc = inference::evaluate_reliable(&net, samples, precision);
+        let zero_acc = session.evaluate_with_faults(samples, &mut zero_memory);
+        let reliable_acc = session.evaluate_reliable(samples);
         assert_eq!(
             zero_acc, reliable_acc,
             "zero-BER accuracy diverged from fault-free accuracy ({precision:?})"
@@ -92,15 +94,16 @@ fn high_ber_destroys_accuracy_and_low_ber_preserves_it() {
     let (net, dataset) = trained_lenet(13);
     let samples = &dataset.test()[..32];
     let template = ErrorModel::uniform(0.01, 0.5, 3);
-    let baseline = inference::evaluate_reliable(&net, samples, Precision::Int8);
+    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+    let baseline = session.evaluate_reliable(samples);
 
-    let acc_at = |ber: f64, seed: u64| {
+    let mut acc_at = |ber: f64, seed: u64| {
         let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
-        inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut memory)
+        session.evaluate_with_faults(samples, &mut memory)
     };
 
     // Mean over seeds: single-seed accuracy under injection is noisy.
-    let mean = |ber: f64| (0..4).map(|s| acc_at(ber, s)).sum::<f32>() / 4.0;
+    let mut mean = |ber: f64| (0..4).map(|s| acc_at(ber, s)).sum::<f32>() / 4.0;
     let low = mean(1e-5);
     let high = mean(0.3);
     let chance = 1.0 / dataset.spec().num_classes as f32;

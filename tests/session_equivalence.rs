@@ -1,15 +1,16 @@
 //! Session equivalence: [`eden::core::session::EvalSession`] reuse against
-//! the one-shot per-call API, pinned bit for bit.
+//! one-shot calls — a fresh session per call — pinned bit for bit.
 //!
-//! The one-shot functions construct a throwaway session per call, so the
-//! interesting property is that *reuse* — the same session serving a whole
-//! probe sequence, with its cached weight images, corrupted-weight pools,
-//! reliable baselines and shared weak-cell maps — never changes a single
-//! bit of any accuracy, sweep point or injection statistic, across both
-//! execution backends, every precision, and 1/2/8 worker threads.
+//! The session is the only evaluation API, so the property pinned here is
+//! that *reuse* — the same session serving a whole probe sequence, with its
+//! cached weight images, corrupted-weight pools, reliable baselines and
+//! shared weak-cell maps — never changes a single bit of any accuracy, sweep
+//! point or injection statistic relative to a throwaway session per call,
+//! across both execution backends, every precision, and 1/2/8 worker
+//! threads.
 
 use eden::core::faults::ApproximateMemory;
-use eden::core::inference::{self, InferenceBackend};
+use eden::core::inference::InferenceBackend;
 use eden::core::session::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
@@ -60,7 +61,7 @@ fn probes_via_session(
     (probes, reliable, sweep)
 }
 
-/// Runs the same probe sequence through fresh one-shot calls.
+/// Runs the same probe sequence with a fresh session per call.
 fn probes_via_oneshot(
     net: &Network,
     samples: &[(Tensor, usize)],
@@ -70,27 +71,21 @@ fn probes_via_oneshot(
     bers: &[f64],
     seed: u64,
 ) -> (Vec<Probe>, u32, Vec<(u64, u32)>) {
+    let fresh = || EvalSession::new(net, precision, backend);
     let probes = bers
         .iter()
         .map(|&ber| {
             let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
-            let acc = inference::evaluate_with_faults_backend(
-                net,
-                samples,
-                precision,
-                &mut memory,
-                backend,
-            );
+            let acc = fresh().evaluate_with_faults(samples, &mut memory);
             (acc.to_bits(), memory.stats())
         })
         .collect();
-    let reliable = inference::evaluate_reliable_backend(net, samples, precision, backend).to_bits();
-    let sweep = inference::accuracy_vs_ber_backend(
-        net, samples, precision, template, bers, None, seed, backend,
-    )
-    .into_iter()
-    .map(|(b, a)| (b.to_bits(), a.to_bits()))
-    .collect();
+    let reliable = fresh().evaluate_reliable(samples).to_bits();
+    let sweep = fresh()
+        .accuracy_vs_ber(samples, template, bers, None, seed)
+        .into_iter()
+        .map(|(b, a)| (b.to_bits(), a.to_bits()))
+        .collect();
     (probes, reliable, sweep)
 }
 
@@ -142,7 +137,7 @@ fn forward_with_faults_matches_one_shot_forward() {
                 let mut b = a.clone();
                 let via_session = session.forward_with_faults(x, &mut a);
                 let via_oneshot =
-                    inference::forward_with_faults_backend(&net, x, precision, &mut b, backend);
+                    EvalSession::new(&net, precision, backend).forward_with_faults(x, &mut b);
                 // Compare bit patterns: FP32 corruption without bounding can
                 // produce NaN logits, and NaN != NaN under float equality.
                 let session_bits: Vec<u32> =
@@ -171,8 +166,9 @@ fn shared_weak_map_cache_does_not_change_results() {
     let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
     with_cache.attach_weak_map_cache(session.weak_map_cache());
     let mut without_cache = ApproximateMemory::from_model(template.with_ber(5e-3), 7);
-    let a = inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut with_cache);
-    let b = inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut without_cache);
+    let fresh = || EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+    let a = fresh().evaluate_with_faults(samples, &mut with_cache);
+    let b = fresh().evaluate_with_faults(samples, &mut without_cache);
     assert_eq!(a.to_bits(), b.to_bits());
     assert_eq!(with_cache.stats(), without_cache.stats());
     assert!(with_cache.stats().bit_flips > 0);

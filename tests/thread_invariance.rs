@@ -7,7 +7,8 @@
 use eden::core::characterize::CoarseConfig;
 use eden::core::curricular::CurricularConfig;
 use eden::core::faults::ApproximateMemory;
-use eden::core::inference;
+use eden::core::inference::InferenceBackend;
+use eden::core::session::EvalSession;
 use eden::core::{EdenConfig, EdenPipeline};
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
@@ -83,7 +84,8 @@ fn batch_evaluation_is_thread_count_invariant() {
     let samples = &dataset.test()[..40];
     assert_invariant(|| {
         let mut memory = ApproximateMemory::from_model(ErrorModel::uniform(0.02, 0.5, 3), 17);
-        let acc = inference::evaluate_with_faults(&net, samples, Precision::Int8, &mut memory);
+        let acc = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32)
+            .evaluate_with_faults(samples, &mut memory);
         // Accuracy bits AND the injection statistics must match exactly.
         (acc.to_bits(), memory.stats())
     });
@@ -99,13 +101,8 @@ fn native_backend_evaluation_is_thread_count_invariant() {
     for precision in [Precision::Int4, Precision::Int8, Precision::Int16] {
         assert_invariant(|| {
             let mut memory = ApproximateMemory::from_model(ErrorModel::uniform(0.02, 0.5, 3), 19);
-            let acc = inference::evaluate_with_faults_backend(
-                &net,
-                samples,
-                precision,
-                &mut memory,
-                inference::InferenceBackend::NativeInt,
-            );
+            let acc = EvalSession::new(&net, precision, InferenceBackend::NativeInt)
+                .evaluate_with_faults(samples, &mut memory);
             (acc.to_bits(), memory.stats())
         });
     }
@@ -115,15 +112,11 @@ fn native_backend_evaluation_is_thread_count_invariant() {
 fn session_probe_sequence_is_thread_count_invariant() {
     // A reused EvalSession — warm pools, cached baseline, shared weak-map
     // cache — must stay bit-identical across worker counts for a whole
-    // probe sequence, exactly like the one-shot API it wraps.
-    use eden::core::session::EvalSession;
+    // probe sequence, exactly like a fresh session per probe.
     let (net, dataset) = trained_lenet(36);
     let samples = &dataset.test()[..32];
     let template = ErrorModel::uniform(0.02, 0.5, 6);
-    for backend in [
-        inference::InferenceBackend::SimulatedF32,
-        inference::InferenceBackend::NativeInt,
-    ] {
+    for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
         assert_invariant(|| {
             let mut session = EvalSession::new(&net, Precision::Int8, backend);
             let mut outcomes = Vec::new();
@@ -180,15 +173,8 @@ fn ber_sweep_is_thread_count_invariant() {
     let samples = &dataset.test()[..24];
     let template = ErrorModel::uniform(0.02, 0.5, 4);
     assert_invariant(|| {
-        let curve = inference::accuracy_vs_ber(
-            &net,
-            samples,
-            Precision::Int8,
-            &template,
-            &[1e-4, 1e-3, 1e-2, 5e-2],
-            None,
-            23,
-        );
+        let curve = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32)
+            .accuracy_vs_ber(samples, &template, &[1e-4, 1e-3, 1e-2, 5e-2], None, 23);
         curve
             .into_iter()
             .map(|(ber, acc)| (ber.to_bits(), acc.to_bits()))
