@@ -185,7 +185,8 @@ impl Layer for Conv2d {
 
     /// Quantized convolution, the integer mirror of
     /// [`eden_tensor::ops::conv2d`]: patch-major integer im2col straight from
-    /// the stored bits into panel rows, one panel GEMM with exact
+    /// the stored bits into `(ky, kx, ic)`-ordered panel rows (the lane order
+    /// of the packed weights), one panel GEMM with exact
     /// accumulation whose rhs packs every sample's patch rows, then one fused
     /// `bias + acc · s_w·s_x` epilogue with each sample's own scale.
     fn quant_forward_batch(
@@ -259,7 +260,8 @@ impl Layer for Conv2d {
 }
 
 /// Packs every sample's `[ohw, ck]` patch rows at the `T` panel stride, zero
-/// pad lanes, back to back into `cols` — the rhs of a packed panel GEMM.
+/// pad lanes, back to back into `cols` — the rhs of a packed panel GEMM. The
+/// packer writes every lane, so stale contents of `cols` are never read.
 fn pack_patches<T: PanelLane>(
     inputs: &[&QuantTensor],
     p: Conv2dParams,
@@ -269,7 +271,6 @@ fn pack_patches<T: PanelLane>(
     cols: &mut Vec<T>,
 ) {
     let ck_pad = T::packed_stride(ck);
-    cols.clear();
     cols.resize(inputs.len() * ohw * ck_pad, T::default());
     for (q, rows) in inputs.iter().zip(cols.chunks_exact_mut(ohw * ck_pad)) {
         let s = q.shape();

@@ -11,10 +11,12 @@
 //! and int4/int8 reductions too deep for i32) — and a single fused epilogue
 //! applies the per-sample scale product and the bias. Weights are packed
 //! into their panel form once per refetch ([`NativeWeights`]), and sparse
-//! corruption overlays patch the packed lanes in place. Layers without a
-//! native implementation (normalization, composite blocks) fall back to
-//! their f32 forward on a weight-refreshed clone of the network, so any
-//! architecture runs under either backend.
+//! corruption overlays patch the packed lanes in place. Convolution weight
+//! lanes follow the patch rows' `(ky, kx, ic)` order
+//! ([`eden_tensor::ops::conv_patch_lane`]); dense weight lanes keep their
+//! column order. Layers without a native implementation (normalization,
+//! composite blocks) fall back to their f32 forward on a weight-refreshed
+//! clone of the network, so any architecture runs under either backend.
 //!
 //! There is one executor, [`forward_native_batch_observed`]: a group of
 //! samples sharing one corrupted weight state runs layer by layer, each
@@ -39,9 +41,11 @@ use eden_tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
 ///
 /// The weights are held in the lhs panel form of the layer's GEMM, packed
 /// once per refetch: one row per output, `k` sign-extended lanes at the
-/// kernel's k-padded stride, zero pad lanes. Exactly one of the two forms is
-/// filled, chosen by [`use_i8_kernels_for`] on the weight precision and the
-/// row depth `k`.
+/// kernel's k-padded stride, zero pad lanes. Dense rows keep their column
+/// order; convolution rows hold their `[in_c, k, k]` taps in the `(ky, kx,
+/// ic)` lane order of the patch rows ([`ops::conv_patch_lane`]). Exactly one
+/// of the two forms is filled, chosen by [`use_i8_kernels_for`] on the
+/// weight precision and the row depth `k`.
 #[derive(Debug, Clone, Default)]
 pub struct QuantLayerParams {
     /// i8 panel rows at the [`ops::packed_stride_i8`] stride, the lhs of
@@ -67,21 +71,19 @@ impl QuantLayerParams {
         self.qweight8.clear();
         self.qweight16.clear();
         if use_i8_kernels_for(q.precision(), k) {
-            pack_panel(&[q], k, &mut self.qweight8);
+            pack_weight_panel(q, &mut self.qweight8);
         } else {
-            pack_panel(&[q], k, &mut self.qweight16);
+            pack_weight_panel(q, &mut self.qweight16);
         }
     }
 
     /// Writes every `(index, word)` pair — weight indices in visit order,
     /// stored words of `clean`'s precision — into its packed lane.
     fn patch_weights(&mut self, clean: &QuantTensor, words: impl Iterator<Item = (usize, u32)>) {
-        let k = weight_depth(clean);
-        let bits = clean.bits_per_value();
-        if use_i8_kernels_for(clean.precision(), k) {
-            patch_panel(&mut self.qweight8, k, bits, words);
+        if use_i8_kernels_for(clean.precision(), weight_depth(clean)) {
+            patch_panel(&mut self.qweight8, clean, words);
         } else {
-            patch_panel(&mut self.qweight16, k, bits, words);
+            patch_panel(&mut self.qweight16, clean, words);
         }
     }
 }
@@ -90,6 +92,33 @@ impl QuantLayerParams {
 /// (`in_features` of a dense layer, `in_c·k·k` of a convolution).
 fn weight_depth(q: &QuantTensor) -> usize {
     q.len() / q.shape()[0]
+}
+
+/// The panel lane of column `col` of a weight row of `shape`: the
+/// `(ky, kx, ic)` patch lane ([`ops::conv_patch_lane`]) for a rank-4
+/// `[out_c, in_c, k, k]` convolution weight, `col` itself for a dense one.
+fn weight_lane(shape: &[usize], col: usize) -> usize {
+    match *shape {
+        [_, in_c, kernel, _] => ops::conv_patch_lane(in_c, kernel, col),
+        _ => col,
+    }
+}
+
+/// Packs a weight tensor's stored words into lhs panel rows at the `T`
+/// stride with zero pad lanes, each column at its [`weight_lane`]. `out` is
+/// cleared and regrown, so it reallocates only past its high-water size.
+fn pack_weight_panel<T: PanelLane>(q: &QuantTensor, out: &mut Vec<T>) {
+    let k = weight_depth(q);
+    let k_pad = T::packed_stride(k);
+    let bits = q.bits_per_value();
+    let lanes: Vec<usize> = (0..k).map(|col| weight_lane(q.shape(), col)).collect();
+    out.clear();
+    out.resize(q.len() / k * k_pad, T::default());
+    for (dst, src) in out.chunks_exact_mut(k_pad).zip(q.stored().chunks_exact(k)) {
+        for (&lane, &word) in lanes.iter().zip(src) {
+            dst[lane] = T::from_stored(word, bits);
+        }
+    }
 }
 
 /// Packs the stored words of `tensors` — each a row-major `[rows, k]`
@@ -116,17 +145,19 @@ pub(crate) fn pack_panel<T: PanelLane>(tensors: &[&QuantTensor], k: usize, out: 
     }
 }
 
-/// Overwrites lane `row·k_pad + col` of a packed panel for every flat
-/// index `row·k + col` in `words`.
+/// Overwrites lane `row·k_pad + weight_lane(col)` of the packed panel of
+/// weight `clean` for every flat index `row·k + col` in `words` (stored
+/// words of `clean`'s precision).
 fn patch_panel<T: PanelLane>(
     panel: &mut [T],
-    k: usize,
-    bits: u32,
+    clean: &QuantTensor,
     words: impl Iterator<Item = (usize, u32)>,
 ) {
+    let k = weight_depth(clean);
     let k_pad = T::packed_stride(k);
+    let bits = clean.bits_per_value();
     for (i, word) in words {
-        panel[i / k * k_pad + i % k] = T::from_stored(word, bits);
+        panel[i / k * k_pad + weight_lane(clean.shape(), i % k)] = T::from_stored(word, bits);
     }
 }
 
@@ -141,8 +172,8 @@ pub struct QuantScratch {
     pub cols8: Vec<i8>,
     /// The same on the i16 path, at the [`ops::packed_stride_i16`] stride.
     pub cols16: Vec<i16>,
-    /// Whole-image sign-extended view feeding the i8 patch packer
-    /// ([`ops::im2col_t_stored_strided`]).
+    /// Whole-image sign-extended, channel-interleaved (HWC) view feeding
+    /// the i8 patch packer ([`ops::im2col_t_stored_strided`]).
     pub vals8: Vec<i8>,
     /// The same for the i16 patch packer.
     pub vals16: Vec<i16>,
@@ -905,6 +936,21 @@ mod tests {
         }
     }
 
+    /// Asserts two native weight states hold lane-identical weight panels
+    /// (and the same bias values) in every native layer.
+    fn assert_same_panels(a: &NativeWeights, b: &NativeWeights, what: &str) {
+        assert_eq!(a.native.len(), b.native.len(), "{what}: layer count");
+        for (i, (pa, pb)) in a.native.iter().zip(&b.native).enumerate() {
+            let (Some(pa), Some(pb)) = (pa, pb) else {
+                assert!(pa.is_none() && pb.is_none(), "{what}: layer {i} routing");
+                continue;
+            };
+            assert_eq!(pa.qweight8, pb.qweight8, "{what}: layer {i} i8 panel");
+            assert_eq!(pa.qweight16, pb.qweight16, "{what}: layer {i} i16 panel");
+            assert_eq!(pa.bias, pb.bias, "{what}: layer {i} bias");
+        }
+    }
+
     #[test]
     fn native_overlay_patching_matches_refresh() {
         // Both a fully-native net and one with a fallback layer: applying
@@ -943,6 +989,10 @@ mod tests {
                 patched.refresh_clean(&images);
                 patched.apply_overlay(&images, &overlays);
 
+                // Overlay patching writes every word to the lane the packer
+                // put it in: the panels agree lane for lane.
+                assert_same_panels(&reference, &patched, &format!("{precision} patched"));
+
                 let x = uniform(&input_shape, -1.0, 1.0, &mut rng);
                 let mut scratch = QuantScratch::new();
                 let via_reference = forward_one(&net, &reference, &x, precision, &mut scratch);
@@ -953,6 +1003,7 @@ mod tests {
                 patched.revert_overlay(&images, &overlays);
                 let mut clean = NativeWeights::prepare(&net);
                 clean.refresh_clean(&images);
+                assert_same_panels(&clean, &patched, &format!("{precision} reverted"));
                 let via_reverted = forward_one(&net, &patched, &x, precision, &mut scratch);
                 let via_clean = forward_one(&net, &clean, &x, precision, &mut scratch);
                 assert_eq!(via_reverted, via_clean, "{precision}");

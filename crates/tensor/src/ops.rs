@@ -8,7 +8,11 @@
 //! operand layout: rows of `k` sign-extended lanes, zero-padded to a fixed
 //! stride, with weights as lhs rows and patch-major activation rows as the
 //! transposed rhs (packed by [`im2col_t_stored_strided`] and
-//! [`pack_stored_rows`] straight from the stored bits).
+//! [`pack_stored_rows`] straight from the stored bits). Convolution patch
+//! rows hold their taps channel-interleaved, in `(ky, kx, ic)` order, so a
+//! kernel row is one contiguous run of lanes; [`conv_patch_lane`] is the one
+//! map from a tap's `(ic, ky, kx)` index to its lane, and conv weight panels
+//! are packed through it too.
 //! [`gemm_i8_packed`] takes i8 lanes with i32 accumulation (int4/int8);
 //! [`gemm_i16_packed`] takes i16 lanes with exact i64 results (int16, and
 //! reductions too deep for i32).
@@ -424,18 +428,31 @@ pub fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
     Tensor::from_vec(cols, &[in_c * k * k, oh * ow])
 }
 
+/// The panel lane of a convolution tap in the native integer backend's
+/// patch order. `tap` is the tap's `(ic, ky, kx)` index `(ic·k + ky)·k +
+/// kx`: the row of [`im2col`] and the column of a row-major `[out_c, in_c,
+/// k, k]` weight. Its lane is `(ky·k + kx)·in_c + ic`, the channel-interleaved
+/// `(ky, kx, ic)` order [`im2col_t_stored_strided`] writes, so each kernel
+/// row of a patch is one contiguous run of `k·in_c` lanes. Weight panels
+/// must use the same permutation; integer sums are exact, so permuting both
+/// operands' `k` alike leaves every product sum unchanged.
+pub fn conv_patch_lane(in_c: usize, kernel: usize, tap: usize) -> usize {
+    let taps = kernel * kernel;
+    tap % taps * in_c + tap / taps
+}
+
 /// Transposed im2col straight from the raw stored words of a quantized
 /// `[in_c, h, w]` tensor into panel lanes `T` (`bits` ≤
 /// [`PanelLane::MAX_BITS`], so every sign-extended value fits a lane):
-/// writes the **patch-major** `[oh·ow, in_c·k·k]` matrix — row `oy·ow + ox`
-/// holds output position `(oy, ox)`'s receptive field contiguously, i.e. the
-/// transpose of [`im2col`]'s layout — with each patch row at `row_stride` ≥
-/// `in_c·k·k`, the k-padded panel form [`gemm_i8_packed`] and
+/// writes the **patch-major** `[oh·ow, in_c·k·k]` matrix, row `oy·ow + ox`
+/// holding output position `(oy, ox)`'s receptive field in the `(ky, kx,
+/// ic)` lane order of [`conv_patch_lane`], each patch row at `row_stride` ≥
+/// `in_c·k·k` — the k-padded panel form [`gemm_i8_packed`] and
 /// [`gemm_i16_packed`] consume. The stored words are sign-extended **once**
-/// into `vals` (O(values) instead of O(taps), and taps outnumber values by
-/// the kernel footprint), then every in-bounds kernel row becomes one
-/// contiguous lane copy. `cols` must be pre-zeroed; padding taps and pad
-/// lanes are left untouched.
+/// into `vals`, channel-interleaved (HWC), so every in-bounds kernel row of
+/// a patch becomes one contiguous copy of `k·in_c` lanes. Every lane of the
+/// `oh·ow` patch rows is written: padding taps and the pad lanes
+/// `[in_c·k·k, row_stride)` are zeroed, so `cols` needs no pre-zeroing.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_t_stored_strided<T: PanelLane>(
     stored: &[u32],
@@ -459,7 +476,7 @@ pub fn im2col_t_stored_strided<T: PanelLane>(
     );
     let (oh, ow) = (p.out_size(h), p.out_size(w));
     let k = p.kernel;
-    let ck = in_c * k * k;
+    let (kc, ck) = (k * in_c, in_c * k * k);
     assert!(
         row_stride >= ck,
         "im2col_t_stored_strided: row stride below patch length"
@@ -469,69 +486,62 @@ pub fn im2col_t_stored_strided<T: PanelLane>(
         "im2col_t_stored_strided: output slice too short"
     );
     vals.clear();
-    vals.extend(
-        stored[..in_c * h * w]
-            .iter()
-            .map(|&s| T::from_stored(s, bits)),
-    );
+    vals.resize(in_c * h * w, T::default());
+    for (ic, plane) in stored[..in_c * h * w].chunks_exact(h * w).enumerate() {
+        for (dst, &s) in vals[ic..].iter_mut().step_by(in_c).zip(plane) {
+            *dst = T::from_stored(s, bits);
+        }
+    }
     // Output columns whose kx span covers the whole kernel row
     // (ix = ox·stride + kx − padding ∈ [0, w) for every kx): everything
     // left of `ox_full_lo` clips at the left image edge, everything at
     // `ox_full_hi` or beyond clips at the right one.
     let ox_full_lo = p.padding.div_ceil(p.stride).min(ow);
     let ox_full_hi = if w + p.padding >= k {
-        ((w + p.padding - k) / p.stride + 1).min(ow)
+        ((w + p.padding - k) / p.stride + 1).clamp(ox_full_lo, ow)
     } else {
-        0
+        ox_full_lo
     };
-    // One partial (edge-clipped) column: the span of in-bounds kx taps.
-    let partial = |vals: &[T], cols: &mut [T], ox: usize, src_row: usize, tap: usize, d: usize| {
-        let kx_lo = p.padding.saturating_sub(ox * p.stride);
-        let kx_hi = (w + p.padding).saturating_sub(ox * p.stride).min(k);
+    // One edge-clipped column: the span of in-bounds kx taps, if any.
+    let partial = |vals: &[T], band: &mut [T], ox: usize, iy: usize, d: usize| {
+        let kx_lo = p.padding.saturating_sub(ox * p.stride).min(k);
+        let kx_hi = (w + p.padding)
+            .saturating_sub(ox * p.stride)
+            .clamp(kx_lo, k);
         if kx_lo < kx_hi {
-            let src = src_row + ox * p.stride + kx_lo - p.padding;
-            cols[d + tap + kx_lo..d + tap + kx_hi]
-                .copy_from_slice(&vals[src..src + (kx_hi - kx_lo)]);
+            let src = (iy * w + ox * p.stride + kx_lo - p.padding) * in_c;
+            band[d + kx_lo * in_c..d + kx_hi * in_c]
+                .copy_from_slice(&vals[src..src + (kx_hi - kx_lo) * in_c]);
         }
     };
-    for oy in 0..oh {
-        let drow = oy * ow;
-        for ic in 0..in_c {
-            for ky in 0..k {
-                let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let src_row = ic * h * w + iy as usize * w;
-                let tap = (ic * k + ky) * k;
-                for ox in 0..ox_full_lo {
-                    partial(vals, cols, ox, src_row, tap, (drow + ox) * row_stride);
-                }
-                // Full-span columns: one k-lane copy each, with all index
-                // math hoisted out of the loop.
-                if ox_full_hi > ox_full_lo {
-                    let mut d = (drow + ox_full_lo) * row_stride + tap;
-                    let mut src = src_row + ox_full_lo * p.stride - p.padding;
-                    // SAFETY: full-span columns read `vals[src..src+k]`
-                    // with ix ∈ [0, w) by construction of the ox bounds,
-                    // and write inside the patch row (`tap + k <= ck <=
-                    // row_stride`), whose end was asserted against
-                    // `cols.len()` above.
-                    unsafe {
-                        for _ in ox_full_lo..ox_full_hi {
-                            std::ptr::copy_nonoverlapping(
-                                vals.as_ptr().add(src),
-                                cols.as_mut_ptr().add(d),
-                                k,
-                            );
-                            d += row_stride;
-                            src += p.stride;
-                        }
-                    }
-                }
-                for ox in ox_full_hi.max(ox_full_lo)..ow {
-                    partial(vals, cols, ox, src_row, tap, (drow + ox) * row_stride);
-                }
+    for (oy, band) in cols[..oh * ow * row_stride]
+        .chunks_exact_mut(ow * row_stride)
+        .enumerate()
+    {
+        // Zero one output row's patch rows (a cache-resident band) first, so
+        // padding taps and pad lanes need no per-column bookkeeping, then
+        // copy every in-bounds kernel row over them.
+        band.fill(T::default());
+        for ky in 0..k {
+            let iy = (oy * p.stride + ky).wrapping_sub(p.padding);
+            if iy >= h {
+                continue;
+            }
+            let tap = ky * kc;
+            for ox in 0..ox_full_lo {
+                partial(vals, band, ox, iy, ox * row_stride + tap);
+            }
+            // Full-span columns: one k·in_c-lane copy each, with all index
+            // math hoisted out of the loop.
+            let mut d = ox_full_lo * row_stride + tap;
+            let mut src = (iy * w + ox_full_lo * p.stride).wrapping_sub(p.padding) * in_c;
+            for _ in ox_full_lo..ox_full_hi {
+                band[d..d + kc].copy_from_slice(&vals[src..src + kc]);
+                d += row_stride;
+                src += p.stride * in_c;
+            }
+            for ox in ox_full_hi..ow {
+                partial(vals, band, ox, iy, ox * row_stride + tap);
             }
         }
     }
@@ -1149,8 +1159,9 @@ mod tests {
     }
 
     /// The i16 patch packer reproduces the f32 [`im2col`] on the same
-    /// integer values (transposed, at the panel stride, zero pad lanes),
-    /// over the full 16-bit stored domain.
+    /// integer values (transposed, in [`conv_patch_lane`] order, at the
+    /// panel stride, zero pad lanes), over the full 16-bit stored domain.
+    /// `cols` starts stale, so every lane must be written.
     #[test]
     fn im2col_i32_matches_f32_im2col_on_integer_data() {
         for (in_c, h, w, k, stride, padding) in
@@ -1167,7 +1178,7 @@ mod tests {
             let reference = im2col(&Tensor::from_vec(floats, &[in_c, h, w]), p);
             let (ohw, ck) = (p.out_size(h) * p.out_size(w), in_c * k * k);
             let stride_lanes = packed_stride_i16(ck);
-            let mut cols = vec![0i16; ohw * stride_lanes];
+            let mut cols = vec![0x5555i16; ohw * stride_lanes];
             im2col_t_stored_strided(
                 &stored,
                 16,
@@ -1181,14 +1192,14 @@ mod tests {
             );
             for patch in 0..ohw {
                 let row = &cols[patch * stride_lanes..(patch + 1) * stride_lanes];
-                for (tap, &v) in row[..ck].iter().enumerate() {
+                for tap in 0..ck {
                     assert_eq!(
-                        v as f32,
+                        row[conv_patch_lane(in_c, k, tap)] as f32,
                         reference.data()[tap * ohw + patch],
                         "im2col mismatch at k={k} s={stride} p={padding}"
                     );
                 }
-                assert!(row[ck..].iter().all(|&v| v == 0), "pad lanes stay zero");
+                assert!(row[ck..].iter().all(|&v| v == 0), "pad lanes are zeroed");
             }
         }
     }
@@ -1391,8 +1402,9 @@ mod tests {
 
     /// The span-copy strided gather must reproduce the naive per-tap patch
     /// gather (the transpose of the f32 [`im2col`] on the sign-extended
-    /// values) in the first `ck` lanes of every patch row and leave the pad
-    /// lanes zero, across strides/paddings and sub-byte precisions.
+    /// values, read through [`conv_patch_lane`]) in the first `ck` lanes of
+    /// every patch row and zero the pad lanes of a stale buffer, across
+    /// strides/paddings and sub-byte precisions.
     #[test]
     fn strided_i8_im2col_matches_the_per_tap_form_with_zero_pad_lanes() {
         for (kernel, stride, padding, bits) in [(3, 1, 1, 8u32), (3, 2, 1, 4), (5, 2, 2, 8)] {
@@ -1412,15 +1424,17 @@ mod tests {
             let straight = im2col(&Tensor::from_vec(values, &[in_c, h, w]), p);
             let row_stride = packed_stride_i8(ck);
             let mut vals = Vec::new();
-            let mut got = vec![0i8; oh * ow * row_stride];
+            let mut got = vec![0x55i8; oh * ow * row_stride];
             im2col_i8_t_stored_strided(
                 &stored, bits, in_c, h, w, p, row_stride, &mut vals, &mut got,
             );
             for patch in 0..oh * ow {
                 let row = &got[patch * row_stride..(patch + 1) * row_stride];
-                let expect: Vec<i8> = (0..ck)
-                    .map(|tap| straight.data()[tap * oh * ow + patch] as i8)
-                    .collect();
+                let mut expect = vec![0i8; ck];
+                for tap in 0..ck {
+                    expect[conv_patch_lane(in_c, kernel, tap)] =
+                        straight.data()[tap * oh * ow + patch] as i8;
+                }
                 assert_eq!(
                     &row[..ck],
                     &expect[..],
@@ -1428,10 +1442,32 @@ mod tests {
                 );
                 assert!(
                     row[ck..].iter().all(|&v| v == 0),
-                    "pad lanes of patch {patch} must stay zero"
+                    "pad lanes of patch {patch} must be zeroed"
                 );
             }
         }
+    }
+
+    #[test]
+    fn conv_patch_lane_is_a_bijection_onto_the_patch() {
+        for in_c in 1..6 {
+            for kernel in 1..6 {
+                let ck = in_c * kernel * kernel;
+                let mut seen = vec![false; ck];
+                for tap in 0..ck {
+                    let lane = conv_patch_lane(in_c, kernel, tap);
+                    assert!(
+                        lane < ck,
+                        "lane {lane} outside the patch at c{in_c}/k{kernel}"
+                    );
+                    assert!(!seen[lane], "lane {lane} hit twice at c{in_c}/k{kernel}");
+                    seen[lane] = true;
+                }
+            }
+        }
+        // Tap (ic, ky, kx) = (1, 2, 0) of a 3-channel 3×3 kernel is index
+        // (1·3 + 2)·3 + 0 = 15 and lands on lane (2·3 + 0)·3 + 1 = 19.
+        assert_eq!(conv_patch_lane(3, 3, 15), 19);
     }
 
     /// The packed-panel GEMM must equal the naive dot-structured triple

@@ -74,6 +74,70 @@ fn overlay_from_flips(clean: &QuantTensor, flips: &[(usize, u32)]) -> Corruption
     CorruptionOverlay::from_diff(clean, &corrupted)
 }
 
+/// The naive per-tap gather the native conv packer must reproduce: for every
+/// output position, its receptive field's sign-extended stored values in
+/// `(ky, kx, ic)` order (zero for taps in the padding), then zero pad lanes
+/// up to `row_stride`. Written tap by tap, with no call into `ops`.
+#[allow(clippy::too_many_arguments)]
+fn naive_patch_rows(
+    stored: &[u32],
+    bits: u32,
+    in_c: usize,
+    h: usize,
+    w: usize,
+    p: ops::Conv2dParams,
+    row_stride: usize,
+) -> Vec<i32> {
+    let k = p.kernel;
+    let (oh, ow) = (p.out_size(h), p.out_size(w));
+    let mut rows = Vec::with_capacity(oh * ow * row_stride);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            for ky in 0..k {
+                for kx in 0..k {
+                    for ic in 0..in_c {
+                        let iy = (oy * p.stride + ky) as isize - p.padding as isize;
+                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
+                        let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                        rows.push(if inside {
+                            bits::sign_extend(
+                                stored[(ic * h + iy as usize) * w + ix as usize],
+                                bits,
+                            )
+                        } else {
+                            0
+                        });
+                    }
+                }
+            }
+            rows.resize(rows.len() + row_stride - in_c * k * k, 0);
+        }
+    }
+    rows
+}
+
+/// Runs the panel packer into stale `T` lanes (and a stale `vals` buffer)
+/// and widens the result for comparison.
+#[allow(clippy::too_many_arguments)]
+fn packed_patch_rows<T: ops::PanelLane + Into<i32>>(
+    stored: &[u32],
+    bits: u32,
+    in_c: usize,
+    h: usize,
+    w: usize,
+    p: ops::Conv2dParams,
+    stale: T,
+) -> (usize, Vec<i32>) {
+    let ck = in_c * p.kernel * p.kernel;
+    let row_stride = T::packed_stride(ck);
+    let mut vals = vec![stale; 7];
+    let mut cols = vec![stale; p.out_size(h) * p.out_size(w) * row_stride];
+    ops::im2col_t_stored_strided(
+        stored, bits, in_c, h, w, p, row_stride, &mut vals, &mut cols,
+    );
+    (row_stride, cols.into_iter().map(Into::into).collect())
+}
+
 proptest! {
     // The quantization round-trip invariants below guard the bit-exact
     // storage layer everything else builds on, so run them at double the
@@ -288,6 +352,50 @@ proptest! {
                     (a - b).abs() <= step / 2.0 + 1e-4,
                     "precision {:?}: {} vs {} (step {})", p, a, b, step
                 );
+            }
+        }
+    }
+
+    /// The native conv patch packer equals the naive `(ky, kx, ic)` gather
+    /// over random geometry (`h ≠ w`, padding below the kernel) and stored
+    /// precisions, on both lane widths, writing every lane of a stale
+    /// buffer; and [`ops::conv_patch_lane`] names the lane each tap lands on.
+    #[test]
+    fn conv_patch_packer_matches_the_naive_gather(
+        image in (1usize..6, 1usize..10, 1usize..9),
+        conv in (1usize..5, 1usize..3, 0usize..4),
+        bits_idx in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        use rand::Rng;
+        let (in_c, h, w_step) = image;
+        // w ∈ [1, 9] and never equal to h.
+        let w = (h - 1 + w_step) % 9 + 1;
+        let (kernel, stride, padding) = (conv.0, conv.1, conv.2 % conv.0);
+        if h + 2 * padding < kernel || w + 2 * padding < kernel {
+            return;
+        }
+        let bits = [4u32, 8, 16][bits_idx];
+        let p = ops::Conv2dParams::new(kernel, stride, padding);
+        let mut rng = eden_tensor::init::seeded_rng(seed);
+        let stored: Vec<u32> = (0..in_c * h * w)
+            .map(|_| rng.gen_range(0u32..=(1u32 << bits) - 1))
+            .collect();
+        let (row_stride, wide) = packed_patch_rows(&stored, bits, in_c, h, w, p, 0x5555i16);
+        prop_assert_eq!(&wide, &naive_patch_rows(&stored, bits, in_c, h, w, p, row_stride));
+        if bits <= 8 {
+            let (row_stride, narrow) = packed_patch_rows(&stored, bits, in_c, h, w, p, 0x55i8);
+            prop_assert_eq!(&narrow, &naive_patch_rows(&stored, bits, in_c, h, w, p, row_stride));
+        }
+        for ic in 0..in_c {
+            for ky in 0..kernel {
+                for kx in 0..kernel {
+                    let tap = (ic * kernel + ky) * kernel + kx;
+                    prop_assert_eq!(
+                        ops::conv_patch_lane(in_c, kernel, tap),
+                        (ky * kernel + kx) * in_c + ic
+                    );
+                }
             }
         }
     }
