@@ -574,7 +574,7 @@ fn bench_incremental(c: &mut Criterion) {
                 b.iter(|| {
                     let mut memory = ApproximateMemory::reliable(7);
                     memory.assign_site(site.clone(), injector.clone());
-                    session.evaluate_concurrent(black_box(samples), &mut memory)
+                    session.evaluate_with_faults(black_box(samples), &mut memory)
                 })
             });
         }
@@ -694,7 +694,7 @@ fn bench_faults(c: &mut Criterion) {
         &benefit_traffic_score,
     );
     group.bench_function("device_span_eval_resnet_int8", |b| {
-        let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
+        let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
         let mut seed = 0u64;
         b.iter(|| {
             let mut memory = ApproximateMemory::reliable(seed);

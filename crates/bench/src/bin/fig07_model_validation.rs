@@ -35,7 +35,7 @@ fn main() {
     };
     // Every device/model pair evaluates the same (net, int8, backend) triple,
     // so one session serves the whole figure.
-    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+    let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
 
     for vendor in Vendor::all() {
         let device = ApproxDramDevice::new(vendor, 50 + vendor as u64);

@@ -93,7 +93,7 @@ impl Tenant {
     /// The ground-truth accuracy from a fresh standalone session.
     fn standalone(&self, zoo: &ModelZoo) -> f32 {
         let entry = zoo.get(ModelId::LeNet);
-        let mut session =
+        let session =
             EvalSession::new_shared(entry.net, self.precision, InferenceBackend::default());
         let mut memory =
             ApproximateMemory::from_model(self.template().with_ber(self.ber), MEM_SEED);

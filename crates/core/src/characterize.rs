@@ -118,7 +118,11 @@ pub fn coarse_characterize_session(
     // result is discarded, trading one wasted evaluation on that rare path
     // for halved latency on the common one.
     let (mut memory_min, mut memory_max) = (memory_at(cfg.ber_min), memory_at(cfg.ber_max));
-    let (acc_min, acc_max) = session.evaluate_pair(samples, &mut memory_min, &mut memory_max);
+    let shared: &EvalSession<'_> = session;
+    let (acc_min, acc_max) = eden_par::join(
+        || shared.evaluate_with_faults(samples, &mut memory_min),
+        || shared.evaluate_with_faults(samples, &mut memory_max),
+    );
     probes.push((cfg.ber_min, acc_min));
     if acc_min < floor {
         return CoarseCharacterization {
@@ -266,7 +270,7 @@ pub fn fine_characterize(
 ///
 /// Within a round, each still-active site's probe is independent, so the
 /// probes fan out across the `eden-par` pool via
-/// [`EvalSession::evaluate_concurrent`]. Each probe draws its error pattern
+/// [`EvalSession::evaluate_with_faults`]. Each probe draws its error pattern
 /// from its own `probe_seed(seed, round, site)` stream and acceptances are
 /// folded in ascending site order after the round's fan-out, so results are
 /// bit-identical at any thread count.
@@ -308,7 +312,7 @@ pub fn fine_characterize_session(
             if let Some(b) = bounding {
                 memory = memory.with_bounding(b);
             }
-            shared.evaluate_concurrent(samples, &mut memory)
+            shared.evaluate_with_faults(samples, &mut memory)
         });
 
         for (&i, &acc) in probes.iter().zip(&accs) {

@@ -156,7 +156,7 @@ impl CurricularTrainer {
         let target_model = error_model.with_ber(cfg.target_ber);
         let mut eval_memory =
             ApproximateMemory::from_model(target_model, cfg.seed ^ 0xEEEE).with_bounding(bounding);
-        let mut session = EvalSession::new(net, cfg.precision, cfg.backend);
+        let session = EvalSession::new(net, cfg.precision, cfg.backend);
         RetrainReport {
             epochs,
             final_reliable_accuracy: metrics::accuracy(net, dataset.test()),
@@ -299,7 +299,7 @@ mod tests {
         let bounding =
             BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
         let mean_acc = |candidate: &Network| {
-            let mut session =
+            let session =
                 EvalSession::new(candidate, Precision::Int8, InferenceBackend::SimulatedF32);
             let seeds = [9u64, 10, 11, 12];
             seeds

@@ -12,7 +12,6 @@
 //! and call it for single evaluations and probe loops alike. This module
 //! defines the [`InferenceBackend`] a session executes on.
 
-use eden_tensor::Precision;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -32,9 +31,8 @@ pub enum InferenceBackend {
     SimulatedF32,
     /// Native integer execution: dense/conv layers consume the sign-extended
     /// quantized integers directly via exact i32/i64-accumulating GEMM
-    /// kernels (see [`eden_dnn::qexec`]), skipping the f32 round-trip. Falls
-    /// back to the simulated path for FP32, which has no integer
-    /// representation.
+    /// kernels (see [`eden_dnn::qexec`]), skipping the f32 round-trip. FP32,
+    /// which has no integer representation, uses the all-f32 plan.
     NativeInt,
 }
 
@@ -61,19 +59,6 @@ impl FromStr for InferenceBackend {
     }
 }
 
-/// FP32 has no quantized integer representation, so the native backend
-/// executes it on the simulated path.
-pub(crate) fn effective_backend(
-    backend: InferenceBackend,
-    precision: Precision,
-) -> InferenceBackend {
-    if precision.is_integer() {
-        backend
-    } else {
-        InferenceBackend::SimulatedF32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +69,7 @@ mod tests {
     use eden_dnn::train::{TrainConfig, Trainer};
     use eden_dnn::{zoo, Dataset};
     use eden_dram::ErrorModel;
+    use eden_tensor::Precision;
 
     fn trained_lenet(seed: u64) -> (eden_dnn::Network, SyntheticVision) {
         let dataset = SyntheticVision::tiny(seed);

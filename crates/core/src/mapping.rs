@@ -444,7 +444,7 @@ impl PlacementPlan {
     /// data served from the system's reduced-parameter partitions: lowers
     /// the plan onto a reliable memory seeded with `seed` ([`apply_to`](
     /// `PlacementPlan::apply_to`)) and evaluates through
-    /// [`EvalSession::evaluate_concurrent`].
+    /// [`EvalSession::evaluate_with_faults`].
     ///
     /// This is the scoring probe a plan search runs many times per plan
     /// candidate, and it inherits the session's incremental re-evaluation:
@@ -460,7 +460,7 @@ impl PlacementPlan {
     ) -> f32 {
         let mut memory = ApproximateMemory::reliable(seed);
         self.apply_to(&mut memory, system);
-        session.evaluate_concurrent(samples, &mut memory)
+        session.evaluate_with_faults(samples, &mut memory)
     }
 }
 
@@ -1201,7 +1201,7 @@ mod tests {
         let via_helper = plan.accuracy(&session, &system, samples, 11);
         let mut memory = ApproximateMemory::reliable(11);
         plan.apply_to(&mut memory, &system);
-        let manual = session.evaluate_concurrent(samples, &mut memory);
+        let manual = session.evaluate_with_faults(samples, &mut memory);
         assert_eq!(via_helper.to_bits(), manual.to_bits());
     }
 

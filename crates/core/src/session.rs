@@ -15,9 +15,10 @@
 //!
 //! * the clean quantized **weight bit images** ([`Network::weight_images`]),
 //!   captured once instead of once per probe;
-//! * the reusable **corrupted-weight pools** (simulated-f32 network copies
-//!   and [`NativeWeights`] integer state), patched in place per refetch;
-//! * the **per-worker scratch arena** of the native integer executor;
+//! * the reusable **corrupted-weight pools** ([`NativeWeights`] slots on the
+//!   session's per-layer plan), checked out per probe and patched in place
+//!   per refetch;
+//! * the **per-worker scratch arena** of the group executor;
 //! * the cached **reliable baseline** per evaluated sample set;
 //! * a keyed cache of **per-placement injectors and weak-cell maps**
 //!   ([`WeakMapCache`]) shared by every memory the session evaluates with,
@@ -46,10 +47,13 @@
 //! Samples run in weight-stationary groups: maximal runs of consecutive
 //! samples whose corrupted weight states are provably equal, up to the batch
 //! cap ([`EvalSession::with_batch_limit`]). Each group runs layer by layer
-//! with one GEMM per layer over the whole group
-//! ([`qexec::forward_native_batch_observed`] on the native backend, the
-//! session's simulated group executor on the other), and a single sample is
-//! simply a group of one.
+//! through [`qexec::forward_native_batch_observed`], the group executor of
+//! both backends, with one GEMM per layer over the whole group; a single
+//! sample is simply a group of one. The backend only picks the per-layer
+//! plan a slot's [`NativeWeights`] is built with: the native plan for
+//! [`InferenceBackend::NativeInt`] at an integer precision, the all-f32
+//! plan ([`NativeWeights::simulated`]) for
+//! [`InferenceBackend::SimulatedF32`] and for FP32.
 //!
 //! # Incremental re-evaluation
 //!
@@ -100,7 +104,7 @@
 //!
 //! let dataset = SyntheticVision::tiny(0);
 //! let net = zoo::lenet(&dataset.spec(), 1);
-//! let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+//! let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
 //! let template = ErrorModel::uniform(0.001, 0.5, 7);
 //! // Probe two operating points; the second reuses the session's images,
 //! // pools and weak-cell maps.
@@ -113,16 +117,16 @@
 
 use crate::bounding::{BoundingLogic, CorrectionPolicy};
 use crate::faults::{ApproximateMemory, MemoryStats, WeakMapCache};
-use crate::inference::{effective_backend, InferenceBackend};
+use crate::inference::InferenceBackend;
 use crate::lru::BudgetedLru;
 use eden_dnn::network::WeightImage;
 use eden_dnn::qexec::{self, NativeWeights, QuantScratch, ScratchArena};
-use eden_dnn::{DataKind, DataSite, FaultHook, Network};
+use eden_dnn::Network;
 use eden_dram::error_model::Layout;
 use eden_dram::inject::Injector;
 use eden_dram::util::stream;
 use eden_dram::ErrorModel;
-use eden_tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
+use eden_tensor::{CorruptionOverlay, Precision, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -171,18 +175,6 @@ struct BatchStats {
     fallback_samples: AtomicU64,
 }
 
-/// Reusable buffers of one simulated-f32 group pass: the stored-bits image
-/// crossing every layer boundary and the per-sample dequantized activation
-/// buffers (grown once to the group width, reused across the layer loop).
-/// [`QuantTensor::quantize`] is defined as `requantize_from` on a fresh
-/// buffer, so reusing one across layers (and samples) is bit-identical to
-/// allocating per layer.
-#[derive(Default)]
-struct SimScratch {
-    stored: Option<QuantTensor>,
-    batch: Vec<Vec<f32>>,
-}
-
 /// How a session holds its network: borrowed from the caller's frame (the
 /// classic stack-scoped probe loops) or shared ownership of an `Arc` (the
 /// serving layer, where sessions outlive any request frame and reference the
@@ -214,9 +206,6 @@ struct SessionCore<'a> {
     /// Clean quantized bit images of every weight parameter, in
     /// [`Network::corrupt_weights`] visit order — captured once per session.
     images: Vec<WeightImage>,
-    /// One IFM [`DataSite`] per layer, precomputed so the per-layer loads of
-    /// every sample skip the site's name allocation.
-    ifm_sites: Vec<DataSite>,
     /// Weak-cell maps and placements shared by every memory this session
     /// evaluates with.
     weak_maps: Arc<WeakMapCache>,
@@ -226,18 +215,16 @@ struct SessionCore<'a> {
     /// instead of re-scanning every weight value
     /// ([`BoundingLogic::clean_corrections`]).
     clean_corrections: Mutex<HashMap<BoundingKey, Arc<CleanCorrections>>>,
-    /// Native-executor scratch buffers, checked out per worker pass.
+    /// Executor scratch buffers, checked out per worker pass.
     scratch: ScratchArena<QuantScratch>,
-    /// Simulated-path scratch buffers, checked out per worker pass.
-    sim_scratch: ScratchArena<SimScratch>,
-    /// Corrupted-weight pools for concurrent probes ([`EvalSession::
-    /// evaluate_concurrent`] and the probe fan-outs built on it), checked
-    /// out per probe. Which pool a probe gets cannot affect numerics — every
-    /// refetch fully determines the weight state from the slot's tracked
-    /// overlay state — so checkout order is free to vary with thread count
-    /// while results stay bit-identical. At one thread this degenerates to
-    /// the same single reused pool the sequential probe loops enjoy.
-    pool_arena: ScratchArena<ProbePools>,
+    /// Corrupted-weight pools, one checked out per probe: lazily grown to
+    /// the refetch-slot count and patched sparsely in place per refetch, so
+    /// probes never re-clone the network object graph. Which pool a probe
+    /// gets cannot affect numerics — every refetch fully determines the
+    /// weight state from the slot's tracked overlay state — so checkout
+    /// order is free to vary with thread count while results stay
+    /// bit-identical. At one thread every probe reuses the same pool.
+    pool_arena: ScratchArena<Vec<Slot>>,
     /// Clean-activation checkpoints backing incremental re-evaluation; see
     /// the [module docs](self) and [`CheckpointStore`].
     checkpoints: CheckpointStore,
@@ -451,126 +438,14 @@ fn checkpoint_stride(net: &Network) -> usize {
     per_sample.div_ceil(CHECKPOINT_SAMPLE_BUDGET_BYTES).max(1)
 }
 
-/// One reusable corrupted-weight slot: the weight state plus the overlays
-/// currently patched into it. `None` marks a fresh slot, whose parameters
-/// still hold the master network's raw values and need a full clean load
-/// before the first patch; after that, reverting the overlays restores the
-/// clean baseline in O(flips).
-struct Slot<T> {
-    inner: T,
+/// One reusable corrupted-weight slot: the weight state (on the session's
+/// plan) plus the overlays currently patched into it. `None` marks a fresh
+/// slot, whose parameters still hold the master network's raw values and
+/// need a full clean load before the first patch; after that, reverting the
+/// overlays restores the clean baseline in O(flips).
+struct Slot {
+    weights: NativeWeights,
     overlays: Option<Vec<CorruptionOverlay>>,
-}
-
-impl<T> Slot<T> {
-    fn new(inner: T) -> Self {
-        Self {
-            inner,
-            overlays: None,
-        }
-    }
-}
-
-/// The corrupted-weight state of one execution backend — the simulated-f32
-/// [`Network`] copies and the [`NativeWeights`] integer state — so both
-/// backends share one refetch state machine ([`SessionCore::refetch_slot`])
-/// and one evaluation driver ([`SessionCore::evaluate_pool`]).
-trait SlotWeights: Sync + Sized {
-    /// A fresh slot for `net`.
-    fn prepare(net: &Network) -> Self;
-    fn load_clean(&mut self, images: &[WeightImage]);
-    fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]);
-    fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]);
-    /// Runs a group of samples through this weight state (see
-    /// [`qexec::forward_native_batch_observed`] for the `starts`/`observe`
-    /// contract both backends share).
-    fn forward_group(
-        &self,
-        core: &SessionCore<'_>,
-        inputs: &[Tensor],
-        starts: &[usize],
-        lanes: &mut [ApproximateMemory],
-        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
-    ) -> Vec<Tensor>;
-}
-
-impl SlotWeights for Network {
-    fn prepare(net: &Network) -> Self {
-        net.clone()
-    }
-
-    fn load_clean(&mut self, images: &[WeightImage]) {
-        self.load_clean_weights(images);
-    }
-
-    fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
-        Network::apply_overlay(self, images, overlays);
-    }
-
-    fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
-        Network::revert_overlay(self, images, overlays);
-    }
-
-    fn forward_group(
-        &self,
-        core: &SessionCore<'_>,
-        inputs: &[Tensor],
-        starts: &[usize],
-        lanes: &mut [ApproximateMemory],
-        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
-    ) -> Vec<Tensor> {
-        core.forward_simulated_group(self, inputs, starts, lanes, observe)
-    }
-}
-
-impl SlotWeights for NativeWeights {
-    fn prepare(net: &Network) -> Self {
-        NativeWeights::prepare(net)
-    }
-
-    fn load_clean(&mut self, images: &[WeightImage]) {
-        self.refresh_clean(images);
-    }
-
-    fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
-        NativeWeights::apply_overlay(self, images, overlays);
-    }
-
-    fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
-        NativeWeights::revert_overlay(self, images, overlays);
-    }
-
-    fn forward_group(
-        &self,
-        core: &SessionCore<'_>,
-        inputs: &[Tensor],
-        starts: &[usize],
-        lanes: &mut [ApproximateMemory],
-        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
-    ) -> Vec<Tensor> {
-        // Checked-out scratch: buffer contents never influence results, so
-        // reuse across groups is thread-count invariant.
-        core.scratch.with(|scratch| {
-            qexec::forward_native_batch_observed(
-                &core.net,
-                self,
-                inputs,
-                starts,
-                core.precision,
-                lanes,
-                scratch,
-                observe,
-            )
-        })
-    }
-}
-
-/// Reusable corrupted-weight state: lazily grown to the refetch-slot count
-/// and patched sparsely in place per refetch, so sequential probes never
-/// re-clone the network object graph.
-#[derive(Default)]
-struct ProbePools {
-    simulated: Vec<Slot<Network>>,
-    native: Vec<Slot<NativeWeights>>,
 }
 
 /// A reusable evaluation session for one `(network, precision, backend)`
@@ -583,7 +458,6 @@ struct ProbePools {
 /// set is never confused with its previous contents, merely re-evaluated.
 pub struct EvalSession<'a> {
     core: SessionCore<'a>,
-    pools: ProbePools,
     /// Reliable-baseline accuracy per sample-set content key.
     baselines: HashMap<u64, f32>,
     /// Injectors keyed by `(error-model fingerprint, BER bits)`.
@@ -601,12 +475,6 @@ impl<'a> EvalSession<'a> {
         Self {
             core: SessionCore {
                 images: net.weight_images(precision),
-                ifm_sites: net
-                    .layers()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, layer)| DataSite::new(i, layer.name(), DataKind::Ifm))
-                    .collect(),
                 checkpoint_stride: checkpoint_stride(&net),
                 net,
                 precision,
@@ -614,14 +482,12 @@ impl<'a> EvalSession<'a> {
                 weak_maps: Arc::new(WeakMapCache::new()),
                 clean_corrections: Mutex::new(HashMap::new()),
                 scratch: ScratchArena::new(),
-                sim_scratch: ScratchArena::new(),
                 pool_arena: ScratchArena::new(),
                 checkpoints: CheckpointStore::new(CHECKPOINT_BUDGET_BYTES),
                 checkpoints_enabled: true,
                 batch_limit: DEFAULT_BATCH_LIMIT,
                 batch_stats: BatchStats::default(),
             },
-            pools: ProbePools::default(),
             baselines: HashMap::new(),
             injectors: HashMap::new(),
         }
@@ -717,37 +583,21 @@ impl<'a> EvalSession<'a> {
     /// so the accuracy and the accumulated [`ApproximateMemory::stats`] are
     /// bit-identical for any thread count.
     ///
+    /// Takes `&self`: concurrent calls (the serving layer holds one session
+    /// behind an `Arc`, the coarse search runs two probes at once) each
+    /// check a corrupted-weight pool out of the session while sharing its
+    /// images, weak-map cache, clean-correction tables and scratch arenas;
+    /// results are bit-identical to sequential calls.
+    ///
     /// An **empty** sample slice has no defined accuracy: the method returns
     /// [`f32::NAN`] as an explicit sentinel (distinguishable from a genuinely
     /// collapsed model's `0.0`).
     pub fn evaluate_with_faults(
-        &mut self,
+        &self,
         samples: &[(Tensor, usize)],
         memory: &mut ApproximateMemory,
     ) -> f32 {
-        self.core.evaluate(samples, memory, &mut self.pools, None)
-    }
-
-    /// Runs two independent probes concurrently on the `eden-par` pool (the
-    /// coarse search's speculative boundary probes). Each probe gets its own
-    /// transient pools, exactly like two fresh sessions would.
-    pub fn evaluate_pair(
-        &mut self,
-        samples: &[(Tensor, usize)],
-        memory_a: &mut ApproximateMemory,
-        memory_b: &mut ApproximateMemory,
-    ) -> (f32, f32) {
-        let core = &self.core;
-        eden_par::join(
-            || {
-                core.pool_arena
-                    .with(|p| core.evaluate(samples, memory_a, p, None))
-            },
-            || {
-                core.pool_arena
-                    .with(|p| core.evaluate(samples, memory_b, p, None))
-            },
-        )
+        self.core.evaluate(samples, memory, None)
     }
 
     /// Accuracy of the network on reliable memory, cached per sample-set
@@ -785,31 +635,19 @@ impl<'a> EvalSession<'a> {
             if let Some(b) = bounding {
                 memory = memory.with_bounding(b);
             }
-            (
-                ber,
-                core.pool_arena
-                    .with(|p| core.evaluate(samples, &mut memory, p, None)),
-            )
+            (ber, core.evaluate(samples, &mut memory, None))
         })
     }
 
     /// One forward pass with weights and IFMs served from `memory`,
-    /// returning the output logits: one overlay refetch of the session's
-    /// first pool slot, then the group executor with `memory` itself as the
-    /// single lane.
-    pub fn forward_with_faults(
-        &mut self,
-        input: &Tensor,
-        memory: &mut ApproximateMemory,
-    ) -> Tensor {
+    /// returning the output logits: one overlay refetch of the first slot
+    /// of a checked-out pool, then the group executor with `memory` itself
+    /// as the single lane.
+    pub fn forward_with_faults(&self, input: &Tensor, memory: &mut ApproximateMemory) -> Tensor {
         let core = &self.core;
         memory.attach_weak_map_cache(core.weak_maps.clone());
-        match effective_backend(core.backend, core.precision) {
-            InferenceBackend::SimulatedF32 => {
-                core.forward_one(&mut self.pools.simulated, input, memory)
-            }
-            InferenceBackend::NativeInt => core.forward_one(&mut self.pools.native, input, memory),
-        }
+        core.pool_arena
+            .with(|pool| core.forward_one(pool, input, memory))
     }
 
     /// The model-backed injector for `template.with_ber(ber)` at the default
@@ -823,30 +661,8 @@ impl<'a> EvalSession<'a> {
             .clone()
     }
 
-    /// Classification accuracy over `samples` served from `memory`, through
-    /// a shared `&self` — the entry point of the serving layer, where many
-    /// concurrent requests hold one session behind an `Arc`.
-    ///
-    /// Each call evaluates with a corrupted-weight pool checked out of the
-    /// session's pool arena (growing it only while calls actually overlap)
-    /// while sharing the session's expensive probe-invariant state: the
-    /// clean weight bit images, the weak-map cache, the clean-correction
-    /// tables and the scratch arenas. Bit-identical to
-    /// [`EvalSession::evaluate_with_faults`] — which pool a probe draws
-    /// cannot influence results, because every refetch fully determines the
-    /// weight state from the slot's tracked overlay state.
-    pub fn evaluate_concurrent(
-        &self,
-        samples: &[(Tensor, usize)],
-        memory: &mut ApproximateMemory,
-    ) -> f32 {
-        self.core
-            .pool_arena
-            .with(|pools| self.core.evaluate(samples, memory, pools, None))
-    }
-
-    /// [`EvalSession::evaluate_concurrent`] with a per-call batch-group size
-    /// cap overriding the session's [`EvalSession::batch_limit`] — the
+    /// [`EvalSession::evaluate_with_faults`] with a per-call batch-group
+    /// size cap overriding the session's [`EvalSession::batch_limit`] — the
     /// serving layer's batched-evaluation entry point. `batch == 1` runs
     /// every sample as a group of one; results are bit-identical at any cap.
     pub fn evaluate_concurrent_batched(
@@ -855,9 +671,7 @@ impl<'a> EvalSession<'a> {
         memory: &mut ApproximateMemory,
         batch: usize,
     ) -> f32 {
-        self.core
-            .pool_arena
-            .with(|pools| self.core.evaluate(samples, memory, pools, Some(batch)))
+        self.core.evaluate(samples, memory, Some(batch))
     }
 
     /// Releases the session's transient probe state — the corrupted-weight
@@ -868,13 +682,11 @@ impl<'a> EvalSession<'a> {
     /// memory pressure); results are unaffected either way, the released
     /// state is simply rebuilt on demand by the next probe.
     pub fn release_transient_state(&mut self) {
-        self.pools = ProbePools::default();
         self.baselines.clear();
         self.injectors.clear();
         self.core.clean_corrections.lock().unwrap().clear();
         self.core.checkpoints.clear();
         self.core.scratch.drain();
-        self.core.sim_scratch.drain();
         self.core.pool_arena.drain();
     }
 }
@@ -918,7 +730,6 @@ impl SessionCore<'_> {
         &self,
         samples: &[(Tensor, usize)],
         memory: &mut ApproximateMemory,
-        pools: &mut ProbePools,
         batch: Option<usize>,
     ) -> f32 {
         if samples.is_empty() {
@@ -929,14 +740,9 @@ impl SessionCore<'_> {
         // on addresses without having to communicate.
         memory.preallocate(&self.net, self.precision);
         let ckpt = self.checkpoint_ctx(samples, memory);
-        let correct = match effective_backend(self.backend, self.precision) {
-            InferenceBackend::SimulatedF32 => {
-                self.evaluate_pool(samples, memory, &mut pools.simulated, ckpt.as_ref(), batch)
-            }
-            InferenceBackend::NativeInt => {
-                self.evaluate_pool(samples, memory, &mut pools.native, ckpt.as_ref(), batch)
-            }
-        };
+        let correct = self
+            .pool_arena
+            .with(|pool| self.evaluate_pool(samples, memory, pool, ckpt.as_ref(), batch));
         correct as f32 / samples.len() as f32
     }
 
@@ -954,10 +760,10 @@ impl SessionCore<'_> {
     /// Also the single accounting point of [`BatchCounters`]: every returned
     /// group increments either the group/batched-sample counters or the
     /// group-of-one counter.
-    fn batch_groups<T>(
+    fn batch_groups(
         &self,
         window_len: usize,
-        slots: &[Slot<T>],
+        slots: &[Slot],
         batch: Option<usize>,
     ) -> Vec<std::ops::Range<usize>> {
         let limit = batch.unwrap_or(self.batch_limit).max(1);
@@ -1048,22 +854,36 @@ impl SessionCore<'_> {
         )
     }
 
+    /// A fresh refetch slot on the session's plan: the native plan for
+    /// `NativeInt` at an integer precision, the all-f32 plan for
+    /// `SimulatedF32` and for FP32 (which has no integer representation).
+    fn new_slot(&self) -> Slot {
+        let native = self.backend == InferenceBackend::NativeInt && self.precision.is_integer();
+        Slot {
+            weights: if native {
+                NativeWeights::prepare(&self.net)
+            } else {
+                NativeWeights::simulated(&self.net)
+            },
+            overlays: None,
+        }
+    }
+
     /// One weight refetch of a pool slot: revert the previous draw (or
     /// establish the clean baseline in a fresh slot), draw the new overlays
-    /// from `memory` and patch them in — O(flips). Shared by both execution
-    /// backends so the state-transition protocol cannot diverge.
-    fn refetch_slot<W: SlotWeights>(
+    /// from `memory` and patch them in — O(flips).
+    fn refetch_slot(
         &self,
-        slot: &mut Slot<W>,
+        slot: &mut Slot,
         memory: &mut ApproximateMemory,
         corrections: Option<&CleanCorrections>,
     ) {
         let overlays = self.refetch_overlays(memory, corrections.map(Vec::as_slice));
         match slot.overlays.take() {
-            Some(old) => slot.inner.revert_overlay(&self.images, &old),
-            None => slot.inner.load_clean(&self.images),
+            Some(old) => slot.weights.revert_overlay(&self.images, &old),
+            None => slot.weights.refresh_clean(&self.images),
         }
-        slot.inner.apply_overlay(&self.images, &overlays);
+        slot.weights.apply_overlay(&self.images, &overlays);
         slot.overlays = Some(overlays);
     }
 
@@ -1085,19 +905,18 @@ impl SessionCore<'_> {
             .collect()
     }
 
-    /// The window loop behind [`SessionCore::evaluate`], shared by both
-    /// backends: identical window/refetch structure (and load-stream
+    /// The window loop behind [`SessionCore::evaluate`]: identical window/refetch structure (and load-stream
     /// consumption) to the seed implementation. Per window, every refetch
     /// slot's weights are re-drawn sequentially from the parent memory's
     /// stream, in sample order; the pool's slots are created lazily (at most
     /// once per slot, i.e. ≤ 16 times per session) and patched in place.
     /// The window's samples then run as weight-stationary groups across the
     /// `eden-par` pool, and each lane's statistics merge back in order.
-    fn evaluate_pool<W: SlotWeights>(
+    fn evaluate_pool(
         &self,
         samples: &[(Tensor, usize)],
         memory: &mut ApproximateMemory,
-        pool: &mut Vec<Slot<W>>,
+        pool: &mut Vec<Slot>,
         ckpt: Option<&CheckpointCtx<'_>>,
         batch: Option<usize>,
     ) -> usize {
@@ -1106,7 +925,7 @@ impl SessionCore<'_> {
         for (w, window) in samples.chunks(WINDOW).enumerate() {
             let slots = refetch_slots(window.len());
             while pool.len() < slots {
-                pool.push(Slot::new(W::prepare(&self.net)));
+                pool.push(self.new_slot());
             }
             for slot in pool.iter_mut().take(slots) {
                 self.refetch_slot(slot, memory, corrections.as_deref());
@@ -1114,10 +933,10 @@ impl SessionCore<'_> {
 
             let base = w * WINDOW;
             let shared: &ApproximateMemory = memory;
-            let pool_ref: &[Slot<W>] = &pool[..slots];
+            let pool_ref: &[Slot] = &pool[..slots];
             let groups = self.batch_groups(window.len(), pool_ref, batch);
             let outcomes = eden_par::par_map(&groups, |_, g| {
-                let weights = &pool_ref[g.start / WEIGHT_REFETCH_PERIOD].inner;
+                let weights = &pool_ref[g.start / WEIGHT_REFETCH_PERIOD].weights;
                 self.run_group(weights, window, g.clone(), base, shared, ckpt)
             });
 
@@ -1140,9 +959,9 @@ impl SessionCore<'_> {
     /// way. Per sample, the sequence of IFM loads, harvests and layer
     /// computations depends only on that sample, so outcomes and per-lane
     /// statistics are independent of the grouping.
-    fn run_group<W: SlotWeights>(
+    fn run_group(
         &self,
-        weights: &W,
+        weights: &NativeWeights,
         window: &[(Tensor, usize)],
         g: std::ops::Range<usize>,
         base: usize,
@@ -1165,7 +984,7 @@ impl SessionCore<'_> {
         }
         let first = (base + g.start) as u32;
         let logits =
-            weights.forward_group(self, &xs, &starts, &mut lanes, |j, boundary, x, lane| {
+            self.forward_group(weights, &xs, &starts, &mut lanes, |j, boundary, x, lane| {
                 if let Some(ctx) = ckpt {
                     if boundary > starts[j] {
                         ctx.harvest(first + j as u32, boundary, x, lane.stats().corrections);
@@ -1180,23 +999,23 @@ impl SessionCore<'_> {
             .collect()
     }
 
-    /// [`EvalSession::forward_with_faults`] on one backend's pool: refetch
-    /// the first slot from `memory` and run `input` as a group of one with
+    /// [`EvalSession::forward_with_faults`] on a checked-out pool: refetch
+    /// its first slot from `memory` and run `input` as a group of one with
     /// `memory` as its lane.
-    fn forward_one<W: SlotWeights>(
+    fn forward_one(
         &self,
-        pool: &mut Vec<Slot<W>>,
+        pool: &mut Vec<Slot>,
         input: &Tensor,
         memory: &mut ApproximateMemory,
     ) -> Tensor {
         if pool.is_empty() {
-            pool.push(Slot::new(W::prepare(&self.net)));
+            pool.push(self.new_slot());
         }
         let corrections = self.clean_corrections(memory);
         let slot = &mut pool[0];
         self.refetch_slot(slot, memory, corrections.as_deref());
-        let mut out = slot.inner.forward_group(
-            self,
+        let mut out = self.forward_group(
+            &slot.weights,
             std::slice::from_ref(input),
             &[0],
             std::slice::from_mut(memory),
@@ -1205,82 +1024,29 @@ impl SessionCore<'_> {
         out.pop().expect("one output per input")
     }
 
-    /// The simulated-f32 group executor, the counterpart of
-    /// [`qexec::forward_native_batch_observed`] with the same
-    /// `(inputs, starts, lanes, observe)` contract: per sample and layer the
-    /// IFM is requantized into a reused stored-bits buffer, corrupted by the
-    /// sample's lane at the session's precomputed IFM site and dequantized,
-    /// exactly as [`Network::forward_with_ifm_hook`] does; each layer's
-    /// compute then runs through [`Layer::forward_batch`] — one GEMM over
-    /// the whole group's activation columns — or, for a group of one or a
-    /// layer without a batched form, through [`Layer::forward`]. Both are
-    /// bit-identical per sample, so outcomes never depend on the grouping.
-    ///
-    /// [`Layer::forward_batch`]: eden_dnn::Layer::forward_batch
-    /// [`Layer::forward`]: eden_dnn::Layer::forward
-    fn forward_simulated_group(
+    /// Runs a group through [`qexec::forward_native_batch_observed`] with a
+    /// checked-out scratch buffer (contents never influence results, so
+    /// reuse across groups is thread-count invariant).
+    fn forward_group(
         &self,
-        net: &Network,
+        weights: &NativeWeights,
         inputs: &[Tensor],
         starts: &[usize],
         lanes: &mut [ApproximateMemory],
-        mut observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
+        observe: impl FnMut(usize, usize, &Tensor, &mut ApproximateMemory),
     ) -> Vec<Tensor> {
-        let batch = inputs.len();
-        let mut xs: Vec<Tensor> = inputs.to_vec();
-        let min_start = starts.iter().copied().min().unwrap_or(0);
-        self.sim_scratch.with(|scratch| {
-            let mut bufs = std::mem::take(&mut scratch.batch);
-            bufs.resize_with(batch, Vec::new);
-            for (i, layer) in net.layers().iter().enumerate().skip(min_start) {
-                // (sample slot, its dequantized activation) per active sample.
-                let mut dq: Vec<(usize, Tensor)> = Vec::with_capacity(batch);
-                for j in 0..batch {
-                    if starts[j] > i {
-                        continue;
-                    }
-                    observe(j, i, &xs[j], &mut lanes[j]);
-                    let q = match &mut scratch.stored {
-                        Some(q) => {
-                            q.requantize_from(&xs[j], self.precision);
-                            q
-                        }
-                        None => scratch
-                            .stored
-                            .insert(QuantTensor::quantize(&xs[j], self.precision)),
-                    };
-                    lanes[j].corrupt(&self.ifm_sites[i], q);
-                    let mut buf = std::mem::take(&mut bufs[j]);
-                    buf.clear();
-                    buf.resize(q.len(), 0.0);
-                    q.dequantize_into(&mut buf);
-                    dq.push((j, Tensor::from_vec(buf, q.shape())));
-                }
-                let uniform = dq.windows(2).all(|w| w[0].1.shape() == w[1].1.shape());
-                let batched = if dq.len() > 1 && uniform {
-                    let refs: Vec<&Tensor> = dq.iter().map(|(_, t)| t).collect();
-                    layer.forward_batch(&refs)
-                } else {
-                    None
-                };
-                match batched {
-                    Some(ys) => {
-                        for ((j, t), y) in dq.into_iter().zip(ys) {
-                            xs[j] = y;
-                            bufs[j] = t.into_vec();
-                        }
-                    }
-                    None => {
-                        for (j, t) in dq {
-                            xs[j] = layer.forward(&t);
-                            bufs[j] = t.into_vec();
-                        }
-                    }
-                }
-            }
-            scratch.batch = bufs;
-        });
-        xs
+        self.scratch.with(|scratch| {
+            qexec::forward_native_batch_observed(
+                &self.net,
+                weights,
+                inputs,
+                starts,
+                self.precision,
+                lanes,
+                scratch,
+                observe,
+            )
+        })
     }
 }
 
@@ -1289,7 +1055,7 @@ mod tests {
     use super::*;
     use eden_dnn::data::SyntheticVision;
     use eden_dnn::train::{TrainConfig, Trainer};
-    use eden_dnn::{zoo, Dataset};
+    use eden_dnn::{zoo, DataKind, DataSite, Dataset, NoFaults};
 
     fn trained_lenet(seed: u64) -> (Network, SyntheticVision) {
         let dataset = SyntheticVision::tiny(seed);
@@ -1308,7 +1074,7 @@ mod tests {
         let samples = &dataset.test()[..24];
         let template = ErrorModel::uniform(0.02, 0.5, 3);
         for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-            let mut session = EvalSession::new(&net, Precision::Int8, backend);
+            let session = EvalSession::new(&net, Precision::Int8, backend);
             // A probe sequence revisiting earlier operating points, as the
             // characterization loops do.
             for ber in [1e-3, 1e-2, 1e-3, 5e-2] {
@@ -1337,22 +1103,24 @@ mod tests {
         let bounding =
             crate::bounding::BoundingLogic::new(-6.0, 6.0, crate::bounding::CorrectionPolicy::Zero);
         let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
+        let simulated_session =
+            EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
         let core = &session.core;
-        let native_out = |w: &NativeWeights| {
+        let out = |w: &NativeWeights| {
             let mut out = qexec::forward_native_batch_observed(
                 &net,
                 w,
                 std::slice::from_ref(x),
                 &[0],
                 Precision::Int8,
-                &mut [eden_dnn::NoFaults],
+                &mut [NoFaults],
                 &mut QuantScratch::new(),
                 |_, _, _, _| {},
             );
             out.pop().unwrap()
         };
-        let mut simulated = Slot::new(net.clone());
-        let mut native = Slot::new(NativeWeights::prepare(&net));
+        let mut simulated = simulated_session.core.new_slot();
+        let mut native = core.new_slot();
         for ber in [1e-3, 1e-2, 1e-3, 5e-2] {
             let model = template.with_ber(ber);
             let make = || ApproximateMemory::from_model(model, 7).with_bounding(bounding);
@@ -1362,14 +1130,15 @@ mod tests {
             core.refetch_slot(&mut simulated, &mut a, corrections.as_deref());
             let mut reloaded = net.clone();
             reloaded.load_corrupted_weights(&core.images, &mut b);
-            assert_eq!(simulated.inner.forward(x), reloaded.forward(x), "{ber}");
+            let reference = reloaded.forward_with_ifm_hook(x, Precision::Int8, &mut NoFaults);
+            assert_eq!(out(&simulated.weights), reference, "{ber}");
             assert_eq!(a.stats(), b.stats(), "{ber}");
 
             let (mut a, mut b) = (make(), make());
             core.refetch_slot(&mut native, &mut a, corrections.as_deref());
             let mut refreshed = NativeWeights::prepare(&net);
             refreshed.refresh(&core.images, &mut b);
-            assert_eq!(native_out(&native.inner), native_out(&refreshed), "{ber}");
+            assert_eq!(out(&native.weights), out(&refreshed), "{ber}");
             assert_eq!(a.stats(), b.stats(), "{ber}");
         }
     }
@@ -1410,10 +1179,13 @@ mod tests {
         let (net, dataset) = trained_lenet(3);
         let samples = &dataset.test()[..16];
         let template = ErrorModel::uniform(0.02, 0.5, 2);
-        let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default());
+        let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default());
         let make = |ber: f64| ApproximateMemory::from_model(template.with_ber(ber), 9);
         let (mut a, mut b) = (make(1e-4), make(1e-2));
-        let (pair_lo, pair_hi) = session.evaluate_pair(samples, &mut a, &mut b);
+        let (pair_lo, pair_hi) = eden_par::join(
+            || session.evaluate_with_faults(samples, &mut a),
+            || session.evaluate_with_faults(samples, &mut b),
+        );
         let (mut a2, mut b2) = (make(1e-4), make(1e-2));
         let seq_lo = session.evaluate_with_faults(samples, &mut a2);
         let seq_hi = session.evaluate_with_faults(samples, &mut b2);
@@ -1463,12 +1235,12 @@ mod tests {
         let net = Arc::new(net);
         for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
             let shared = EvalSession::new_shared(net.clone(), Precision::Int8, backend);
-            let mut borrowed = EvalSession::new(&net, Precision::Int8, backend);
+            let borrowed = EvalSession::new(&net, Precision::Int8, backend);
             for ber in [1e-3, 1e-2] {
                 let model = template.with_ber(ber);
                 let mut memory_a = ApproximateMemory::from_model(model, 7);
                 let mut memory_b = ApproximateMemory::from_model(model, 7);
-                let via_shared = shared.evaluate_concurrent(samples, &mut memory_a);
+                let via_shared = shared.evaluate_with_faults(samples, &mut memory_a);
                 let via_borrowed = borrowed.evaluate_with_faults(samples, &mut memory_b);
                 assert_eq!(via_shared.to_bits(), via_borrowed.to_bits(), "{backend}");
                 assert_eq!(memory_a.stats(), memory_b.stats(), "{backend}");
@@ -1487,7 +1259,7 @@ mod tests {
         let a = session.evaluate_with_faults(samples, &mut before);
         session.injector_for(&template, 1e-3);
         session.release_transient_state();
-        assert!(session.pools.simulated.is_empty() && session.pools.native.is_empty());
+        assert_eq!(session.core.pool_arena.resident(), 0);
         assert!(session.baselines.is_empty() && session.injectors.is_empty());
         let mut after = ApproximateMemory::from_model(model, 5);
         let b = session.evaluate_with_faults(samples, &mut after);
@@ -1500,7 +1272,7 @@ mod tests {
         let (net, dataset) = trained_lenet(6);
         let samples = &dataset.test()[..8];
         let template = ErrorModel::uniform(0.02, 0.5, 3);
-        let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default());
+        let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::default());
         let mut memory = ApproximateMemory::from_model(template.with_ber(1e-3), 1);
         session.evaluate_with_faults(samples, &mut memory);
         let filled = session.core.weak_maps.len();
@@ -1547,8 +1319,8 @@ mod tests {
         let samples = &dataset.test()[..16];
         let site = deepest_ifm(&net);
         for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-            let mut on = EvalSession::new(&net, Precision::Int8, backend);
-            let mut off = EvalSession::new(&net, Precision::Int8, backend).with_checkpoints(false);
+            let on = EvalSession::new(&net, Precision::Int8, backend);
+            let off = EvalSession::new(&net, Precision::Int8, backend).with_checkpoints(false);
             assert!(on.checkpoints_enabled());
             assert!(!off.checkpoints_enabled());
             // A probe sequence over the same samples: from the second probe
@@ -1582,8 +1354,8 @@ mod tests {
         let samples = &dataset.test()[..16];
         let site = deepest_ifm(&net);
         let bounding = BoundingLogic::new(-6.0, 6.0, CorrectionPolicy::Zero);
-        let mut on = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
-        let mut off = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt)
+        let on = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
+        let off = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt)
             .with_checkpoints(false);
         for ber in [1e-2, 1e-2, 5e-2] {
             let make = |seed| single_site_memory(&site, ber, seed).with_bounding(bounding);
@@ -1604,9 +1376,9 @@ mod tests {
         let (net, dataset) = trained_lenet(12);
         let samples = &dataset.test()[..16];
         let site = deepest_ifm(&net);
-        let mut tiny = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
+        let tiny = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
             .with_checkpoint_budget(64);
-        let mut off = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
+        let off = EvalSession::new(&net, Precision::Int8, InferenceBackend::default())
             .with_checkpoints(false);
         for ber in [1e-3, 1e-3, 1e-2] {
             let (mut a, mut b) = (
@@ -1650,8 +1422,8 @@ mod tests {
         let samples = &dataset.test()[..24];
         let template = ErrorModel::uniform(0.02, 0.5, 3);
         for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-            let mut batched = EvalSession::new(&net, Precision::Int8, backend);
-            let mut solo = EvalSession::new(&net, Precision::Int8, backend).with_batch_limit(1);
+            let batched = EvalSession::new(&net, Precision::Int8, backend);
+            let solo = EvalSession::new(&net, Precision::Int8, backend).with_batch_limit(1);
             assert_eq!(batched.batch_limit(), DEFAULT_BATCH_LIMIT);
             assert_eq!(solo.batch_limit(), 1);
             for ber in [1e-3, 1e-2] {
@@ -1684,7 +1456,7 @@ mod tests {
         let model = ErrorModel::uniform(0.02, 1.0, 3).with_ber(1e-3);
         let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt);
         let mut memory = ApproximateMemory::from_model(model, 7);
-        let accuracy = session.evaluate_concurrent(samples, &mut memory);
+        let accuracy = session.evaluate_with_faults(samples, &mut memory);
         let c = session.batch_counters();
         // 48 equal-weight samples under a cap of 32 split into 32 + 16.
         assert_eq!(c.groups, 2);
@@ -1694,7 +1466,7 @@ mod tests {
         let solo = EvalSession::new(&net, Precision::Int8, InferenceBackend::NativeInt)
             .with_batch_limit(1);
         let mut memory2 = ApproximateMemory::from_model(model, 7);
-        let reference = solo.evaluate_concurrent(samples, &mut memory2);
+        let reference = solo.evaluate_with_faults(samples, &mut memory2);
         assert_eq!(accuracy.to_bits(), reference.to_bits());
         assert_eq!(memory.stats(), memory2.stats());
     }
@@ -1727,8 +1499,8 @@ mod tests {
         let samples = &dataset.test()[..16];
         let site = deepest_ifm(&net);
         for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-            let mut batched = EvalSession::new(&net, Precision::Int8, backend);
-            let mut solo = EvalSession::new(&net, Precision::Int8, backend).with_batch_limit(1);
+            let batched = EvalSession::new(&net, Precision::Int8, backend);
+            let solo = EvalSession::new(&net, Precision::Int8, backend).with_batch_limit(1);
             for ber in [1e-3, 1e-2, 5e-2] {
                 let (mut a, mut b) = (
                     single_site_memory(&site, ber, 23),

@@ -436,7 +436,8 @@ impl Network {
     /// the stored representation at `precision` and corrupted by `hook`
     /// before use — modelling IFMs that are stored to and loaded from
     /// approximate DRAM between layers. The straightforward reference the
-    /// session's batched simulated executor is pinned against.
+    /// group executor's all-f32 plan ([`crate::qexec::NativeWeights::simulated`])
+    /// is pinned against.
     pub fn forward_with_ifm_hook(
         &self,
         input: &Tensor,

@@ -1,34 +1,39 @@
-//! Native quantized execution (the `NativeInt` inference backend).
+//! The group executor of both inference backends, and native quantized
+//! execution (the `NativeInt` backend).
 //!
-//! The simulated-quantization path dequantizes every corrupted tensor back to
-//! f32 and runs the float layers. This module instead executes dense and
-//! convolutional layers directly on the **sign-extended quantized integers**:
-//! the corrupted stored bits are packed into k-padded, patch-major panel rows
-//! and feed one of two panel GEMMs of the same layout — i8 lanes with i32
-//! accumulation ([`eden_tensor::ops::gemm_i8_packed`]) where
-//! [`use_i8_kernels_for`] holds (int4/int8), i16 lanes with exact i64
-//! results ([`eden_tensor::ops::gemm_i16_packed`]) everywhere else (int16,
-//! and int4/int8 reductions too deep for i32) — and a single fused epilogue
+//! Both backends corrupt the same stored bits at the same data sites in the
+//! same load order; they differ only in the per-layer arithmetic, which a
+//! [`NativeWeights`] fixes as a per-layer plan when it is built. The native
+//! plan ([`NativeWeights::prepare`]) executes dense and convolutional layers
+//! directly on the **sign-extended quantized integers**: the corrupted
+//! stored bits are packed into k-padded, patch-major panel rows and feed one
+//! of two panel GEMMs of the same layout — i8 lanes with i32 accumulation
+//! ([`eden_tensor::ops::gemm_i8_packed`]) where [`use_i8_kernels_for`] holds
+//! (int4/int8), i16 lanes with exact i64 results
+//! ([`eden_tensor::ops::gemm_i16_packed`]) everywhere else (int16, and
+//! int4/int8 reductions too deep for i32) — and a single fused epilogue
 //! applies the per-sample scale product and the bias. Weights are packed
-//! into their panel form once per refetch ([`NativeWeights`]), and sparse
-//! corruption overlays patch the packed lanes in place. Convolution weight
-//! lanes follow the patch rows' `(ky, kx, ic)` order
-//! ([`eden_tensor::ops::conv_patch_lane`]); dense weight lanes keep their
-//! column order. Layers without a native implementation (normalization,
-//! composite blocks) fall back to their f32 forward on a weight-refreshed
-//! clone of the network, so any architecture runs under either backend.
+//! into their panel form once per refetch, and sparse corruption overlays
+//! patch the packed lanes in place. Convolution weight lanes follow the
+//! patch rows' `(ky, kx, ic)` order ([`eden_tensor::ops::conv_patch_lane`]);
+//! dense weight lanes keep their column order. ReLU, pooling and flatten
+//! run in the quantized domain; layers without a native implementation
+//! (normalization, composite blocks) run their f32 forward on a
+//! weight-refreshed clone of the network, so any architecture runs under
+//! either backend. The simulated plan ([`NativeWeights::simulated`]) runs
+//! every layer that way: dequantize the corrupted IFM, then the f32 layer.
 //!
 //! There is one executor, [`forward_native_batch_observed`]: a group of
 //! samples sharing one corrupted weight state runs layer by layer, each
 //! layer's compute as one GEMM over the whole group, and a single sample is
 //! simply a group of one.
 //!
-//! Integer accumulation is exact and associative, so the native path is
-//! bit-identical for any thread count by construction. Against the simulated
-//! f32 path it agrees to within f32 rounding of the per-layer accumulation
-//! chains (the integer path is the *more* accurate of the two); the
-//! workspace-level `backend_parity` property test pins that bound across
-//! precisions, shapes and thread counts.
+//! Integer accumulation is exact and associative, so the native plan is
+//! bit-identical for any thread count by construction. Against the
+//! simulated plan it agrees to within f32 rounding of the per-layer
+//! accumulation chains (the integer path is the *more* accurate of the
+//! two); the workspace-level `backend_parity` property test pins that bound
+//! across precisions, shapes and thread counts.
 
 use crate::layer::Layer;
 use crate::network::{Network, WeightImage};
@@ -63,6 +68,18 @@ pub struct QuantLayerParams {
 }
 
 impl QuantLayerParams {
+    /// Loads parameter `name` (`weight` or `bias`) from a (corrupted) bit
+    /// image: the weight packed into its panel form, the bias dequantized.
+    fn load(&mut self, name: &str, q: &QuantTensor) {
+        if name == "weight" {
+            self.load_weight(q);
+        } else {
+            self.bias.clear();
+            self.bias.resize(q.len(), 0.0);
+            q.dequantize_into(&mut self.bias);
+        }
+    }
+
     /// Packs a (corrupted) weight tensor into the panel form of its kernel
     /// path and takes its scale.
     fn load_weight(&mut self, q: &QuantTensor) {
@@ -161,7 +178,7 @@ fn patch_panel<T: PanelLane>(
     }
 }
 
-/// Reusable per-worker scratch buffers of the native executor. One instance
+/// Reusable per-worker scratch buffers of the group executor. One instance
 /// serves every layer of every group a worker processes; no buffer is
 /// reallocated once it has reached its high-water size.
 #[derive(Debug, Clone, Default)]
@@ -184,6 +201,11 @@ pub struct QuantScratch {
     pub acc_i32: Vec<i32>,
     /// i64 results (i16 path).
     pub acc_i64: Vec<i64>,
+    /// Per-sample corrupted stored bits of the current GEMM layer's IFMs
+    /// (the first buffer serves every sample of the other layers).
+    stored: Vec<Option<QuantTensor>>,
+    /// Per-sample dequantized IFM buffers of the f32 layers.
+    dequant: Vec<Vec<f32>>,
 }
 
 impl QuantScratch {
@@ -274,102 +296,113 @@ pub fn needs_wide_accumulator(precision: Precision, k: usize) -> bool {
     }
 }
 
-/// The per-layer corrupted-weight state of one refetch under the native
-/// backend: integer parameters for native layers, plus (only when the
-/// network contains parameterized layers without a native implementation) a
-/// fallback f32 network whose weights are refreshed alongside.
+/// How one layer of a [`NativeWeights`] plan executes, fixed when the plan
+/// is built.
+#[derive(Debug, Clone)]
+enum LayerPlan {
+    /// Integer panel GEMM over the corrupted stored bits of the group's IFMs
+    /// ([`Layer::quant_forward_batch`]) with these corrupted parameters.
+    Gemm(QuantLayerParams),
+    /// Quantized-domain activation ([`Layer::quant_forward_activation`]);
+    /// a parameterless layer without one runs as [`LayerPlan::F32`].
+    Activation,
+    /// f32 forward on the dequantized IFMs, through the weight-refreshed
+    /// f32 network for parameterized layers.
+    F32,
+}
+
+/// The per-layer execution plan and corrupted-weight state of one refetch
+/// slot. The native plan ([`NativeWeights::prepare`]) runs dense and conv
+/// layers as integer GEMMs, ReLU, pooling and flatten in the quantized
+/// domain and everything else on f32; the simulated plan
+/// ([`NativeWeights::simulated`]) runs every layer on f32 over a full
+/// weight-refreshed clone of the network. Both plans corrupt the same stored
+/// bits at the same [`DataSite`]s in the same load order.
 #[derive(Clone)]
 pub struct NativeWeights {
-    native: Vec<Option<QuantLayerParams>>,
-    fallback: Option<Network>,
+    plan: Vec<LayerPlan>,
+    /// Weight-refreshed f32 copy of the network, present iff some
+    /// parameterized layer runs on f32.
+    f32_net: Option<Network>,
+    /// One IFM [`DataSite`] per layer, built once.
+    ifm_sites: Vec<DataSite>,
 }
 
 impl NativeWeights {
-    /// Allocates the native-weight structure for `net`: one integer parameter
-    /// slot per layer that supports native execution, and a fallback network
-    /// clone only if some parameterized layer does not.
+    /// The native plan for `net`: an integer parameter slot per layer that
+    /// supports native execution, the quantized-domain activation for every
+    /// parameterless layer, and f32 (on a network clone made only if some
+    /// parameterized layer needs it) for the rest.
     pub fn prepare(net: &Network) -> Self {
-        let mut native = Vec::with_capacity(net.depth());
-        let mut needs_fallback = false;
-        for layer in net.layers() {
+        Self::with_plan(net, |layer| {
             if layer.param_count() == 0 {
-                native.push(None);
-                continue;
-            }
-            if layer.supports_quant_forward() && has_weight_bias_params(layer.as_ref()) {
-                native.push(Some(QuantLayerParams::default()));
+                LayerPlan::Activation
+            } else if layer.supports_quant_forward() && has_weight_bias_params(layer) {
+                LayerPlan::Gemm(QuantLayerParams::default())
             } else {
-                native.push(None);
-                needs_fallback = true;
+                LayerPlan::F32
             }
-        }
+        })
+    }
+
+    /// The simulated-quantization plan for `net`: every layer runs its f32
+    /// forward on the dequantized corrupted IFM, over a weight-refreshed
+    /// clone of the network.
+    pub fn simulated(net: &Network) -> Self {
+        Self::with_plan(net, |_| LayerPlan::F32)
+    }
+
+    fn with_plan(net: &Network, mut plan_of: impl FnMut(&dyn Layer) -> LayerPlan) -> Self {
+        let plan: Vec<LayerPlan> = net.layers().iter().map(|l| plan_of(l.as_ref())).collect();
+        let needs_f32_net = net
+            .layers()
+            .iter()
+            .zip(&plan)
+            .any(|(l, p)| matches!(p, LayerPlan::F32) && l.param_count() > 0);
         Self {
-            native,
-            fallback: needs_fallback.then(|| net.clone()),
+            plan,
+            f32_net: needs_f32_net.then(|| net.clone()),
+            ifm_sites: net
+                .layers()
+                .iter()
+                .enumerate()
+                .map(|(i, l)| DataSite::new(i, l.name(), DataKind::Ifm))
+                .collect(),
         }
     }
 
-    /// The integer parameters of layer `i`, if it executes natively.
+    /// The integer parameters of layer `i`, if it executes as a GEMM.
     pub fn native_params(&self, i: usize) -> Option<&QuantLayerParams> {
-        self.native.get(i).and_then(|p| p.as_ref())
+        match self.plan.get(i) {
+            Some(LayerPlan::Gemm(params)) => Some(params),
+            _ => None,
+        }
     }
 
-    /// Whether a fallback f32 network is maintained.
-    pub fn has_fallback(&self) -> bool {
-        self.fallback.is_some()
+    /// Whether a weight-refreshed f32 network is maintained.
+    pub fn has_f32_net(&self) -> bool {
+        self.f32_net.is_some()
     }
 
     /// Re-loads every weight site from approximate memory: corrupts a copy of
     /// each cached clean bit image (consuming `hook` load streams in the same
     /// order as [`Network::load_corrupted_weights`]) and rebuilds the integer
-    /// parameters — plus the fallback network's f32 weights where needed.
-    /// The O(total weights) image-reload oracle the sparse overlay path
+    /// parameters and the f32 network's weights. The O(total weights)
+    /// image-reload oracle the sparse overlay path
     /// ([`NativeWeights::apply_overlay`]) is pinned against.
     pub fn refresh(&mut self, images: &[WeightImage], hook: &mut dyn FaultHook) {
-        // Corrupt in image order so both backends consume identical load
-        // streams; stash the corrupted tensors destined for the fallback net.
-        let mut for_fallback = std::collections::VecDeque::new();
-        for img in images {
+        // Corrupted in image order, so both plans consume identical load
+        // streams.
+        let corrupted = images.iter().map(|img| {
             let mut q = img.clean.clone();
             hook.corrupt(&img.site, &mut q);
-            match self
-                .native
-                .get_mut(img.layer_index)
-                .and_then(|p| p.as_mut())
-            {
-                Some(params) => {
-                    if img.param_name == "weight" {
-                        params.load_weight(&q);
-                    } else {
-                        params.bias.clear();
-                        params.bias.resize(q.len(), 0.0);
-                        q.dequantize_into(&mut params.bias);
-                    }
-                }
-                None => for_fallback.push_back((img.layer_index, q)),
-            }
-        }
-        let native = &self.native;
-        if let Some(fb) = &mut self.fallback {
-            fb.visit_params_layers(&mut |layer_index, p| {
-                // Natively executed layers keep their integer params; the
-                // fallback net only refreshes the layers that run as f32.
-                if native.get(layer_index).is_some_and(|n| n.is_some()) {
-                    return;
-                }
-                let (expected, q) = for_fallback
-                    .pop_front()
-                    .expect("fallback weight image missing");
-                assert_eq!(expected, layer_index, "weight image order mismatch");
-                q.dequantize_into(p.value.data_mut());
-            });
-            assert!(for_fallback.is_empty(), "unconsumed fallback weight image");
-        } else {
-            assert!(
-                for_fallback.is_empty(),
-                "corrupted weights for a non-native layer but no fallback network"
-            );
-        }
+            (img, q)
+        });
+        self.route(
+            corrupted,
+            |params, img, q| params.load(&img.param_name, &q),
+            |data, _, q| q.dequantize_into(data),
+        );
     }
 
     /// Re-loads every weight site with its **clean** bit image — the
@@ -378,52 +411,19 @@ impl NativeWeights {
     /// consuming load streams or cloning any bit image (the clean images are
     /// read in place).
     pub fn refresh_clean(&mut self, images: &[WeightImage]) {
-        let mut for_fallback = std::collections::VecDeque::new();
-        for img in images {
-            let params = match self
-                .native
-                .get_mut(img.layer_index)
-                .and_then(|p| p.as_mut())
-            {
-                Some(params) => params,
-                None => {
-                    for_fallback.push_back(img);
-                    continue;
-                }
-            };
-            if img.param_name == "weight" {
-                params.load_weight(&img.clean);
-            } else {
-                params.bias.clear();
-                params.bias.resize(img.clean.len(), 0.0);
-                img.clean.dequantize_into(&mut params.bias);
-            }
-        }
-        let native = &self.native;
-        if let Some(fb) = &mut self.fallback {
-            fb.visit_params_layers(&mut |layer_index, p| {
-                if native.get(layer_index).is_some_and(|n| n.is_some()) {
-                    return;
-                }
-                let img = for_fallback.pop_front().expect("fallback image missing");
-                assert_eq!(img.layer_index, layer_index, "weight image order mismatch");
-                img.clean.dequantize_into(p.value.data_mut());
-            });
-            assert!(for_fallback.is_empty(), "unconsumed fallback weight image");
-        } else {
-            assert!(
-                for_fallback.is_empty(),
-                "clean image for a non-native layer but no fallback network"
-            );
-        }
+        self.route(
+            images.iter().map(|img| (img, ())),
+            |params, img, ()| params.load(&img.param_name, &img.clean),
+            |data, img, ()| img.clean.dequantize_into(data),
+        );
     }
 
-    /// Patches the integer parameter state with one [`CorruptionOverlay`]
-    /// per weight image, touching only the overlaid words — the native
-    /// analogue of [`crate::Network::apply_overlay`]. The state must
-    /// currently be the clean baseline ([`NativeWeights::refresh_clean`] or
-    /// after [`NativeWeights::revert_overlay`]); the result is bit-identical
-    /// to [`NativeWeights::refresh`] under a hook producing the same
+    /// Patches the weight state with one [`CorruptionOverlay`] per weight
+    /// image, touching only the overlaid words — the analogue of
+    /// [`crate::Network::apply_overlay`]. The state must currently be the
+    /// clean baseline ([`NativeWeights::refresh_clean`] or after
+    /// [`NativeWeights::revert_overlay`]); the result is bit-identical to
+    /// [`NativeWeights::refresh`] under a hook producing the same
     /// corruption, at O(flips) instead of O(total weights).
     pub fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
         self.patch_overlay(images, overlays, true);
@@ -442,61 +442,75 @@ impl NativeWeights {
         apply: bool,
     ) {
         assert_eq!(images.len(), overlays.len(), "one overlay per image");
-        // Same routing as `refresh`: native layers are patched in place,
-        // images of fallback layers queue up for the fallback network walk.
-        let mut for_fallback = std::collections::VecDeque::new();
-        for (img, overlay) in images.iter().zip(overlays) {
-            let params = match self
-                .native
-                .get_mut(img.layer_index)
-                .and_then(|p| p.as_mut())
-            {
-                Some(params) => params,
-                None => {
-                    for_fallback.push_back((img, overlay));
-                    continue;
+        self.route(
+            images.iter().zip(overlays),
+            |params, img, overlay| {
+                let words = overlay.patched_words(&img.clean, apply);
+                if img.param_name == "weight" {
+                    // The scale is a property of the clean quantization and
+                    // is untouched by bit corruption, so it never needs
+                    // re-patching.
+                    params.patch_weights(&img.clean, words);
+                } else {
+                    for (i, word) in words {
+                        params.bias[i] = img.clean.word_value(word);
+                    }
                 }
-            };
-            if img.param_name == "weight" {
-                params.patch_weights(&img.clean, overlay.patched_words(&img.clean, apply));
-                // The scale is a property of the clean quantization and is
-                // untouched by bit corruption, so it never needs re-patching.
-            } else {
-                for (i, word) in overlay.patched_words(&img.clean, apply) {
-                    params.bias[i] = img.clean.word_value(word);
-                }
-            }
-        }
-        let native = &self.native;
-        if let Some(fb) = &mut self.fallback {
-            fb.visit_params_layers(&mut |layer_index, p| {
-                if native.get(layer_index).is_some_and(|n| n.is_some()) {
-                    return;
-                }
-                let (img, overlay) = for_fallback
-                    .pop_front()
-                    .expect("fallback weight image missing");
-                assert_eq!(img.layer_index, layer_index, "weight image order mismatch");
-                let data = p.value.data_mut();
+            },
+            |data, img, overlay| {
                 for (i, word) in overlay.patched_words(&img.clean, apply) {
                     data[i] = img.clean.word_value(word);
                 }
-            });
-            assert!(for_fallback.is_empty(), "unconsumed fallback weight image");
-        } else {
-            assert!(
-                for_fallback.is_empty(),
-                "overlay for a non-native layer but no fallback network"
-            );
+            },
+        );
+    }
+
+    /// The one weight-routing walk behind every refetch: each `(image,
+    /// item)` goes to `gemm` with its layer's integer parameters when the
+    /// layer runs as a GEMM, and otherwise to `f32` with the f32 network's
+    /// matching parameter buffer. `items` are consumed in image order before
+    /// the f32 network is walked, so a lazily corrupting iterator draws its
+    /// load streams in image order.
+    fn route<'i, T>(
+        &mut self,
+        items: impl IntoIterator<Item = (&'i WeightImage, T)>,
+        mut gemm: impl FnMut(&mut QuantLayerParams, &WeightImage, T),
+        mut f32: impl FnMut(&mut [f32], &WeightImage, T),
+    ) {
+        let mut for_f32 = std::collections::VecDeque::new();
+        for (img, item) in items {
+            match self.plan.get_mut(img.layer_index) {
+                Some(LayerPlan::Gemm(params)) => gemm(params, img, item),
+                _ => for_f32.push_back((img, item)),
+            }
+        }
+        let plan = &self.plan;
+        match &mut self.f32_net {
+            Some(net) => {
+                net.visit_params_layers(&mut |layer_index, p| {
+                    // GEMM layers keep their integer parameters; the f32
+                    // network only refreshes the layers that run as f32.
+                    if matches!(plan.get(layer_index), Some(LayerPlan::Gemm(_))) {
+                        return;
+                    }
+                    let (img, item) = for_f32.pop_front().expect("f32 weight image missing");
+                    assert_eq!(img.layer_index, layer_index, "weight image order mismatch");
+                    debug_assert_eq!(img.param_name, p.name, "weight image order mismatch");
+                    f32(p.value.data_mut(), img, item);
+                });
+                assert!(for_f32.is_empty(), "unconsumed f32 weight image");
+            }
+            None => assert!(
+                for_f32.is_empty(),
+                "weight image for an f32 layer but no f32 network"
+            ),
         }
     }
 
-    fn fallback_layer(&self, i: usize) -> &dyn Layer {
-        self.fallback
-            .as_ref()
-            .expect("parameterized non-native layer requires a fallback network")
-            .layers()[i]
-            .as_ref()
+    /// The f32 layer `i` runs as: the weight-refreshed copy where one is
+    /// kept, else `net`'s own (parameterless) layer.
+    fn f32_layer<'n>(&'n self, net: &'n Network, i: usize) -> &'n dyn Layer {
+        self.f32_net.as_ref().unwrap_or(net).layers()[i].as_ref()
     }
 }
 
@@ -508,17 +522,24 @@ fn has_weight_bias_params(layer: &dyn Layer) -> bool {
     names == ["weight", "bias"]
 }
 
-/// Forward pass of a group of samples under the native integer backend,
-/// through one shared corrupted weight state: every layer's IFM is
-/// quantized, corrupted by the sample's own hook at the same [`DataSite`]s
-/// (and therefore with the same load-stream sequence) as the simulated path,
-/// and then executed natively where the layer supports it — without ever
-/// dequantizing the activations for dense/conv layers. Each native layer's
-/// compute is one panel GEMM over every active sample's activation rows
-/// (weight-stationary dataflow, [`Layer::quant_forward_batch`]) through the
-/// runtime-dispatched SIMD kernels (see [`eden_tensor::simd`]): one-byte
-/// lanes for int4/int8, two-byte lanes with exact i64 results for int16 and
-/// overflow-deep reductions. A single sample is a group of one.
+/// The group executor of both backends: a group of samples runs through one
+/// shared weight state, layer by layer, following its plan. Every layer's
+/// IFM is quantized into a per-sample stored-bits buffer and corrupted by
+/// the sample's own hook at the layer's [`DataSite`] (so both plans consume
+/// the same load streams); then the layer runs as its plan says:
+///
+/// * **GEMM** — one integer panel GEMM over every active sample's activation
+///   rows (weight-stationary dataflow, [`Layer::quant_forward_batch`])
+///   through the runtime-dispatched SIMD kernels (see
+///   [`eden_tensor::simd`]): one-byte lanes for int4/int8, two-byte lanes
+///   with exact i64 results for int16 and overflow-deep reductions;
+/// * **activation** — [`Layer::quant_forward_activation`] on the stored
+///   bits, without dequantizing;
+/// * **f32** — the dequantized IFMs through [`Layer::forward_batch`] when
+///   more than one sample is active and all shapes match, else through
+///   [`Layer::forward`] per sample (bit-identical either way).
+///
+/// A single sample is a group of one.
 ///
 /// `starts[j]` is sample `j`'s resume layer (0 for a full pass; otherwise
 /// `inputs[j]` is the activation entering layer `starts[j]`): a sample
@@ -531,19 +552,21 @@ fn has_weight_bias_params(layer: &dyn Layer) -> bool {
 /// checkpoint stores. Observation never changes execution.
 ///
 /// Per sample, the sequence of `observe` calls, IFM loads and layer
-/// computations depends only on that sample (integer accumulation is exact
-/// and the epilogue element-wise), so results and per-hook statistics are
-/// independent of the group a sample runs in. Given the activation a full
-/// pass produces at a resume boundary and a hook whose state matches that
-/// point of the load sequence, a resumed sample's output is bit-identical to
-/// its full pass: the prefix is skipped, not approximated.
+/// computations depends only on that sample (integer accumulation is exact,
+/// the epilogue element-wise and the batched f32 forms bit-identical to the
+/// per-sample ones), so results and per-hook statistics are independent of
+/// the group a sample runs in. Given the activation a full pass produces at
+/// a resume boundary and a hook whose state matches that point of the load
+/// sequence, a resumed sample's output is bit-identical to its full pass:
+/// the prefix is skipped, not approximated.
 ///
 /// # Panics
 ///
-/// Panics if `precision` is not an integer precision (FP32 has no quantized
-/// representation to execute on), if `weights` was prepared for a different
-/// architecture, if a resume layer exceeds the network depth, or if
-/// `inputs`, `starts` and `hooks` disagree in length.
+/// Panics if `precision` is not an integer precision while the plan has
+/// integer layers (FP32 has no quantized representation to execute on), if
+/// `weights` was prepared for a different architecture, if a resume layer
+/// exceeds the network depth, or if `inputs`, `starts` and `hooks` disagree
+/// in length.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_native_batch_observed<H: FaultHook>(
     net: &Network,
@@ -556,44 +579,75 @@ pub fn forward_native_batch_observed<H: FaultHook>(
     mut observe: impl FnMut(usize, usize, &Tensor, &mut H),
 ) -> Vec<Tensor> {
     assert!(
-        precision.is_integer(),
-        "the native backend requires an integer precision, got {precision}"
+        precision.is_integer() || weights.plan.iter().all(|p| matches!(p, LayerPlan::F32)),
+        "the native plan requires an integer precision, got {precision}"
     );
-    assert_eq!(
-        weights.native.len(),
-        net.depth(),
-        "weights/network mismatch"
-    );
+    assert_eq!(weights.plan.len(), net.depth(), "weights/network mismatch");
     assert_eq!(inputs.len(), starts.len(), "inputs/starts mismatch");
     assert_eq!(inputs.len(), hooks.len(), "inputs/hooks mismatch");
-    let batch = inputs.len();
-    let mut xs: Vec<Tensor> = inputs.to_vec();
-    // One stored-bits buffer per sample, reused across its layer boundaries.
-    let mut qts: Vec<Option<QuantTensor>> = (0..batch).map(|_| None).collect();
-    let min_start = starts.iter().copied().min().unwrap_or(0);
     assert!(
         starts.iter().all(|&s| s <= net.depth()),
         "resume layer exceeds depth {}",
         net.depth()
     );
+    let batch = inputs.len();
+    let mut xs: Vec<Tensor> = inputs.to_vec();
+    // Per-sample stored-bits and dequantized buffers, reused across layer
+    // boundaries and groups. `QuantTensor::quantize` is `requantize_from`
+    // on a fresh buffer, so reuse is bit-identical to allocating per layer.
+    let mut stored = std::mem::take(&mut scratch.stored);
+    let mut dequant = std::mem::take(&mut scratch.dequant);
+    if stored.len() < batch {
+        stored.resize_with(batch, || None);
+        dequant.resize_with(batch, Vec::new);
+    }
+    let min_start = starts.iter().copied().min().unwrap_or(0);
     for (i, layer) in net.layers().iter().enumerate().skip(min_start) {
-        let site = DataSite::new(i, layer.name(), DataKind::Ifm);
         let active: Vec<usize> = (0..batch).filter(|&j| starts[j] <= i).collect();
+        let plan = &weights.plan[i];
+        // Samples whose layer runs on f32, with their dequantized IFMs.
+        let mut f32_inputs: Vec<(usize, Tensor)> = Vec::new();
         for &j in &active {
             observe(j, i, &xs[j], &mut hooks[j]);
-            let q = match &mut qts[j] {
+            // Only a GEMM needs every sample's stored bits at once; the
+            // other layers share one buffer.
+            let k = if matches!(plan, LayerPlan::Gemm(_)) {
+                j
+            } else {
+                0
+            };
+            let q = match &mut stored[k] {
                 Some(q) => {
                     q.requantize_from(&xs[j], precision);
                     q
                 }
-                None => qts[j].insert(QuantTensor::quantize(&xs[j], precision)),
+                None => stored[k].insert(QuantTensor::quantize(&xs[j], precision)),
             };
-            hooks[j].corrupt(&site, q);
+            hooks[j].corrupt(&weights.ifm_sites[i], q);
+            // Layers other than GEMMs consume each sample's stored bits
+            // right away, while they are still in cache.
+            match plan {
+                LayerPlan::Gemm(_) => continue,
+                LayerPlan::Activation => {
+                    if let Some(y) = layer.quant_forward_activation(q) {
+                        xs[j] = y;
+                        continue;
+                    }
+                }
+                LayerPlan::F32 => {}
+            }
+            let mut buf = std::mem::take(&mut dequant[j]);
+            buf.clear();
+            buf.resize(q.len(), 0.0);
+            q.dequantize_into(&mut buf);
+            f32_inputs.push((j, Tensor::from_vec(buf, q.shape())));
         }
-        match weights.native_params(i) {
-            Some(params) => {
-                let qrefs: Vec<&QuantTensor> =
-                    active.iter().map(|&j| qts[j].as_ref().unwrap()).collect();
+        match plan {
+            LayerPlan::Gemm(params) => {
+                let qrefs: Vec<&QuantTensor> = active
+                    .iter()
+                    .map(|&j| stored[j].as_ref().expect("IFM loaded"))
+                    .collect();
                 let ys = layer
                     .quant_forward_batch(&qrefs, params, scratch)
                     .expect("layer advertised native quantized support");
@@ -601,25 +655,45 @@ pub fn forward_native_batch_observed<H: FaultHook>(
                     xs[j] = y;
                 }
             }
-            None => {
-                for &j in &active {
-                    let q = qts[j].as_ref().unwrap();
-                    xs[j] = match layer.quant_forward_activation(q) {
-                        Some(out) => out,
-                        None => {
-                            let l: &dyn Layer = if layer.param_count() > 0 {
-                                weights.fallback_layer(i)
-                            } else {
-                                layer.as_ref()
-                            };
-                            l.forward(&q.dequantize())
-                        }
-                    };
-                }
+            _ => forward_f32(weights.f32_layer(net, i), f32_inputs, &mut dequant, &mut xs),
+        }
+    }
+    scratch.stored = stored;
+    scratch.dequant = dequant;
+    xs
+}
+
+/// The f32 step of the group executor: runs `layer` over the dequantized
+/// IFMs of `inputs` — one [`Layer::forward_batch`] when more than one
+/// sample is active and all shapes match, else [`Layer::forward`] per
+/// sample — and hands each IFM's buffer back to `dequant` for reuse.
+fn forward_f32(
+    layer: &dyn Layer,
+    inputs: Vec<(usize, Tensor)>,
+    dequant: &mut [Vec<f32>],
+    xs: &mut [Tensor],
+) {
+    let uniform = inputs.windows(2).all(|w| w[0].1.shape() == w[1].1.shape());
+    let batched = if inputs.len() > 1 && uniform {
+        let refs: Vec<&Tensor> = inputs.iter().map(|(_, t)| t).collect();
+        layer.forward_batch(&refs)
+    } else {
+        None
+    };
+    match batched {
+        Some(ys) => {
+            for ((j, t), y) in inputs.into_iter().zip(ys) {
+                xs[j] = y;
+                dequant[j] = t.into_vec();
+            }
+        }
+        None => {
+            for (j, t) in inputs {
+                xs[j] = layer.forward(&t);
+                dequant[j] = t.into_vec();
             }
         }
     }
-    xs
 }
 
 /// Integer GEMM over a packed multi-sample rhs with a fused per-sample-scale
@@ -915,7 +989,7 @@ mod tests {
     #[test]
     fn lenet_style_net_needs_no_fallback() {
         let weights = NativeWeights::prepare(&tiny_net(0));
-        assert!(!weights.has_fallback());
+        assert!(!weights.has_f32_net());
     }
 
     #[test]
@@ -926,7 +1000,7 @@ mod tests {
             .push(Flatten::new("flatten"))
             .push(Dense::new("fc", 32, 3, &mut rng));
         let weights = NativeWeights::prepare(&net);
-        assert!(weights.has_fallback());
+        assert!(weights.has_f32_net());
         // The fallback path still produces outputs close to the f32 path.
         let x = uniform(&[2, 4, 4], -1.0, 1.0, &mut rng);
         let simulated = simulated_forward(&net, &x, Precision::Int8);
@@ -939,10 +1013,13 @@ mod tests {
     /// Asserts two native weight states hold lane-identical weight panels
     /// (and the same bias values) in every native layer.
     fn assert_same_panels(a: &NativeWeights, b: &NativeWeights, what: &str) {
-        assert_eq!(a.native.len(), b.native.len(), "{what}: layer count");
-        for (i, (pa, pb)) in a.native.iter().zip(&b.native).enumerate() {
-            let (Some(pa), Some(pb)) = (pa, pb) else {
-                assert!(pa.is_none() && pb.is_none(), "{what}: layer {i} routing");
+        assert_eq!(a.plan.len(), b.plan.len(), "{what}: layer count");
+        for i in 0..a.plan.len() {
+            let (Some(pa), Some(pb)) = (a.native_params(i), b.native_params(i)) else {
+                assert!(
+                    a.native_params(i).is_none() && b.native_params(i).is_none(),
+                    "{what}: layer {i} routing"
+                );
                 continue;
             };
             assert_eq!(pa.qweight8, pb.qweight8, "{what}: layer {i} i8 panel");

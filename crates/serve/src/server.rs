@@ -8,7 +8,7 @@
 //! up to their deadline) so a burst of tenants queues instead of
 //! oversubscribing the pool.
 //!
-//! Determinism: results are produced by [`EvalSession::evaluate_concurrent`]
+//! Determinism: results are produced by [`EvalSession::evaluate_with_faults`]
 //! under the session/`ApproximateMemory` thread-invariance contract, so a
 //! response is bit-identical to a standalone `EvalSession` evaluation of the
 //! same spec at any `--workers` count and regardless of which requests
@@ -408,7 +408,7 @@ fn run_eval(
     }
     let accuracy = state.workers.install(|| match batch {
         Some(cap) => session.evaluate_concurrent_batched(samples, memory, cap),
-        None => session.evaluate_concurrent(samples, memory),
+        None => session.evaluate_with_faults(samples, memory),
     });
     state.stats.evals.fetch_add(1, Ordering::Relaxed);
     if accuracy.is_nan() {

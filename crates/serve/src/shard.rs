@@ -63,7 +63,7 @@ pub struct Shard {
     /// The shard's identity.
     pub key: ShardKey,
     /// The shared session; requests evaluate through
-    /// [`EvalSession::evaluate_concurrent`].
+    /// [`EvalSession::evaluate_with_faults`].
     pub session: EvalSession<'static>,
     /// The model's dataset (test split served to requests).
     pub dataset: Arc<SyntheticVision>,

@@ -59,7 +59,7 @@ fn eval_request(precision: &str, ber: f64) -> Json {
 fn standalone(precision: Precision, ber: f64) -> f32 {
     let zoo = ModelZoo::new(ZOO_EPOCHS, ZOO_SEED);
     let entry = zoo.get(ModelId::LeNet);
-    let mut session = EvalSession::new_shared(entry.net, precision, InferenceBackend::default());
+    let session = EvalSession::new_shared(entry.net, precision, InferenceBackend::default());
     let template = ErrorModel::uniform(0.02, 0.5, 5);
     let mut memory = ApproximateMemory::from_model(template.with_ber(ber), MEM_SEED);
     session.evaluate_with_faults(&entry.dataset.test()[..COUNT], &mut memory)

@@ -189,7 +189,7 @@ impl CorruptionOverlay {
     /// touched word, `(index, clean bits ^ mask)` when applying and
     /// `(index, clean bits)` when reverting. This is **the** word formula of
     /// every overlay consumer (f32 parameter buffers, native integer
-    /// weights, fallback networks), shared here so apply and revert can
+    /// weights, f32 network copies), shared here so apply and revert can
     /// never drift apart.
     ///
     /// # Panics

@@ -35,7 +35,7 @@ fn main() {
         BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
     // One evaluation session per network: it caches the quantized weight
     // images and weak-cell maps across the sweep's operating points.
-    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+    let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
     println!("\nBER sweep of the *baseline* DNN (int8, with bounding):");
     for &ber in &[1e-4, 1e-3, 5e-3, 2e-2, 5e-2] {
         let mut memory =
@@ -68,7 +68,7 @@ fn main() {
         1.5,
         CorrectionPolicy::Zero,
     );
-    let mut session = EvalSession::new(&boosted, Precision::Int8, InferenceBackend::SimulatedF32);
+    let session = EvalSession::new(&boosted, Precision::Int8, InferenceBackend::SimulatedF32);
     for &ber in &[1e-4, 1e-3, 5e-3, 2e-2, 5e-2] {
         let mut memory = ApproximateMemory::from_model(template.with_ber(ber), 3)
             .with_bounding(boosted_bounding);

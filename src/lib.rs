@@ -30,7 +30,7 @@
 //!
 //! let dataset = SyntheticVision::tiny(0);
 //! let net = zoo::lenet(&dataset.spec(), 1);
-//! let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+//! let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
 //! let mut memory = ApproximateMemory::from_model(ErrorModel::uniform(0.001, 0.5, 7), 3);
 //! let accuracy = session.evaluate_with_faults(&dataset.test()[..8], &mut memory);
 //! assert!((0.0..=1.0).contains(&accuracy));

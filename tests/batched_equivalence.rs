@@ -2,9 +2,13 @@
 //! ([`EvalSession::evaluate_concurrent_batched`]) against groups of one
 //! (`batch == 1`), pinned bit for bit.
 //!
-//! The batched path packs every sample of a group into one weight-stationary
-//! GEMM per layer, so the properties here assert the strongest contract the
-//! implementation claims: for any backend, integer precision, worker-thread
+//! Both backends run through one group executor
+//! (`qexec::forward_native_batch_observed`) and differ only in the
+//! per-layer plan: the native plan packs every sample of a group into one
+//! weight-stationary integer GEMM per dense/conv layer, the simulated plan
+//! runs each layer's f32 `forward_batch` over the group's dequantized IFMs.
+//! The properties here assert the strongest contract the implementation
+//! claims: for any backend, integer precision, worker-thread
 //! count and batch cap, the accuracy bits AND the memory's injection
 //! statistics are exactly those of running every sample alone — including
 //! when groups split at sample-varying corruption overlays and when samples

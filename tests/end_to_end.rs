@@ -72,8 +72,8 @@ fn device_fitted_error_model_predicts_device_accuracy() {
         eden::dram::geometry::PartitionGranularity::Bank,
     )[0];
 
-    let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
-    let mut mean_acc = |memory_for_seed: &mut dyn FnMut(u64) -> ApproximateMemory| {
+    let session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
+    let mean_acc = |memory_for_seed: &mut dyn FnMut(u64) -> ApproximateMemory| {
         let seeds = [3u64, 4, 5];
         seeds
             .iter()
@@ -194,7 +194,7 @@ fn quantized_zoo_models_run_under_injection_for_all_precisions() {
     let net = zoo::lenet(&dataset.spec(), 5);
     let samples = &dataset.test()[..8];
     for precision in Precision::all() {
-        let mut session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
+        let session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
         for model in [
             ErrorModel::uniform(0.01, 0.3, 1),
             ErrorModel::bitline(0.01, 0.3, 0.8, 1),

@@ -27,7 +27,7 @@ fn accuracy_is_a_probability_at_every_bit_error_rate() {
     let template = ErrorModel::uniform(0.01, 0.5, 7);
 
     for precision in [Precision::Int8, Precision::Fp32] {
-        let mut session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
+        let session = EvalSession::new(&net, precision, InferenceBackend::SimulatedF32);
         for ber in [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.4] {
             let mut memory = ApproximateMemory::from_model(template.with_ber(ber), 3);
             let accuracy = session.evaluate_with_faults(samples, &mut memory);
@@ -97,13 +97,13 @@ fn high_ber_destroys_accuracy_and_low_ber_preserves_it() {
     let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
     let baseline = session.evaluate_reliable(samples);
 
-    let mut acc_at = |ber: f64, seed: u64| {
+    let acc_at = |ber: f64, seed: u64| {
         let mut memory = ApproximateMemory::from_model(template.with_ber(ber), seed);
         session.evaluate_with_faults(samples, &mut memory)
     };
 
     // Mean over seeds: single-seed accuracy under injection is noisy.
-    let mut mean = |ber: f64| (0..4).map(|s| acc_at(ber, s)).sum::<f32>() / 4.0;
+    let mean = |ber: f64| (0..4).map(|s| acc_at(ber, s)).sum::<f32>() / 4.0;
     let low = mean(1e-5);
     let high = mean(0.3);
     let chance = 1.0 / dataset.spec().num_classes as f32;

@@ -238,7 +238,7 @@ fn multi_module_plans(
             &benefit_traffic_score,
         );
         let spans: usize = plan.placements.iter().map(|p| p.spans.len()).sum();
-        let mut session = EvalSession::new(net, precision, backend);
+        let session = EvalSession::new(net, precision, backend);
         let mut memory = ApproximateMemory::reliable(23).with_bounding(bounding);
         plan.apply_to(&mut memory, &system);
         let acc = session.evaluate_with_faults(samples, &mut memory);
@@ -291,7 +291,7 @@ fn vgg_logits(out: &mut String) {
         ("wordline", ErrorModel::wordline(0.02, 0.5, 0.9, 7)),
     ];
     for precision in [Precision::Int4, Precision::Int8, Precision::Int16] {
-        let mut session = EvalSession::new(&net, precision, InferenceBackend::NativeInt);
+        let session = EvalSession::new(&net, precision, InferenceBackend::NativeInt);
         for (name, template) in &templates {
             let model = template.with_ber(1e-1);
 

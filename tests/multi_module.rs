@@ -153,7 +153,7 @@ fn composed_overlays_match_independent_partition_evaluation() {
             let run = |composition: SpanComposition, threads: usize| -> (u32, MemoryStats) {
                 let pool = ThreadPool::new(threads);
                 pool.install(|| {
-                    let mut session = EvalSession::new(&net, precision, backend);
+                    let session = EvalSession::new(&net, precision, backend);
                     let mut memory =
                         ApproximateMemory::reliable(31).with_span_composition(composition);
                     plan.apply_to(&mut memory, &system);

@@ -10,16 +10,19 @@
 //! property is that a whole probe *sequence* (with bounding corrections
 //! folded sparsely into the overlays) never differs from the reference in a
 //! single accuracy bit or injection statistic, across both execution
-//! backends, every precision, and 1/2/8 worker threads.
+//! backends, every precision, and 1/2/8 worker threads — on LeNet, and on
+//! `resnet_mini`, whose residual blocks and channel norms run on f32 under
+//! both backends.
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden::core::characterize::{fine_characterize_session, FineCharacterization, FineConfig};
 use eden::core::faults::{ApproximateMemory, MemoryStats};
 use eden::core::inference::InferenceBackend;
 use eden::core::session::{EvalSession, WEIGHT_REFETCH_PERIOD};
-use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
+use eden::dnn::network::WeightImage;
+use eden::dnn::qexec::{NativeWeights, QuantScratch};
 use eden::dnn::train::{TrainConfig, Trainer};
-use eden::dnn::{data::SyntheticVision, zoo, DataKind, DataSite, Dataset, Network};
+use eden::dnn::{data::SyntheticVision, zoo, DataKind, DataSite, Dataset, FaultHook, Network};
 use eden::dram::device::ApproxDramDevice;
 use eden::dram::geometry::{partitions, DramGeometry, PartitionGranularity};
 use eden::dram::inject::Injector;
@@ -55,10 +58,12 @@ fn deepest_ifm(net: &Network) -> DataSite {
 /// resident at once.
 const WINDOW: usize = 16 * WEIGHT_REFETCH_PERIOD;
 
-/// The corrupted weights of one refetch slot of the reference.
+/// The corrupted weights of one refetch slot of the reference: a network
+/// copy holding them in f32, plus their integer panels on the native
+/// backend.
 enum ReferenceWeights {
     Simulated(Network),
-    Native(NativeWeights),
+    Native(NativeWeights, Network),
 }
 
 /// The seed evaluation protocol, written out independently of the session:
@@ -67,8 +72,8 @@ enum ReferenceWeights {
 /// full image reload ([`Network::load_corrupted_weights`] /
 /// [`NativeWeights::refresh`]), in slot order; then every sample runs alone
 /// on its slot's weights with its own lane `memory.fork(global index)`
-/// ([`Network::forward_with_ifm_hook`], or the native executor with one
-/// input), and the lanes' statistics merge back in sample order. Returns
+/// ([`Network::forward_with_ifm_hook`], or [`reference_logits`]' layer walk
+/// on the native backend), and the lanes' statistics merge back in sample order. Returns
 /// the accuracy bits and the memory's final statistics.
 fn reference_evaluate(
     net: &Network,
@@ -85,38 +90,12 @@ fn reference_evaluate(
     for (w, window) in samples.chunks(WINDOW).enumerate() {
         let slots: Vec<ReferenceWeights> = window
             .chunks(WEIGHT_REFETCH_PERIOD)
-            .map(|_| {
-                if native {
-                    let mut weights = NativeWeights::prepare(net);
-                    weights.refresh(&images, memory);
-                    ReferenceWeights::Native(weights)
-                } else {
-                    let mut copy = net.clone();
-                    copy.load_corrupted_weights(&images, memory);
-                    ReferenceWeights::Simulated(copy)
-                }
-            })
+            .map(|_| reference_slot(net, &images, native, memory))
             .collect();
         for (i, (x, label)) in window.iter().enumerate() {
             let mut lane = memory.fork((w * WINDOW + i) as u64);
-            let logits = match &slots[i / WEIGHT_REFETCH_PERIOD] {
-                ReferenceWeights::Simulated(copy) => {
-                    copy.forward_with_ifm_hook(x, precision, &mut lane)
-                }
-                ReferenceWeights::Native(weights) => forward_native_batch_observed(
-                    net,
-                    weights,
-                    std::slice::from_ref(x),
-                    &[0],
-                    precision,
-                    std::slice::from_mut(&mut lane),
-                    &mut QuantScratch::new(),
-                    |_, _, _, _| {},
-                )
-                .pop()
-                .expect("one output per input"),
-            };
-            if logits.argmax() == *label {
+            let slot = &slots[i / WEIGHT_REFETCH_PERIOD];
+            if reference_logits(net, slot, x, precision, &mut lane).argmax() == *label {
                 correct += 1;
             }
             memory.merge_stats(lane.stats());
@@ -126,6 +105,63 @@ fn reference_evaluate(
         (correct as f32 / samples.len() as f32).to_bits(),
         memory.stats(),
     )
+}
+
+/// One refetch slot of the reference: every weight image re-loaded from
+/// `memory` by full image reload. The native slot's f32 copy reloads from a
+/// clone of `memory`, so it draws the same corruption without consuming the
+/// load streams twice.
+fn reference_slot(
+    net: &Network,
+    images: &[WeightImage],
+    native: bool,
+    memory: &mut ApproximateMemory,
+) -> ReferenceWeights {
+    let mut copy = net.clone();
+    if native {
+        copy.load_corrupted_weights(images, &mut memory.clone());
+        let mut weights = NativeWeights::prepare(net);
+        weights.refresh(images, memory);
+        ReferenceWeights::Native(weights, copy)
+    } else {
+        copy.load_corrupted_weights(images, memory);
+        ReferenceWeights::Simulated(copy)
+    }
+}
+
+/// One sample's logits on a reference slot, with `lane` serving its IFM
+/// loads. On the native backend a plain layer walk: each IFM is quantized
+/// and corrupted, then a layer with integer panels runs its native form, a
+/// layer with a quantized-domain activation runs that, and every other
+/// layer runs the slot's f32 copy on the dequantized IFM.
+fn reference_logits(
+    net: &Network,
+    slot: &ReferenceWeights,
+    x: &Tensor,
+    precision: Precision,
+    lane: &mut ApproximateMemory,
+) -> Tensor {
+    let (weights, copy) = match slot {
+        ReferenceWeights::Simulated(copy) => {
+            return copy.forward_with_ifm_hook(x, precision, lane);
+        }
+        ReferenceWeights::Native(weights, copy) => (weights, copy),
+    };
+    let mut x = x.clone();
+    for (i, layer) in net.layers().iter().enumerate() {
+        let mut q = QuantTensor::quantize(&x, precision);
+        lane.corrupt(&DataSite::new(i, layer.name(), DataKind::Ifm), &mut q);
+        x = match weights.native_params(i) {
+            Some(params) => layer
+                .quant_forward_batch(&[&q], params, &mut QuantScratch::new())
+                .expect("native layer")
+                .remove(0),
+            None => layer
+                .quant_forward_activation(&q)
+                .unwrap_or_else(|| copy.layers()[i].forward(&q.dequantize())),
+        };
+    }
+    x
 }
 
 /// The probe operating points: revisiting one makes the session's
@@ -175,7 +211,7 @@ proptest! {
 
         let pool = ThreadPool::new(threads);
         let via_session: Vec<(u32, MemoryStats)> = pool.install(|| {
-            let mut session = EvalSession::new(&net, precision, backend);
+            let session = EvalSession::new(&net, precision, backend);
             PROBE_BERS
                 .iter()
                 .map(|&ber| {
@@ -321,7 +357,7 @@ fn overlay_refetch_matches_reload_under_a_device_backed_memory() {
     let injector =
         Injector::from_device(device, partition, OperatingPoint::with_vdd_reduction(0.3));
     for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
-        let mut session = EvalSession::new(&net, Precision::Int8, backend);
+        let session = EvalSession::new(&net, Precision::Int8, backend);
         let mut a = ApproximateMemory::from_injector(injector.clone(), 5);
         let mut b = ApproximateMemory::from_injector(injector.clone(), 5);
         let via_session = session.evaluate_with_faults(samples, &mut a);
@@ -332,6 +368,48 @@ fn overlay_refetch_matches_reload_under_a_device_backed_memory() {
             "{backend}"
         );
         assert!(a.stats().bit_flips > 0);
+    }
+}
+
+#[test]
+fn overlay_refetch_matches_reload_on_resnet_under_both_backends() {
+    // Residual blocks and channel norms have no native form: they run on
+    // f32 under both plans (every layer does under the simulated one), over
+    // the slot's weight-refreshed network copy. Besides the accuracy of the
+    // probe sequence, one sample's logits are compared bit for bit: an
+    // untrained network's argmax hides most weight errors, its logits none.
+    let dataset = SyntheticVision::tiny(5);
+    let net = zoo::resnet_mini(&dataset.spec(), 5);
+    let samples = &dataset.test()[..20];
+    let images = net.weight_images(Precision::Int8);
+    let template = ErrorModel::uniform(0.02, 0.5, 0x7E5);
+    let bounding = Some(BoundingLogic::new(-6.0, 6.0, CorrectionPolicy::Zero));
+    for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
+        let native = backend == InferenceBackend::NativeInt;
+        let session = EvalSession::new(&net, Precision::Int8, backend);
+        for ber in PROBE_BERS {
+            let mut a = probe_memory(&template, ber, bounding, 3);
+            let mut b = probe_memory(&template, ber, bounding, 3);
+            let via_session = session.evaluate_with_faults(samples, &mut a);
+            let via_reference = reference_evaluate(&net, samples, Precision::Int8, backend, &mut b);
+            assert_eq!(
+                (via_session.to_bits(), a.stats()),
+                via_reference,
+                "{backend} {ber}"
+            );
+
+            let x = &samples[0].0;
+            let mut a = probe_memory(&template, ber, bounding, 4);
+            let mut b = probe_memory(&template, ber, bounding, 4);
+            let via_session = session.forward_with_faults(x, &mut a);
+            let slot = reference_slot(&net, &images, native, &mut b);
+            let via_reference = reference_logits(&net, &slot, x, Precision::Int8, &mut b);
+            assert_eq!(
+                (via_session, a.stats()),
+                (via_reference, b.stats()),
+                "{backend} {ber} logits"
+            );
+        }
     }
 }
 

@@ -131,7 +131,7 @@ fn forward_with_faults_matches_one_shot_forward() {
     let template = ErrorModel::uniform(0.02, 0.5, 9);
     for backend in [InferenceBackend::SimulatedF32, InferenceBackend::NativeInt] {
         for precision in [Precision::Int4, Precision::Int8, Precision::Fp32] {
-            let mut session = EvalSession::new(&net, precision, backend);
+            let session = EvalSession::new(&net, precision, backend);
             for (i, (x, _)) in dataset.test()[..4].iter().enumerate() {
                 let mut a = ApproximateMemory::from_model(template.with_ber(1e-3), i as u64);
                 let mut b = a.clone();
