@@ -103,8 +103,11 @@ fn bench_inference(c: &mut Criterion) {
 /// The packed i8 and i16 panel GEMMs — the integer kernels every native
 /// int4/int8 and int16 layer runs — at every ISA level this host supports,
 /// on a VGG-conv-shaped problem (the dominant shape behind the
-/// `quantized_backend` group). One entry per (kernel, ISA) via the explicit
-/// `_with` dispatch, so the gate pins each
+/// `quantized_backend` group); the tiled f32 GEMM on `vgg_mini`'s `conv1_2`
+/// at a group of 16 samples (the simulated and FP32 conv); and the
+/// layer-boundary quantizer on 16 int8 IFMs of that layer's shape. One
+/// entry per (kernel, ISA) via the explicit `_with` dispatch or the table
+/// entry, so the gate pins each
 /// SIMD tier individually: a regression in, say, the AVX2 panel kernel
 /// cannot hide behind a healthy AVX-512 default. Entries exist only for ISAs
 /// the runner supports, which is fine for the gate because baseline and
@@ -127,6 +130,19 @@ fn bench_simd_kernels(c: &mut Criterion) {
         .map(|i| (i * 9973 % 65536) as u16 as i16)
         .collect();
     let mut out64 = vec![0i64; m * n];
+    // conv1_2 of vgg_mini (12 → 12 channels, 3×3, 16×16) at group 16:
+    // [m=12, k=108] · [k=108, n=16·256].
+    let (fm, fk, fn_) = (12usize, 108usize, 16 * 256usize);
+    let fa: Vec<f32> = (0..fm * fk)
+        .map(|i| (i % 37) as f32 * 0.01 - 0.18)
+        .collect();
+    let fb: Vec<f32> = (0..fk * fn_).map(|i| (i % 29) as f32 * 0.1).collect();
+    let mut fout = vec![0.0f32; fm * fn_];
+    // 16 IFMs of [12, 16, 16] quantized to int8 at scale abs_max / 127.
+    let ifm: Vec<f32> = (0..16 * 12 * 16 * 16)
+        .map(|i| ((i * 7919) % 2001) as f32 * 0.003 - 3.0)
+        .collect();
+    let mut words = vec![0u32; ifm.len()];
     let mut group = c.benchmark_group("simd_kernels");
     // Same sampling pin as the characterization groups: 15 samples under the
     // default 2 s budget left the per-run minimum wobbly enough (especially
@@ -157,6 +173,25 @@ fn bench_simd_kernels(c: &mut Criterion) {
                     &mut out64,
                 );
                 black_box(out64[0])
+            })
+        });
+        group.bench_function(format!("gemm_f32_conv1_2_{isa}"), |b| {
+            b.iter(|| {
+                ops::gemm_with(&kr, fm, fk, fn_, black_box(&fa), black_box(&fb), &mut fout);
+                black_box(fout[0])
+            })
+        });
+        group.bench_function(format!("quantize_int8_{isa}"), |b| {
+            b.iter(|| {
+                (kr.quantize_f32)(
+                    black_box(&ifm),
+                    3.0 / 127.0,
+                    -128.0,
+                    127.0,
+                    0xff,
+                    &mut words,
+                );
+                black_box(words[0])
             })
         });
     }

@@ -1,7 +1,7 @@
 //! Standard and depthwise 2-D convolution layers.
 //!
-//! Both layers lower their convolutions to `im2col` + the cache-blocked GEMM
-//! kernel in `eden_tensor::ops` (forward *and* backward), sharing the matmul
+//! Both layers lower their convolutions to `im2col` + the register-tiled
+//! GEMM kernel in `eden_tensor::ops` (forward *and* backward), sharing the matmul
 //! hot path with the dense layers. The lowering is bit-identical to a direct
 //! loop nest — see [`eden_tensor::ops::conv2d`].
 
@@ -132,12 +132,13 @@ impl Layer for Conv2d {
     }
 
     /// Weight-stationary batched convolution: every sample's patch columns
-    /// pack into one `[ck, batch·oh·ow]` rhs, the bias seeds each output row
-    /// (participating first in every accumulation chain, exactly like
-    /// [`eden_tensor::ops::conv2d`]), and a single row-block-parallel
-    /// [`eden_tensor::ops::gemm_batch`] produces the whole batch. Per output
-    /// element the k-ascending chain is untouched, so the result is
-    /// bit-identical to per-sample [`Layer::forward`] calls.
+    /// pack into one `[ck, batch·oh·ow]` rhs ([`ops::im2col_strided`] writes
+    /// every lane of its columns, so the rhs needs no pre-zeroing), the bias
+    /// seeds each output row (participating first in every accumulation
+    /// chain, exactly like [`eden_tensor::ops::conv2d`]), and a single
+    /// row-block-parallel [`eden_tensor::ops::gemm_batch`] produces the
+    /// whole batch. Per output element the k-ascending chain is untouched,
+    /// so the result is bit-identical to per-sample [`Layer::forward`] calls.
     fn forward_batch(&self, inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
         let first = inputs.first()?;
         let shape = first.shape().to_vec();

@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layers.
 //!
-//! The forward pass is one call into the cache-blocked GEMM kernel in
+//! The forward pass is one call into the register-tiled GEMM kernel in
 //! `eden_tensor::ops` — the same kernel that backs the convolution layers
 //! after their im2col lowering.
 

@@ -20,24 +20,23 @@
 use crate::simd::{self, Kernels};
 use crate::tensor::Tensor;
 
-/// Row count of the A-panel processed per GEMM block.
-const GEMM_MC: usize = 64;
-/// Depth (shared dimension) processed per GEMM block. A `GEMM_MC × GEMM_KC`
-/// panel of A is ~64 KB, comfortably inside L2 alongside the streamed B rows.
-const GEMM_KC: usize = 256;
-
-/// Cache-blocked dense matrix multiply-accumulate over raw slices:
+/// Dense f32 matrix multiply-accumulate over raw slices:
 /// `out (m×n) += a (m×k) · b (k×n)`, all row-major.
 ///
 /// This is the shared kernel behind [`matmul`], [`conv2d`] (via
-/// [`im2col`]) and the dense layers. Blocking reorders *which* output rows
-/// are touched when, but every output element still accumulates its `k`
-/// contributions in ascending-`p` order, so results are independent of the
-/// block sizes and bit-identical to a naive triple loop — with one caveat:
-/// terms whose **lhs** entry is exactly `0.0` are skipped (a sparsity win
-/// for pruned weights). For finite rhs values a skipped `0.0 * b` term is
-/// exact; only `0.0 × (NaN/±Inf)` products, which a naive nest would
-/// propagate as NaN, differ.
+/// [`im2col`]) and the dense layers. It runs the dispatched `gemm_f32`
+/// kernel ([`crate::simd::Kernels`]): a register tile of 4 output rows × 2
+/// vectors walks the whole of `k` in ascending order with a separate
+/// multiply and add, reading each rhs column strip from a packed panel, and
+/// the last `n mod W` columns run as scalar chains, four rows at a time.
+/// Either way every output element accumulates its `k` contributions in
+/// ascending-`p` order, so results are independent of the tiling and
+/// bit-identical to a naive triple loop — with one caveat: terms whose
+/// **lhs** entry is exactly `0.0` are skipped, row by row (a masked add in
+/// the tile; a sparsity win for pruned weights). A skipped `0.0 * b` term
+/// differs from a naive nest only in the sign of a zero sum (a `-0.0` seed
+/// stays `-0.0`) and in `0.0 × (NaN/±Inf)` products, which a naive nest
+/// would propagate as NaN.
 ///
 /// # Panics
 ///
@@ -57,29 +56,7 @@ pub fn gemm_with(
     b: &[f32],
     out: &mut [f32],
 ) {
-    assert!(a.len() >= m * k, "gemm: lhs slice too short");
-    assert!(b.len() >= k * n, "gemm: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm: out slice too short");
-    // The row update `out_row += av * b_row` is element-wise independent, so
-    // the dispatched SIMD form (separate multiply and add, no FMA) preserves
-    // each output element's k-ascending accumulation chain bit for bit.
-    for kk in (0..k).step_by(GEMM_KC) {
-        let k_end = (kk + GEMM_KC).min(k);
-        for ii in (0..m).step_by(GEMM_MC) {
-            let i_end = (ii + GEMM_MC).min(m);
-            for i in ii..i_end {
-                let arow = &a[i * k..i * k + k];
-                let orow = &mut out[i * n..i * n + n];
-                for p in kk..k_end {
-                    let av = arow[p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    (kr.axpy_f32)(av, &b[p * n..p * n + n], orow);
-                }
-            }
-        }
-    }
+    (kr.gemm_f32)(m, k, n, a, b, out);
 }
 
 /// Output-row block of the batched GEMM entry points. The block geometry is
@@ -393,39 +370,16 @@ impl Conv2dParams {
 /// Unrolls a `[in_c, h, w]` input into the im2col patch matrix
 /// `[in_c·k·k, oh·ow]`: row `(ic·k + ky)·k + kx`, column `oy·ow + ox` holds
 /// the input pixel the kernel tap `(ic, ky, kx)` sees at output position
-/// `(oy, ox)` (zero where the tap falls into the padding).
+/// `(oy, ox)` (zero where the tap falls into the padding). It is
+/// [`im2col_strided`] at column offset 0 and row stride `oh·ow`.
 ///
 /// With this layout a convolution is one GEMM: `W [out_c × in_c·k²] · cols`.
 pub fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
     let (in_c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let k = p.kernel;
-    let id = input.data();
-    let mut cols = vec![0.0f32; in_c * k * k * oh * ow];
-    for ic in 0..in_c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ic * k + ky) * k + kx;
-                let dst = &mut cols[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row =
-                        &id[ic * h * w + iy as usize * w..ic * h * w + (iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        dst[oy * ow + ox] = src_row[ix as usize];
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(cols, &[in_c * k * k, oh * ow])
+    let ohw = p.out_size(h) * p.out_size(w);
+    let mut cols = vec![0.0f32; in_c * p.kernel * p.kernel * ohw];
+    im2col_strided(input.data(), in_c, h, w, p, 0, ohw, &mut cols);
+    Tensor::from_vec(cols, &[in_c * p.kernel * p.kernel, ohw])
 }
 
 /// The panel lane of a convolution tap in the native integer backend's
@@ -601,11 +555,17 @@ pub fn pack_stored_rows<T: PanelLane>(
 }
 
 /// Strided f32 im2col for batched convolution: writes one sample's
-/// `[in_c·k·k, oh·ow]` patch matrix into columns
+/// `[in_c·k·k, oh·ow]` patch matrix (the layout of [`im2col`]) into columns
 /// `[col_offset, col_offset + oh·ow)` of a `[in_c·k·k, row_stride]` batch
 /// matrix, so a whole batch of samples packs into one rhs for
-/// [`gemm_batch`]. `cols` must be pre-zeroed: padding taps are left
-/// untouched, matching [`im2col`] exactly.
+/// [`gemm_batch`]. Every lane of those columns is written: each in-bounds
+/// kernel row is one run copy (a `copy_from_slice` at stride 1) and padding
+/// taps are written as explicit zeros, so `cols` needs no pre-zeroing.
+///
+/// # Panics
+///
+/// Panics if `input` is shorter than `in_c·h·w`, if the sample's columns
+/// pass `row_stride`, or if `cols` is shorter than `in_c·k·k` rows.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_strided(
     input: &[f32],
@@ -632,24 +592,37 @@ pub fn im2col_strided(
         cols.len() >= ck * row_stride,
         "strided im2col: batch matrix too short"
     );
-    for ic in 0..in_c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ic * k + ky) * k + kx;
-                let dst = &mut cols[row * row_stride + col_offset..][..oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_base = ic * h * w + iy as usize * w;
-                    for ox in 0..ow {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        dst[oy * ow + ox] = input[src_base + ix as usize];
-                    }
+    let s = p.stride;
+    for (row, dst) in cols.chunks_exact_mut(row_stride).take(ck).enumerate() {
+        let (ic, ky, kx) = (row / (k * k), row / k % k, row % k);
+        let plane = &input[ic * h * w..(ic + 1) * h * w];
+        // Output columns whose tap lands inside the image: ix = ox·s + kx −
+        // padding ∈ [0, w) for ox ∈ [ox_lo, ox_hi).
+        let ox_lo = p.padding.saturating_sub(kx).div_ceil(s).min(ow);
+        let ox_hi = if w + p.padding > kx {
+            ((w + p.padding - kx - 1) / s + 1).clamp(ox_lo, ow)
+        } else {
+            ox_lo
+        };
+        let span = ox_hi - ox_lo;
+        for (oy, drow) in dst[col_offset..col_offset + oh * ow]
+            .chunks_exact_mut(ow)
+            .enumerate()
+        {
+            let iy = (oy * s + ky).wrapping_sub(p.padding);
+            if iy >= h || span == 0 {
+                drow.fill(0.0);
+                continue;
+            }
+            drow[..ox_lo].fill(0.0);
+            drow[ox_hi..].fill(0.0);
+            let x0 = iy * w + ox_lo * s + kx - p.padding;
+            let run = &mut drow[ox_lo..ox_hi];
+            if s == 1 {
+                run.copy_from_slice(&plane[x0..x0 + span]);
+            } else {
+                for (d, &v) in run.iter_mut().zip(plane[x0..].iter().step_by(s)) {
+                    *d = v;
                 }
             }
         }
@@ -690,7 +663,8 @@ pub fn col2im(cols: &Tensor, in_c: usize, h: usize, w: usize, p: Conv2dParams) -
 }
 
 /// 2-D convolution forward pass for a single sample, computed as
-/// [`im2col`] + one cache-blocked [`gemm`].
+/// [`im2col`] (which writes every lane of its patch matrix) + one
+/// register-tiled [`gemm`].
 ///
 /// * `input` — `[in_c, h, w]`
 /// * `weight` — `[out_c, in_c, k, k]`

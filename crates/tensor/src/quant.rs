@@ -7,6 +7,7 @@
 //! pattern of every element and exposes bit-flip operations over it.
 
 use crate::bits;
+use crate::simd;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -122,24 +123,6 @@ pub struct QuantTensor {
     stored: Vec<u32>,
 }
 
-/// Round-half-away-from-zero to an integer, bit-identical to
-/// `x.round() as i32` for every finite `|x| < 2²³` (and mapping NaN to 0,
-/// like a saturating cast of NaN).
-///
-/// `f32::round` lowers to a `roundf` libm call on baseline x86-64 (the
-/// nearest-integer instructions need SSE4.1), which made rounding the single
-/// most expensive step of tensor quantization. This form uses only
-/// truncation and compares, so the quantize loop vectorizes on any target.
-/// The fractional part `x - trunc(x)` is exact for `|x| < 2²³` (both
-/// operands are multiples of `ulp(x)` and the difference is representable),
-/// so the half-way comparison is exact too.
-#[inline]
-fn round_half_away(x: f32) -> i32 {
-    let t = x as i32; // truncates toward zero; NaN -> 0
-    let frac = x - t as f32;
-    t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32
-}
-
 /// The stored FP32 word of `v`: its bits, except that every NaN is stored
 /// as the canonical quiet NaN. The sign and payload of a NaN that arithmetic
 /// produces are unspecified — IEEE 754 leaves NaN propagation to the
@@ -165,7 +148,7 @@ impl QuantTensor {
     /// round is equivalent to the classic round-then-clamp (both saturate
     /// past the representable range, and values within half a step of the
     /// boundary round onto it either way) and keeps the truncation inside
-    /// `round_half_away`'s exact `|x| < 2²³` regime even for degenerate
+    /// the round-half-away's exact `|x| < 2²³` regime even for degenerate
     /// scales.
     pub fn quantize(t: &Tensor, precision: Precision) -> Self {
         let mut out = Self {
@@ -182,6 +165,12 @@ impl QuantTensor {
     /// buffer — the allocation-free form of [`QuantTensor::quantize`] used by
     /// the native executor at every layer boundary. Produces exactly the
     /// state `QuantTensor::quantize(t, precision)` would.
+    ///
+    /// Integer precisions run the dispatched `quantize_f32` kernel
+    /// ([`crate::simd::Kernels`]): divide by the scale, clamp, round half
+    /// away from zero and mask, one element per lane. The kernel is purely
+    /// element-wise (no reduction), so every ISA stores the scalar table's
+    /// words exactly; only the scale's `abs_max` scan runs outside it.
     pub fn requantize_from(&mut self, t: &Tensor, precision: Precision) {
         self.shape.clear();
         self.shape.extend_from_slice(t.shape());
@@ -207,11 +196,15 @@ impl QuantTensor {
                 } else {
                     (1u32 << p.bits()) - 1
                 };
-                let (q_min_f, q_max_f) = (q_min as f32, q_max as f32);
-                self.stored.extend(t.data().iter().map(|&v| {
-                    let q = round_half_away((v / scale).clamp(q_min_f, q_max_f));
-                    (q as u32) & mask
-                }));
+                self.stored.resize(t.len(), 0);
+                (simd::kernels().quantize_f32)(
+                    t.data(),
+                    scale,
+                    q_min as f32,
+                    q_max as f32,
+                    mask,
+                    &mut self.stored,
+                );
             }
         }
     }
@@ -456,6 +449,7 @@ impl fmt::Display for QuantTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::round_half_away;
 
     #[test]
     fn fp32_round_trips_exactly() {

@@ -1,12 +1,22 @@
 //! Runtime-dispatched SIMD kernels for the integer and f32 inner loops.
 //!
-//! The hot loops in [`crate::ops`] (the packed i8 and i16 panel GEMMs behind
-//! [`crate::ops::gemm_i8_packed`] and [`crate::ops::gemm_i16_packed`], the
-//! i8 GEMM's odd-row widening dot product, and the f32 GEMM row update) are
-//! resolved **once** at first use into a table of function pointers
-//! ([`Kernels`]) chosen by runtime CPU feature detection
+//! The hot loops of [`crate::ops`] and [`crate::quant`] are resolved
+//! **once** at first use into a table of function pointers ([`Kernels`])
+//! chosen by runtime CPU feature detection
 //! (`std::arch::is_x86_feature_detected!`), walking down
-//! [`Isa::Avx512`] → [`Isa::Avx2`] → [`Isa::Sse2`] → [`Isa::Scalar`].
+//! [`Isa::Avx512`] → [`Isa::Avx2`] → [`Isa::Sse2`] → [`Isa::Scalar`]. The
+//! table holds:
+//!
+//! * `dot_i8`: the widening i8 dot product (the odd last row of
+//!   [`crate::ops::gemm_i8_packed`]);
+//! * `gemm2_i8` and `gemm2_i16`: the two-row panel kernels behind
+//!   [`crate::ops::gemm_i8_packed`] and [`crate::ops::gemm_i16_packed`];
+//! * `axpy_f32`: the f32 row update `out += a·b` behind
+//!   [`crate::Tensor::axpy`];
+//! * `gemm_f32`: the register-tiled f32 GEMM behind [`crate::ops::gemm`]
+//!   and [`crate::ops::gemm_batch`];
+//! * `quantize_f32`: the layer-boundary quantizer behind
+//!   [`crate::quant::QuantTensor::requantize_from`].
 //!
 //! # Parity guarantee
 //!
@@ -20,7 +30,19 @@
 //! * f32 kernels: only *element-wise independent* operations are vectorized
 //!   (`out[j] += a * b[j]`, separate multiply and add, **never** FMA), so
 //!   each output element's accumulation chain is untouched — reductions over
-//!   f32 stay scalar.
+//!   f32 stay scalar. The tiled GEMM keeps an `MR × NR` block of outputs in
+//!   registers and walks `k` in ascending order, so each element still sees
+//!   exactly the scalar loop's chain `out += a[p]·b[p]`, `p` ascending; a
+//!   term whose lhs entry is exactly `0.0` is skipped per row by a masked
+//!   add (not added as `±0`, which would turn a `-0.0` seed into `+0.0`, and
+//!   not multiplied, which would turn `0·Inf` into NaN); an lhs with no
+//!   exact zero, as layer weights are, takes the unmasked tile.
+//! * The quantizer is purely element-wise with no reduction: an IEEE
+//!   division, a clamp whose min/max operand order passes NaN through as
+//!   the scalar `f32::clamp` does, NaN lanes forced to `0` before a
+//!   truncating conversion (the scalar `as i32`), and the exact `±0.5`
+//!   compare fix-up of the scalar round-half-away. Every step is exactly
+//!   rounded or exact, so each lane is the scalar result.
 //!
 //! The int8 dot products deliberately avoid the classic `pmaddubsw`
 //! sign-trick (`maddubs(|a|, sign(b, a))`): corrupted int8 storage spans the
@@ -145,6 +167,21 @@ impl FromStr for Isa {
 /// never touch the scalar tail. Arguments: `(a0, a1, bt, k, out0, out1)`.
 pub type GemmPanelFn<T, A> = fn(&[T], &[T], &[T], usize, &mut [A], &mut [A]);
 
+/// A whole f32 GEMM `out (m×n) += a (m×k) · b (k×n)`, all row-major: each
+/// output element accumulates `a[i][p] · b[p][j]` in ascending `p` with a
+/// separate multiply and add, skipping every term whose lhs entry is
+/// exactly `0.0`. Arguments: `(m, k, n, a, b, out)`; panics if a slice is
+/// shorter than its geometry.
+pub type GemmF32Fn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+/// The stored words of linearly quantized f32 values:
+/// `out[i] = round_half_away(clamp(src[i] / scale, q_min, q_max)) as u32 &
+/// mask`, with NaN (which the clamp passes through) rounding to `0`.
+/// `q_min ≤ q_max` must be integers in the `i32` range, so every clamped
+/// value truncates in range. Arguments: `(src, scale, q_min, q_max,
+/// mask, out)` over the common length of `src` and `out`.
+pub type QuantizeFn = fn(&[f32], f32, f32, f32, u32, &mut [u32]);
+
 /// Depth, in i16 lanes, of one i32 accumulation block of the i16 panel
 /// kernels: after each block the split digit sums are flushed into i64
 /// (see the module docs). A multiple of every tier's vector width.
@@ -161,6 +198,23 @@ const PAIR_BIAS: i32 = 0x7fff_0000;
 #[inline]
 fn unbias(hi: i32, lo: i32, pairs: usize) -> i64 {
     ((hi as i64) << 16) + lo as i64 - pairs as i64 * PAIR_BIAS as i64
+}
+
+/// Round-half-away-from-zero to an integer, bit-identical to
+/// `x.round() as i32` for every finite `|x| < 2²³` (and mapping NaN to 0,
+/// like a saturating cast of NaN).
+///
+/// `f32::round` lowers to a `roundf` libm call on baseline x86-64 (the
+/// nearest-integer instructions need SSE4.1). This form uses only
+/// truncation and compares, which the SIMD quantizers mirror lane for lane.
+/// The fractional part `x - trunc(x)` is exact for `|x| < 2²³` (both
+/// operands are multiples of `ulp(x)` and the difference is representable),
+/// so the half-way comparison is exact too.
+#[inline]
+pub(crate) fn round_half_away(x: f32) -> i32 {
+    let t = x as i32; // truncates toward zero; NaN -> 0
+    let frac = x - t as f32;
+    t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32
 }
 
 /// The dispatch table: one function pointer per hot inner loop. All entries
@@ -186,6 +240,13 @@ pub struct Kernels {
     /// `out[j] += a · b[j]` over f32 (separate multiply and add, never FMA —
     /// lane-exact versus the scalar loop).
     pub axpy_f32: fn(f32, &[f32], &mut [f32]),
+    /// The f32 GEMM behind [`crate::ops::gemm_with`]: an `MR × NR` output
+    /// tile held in registers over ascending `k`, with the per-row exact-zero
+    /// lhs skip (see [`GemmF32Fn`]).
+    pub gemm_f32: GemmF32Fn,
+    /// The integer-precision quantizer behind
+    /// [`crate::quant::QuantTensor::requantize_from`] (see [`QuantizeFn`]).
+    pub quantize_f32: QuantizeFn,
 }
 
 impl fmt::Debug for Kernels {
@@ -213,6 +274,8 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i8: scalar::gemm2_i8,
             gemm2_i16: scalar::gemm2_i16,
             axpy_f32: scalar::axpy_f32,
+            gemm_f32: scalar::gemm_f32,
+            quantize_f32: scalar::quantize_f32,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Sse2 => Kernels {
@@ -221,6 +284,8 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i8: sse2::gemm2_i8,
             gemm2_i16: sse2::gemm2_i16,
             axpy_f32: sse2::axpy_f32,
+            gemm_f32: sse2::gemm_f32,
+            quantize_f32: sse2::quantize_f32,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => Kernels {
@@ -229,6 +294,8 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i8: avx2::gemm2_i8,
             gemm2_i16: avx2::gemm2_i16,
             axpy_f32: avx2::axpy_f32,
+            gemm_f32: avx2::gemm_f32,
+            quantize_f32: avx2::quantize_f32,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => Kernels {
@@ -245,6 +312,8 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             },
             gemm2_i16: avx512::gemm2_i16,
             axpy_f32: avx512::axpy_f32,
+            gemm_f32: avx512::gemm_f32,
+            quantize_f32: avx512::quantize_f32,
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar ISA levels never pass is_supported off x86-64"),
@@ -322,6 +391,272 @@ fn panel2_i16<const W: usize>(
     }
 }
 
+/// Panics unless the slices hold an `m×k` lhs, a `k×n` rhs and an `m×n`
+/// output — the bounds every [`GemmF32Fn`] relies on.
+fn check_gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &[f32]) {
+    assert!(a.len() >= m * k, "gemm: lhs slice too short");
+    assert!(b.len() >= k * n, "gemm: rhs slice too short");
+    assert!(out.len() >= m * n, "gemm: out slice too short");
+}
+
+/// One tier's f32 vector, as the shared tiled GEMM ([`gemm_f32_tiled`])
+/// uses it. Every method is `#[inline(always)]` and carries no target
+/// feature of its own: it is inlined into the tier's `#[target_feature]`
+/// entry point, where its intrinsics are available.
+///
+/// # Safety
+///
+/// Every method may only run on a CPU with the tier's features (the tier's
+/// table entries are built only after detecting them); `load` and `store`
+/// also need `W` valid `f32` lanes at `p`.
+#[cfg(target_arch = "x86_64")]
+trait F32Lanes: Copy {
+    /// f32 lanes per vector.
+    const W: usize;
+    /// A per-lane predicate.
+    type Mask: Copy;
+    /// Unaligned load of `W` lanes.
+    unsafe fn load(p: *const f32) -> Self;
+    /// Unaligned store of `W` lanes.
+    unsafe fn store(self, p: *mut f32);
+    /// `a` in every lane.
+    unsafe fn splat(a: f32) -> Self;
+    /// The lanes that are not exactly `±0.0` (NaN lanes included, as the
+    /// scalar `av == 0.0` test is false for NaN).
+    unsafe fn nonzero(self) -> Self::Mask;
+    /// `acc + a·b` (separate multiply and add, never FMA).
+    unsafe fn mul_add(acc: Self, a: Self, b: Self) -> Self;
+    /// [`F32Lanes::mul_add`] in the lanes of `keep`, `acc` untouched
+    /// elsewhere.
+    unsafe fn mul_add_where(acc: Self, a: Self, b: Self, keep: Self::Mask) -> Self;
+}
+
+/// Rows of the f32 GEMM's register tile.
+#[cfg(target_arch = "x86_64")]
+const GEMM_F32_MR: usize = 4;
+/// Vectors per row of the f32 GEMM's register tile.
+#[cfg(target_arch = "x86_64")]
+const GEMM_F32_NV: usize = 2;
+/// Depth of one packed rhs panel of the f32 GEMM.
+#[cfg(target_arch = "x86_64")]
+const GEMM_F32_KC: usize = 256;
+/// Widest column strip of any tier (AVX-512: two 16-lane vectors).
+#[cfg(target_arch = "x86_64")]
+const GEMM_F32_MAX_STRIP: usize = 32;
+
+/// One `R × NV·W` output tile at `out`: loads it into registers, adds
+/// `a[r][p] · b[p][..]` for `p` in `0..k` ascending, and stores it back.
+/// With `SKIP`, a term whose lhs entry is exactly `0.0` is skipped row by
+/// row (a masked add); without it the lhs must hold no exact zero. Row
+/// strides: `lda` for the lhs, `ldb` for the rhs, `ldo` for the output.
+///
+/// # Safety
+///
+/// The `R` lhs rows of `k` entries, the `k` rhs rows and the `R` output rows
+/// of `NV·W` columns must all be in bounds.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn gemm_f32_tile<V: F32Lanes, const R: usize, const NV: usize, const SKIP: bool>(
+    k: usize,
+    (lda, ldb, ldo): (usize, usize, usize),
+    a: *const f32,
+    b: *const f32,
+    out: *mut f32,
+) {
+    let mut acc = [[V::splat(0.0); NV]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        for (v, c) in row.iter_mut().enumerate() {
+            *c = V::load(out.add(r * ldo + v * V::W));
+        }
+    }
+    for p in 0..k {
+        let mut bv = [V::splat(0.0); NV];
+        for (v, x) in bv.iter_mut().enumerate() {
+            *x = V::load(b.add(p * ldb + v * V::W));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let va = V::splat(*a.add(r * lda + p));
+            if SKIP {
+                let keep = va.nonzero();
+                for (c, &x) in row.iter_mut().zip(&bv) {
+                    *c = V::mul_add_where(*c, va, x, keep);
+                }
+            } else {
+                for (c, &x) in row.iter_mut().zip(&bv) {
+                    *c = V::mul_add(*c, va, x);
+                }
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        for (v, c) in row.iter().enumerate() {
+            c.store(out.add(r * ldo + v * V::W));
+        }
+    }
+}
+
+/// One `NV·W`-column strip of the output, `k` deep, for all `m` rows:
+/// [`GEMM_F32_MR`]-row tiles, then one tile of the remaining rows (`SKIP`
+/// as for [`gemm_f32_tile`]). When more than one tile shares the strip, its
+/// rhs is first packed (in [`GEMM_F32_KC`]-deep panels) into `panel`, so
+/// the tiles read it from L1 rather than at the rhs row stride; the panels
+/// run in ascending `p`, so the accumulation order is unchanged.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
+    (m, k, n): (usize, usize, usize),
+    j: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    panel: &mut std::mem::MaybeUninit<[f32; GEMM_F32_KC * GEMM_F32_MAX_STRIP]>,
+) {
+    const MR: usize = GEMM_F32_MR;
+    let width = NV * V::W;
+    check_gemm_f32(m, k, n, a, b, out);
+    assert!(
+        width <= GEMM_F32_MAX_STRIP && j + width <= n,
+        "gemm: strip outside the output"
+    );
+    let pack = m > MR;
+    let op = out.as_mut_ptr();
+    for kb in (0..k).step_by(GEMM_F32_KC) {
+        let kc = (k - kb).min(GEMM_F32_KC);
+        let (bp, ldb) = if pack {
+            let dst = panel.as_mut_ptr() as *mut f32;
+            for p in 0..kc {
+                let src = &b[(kb + p) * n + j..][..width];
+                // SAFETY: row `p < kc ≤ GEMM_F32_KC` of `width ≤
+                // GEMM_F32_MAX_STRIP` lanes lies inside the panel; the tiles
+                // below read only these `kc` written rows.
+                unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(p * width), width) };
+            }
+            (dst as *const f32, width)
+        } else {
+            (b[kb * n + j..].as_ptr(), n)
+        };
+        let ap = a[kb..].as_ptr();
+        let strides = (k, ldb, n);
+        // SAFETY: checked above: `a` holds `m×k`, `b` `k×n` and `out` `m×n`
+        // values and `[j, j + width) ⊆ [0, n)`. Lhs rows start at `kb` and
+        // run `kc ≤ k − kb` entries; the rhs is either `kc` packed rows of
+        // `width` or `kc` rows of `b` at columns `[j, j + width)`, and so is
+        // every output row. The caller's tier has `V`'s features.
+        unsafe {
+            let mut i = 0;
+            while i + MR <= m {
+                gemm_f32_tile::<V, MR, NV, SKIP>(kc, strides, ap.add(i * k), bp, op.add(i * n + j));
+                i += MR;
+            }
+            let (ap, op) = (ap.add(i * k), op.add(i * n + j));
+            match m - i {
+                3 => gemm_f32_tile::<V, 3, NV, SKIP>(kc, strides, ap, bp, op),
+                2 => gemm_f32_tile::<V, 2, NV, SKIP>(kc, strides, ap, bp, op),
+                1 => gemm_f32_tile::<V, 1, NV, SKIP>(kc, strides, ap, bp, op),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Output columns `[j0, n)` (fewer than one vector) of the f32 GEMM, by
+/// scalar loops that run four rows' independent accumulation chains at
+/// once, each in ascending `p` with the exact-zero lhs skip — the n = 1
+/// matrix–vector product of a per-sample dense layer is this loop alone.
+#[cfg(target_arch = "x86_64")]
+fn gemm_f32_columns(
+    m: usize,
+    k: usize,
+    n: usize,
+    j0: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    for j in j0..n {
+        let mut i = 0;
+        while i + 4 <= m {
+            let rows = [
+                &a[i * k..(i + 1) * k],
+                &a[(i + 1) * k..(i + 2) * k],
+                &a[(i + 2) * k..(i + 3) * k],
+                &a[(i + 3) * k..(i + 4) * k],
+            ];
+            let mut acc = [0.0f32; 4];
+            for (r, c) in acc.iter_mut().enumerate() {
+                *c = out[(i + r) * n + j];
+            }
+            for p in 0..k {
+                let bv = b[p * n + j];
+                for (c, row) in acc.iter_mut().zip(&rows) {
+                    if row[p] != 0.0 {
+                        *c += row[p] * bv;
+                    }
+                }
+            }
+            for (r, c) in acc.iter().enumerate() {
+                out[(i + r) * n + j] = *c;
+            }
+            i += 4;
+        }
+        for i in i..m {
+            let mut c = out[i * n + j];
+            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                if av != 0.0 {
+                    c += av * b[p * n + j];
+                }
+            }
+            out[i * n + j] = c;
+        }
+    }
+}
+
+/// The SIMD tiers' [`GemmF32Fn`]: column strips of [`GEMM_F32_NV`] vectors
+/// (the outer loop, so a strip of `b` is packed once and reused by every
+/// row tile), one single-vector strip for a last whole vector, and the last
+/// `n mod W` columns by [`gemm_f32_columns`]. The tiles mask their adds only
+/// when the lhs holds an exact zero (one scan per call); a zero-free lhs,
+/// such as a layer's weights, skips nothing. Each output element sees the
+/// scalar table's accumulation chain exactly.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gemm_f32_tiled<V: F32Lanes>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    check_gemm_f32(m, k, n, a, b, out);
+    let strip = GEMM_F32_NV * V::W;
+    let wide = n - n % strip;
+    let vectors = n - n % V::W;
+    if vectors > 0 {
+        // Chunked so the compare vectorizes and still stops early.
+        let skip = a[..m * k]
+            .chunks(64)
+            .any(|c| c.iter().fold(false, |z, &x| z | (x == 0.0)));
+        let panel = &mut std::mem::MaybeUninit::uninit();
+        for j in (0..wide).step_by(strip) {
+            if skip {
+                gemm_f32_strip::<V, GEMM_F32_NV, true>((m, k, n), j, a, b, out, panel);
+            } else {
+                gemm_f32_strip::<V, GEMM_F32_NV, false>((m, k, n), j, a, b, out, panel);
+            }
+        }
+        // At most GEMM_F32_NV − 1 = 1 whole vector is left.
+        if vectors > wide {
+            if skip {
+                gemm_f32_strip::<V, 1, true>((m, k, n), wide, a, b, out, panel);
+            } else {
+                gemm_f32_strip::<V, 1, false>((m, k, n), wide, a, b, out, panel);
+            }
+        }
+    }
+    gemm_f32_columns(m, k, n, vectors, a, b, out);
+}
+
 /// Bit-for-bit reference implementations. Plain loops; the compiler may
 /// auto-vectorize the integer reductions (associative, so still exact) but
 /// never the f32 ones.
@@ -367,6 +702,38 @@ mod scalar {
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
         for (o, &bv) in out.iter_mut().zip(b) {
             *o += a * bv;
+        }
+    }
+
+    pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::check_gemm_f32(m, k, n, a, b, out);
+        if n == 0 {
+            return;
+        }
+        for (arow, orow) in a
+            .chunks_exact(k.max(1))
+            .zip(out.chunks_exact_mut(n))
+            .take(m)
+        {
+            for (p, &av) in arow[..k].iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                axpy_f32(av, &b[p * n..(p + 1) * n], orow);
+            }
+        }
+    }
+
+    pub fn quantize_f32(
+        src: &[f32],
+        scale: f32,
+        q_min: f32,
+        q_max: f32,
+        mask: u32,
+        out: &mut [u32],
+    ) {
+        for (o, &v) in out.iter_mut().zip(src) {
+            *o = (super::round_half_away((v / scale).clamp(q_min, q_max)) as u32) & mask;
         }
     }
 }
@@ -596,6 +963,79 @@ mod sse2 {
                 *out.get_unchecked_mut(i) += a * *b.get_unchecked(i);
             }
         }
+    }
+
+    impl super::F32Lanes for __m128 {
+        const W: usize = 4;
+        type Mask = __m128;
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn splat(a: f32) -> Self {
+            _mm_set1_ps(a)
+        }
+        #[inline(always)]
+        unsafe fn nonzero(self) -> __m128 {
+            // `cmpneq` is the unordered compare: true for NaN.
+            _mm_cmpneq_ps(self, _mm_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn mul_add(acc: Self, a: Self, b: Self) -> Self {
+            _mm_add_ps(acc, _mm_mul_ps(a, b))
+        }
+        #[inline(always)]
+        unsafe fn mul_add_where(acc: Self, a: Self, b: Self, keep: __m128) -> Self {
+            let sum = _mm_add_ps(acc, _mm_mul_ps(a, b));
+            _mm_or_ps(_mm_and_ps(keep, sum), _mm_andnot_ps(keep, acc))
+        }
+    }
+
+    pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::gemm_f32_tiled::<__m128>(m, k, n, a, b, out);
+    }
+
+    pub fn quantize_f32(
+        src: &[f32],
+        scale: f32,
+        q_min: f32,
+        q_max: f32,
+        mask: u32,
+        out: &mut [u32],
+    ) {
+        let n = src.len().min(out.len());
+        let body = n - n % 4;
+        // SAFETY: SSE2 is part of the x86-64 baseline; every load and store
+        // covers lanes `[p, p + 4)` with `p + 4 ≤ body ≤` both lengths.
+        unsafe {
+            let (vs, lo, hi) = (_mm_set1_ps(scale), _mm_set1_ps(q_min), _mm_set1_ps(q_max));
+            let (half, neg_half) = (_mm_set1_ps(0.5), _mm_set1_ps(-0.5));
+            let vmask = _mm_set1_epi32(mask as i32);
+            for p in (0..body).step_by(4) {
+                let x = _mm_div_ps(_mm_loadu_ps(src.as_ptr().add(p)), vs);
+                // `f32::clamp` order; `max(lo, x)` and `min(hi, x)` return
+                // `x` when it is NaN.
+                let x = _mm_min_ps(hi, _mm_max_ps(lo, x));
+                // NaN lanes → +0.0, so the truncation yields the scalar 0.
+                let x = _mm_and_ps(x, _mm_cmpeq_ps(x, x));
+                let t = _mm_cvttps_epi32(x);
+                let frac = _mm_sub_ps(x, _mm_cvtepi32_ps(t));
+                // Compare masks are −1 where true: `t − up + down`.
+                let up = _mm_castps_si128(_mm_cmpge_ps(frac, half));
+                let down = _mm_castps_si128(_mm_cmple_ps(frac, neg_half));
+                let q = _mm_add_epi32(_mm_sub_epi32(t, up), down);
+                _mm_storeu_si128(
+                    out.as_mut_ptr().add(p) as *mut __m128i,
+                    _mm_and_si128(q, vmask),
+                );
+            }
+        }
+        super::scalar::quantize_f32(&src[body..n], scale, q_min, q_max, mask, &mut out[body..n]);
     }
 }
 
@@ -832,6 +1272,95 @@ mod avx2 {
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
         // SAFETY: as `dot_i8`.
         unsafe { axpy_f32_impl(a, b, out) }
+    }
+
+    impl super::F32Lanes for __m256 {
+        const W: usize = 8;
+        type Mask = __m256;
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn splat(a: f32) -> Self {
+            _mm256_set1_ps(a)
+        }
+        #[inline(always)]
+        unsafe fn nonzero(self) -> __m256 {
+            _mm256_cmp_ps(self, _mm256_setzero_ps(), _CMP_NEQ_UQ)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(acc: Self, a: Self, b: Self) -> Self {
+            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+        }
+        #[inline(always)]
+        unsafe fn mul_add_where(acc: Self, a: Self, b: Self, keep: __m256) -> Self {
+            _mm256_blendv_ps(acc, _mm256_add_ps(acc, _mm256_mul_ps(a, b)), keep)
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemm_f32_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::gemm_f32_tiled::<__m256>(m, k, n, a, b, out);
+    }
+
+    pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        // SAFETY: this table entry is only constructed after `avx2` was
+        // runtime-detected.
+        unsafe { gemm_f32_impl(m, k, n, a, b, out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_f32_impl(
+        src: &[f32],
+        scale: f32,
+        q_min: f32,
+        q_max: f32,
+        mask: u32,
+        out: &mut [u32],
+    ) {
+        let n = src.len().min(out.len());
+        let body = n - n % 8;
+        let (vs, lo, hi) = (
+            _mm256_set1_ps(scale),
+            _mm256_set1_ps(q_min),
+            _mm256_set1_ps(q_max),
+        );
+        let (half, neg_half) = (_mm256_set1_ps(0.5), _mm256_set1_ps(-0.5));
+        let vmask = _mm256_set1_epi32(mask as i32);
+        for p in (0..body).step_by(8) {
+            let x = _mm256_div_ps(_mm256_loadu_ps(src.as_ptr().add(p)), vs);
+            // As the SSE2 table: clamp in `f32::clamp` order passing NaN
+            // through, NaN lanes → +0.0, truncate, ±0.5 fix-up.
+            let x = _mm256_min_ps(hi, _mm256_max_ps(lo, x));
+            let x = _mm256_and_ps(x, _mm256_cmp_ps(x, x, _CMP_EQ_OQ));
+            let t = _mm256_cvttps_epi32(x);
+            let frac = _mm256_sub_ps(x, _mm256_cvtepi32_ps(t));
+            let up = _mm256_castps_si256(_mm256_cmp_ps(frac, half, _CMP_GE_OQ));
+            let down = _mm256_castps_si256(_mm256_cmp_ps(frac, neg_half, _CMP_LE_OQ));
+            let q = _mm256_add_epi32(_mm256_sub_epi32(t, up), down);
+            _mm256_storeu_si256(
+                out.as_mut_ptr().add(p) as *mut __m256i,
+                _mm256_and_si256(q, vmask),
+            );
+        }
+        super::scalar::quantize_f32(&src[body..n], scale, q_min, q_max, mask, &mut out[body..n]);
+    }
+
+    pub fn quantize_f32(
+        src: &[f32],
+        scale: f32,
+        q_min: f32,
+        q_max: f32,
+        mask: u32,
+        out: &mut [u32],
+    ) {
+        // SAFETY: as `gemm_f32`; loads and stores stay below `body`.
+        unsafe { quantize_f32_impl(src, scale, q_min, q_max, mask, out) }
     }
 }
 
@@ -1177,6 +1706,95 @@ mod avx512 {
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
         // SAFETY: as `dot_i8` (only `avx512f` is needed here).
         unsafe { axpy_f32_impl(a, b, out) }
+    }
+
+    impl super::F32Lanes for __m512 {
+        const W: usize = 16;
+        type Mask = __mmask16;
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn splat(a: f32) -> Self {
+            _mm512_set1_ps(a)
+        }
+        #[inline(always)]
+        unsafe fn nonzero(self) -> __mmask16 {
+            _mm512_cmp_ps_mask(self, _mm512_setzero_ps(), _CMP_NEQ_UQ)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(acc: Self, a: Self, b: Self) -> Self {
+            _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+        }
+        #[inline(always)]
+        unsafe fn mul_add_where(acc: Self, a: Self, b: Self, keep: __mmask16) -> Self {
+            _mm512_mask_add_ps(acc, keep, acc, _mm512_mul_ps(a, b))
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_f32_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::gemm_f32_tiled::<__m512>(m, k, n, a, b, out);
+    }
+
+    pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        // SAFETY: this table entry is only constructed after `avx512f` was
+        // runtime-detected.
+        unsafe { gemm_f32_impl(m, k, n, a, b, out) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn quantize_f32_impl(
+        src: &[f32],
+        scale: f32,
+        q_min: f32,
+        q_max: f32,
+        mask: u32,
+        out: &mut [u32],
+    ) {
+        let n = src.len().min(out.len());
+        let body = n - n % 16;
+        let (vs, lo, hi) = (
+            _mm512_set1_ps(scale),
+            _mm512_set1_ps(q_min),
+            _mm512_set1_ps(q_max),
+        );
+        let (half, neg_half) = (_mm512_set1_ps(0.5), _mm512_set1_ps(-0.5));
+        let (one, vmask) = (_mm512_set1_epi32(1), _mm512_set1_epi32(mask as i32));
+        for p in (0..body).step_by(16) {
+            let x = _mm512_div_ps(_mm512_loadu_ps(src.as_ptr().add(p)), vs);
+            // As the SSE2 table: clamp in `f32::clamp` order passing NaN
+            // through, NaN lanes → +0.0, truncate, ±0.5 fix-up.
+            let x = _mm512_min_ps(hi, _mm512_max_ps(lo, x));
+            let x = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(x, x, _CMP_ORD_Q), x);
+            let t = _mm512_cvttps_epi32(x);
+            let frac = _mm512_sub_ps(x, _mm512_cvtepi32_ps(t));
+            let t = _mm512_mask_add_epi32(t, _mm512_cmp_ps_mask(frac, half, _CMP_GE_OQ), t, one);
+            let t =
+                _mm512_mask_sub_epi32(t, _mm512_cmp_ps_mask(frac, neg_half, _CMP_LE_OQ), t, one);
+            _mm512_storeu_si512(
+                out.as_mut_ptr().add(p) as *mut __m512i,
+                _mm512_and_si512(t, vmask),
+            );
+        }
+        super::scalar::quantize_f32(&src[body..n], scale, q_min, q_max, mask, &mut out[body..n]);
+    }
+
+    pub fn quantize_f32(
+        src: &[f32],
+        scale: f32,
+        q_min: f32,
+        q_max: f32,
+        mask: u32,
+        out: &mut [u32],
+    ) {
+        // SAFETY: as `gemm_f32`; loads and stores stay below `body`.
+        unsafe { quantize_f32_impl(src, scale, q_min, q_max, mask, out) }
     }
 }
 

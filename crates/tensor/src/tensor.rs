@@ -153,16 +153,17 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// Adds `scale * other` into `self` in place (AXPY), used by optimizers.
+    /// Adds `scale * other` into `self` in place (AXPY), used by optimizers
+    /// and gradient folds. Runs the dispatched `axpy_f32` kernel
+    /// ([`crate::simd::Kernels`]), element-wise with a separate multiply and
+    /// add, so every ISA computes the scalar loop's bits.
     ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
     pub fn axpy(&mut self, scale: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "shape mismatch in axpy");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
+        (crate::simd::kernels().axpy_f32)(scale, &other.data, &mut self.data);
     }
 
     /// Sum of all elements.

@@ -138,6 +138,47 @@ fn packed_patch_rows<T: ops::PanelLane + Into<i32>>(
     (row_stride, cols.into_iter().map(Into::into).collect())
 }
 
+/// The f32 batch patch matrix by the definition: for every tap row
+/// `(ic·k + ky)·k + kx` and output position `(oy, ox)`, the input pixel the
+/// tap sees, or `0.0` in the padding; sample columns start at `col_offset`
+/// of rows `row_stride` long and every other column keeps `stale`. Written
+/// tap by tap, with no call into `ops`.
+#[allow(clippy::too_many_arguments)]
+fn naive_f32_patch_columns(
+    input: &[f32],
+    in_c: usize,
+    h: usize,
+    w: usize,
+    p: ops::Conv2dParams,
+    col_offset: usize,
+    row_stride: usize,
+    stale: f32,
+) -> Vec<f32> {
+    let k = p.kernel;
+    let (oh, ow) = (p.out_size(h), p.out_size(w));
+    let mut cols = vec![stale; in_c * k * k * row_stride];
+    for ic in 0..in_c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ic * k + ky) * k + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * p.stride + ky) as isize - p.padding as isize;
+                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
+                        let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                        cols[row * row_stride + col_offset + oy * ow + ox] = if inside {
+                            input[(ic * h + iy as usize) * w + ix as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
+    }
+    cols
+}
+
 proptest! {
     // The quantization round-trip invariants below guard the bit-exact
     // storage layer everything else builds on, so run them at double the
@@ -398,5 +439,37 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The f32 patch gather of the simulated and FP32 convolutions equals
+    /// the per-tap definition over random geometry (`h ≠ w`, stride 1..=3,
+    /// padding below the kernel) at a column offset inside a wider batch
+    /// row, writing every lane of its sample's columns of a stale
+    /// (`0x5555_5555`) matrix and no lane of the others.
+    #[test]
+    fn strided_f32_im2col_matches_the_per_tap_gather(
+        image in (1usize..5, 1usize..10, 1usize..9),
+        conv in (1usize..5, 1usize..4, 0usize..4),
+        place in (0usize..3, 0usize..5),
+        seed in 0u64..1000,
+    ) {
+        use rand::Rng;
+        let (in_c, h, w_step) = image;
+        let w = (h - 1 + w_step) % 9 + 1;
+        let (kernel, stride, padding) = (conv.0, conv.1, conv.2 % conv.0);
+        if h + 2 * padding < kernel || w + 2 * padding < kernel {
+            return;
+        }
+        let p = ops::Conv2dParams::new(kernel, stride, padding);
+        let ohw = p.out_size(h) * p.out_size(w);
+        let (col_offset, row_stride) = (place.0 * ohw, (place.0 + 1) * ohw + place.1);
+        let mut rng = eden_tensor::init::seeded_rng(seed);
+        let input: Vec<f32> = (0..in_c * h * w).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+        let stale = f32::from_bits(0x5555_5555);
+        let mut cols = vec![stale; in_c * kernel * kernel * row_stride];
+        ops::im2col_strided(&input, in_c, h, w, p, col_offset, row_stride, &mut cols);
+        let want = naive_f32_patch_columns(&input, in_c, h, w, p, col_offset, row_stride, stale);
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&cols), bits(&want));
     }
 }

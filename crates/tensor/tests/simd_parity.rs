@@ -335,3 +335,173 @@ proptest! {
         }
     }
 }
+
+/// The quantizer's hard inputs at every scale: signed zeros, infinities,
+/// NaNs with payloads and either sign, subnormals, values past `2²³` and
+/// the extremes of f32, then exact half-way steps `±k.5` (exact quotients
+/// at the power-of-two scales).
+fn quantize_corner_values() -> Vec<f32> {
+    let mut v: Vec<f32> = [
+        0x0000_0000u32,
+        0x8000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0xffc0_0000,
+        0x7f80_0001,
+        0xffc1_2345,
+        0x0000_0001,
+        0x8000_0001,
+        0x0040_0000,
+        0x807f_ffff,
+    ]
+    .into_iter()
+    .map(f32::from_bits)
+    .collect();
+    v.extend([
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        8_388_608.0,
+        -8_388_609.0,
+        1.0e9,
+        -2_147_483_648.0,
+        0.499_999_97,
+        -0.499_999_97,
+    ]);
+    v.extend((-40..40).map(|k| k as f32 + 0.5));
+    v.extend((-4..4).map(|k| (k as f32 + 0.5) * 32768.0 / 16.0));
+    v
+}
+
+/// `round(x / scale)` clamped to the range and masked, by `f32::round`
+/// (half away from zero) with the saturating `as i32` (NaN → 0): the
+/// quantizer's definition, independent of every kernel.
+fn naive_quantize(src: &[f32], scale: f32, lo: f32, hi: f32, mask: u32) -> Vec<u32> {
+    src.iter()
+        .map(|&v| ((v / scale).round().clamp(lo, hi) as i32 as u32) & mask)
+        .collect()
+}
+
+/// An f32 for the tile kernel tests: `h` picks one of the edge values
+/// `specials` (weighted by `every`) or an ordinary finite value.
+fn f32_operand(h: u32, every: u32, specials: &[f32]) -> f32 {
+    let pick = h % every;
+    if (pick as usize) < specials.len() {
+        specials[pick as usize]
+    } else {
+        ((h >> 8) % 512) as f32 * 0.031 - 7.9
+    }
+}
+
+/// Raw bits with every NaN collapsed to one pattern: which NaN an f32 add
+/// propagates is unspecified (see `QuantTensor`'s FP32 storage), so NaN
+/// payloads are not part of the kernels' contract; everything else is,
+/// signed zeros included.
+fn bits_modulo_nan(xs: &[f32]) -> Vec<u32> {
+    xs.iter()
+        .map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() })
+        .collect()
+}
+
+proptest! {
+    /// The layer-boundary quantizer bit for bit at every supported level:
+    /// random bit patterns after the corner list, each at several scales
+    /// (subnormal and huge included), for the int4, int8 and int16 ranges
+    /// and masks, at unaligned starts and at 17 consecutive lengths (every
+    /// tail size of every vector width). Every table, the scalar one
+    /// included, must equal the naive `f32::round` definition. The last
+    /// configuration keeps all 32 bits of the word, which exposes a NaN lane
+    /// that is truncated without being zeroed first (`i32::MIN`, masked away
+    /// by every narrower mask).
+    #[test]
+    fn quantize_kernels_match_scalar_at_every_isa(
+        words in prop::collection::vec(any::<u32>(), 0..48),
+        scale_idx in 0usize..8,
+        off in 0usize..4,
+    ) {
+        let mut src = quantize_corner_values();
+        src.extend(words.iter().map(|&w| f32::from_bits(w)));
+        let scale = [
+            1.0f32,
+            0.5,
+            0.017_3,
+            3.0e38,
+            1.0e-40,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            7.0,
+        ][scale_idx];
+        let src = &src[off..];
+        let tables = supported_tables();
+        for (lo, hi, mask) in [
+            (-8.0f32, 7.0f32, 0xfu32),
+            (-128.0, 127.0, 0xff),
+            (-32768.0, 32767.0, 0xffff),
+            (-32768.0, 32767.0, u32::MAX),
+        ] {
+            let want = naive_quantize(src, scale, lo, hi, mask);
+            for len in src.len().saturating_sub(17)..=src.len() {
+                for t in &tables {
+                    let mut got = vec![0x5555_5555u32; len];
+                    (t.quantize_f32)(&src[..len], scale, lo, hi, mask, &mut got);
+                    prop_assert_eq!(
+                        &got[..], &want[..len],
+                        "{} quantize_f32 at scale {:e}, mask {:#x}, len {}",
+                        t.isa, scale, mask, len
+                    );
+                }
+            }
+        }
+    }
+
+    /// The tiled f32 GEMM at every supported level against the naive loop
+    /// with the zero-skip rule: `m` around the 4-row tile, `n` below, at and
+    /// past every tier's tile width (1..80 columns), and on odd seeds exact
+    /// `±0.0` lhs entries facing `±Inf`/NaN rhs entries and `-0.0` output
+    /// seeds (even seeds keep the lhs zero-free, the tiles' unmasked form).
+    /// A tile that adds `0·b` instead of skipping it turns those into NaN or
+    /// `+0.0`.
+    #[test]
+    fn f32_gemm_tile_matches_scalar_at_every_isa(
+        m in 1usize..11,
+        k in 0usize..24,
+        n in 1usize..80,
+        seed in 0u32..1000,
+    ) {
+        let hash = |i: usize, salt: u32| {
+            (i as u32 ^ seed.wrapping_mul(0x9e37_79b9))
+                .wrapping_mul(0x85eb_ca6b)
+                .wrapping_add(salt)
+                .rotate_left(13)
+                .wrapping_mul(0xc2b2_ae35)
+        };
+        let zeros: &[f32] = if seed % 2 == 1 { &[0.0, -0.0] } else { &[] };
+        let a: Vec<f32> = (0..m * k).map(|i| f32_operand(hash(i, 1), 5, zeros)).collect();
+        let b: Vec<f32> = (0..k * n)
+            .map(|i| f32_operand(hash(i, 2), 23, &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]))
+            .collect();
+        let seed_out: Vec<f32> = (0..m * n).map(|i| f32_operand(hash(i, 3), 3, &[-0.0])).collect();
+        let mut naive = seed_out.clone();
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    naive[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
+        let want = bits_modulo_nan(&naive);
+        for t in supported_tables() {
+            let mut got = seed_out.clone();
+            ops::gemm_with(&t, m, k, n, &a, &b, &mut got);
+            prop_assert_eq!(
+                bits_modulo_nan(&got), want.clone(),
+                "{} gemm_f32 ({},{},{})", t.isa, m, k, n
+            );
+        }
+    }
+}
