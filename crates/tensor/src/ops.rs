@@ -173,12 +173,12 @@ impl PanelLane for i16 {
 }
 
 /// The shared driver of the packed panel GEMMs: `out (m×n) += a (m×k) ·
-/// bt (n×k)ᵀ`, one `gemm2` call per row pair over every column, an odd last
-/// row through `last_row`. Row-blocked across the [`eden_par`] pool with
-/// fixed geometry; integer accumulation makes the split exact at any thread
-/// count.
+/// bt (n×k)ᵀ`, one `gemm2` call per row pair over every column; an odd last
+/// row runs as a pair with itself, its twin sums going to a spare row.
+/// Row-blocked across the [`eden_par`] pool with fixed geometry; integer
+/// accumulation makes the split exact at any thread count.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed_rows<T: Sync, A: Send>(
+fn gemm_packed_rows<T: Sync, A: Send + Clone + Default>(
     name: &str,
     m: usize,
     k: usize,
@@ -187,7 +187,6 @@ fn gemm_packed_rows<T: Sync, A: Send>(
     bt: &[T],
     out: &mut [A],
     gemm2: simd::GemmPanelFn<T, A>,
-    last_row: impl Fn(&[T], &mut [A]) + Sync,
 ) {
     assert!(a.len() >= m * k, "{name}: lhs slice too short");
     assert!(bt.len() >= n * k, "{name}: rhs slice too short");
@@ -214,7 +213,8 @@ fn gemm_packed_rows<T: Sync, A: Send>(
             i += 2;
         }
         if i < rc {
-            last_row(&a[i * k..(i + 1) * k], &mut chunk[i * n..i * n + n]);
+            let (arow, spare) = (&a[i * k..(i + 1) * k], &mut vec![A::default(); n]);
+            gemm2(arow, arow, bt, k, &mut chunk[i * n..], spare);
         }
     });
 }
@@ -223,10 +223,9 @@ fn gemm_packed_rows<T: Sync, A: Send>(
 /// of `k` lanes (the caller zero-pads real rows up to `k` =
 /// [`packed_stride_i8`] of the true depth), `bt` the transposed rhs in the
 /// same row form, and one [`crate::simd::Kernels::gemm2_i8`] call covers an
-/// entire row pair (an odd last row takes one
-/// [`crate::simd::Kernels::dot_i8`] per column). Row-blocked across the
-/// [`eden_par`] pool with fixed geometry; integer accumulation makes the
-/// split exact at any thread count.
+/// entire row pair (an odd last row runs as a pair with itself). Row-blocked
+/// across the [`eden_par`] pool with fixed geometry; integer accumulation
+/// makes the split exact at any thread count.
 ///
 /// This is the int4/int8 production kernel. Operands stay in one byte per
 /// value; the kernels sign-extend on load (`vpmovsxbw`) and use the
@@ -249,21 +248,7 @@ pub fn gemm_i8_packed_with(
     bt: &[i8],
     out: &mut [i32],
 ) {
-    gemm_packed_rows(
-        "gemm_i8_packed",
-        m,
-        k,
-        n,
-        a,
-        bt,
-        out,
-        kr.gemm2_i8,
-        |arow, orow| {
-            for (o, brow) in orow.iter_mut().zip(bt.chunks_exact(k)) {
-                *o += (kr.dot_i8)(arow, brow);
-            }
-        },
-    );
+    gemm_packed_rows("gemm_i8_packed", m, k, n, a, bt, out, kr.gemm2_i8);
 }
 
 /// Blocked i16 GEMM with exact **i64 results** over a k-padded packed
@@ -290,21 +275,7 @@ pub fn gemm_i16_packed_with(
     bt: &[i16],
     out: &mut [i64],
 ) {
-    gemm_packed_rows(
-        "gemm_i16_packed",
-        m,
-        k,
-        n,
-        a,
-        bt,
-        out,
-        kr.gemm2_i16,
-        |arow, orow| {
-            // An odd last row runs as its own pair; the twin sums are spare.
-            let mut spare = vec![0i64; orow.len()];
-            (kr.gemm2_i16)(arow, arow, bt, k, orow, &mut spare);
-        },
-    );
+    gemm_packed_rows("gemm_i16_packed", m, k, n, a, bt, out, kr.gemm2_i16);
 }
 
 /// Matrix multiplication `a (m×k) * b (k×n) -> (m×n)`, backed by [`gemm`].

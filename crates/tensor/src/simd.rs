@@ -7,16 +7,37 @@
 //! [`Isa::Avx512`] → [`Isa::Avx2`] → [`Isa::Sse2`] → [`Isa::Scalar`]. The
 //! table holds:
 //!
-//! * `dot_i8`: the widening i8 dot product (the odd last row of
-//!   [`crate::ops::gemm_i8_packed`]);
 //! * `gemm2_i8` and `gemm2_i16`: the two-row panel kernels behind
-//!   [`crate::ops::gemm_i8_packed`] and [`crate::ops::gemm_i16_packed`];
+//!   [`crate::ops::gemm_i8_packed`] and [`crate::ops::gemm_i16_packed`]
+//!   (an odd last row of either GEMM runs as a pair with itself);
 //! * `axpy_f32`: the f32 row update `out += a·b` behind
 //!   [`crate::Tensor::axpy`];
 //! * `gemm_f32`: the register-tiled f32 GEMM behind [`crate::ops::gemm`]
 //!   and [`crate::ops::gemm_batch`];
 //! * `quantize_f32`: the layer-boundary quantizer behind
 //!   [`crate::quant::QuantTensor::requantize_from`].
+//!
+//! # One body per algorithm
+//!
+//! The SIMD tiers differ only in which intrinsics they call, so each
+//! algorithm is written once, generic over a small lane trait that every
+//! tier implements for its vector type: `F32Lanes` (f32 lanes) carries the
+//! tiled f32 GEMM and `axpy_f32`; `I16Lanes` (16-bit integer lanes, i32
+//! after a multiply–add) carries the i8 widening panel body and the i16
+//! split-digit panel body. One column-pair driver runs a panel body over
+//! every column pair of a transposed rhs, and at one column for an odd last
+//! column. The AVX512-VNNI i8 body is a different algorithm and keeps its
+//! own code, run by the same driver; the quantizer stays per tier.
+//!
+//! The lane traits' safety contract: every method is `#[inline(always)]`
+//! with no target feature of its own, and may only run inlined into a tier
+//! entry point whose `#[target_feature]` set covers the intrinsics it calls
+//! (the AVX-512 entry points also enable `avx2`, whose 256-bit horizontal
+//! adds the AVX-512 reduction reuses). Entry points are only installed in a
+//! table after runtime detection of those features. A load reads exactly
+//! `W` lanes at the pointer it is given; a panel body loads only whole
+//! vectors inside the first `k − k mod STEP` lanes of each operand row, and
+//! the driver sums the remaining lanes in scalar code.
 //!
 //! # Parity guarantee
 //!
@@ -44,7 +65,7 @@
 //!   compare fix-up of the scalar round-half-away. Every step is exactly
 //!   rounded or exact, so each lane is the scalar result.
 //!
-//! The int8 dot products deliberately avoid the classic `pmaddubsw`
+//! The int8 panel bodies deliberately avoid the classic `pmaddubsw`
 //! sign-trick (`maddubs(|a|, sign(b, a))`): corrupted int8 storage spans the
 //! full `[-128, 127]` domain and `psignb` wraps `-(-128)` back to `-128`,
 //! which would mis-compute `(-128)·(-128)`. Instead the i8 paths use
@@ -79,6 +100,8 @@
 //! typo) **panics** — a silent fallback would let CI believe it tested a
 //! path it never ran.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::__m128i;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -224,13 +247,10 @@ pub(crate) fn round_half_away(x: f32) -> i32 {
 pub struct Kernels {
     /// The level every entry was resolved at.
     pub isa: Isa,
-    /// Widening i8×i8 dot product with i32 accumulation (sign-extend +
-    /// `pmaddwd`; exact for the full `[-128, 127]` corrupted domain) — the
-    /// odd last row of [`crate::ops::gemm_i8_packed`].
-    pub dot_i8: fn(&[i8], &[i8]) -> i32,
     /// Two-row × all-columns i8 panel GEMM over a packed transposed rhs —
-    /// the batched-execution workhorse (integer accumulation, so every
-    /// blocking order reproduces the scalar sums exactly).
+    /// the batched-execution workhorse: sign-extending loads and `pmaddwd`
+    /// into i32 (exact for the full `[-128, 127]` corrupted domain; integer
+    /// accumulation, so every blocking order reproduces the scalar sums).
     pub gemm2_i8: GemmPanelFn<i8, i32>,
     /// Two-row × all-columns i16 panel GEMM into i64 — the kernel of
     /// [`crate::ops::gemm_i16_packed`]: `pmaddwd` with split-digit i32
@@ -270,7 +290,6 @@ pub fn kernels_for(isa: Isa) -> Kernels {
     match isa {
         Isa::Scalar => Kernels {
             isa,
-            dot_i8: scalar::dot_i8,
             gemm2_i8: scalar::gemm2_i8,
             gemm2_i16: scalar::gemm2_i16,
             axpy_f32: scalar::axpy_f32,
@@ -280,7 +299,6 @@ pub fn kernels_for(isa: Isa) -> Kernels {
         #[cfg(target_arch = "x86_64")]
         Isa::Sse2 => Kernels {
             isa,
-            dot_i8: sse2::dot_i8,
             gemm2_i8: sse2::gemm2_i8,
             gemm2_i16: sse2::gemm2_i16,
             axpy_f32: sse2::axpy_f32,
@@ -290,7 +308,6 @@ pub fn kernels_for(isa: Isa) -> Kernels {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => Kernels {
             isa,
-            dot_i8: avx2::dot_i8,
             gemm2_i8: avx2::gemm2_i8,
             gemm2_i16: avx2::gemm2_i16,
             axpy_f32: avx2::axpy_f32,
@@ -300,7 +317,6 @@ pub fn kernels_for(isa: Isa) -> Kernels {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => Kernels {
             isa,
-            dot_i8: avx512::dot_i8,
             // VNNI is an upgrade within the avx512 level, not a level of
             // its own: the fused-dot form is bit-identical to the
             // `vpmaddwd` form, so which one a CPU gets is invisible to
@@ -348,47 +364,6 @@ pub fn kernels() -> &'static Kernels {
 /// The ISA level of the active kernel table (honoring `EDEN_ISA`).
 pub fn active_isa() -> Isa {
     kernels().isa
-}
-
-/// Runs a 2×2 i16 block kernel (`[a0·b0, a0·b1, a1·b0, a1·b1]` over
-/// slices whose length is a whole number of `W`-lane vectors) across every
-/// column pair of a transposed panel — the shared body of the SIMD tiers'
-/// `gemm2_i16`. The last `k mod W` lanes are summed here in i64; an odd last
-/// column pairs with itself and its duplicate sums are dropped.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn panel2_i16<const W: usize>(
-    a0: &[i16],
-    a1: &[i16],
-    bt: &[i16],
-    k: usize,
-    out0: &mut [i64],
-    out1: &mut [i64],
-    block: impl Fn(&[i16], &[i16], &[i16], &[i16]) -> [i64; 4],
-) {
-    let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
-    let (a0, a1) = (&a0[..k], &a1[..k]);
-    let body = k - k % W;
-    for j in (0..n).step_by(2) {
-        let j1 = (j + 1).min(n - 1);
-        let (b0, b1) = (&bt[j * k..(j + 1) * k], &bt[j1 * k..(j1 + 1) * k]);
-        let mut s = block(&a0[..body], &a1[..body], &b0[..body], &b1[..body]);
-        for i in body..k {
-            let (x0, x1) = (a0[i] as i64, a1[i] as i64);
-            let (y0, y1) = (b0[i] as i64, b1[i] as i64);
-            s[0] += x0 * y0;
-            s[1] += x0 * y1;
-            s[2] += x1 * y0;
-            s[3] += x1 * y1;
-        }
-        out0[j] += s[0];
-        out1[j] += s[2];
-        if j1 > j {
-            out0[j1] += s[1];
-            out1[j1] += s[3];
-        }
-    }
 }
 
 /// Panics unless the slices hold an `m×k` lhs, a `k×n` rhs and an `m×n`
@@ -657,11 +632,241 @@ fn gemm_f32_tiled<V: F32Lanes>(
     gemm_f32_columns(m, k, n, vectors, a, b, out);
 }
 
+/// `out[j] += a · b[j]` over one tier's f32 vectors (the SIMD tiers'
+/// `axpy_f32`): [`F32Lanes::mul_add`] per whole vector, the last `n mod W`
+/// lanes by a scalar loop. Separate multiply and add, so each lane is the
+/// scalar result.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn axpy_f32_lanes<V: F32Lanes>(a: f32, b: &[f32], out: &mut [f32]) {
+    let n = b.len().min(out.len());
+    let body = n - n % V::W;
+    // SAFETY: every load and store covers lanes `[p, p + W)` with
+    // `p + W ≤ body ≤` both lengths; the caller's tier has `V`'s features.
+    unsafe {
+        let va = V::splat(a);
+        for p in (0..body).step_by(V::W) {
+            let o = out.as_mut_ptr().add(p);
+            V::mul_add(V::load(o), va, V::load(b.as_ptr().add(p))).store(o);
+        }
+    }
+    for i in body..n {
+        out[i] += a * b[i];
+    }
+}
+
+/// One tier's 16-bit integer vector, as the shared integer panel bodies
+/// ([`WidenI8`], [`SplitI16`]) use it: `W` i16 lanes, or `W / 2` i32 lanes
+/// after a multiply–add. The safety contract is [`F32Lanes`]'s (see the
+/// module docs); the loads need `W` valid lanes at `p`.
+#[cfg(target_arch = "x86_64")]
+trait I16Lanes: Copy {
+    /// i16 lanes per vector.
+    const W: usize;
+    /// All lanes zero.
+    unsafe fn zero() -> Self;
+    /// Unaligned load of `W` i16 lanes.
+    unsafe fn load_i16(p: *const i16) -> Self;
+    /// Unaligned load of `W` i8 lanes, each sign-extended to i16.
+    unsafe fn load_i8(p: *const i8) -> Self;
+    /// `pmaddwd`: each i32 lane is the sum of two adjacent i16×i16 products
+    /// (wrapping only for `(−32768)² + (−32768)²`).
+    unsafe fn madd(a: Self, b: Self) -> Self;
+    /// Wrapping i32 lane addition.
+    unsafe fn add_i32(a: Self, b: Self) -> Self;
+    /// The 16-bit digits `(v >> 16, v & 0xffff)` of the biased pair sums
+    /// `v = r + PAIR_BIAS` (wrapping; see the module docs).
+    unsafe fn split_biased(r: Self) -> (Self, Self);
+    /// The exact horizontal i32 sums `[Σc[0], Σc[1], Σc[2], Σc[3]]`.
+    unsafe fn hsum4(c: [Self; 4]) -> __m128i;
+}
+
+/// The exact horizontal sums of a `2 × C` block of i32 accumulators,
+/// `C ≤ 2`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn hsum_2xc<V: I16Lanes, const C: usize>(acc: [[V; C]; 2]) -> [[i32; C]; 2] {
+    let mut flat = [V::zero(); 4];
+    for (r, row) in acc.iter().enumerate() {
+        flat[r * C..][..C].copy_from_slice(row);
+    }
+    // An `__m128i` is four i32 lanes, in order.
+    let s: [i32; 4] = std::mem::transmute(V::hsum4(flat));
+    let mut sums = [[0; C]; 2];
+    for (r, row) in sums.iter_mut().enumerate() {
+        row.copy_from_slice(&s[r * C..][..C]);
+    }
+    sums
+}
+
+/// The vectorized dot products of two lhs rows with `C` rhs columns — the
+/// per-column body that [`gemm2_panel`] runs at `C = 2` for every column
+/// pair and at `C = 1` for an odd last column.
+#[cfg(target_arch = "x86_64")]
+trait PanelBody: Copy {
+    /// Operand lane.
+    type T: Copy;
+    /// Accumulator.
+    type A: Copy + From<Self::T> + std::ops::Mul<Output = Self::A> + std::ops::AddAssign;
+    /// Lanes per step: a body covers whole multiples of it.
+    const STEP: usize;
+    /// `[[a0·b[c]; C], [a1·b[c]; C]]`, each a dot product of `k` lanes, a
+    /// multiple of [`PanelBody::STEP`].
+    ///
+    /// # Safety
+    ///
+    /// Both rows and all `C` columns hold `k` valid lanes, and the CPU has
+    /// the body's features.
+    unsafe fn block<const C: usize>(
+        self,
+        a: [*const Self::T; 2],
+        b: [*const Self::T; C],
+        k: usize,
+    ) -> [[Self::A; C]; 2];
+}
+
+/// The SIMD tiers' [`GemmPanelFn`]: `body` over the first
+/// `k − k mod STEP` lanes of every column pair of the transposed panel, then
+/// at one column for an odd last column; the last `k mod STEP` lanes of
+/// every column are summed in scalar code.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gemm2_panel<B: PanelBody>(
+    body: B,
+    a0: &[B::T],
+    a1: &[B::T],
+    bt: &[B::T],
+    k: usize,
+    out0: &mut [B::A],
+    out1: &mut [B::A],
+) {
+    assert!(a0.len() >= k && a1.len() >= k, "gemm2: lhs rows short");
+    if k == 0 {
+        return;
+    }
+    let n = out0.len().min(out1.len()).min(bt.len() / k);
+    let (out0, out1) = (&mut out0[..n], &mut out1[..n]);
+    let kv = k - k % B::STEP;
+    let a = [a0.as_ptr(), a1.as_ptr()];
+    let pairs = out0.chunks_exact_mut(2).zip(out1.chunks_exact_mut(2));
+    // SAFETY (both blocks): the lhs rows hold `k ≥ kv` lanes (asserted),
+    // every column `j < n ≤ bt.len() / k` holds the `k` lanes
+    // `bt[j·k..][..k]`, and the caller's tier has the body's features.
+    for ((o0, o1), b) in pairs.zip(bt.chunks_exact(2 * k)) {
+        let cols = [b.as_ptr(), b[k..].as_ptr()];
+        let [[s00, s01], [s10, s11]] = unsafe { body.block::<2>(a, cols, kv) };
+        o0[0] += s00;
+        o0[1] += s01;
+        o1[0] += s10;
+        o1[1] += s11;
+    }
+    if n % 2 == 1 {
+        let [[s0], [s1]] = unsafe { body.block::<1>(a, [bt[(n - 1) * k..].as_ptr()], kv) };
+        out0[n - 1] += s0;
+        out1[n - 1] += s1;
+    }
+    if kv < k {
+        for (j, b) in bt.chunks_exact(k).take(n).enumerate() {
+            for (o, a) in [(&mut out0[j], a0), (&mut out1[j], a1)] {
+                for (&x, &y) in a[kv..k].iter().zip(&b[kv..]) {
+                    *o += B::A::from(x) * B::A::from(y);
+                }
+            }
+        }
+    }
+}
+
+/// The i8 panel body over lanes `V`: sign-extending loads and `pmaddwd`
+/// into one i32 accumulator per output (exact over the full corrupted
+/// domain, given the callers' no-overflow contract).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct WidenI8<V>(std::marker::PhantomData<V>);
+
+#[cfg(target_arch = "x86_64")]
+impl<V: I16Lanes> PanelBody for WidenI8<V> {
+    type T = i8;
+    type A = i32;
+    const STEP: usize = V::W;
+
+    #[inline(always)]
+    unsafe fn block<const C: usize>(
+        self,
+        a: [*const i8; 2],
+        b: [*const i8; C],
+        k: usize,
+    ) -> [[i32; C]; 2] {
+        let mut acc = [[V::zero(); C]; 2];
+        for p in (0..k).step_by(V::W) {
+            let va = [V::load_i8(a[0].add(p)), V::load_i8(a[1].add(p))];
+            let mut vb = [V::zero(); C];
+            for (v, &col) in vb.iter_mut().zip(&b) {
+                *v = V::load_i8(col.add(p));
+            }
+            for (row, &x) in acc.iter_mut().zip(&va) {
+                for (c, &y) in row.iter_mut().zip(&vb) {
+                    *c = V::add_i32(*c, V::madd(x, y));
+                }
+            }
+        }
+        hsum_2xc(acc)
+    }
+}
+
+/// The i16 panel body over lanes `V`: `pmaddwd` pair sums, biased and split
+/// into two 16-bit digits that accumulate in separate i32 lanes, flushed
+/// into i64 every [`GEMM_I16_FLUSH_K`] lanes (see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct SplitI16<V>(std::marker::PhantomData<V>);
+
+#[cfg(target_arch = "x86_64")]
+impl<V: I16Lanes> PanelBody for SplitI16<V> {
+    type T = i16;
+    type A = i64;
+    const STEP: usize = V::W;
+
+    #[inline(always)]
+    unsafe fn block<const C: usize>(
+        self,
+        a: [*const i16; 2],
+        b: [*const i16; C],
+        k: usize,
+    ) -> [[i64; C]; 2] {
+        let mut sums = [[0i64; C]; 2];
+        for p0 in (0..k).step_by(GEMM_I16_FLUSH_K) {
+            let end = (p0 + GEMM_I16_FLUSH_K).min(k);
+            let (mut hi, mut lo) = ([[V::zero(); C]; 2], [[V::zero(); C]; 2]);
+            for p in (p0..end).step_by(V::W) {
+                let va = [V::load_i16(a[0].add(p)), V::load_i16(a[1].add(p))];
+                let mut vb = [V::zero(); C];
+                for (v, &col) in vb.iter_mut().zip(&b) {
+                    *v = V::load_i16(col.add(p));
+                }
+                for r in 0..2 {
+                    for c in 0..C {
+                        let (h, l) = V::split_biased(V::madd(va[r], vb[c]));
+                        hi[r][c] = V::add_i32(hi[r][c], h);
+                        lo[r][c] = V::add_i32(lo[r][c], l);
+                    }
+                }
+            }
+            let (h, l) = (hsum_2xc(hi), hsum_2xc(lo));
+            for r in 0..2 {
+                for c in 0..C {
+                    sums[r][c] += unbias(h[r][c], l[r][c], (end - p0) / 2);
+                }
+            }
+        }
+        sums
+    }
+}
+
 /// Bit-for-bit reference implementations. Plain loops; the compiler may
 /// auto-vectorize the integer reductions (associative, so still exact) but
 /// never the f32 ones.
 mod scalar {
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
+    fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
         let mut acc = 0i32;
         for i in 0..n {
@@ -744,168 +949,55 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
     use std::arch::x86_64::*;
+    use std::marker::PhantomData;
 
-    /// i16 lanes per vector.
-    const I16_LANES: usize = 8;
-
-    /// Exact horizontal sum of the four i32 lanes.
-    #[inline]
-    unsafe fn hsum_epi32(v: __m128i) -> i32 {
-        let hi = _mm_unpackhi_epi64(v, v);
-        let s = _mm_add_epi32(v, hi);
-        let sw = _mm_shuffle_epi32(s, 0b01);
-        _mm_cvtsi128_si32(_mm_add_epi32(s, sw))
-    }
-
-    /// Sign-extends the low 8 i8 lanes of `v` to i16 (the SSE2 spelling of
-    /// `pmovsxbw`: duplicate-unpack then arithmetic shift).
-    #[inline]
-    unsafe fn sx_lo_epi8(v: __m128i) -> __m128i {
-        _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8)
-    }
-
-    /// Sign-extends the high 8 i8 lanes of `v` to i16.
-    #[inline]
-    unsafe fn sx_hi_epi8(v: __m128i) -> __m128i {
-        _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8)
-    }
-
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        // SAFETY: SSE2 is unconditionally available on x86-64, and all
-        // unaligned loads stay within the bounds checked by `n`.
-        unsafe {
-            let mut acc0 = _mm_setzero_si128();
-            let mut acc1 = _mm_setzero_si128();
-            let chunks = n / 16;
-            for i in 0..chunks {
-                let p = i * 16;
-                let va = _mm_loadu_si128(a.as_ptr().add(p) as *const __m128i);
-                let vb = _mm_loadu_si128(b.as_ptr().add(p) as *const __m128i);
-                acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(sx_lo_epi8(va), sx_lo_epi8(vb)));
-                acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(sx_hi_epi8(va), sx_hi_epi8(vb)));
-            }
-            let mut sum = hsum_epi32(_mm_add_epi32(acc0, acc1));
-            for i in chunks * 16..n {
-                sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
-            }
-            sum
+    impl super::I16Lanes for __m128i {
+        const W: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm_setzero_si128()
+        }
+        #[inline(always)]
+        unsafe fn load_i16(p: *const i16) -> Self {
+            _mm_loadu_si128(p as *const __m128i)
+        }
+        #[inline(always)]
+        unsafe fn load_i8(p: *const i8) -> Self {
+            // The SSE2 spelling of `pmovsxbw`: duplicate-unpack the eight
+            // bytes, then shift each i16 lane right arithmetically.
+            let v = _mm_loadl_epi64(p as *const __m128i);
+            _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8)
+        }
+        #[inline(always)]
+        unsafe fn madd(a: Self, b: Self) -> Self {
+            _mm_madd_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn add_i32(a: Self, b: Self) -> Self {
+            _mm_add_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn split_biased(r: Self) -> (Self, Self) {
+            let v = _mm_add_epi32(r, _mm_set1_epi32(super::PAIR_BIAS));
+            (
+                _mm_srli_epi32(v, 16),
+                _mm_and_si128(v, _mm_set1_epi32(0xffff)),
+            )
+        }
+        #[inline(always)]
+        unsafe fn hsum4([c0, c1, c2, c3]: [Self; 4]) -> __m128i {
+            // A 4×4 transpose by unpacks, then adds.
+            let s01 = _mm_add_epi32(_mm_unpacklo_epi32(c0, c1), _mm_unpackhi_epi32(c0, c1));
+            let s23 = _mm_add_epi32(_mm_unpacklo_epi32(c2, c3), _mm_unpackhi_epi32(c2, c3));
+            _mm_add_epi32(_mm_unpacklo_epi64(s01, s23), _mm_unpackhi_epi64(s01, s23))
         }
     }
 
-    /// Four simultaneous dot products over a 2×2 operand block
-    /// (`a0·b0, a0·b1, a1·b0, a1·b1`): each loaded vector feeds two
-    /// multiply–adds. The body of [`gemm2_i8`] at this width.
-    fn block2x2_i8(a0: &[i8], a1: &[i8], b0: &[i8], b1: &[i8]) -> (i32, i32, i32, i32) {
-        let n = a0.len().min(a1.len()).min(b0.len()).min(b1.len());
-        // SAFETY: as `dot_i8`.
-        unsafe {
-            let mut c00 = _mm_setzero_si128();
-            let mut c01 = _mm_setzero_si128();
-            let mut c10 = _mm_setzero_si128();
-            let mut c11 = _mm_setzero_si128();
-            let chunks = n / 16;
-            for i in 0..chunks {
-                let p = i * 16;
-                let va0 = _mm_loadu_si128(a0.as_ptr().add(p) as *const __m128i);
-                let va1 = _mm_loadu_si128(a1.as_ptr().add(p) as *const __m128i);
-                let vb0 = _mm_loadu_si128(b0.as_ptr().add(p) as *const __m128i);
-                let vb1 = _mm_loadu_si128(b1.as_ptr().add(p) as *const __m128i);
-                let (a0l, a0h) = (sx_lo_epi8(va0), sx_hi_epi8(va0));
-                let (a1l, a1h) = (sx_lo_epi8(va1), sx_hi_epi8(va1));
-                let (b0l, b0h) = (sx_lo_epi8(vb0), sx_hi_epi8(vb0));
-                let (b1l, b1h) = (sx_lo_epi8(vb1), sx_hi_epi8(vb1));
-                c00 = _mm_add_epi32(c00, _mm_madd_epi16(a0l, b0l));
-                c00 = _mm_add_epi32(c00, _mm_madd_epi16(a0h, b0h));
-                c01 = _mm_add_epi32(c01, _mm_madd_epi16(a0l, b1l));
-                c01 = _mm_add_epi32(c01, _mm_madd_epi16(a0h, b1h));
-                c10 = _mm_add_epi32(c10, _mm_madd_epi16(a1l, b0l));
-                c10 = _mm_add_epi32(c10, _mm_madd_epi16(a1h, b0h));
-                c11 = _mm_add_epi32(c11, _mm_madd_epi16(a1l, b1l));
-                c11 = _mm_add_epi32(c11, _mm_madd_epi16(a1h, b1h));
-            }
-            let (mut s00, mut s01) = (hsum_epi32(c00), hsum_epi32(c01));
-            let (mut s10, mut s11) = (hsum_epi32(c10), hsum_epi32(c11));
-            for i in chunks * 16..n {
-                let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-                let (y0, y1) = (*b0.get_unchecked(i) as i32, *b1.get_unchecked(i) as i32);
-                s00 += x0 * y0;
-                s01 += x0 * y1;
-                s10 += x1 * y0;
-                s11 += x1 * y1;
-            }
-            (s00, s01, s10, s11)
-        }
-    }
-
-    /// `[Σc0, Σc1, Σc2, Σc3]` of four 4-lane accumulators (a 4×4 transpose
-    /// by unpacks, then adds; exact — integer addition).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn hsum4_epi32(c0: __m128i, c1: __m128i, c2: __m128i, c3: __m128i) -> __m128i {
-        let s01 = _mm_add_epi32(_mm_unpacklo_epi32(c0, c1), _mm_unpackhi_epi32(c0, c1));
-        let s23 = _mm_add_epi32(_mm_unpacklo_epi32(c2, c3), _mm_unpackhi_epi32(c2, c3));
-        _mm_add_epi32(_mm_unpacklo_epi64(s01, s23), _mm_unpackhi_epi64(s01, s23))
-    }
-
-    /// `[a0·b0, a0·b1, a1·b0, a1·b1]` over i16 slices of one length, a
-    /// multiple of `W`, exact in i64 by the biased split-digit scheme of the
-    /// module docs.
-    #[target_feature(enable = "sse2")]
-    fn block2x2_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> [i64; 4] {
-        const W: usize = I16_LANES;
-        let chunks = a0.len().min(a1.len()).min(b0.len()).min(b1.len()) / W;
-        let mut sums = [0i64; 4];
-        let bias = _mm_set1_epi32(super::PAIR_BIAS);
-        let low = _mm_set1_epi32(0xffff);
-        let mut c = 0;
-        while c < chunks {
-            let end = (c + super::GEMM_I16_FLUSH_K / W).min(chunks);
-            let mut hi = [_mm_setzero_si128(); 4];
-            let mut lo = [_mm_setzero_si128(); 4];
-            for i in c..end {
-                let p = i * W;
-                // SAFETY: `p + W <= chunks · W`, at most the length of every
-                // operand slice.
-                let (va0, va1, vb0, vb1) = unsafe {
-                    (
-                        _mm_loadu_si128(a0.as_ptr().add(p) as *const __m128i),
-                        _mm_loadu_si128(a1.as_ptr().add(p) as *const __m128i),
-                        _mm_loadu_si128(b0.as_ptr().add(p) as *const __m128i),
-                        _mm_loadu_si128(b1.as_ptr().add(p) as *const __m128i),
-                    )
-                };
-                let rs = [
-                    _mm_madd_epi16(va0, vb0),
-                    _mm_madd_epi16(va0, vb1),
-                    _mm_madd_epi16(va1, vb0),
-                    _mm_madd_epi16(va1, vb1),
-                ];
-                for q in 0..4 {
-                    let v = _mm_add_epi32(rs[q], bias);
-                    hi[q] = _mm_add_epi32(hi[q], _mm_srli_epi32(v, 16));
-                    lo[q] = _mm_add_epi32(lo[q], _mm_and_si128(v, low));
-                }
-            }
-            let (mut h, mut l) = ([0i32; 4], [0i32; 4]);
-            // SAFETY: each store writes four i32 lanes into a four-element
-            // array.
-            unsafe {
-                _mm_storeu_si128(
-                    h.as_mut_ptr() as *mut __m128i,
-                    hsum4_epi32(hi[0], hi[1], hi[2], hi[3]),
-                );
-                _mm_storeu_si128(
-                    l.as_mut_ptr() as *mut __m128i,
-                    hsum4_epi32(lo[0], lo[1], lo[2], lo[3]),
-                );
-            }
-            for q in 0..4 {
-                sums[q] += super::unbias(h[q], l[q], (end - c) * W / 2);
-            }
-            c = end;
-        }
-        sums
+    // SSE2 is part of the x86-64 baseline, so the shared bodies need no
+    // target-feature entry point here.
+    pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
+        let body = super::WidenI8::<__m128i>(PhantomData);
+        super::gemm2_panel(body, a0, a1, bt, k, out0, out1);
     }
 
     pub fn gemm2_i16(
@@ -916,53 +1008,12 @@ mod sse2 {
         out0: &mut [i64],
         out1: &mut [i64],
     ) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        super::panel2_i16::<I16_LANES>(a0, a1, bt, k, out0, out1, |a0, a1, b0, b1| unsafe {
-            block2x2_i16(a0, a1, b0, b1)
-        });
-    }
-
-    pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
-        // Direct (inlinable) calls into this module's dot kernels: the panel
-        // form buys SSE2 the loss of the per-tile function-pointer dispatch,
-        // which is already most of the win at 128-bit width.
-        let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
-        let (a0, a1) = (&a0[..k], &a1[..k]);
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            let b1 = &bt[(j + 1) * k..(j + 2) * k];
-            let (s00, s01, s10, s11) = block2x2_i8(a0, a1, b0, b1);
-            out0[j] += s00;
-            out0[j + 1] += s01;
-            out1[j] += s10;
-            out1[j + 1] += s11;
-            j += 2;
-        }
-        if j < n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            out0[j] += dot_i8(a0, b0);
-            out1[j] += dot_i8(a1, b0);
-        }
+        let body = super::SplitI16::<__m128i>(PhantomData);
+        super::gemm2_panel(body, a0, a1, bt, k, out0, out1);
     }
 
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
-        let n = b.len().min(out.len());
-        // SAFETY: as `dot_i8`. Separate multiply and add (no FMA), so each
-        // lane computes exactly the scalar `out[j] += a * b[j]`.
-        unsafe {
-            let va = _mm_set1_ps(a);
-            let chunks = n / 4;
-            for i in 0..chunks {
-                let p = i * 4;
-                let vb = _mm_loadu_ps(b.as_ptr().add(p));
-                let vo = _mm_loadu_ps(out.as_ptr().add(p));
-                _mm_storeu_ps(out.as_mut_ptr().add(p), _mm_add_ps(vo, _mm_mul_ps(va, vb)));
-            }
-            for i in chunks * 4..n {
-                *out.get_unchecked_mut(i) += a * *b.get_unchecked(i);
-            }
-        }
+        super::axpy_f32_lanes::<__m128>(a, b, out);
     }
 
     impl super::F32Lanes for __m128 {
@@ -1044,193 +1095,66 @@ mod sse2 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
+    use std::marker::PhantomData;
 
-    /// i16 lanes per vector.
-    const I16_LANES: usize = 16;
-
-    /// Exact horizontal sum of the eight i32 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi32(v: __m256i) -> i32 {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256(v, 1);
-        let s = _mm_add_epi32(lo, hi);
-        let s2 = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-        _mm_cvtsi128_si32(_mm_add_epi32(s2, _mm_shuffle_epi32(s2, 0b01)))
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let pairs = n / 32;
-        for i in 0..pairs {
-            let p = i * 32;
-            // `vpmovsxbw`: 16 sign-extended i8→i16 lanes per load.
-            let va0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(p) as *const __m128i));
-            let vb0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(p) as *const __m128i));
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va0, vb0));
-            let va1 =
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(p + 16) as *const __m128i));
-            let vb1 =
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(p + 16) as *const __m128i));
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va1, vb1));
+    impl super::I16Lanes for __m256i {
+        const W: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_si256()
         }
-        let mut done = pairs * 32;
-        if done + 16 <= n {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(done) as *const __m128i));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(done) as *const __m128i));
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, vb));
-            done += 16;
+        #[inline(always)]
+        unsafe fn load_i16(p: *const i16) -> Self {
+            _mm256_loadu_si256(p as *const __m256i)
         }
-        let mut sum = hsum_epi32(_mm256_add_epi32(acc0, acc1));
-        for i in done..n {
-            sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
+        #[inline(always)]
+        unsafe fn load_i8(p: *const i8) -> Self {
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i))
         }
-        sum
+        #[inline(always)]
+        unsafe fn madd(a: Self, b: Self) -> Self {
+            _mm256_madd_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn add_i32(a: Self, b: Self) -> Self {
+            _mm256_add_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn split_biased(r: Self) -> (Self, Self) {
+            let v = _mm256_add_epi32(r, _mm256_set1_epi32(super::PAIR_BIAS));
+            (
+                _mm256_srli_epi32(v, 16),
+                _mm256_and_si256(v, _mm256_set1_epi32(0xffff)),
+            )
+        }
+        #[inline(always)]
+        unsafe fn hsum4([c0, c1, c2, c3]: [Self; 4]) -> __m128i {
+            // Two `hadd` levels, then the two 128-bit halves: ~6
+            // instructions for what four separate reductions spend ~24 on.
+            let t = _mm256_hadd_epi32(_mm256_hadd_epi32(c0, c1), _mm256_hadd_epi32(c2, c3));
+            _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1))
+        }
     }
 
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: this table entry is only constructed after `avx2` was
-        // runtime-detected; loads are unaligned and bounds-checked inside.
-        unsafe { dot_i8_impl(a, b) }
-    }
-
-    /// Reduces four 8-lane i32 accumulators to their four exact horizontal
-    /// sums `[Σc00, Σc01, Σc10, Σc11]` with two `hadd` levels — ~6
-    /// instructions for what four independent `hsum_epi32` calls spend ~24
-    /// on. Integer addition is associative, so the tree order is exact.
-    #[inline]
-    unsafe fn hsum4_epi32(c00: __m256i, c01: __m256i, c10: __m256i, c11: __m256i) -> __m128i {
-        let t0 = _mm256_hadd_epi32(c00, c01);
-        let t1 = _mm256_hadd_epi32(c10, c11);
-        let t2 = _mm256_hadd_epi32(t0, t1);
-        _mm_add_epi32(_mm256_castsi256_si128(t2), _mm256_extracti128_si256(t2, 1))
-    }
-
+    /// [`super::gemm2_panel`] compiled with AVX2 enabled.
     #[target_feature(enable = "avx2")]
-    unsafe fn gemm2_i8_impl(
-        a0: &[i8],
-        a1: &[i8],
-        bt: &[i8],
+    unsafe fn panel<B: super::PanelBody>(
+        body: B,
+        a0: &[B::T],
+        a1: &[B::T],
+        bt: &[B::T],
         k: usize,
-        out0: &mut [i32],
-        out1: &mut [i32],
+        out0: &mut [B::A],
+        out1: &mut [B::A],
     ) {
-        let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
-        let chunks = k / 16;
-        let done = chunks * 16;
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = bt.as_ptr().add(j * k);
-            let b1 = bt.as_ptr().add((j + 1) * k);
-            let mut c00 = _mm256_setzero_si256();
-            let mut c01 = _mm256_setzero_si256();
-            let mut c10 = _mm256_setzero_si256();
-            let mut c11 = _mm256_setzero_si256();
-            for i in 0..chunks {
-                let p = i * 16;
-                let va0 =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(a0.as_ptr().add(p) as *const __m128i));
-                let va1 =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(a1.as_ptr().add(p) as *const __m128i));
-                let vb0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b0.add(p) as *const __m128i));
-                let vb1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b1.add(p) as *const __m128i));
-                c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(va0, vb0));
-                c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(va0, vb1));
-                c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(va1, vb0));
-                c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(va1, vb1));
-            }
-            let mut sums = [0i32; 4];
-            _mm_storeu_si128(
-                sums.as_mut_ptr() as *mut __m128i,
-                hsum4_epi32(c00, c01, c10, c11),
-            );
-            for i in done..k {
-                let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-                let (y0, y1) = (*b0.add(i) as i32, *b1.add(i) as i32);
-                sums[0] += x0 * y0;
-                sums[1] += x0 * y1;
-                sums[2] += x1 * y0;
-                sums[3] += x1 * y1;
-            }
-            *out0.get_unchecked_mut(j) += sums[0];
-            *out0.get_unchecked_mut(j + 1) += sums[1];
-            *out1.get_unchecked_mut(j) += sums[2];
-            *out1.get_unchecked_mut(j + 1) += sums[3];
-            j += 2;
-        }
-        if j < n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            out0[j] += dot_i8(&a0[..k], b0);
-            out1[j] += dot_i8(&a1[..k], b0);
-        }
+        super::gemm2_panel(body, a0, a1, bt, k, out0, out1);
     }
 
     pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
-        assert!(a0.len() >= k && a1.len() >= k, "gemm2_i8: lhs rows short");
-        // SAFETY: as `dot_i8`; the column count is clamped to what `bt` and
-        // both out rows can hold, and the lhs length is asserted above.
-        unsafe { gemm2_i8_impl(a0, a1, bt, k, out0, out1) }
-    }
-
-    /// The AVX2 form of the SSE2 table's `block2x2_i16`.
-    #[target_feature(enable = "avx2")]
-    fn block2x2_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> [i64; 4] {
-        const W: usize = I16_LANES;
-        let chunks = a0.len().min(a1.len()).min(b0.len()).min(b1.len()) / W;
-        let mut sums = [0i64; 4];
-        let bias = _mm256_set1_epi32(super::PAIR_BIAS);
-        let low = _mm256_set1_epi32(0xffff);
-        let mut c = 0;
-        while c < chunks {
-            let end = (c + super::GEMM_I16_FLUSH_K / W).min(chunks);
-            let mut hi = [_mm256_setzero_si256(); 4];
-            let mut lo = [_mm256_setzero_si256(); 4];
-            for i in c..end {
-                let p = i * W;
-                // SAFETY: `p + W <= chunks · W`, at most the length of every
-                // operand slice.
-                let (va0, va1, vb0, vb1) = unsafe {
-                    (
-                        _mm256_loadu_si256(a0.as_ptr().add(p) as *const __m256i),
-                        _mm256_loadu_si256(a1.as_ptr().add(p) as *const __m256i),
-                        _mm256_loadu_si256(b0.as_ptr().add(p) as *const __m256i),
-                        _mm256_loadu_si256(b1.as_ptr().add(p) as *const __m256i),
-                    )
-                };
-                let rs = [
-                    _mm256_madd_epi16(va0, vb0),
-                    _mm256_madd_epi16(va0, vb1),
-                    _mm256_madd_epi16(va1, vb0),
-                    _mm256_madd_epi16(va1, vb1),
-                ];
-                for q in 0..4 {
-                    let v = _mm256_add_epi32(rs[q], bias);
-                    hi[q] = _mm256_add_epi32(hi[q], _mm256_srli_epi32(v, 16));
-                    lo[q] = _mm256_add_epi32(lo[q], _mm256_and_si256(v, low));
-                }
-            }
-            let (mut h, mut l) = ([0i32; 4], [0i32; 4]);
-            // SAFETY: `hsum4_epi32` needs only AVX2, enabled here; each
-            // store writes four i32 lanes into a four-element array.
-            unsafe {
-                _mm_storeu_si128(
-                    h.as_mut_ptr() as *mut __m128i,
-                    hsum4_epi32(hi[0], hi[1], hi[2], hi[3]),
-                );
-                _mm_storeu_si128(
-                    l.as_mut_ptr() as *mut __m128i,
-                    hsum4_epi32(lo[0], lo[1], lo[2], lo[3]),
-                );
-            }
-            for q in 0..4 {
-                sums[q] += super::unbias(h[q], l[q], (end - c) * W / 2);
-            }
-            c = end;
-        }
-        sums
+        let body = super::WidenI8::<__m256i>(PhantomData);
+        // SAFETY: this table entry is only constructed after `avx2` was
+        // runtime-detected.
+        unsafe { panel(body, a0, a1, bt, k, out0, out1) }
     }
 
     pub fn gemm2_i16(
@@ -1241,36 +1165,18 @@ mod avx2 {
         out0: &mut [i64],
         out1: &mut [i64],
     ) {
-        // SAFETY: this table entry is only constructed after `avx2` was
-        // runtime-detected.
-        super::panel2_i16::<I16_LANES>(a0, a1, bt, k, out0, out1, |a0, a1, b0, b1| unsafe {
-            block2x2_i16(a0, a1, b0, b1)
-        });
+        let body = super::SplitI16::<__m256i>(PhantomData);
+        // SAFETY: as `gemm2_i8`.
+        unsafe { panel(body, a0, a1, bt, k, out0, out1) }
     }
 
     #[target_feature(enable = "avx2")]
     unsafe fn axpy_f32_impl(a: f32, b: &[f32], out: &mut [f32]) {
-        let n = b.len().min(out.len());
-        let va = _mm256_set1_ps(a);
-        let chunks = n / 8;
-        for i in 0..chunks {
-            let p = i * 8;
-            let vb = _mm256_loadu_ps(b.as_ptr().add(p));
-            let vo = _mm256_loadu_ps(out.as_ptr().add(p));
-            // Separate multiply and add (no FMA) so every lane matches the
-            // scalar `out[j] += a * b[j]` rounding exactly.
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(p),
-                _mm256_add_ps(vo, _mm256_mul_ps(va, vb)),
-            );
-        }
-        for i in chunks * 8..n {
-            *out.get_unchecked_mut(i) += a * *b.get_unchecked(i);
-        }
+        super::axpy_f32_lanes::<__m256>(a, b, out);
     }
 
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
-        // SAFETY: as `dot_i8`.
+        // SAFETY: as `gemm2_i8`.
         unsafe { axpy_f32_impl(a, b, out) }
     }
 
@@ -1369,145 +1275,123 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::*;
+    use std::marker::PhantomData;
 
-    /// i16 lanes per vector.
-    const I16_LANES: usize = 32;
-
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc0 = _mm512_setzero_si512();
-        let mut acc1 = _mm512_setzero_si512();
-        let pairs = n / 64;
-        for i in 0..pairs {
-            let p = i * 64;
-            // 512-bit `vpmovsxbw`: 32 sign-extended i8→i16 lanes per load.
-            let va0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(p) as *const __m256i));
-            let vb0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(p) as *const __m256i));
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va0, vb0));
-            let va1 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(p + 32) as *const __m256i));
-            let vb1 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(p + 32) as *const __m256i));
-            acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(va1, vb1));
+    impl super::I16Lanes for __m512i {
+        const W: usize = 32;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_si512()
         }
-        let mut done = pairs * 64;
-        if done + 32 <= n {
-            let va =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(done) as *const __m256i));
-            let vb =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(done) as *const __m256i));
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va, vb));
-            done += 32;
+        #[inline(always)]
+        unsafe fn load_i16(p: *const i16) -> Self {
+            _mm512_loadu_si512(p as *const __m512i)
         }
-        let mut sum = _mm512_reduce_add_epi32(_mm512_add_epi32(acc0, acc1));
-        for i in done..n {
-            sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
+        #[inline(always)]
+        unsafe fn load_i8(p: *const i8) -> Self {
+            _mm512_cvtepi8_epi16(_mm256_loadu_si256(p as *const __m256i))
         }
-        sum
+        #[inline(always)]
+        unsafe fn madd(a: Self, b: Self) -> Self {
+            _mm512_madd_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn add_i32(a: Self, b: Self) -> Self {
+            _mm512_add_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn split_biased(r: Self) -> (Self, Self) {
+            let v = _mm512_add_epi32(r, _mm512_set1_epi32(super::PAIR_BIAS));
+            (
+                _mm512_srli_epi32(v, 16),
+                _mm512_and_si512(v, _mm512_set1_epi32(0xffff)),
+            )
+        }
+        #[inline(always)]
+        unsafe fn hsum4(c: [Self; 4]) -> __m128i {
+            // Fold each accumulator to 8 lanes, then the AVX2 reduction
+            // (AVX-512 entry points enable `avx2` too).
+            let mut folded = [_mm256_setzero_si256(); 4];
+            for (f, v) in folded.iter_mut().zip(c) {
+                *f = _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64(v, 1));
+            }
+            super::I16Lanes::hsum4(folded)
+        }
     }
 
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: this table entry is only constructed after `avx512f` and
-        // `avx512bw` were runtime-detected; loads are unaligned and
-        // bounds-checked inside.
-        unsafe { dot_i8_impl(a, b) }
-    }
-
-    /// Folds a 16-lane i32 accumulator to 8 lanes (exact: integer addition).
-    #[inline]
-    unsafe fn fold_epi32(v: __m512i) -> __m256i {
-        _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64(v, 1))
-    }
-
-    /// Reduces four folded accumulators to `[Σc00, Σc01, Σc10, Σc11]` with
-    /// two `hadd` levels (cf. the AVX2 table's `hsum4_epi32`). AVX-512
-    /// implies AVX2, so the 256-bit `hadd` forms are always available here.
-    #[inline]
-    unsafe fn hsum4_epi32(c00: __m256i, c01: __m256i, c10: __m256i, c11: __m256i) -> __m128i {
-        let t0 = _mm256_hadd_epi32(c00, c01);
-        let t1 = _mm256_hadd_epi32(c10, c11);
-        let t2 = _mm256_hadd_epi32(t0, t1);
-        _mm_add_epi32(_mm256_castsi256_si128(t2), _mm256_extracti128_si256(t2, 1))
-    }
-
+    /// [`super::gemm2_panel`] compiled with AVX-512 (and AVX2) enabled.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx2")]
-    unsafe fn gemm2_i8_impl(
-        a0: &[i8],
-        a1: &[i8],
-        bt: &[i8],
+    unsafe fn panel<B: super::PanelBody>(
+        body: B,
+        a0: &[B::T],
+        a1: &[B::T],
+        bt: &[B::T],
         k: usize,
-        out0: &mut [i32],
-        out1: &mut [i32],
+        out0: &mut [B::A],
+        out1: &mut [B::A],
     ) {
-        let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
-        let chunks = k / 32;
-        let done = chunks * 32;
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = bt.as_ptr().add(j * k);
-            let b1 = bt.as_ptr().add((j + 1) * k);
-            let mut c00 = _mm512_setzero_si512();
-            let mut c01 = _mm512_setzero_si512();
-            let mut c10 = _mm512_setzero_si512();
-            let mut c11 = _mm512_setzero_si512();
-            for i in 0..chunks {
-                let p = i * 32;
-                let va0 =
-                    _mm512_cvtepi8_epi16(_mm256_loadu_si256(a0.as_ptr().add(p) as *const __m256i));
-                let va1 =
-                    _mm512_cvtepi8_epi16(_mm256_loadu_si256(a1.as_ptr().add(p) as *const __m256i));
-                let vb0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b0.add(p) as *const __m256i));
-                let vb1 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b1.add(p) as *const __m256i));
-                c00 = _mm512_add_epi32(c00, _mm512_madd_epi16(va0, vb0));
-                c01 = _mm512_add_epi32(c01, _mm512_madd_epi16(va0, vb1));
-                c10 = _mm512_add_epi32(c10, _mm512_madd_epi16(va1, vb0));
-                c11 = _mm512_add_epi32(c11, _mm512_madd_epi16(va1, vb1));
-            }
-            let mut sums = [0i32; 4];
-            _mm_storeu_si128(
-                sums.as_mut_ptr() as *mut __m128i,
-                hsum4_epi32(
-                    fold_epi32(c00),
-                    fold_epi32(c01),
-                    fold_epi32(c10),
-                    fold_epi32(c11),
-                ),
-            );
-            for i in done..k {
-                let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-                let (y0, y1) = (*b0.add(i) as i32, *b1.add(i) as i32);
-                sums[0] += x0 * y0;
-                sums[1] += x0 * y1;
-                sums[2] += x1 * y0;
-                sums[3] += x1 * y1;
-            }
-            *out0.get_unchecked_mut(j) += sums[0];
-            *out0.get_unchecked_mut(j + 1) += sums[1];
-            *out1.get_unchecked_mut(j) += sums[2];
-            *out1.get_unchecked_mut(j + 1) += sums[3];
-            j += 2;
-        }
-        if j < n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            out0[j] += dot_i8(&a0[..k], b0);
-            out1[j] += dot_i8(&a1[..k], b0);
-        }
+        super::gemm2_panel(body, a0, a1, bt, k, out0, out1);
     }
 
     pub fn gemm2_i8(a0: &[i8], a1: &[i8], bt: &[i8], k: usize, out0: &mut [i32], out1: &mut [i32]) {
-        assert!(a0.len() >= k && a1.len() >= k, "gemm2_i8: lhs rows short");
-        // SAFETY: as `dot_i8`; the column count is clamped to what `bt` and
-        // both out rows can hold, and the lhs length is asserted above.
-        unsafe { gemm2_i8_impl(a0, a1, bt, k, out0, out1) }
+        let body = super::WidenI8::<__m512i>(PhantomData);
+        // SAFETY: this table entry is only constructed after `avx512f` and
+        // `avx512bw` were runtime-detected (AVX-512 implies AVX2).
+        unsafe { panel(body, a0, a1, bt, k, out0, out1) }
     }
 
-    /// [`gemm2_i8`] on the AVX512-VNNI `vpdpbusd` path: rhs bytes are
-    /// biased to unsigned on load (`b ^ 0x80 = b + 128`), one instruction
-    /// fuses 64 u8×i8 MACs (4× the `vpmaddwd` form's per-instruction
-    /// throughput, with no widening converts), and the bias is removed
-    /// exactly afterwards via `Σ(b+128)·a = Σa·b + 128·Σa` — all in i32,
-    /// so the result is bit-identical to the signed form.
+    /// The AVX512-VNNI `vpdpbusd` i8 body: rhs bytes are biased to unsigned
+    /// on load (`b ^ 0x80 = b + 128`), one instruction fuses 64 u8×i8 MACs
+    /// (4× the `vpmaddwd` form's per-instruction throughput, with no
+    /// widening converts), and the bias is removed exactly afterwards via
+    /// `Σ(b+128)·a = Σa·b + 128·Σa` — all in i32, so the result is
+    /// bit-identical to the signed form. `sub` holds each lhs row's `128·Σa`
+    /// over the vectorized prefix (the scalar tail multiplies unbiased bytes,
+    /// so it needs no correction).
+    #[derive(Clone, Copy)]
+    struct Vnni {
+        sub: [i32; 2],
+    }
+
+    impl super::PanelBody for Vnni {
+        type T = i8;
+        type A = i32;
+        const STEP: usize = 64;
+
+        #[inline(always)]
+        unsafe fn block<const C: usize>(
+            self,
+            a: [*const i8; 2],
+            b: [*const i8; C],
+            k: usize,
+        ) -> [[i32; C]; 2] {
+            let flip = _mm512_set1_epi8(-128);
+            let mut acc = [[_mm512_setzero_si512(); C]; 2];
+            for p in (0..k).step_by(64) {
+                let va = [
+                    _mm512_loadu_si512(a[0].add(p) as *const __m512i),
+                    _mm512_loadu_si512(a[1].add(p) as *const __m512i),
+                ];
+                let mut vb = [flip; C];
+                for (v, &col) in vb.iter_mut().zip(&b) {
+                    *v = _mm512_xor_si512(_mm512_loadu_si512(col.add(p) as *const __m512i), flip);
+                }
+                for (row, &x) in acc.iter_mut().zip(&va) {
+                    for (c, &y) in row.iter_mut().zip(&vb) {
+                        *c = _mm512_dpbusd_epi32(*c, y, x);
+                    }
+                }
+            }
+            let mut sums = super::hsum_2xc(acc);
+            for (row, sub) in sums.iter_mut().zip(self.sub) {
+                for s in row {
+                    *s -= sub;
+                }
+            }
+            sums
+        }
+    }
+
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -1522,67 +1406,9 @@ mod avx512 {
         out0: &mut [i32],
         out1: &mut [i32],
     ) {
-        let n = out0.len().min(out1.len()).min(bt.len() / k.max(1));
-        let chunks = k / 64;
-        let done = chunks * 64;
-        // 128·Σa over the vectorized prefix (the scalar tail multiplies
-        // unbiased bytes, so it needs no correction).
-        let (mut sub0, mut sub1) = (0i32, 0i32);
-        for i in 0..done {
-            sub0 += *a0.get_unchecked(i) as i32;
-            sub1 += *a1.get_unchecked(i) as i32;
-        }
-        sub0 *= 128;
-        sub1 *= 128;
-        let flip = _mm512_set1_epi8(-128);
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = bt.as_ptr().add(j * k);
-            let b1 = bt.as_ptr().add((j + 1) * k);
-            let mut c00 = _mm512_setzero_si512();
-            let mut c01 = _mm512_setzero_si512();
-            let mut c10 = _mm512_setzero_si512();
-            let mut c11 = _mm512_setzero_si512();
-            for i in 0..chunks {
-                let p = i * 64;
-                let va0 = _mm512_loadu_si512(a0.as_ptr().add(p) as *const __m512i);
-                let va1 = _mm512_loadu_si512(a1.as_ptr().add(p) as *const __m512i);
-                let vb0 = _mm512_xor_si512(_mm512_loadu_si512(b0.add(p) as *const __m512i), flip);
-                let vb1 = _mm512_xor_si512(_mm512_loadu_si512(b1.add(p) as *const __m512i), flip);
-                c00 = _mm512_dpbusd_epi32(c00, vb0, va0);
-                c01 = _mm512_dpbusd_epi32(c01, vb1, va0);
-                c10 = _mm512_dpbusd_epi32(c10, vb0, va1);
-                c11 = _mm512_dpbusd_epi32(c11, vb1, va1);
-            }
-            let mut sums = [0i32; 4];
-            _mm_storeu_si128(
-                sums.as_mut_ptr() as *mut __m128i,
-                hsum4_epi32(
-                    fold_epi32(c00),
-                    fold_epi32(c01),
-                    fold_epi32(c10),
-                    fold_epi32(c11),
-                ),
-            );
-            for i in done..k {
-                let (x0, x1) = (*a0.get_unchecked(i) as i32, *a1.get_unchecked(i) as i32);
-                let (y0, y1) = (*b0.add(i) as i32, *b1.add(i) as i32);
-                sums[0] += x0 * y0;
-                sums[1] += x0 * y1;
-                sums[2] += x1 * y0;
-                sums[3] += x1 * y1;
-            }
-            *out0.get_unchecked_mut(j) += sums[0] - sub0;
-            *out0.get_unchecked_mut(j + 1) += sums[1] - sub0;
-            *out1.get_unchecked_mut(j) += sums[2] - sub1;
-            *out1.get_unchecked_mut(j + 1) += sums[3] - sub1;
-            j += 2;
-        }
-        if j < n {
-            let b0 = &bt[j * k..(j + 1) * k];
-            out0[j] += dot_i8(&a0[..k], b0);
-            out1[j] += dot_i8(&a1[..k], b0);
-        }
+        let body = k - k % 64;
+        let sub = [a0, a1].map(|a| 128 * a[..body].iter().map(|&x| x as i32).sum::<i32>());
+        super::gemm2_panel(Vnni { sub }, a0, a1, bt, k, out0, out1);
     }
 
     pub fn gemm2_i8_vnni(
@@ -1593,79 +1419,9 @@ mod avx512 {
         out0: &mut [i32],
         out1: &mut [i32],
     ) {
-        assert!(a0.len() >= k && a1.len() >= k, "gemm2_i8: lhs rows short");
         // SAFETY: as `gemm2_i8`; only installed in the table when
         // `avx512vnni` is detected.
         unsafe { gemm2_i8_vnni_impl(a0, a1, bt, k, out0, out1) }
-    }
-
-    /// The 512-bit form of the SSE2 table's `block2x2_i16`.
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx2")]
-    fn block2x2_i16(a0: &[i16], a1: &[i16], b0: &[i16], b1: &[i16]) -> [i64; 4] {
-        const W: usize = I16_LANES;
-        let chunks = a0.len().min(a1.len()).min(b0.len()).min(b1.len()) / W;
-        let mut sums = [0i64; 4];
-        let bias = _mm512_set1_epi32(super::PAIR_BIAS);
-        let low = _mm512_set1_epi32(0xffff);
-        let mut c = 0;
-        while c < chunks {
-            let end = (c + super::GEMM_I16_FLUSH_K / W).min(chunks);
-            let mut hi = [_mm512_setzero_si512(); 4];
-            let mut lo = [_mm512_setzero_si512(); 4];
-            for i in c..end {
-                let p = i * W;
-                // SAFETY: `p + W <= chunks · W`, at most the length of every
-                // operand slice.
-                let (va0, va1, vb0, vb1) = unsafe {
-                    (
-                        _mm512_loadu_si512(a0.as_ptr().add(p) as *const __m512i),
-                        _mm512_loadu_si512(a1.as_ptr().add(p) as *const __m512i),
-                        _mm512_loadu_si512(b0.as_ptr().add(p) as *const __m512i),
-                        _mm512_loadu_si512(b1.as_ptr().add(p) as *const __m512i),
-                    )
-                };
-                let rs = [
-                    _mm512_madd_epi16(va0, vb0),
-                    _mm512_madd_epi16(va0, vb1),
-                    _mm512_madd_epi16(va1, vb0),
-                    _mm512_madd_epi16(va1, vb1),
-                ];
-                for q in 0..4 {
-                    let v = _mm512_add_epi32(rs[q], bias);
-                    hi[q] = _mm512_add_epi32(hi[q], _mm512_srli_epi32(v, 16));
-                    lo[q] = _mm512_add_epi32(lo[q], _mm512_and_si512(v, low));
-                }
-            }
-            let (mut h, mut l) = ([0i32; 4], [0i32; 4]);
-            // SAFETY: `fold_epi32` and `hsum4_epi32` need only the features
-            // enabled here; each store writes four i32 lanes into a
-            // four-element array.
-            unsafe {
-                _mm_storeu_si128(
-                    h.as_mut_ptr() as *mut __m128i,
-                    hsum4_epi32(
-                        fold_epi32(hi[0]),
-                        fold_epi32(hi[1]),
-                        fold_epi32(hi[2]),
-                        fold_epi32(hi[3]),
-                    ),
-                );
-                _mm_storeu_si128(
-                    l.as_mut_ptr() as *mut __m128i,
-                    hsum4_epi32(
-                        fold_epi32(lo[0]),
-                        fold_epi32(lo[1]),
-                        fold_epi32(lo[2]),
-                        fold_epi32(lo[3]),
-                    ),
-                );
-            }
-            for q in 0..4 {
-                sums[q] += super::unbias(h[q], l[q], (end - c) * W / 2);
-            }
-            c = end;
-        }
-        sums
     }
 
     pub fn gemm2_i16(
@@ -1676,35 +1432,18 @@ mod avx512 {
         out0: &mut [i64],
         out1: &mut [i64],
     ) {
-        // SAFETY: this table entry is only constructed after `avx512f` and
-        // `avx512bw` were runtime-detected (AVX-512 implies AVX2).
-        super::panel2_i16::<I16_LANES>(a0, a1, bt, k, out0, out1, |a0, a1, b0, b1| unsafe {
-            block2x2_i16(a0, a1, b0, b1)
-        });
+        let body = super::SplitI16::<__m512i>(PhantomData);
+        // SAFETY: as `gemm2_i8`.
+        unsafe { panel(body, a0, a1, bt, k, out0, out1) }
     }
 
     #[target_feature(enable = "avx512f")]
     unsafe fn axpy_f32_impl(a: f32, b: &[f32], out: &mut [f32]) {
-        let n = b.len().min(out.len());
-        let va = _mm512_set1_ps(a);
-        let chunks = n / 16;
-        for i in 0..chunks {
-            let p = i * 16;
-            let vb = _mm512_loadu_ps(b.as_ptr().add(p));
-            let vo = _mm512_loadu_ps(out.as_ptr().add(p));
-            // Separate multiply and add (no FMA): lane-exact vs scalar.
-            _mm512_storeu_ps(
-                out.as_mut_ptr().add(p),
-                _mm512_add_ps(vo, _mm512_mul_ps(va, vb)),
-            );
-        }
-        for i in chunks * 16..n {
-            *out.get_unchecked_mut(i) += a * *b.get_unchecked(i);
-        }
+        super::axpy_f32_lanes::<__m512>(a, b, out);
     }
 
     pub fn axpy_f32(a: f32, b: &[f32], out: &mut [f32]) {
-        // SAFETY: as `dot_i8` (only `avx512f` is needed here).
+        // SAFETY: as `gemm2_i8` (only `avx512f` is needed here).
         unsafe { axpy_f32_impl(a, b, out) }
     }
 
@@ -1845,10 +1584,16 @@ mod tests {
         let bf: Vec<f32> = b8.iter().map(|&v| v as f32 * 0.37).collect();
         let mut reference_f = vec![0.5f32; bf.len()];
         scalar::axpy_f32(1.25, &bf, &mut reference_f);
-        let reference = scalar::dot_i8(&a8, &b8);
+        // One column: rows `a8` and `b8` against the column `b8`.
+        let one_column = |k: &Kernels| {
+            let (mut out0, mut out1) = ([0i32], [0i32]);
+            (k.gemm2_i8)(&a8, &b8, &b8, b8.len(), &mut out0, &mut out1);
+            (out0, out1)
+        };
+        let reference = one_column(&kernels_for(Isa::Scalar));
         for isa in Isa::all().into_iter().filter(|i| i.is_supported()) {
             let k = kernels_for(isa);
-            assert_eq!((k.dot_i8)(&a8, &b8), reference, "{isa} dot_i8");
+            assert_eq!(one_column(&k), reference, "{isa} gemm2_i8 at one column");
             let mut got_f = vec![0.5f32; bf.len()];
             (k.axpy_f32)(1.25, &bf, &mut got_f);
             assert_eq!(got_f, reference_f, "{isa} axpy_f32");
@@ -1889,10 +1634,12 @@ mod tests {
         let expected = 33 * 16384;
         for isa in Isa::all().into_iter().filter(|i| i.is_supported()) {
             let k = kernels_for(isa);
+            let (mut out0, mut out1) = ([0i32], [0i32]);
+            (k.gemm2_i8)(&a, &a, &bt[..33], 33, &mut out0, &mut out1);
             assert_eq!(
-                (k.dot_i8)(&a, &bt[..33]),
-                expected,
-                "{isa} dot_i8 at -128×-128"
+                (out0, out1),
+                ([expected], [expected]),
+                "{isa} gemm2_i8 at one column at -128×-128"
             );
             let (mut out0, mut out1) = (vec![0i32; 2], vec![0i32; 2]);
             (k.gemm2_i8)(&a, &a, &bt, 33, &mut out0, &mut out1);
@@ -1901,6 +1648,45 @@ mod tests {
                 (vec![expected; 2], vec![expected; 2]),
                 "{isa} gemm2_i8 at -128×-128"
             );
+        }
+    }
+
+    /// The AVX-512 table installs the VNNI i8 panel wherever `avx512vnni` is
+    /// detected, so neither the table nor the benchmarks reach the plain
+    /// AVX-512 body on such a CPU: run both AVX-512 i8 entries directly
+    /// against the scalar panel, on operands saturated at `−128` (mixed with
+    /// the other corners), odd and even column counts, and `k` on both sides
+    /// of the 32-lane (`vpmaddwd`) and 64-lane (`vpdpbusd`) widths.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_i8_panels_match_scalar_without_the_table() {
+        if !Isa::Avx512.is_supported() {
+            return;
+        }
+        let mut entries: Vec<(&str, GemmPanelFn<i8, i32>)> = vec![("avx512", avx512::gemm2_i8)];
+        if std::arch::is_x86_feature_detected!("avx512vnni") {
+            entries.push(("avx512 vnni", avx512::gemm2_i8_vnni));
+        }
+        let corners = [-128i8, -128, -128, 127, -1, -128, 0, 1, -127];
+        let pick = |i: usize, mul: usize| corners[(i * mul + i / 7) % corners.len()];
+        for k in [1usize, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129] {
+            for n in [1usize, 2, 3, 4, 5] {
+                let a0 = vec![-128i8; k];
+                let a1: Vec<i8> = (0..k).map(|i| pick(i, 5)).collect();
+                let bt: Vec<i8> = (0..n * k)
+                    .map(|i| if i % k < k / 2 { -128 } else { pick(i, 3) })
+                    .collect();
+                let mut want0 = vec![7i32; n];
+                let mut want1 = vec![-9i32; n];
+                scalar::gemm2_i8(&a0, &a1, &bt, k, &mut want0, &mut want1);
+                for (name, gemm2) in &entries {
+                    let mut got0 = vec![7i32; n];
+                    let mut got1 = vec![-9i32; n];
+                    gemm2(&a0, &a1, &bt, k, &mut got0, &mut got1);
+                    assert_eq!(got0, want0, "{name} gemm2_i8 row0 at k={k} n={n}");
+                    assert_eq!(got1, want1, "{name} gemm2_i8 row1 at k={k} n={n}");
+                }
+            }
         }
     }
 

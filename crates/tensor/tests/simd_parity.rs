@@ -110,9 +110,17 @@ fn packed_gemm_i16(t: &Kernels, m: usize, k: usize, n: usize, a: &[i16], bt: &[i
     out
 }
 
+/// `gemm2_i8` at one column (the odd-column path of every panel kernel):
+/// rows `a0` and `a1` against the column `b`, over `b.len()` lanes.
+fn one_column_i8(t: &Kernels, a0: &[i8], a1: &[i8], b: &[i8]) -> (i32, i32) {
+    let (mut out0, mut out1) = ([0i32], [0i32]);
+    (t.gemm2_i8)(a0, a1, b, b.len(), &mut out0, &mut out1);
+    (out0[0], out1[0])
+}
+
 proptest! {
-    /// The widening i8 dot kernel under ragged lengths and unaligned
-    /// offsets.
+    /// The widening i8 dot products of the one-column panel under ragged
+    /// lengths and unaligned offsets.
     #[test]
     fn dot_kernels_match_scalar_at_every_isa(
         xs in i16_operand(),
@@ -125,18 +133,19 @@ proptest! {
         // corrupted-domain value).
         let a8: Vec<i8> = xs.iter().map(|&v| v as i8).collect();
         let b8: Vec<i8> = ys.iter().map(|&v| v as i8).collect();
+        let (a, b) = (&a8[off..n], &b8[off..n]);
 
         let tables = supported_tables();
-        let r8 = (tables[0].dot_i8)(&a8[off..], &b8[off..]);
+        let r8 = one_column_i8(&tables[0], a, b, b);
         for t in &tables[1..] {
-            prop_assert_eq!((t.dot_i8)(&a8[off..], &b8[off..]), r8, "{} dot_i8", t.isa);
+            prop_assert_eq!(one_column_i8(t, a, b, b), r8, "{} gemm2_i8 at one column", t.isa);
         }
     }
 
     /// The saturating corners of the corrupted int8 domain, dense: every
     /// element is drawn from the extreme set (−128 included), so the
     /// sign-extension of every wide path is exercised where approximations
-    /// would diverge — in the dot kernel and in the two-row panel kernel.
+    /// would diverge — in the two-row panel kernel at one column and at two.
     #[test]
     fn i8_dots_are_exact_on_saturating_inputs(
         picks in prop::collection::vec((0usize..8, 0usize..8), 1..150),
@@ -150,7 +159,7 @@ proptest! {
         // Panel rows (a, b) against columns (b, a): the four cross dots.
         let bt: Vec<i8> = b.iter().chain(a).copied().collect();
         let tables = supported_tables();
-        let reference = (tables[0].dot_i8)(a, b);
+        let reference = one_column_i8(&tables[0], a, b, b);
         let panel = |t: &Kernels| {
             let (mut out0, mut out1) = (vec![0i32; 2], vec![0i32; 2]);
             (t.gemm2_i8)(a, b, &bt, k, &mut out0, &mut out1);
@@ -158,7 +167,7 @@ proptest! {
         };
         let reference2 = panel(&tables[0]);
         for t in &tables[1..] {
-            prop_assert_eq!((t.dot_i8)(a, b), reference, "{} dot_i8", t.isa);
+            prop_assert_eq!(one_column_i8(t, a, b, b), reference, "{} gemm2_i8 at one column", t.isa);
             prop_assert_eq!(panel(t), reference2.clone(), "{} gemm2_i8", t.isa);
         }
     }
@@ -261,7 +270,7 @@ proptest! {
 
     /// The surviving i8 pipeline end to end: [`ops::gemm_i8_packed_with`]
     /// on every supported table against the naive triple loop, with odd `m`
-    /// (the [`Kernels::dot_i8`] tail row), `k` on both sides of the 64-lane
+    /// (the self-paired tail row), `k` on both sides of the 64-lane
     /// pad, the full ±128 domain, and 1/2/8 pool threads. Wide cases cross
     /// the parallel threshold so the row blocks really fan out.
     #[test]
