@@ -136,9 +136,9 @@ impl Layer for Conv2d {
     /// every lane of its columns, so the rhs needs no pre-zeroing), the bias
     /// seeds each output row (participating first in every accumulation
     /// chain, exactly like [`eden_tensor::ops::conv2d`]), and a single
-    /// row-block-parallel [`eden_tensor::ops::gemm_batch`] produces the
-    /// whole batch. Per output element the k-ascending chain is untouched,
-    /// so the result is bit-identical to per-sample [`Layer::forward`] calls.
+    /// [`eden_tensor::ops::gemm`] produces the whole batch. Per output
+    /// element the k-ascending chain is untouched, so the result is
+    /// bit-identical to per-sample [`Layer::forward`] calls.
     fn forward_batch(&self, inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
         let first = inputs.first()?;
         let shape = first.shape().to_vec();
@@ -165,7 +165,7 @@ impl Layer for Conv2d {
         for oc in 0..self.out_channels {
             out[oc * n..(oc + 1) * n].fill(bd[oc]);
         }
-        ops::gemm_batch(self.out_channels, ck, n, self.weight.data(), &b, &mut out);
+        ops::gemm(self.out_channels, ck, n, self.weight.data(), &b, &mut out);
         Some(
             (0..inputs.len())
                 .map(|j| {

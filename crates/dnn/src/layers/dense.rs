@@ -137,7 +137,7 @@ impl Layer for Dense {
 
     /// Weight-stationary batched dense layer: the batch's activation vectors
     /// become the columns of one `[k, batch]` rhs, a single
-    /// [`eden_tensor::ops::gemm_batch`] produces all outputs, and each bias
+    /// [`eden_tensor::ops::gemm`] produces all outputs, and each bias
     /// is added after its product chain — mirroring the per-sample
     /// `matmul` + `axpy` ordering bit for bit.
     fn forward_batch(&self, inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
@@ -157,7 +157,7 @@ impl Layer for Dense {
             }
         }
         let mut out = vec![0.0f32; m * batch];
-        ops::gemm_batch(m, k, batch, self.weight.data(), &b, &mut out);
+        ops::gemm(m, k, batch, self.weight.data(), &b, &mut out);
         let bd = self.bias.data();
         Some(
             (0..batch)

@@ -2,18 +2,18 @@
 
 use crate::data::Dataset;
 use crate::network::Network;
-use eden_tensor::{par, Tensor};
+use eden_tensor::Tensor;
 
 /// Classification accuracy of a network over a set of labelled samples.
 ///
-/// The samples fan out over the [`eden_tensor::par`] pool: each prediction
+/// The samples fan out over the [`eden_par`] pool: each prediction
 /// is a pure forward pass through the shared `&Network`, and a count does
 /// not depend on the order the predictions finish in.
 pub fn accuracy(net: &Network, samples: &[(Tensor, usize)]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
-    let correct = par::par_map(samples, |_, (x, label)| net.predict(x) == *label)
+    let correct = eden_par::par_map(samples, |_, (x, label)| net.predict(x) == *label)
         .into_iter()
         .filter(|&hit| hit)
         .count();

@@ -3,7 +3,7 @@
 //!
 //! # Data-parallel minibatches
 //!
-//! [`minibatch_step`] trains one minibatch on the [`eden_tensor::par`] pool.
+//! [`minibatch_step`] trains one minibatch on the [`eden_par`] pool.
 //! It clones at most pool-size *lane replicas* of the network once per
 //! batch and runs the samples wave by wave: each sample zeroes its lane's
 //! gradients and runs `forward_train` + `backward` there, in parallel with
@@ -18,7 +18,7 @@ use crate::loss;
 use crate::metrics;
 use crate::network::Network;
 use crate::optimizer::Sgd;
-use eden_tensor::{par, Tensor};
+use eden_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -127,7 +127,7 @@ impl Trainer {
 }
 
 /// Accumulates the gradients of one minibatch into `net`, data-parallel on
-/// the current [`eden_tensor::par`] pool, and returns the summed sample
+/// the current [`eden_par`] pool, and returns the summed sample
 /// losses (in sample order) plus each sample's `forward` side result.
 ///
 /// `batch` indexes the samples of `data`. `net`'s gradients are zeroed
@@ -152,12 +152,12 @@ where
 {
     net.zero_grads();
     let scale = 1.0 / batch.len() as f32;
-    let width = par::current_num_threads().min(batch.len()).max(1);
+    let width = eden_par::current_num_threads().min(batch.len()).max(1);
     let mut lanes: Vec<Network> = (0..width).map(|_| net.clone()).collect();
     let mut batch_loss = 0.0;
     let mut results = Vec::with_capacity(batch.len());
     for (w, wave) in batch.chunks(width).enumerate() {
-        let outputs = par::par_map_chunks_mut(&mut lanes[..wave.len()], 1, |k, lane| {
+        let outputs = eden_par::par_map_chunks_mut(&mut lanes[..wave.len()], 1, |k, lane| {
             let lane = &mut lane[0];
             let (x, label) = &data[wave[k]];
             lane.zero_grads();

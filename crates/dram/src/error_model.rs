@@ -25,10 +25,11 @@ use std::fmt;
 ///
 /// Injection splits every tensor into fixed chunks of this many values; each
 /// chunk draws its per-access failures from its own RNG stream derived from
-/// `(stream seed, chunk index)`. Because the chunk geometry and seeds never
-/// depend on the thread count, corrupting the chunks in parallel is
-/// bit-identical to corrupting them sequentially — EDEN's error models are
-/// per-cell independent, so injection order must not matter.
+/// `(stream seed, chunk index)`. Production draws ([`WeakCellMap::draw`])
+/// walk the chunks in order; the reference scans corrupt them in parallel,
+/// which is bit-identical because the chunk geometry and seeds never depend
+/// on the thread count — EDEN's error models are per-cell independent, so
+/// injection order must not matter.
 pub const INJECT_CHUNK_VALUES: usize = 4096;
 
 /// How data maps onto DRAM rows, used to give injected errors spatial
@@ -245,9 +246,8 @@ impl WeakCellMap {
     /// Chunk `c` draws from `StdRng` seeded with `seed_mix(stream_seed, c)`,
     /// one `next_u64` per weak cell in map order, and flips the cell iff
     /// the draw is below `thresholds[stored bit]` (see [`flip_threshold`]) —
-    /// the same flips as the reference scans. Chunks run in parallel on the
-    /// current `eden-par` pool; the result does not depend on the thread
-    /// count.
+    /// the same flips as the reference scans. Chunks are drawn in order on
+    /// the caller's thread.
     ///
     /// # Panics
     ///
@@ -257,24 +257,21 @@ impl WeakCellMap {
         if self.is_empty() {
             return 0;
         }
-        let chunk = |c: usize, chunk: &mut [u32]| {
+        let mut flips = 0u64;
+        for (c, chunk) in words.chunks_mut(INJECT_CHUNK_VALUES).enumerate() {
             let cells = self.chunk(c);
             if cells.is_empty() {
-                return 0;
+                continue;
             }
             let mut rng = chunk_rng(stream_seed, c);
-            let mut flips = 0u64;
             for &cell in cells {
                 let (word, bit) = (&mut chunk[cell.value()], cell.bit());
                 let hit = (rng.next_u64() >> 11) < thresholds[(*word >> bit & 1) as usize];
                 *word ^= (hit as u32) << bit;
                 flips += hit as u64;
             }
-            flips
-        };
-        eden_par::par_map_chunks_mut(words, INJECT_CHUNK_VALUES, chunk)
-            .iter()
-            .sum()
+        }
+        flips
     }
 
     /// The sparse-overlay form of [`WeakCellMap::draw`]: the
@@ -292,16 +289,14 @@ impl WeakCellMap {
         thresholds: [u64; 2],
     ) -> CorruptionOverlay {
         assert_eq!(words.len(), self.values, "weak map geometry (values)");
-        let per_chunk = eden_par::par_map(&self.chunk_ends, |c, _| {
-            let mut deltas = Vec::new();
-            let flips = self.overlay_chunk(c, words, stream_seed, thresholds, &mut deltas);
-            (deltas, flips)
-        });
-        let mut deltas = Vec::new();
-        let mut flips = 0u64;
-        for (chunk_deltas, chunk_flips) in per_chunk {
-            deltas.extend(chunk_deltas);
-            flips += chunk_flips;
+        // Each chunk is drawn into a reused scratch buffer, which holds one
+        // slot per weak cell until the draw commits its flipped words, so
+        // the overlay keeps no chunk's worth of slack capacity.
+        let (mut deltas, mut scratch, mut flips) = (Vec::new(), Vec::new(), 0u64);
+        for c in 0..self.chunk_ends.len() {
+            scratch.clear();
+            flips += self.overlay_chunk(c, words, stream_seed, thresholds, &mut scratch);
+            deltas.extend_from_slice(&scratch);
         }
         CorruptionOverlay::new(self.values, self.bits, deltas, flips, 0)
     }

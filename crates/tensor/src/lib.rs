@@ -38,11 +38,6 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-/// The workspace thread pool, re-exported so crates built on tensors (the
-/// DNN trainers, the accuracy metrics) fan out on the same pool the GEMMs
-/// use without a dependency edge of their own.
-pub use eden_par as par;
-
 pub use overlay::CorruptionOverlay;
 pub use quant::{Precision, QuantTensor};
 pub use shape::Shape;

@@ -59,60 +59,11 @@ pub fn gemm_with(
     (kr.gemm_f32)(m, k, n, a, b, out);
 }
 
-/// Output-row block of the batched GEMM entry points. The block geometry is
-/// a fixed function of the shape — never of the thread count — so a batched
-/// GEMM computes bit-identical results on any pool size (each output row's
-/// accumulation chain is independent of every other row's). Kept even so
-/// the packed GEMMs' row pairing never straddles a block boundary.
-const GEMM_PAR_ROWS: usize = 16;
-
-/// Minimum multiply–accumulate count (`m·k·n`) before a batched GEMM entry
-/// point fans its row blocks out across the [`eden_par`] pool; smaller
-/// problems run inline, where the scope overhead would dominate.
-const GEMM_PAR_MIN_MACS: usize = 1 << 20;
-
-/// The row-block size for an `m×k×n` batched GEMM: the whole matrix (one
-/// inline block) below the parallel threshold, [`GEMM_PAR_ROWS`] above it.
-fn gemm_par_rows(m: usize, k: usize, n: usize) -> usize {
-    if m * k * n < GEMM_PAR_MIN_MACS {
-        m
-    } else {
-        GEMM_PAR_ROWS
-    }
-}
-
 /// Batched f32 GEMM `out (m×n) += a (m×k) · b (k×n)` whose B matrix packs a
-/// whole batch of activation columns: identical accumulation semantics to
-/// [`gemm`] (each output element's `k` terms in ascending order, no FMA,
-/// exact-`0.0` lhs terms skipped), with the output rows split into
-/// fixed-geometry blocks that run on the [`eden_par`] pool. Bit-identical to
-/// [`gemm`] at every thread count.
+/// whole batch of activation columns: an alias of [`gemm`], kept for callers
+/// that name the batched form.
 pub fn gemm_batch(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_batch_with(simd::kernels(), m, k, n, a, b, out);
-}
-
-/// [`gemm_batch`] against an explicit kernel table.
-pub fn gemm_batch_with(
-    kr: &Kernels,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    assert!(a.len() >= m * k, "gemm_batch: lhs slice too short");
-    assert!(b.len() >= k * n, "gemm_batch: rhs slice too short");
-    assert!(out.len() >= m * n, "gemm_batch: out slice too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let rows = gemm_par_rows(m, k, n);
-    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
-        let r0 = bi * rows;
-        let rc = chunk.len() / n;
-        gemm_with(kr, rc, k, n, &a[r0 * k..(r0 + rc) * k], b, chunk);
-    });
+    gemm(m, k, n, a, b, out);
 }
 
 /// Row stride (in i8 lanes) of the k-padded panel layout consumed by
@@ -135,7 +86,7 @@ pub const fn packed_stride_i16(k: usize) -> usize {
 /// [`gemm_i8_packed`], `i16` for [`gemm_i16_packed`]. The panel packers
 /// ([`im2col_t_stored_strided`], [`pack_stored_rows`]) are written once over
 /// this trait.
-pub trait PanelLane: Copy + Default + Send + Sync + 'static {
+pub trait PanelLane: Copy + Default + 'static {
     /// The widest stored precision, in bits, whose sign-extended values fit
     /// the lane.
     const MAX_BITS: u32;
@@ -175,10 +126,8 @@ impl PanelLane for i16 {
 /// The shared driver of the packed panel GEMMs: `out (m×n) += a (m×k) ·
 /// bt (n×k)ᵀ`, one `gemm2` call per row pair over every column; an odd last
 /// row runs as a pair with itself, its twin sums going to a spare row.
-/// Row-blocked across the [`eden_par`] pool with fixed geometry; integer
-/// accumulation makes the split exact at any thread count.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed_rows<T: Sync, A: Send + Clone + Default>(
+fn gemm_packed_rows<T, A: Clone + Default>(
     name: &str,
     m: usize,
     k: usize,
@@ -191,41 +140,34 @@ fn gemm_packed_rows<T: Sync, A: Send + Clone + Default>(
     assert!(a.len() >= m * k, "{name}: lhs slice too short");
     assert!(bt.len() >= n * k, "{name}: rhs slice too short");
     assert!(out.len() >= m * n, "{name}: out slice too short");
-    if m == 0 || n == 0 {
+    if n == 0 {
         return;
     }
-    let rows = gemm_par_rows(m, k, n);
-    eden_par::par_map_chunks_mut(&mut out[..m * n], rows * n, |bi, chunk| {
-        let r0 = bi * rows;
-        let rc = chunk.len() / n;
-        let a = &a[r0 * k..(r0 + rc) * k];
-        let mut i = 0;
-        while i + 2 <= rc {
-            let (o0, rest) = chunk[i * n..].split_at_mut(n);
-            gemm2(
-                &a[i * k..(i + 1) * k],
-                &a[(i + 1) * k..(i + 2) * k],
-                bt,
-                k,
-                o0,
-                &mut rest[..n],
-            );
-            i += 2;
-        }
-        if i < rc {
-            let (arow, spare) = (&a[i * k..(i + 1) * k], &mut vec![A::default(); n]);
-            gemm2(arow, arow, bt, k, &mut chunk[i * n..], spare);
-        }
-    });
+    let mut i = 0;
+    while i + 2 <= m {
+        let (o0, rest) = out[i * n..].split_at_mut(n);
+        gemm2(
+            &a[i * k..(i + 1) * k],
+            &a[(i + 1) * k..(i + 2) * k],
+            bt,
+            k,
+            o0,
+            &mut rest[..n],
+        );
+        i += 2;
+    }
+    if i < m {
+        let (arow, spare) = (&a[i * k..(i + 1) * k], &mut vec![A::default(); n]);
+        gemm2(arow, arow, bt, k, &mut out[i * n..(i + 1) * n], spare);
+    }
 }
 
 /// Blocked i8 GEMM over a k-padded packed operand pair: `a` holds `m` rows
 /// of `k` lanes (the caller zero-pads real rows up to `k` =
 /// [`packed_stride_i8`] of the true depth), `bt` the transposed rhs in the
 /// same row form, and one [`crate::simd::Kernels::gemm2_i8`] call covers an
-/// entire row pair (an odd last row runs as a pair with itself). Row-blocked
-/// across the [`eden_par`] pool with fixed geometry; integer accumulation
-/// makes the split exact at any thread count.
+/// entire row pair (an odd last row runs as a pair with itself), on the
+/// caller's thread.
 ///
 /// This is the int4/int8 production kernel. Operands stay in one byte per
 /// value; the kernels sign-extend on load (`vpmovsxbw`) and use the
@@ -253,7 +195,7 @@ pub fn gemm_i8_packed_with(
 
 /// Blocked i16 GEMM with exact **i64 results** over a k-padded packed
 /// operand pair: the i16 twin of [`gemm_i8_packed`] (same operand layout at
-/// the [`packed_stride_i16`] stride, same fixed-geometry row blocks), one
+/// the [`packed_stride_i16`] stride), one
 /// [`crate::simd::Kernels::gemm2_i16`] call per row pair. The kernels use
 /// `pmaddwd` on full-range i16 lanes with split-digit i32 accumulators
 /// flushed into i64 (see [`crate::simd`]), so every result is the exact dot
@@ -529,7 +471,7 @@ pub fn pack_stored_rows<T: PanelLane>(
 /// `[in_c·k·k, oh·ow]` patch matrix (the layout of [`im2col`]) into columns
 /// `[col_offset, col_offset + oh·ow)` of a `[in_c·k·k, row_stride]` batch
 /// matrix, so a whole batch of samples packs into one rhs for
-/// [`gemm_batch`]. Every lane of those columns is written: each in-bounds
+/// [`gemm`]. Every lane of those columns is written: each in-bounds
 /// kernel row is one run copy (a `copy_from_slice` at stride 1) and padding
 /// taps are written as explicit zeros, so `cols` needs no pre-zeroing.
 ///
@@ -1290,25 +1232,9 @@ mod tests {
     }
 
     #[test]
-    fn gemm_batch_is_bit_identical_to_gemm_at_any_pool_width() {
-        // Shape chosen above the parallel threshold so row blocks actually
-        // fan out; a few exact zeros exercise the sparsity skip.
-        let (m, k, n) = (37, 64, 448);
-        let mut a = lcg_f32(1, m * k);
-        a[5] = 0.0;
-        a[k + 7] = 0.0;
-        let b = lcg_f32(2, k * n);
-        let mut expect = vec![0.5f32; m * n];
-        gemm(m, k, n, &a, &b, &mut expect);
-        let mut got = vec![0.5f32; m * n];
-        gemm_batch(m, k, n, &a, &b, &mut got);
-        assert_eq!(expect, got);
-    }
-
-    #[test]
     fn integer_gemm_batch_variants_match_their_per_call_forms() {
-        // Above the parallel threshold, so the row blocks fan out; the
-        // per-call form runs every row alone (the odd-row path).
+        // An odd row count, so the last row pairs with itself; the per-call
+        // form runs every row alone (the odd-row path).
         let (m, k, n) = (19, 96, 640);
         let a = i16_values(m * k, 40503, 3);
         let bt = i16_values(n * k, 9973, 4);

@@ -12,8 +12,7 @@
 //!   (an odd last row of either GEMM runs as a pair with itself);
 //! * `axpy_f32`: the f32 row update `out += a·b` behind
 //!   [`crate::Tensor::axpy`];
-//! * `gemm_f32`: the register-tiled f32 GEMM behind [`crate::ops::gemm`]
-//!   and [`crate::ops::gemm_batch`];
+//! * `gemm_f32`: the register-tiled f32 GEMM behind [`crate::ops::gemm`];
 //! * `quantize_f32`: the layer-boundary quantizer behind
 //!   [`crate::quant::QuantTensor::requantize_from`].
 //!

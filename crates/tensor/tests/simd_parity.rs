@@ -271,8 +271,8 @@ proptest! {
     /// The surviving i8 pipeline end to end: [`ops::gemm_i8_packed_with`]
     /// on every supported table against the naive triple loop, with odd `m`
     /// (the self-paired tail row), `k` on both sides of the 64-lane
-    /// pad, the full ±128 domain, and 1/2/8 pool threads. Wide cases cross
-    /// the parallel threshold so the row blocks really fan out.
+    /// pad, the full ±128 domain, wide (over 1024-column) cases, and 1/2/8
+    /// pool threads: the result must not depend on the pool it is run in.
     #[test]
     fn packed_i8_gemm_matches_naive_at_every_isa_and_thread_count(
         m in 1usize..48,
@@ -306,8 +306,8 @@ proptest! {
     /// `m` (the spare-pair tail row), `k` on both sides of the 32-lane pad
     /// or past the kernels' i64 flush block, the full i16 domain, forced
     /// all-`i16::MIN` rows and columns (every `pmaddwd` pair sum of that
-    /// output wraps), and 1/2/8 pool threads. Wide shallow cases cross the
-    /// parallel threshold so the row blocks really fan out.
+    /// output wraps), wide (over 1024-column) shallow cases, and 1/2/8 pool
+    /// threads: the result must not depend on the pool it is run in.
     #[test]
     fn packed_i16_gemm_matches_naive_at_every_isa_and_thread_count(
         m in 1usize..24,
