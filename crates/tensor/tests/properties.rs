@@ -179,6 +179,125 @@ fn naive_f32_patch_columns(
     cols
 }
 
+/// The three gradients of a single-sample convolution by naive loop nests
+/// with the accumulation orders [`ops::conv2d_backward`] promises, written
+/// with no call into `ops`:
+///
+/// * `d_bias[oc]`: a sequential sum of `d_out[oc]` from `-0.0` (the
+///   identity of IEEE addition, as `Iterator::sum` starts);
+/// * `d_weight[oc][tap]`: from `+0.0`, adds `d_out[oc][pos] · x(tap, pos)` in
+///   ascending output position, skipping exact-zero `d_out` entries (a
+///   padding tap contributes `g · 0.0`);
+/// * `d_cols[tap][pos]`: from `+0.0`, adds `w[oc][tap] · d_out[oc][pos]` in
+///   ascending `oc`, skipping exact-zero weights;
+/// * `d_input`: from `+0.0`, adds `d_cols[tap][pos]` onto the pixel the tap
+///   sees in `(ic, ky, kx, oy, ox)` order.
+fn naive_conv2d_backward(
+    input: &[f32],
+    weight: &[f32],
+    d_out: &[f32],
+    (in_c, h, w, out_c): (usize, usize, usize, usize),
+    p: ops::Conv2dParams,
+) -> [Vec<f32>; 3] {
+    let k = p.kernel;
+    let (oh, ow) = (p.out_size(h), p.out_size(w));
+    let (ck, ohw) = (in_c * k * k, oh * ow);
+    // The input pixel tap `(ic, ky, kx)` sees at output `(oy, ox)`, if any.
+    let pixel = |tap: usize, pos: usize| {
+        let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+        let iy = (pos / ow * p.stride + ky) as isize - p.padding as isize;
+        let ix = (pos % ow * p.stride + kx) as isize - p.padding as isize;
+        ((0..h as isize).contains(&iy) && (0..w as isize).contains(&ix))
+            .then(|| (ic * h + iy as usize) * w + ix as usize)
+    };
+    let d_bias = (0..out_c)
+        .map(|oc| d_out[oc * ohw..(oc + 1) * ohw].iter().fold(-0.0, |s, &g| s + g))
+        .collect();
+    let mut d_weight = vec![0.0f32; out_c * ck];
+    for oc in 0..out_c {
+        for tap in 0..ck {
+            for pos in 0..ohw {
+                let g = d_out[oc * ohw + pos];
+                if g != 0.0 {
+                    d_weight[oc * ck + tap] += g * pixel(tap, pos).map_or(0.0, |i| input[i]);
+                }
+            }
+        }
+    }
+    let mut d_cols = vec![0.0f32; ck * ohw];
+    for tap in 0..ck {
+        for pos in 0..ohw {
+            for oc in 0..out_c {
+                let wv = weight[oc * ck + tap];
+                if wv != 0.0 {
+                    d_cols[tap * ohw + pos] += wv * d_out[oc * ohw + pos];
+                }
+            }
+        }
+    }
+    let mut d_input = vec![0.0f32; in_c * h * w];
+    for tap in 0..ck {
+        for pos in 0..ohw {
+            if let Some(i) = pixel(tap, pos) {
+                d_input[i] += d_cols[tap * ohw + pos];
+            }
+        }
+    }
+    [d_input, d_weight, d_bias]
+}
+
+proptest! {
+    /// [`ops::conv2d_backward`] bit for bit against the naive loop nests of
+    /// [`naive_conv2d_backward`] over random geometry (in_c 1–7, out_c 1–9,
+    /// kernel 1–5, stride 1–3, padding 0–2, `h ≠ w`), with exact `±0.0`
+    /// entries in `d_out` and in the weights, so every zero-skip and every
+    /// signed-zero sum is exercised.
+    #[test]
+    fn conv2d_backward_matches_the_naive_accumulation_orders(
+        chans in (1usize..8, 1usize..10),
+        conv in (1usize..6, 1usize..4, 0usize..3),
+        image in (0usize..9, 1usize..9),
+        seed in 0u64..1000,
+    ) {
+        use rand::Rng;
+        let (in_c, out_c) = chans;
+        let (kernel, stride, padding) = conv;
+        // h ≥ kernel − 2·padding, and w ≠ h.
+        let h = kernel.saturating_sub(2 * padding).max(1) + image.0;
+        let w = h + image.1;
+        let (h, w) = if seed % 2 == 0 { (h, w) } else { (w, h) };
+        let p = ops::Conv2dParams::new(kernel, stride, padding);
+        let ohw = p.out_size(h) * p.out_size(w);
+        let mut rng = eden_tensor::init::seeded_rng(seed);
+        let mut draw = |len: usize, zero_every: u32| -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0u32..zero_every) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect()
+        };
+        let input = draw(in_c * h * w, 16);
+        let weight = draw(out_c * in_c * kernel * kernel, 6);
+        let d_out = draw(out_c * ohw, 4);
+        let grads = ops::conv2d_backward(
+            &Tensor::from_vec(input.clone(), &[in_c, h, w]),
+            &Tensor::from_vec(weight.clone(), &[out_c, in_c, kernel, kernel]),
+            &Tensor::from_vec(d_out.clone(), &[out_c, p.out_size(h), p.out_size(w)]),
+            p,
+        );
+        let [d_input, d_weight, d_bias] =
+            naive_conv2d_backward(&input, &weight, &d_out, (in_c, h, w, out_c), p);
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(grads.d_input.shape(), &[in_c, h, w][..]);
+        prop_assert_eq!(grads.d_weight.shape(), &[out_c, in_c, kernel, kernel][..]);
+        prop_assert_eq!(bits(grads.d_input.data()), bits(&d_input));
+        prop_assert_eq!(bits(grads.d_weight.data()), bits(&d_weight));
+        prop_assert_eq!(bits(grads.d_bias.data()), bits(&d_bias));
+    }
+}
+
 proptest! {
     // The quantization round-trip invariants below guard the bit-exact
     // storage layer everything else builds on, so run them at double the
