@@ -105,7 +105,9 @@ fn bench_inference(c: &mut Criterion) {
 /// on a VGG-conv-shaped problem (the dominant shape behind the
 /// `quantized_backend` group); the tiled f32 GEMM on `vgg_mini`'s `conv1_2`
 /// at a group of 16 samples (the simulated and FP32 conv); and the
-/// layer-boundary quantizer on 16 int8 IFMs of that layer's shape. One
+/// layer-boundary quantizer on 16 int8 IFMs of that layer's shape; and the
+/// tiled f32 GEMM on the `res1` conv backward's weight-gradient shape
+/// (12×256×108, whose last 12 columns are a zero-padded tail strip). One
 /// entry per (kernel, ISA) via the explicit `_with` dispatch or the table
 /// entry, so the gate pins each
 /// SIMD tier individually: a regression in, say, the AVX2 panel kernel
@@ -138,6 +140,14 @@ fn bench_simd_kernels(c: &mut Criterion) {
         .collect();
     let fb: Vec<f32> = (0..fk * fn_).map(|i| (i % 29) as f32 * 0.1).collect();
     let mut fout = vec![0.0f32; fm * fn_];
+    // dW of resnet_mini's res1 conv (12 → 12 channels, 3×3, 16×16):
+    // d_out [m=12, k=256] · patches [k=256, n=108].
+    let (tm, tk, tn) = (12usize, 256usize, 108usize);
+    let ta: Vec<f32> = (0..tm * tk)
+        .map(|i| (i % 31) as f32 * 0.01 - 0.15)
+        .collect();
+    let tb: Vec<f32> = (0..tk * tn).map(|i| (i % 23) as f32 * 0.1).collect();
+    let mut tout = vec![0.0f32; tm * tn];
     // 16 IFMs of [12, 16, 16] quantized to int8 at scale abs_max / 127.
     let ifm: Vec<f32> = (0..16 * 12 * 16 * 16)
         .map(|i| ((i * 7919) % 2001) as f32 * 0.003 - 3.0)
@@ -179,6 +189,12 @@ fn bench_simd_kernels(c: &mut Criterion) {
             b.iter(|| {
                 ops::gemm_with(&kr, fm, fk, fn_, black_box(&fa), black_box(&fb), &mut fout);
                 black_box(fout[0])
+            })
+        });
+        group.bench_function(format!("gemm_f32_tail_{isa}"), |b| {
+            b.iter(|| {
+                ops::gemm_with(&kr, tm, tk, tn, black_box(&ta), black_box(&tb), &mut tout);
+                black_box(tout[0])
             })
         });
         group.bench_function(format!("quantize_int8_{isa}"), |b| {
@@ -751,7 +767,12 @@ fn bench_faults(c: &mut Criterion) {
 ///   BER 1e-2 with bounding: per batch a weight fetch through sparse
 ///   overlays, then every sample's IFM loads served by memory cursors.
 ///
-/// Each iteration restarts from the same untrained network.
+/// * `conv2d_backward_res1` — one single-sample backward pass of
+///   `resnet_mini`'s `res1` conv (`[12, 16, 16]` → 12 channels, 3×3,
+///   stride 1, padding 1) on a reused scratch: the patch gather, both
+///   GEMMs and the input-gradient scatter.
+///
+/// Each epoch iteration restarts from the same untrained network.
 fn bench_training(c: &mut Criterion) {
     let dataset = SyntheticVision::tiny(0);
     let resnet = zoo::resnet_mini(&dataset.spec(), 1);
@@ -773,6 +794,45 @@ fn bench_training(c: &mut Criterion) {
                 &mut Sgd::new(train.learning_rate, train.momentum, train.weight_decay),
                 &mut StdRng::seed_from_u64(train.seed),
             )
+        })
+    });
+    let p = ops::Conv2dParams::new(3, 1, 1);
+    let x = Tensor::from_vec(
+        (0..12 * 16 * 16)
+            .map(|i| (i % 41) as f32 * 0.05 - 1.0)
+            .collect(),
+        &[12, 16, 16],
+    );
+    let w = Tensor::from_vec(
+        (0..12 * 12 * 9)
+            .map(|i| (i % 17) as f32 * 0.02 - 0.16)
+            .collect(),
+        &[12, 12, 3, 3],
+    );
+    // A ReLU-backward-like gradient: every third entry exactly zero.
+    let d_out = Tensor::from_vec(
+        (0..12 * 16 * 16)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    (i % 13) as f32 * 0.01 - 0.06
+                }
+            })
+            .collect(),
+        &[12, 16, 16],
+    );
+    let mut scratch = ops::ConvScratch::default();
+    group.bench_function("conv2d_backward_res1", |b| {
+        b.iter(|| {
+            let g = ops::conv2d_backward(
+                black_box(&x),
+                black_box(&w),
+                black_box(&d_out),
+                p,
+                &mut scratch,
+            );
+            black_box(g.d_input.data()[0])
         })
     });
     group.bench_function("curricular_lenet_epoch", |b| {

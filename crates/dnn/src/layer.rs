@@ -1,6 +1,7 @@
 //! The [`Layer`] trait implemented by all network building blocks.
 
 use crate::qexec::{QuantLayerParams, QuantScratch};
+use eden_tensor::ops::ConvScratch;
 use eden_tensor::{QuantTensor, Tensor};
 use std::any::Any;
 
@@ -51,13 +52,16 @@ pub trait Layer: LayerClone + Send + Sync {
     /// [`Layer::forward_train`] call: adds the sample's parameter gradients
     /// onto the accumulated ones (so a minibatch accumulates by calling
     /// `forward_train` + `backward` once per sample) and returns the
-    /// gradient with respect to the layer input.
+    /// gradient with respect to the layer input. `scratch` holds the
+    /// working buffers of the convolution backward pass, shared by every
+    /// layer of one pass (composite blocks hand it to their children);
+    /// its contents never influence a result.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called without a preceding
     /// [`Layer::forward_train`].
-    fn backward(&mut self, d_out: &Tensor) -> Tensor;
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor;
 
     /// Folds one sample's training updates from `lane` — a replica of this
     /// layer (same type and structure) that ran `zero_grads`,

@@ -1,7 +1,7 @@
 //! Parameter-free layers: activations, pooling and flattening.
 
 use crate::layer::{Layer, ParamEntry};
-use eden_tensor::ops;
+use eden_tensor::ops::{self, ConvScratch};
 use eden_tensor::{QuantTensor, Tensor};
 
 /// Rectified linear unit activation.
@@ -35,7 +35,7 @@ impl Layer for Relu {
         ops::relu(input)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, _: &mut ConvScratch) -> Tensor {
         let input = self
             .cache_input
             .as_ref()
@@ -109,7 +109,7 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, _: &mut ConvScratch) -> Tensor {
         let (shape, arg) = self.cache.as_ref().expect("backward before forward_train");
         ops::maxpool2d_backward(shape, d_out, arg)
     }
@@ -199,7 +199,7 @@ impl Layer for GlobalAvgPool {
         ops::global_avg_pool(input)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, _: &mut ConvScratch) -> Tensor {
         let shape = self
             .cache_shape
             .as_ref()
@@ -247,7 +247,7 @@ impl Layer for Flatten {
         input.reshape(&[input.len()])
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, _: &mut ConvScratch) -> Tensor {
         let shape = self
             .cache_shape
             .as_ref()
@@ -283,7 +283,10 @@ mod tests {
         let x = Tensor::from_vec(vec![-2.0, 0.5, 3.0], &[3]);
         let y = l.forward_train(&x);
         assert_eq!(y.data(), &[0.0, 0.5, 3.0]);
-        let g = l.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]));
+        let g = l.backward(
+            &Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]),
+            &mut Default::default(),
+        );
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
         assert_eq!(l.param_count(), 0);
     }
@@ -301,7 +304,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 3]);
         let y = l.forward_train(&x);
         assert_eq!(y.shape(), &[18]);
-        let g = l.backward(&Tensor::zeros(&[18]));
+        let g = l.backward(&Tensor::zeros(&[18]), &mut Default::default());
         assert_eq!(g.shape(), &[2, 3, 3]);
     }
 

@@ -9,6 +9,7 @@ use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::layers::basic::Relu;
 use crate::layers::conv::{concat_channels, split_channels, Conv2d, DepthwiseConv2d};
 use crate::layers::norm::ChannelNorm;
+use eden_tensor::ops::ConvScratch;
 use eden_tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -121,21 +122,21 @@ impl Layer for Residual {
         eden_tensor::ops::relu(&pre)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor {
         let pre = self
             .cache_pre_activation
             .as_ref()
             .expect("backward before forward_train");
         let d_pre = eden_tensor::ops::relu_backward(pre, d_out);
         // Main path.
-        let d = self.norm2.backward(&d_pre);
-        let d = self.conv2.backward(&d);
-        let d = self.relu1.backward(&d);
-        let d = self.norm1.backward(&d);
-        let d_main_input = self.conv1.backward(&d);
+        let d = self.norm2.backward(&d_pre, scratch);
+        let d = self.conv2.backward(&d, scratch);
+        let d = self.relu1.backward(&d, scratch);
+        let d = self.norm1.backward(&d, scratch);
+        let d_main_input = self.conv1.backward(&d, scratch);
         // Shortcut path.
         let d_short_input = match &mut self.projection {
-            Some(p) => p.backward(&d_pre),
+            Some(p) => p.backward(&d_pre, scratch),
             None => d_pre,
         };
         d_main_input.add(&d_short_input)
@@ -269,12 +270,17 @@ impl Layer for Fire {
         concat_channels(&[e1, e3])
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor {
         let parts = split_channels(d_out, &[self.expand_channels, self.expand_channels]);
-        let d_e1 = self.expand1.backward(&self.relu_e1.backward(&parts[0]));
-        let d_e3 = self.expand3.backward(&self.relu_e3.backward(&parts[1]));
+        let d_e1 = self
+            .expand1
+            .backward(&self.relu_e1.backward(&parts[0], scratch), scratch);
+        let d_e3 = self
+            .expand3
+            .backward(&self.relu_e3.backward(&parts[1], scratch), scratch);
         let d_s = d_e1.add(&d_e3);
-        self.squeeze.backward(&self.relu_s.backward(&d_s))
+        self.squeeze
+            .backward(&self.relu_s.backward(&d_s, scratch), scratch)
     }
 
     fn fold_lane(&mut self, lane: &dyn Layer) {
@@ -373,13 +379,13 @@ impl Layer for DepthwiseSeparable {
         self.relu2.forward_train(&x)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
-        let d = self.relu2.backward(d_out);
-        let d = self.norm2.backward(&d);
-        let d = self.pointwise.backward(&d);
-        let d = self.relu1.backward(&d);
-        let d = self.norm1.backward(&d);
-        self.depthwise.backward(&d)
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor {
+        let d = self.relu2.backward(d_out, scratch);
+        let d = self.norm2.backward(&d, scratch);
+        let d = self.pointwise.backward(&d, scratch);
+        let d = self.relu1.backward(&d, scratch);
+        let d = self.norm1.backward(&d, scratch);
+        self.depthwise.backward(&d, scratch)
     }
 
     fn fold_lane(&mut self, lane: &dyn Layer) {
@@ -461,9 +467,11 @@ impl Layer for DenseBlock {
         concat_channels(&[input.clone(), new])
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor {
         let parts = split_channels(d_out, &[self.in_channels, self.growth]);
-        let d_new = self.conv.backward(&self.relu.backward(&parts[1]));
+        let d_new = self
+            .conv
+            .backward(&self.relu.backward(&parts[1], scratch), scratch);
         parts[0].add(&d_new)
     }
 
@@ -520,7 +528,7 @@ mod tests {
         let mut b = Residual::new("res", 3, 6, 2, &mut rng);
         let x = uniform(&[3, 8, 8], -1.0, 1.0, &mut rng);
         let y = b.forward_train(&x);
-        let d = b.backward(&Tensor::full(y.shape(), 1.0));
+        let d = b.backward(&Tensor::full(y.shape(), 1.0), &mut Default::default());
         assert_eq!(d.shape(), x.shape());
         assert!(d.data().iter().all(|v| v.is_finite()));
     }
@@ -539,7 +547,7 @@ mod tests {
         let mut b = Fire::new("fire", 4, 2, 4, &mut rng);
         let x = uniform(&[4, 6, 6], -1.0, 1.0, &mut rng);
         let y = b.forward_train(&x);
-        let d = b.backward(&Tensor::full(y.shape(), 0.1));
+        let d = b.backward(&Tensor::full(y.shape(), 0.1), &mut Default::default());
         assert_eq!(d.shape(), x.shape());
     }
 
@@ -563,7 +571,7 @@ mod tests {
         assert_eq!(y.shape(), &[10, 5, 5]);
         // The first 4 channels of the output are exactly the input.
         assert_eq!(&y.data()[0..4 * 25], x.data());
-        let d = b.backward(&Tensor::full(&[10, 5, 5], 1.0));
+        let d = b.backward(&Tensor::full(&[10, 5, 5], 1.0), &mut Default::default());
         assert_eq!(d.shape(), x.shape());
     }
 

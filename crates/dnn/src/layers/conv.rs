@@ -1,13 +1,16 @@
 //! Standard and depthwise 2-D convolution layers.
 //!
-//! Both layers lower their convolutions to `im2col` + the register-tiled
-//! GEMM kernel in `eden_tensor::ops` (forward *and* backward), sharing the matmul
-//! hot path with the dense layers. The lowering is bit-identical to a direct
-//! loop nest — see [`eden_tensor::ops::conv2d`].
+//! Both layers lower their convolutions to a patch gather + the
+//! register-tiled GEMM kernel in `eden_tensor::ops` (forward *and*
+//! backward), sharing the matmul hot path with the dense layers. The
+//! lowering is bit-identical to a direct loop nest — see
+//! [`eden_tensor::ops::conv2d`] and [`eden_tensor::ops::conv2d_backward`];
+//! the backward's working buffers come from the [`ConvScratch`] the
+//! network passes to [`Layer::backward`].
 
 use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};
-use eden_tensor::ops::{self, Conv2dParams, PanelLane};
+use eden_tensor::ops::{self, Conv2dParams, ConvScratch, PanelLane};
 use eden_tensor::{init, QuantTensor, Tensor};
 use rand::rngs::StdRng;
 
@@ -83,12 +86,12 @@ impl Layer for Conv2d {
         ops::conv2d(input, &self.weight, &self.bias, self.params)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor {
         let input = self
             .cache_input
             .as_ref()
             .expect("backward before forward_train");
-        let grads = ops::conv2d_backward(input, &self.weight, d_out, self.params);
+        let grads = ops::conv2d_backward(input, &self.weight, d_out, self.params, scratch);
         self.grad_weight.axpy(1.0, &grads.d_weight);
         self.grad_bias.axpy(1.0, &grads.d_bias);
         grads.d_input
@@ -367,7 +370,7 @@ impl Layer for DepthwiseConv2d {
         self.apply(input)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor {
         let input = self
             .cache_input
             .as_ref()
@@ -379,7 +382,7 @@ impl Layer for DepthwiseConv2d {
             let x = Self::channel_slice(input, c);
             let wt = self.kernel_slice(c);
             let d_c = Self::channel_slice(d_out, c);
-            let g = ops::conv2d_backward(&x, &wt, &d_c, self.params);
+            let g = ops::conv2d_backward(&x, &wt, &d_c, self.params, scratch);
             for (i, v) in g.d_weight.data().iter().enumerate() {
                 self.grad_weight.data_mut()[c * k * k + i] += v;
             }
@@ -496,7 +499,7 @@ mod tests {
         let x = init::uniform(&[1, 5, 5], -1.0, 1.0, &mut rng);
         let y = l.forward_train(&x);
         let d = Tensor::full(y.shape(), 1.0);
-        let d_in = l.backward(&d);
+        let d_in = l.backward(&d, &mut Default::default());
         assert_eq!(d_in.shape(), x.shape());
         let mut nonzero = false;
         l.visit_params(&mut |p| {
@@ -537,7 +540,7 @@ mod tests {
         let mut l = DepthwiseConv2d::new("dw", 3, 3, 1, 1, &mut rng);
         let x = init::uniform(&[3, 6, 6], -1.0, 1.0, &mut rng);
         let y = l.forward_train(&x);
-        let d_in = l.backward(&Tensor::full(y.shape(), 0.5));
+        let d_in = l.backward(&Tensor::full(y.shape(), 0.5), &mut Default::default());
         assert_eq!(d_in.shape(), &[3, 6, 6]);
     }
 

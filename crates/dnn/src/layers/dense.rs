@@ -6,7 +6,8 @@
 
 use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};
-use eden_tensor::{init, ops, QuantTensor, Tensor};
+use eden_tensor::ops::{self, ConvScratch};
+use eden_tensor::{init, QuantTensor, Tensor};
 use rand::rngs::StdRng;
 
 /// A fully-connected layer computing `y = W x + b`.
@@ -73,7 +74,7 @@ impl Layer for Dense {
         self.apply(input)
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, _: &mut ConvScratch) -> Tensor {
         let input = self
             .cache_input
             .as_ref()
@@ -259,7 +260,7 @@ mod tests {
         let x = Tensor::from_vec(vec![0.4, -0.7, 1.2], &[3]);
         let _ = l.forward_train(&x);
         let d_out = Tensor::from_vec(vec![1.0, -2.0], &[2]);
-        let d_in = l.backward(&d_out);
+        let d_in = l.backward(&d_out, &mut Default::default());
 
         // Numerical check of input gradient for loss = sum(d_out .* y).
         let eps = 1e-3;
@@ -282,9 +283,9 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 1.0], &[2]);
         let g = Tensor::from_vec(vec![1.0, 1.0], &[2]);
         l.forward_train(&x);
-        l.backward(&g);
+        l.backward(&g, &mut Default::default());
         l.forward_train(&x);
-        l.backward(&g);
+        l.backward(&g, &mut Default::default());
         let mut sum = 0.0;
         l.visit_params(&mut |p| {
             if p.name == "bias" {

@@ -1,6 +1,7 @@
 //! Per-channel normalization.
 
 use crate::layer::{lane_as, Layer, ParamEntry};
+use eden_tensor::ops::ConvScratch;
 use eden_tensor::Tensor;
 
 /// Per-channel normalization with learnable scale and shift.
@@ -157,7 +158,7 @@ impl Layer for ChannelNorm {
         out
     }
 
-    fn backward(&mut self, d_out: &Tensor) -> Tensor {
+    fn backward(&mut self, d_out: &Tensor, _: &mut ConvScratch) -> Tensor {
         let mut cache = self.cache.take().expect("backward before forward_train");
         let spatial = cache.spatial;
         self.accumulate_grads(&cache.normalized, d_out, spatial);
@@ -258,7 +259,7 @@ mod tests {
         let mut rng = seeded_rng(2);
         let x = uniform(&[3, 4, 4], -1.0, 1.0, &mut rng);
         let y = l.forward_train(&x);
-        let d = l.backward(&Tensor::full(y.shape(), 1.0));
+        let d = l.backward(&Tensor::full(y.shape(), 1.0), &mut Default::default());
         assert_eq!(d.shape(), x.shape());
         assert!(d.data().iter().all(|v| v.is_finite()));
         l.visit_params(&mut |p| assert!(p.grad.data().iter().all(|v| v.is_finite())));

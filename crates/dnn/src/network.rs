@@ -23,6 +23,7 @@
 
 use crate::hooks::{DataKind, DataSite, FaultHook};
 use crate::layer::{Layer, ParamEntry};
+use eden_tensor::ops::ConvScratch;
 use eden_tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +73,9 @@ pub struct Network {
     name: String,
     input_shape: Vec<usize>,
     layers: Vec<Box<dyn Layer>>,
+    /// The backward pass's working buffers, handed to every layer in turn.
+    /// A clone starts with an empty one, so a training lane copies none.
+    scratch: ConvScratch,
 }
 
 impl Network {
@@ -81,6 +85,7 @@ impl Network {
             name: name.into(),
             input_shape: input_shape.to_vec(),
             layers: Vec::new(),
+            scratch: ConvScratch::default(),
         }
     }
 
@@ -140,9 +145,9 @@ impl Network {
         let Some(last) = layers.next() else {
             return d_out.clone();
         };
-        let mut d = last.backward(d_out);
+        let mut d = last.backward(d_out, &mut self.scratch);
         for layer in layers {
-            d = layer.backward(&d);
+            d = layer.backward(&d, &mut self.scratch);
         }
         d
     }

@@ -24,11 +24,14 @@ use crate::tensor::Tensor;
 /// `out (m×n) += a (m×k) · b (k×n)`, all row-major.
 ///
 /// This is the shared kernel behind [`matmul`], [`conv2d`] (via
-/// [`im2col`]) and the dense layers. It runs the dispatched `gemm_f32`
-/// kernel ([`crate::simd::Kernels`]): a register tile of 4 output rows × 2
-/// vectors walks the whole of `k` in ascending order with a separate
-/// multiply and add, reading each rhs column strip from a packed panel, and
-/// the last `n mod W` columns run as scalar chains, four rows at a time.
+/// [`im2col`]), [`conv2d_backward`] and the dense layers. It runs the
+/// dispatched `gemm_f32` kernel ([`crate::simd::Kernels`]): a register tile
+/// of 4 output rows × 2 vectors walks the whole of `k` in ascending order
+/// with a separate multiply and add, reading each rhs column strip from a
+/// packed panel. The last `n mod W` columns run as one more vector strip,
+/// zero-padded in the panel and written back through a stack tile; only a
+/// rhs narrower than one vector (`n < W`, such as a matrix–vector product)
+/// runs as scalar chains, four rows at a time.
 /// Either way every output element accumulates its `k` contributions in
 /// ascending-`p` order, so results are independent of the tiling and
 /// bit-identical to a naive triple loop — with one caveat: terms whose
@@ -123,11 +126,16 @@ impl PanelLane for i16 {
     }
 }
 
+/// Columns per `gemm2` call of an odd last row in [`gemm_packed_rows`]: the
+/// length of its stack twin row.
+const ODD_ROW_BLOCK: usize = 64;
+
 /// The shared driver of the packed panel GEMMs: `out (m×n) += a (m×k) ·
 /// bt (n×k)ᵀ`, one `gemm2` call per row pair over every column; an odd last
-/// row runs as a pair with itself, its twin sums going to a spare row.
+/// row runs as a pair with itself, [`ODD_ROW_BLOCK`] columns at a time, its
+/// twin sums going to a spare row on the stack.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed_rows<T, A: Clone + Default>(
+fn gemm_packed_rows<T, A: Copy + Default>(
     name: &str,
     m: usize,
     k: usize,
@@ -157,8 +165,13 @@ fn gemm_packed_rows<T, A: Clone + Default>(
         i += 2;
     }
     if i < m {
-        let (arow, spare) = (&a[i * k..(i + 1) * k], &mut vec![A::default(); n]);
-        gemm2(arow, arow, bt, k, &mut out[i * n..(i + 1) * n], spare);
+        let arow = &a[i * k..(i + 1) * k];
+        let mut spare = [A::default(); ODD_ROW_BLOCK];
+        let blocks = out[i * n..(i + 1) * n].chunks_mut(ODD_ROW_BLOCK);
+        // `k = 0` adds nothing: no rhs block, no call.
+        for (o, b) in blocks.zip(bt[..n * k].chunks(ODD_ROW_BLOCK * k.max(1))) {
+            gemm2(arow, arow, b, k, o, &mut spare[..o.len()]);
+        }
     }
 }
 
@@ -234,23 +247,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     gemm(m, k, n, a.data(), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
-}
-
-/// Transposes an `m×n` row-major slice into `out` (`n×m`).
-fn transpose_into(m: usize, n: usize, src: &[f32], out: &mut [f32]) {
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = src[i * n + j];
-        }
-    }
-}
-
-/// Transposes a rank-2 tensor.
-pub fn transpose(a: &Tensor) -> Tensor {
-    let (m, n) = (a.shape()[0], a.shape()[1]);
-    let mut out = vec![0.0f32; m * n];
-    transpose_into(m, n, a.data(), &mut out);
-    Tensor::from_vec(out, &[n, m])
 }
 
 /// Parameters of a 2-D convolution.
@@ -341,17 +337,6 @@ pub fn im2col_t_stored_strided<T: PanelLane>(
         stored.len() >= in_c * h * w,
         "im2col_t_stored_strided: input too short"
     );
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let k = p.kernel;
-    let (kc, ck) = (k * in_c, in_c * k * k);
-    assert!(
-        row_stride >= ck,
-        "im2col_t_stored_strided: row stride below patch length"
-    );
-    assert!(
-        cols.len() >= oh * ow * row_stride,
-        "im2col_t_stored_strided: output slice too short"
-    );
     vals.clear();
     vals.resize(in_c * h * w, T::default());
     for (ic, plane) in stored[..in_c * h * w].chunks_exact(h * w).enumerate() {
@@ -359,6 +344,37 @@ pub fn im2col_t_stored_strided<T: PanelLane>(
             *dst = T::from_stored(s, bits);
         }
     }
+    gather_patch_rows(vals, in_c, h, w, p, row_stride, cols);
+}
+
+/// The patch-major gather shared by [`im2col_t_stored_strided`] and
+/// [`conv2d_backward`]: from a channel-interleaved (HWC) `[h, w, in_c]`
+/// image `vals`, writes row `oy·ow + ox` of the `[oh·ow, in_c·k·k]` patch
+/// matrix in the `(ky, kx, ic)` lane order of [`conv_patch_lane`], each row
+/// at `row_stride` ≥ `in_c·k·k`. Every in-bounds kernel row of a patch is one
+/// contiguous copy of `k·in_c` lanes; padding taps and the pad lanes
+/// `[in_c·k·k, row_stride)` are zeroed, so `cols` needs no pre-zeroing.
+fn gather_patch_rows<T: Copy + Default>(
+    vals: &[T],
+    in_c: usize,
+    h: usize,
+    w: usize,
+    p: Conv2dParams,
+    row_stride: usize,
+    cols: &mut [T],
+) {
+    let (oh, ow) = (p.out_size(h), p.out_size(w));
+    let k = p.kernel;
+    let kc = k * in_c;
+    assert!(vals.len() >= in_c * h * w, "patch gather: image too short");
+    assert!(
+        row_stride >= kc * k,
+        "patch gather: row stride below patch length"
+    );
+    assert!(
+        cols.len() >= oh * ow * row_stride,
+        "patch gather: output slice too short"
+    );
     // Output columns whose kx span covers the whole kernel row
     // (ix = ox·stride + kx − padding ∈ [0, w) for every kx): everything
     // left of `ox_full_lo` clips at the left image edge, everything at
@@ -399,13 +415,16 @@ pub fn im2col_t_stored_strided<T: PanelLane>(
                 partial(vals, band, ox, iy, ox * row_stride + tap);
             }
             // Full-span columns: one k·in_c-lane copy each, with all index
-            // math hoisted out of the loop.
-            let mut d = ox_full_lo * row_stride + tap;
-            let mut src = (iy * w + ox_full_lo * p.stride).wrapping_sub(p.padding) * in_c;
-            for _ in ox_full_lo..ox_full_hi {
-                band[d..d + kc].copy_from_slice(&vals[src..src + kc]);
-                d += row_stride;
-                src += p.stride * in_c;
+            // math hoisted out of the loop. A full-span column has
+            // `ox·stride ≥ padding`, so its first index does not underflow.
+            if ox_full_lo < ox_full_hi {
+                let mut d = ox_full_lo * row_stride + tap;
+                let mut src = (iy * w + ox_full_lo * p.stride - p.padding) * in_c;
+                for _ in ox_full_lo..ox_full_hi {
+                    band[d..d + kc].copy_from_slice(&vals[src..src + kc]);
+                    d += row_stride;
+                    src += p.stride * in_c;
+                }
             }
             for ox in ox_full_hi..ow {
                 partial(vals, band, ox, iy, ox * row_stride + tap);
@@ -467,6 +486,19 @@ pub fn pack_stored_rows<T: PanelLane>(
     }
 }
 
+/// The output columns `[ox_lo, ox_hi)` whose kernel column `kx` lands
+/// inside an image row of width `w`: `ix = ox·stride + kx − padding ∈ [0,
+/// w)`, with `ox_lo·stride + kx ≥ padding` whenever the range is non-empty.
+fn tap_columns(p: Conv2dParams, w: usize, ow: usize, kx: usize) -> (usize, usize) {
+    let ox_lo = p.padding.saturating_sub(kx).div_ceil(p.stride).min(ow);
+    let ox_hi = if w + p.padding > kx {
+        ((w + p.padding - kx - 1) / p.stride + 1).clamp(ox_lo, ow)
+    } else {
+        ox_lo
+    };
+    (ox_lo, ox_hi)
+}
+
 /// Strided f32 im2col for batched convolution: writes one sample's
 /// `[in_c·k·k, oh·ow]` patch matrix (the layout of [`im2col`]) into columns
 /// `[col_offset, col_offset + oh·ow)` of a `[in_c·k·k, row_stride]` batch
@@ -509,14 +541,7 @@ pub fn im2col_strided(
     for (row, dst) in cols.chunks_exact_mut(row_stride).take(ck).enumerate() {
         let (ic, ky, kx) = (row / (k * k), row / k % k, row % k);
         let plane = &input[ic * h * w..(ic + 1) * h * w];
-        // Output columns whose tap lands inside the image: ix = ox·s + kx −
-        // padding ∈ [0, w) for ox ∈ [ox_lo, ox_hi).
-        let ox_lo = p.padding.saturating_sub(kx).div_ceil(s).min(ow);
-        let ox_hi = if w + p.padding > kx {
-            ((w + p.padding - kx - 1) / s + 1).clamp(ox_lo, ow)
-        } else {
-            ox_lo
-        };
+        let (ox_lo, ox_hi) = tap_columns(p, w, ow, kx);
         let span = ox_hi - ox_lo;
         for (oy, drow) in dst[col_offset..col_offset + oh * ow]
             .chunks_exact_mut(ow)
@@ -542,37 +567,46 @@ pub fn im2col_strided(
     }
 }
 
-/// Folds an im2col-shaped gradient `[in_c·k·k, oh·ow]` back onto the input
-/// grid `[in_c, h, w]`, accumulating where receptive fields overlap
-/// (the adjoint of [`im2col`]).
-pub fn col2im(cols: &Tensor, in_c: usize, h: usize, w: usize, p: Conv2dParams) -> Tensor {
+/// Folds an im2col-shaped gradient `[in_c·k·k, oh·ow]` (the layout of
+/// [`im2col`]) back onto the input grid `[in_c, h, w]`, adding where
+/// receptive fields overlap — the adjoint of [`im2col`]. The adds run in
+/// `(ic, ky, kx, oy, ox)` order; for one `(tap, oy)` the in-bounds output
+/// columns land on distinct pixels of one input row, so each is one
+/// contiguous (stride 1) or strided row-slice add, and every pixel still
+/// receives its terms in that order.
+fn col2im_add(d_cols: &[f32], in_c: usize, h: usize, w: usize, p: Conv2dParams, out: &mut [f32]) {
     let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let k = p.kernel;
-    let cd = cols.data();
-    assert_eq!(cols.shape(), &[in_c * k * k, oh * ow], "col2im shape");
-    let mut out = vec![0.0f32; in_c * h * w];
-    for ic in 0..in_c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ic * k + ky) * k + kx;
-                let src = &cd[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out[ic * h * w + iy as usize * w + ix as usize] += src[oy * ow + ox];
-                    }
+    let (k, s) = (p.kernel, p.stride);
+    let ohw = oh * ow;
+    assert!(
+        d_cols.len() >= in_c * k * k * ohw && out.len() >= in_c * h * w,
+        "col2im: slice too short"
+    );
+    for (tap, src) in d_cols.chunks_exact(ohw).take(in_c * k * k).enumerate() {
+        let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+        let plane = &mut out[ic * h * w..(ic + 1) * h * w];
+        let (ox_lo, ox_hi) = tap_columns(p, w, ow, kx);
+        if ox_lo == ox_hi {
+            continue;
+        }
+        for (oy, row) in src.chunks_exact(ow).enumerate() {
+            let iy = (oy * s + ky).wrapping_sub(p.padding);
+            if iy >= h {
+                continue;
+            }
+            let x0 = iy * w + ox_lo * s + kx - p.padding;
+            let run = &row[ox_lo..ox_hi];
+            if s == 1 {
+                for (d, &g) in plane[x0..x0 + run.len()].iter_mut().zip(run) {
+                    *d += g;
+                }
+            } else {
+                for (d, &g) in plane[x0..].iter_mut().step_by(s).zip(run) {
+                    *d += g;
                 }
             }
         }
     }
-    Tensor::from_vec(out, &[in_c, h, w])
 }
 
 /// 2-D convolution forward pass for a single sample, computed as
@@ -627,18 +661,52 @@ pub struct Conv2dGrads {
     pub d_bias: Tensor,
 }
 
+/// The reusable working buffer of [`conv2d_backward`], split per call into
+/// the channel-interleaved input, its patch-major rows, the transposed
+/// weights, the lane-ordered weight gradient and the patch-shaped input
+/// gradient. It grows to its high-water size and is reused from then on;
+/// no call reads a value an earlier call left behind, so which scratch a
+/// call gets never changes a result. One scratch serves every convolution
+/// of a backward pass.
+///
+/// Cloning yields an empty scratch, so replicating its owner (a training
+/// lane) copies no buffer.
+#[derive(Debug, Default)]
+pub struct ConvScratch {
+    buf: Vec<f32>,
+}
+
+impl Clone for ConvScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// 2-D convolution backward pass for a single sample, expressed as two GEMMs
-/// over the same [`im2col`] patch matrix the forward pass uses:
+/// over the input's patch matrix:
 ///
-/// * `d_weight = d_out (out_c × oh·ow) · colsᵀ`
-/// * `d_input = col2im(weightᵀ · d_out)`
+/// * `d_weight = d_out (out_c × oh·ow) · patches (oh·ow × in_c·k²)`, with
+///   the patch-major rows gathered straight from the input in the `(ky, kx,
+///   ic)` lane order of [`conv_patch_lane`] (whole kernel rows per copy),
+///   and the result's columns permuted back to `[out_c, in_c, k, k]`;
+/// * `d_input = col2im(weightᵀ · d_out)`, the fold a row-slice add per
+///   `(tap, oy)`.
 ///
-/// `d_out` has shape `[out_c, oh, ow]` and matches the forward output.
+/// `d_out` has shape `[out_c, oh, ow]` and matches the forward output. The
+/// accumulation orders are fixed: `d_bias` is a sequential sum; each
+/// `d_weight` entry starts at `+0.0` and adds its terms in ascending output
+/// position, skipping exact-zero `d_out` entries (the [`gemm`] lhs rule);
+/// each `weightᵀ · d_out` entry adds in ascending `oc`, skipping exact-zero
+/// weights; and `d_input` adds in `(ic, ky, kx, oy, ox)` order. Permuting
+/// the gathered lanes only moves whole output columns of a GEMM, so no
+/// chain changes. Working buffers come from `scratch`; only the three
+/// returned gradients are allocated.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     d_out: &Tensor,
     p: Conv2dParams,
+    scratch: &mut ConvScratch,
 ) -> Conv2dGrads {
     let (in_c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let (out_c, _, k) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
@@ -652,28 +720,53 @@ pub fn conv2d_backward(
     let ohw = oh * ow;
     let dd = d_out.data();
 
-    let cols = im2col(input, p);
-
     // d_bias: total gradient per output channel.
     let d_b: Vec<f32> = (0..out_c)
         .map(|oc| dd[oc * ohw..(oc + 1) * ohw].iter().sum())
         .collect();
 
-    // d_weight = d_out · colsᵀ.
-    let mut cols_t = vec![0.0f32; ohw * ck];
-    transpose_into(ck, ohw, cols.data(), &mut cols_t);
+    // The HWC image, the patch rows and `weightᵀ` are written whole before
+    // they are read; the two GEMM outputs start at `+0.0`.
+    let buf = &mut scratch.buf;
+    buf.resize(in_c * h * w + 2 * ohw * ck + 2 * ck * out_c, 0.0);
+    let (vals, rest) = buf.split_at_mut(in_c * h * w);
+    let (patches, rest) = rest.split_at_mut(ohw * ck);
+    let (w_t, rest) = rest.split_at_mut(ck * out_c);
+    let (d_lanes, d_cols) = rest.split_at_mut(out_c * ck);
+    d_lanes.fill(0.0);
+    d_cols.fill(0.0);
+
+    // d_weight = d_out · patches, in lane order, then back to tap order.
+    for (ic, plane) in input.data()[..in_c * h * w].chunks_exact(h * w).enumerate() {
+        for (dst, &v) in vals[ic..].iter_mut().step_by(in_c).zip(plane) {
+            *dst = v;
+        }
+    }
+    gather_patch_rows(vals, in_c, h, w, p, ck, patches);
+    gemm(out_c, ohw, ck, dd, patches, d_lanes);
     let mut d_w = vec![0.0f32; out_c * ck];
-    gemm(out_c, ohw, ck, dd, &cols_t, &mut d_w);
+    for (dst, src) in d_w.chunks_exact_mut(ck).zip(d_lanes.chunks_exact(ck)) {
+        // Tap `ic·k² + t` sits in lane `t·in_c + ic` ([`conv_patch_lane`]).
+        for (ic, taps) in dst.chunks_exact_mut(k * k).enumerate() {
+            for (d, &v) in taps.iter_mut().zip(src[ic..].iter().step_by(in_c)) {
+                *d = v;
+            }
+        }
+    }
 
     // d_input = col2im(weightᵀ · d_out).
-    let mut w_t = vec![0.0f32; ck * out_c];
-    transpose_into(out_c, ck, weight.data(), &mut w_t);
-    let mut d_cols = vec![0.0f32; ck * ohw];
-    gemm(ck, out_c, ohw, &w_t, dd, &mut d_cols);
-    let d_in = col2im(&Tensor::from_vec(d_cols, &[ck, ohw]), in_c, h, w, p);
+    let wd = &weight.data()[..out_c * ck];
+    for (tap, row) in w_t.chunks_exact_mut(out_c).enumerate() {
+        for (oc, dst) in row.iter_mut().enumerate() {
+            *dst = wd[oc * ck + tap];
+        }
+    }
+    gemm(ck, out_c, ohw, w_t, dd, d_cols);
+    let mut d_in = vec![0.0f32; in_c * h * w];
+    col2im_add(d_cols, in_c, h, w, p, &mut d_in);
 
     Conv2dGrads {
-        d_input: d_in,
+        d_input: Tensor::from_vec(d_in, &[in_c, h, w]),
         d_weight: Tensor::from_vec(d_w, weight.shape()),
         d_bias: Tensor::from_vec(d_b, &[out_c]),
     }
@@ -799,13 +892,6 @@ mod tests {
         let c = matmul(&a, &b);
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        assert_eq!(transpose(&transpose(&a)), a);
-        assert_eq!(transpose(&a).shape(), &[3, 2]);
     }
 
     #[test]
@@ -1113,16 +1199,17 @@ mod tests {
 
     #[test]
     fn im2col_col2im_are_adjoint() {
-        // <im2col(x), y> == <x, col2im(y)> for all x, y — the defining
-        // property the backward pass relies on.
+        // <im2col(x), y> == <x, col2im_add(y)> for all x, y — the defining
+        // property the backward pass's scatter relies on.
         let p = Conv2dParams::new(3, 2, 1);
         let (c, h, w) = (2, 6, 5);
         let x = Tensor::from_vec(pseudo(c * h * w, 0.13), &[c, h, w]);
         let cols = im2col(&x, p);
         let y = Tensor::from_vec(pseudo(cols.len(), 0.37), cols.shape());
         let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let folded = col2im(&y, c, h, w, p);
-        let rhs: f32 = x.data().iter().zip(folded.data()).map(|(a, b)| a * b).sum();
+        let mut folded = vec![0.0f32; c * h * w];
+        col2im_add(y.data(), c, h, w, p, &mut folded);
+        let rhs: f32 = x.data().iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch: {lhs} vs {rhs}");
     }
 
@@ -1140,7 +1227,7 @@ mod tests {
         // Loss = sum of outputs.
         let out = conv2d(&input, &weight, &bias, p);
         let d_out = Tensor::full(out.shape(), 1.0);
-        let grads = conv2d_backward(&input, &weight, &d_out, p);
+        let grads = conv2d_backward(&input, &weight, &d_out, p, &mut ConvScratch::default());
 
         let eps = 1e-3;
         for wi in 0..weight.len() {

@@ -56,7 +56,13 @@
 //!   term whose lhs entry is exactly `0.0` is skipped per row by a masked
 //!   add (not added as `±0`, which would turn a `-0.0` seed into `+0.0`, and
 //!   not multiplied, which would turn `0·Inf` into NaN); an lhs with no
-//!   exact zero, as layer weights are, takes the unmasked tile.
+//!   exact zero, as layer weights are, takes the unmasked tile. The last
+//!   `n mod W` columns of a rhs at least one vector wide are one more
+//!   single-vector strip: packed zero-padded into the panel and run by the
+//!   same tile on a stack copy of the output rows, of which only the valid
+//!   columns are copied back. Each valid lane is still the scalar chain,
+//!   and a padding lane (where `NaN·0` may appear) never reaches the
+//!   output. Only a rhs narrower than one vector runs as scalar chains.
 //! * The quantizer is purely element-wise with no reduction: an IEEE
 //!   division, a clamp whose min/max operand order passes NaN through as
 //!   the scalar `f32::clamp` does, NaN lanes forced to `0` before a
@@ -469,30 +475,63 @@ unsafe fn gemm_f32_tile<V: F32Lanes, const R: usize, const NV: usize, const SKIP
     }
 }
 
-/// One `NV·W`-column strip of the output, `k` deep, for all `m` rows:
-/// [`GEMM_F32_MR`]-row tiles, then one tile of the remaining rows (`SKIP`
-/// as for [`gemm_f32_tile`]). When more than one tile shares the strip, its
-/// rhs is first packed (in [`GEMM_F32_KC`]-deep panels) into `panel`, so
-/// the tiles read it from L1 rather than at the rhs row stride; the panels
-/// run in ascending `p`, so the accumulation order is unchanged.
+/// One output tile of `rows ≤` [`GEMM_F32_MR`] rows, dispatched to the
+/// const-`R` [`gemm_f32_tile`].
+///
+/// # Safety
+///
+/// As for [`gemm_f32_tile`] at `R = rows`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
+unsafe fn gemm_f32_rows<V: F32Lanes, const NV: usize, const SKIP: bool>(
+    rows: usize,
+    k: usize,
+    strides: (usize, usize, usize),
+    a: *const f32,
+    b: *const f32,
+    out: *mut f32,
+) {
+    match rows {
+        GEMM_F32_MR => gemm_f32_tile::<V, GEMM_F32_MR, NV, SKIP>(k, strides, a, b, out),
+        3 => gemm_f32_tile::<V, 3, NV, SKIP>(k, strides, a, b, out),
+        2 => gemm_f32_tile::<V, 2, NV, SKIP>(k, strides, a, b, out),
+        1 => gemm_f32_tile::<V, 1, NV, SKIP>(k, strides, a, b, out),
+        _ => {}
+    }
+}
+
+/// One strip of output columns `[j, j + width)`, `k` deep, for all `m`
+/// rows: [`GEMM_F32_MR`]-row tiles, then one tile of the remaining rows
+/// (`SKIP` as for [`gemm_f32_tile`]). A full strip is `NV·W` columns wide;
+/// when more than one tile shares it, its rhs is first packed (in
+/// [`GEMM_F32_KC`]-deep panels) into `panel`, so the tiles read it from L1
+/// rather than at the rhs row stride. A narrower strip — the last `n mod W`
+/// columns, at `NV = 1` — is always packed, zero-padded to a whole vector,
+/// and each tile runs on a stack copy of its output rows, of which only the
+/// `width` valid columns are copied back. The panels run in ascending `p`,
+/// so the accumulation order is unchanged, and a padding lane never reaches
+/// a valid output.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
     (m, k, n): (usize, usize, usize),
     j: usize,
+    width: usize,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
     panel: &mut std::mem::MaybeUninit<[f32; GEMM_F32_KC * GEMM_F32_MAX_STRIP]>,
 ) {
     const MR: usize = GEMM_F32_MR;
-    let width = NV * V::W;
+    let full = NV * V::W;
     check_gemm_f32(m, k, n, a, b, out);
     assert!(
-        width <= GEMM_F32_MAX_STRIP && j + width <= n,
+        full <= GEMM_F32_MAX_STRIP && width <= full && j + width <= n,
         "gemm: strip outside the output"
     );
-    let pack = m > MR;
+    let tail = width < full;
+    let pack = tail || m > MR;
     let op = out.as_mut_ptr();
     for kb in (0..k).step_by(GEMM_F32_KC) {
         let kc = (k - kb).min(GEMM_F32_KC);
@@ -500,54 +539,70 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
             let dst = panel.as_mut_ptr() as *mut f32;
             for p in 0..kc {
                 let src = &b[(kb + p) * n + j..][..width];
-                // SAFETY: row `p < kc ≤ GEMM_F32_KC` of `width ≤
-                // GEMM_F32_MAX_STRIP` lanes lies inside the panel; the tiles
-                // below read only these `kc` written rows.
-                unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(p * width), width) };
+                // SAFETY: row `p < kc ≤ GEMM_F32_KC` of `full ≤
+                // GEMM_F32_MAX_STRIP` lanes lies inside the panel; its
+                // `width` valid lanes are copied and the rest zeroed, and the
+                // tiles below read only these `kc` written rows.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(p * full), width);
+                    std::ptr::write_bytes(dst.add(p * full + width), 0, full - width);
+                }
             }
-            (dst as *const f32, width)
+            (dst as *const f32, full)
         } else {
             (b[kb * n + j..].as_ptr(), n)
         };
         let ap = a[kb..].as_ptr();
-        let strides = (k, ldb, n);
-        // SAFETY: checked above: `a` holds `m×k`, `b` `k×n` and `out` `m×n`
-        // values and `[j, j + width) ⊆ [0, n)`. Lhs rows start at `kb` and
-        // run `kc ≤ k − kb` entries; the rhs is either `kc` packed rows of
-        // `width` or `kc` rows of `b` at columns `[j, j + width)`, and so is
-        // every output row. The caller's tier has `V`'s features.
-        unsafe {
-            let mut i = 0;
-            while i + MR <= m {
-                gemm_f32_tile::<V, MR, NV, SKIP>(kc, strides, ap.add(i * k), bp, op.add(i * n + j));
-                i += MR;
+        let mut i = 0;
+        while i < m {
+            let rows = (m - i).min(MR);
+            // SAFETY: checked above: `a` holds `m×k`, `b` `k×n` and `out` `m×n`
+            // values and `[j, j + width) ⊆ [0, n)`. Lhs rows `[i, i + rows)`
+            // start at `kb` and run `kc ≤ k − kb` entries; the rhs is either
+            // `kc` packed rows of `full` lanes or `kc` rows of `b` at columns
+            // `[j, j + full)` with `full = width`. A full strip's tile writes
+            // output rows `[i, i + rows)` at those columns; a tail tile works
+            // on the `rows × full` stack tile (`rows ≤ GEMM_F32_MR`, `full ≤
+            // GEMM_F32_MAX_STRIP`), whose `width` valid columns are copied
+            // from and back to those output rows. The caller's tier has
+            // `V`'s features.
+            unsafe {
+                let a_rows = ap.add(i * k);
+                if tail {
+                    let mut tile = [0.0f32; GEMM_F32_MR * GEMM_F32_MAX_STRIP];
+                    let t = tile.as_mut_ptr();
+                    for r in 0..rows {
+                        std::ptr::copy_nonoverlapping(
+                            op.add((i + r) * n + j),
+                            t.add(r * full),
+                            width,
+                        );
+                    }
+                    gemm_f32_rows::<V, NV, SKIP>(rows, kc, (k, ldb, full), a_rows, bp, t);
+                    for r in 0..rows {
+                        std::ptr::copy_nonoverlapping(
+                            t.add(r * full),
+                            op.add((i + r) * n + j),
+                            width,
+                        );
+                    }
+                } else {
+                    let o = op.add(i * n + j);
+                    gemm_f32_rows::<V, NV, SKIP>(rows, kc, (k, ldb, n), a_rows, bp, o);
+                }
             }
-            let (ap, op) = (ap.add(i * k), op.add(i * n + j));
-            match m - i {
-                3 => gemm_f32_tile::<V, 3, NV, SKIP>(kc, strides, ap, bp, op),
-                2 => gemm_f32_tile::<V, 2, NV, SKIP>(kc, strides, ap, bp, op),
-                1 => gemm_f32_tile::<V, 1, NV, SKIP>(kc, strides, ap, bp, op),
-                _ => {}
-            }
+            i += rows;
         }
     }
 }
 
-/// Output columns `[j0, n)` (fewer than one vector) of the f32 GEMM, by
-/// scalar loops that run four rows' independent accumulation chains at
-/// once, each in ascending `p` with the exact-zero lhs skip — the n = 1
-/// matrix–vector product of a per-sample dense layer is this loop alone.
+/// The f32 GEMM of a rhs narrower than one vector (`n < W`), by scalar
+/// loops that run four rows' independent accumulation chains at once, each
+/// in ascending `p` with the exact-zero lhs skip — the n = 1 matrix–vector
+/// product of a per-sample dense layer is this loop alone.
 #[cfg(target_arch = "x86_64")]
-fn gemm_f32_columns(
-    m: usize,
-    k: usize,
-    n: usize,
-    j0: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    for j in j0..n {
+fn gemm_f32_columns(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for j in 0..n {
         let mut i = 0;
         while i + 4 <= m {
             let rows = [
@@ -587,11 +642,13 @@ fn gemm_f32_columns(
 
 /// The SIMD tiers' [`GemmF32Fn`]: column strips of [`GEMM_F32_NV`] vectors
 /// (the outer loop, so a strip of `b` is packed once and reused by every
-/// row tile), one single-vector strip for a last whole vector, and the last
-/// `n mod W` columns by [`gemm_f32_columns`]. The tiles mask their adds only
-/// when the lhs holds an exact zero (one scan per call); a zero-free lhs,
-/// such as a layer's weights, skips nothing. Each output element sees the
-/// scalar table's accumulation chain exactly.
+/// row tile), one single-vector strip for a last whole vector, and one
+/// zero-padded single-vector strip for the last `n mod W` columns. Only a
+/// rhs narrower than one vector runs as scalar chains
+/// ([`gemm_f32_columns`]). The tiles mask their adds only when the lhs
+/// holds an exact zero (one scan per call); a zero-free lhs, such as a
+/// layer's weights, skips nothing. Each output element sees the scalar
+/// table's accumulation chain exactly.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn gemm_f32_tiled<V: F32Lanes>(
@@ -603,32 +660,36 @@ fn gemm_f32_tiled<V: F32Lanes>(
     out: &mut [f32],
 ) {
     check_gemm_f32(m, k, n, a, b, out);
+    if n < V::W {
+        gemm_f32_columns(m, k, n, a, b, out);
+        return;
+    }
     let strip = GEMM_F32_NV * V::W;
     let wide = n - n % strip;
     let vectors = n - n % V::W;
-    if vectors > 0 {
-        // Chunked so the compare vectorizes and still stops early.
-        let skip = a[..m * k]
-            .chunks(64)
-            .any(|c| c.iter().fold(false, |z, &x| z | (x == 0.0)));
-        let panel = &mut std::mem::MaybeUninit::uninit();
-        for j in (0..wide).step_by(strip) {
-            if skip {
-                gemm_f32_strip::<V, GEMM_F32_NV, true>((m, k, n), j, a, b, out, panel);
-            } else {
-                gemm_f32_strip::<V, GEMM_F32_NV, false>((m, k, n), j, a, b, out, panel);
-            }
-        }
-        // At most GEMM_F32_NV − 1 = 1 whole vector is left.
-        if vectors > wide {
-            if skip {
-                gemm_f32_strip::<V, 1, true>((m, k, n), wide, a, b, out, panel);
-            } else {
-                gemm_f32_strip::<V, 1, false>((m, k, n), wide, a, b, out, panel);
-            }
+    // Chunked so the compare vectorizes and still stops early.
+    let skip = a[..m * k]
+        .chunks(64)
+        .any(|c| c.iter().fold(false, |z, &x| z | (x == 0.0)));
+    let panel = &mut std::mem::MaybeUninit::uninit();
+    for j in (0..wide).step_by(strip) {
+        if skip {
+            gemm_f32_strip::<V, GEMM_F32_NV, true>((m, k, n), j, strip, a, b, out, panel);
+        } else {
+            gemm_f32_strip::<V, GEMM_F32_NV, false>((m, k, n), j, strip, a, b, out, panel);
         }
     }
-    gemm_f32_columns(m, k, n, vectors, a, b, out);
+    // At most GEMM_F32_NV − 1 = 1 whole vector is left, then the tail.
+    for (j, width) in [(wide, vectors - wide), (vectors, n - vectors)] {
+        if width == 0 {
+            continue;
+        }
+        if skip {
+            gemm_f32_strip::<V, 1, true>((m, k, n), j, width, a, b, out, panel);
+        } else {
+            gemm_f32_strip::<V, 1, false>((m, k, n), j, width, a, b, out, panel);
+        }
+    }
 }
 
 /// `out[j] += a · b[j]` over one tier's f32 vectors (the SIMD tiers'

@@ -413,6 +413,64 @@ fn bits_modulo_nan(xs: &[f32]) -> Vec<u32> {
         .collect()
 }
 
+/// The tiled f32 GEMM at every supported level against the naive loop
+/// with the zero-skip rule, on operands hashed from `seed`: on odd seeds
+/// exact `±0.0` lhs entries face `±Inf`/NaN rhs entries and `-0.0` output
+/// seeds (even seeds keep the lhs zero-free, the tiles' unmasked form). A
+/// tile that adds `0·b` instead of skipping it turns those into NaN or
+/// `+0.0`.
+fn check_gemm_f32_at_every_isa(m: usize, k: usize, n: usize, seed: u32) {
+    let hash = |i: usize, salt: u32| {
+        (i as u32 ^ seed.wrapping_mul(0x9e37_79b9))
+            .wrapping_mul(0x85eb_ca6b)
+            .wrapping_add(salt)
+            .rotate_left(13)
+            .wrapping_mul(0xc2b2_ae35)
+    };
+    let zeros: &[f32] = if seed % 2 == 1 { &[0.0, -0.0] } else { &[] };
+    let a: Vec<f32> = (0..m * k)
+        .map(|i| f32_operand(hash(i, 1), 5, zeros))
+        .collect();
+    let b: Vec<f32> = (0..k * n)
+        .map(|i| {
+            f32_operand(
+                hash(i, 2),
+                23,
+                &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN],
+            )
+        })
+        .collect();
+    let seed_out: Vec<f32> = (0..m * n)
+        .map(|i| f32_operand(hash(i, 3), 3, &[-0.0]))
+        .collect();
+    let mut naive = seed_out.clone();
+    for i in 0..m {
+        for p in 0..k {
+            let av = a[i * k + p];
+            if av == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                naive[i * n + j] += av * b[p * n + j];
+            }
+        }
+    }
+    let want = bits_modulo_nan(&naive);
+    for t in supported_tables() {
+        let mut got = seed_out.clone();
+        ops::gemm_with(&t, m, k, n, &a, &b, &mut got);
+        prop_assert_eq!(
+            bits_modulo_nan(&got),
+            want.clone(),
+            "{} gemm_f32 ({},{},{})",
+            t.isa,
+            m,
+            k,
+            n
+        );
+    }
+}
+
 proptest! {
     /// The layer-boundary quantizer bit for bit at every supported level:
     /// random bit patterns after the corner list, each at several scales
@@ -464,13 +522,8 @@ proptest! {
         }
     }
 
-    /// The tiled f32 GEMM at every supported level against the naive loop
-    /// with the zero-skip rule: `m` around the 4-row tile, `n` below, at and
-    /// past every tier's tile width (1..80 columns), and on odd seeds exact
-    /// `±0.0` lhs entries facing `±Inf`/NaN rhs entries and `-0.0` output
-    /// seeds (even seeds keep the lhs zero-free, the tiles' unmasked form).
-    /// A tile that adds `0·b` instead of skipping it turns those into NaN or
-    /// `+0.0`.
+    /// [`check_gemm_f32_at_every_isa`] with `m` around the 4-row tile and
+    /// `n` below, at and past every tier's tile width (1..80 columns).
     #[test]
     fn f32_gemm_tile_matches_scalar_at_every_isa(
         m in 1usize..11,
@@ -478,39 +531,29 @@ proptest! {
         n in 1usize..80,
         seed in 0u32..1000,
     ) {
-        let hash = |i: usize, salt: u32| {
-            (i as u32 ^ seed.wrapping_mul(0x9e37_79b9))
-                .wrapping_mul(0x85eb_ca6b)
-                .wrapping_add(salt)
-                .rotate_left(13)
-                .wrapping_mul(0xc2b2_ae35)
-        };
-        let zeros: &[f32] = if seed % 2 == 1 { &[0.0, -0.0] } else { &[] };
-        let a: Vec<f32> = (0..m * k).map(|i| f32_operand(hash(i, 1), 5, zeros)).collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| f32_operand(hash(i, 2), 23, &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]))
-            .collect();
-        let seed_out: Vec<f32> = (0..m * n).map(|i| f32_operand(hash(i, 3), 3, &[-0.0])).collect();
-        let mut naive = seed_out.clone();
-        for i in 0..m {
-            for p in 0..k {
-                let av = a[i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    naive[i * n + j] += av * b[p * n + j];
-                }
+        check_gemm_f32_at_every_isa(m, k, n, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same check past the 256-deep rhs panel and over every column
+    /// residue mod 16: `m` above the 4-row tile (so every strip is packed),
+    /// depths `k₀` and `256 + k₀` (up to 300), and every `n` in `1..=32`
+    /// plus the conv backward's dW widths 108 and 216, so the zero-padded
+    /// tail strip meets every tier's vector width on both sides of a panel
+    /// boundary.
+    #[test]
+    fn f32_gemm_tail_strip_matches_scalar_past_the_panel_depth(
+        m in 5usize..12,
+        k0 in 1usize..45,
+        seed in 0u32..1000,
+    ) {
+        for k in [k0, 256 + k0] {
+            for n in (1..=32).chain([108, 216]) {
+                check_gemm_f32_at_every_isa(m, k, n, seed);
             }
-        }
-        let want = bits_modulo_nan(&naive);
-        for t in supported_tables() {
-            let mut got = seed_out.clone();
-            ops::gemm_with(&t, m, k, n, &a, &b, &mut got);
-            prop_assert_eq!(
-                bits_modulo_nan(&got), want.clone(),
-                "{} gemm_f32 ({},{},{})", t.isa, m, k, n
-            );
         }
     }
 }
