@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eden_dram::error_model::{ErrorModel, Layout};
 use eden_tensor::{Precision, QuantTensor, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_injection(c: &mut Criterion) {
     let t = Tensor::from_vec(
@@ -26,10 +26,13 @@ fn bench_injection(c: &mut Criterion) {
     group.sample_size(20);
     for (name, model) in models {
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, m| {
+            // Each iteration is one full load: map the placement, then draw
+            // over it with a fresh stream seed.
             let mut rng = StdRng::seed_from_u64(3);
             b.iter(|| {
                 let mut q = stored.clone();
-                m.inject(&mut q, &Layout::default(), &mut rng)
+                let map = m.weak_map(q.len(), q.bits_per_value(), &Layout::default());
+                map.draw(q.stored_mut(), rng.gen(), m.flip_thresholds())
             });
         });
     }

@@ -32,7 +32,6 @@ use eden_dnn::optimizer::Sgd;
 use eden_dnn::train::{TrainConfig, Trainer};
 use eden_dnn::{data::SyntheticVision, zoo, DataKind, DataSite, Dataset, FaultHook, Network};
 use eden_dram::characterize::{CharacterizeConfig, DramErrorProfile};
-use eden_dram::error_model::Layout;
 use eden_dram::geometry::{DramGeometry, Partition};
 use eden_dram::inject::Injector;
 use eden_dram::system::{DramModule, MemorySystem};
@@ -616,7 +615,7 @@ fn bench_incremental(c: &mut Criterion) {
         .map(|info| info.site)
         .collect();
     for site in &ifm_sites {
-        let injector = Injector::from_model(template.with_ber(1e-3), Layout::default());
+        let injector = Injector::from_model(template.with_ber(1e-3));
         for (suffix, checkpoints) in [("", true), ("_full", false)] {
             let id = format!("probe_layer{}{suffix}", site.layer_index);
             group.bench_function(id, |b| {

@@ -290,7 +290,7 @@ impl ApproximateMemory {
     /// Memory in which every data type is backed by the same error model
     /// (coarse-grained operation).
     pub fn from_model(model: ErrorModel, seed: u64) -> Self {
-        Self::from_injector(Injector::from_model(model, Layout::default()), seed)
+        Self::from_injector(Injector::from_model(model), seed)
     }
 
     /// Memory backed by an arbitrary injector (e.g. the simulated device).
@@ -1006,7 +1006,7 @@ mod tests {
         let quiet_site = site(3, DataKind::Weight);
         mem.assign_site(
             quiet_site.clone(),
-            Injector::from_model(ErrorModel::uniform(0.0, 0.0, 7), Layout::default()),
+            Injector::from_model(ErrorModel::uniform(0.0, 0.0, 7)),
         );
         let clean = stored(2048);
         let mut protected = clean.clone();
@@ -1181,7 +1181,7 @@ mod tests {
     /// share weak rows).
     fn span(start: usize, values: usize, ber: f64, seed: u64) -> PlacedSpan {
         PlacedSpan {
-            injector: Injector::from_model(ErrorModel::uniform(ber, 0.5, seed), Layout::default()),
+            injector: Injector::from_model(ErrorModel::uniform(ber, 0.5, seed)),
             start_value: start,
             values,
             layout: Layout::new(2048 * 8, start / 64),
@@ -1305,11 +1305,8 @@ mod tests {
 
     #[test]
     fn first_dirty_layer_tracks_the_lowest_dirty_site() {
-        let clean_inj = Injector::from_model(
-            ErrorModel::uniform(0.05, 0.5, 3).with_ber(0.0),
-            Layout::default(),
-        );
-        let dirty_inj = Injector::from_model(ErrorModel::uniform(0.01, 0.5, 3), Layout::default());
+        let clean_inj = Injector::from_model(ErrorModel::uniform(0.05, 0.5, 3).with_ber(0.0));
+        let dirty_inj = Injector::from_model(ErrorModel::uniform(0.01, 0.5, 3));
 
         // Reliable memory: nothing is ever dirty.
         let mut mem = ApproximateMemory::reliable(0);
@@ -1357,7 +1354,7 @@ mod tests {
             let mut mem = ApproximateMemory::reliable(21);
             mem.assign_site(
                 dirty_site.clone(),
-                Injector::from_model(ErrorModel::uniform(0.02, 0.5, 5), Layout::default()),
+                Injector::from_model(ErrorModel::uniform(0.02, 0.5, 5)),
             );
             mem
         };

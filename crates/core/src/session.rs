@@ -122,7 +122,6 @@ use crate::lru::BudgetedLru;
 use eden_dnn::network::WeightImage;
 use eden_dnn::qexec::{self, NativeWeights, QuantScratch, ScratchArena};
 use eden_dnn::Network;
-use eden_dram::error_model::Layout;
 use eden_dram::inject::Injector;
 use eden_dram::util::stream;
 use eden_dram::ErrorModel;
@@ -657,7 +656,7 @@ impl<'a> EvalSession<'a> {
     pub fn injector_for(&mut self, template: &ErrorModel, ber: f64) -> Injector {
         self.injectors
             .entry((template.fingerprint(), ber.to_bits()))
-            .or_insert_with(|| Injector::from_model(template.with_ber(ber), Layout::default()))
+            .or_insert_with(|| Injector::from_model(template.with_ber(ber)))
             .clone()
     }
 
@@ -1294,10 +1293,7 @@ mod tests {
         let mut memory = ApproximateMemory::reliable(seed);
         memory.assign_site(
             site.clone(),
-            Injector::from_model(
-                ErrorModel::uniform(0.02, 0.5, 3).with_ber(ber),
-                Layout::default(),
-            ),
+            Injector::from_model(ErrorModel::uniform(0.02, 0.5, 3).with_ber(ber)),
         );
         memory
     }

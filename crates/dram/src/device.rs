@@ -9,14 +9,13 @@
 //! Chang et al. and Lee et al. report, which the paper's Error Models 1 and 2
 //! capture). See `DESIGN.md` for the substitution rationale.
 
-use crate::error_model::{flip_threshold, WeakCellMap, INJECT_CHUNK_VALUES};
+use crate::error_model::{flip_threshold, WeakCellMap};
 use crate::geometry::{DramGeometry, Partition};
 use crate::params::OperatingPoint;
 use crate::util::{seed_mix, unit_for};
 use crate::vendor::{Vendor, VendorProfile};
-use eden_tensor::QuantTensor;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Fraction of bitlines that are distinctly weaker than average.
@@ -172,8 +171,10 @@ impl ApproxDramDevice {
     }
 
     /// The weak cells of a `values × bits` tensor placed `row_offset` rows
-    /// into `partition` and read at `op`, in the chunk and bit order of
-    /// [`ApproxDramDevice::read_tensor_at_seeded`].
+    /// into `partition` and read at `op`, grouped by injection chunk (see
+    /// [`WeakCellMap`]). Rows wrap modulo the partition size (mirroring
+    /// [`crate::geometry::bit_address`]), so placements whose combined
+    /// footprint exceeds the partition alias earlier rows.
     ///
     /// Whether a cell is weak depends only on its address and the operating
     /// point; only its failure probability depends on the stored bit
@@ -213,133 +214,14 @@ impl ApproxDramDevice {
             self.is_weak_cell(bank, row, offset % row_bits, base_p, row_f)
         })
     }
-
-    /// Reads a stored tensor placed contiguously in `partition` at operating
-    /// point `op`, corrupting it in place exactly as the device would.
-    ///
-    /// Returns the number of bit flips introduced.
-    pub fn read_tensor(
-        &self,
-        tensor: &mut QuantTensor,
-        partition: &Partition,
-        op: &OperatingPoint,
-        rng: &mut StdRng,
-    ) -> u64 {
-        self.read_tensor_at(tensor, partition, 0, op, rng)
-    }
-
-    /// Like [`ApproxDramDevice::read_tensor`], but with the tensor placed
-    /// `row_offset` rows into the partition, so different data types can
-    /// occupy their own rows of the same partition, as a real allocator
-    /// would place them. Rows wrap modulo the partition size (mirroring
-    /// [`crate::geometry::bit_address`]), so placements whose combined
-    /// footprint exceeds the partition alias earlier rows.
-    pub fn read_tensor_at(
-        &self,
-        tensor: &mut QuantTensor,
-        partition: &Partition,
-        row_offset: u64,
-        op: &OperatingPoint,
-        rng: &mut StdRng,
-    ) -> u64 {
-        let stream_seed = rng.gen::<u64>();
-        let map = self.weak_map(
-            partition,
-            row_offset,
-            op,
-            tensor.len(),
-            tensor.bits_per_value(),
-        );
-        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds(op))
-    }
-
-    /// The reference read: like [`ApproxDramDevice::read_tensor_at`], but
-    /// testing every bit with [`ApproxDramDevice::read_bit_flips`] and
-    /// drawing per-access failures from independent per-chunk RNG streams
-    /// derived from `stream_seed` (chunks of [`INJECT_CHUNK_VALUES`] values,
-    /// corrupted in parallel on the current `eden-par` pool). The result is
-    /// bit-identical for any thread count — weak cells are a pure function
-    /// of the device seed and the address, and per-access failure draws are
-    /// a pure function of the stream seed and the value's position.
-    ///
-    /// This O(total bits) scan is the equivalence oracle of the mapped read
-    /// ([`ApproxDramDevice::weak_map`] + [`WeakCellMap::draw`]) that every
-    /// production load uses.
-    pub fn read_tensor_at_seeded(
-        &self,
-        tensor: &mut QuantTensor,
-        partition: &Partition,
-        row_offset: u64,
-        op: &OperatingPoint,
-        stream_seed: u64,
-    ) -> u64 {
-        if op.is_nominal() {
-            return 0;
-        }
-        let bits = tensor.bits_per_value();
-        let row_bits = self.geometry.row_bits() as u64;
-        let partition_rows = (partition.subarrays * self.geometry.rows_per_subarray) as u64;
-        let base_row = (partition.first_subarray * self.geometry.rows_per_subarray) as u64;
-        let flips = eden_par::par_map_chunks_mut(
-            tensor.stored_mut(),
-            INJECT_CHUNK_VALUES,
-            |chunk_idx, chunk| {
-                let mut rng = StdRng::seed_from_u64(seed_mix(stream_seed, &[chunk_idx as u64]));
-                let first_value = chunk_idx * INJECT_CHUNK_VALUES;
-                let mut chunk_flips = 0u64;
-                for (j, word) in chunk.iter_mut().enumerate() {
-                    let i = first_value + j;
-                    for b in 0..bits {
-                        let offset = i as u64 * bits as u64 + b as u64;
-                        let row = base_row + (row_offset + offset / row_bits) % partition_rows;
-                        let bitline = offset % row_bits;
-                        let stored_one = (*word >> b) & 1 == 1;
-                        if self.read_bit_flips(
-                            partition.bank as u64,
-                            row,
-                            bitline,
-                            stored_one,
-                            op,
-                            &mut rng,
-                        ) {
-                            *word ^= 1 << b;
-                            chunk_flips += 1;
-                        }
-                    }
-                }
-                chunk_flips
-            },
-        );
-        flips.iter().sum()
-    }
-
-    /// Reads a full row previously written with a repeating byte `pattern`,
-    /// returning the bitline positions whose value was corrupted. Used by
-    /// DRAM characterization (Section 3.4).
-    pub fn read_pattern_row(
-        &self,
-        bank: u64,
-        row: u64,
-        pattern: u8,
-        op: &OperatingPoint,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        let mut flipped = Vec::new();
-        for bitline in 0..self.geometry.row_bits() {
-            let stored_one = (pattern >> (bitline % 8)) & 1 == 1;
-            if self.read_bit_flips(bank, row, bitline as u64, stored_one, op, rng) {
-                flipped.push(bitline);
-            }
-        }
-        flipped
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error_model::{reference_scan, INJECT_CHUNK_VALUES};
     use crate::geometry::{partitions, PartitionGranularity};
-    use eden_tensor::{Precision, Tensor};
+    use eden_tensor::{Precision, QuantTensor, Tensor};
     use rand::SeedableRng;
 
     fn stored(n: usize) -> QuantTensor {
@@ -354,26 +236,38 @@ mod tests {
         partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank)[0]
     }
 
+    /// One read of `tensor` placed at the start of the first partition.
+    fn read(
+        dev: &ApproxDramDevice,
+        tensor: &mut QuantTensor,
+        op: &OperatingPoint,
+        seed: u64,
+    ) -> u64 {
+        let map = dev.weak_map(
+            &first_partition(),
+            0,
+            op,
+            tensor.len(),
+            tensor.bits_per_value(),
+        );
+        map.draw(tensor.stored_mut(), seed, dev.flip_thresholds(op))
+    }
+
     #[test]
     fn nominal_reads_are_error_free() {
         let dev = ApproxDramDevice::new(Vendor::A, 1);
         let clean = stored(4096);
         let mut t = clean.clone();
-        let mut rng = StdRng::seed_from_u64(0);
-        let flips = dev.read_tensor(
-            &mut t,
-            &first_partition(),
-            &OperatingPoint::nominal(),
-            &mut rng,
-        );
+        let seed = StdRng::seed_from_u64(0).gen();
+        let flips = read(&dev, &mut t, &OperatingPoint::nominal(), seed);
         assert_eq!(flips, 0);
         assert_eq!(t, clean);
     }
 
     #[test]
     fn mapped_reads_match_the_reference_scan() {
-        // The mapped in-place read and the mapped overlay must reproduce
-        // `read_tensor_at_seeded` bit for bit — flips, count and RNG order —
+        // The mapped in-place read and the mapped overlay must reproduce the
+        // reference scan bit for bit — flips, count and RNG order —
         // at nominal, voltage- and tRCD-reduced operating points (tRCD
         // reduction flips 0→1 preferentially, voltage reduction 1→0), on two
         // partitions, at row offsets that wrap the partition, for every
@@ -406,9 +300,23 @@ mod tests {
                             &[n],
                         );
                         let clean = QuantTensor::quantize(&t, precision);
+                        // The reference read tests every bit with
+                        // `read_bit_flips`; a nominal read is error-free.
                         let mut scanned = clean.clone();
-                        let scan_flips =
-                            dev.read_tensor_at_seeded(&mut scanned, part, row_offset, op, 5);
+                        let scan_flips = if op.is_nominal() {
+                            0
+                        } else {
+                            let g = dev.geometry();
+                            let row_bits = g.row_bits() as u64;
+                            let rows = (part.subarrays * g.rows_per_subarray) as u64;
+                            let base_row = (part.first_subarray * g.rows_per_subarray) as u64;
+                            let bank = part.bank as u64;
+                            let words = scanned.stored_mut();
+                            reference_scan(words, precision.bits(), 5, |offset, one, rng| {
+                                let row = base_row + (row_offset + offset / row_bits) % rows;
+                                dev.read_bit_flips(bank, row, offset % row_bits, one, op, rng)
+                            })
+                        };
                         let map = dev.weak_map(part, row_offset, op, n, precision.bits());
                         let thresholds = dev.flip_thresholds(op);
                         let mut mapped = clean.clone();
@@ -439,8 +347,7 @@ mod tests {
         let op = OperatingPoint::with_vdd_reduction(0.30);
         let clean = stored(40_000);
         let mut t = clean.clone();
-        let mut rng = StdRng::seed_from_u64(1);
-        let flips = dev.read_tensor(&mut t, &first_partition(), &op, &mut rng);
+        let flips = read(&dev, &mut t, &op, StdRng::seed_from_u64(1).gen());
         let observed = flips as f64 / clean.total_bits() as f64;
         let expected = dev.expected_ber(&op);
         assert!(
@@ -454,13 +361,8 @@ mod tests {
         let dev = ApproxDramDevice::new(Vendor::A, 3);
         let count = |dv: f32| {
             let mut t = stored(20_000);
-            let mut rng = StdRng::seed_from_u64(7);
-            dev.read_tensor(
-                &mut t,
-                &first_partition(),
-                &OperatingPoint::with_vdd_reduction(dv),
-                &mut rng,
-            )
+            let seed = StdRng::seed_from_u64(7).gen();
+            read(&dev, &mut t, &OperatingPoint::with_vdd_reduction(dv), seed)
         };
         assert!(count(0.35) > count(0.25));
         assert!(count(0.25) > count(0.10));
@@ -559,11 +461,21 @@ mod tests {
         let dev = ApproxDramDevice::new(Vendor::A, 5);
         let op = OperatingPoint::with_vdd_reduction(0.35);
         let mut rng = StdRng::seed_from_u64(3);
+        // Reads a row written with a repeating byte `pattern`, counting the
+        // bitlines whose value flipped.
+        let mut read_row = |row: u64, pattern: u8| {
+            (0..dev.geometry().row_bits() as u64)
+                .filter(|&bl| {
+                    let stored_one = (pattern >> (bl % 8)) & 1 == 1;
+                    dev.read_bit_flips(0, row, bl, stored_one, &op, &mut rng)
+                })
+                .count()
+        };
         let mut ones = 0usize;
         let mut zeros = 0usize;
         for row in 0..32 {
-            ones += dev.read_pattern_row(0, row, 0xFF, &op, &mut rng).len();
-            zeros += dev.read_pattern_row(0, row, 0x00, &op, &mut rng).len();
+            ones += read_row(row, 0xFF);
+            zeros += read_row(row, 0x00);
         }
         assert!(
             ones > zeros,
@@ -577,8 +489,7 @@ mod tests {
         let flips = |v: Vendor| {
             let dev = ApproxDramDevice::new(v, 6);
             let mut t = stored(20_000);
-            let mut rng = StdRng::seed_from_u64(9);
-            dev.read_tensor(&mut t, &first_partition(), &op, &mut rng)
+            read(&dev, &mut t, &op, StdRng::seed_from_u64(9).gen())
         };
         assert!(flips(Vendor::B) > flips(Vendor::C));
     }

@@ -15,9 +15,9 @@
 //! fails on a particular access, mirroring how real weak cells behave.
 
 use crate::util::{seed_mix, stream, unit_for};
-use eden_tensor::{CorruptionOverlay, QuantTensor};
+use eden_tensor::CorruptionOverlay;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -25,11 +25,10 @@ use std::fmt;
 ///
 /// Injection splits every tensor into fixed chunks of this many values; each
 /// chunk draws its per-access failures from its own RNG stream derived from
-/// `(stream seed, chunk index)`. Production draws ([`WeakCellMap::draw`])
-/// walk the chunks in order; the reference scans corrupt them in parallel,
-/// which is bit-identical because the chunk geometry and seeds never depend
-/// on the thread count — EDEN's error models are per-cell independent, so
-/// injection order must not matter.
+/// `(stream seed, chunk index)`, and every draw ([`WeakCellMap::draw`])
+/// walks the chunks in order on the caller's thread. Because a chunk's
+/// stream depends only on its index, a chunk's flips never depend on the
+/// chunks drawn before it — EDEN's error models are per-cell independent.
 pub const INJECT_CHUNK_VALUES: usize = 4096;
 
 /// How data maps onto DRAM rows, used to give injected errors spatial
@@ -119,7 +118,7 @@ const UNIT_SCALE: f64 = (1u64 << 53) as f64;
 /// The integer threshold of a per-access failure draw with probability `f`.
 ///
 /// Every per-cell draw consumes one `u64` `u` from the chunk's RNG stream.
-/// The reference scans turn it into the uniform `f64`
+/// The reference scan turns it into the uniform `f64`
 /// `(u >> 11) as f64 · 2^-53` (the `rand` `Standard` conversion) and flip
 /// when that is `< f`. With `k = u >> 11` (an integer in `[0, 2^53)`) and
 /// `t = ceil(f · 2^53)`, the draw is exactly `k < t`:
@@ -165,9 +164,9 @@ impl WeakCell {
 
 /// Precomputed weak-cell positions of one tensor placement: ascending bit
 /// positions grouped per [`INJECT_CHUNK_VALUES`] chunk, so the draw kernels
-/// consume each chunk's RNG stream exactly like the full scans
-/// ([`ErrorModel::inject_seeded`],
-/// [`crate::ApproxDramDevice::read_tensor_at_seeded`]).
+/// consume each chunk's RNG stream in the order of a full per-bit scan (the
+/// crate's test reference walks every bit of every chunk and draws one
+/// `f64` per weak cell).
 ///
 /// Which cells are weak depends only on the cell address and the error
 /// source (the model seed, or the device seed and operating point) — never
@@ -351,6 +350,40 @@ impl WeakCellMap {
 /// The RNG stream of injection chunk `chunk` of one access.
 fn chunk_rng(stream_seed: u64, chunk: usize) -> StdRng {
     StdRng::seed_from_u64(seed_mix(stream_seed, &[chunk as u64]))
+}
+
+/// The reference scan that every mapped draw is pinned against: walks each
+/// [`INJECT_CHUNK_VALUES`] chunk of `words` in order with its
+/// [`chunk_rng`], visits every bit offset (`value · bits + bit`) in
+/// ascending order and flips the bit iff `flips(offset, stored_one, rng)`
+/// says so. The closure tests weakness per address and draws
+/// `rng.gen::<f64>() < F` for weak cells only. O(total bits), serial and
+/// kept simple on purpose; returns the number of flipped bits.
+#[cfg(test)]
+pub(crate) fn reference_scan(
+    words: &mut [u32],
+    bits: u32,
+    stream_seed: u64,
+    mut flips: impl FnMut(u64, bool, &mut StdRng) -> bool,
+) -> u64 {
+    let mut flipped = 0u64;
+    for (c, chunk) in words.chunks_mut(INJECT_CHUNK_VALUES).enumerate() {
+        let mut rng = chunk_rng(stream_seed, c);
+        for (j, word) in chunk.iter_mut().enumerate() {
+            let value = (c * INJECT_CHUNK_VALUES + j) as u64;
+            for b in 0..bits {
+                if flips(
+                    value * bits as u64 + b as u64,
+                    *word >> b & 1 == 1,
+                    &mut rng,
+                ) {
+                    *word ^= 1 << b;
+                    flipped += 1;
+                }
+            }
+        }
+    }
+    flipped
 }
 
 /// A parameterized, seedable DRAM error model.
@@ -538,13 +571,12 @@ impl ErrorModel {
         unit_for(self.seed, row, bitline, 0xCE11) < p
     }
 
-    /// Per-access failure probability of a weak cell at `(row, bitline)`
-    /// storing `stored_one`.
+    /// Per-access failure probability of a weak cell storing `stored_one`.
     ///
     /// For the spatially-correlated models the *density* of weak cells varies
     /// per line (see [`ErrorModel::is_weak`]); the failure probability of a
     /// weak cell is uniform, which keeps the expected BER exactly `P × F`.
-    pub fn weak_flip_prob(&self, _row: u64, _bitline: u64, stored_one: bool) -> f64 {
+    pub fn weak_flip_prob(&self, stored_one: bool) -> f64 {
         match self.kind {
             ErrorModelKind::Uniform | ErrorModelKind::Bitline | ErrorModelKind::Wordline => {
                 self.flip_prob
@@ -559,22 +591,9 @@ impl ErrorModel {
         }
     }
 
-    /// Injects bit errors into a stored tensor laid out according to
-    /// `layout`, drawing per-access failures from `rng`.
-    ///
-    /// Returns the number of bits flipped. This is a convenience wrapper that
-    /// draws one stream seed from `rng`, maps the placement's weak cells
-    /// ([`ErrorModel::weak_map`]) and draws over them ([`WeakCellMap::draw`]).
-    pub fn inject(&self, tensor: &mut QuantTensor, layout: &Layout, rng: &mut StdRng) -> u64 {
-        let stream_seed = rng.gen::<u64>();
-        let map = self.weak_map(tensor.len(), tensor.bits_per_value(), layout);
-        map.draw(tensor.stored_mut(), stream_seed, self.flip_thresholds())
-    }
-
     /// Enumerates the weak cells of a `values × bits` tensor placed at
-    /// `layout`: ascending bit positions, grouped by injection chunk so the
-    /// per-chunk RNG streams of [`ErrorModel::inject_seeded`] are consumed
-    /// in exactly the same order.
+    /// `layout`: ascending bit positions, grouped by injection chunk (see
+    /// [`WeakCellMap`]).
     ///
     /// Weak-cell membership depends only on the cell *address* (all four
     /// models derive it from the model seed and the row/bitline — never from
@@ -595,74 +614,7 @@ impl ErrorModel {
     /// The `[t_zero, t_one]` draw thresholds ([`flip_threshold`]) of a weak
     /// cell storing a zero and a one.
     pub fn flip_thresholds(&self) -> [u64; 2] {
-        [false, true].map(|one| flip_threshold(self.weak_flip_prob(0, 0, one)))
-    }
-
-    /// The reference scan: injects bit errors into a stored tensor by
-    /// testing every bit for weakness and drawing `rng.gen::<f64>() < F`
-    /// for each weak one, from independent per-chunk RNG streams derived
-    /// from `stream_seed` (see [`INJECT_CHUNK_VALUES`]). Chunks are
-    /// corrupted in parallel on the current `eden-par` pool; the result is
-    /// bit-identical for any thread count, including 1.
-    ///
-    /// This is the equivalence oracle of the mapped draws
-    /// ([`ErrorModel::weak_map`] + [`WeakCellMap::draw`]), which production
-    /// loads use:
-    /// O(total bits) hashes and a float compare per weak cell, kept simple
-    /// on purpose.
-    ///
-    /// Returns the number of bits flipped.
-    pub fn inject_seeded(
-        &self,
-        tensor: &mut QuantTensor,
-        layout: &Layout,
-        stream_seed: u64,
-    ) -> u64 {
-        if self.weak_fraction == 0.0 {
-            return 0;
-        }
-        let bits = tensor.bits_per_value();
-        let layout = *layout;
-        let flips = eden_par::par_map_chunks_mut(
-            tensor.stored_mut(),
-            INJECT_CHUNK_VALUES,
-            |chunk_idx, chunk| {
-                let first_value = chunk_idx * INJECT_CHUNK_VALUES;
-                let mut rng = chunk_rng(stream_seed, chunk_idx);
-                self.inject_chunk(chunk, bits, first_value, &layout, &mut rng)
-            },
-        );
-        flips.iter().sum()
-    }
-
-    /// Corrupts one chunk of raw stored words (values
-    /// `first_value..first_value + chunk.len()` of the tensor).
-    fn inject_chunk(
-        &self,
-        chunk: &mut [u32],
-        bits: u32,
-        first_value: usize,
-        layout: &Layout,
-        rng: &mut StdRng,
-    ) -> u64 {
-        let mut flipped = 0u64;
-        for (j, word) in chunk.iter_mut().enumerate() {
-            let i = first_value + j;
-            for b in 0..bits {
-                let offset = i as u64 * bits as u64 + b as u64;
-                let (row, bitline) = layout.locate(offset);
-                if !self.is_weak(row, bitline) {
-                    continue;
-                }
-                let stored_one = (*word >> b) & 1 == 1;
-                let f = self.weak_flip_prob(row, bitline, stored_one);
-                if rng.gen::<f64>() < f {
-                    *word ^= 1 << b;
-                    flipped += 1;
-                }
-            }
-        }
-        flipped
+        [false, true].map(|one| flip_threshold(self.weak_flip_prob(one)))
     }
 }
 
@@ -686,12 +638,42 @@ fn clamp_prob(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_tensor::{Precision, Tensor};
-    use rand::SeedableRng;
+    use eden_tensor::{Precision, QuantTensor, Tensor};
+    use rand::Rng;
 
     fn stored(n: usize, precision: Precision) -> QuantTensor {
         let t = Tensor::from_vec((0..n).map(|i| (i as f32 * 0.37).sin()).collect(), &[n]);
         QuantTensor::quantize(&t, precision)
+    }
+
+    /// One mapped load of `tensor` placed at `layout`.
+    fn load(
+        model: &ErrorModel,
+        tensor: &mut QuantTensor,
+        layout: &Layout,
+        stream_seed: u64,
+    ) -> u64 {
+        let map = model.weak_map(tensor.len(), tensor.bits_per_value(), layout);
+        map.draw(tensor.stored_mut(), stream_seed, model.flip_thresholds())
+    }
+
+    /// The reference scan of `model` over `tensor` placed at `layout`.
+    fn scan(
+        model: &ErrorModel,
+        tensor: &mut QuantTensor,
+        layout: &Layout,
+        stream_seed: u64,
+    ) -> u64 {
+        let bits = tensor.bits_per_value();
+        reference_scan(
+            tensor.stored_mut(),
+            bits,
+            stream_seed,
+            |offset, one, rng| {
+                let (row, bitline) = layout.locate(offset);
+                model.is_weak(row, bitline) && rng.gen::<f64>() < model.weak_flip_prob(one)
+            },
+        )
     }
 
     #[test]
@@ -714,7 +696,7 @@ mod tests {
             ] {
                 let clean = stored(n, precision);
                 let mut scanned = clean.clone();
-                let scan_flips = model.inject_seeded(&mut scanned, &layout, 77);
+                let scan_flips = scan(&model, &mut scanned, &layout, 77);
                 let map = model.weak_map(n, precision.bits(), &layout);
                 let mut mapped = clean.clone();
                 let map_flips = map.draw(mapped.stored_mut(), 77, model.flip_thresholds());
@@ -760,7 +742,7 @@ mod tests {
                 assert_eq!(patched, clean, "{model} revert at n={n}");
                 // Both agree with the reference scan.
                 let mut scanned = clean.clone();
-                assert_eq!(model.inject_seeded(&mut scanned, &layout, 77), inject_flips);
+                assert_eq!(scan(&model, &mut scanned, &layout, 77), inject_flips);
                 assert_eq!(scanned, injected, "{model} scan pattern at n={n}");
             }
         }
@@ -879,8 +861,8 @@ mod tests {
             // (~1000 of each) for their line-level variation to average out.
             let clean = stored(64_000, Precision::Int8);
             let mut corrupted = clean.clone();
-            let mut rng = StdRng::seed_from_u64(11);
-            kind_model.inject(&mut corrupted, &Layout::new(512, 0), &mut rng);
+            let seed = StdRng::seed_from_u64(11).gen();
+            load(&kind_model, &mut corrupted, &Layout::new(512, 0), seed);
             let observed = clean.bit_differences(&corrupted) as f64 / clean.total_bits() as f64;
             let expected = kind_model.expected_ber();
             assert!(
@@ -906,8 +888,8 @@ mod tests {
         let m = ErrorModel::uniform(0.05, 0.5, 1).with_ber(0.0);
         let clean = stored(1000, Precision::Int8);
         let mut c = clean.clone();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(m.inject(&mut c, &Layout::default(), &mut rng), 0);
+        let seed = StdRng::seed_from_u64(0).gen();
+        assert_eq!(load(&m, &mut c, &Layout::default(), seed), 0);
         assert_eq!(c, clean);
     }
 
@@ -920,10 +902,18 @@ mod tests {
         let clean = stored(2000, Precision::Int16);
         let mut a = clean.clone();
         let mut b = clean.clone();
-        let mut rng_a = StdRng::seed_from_u64(1);
-        let mut rng_b = StdRng::seed_from_u64(2);
-        m.inject(&mut a, &Layout::default(), &mut rng_a);
-        m.inject(&mut b, &Layout::default(), &mut rng_b);
+        load(
+            &m,
+            &mut a,
+            &Layout::default(),
+            StdRng::seed_from_u64(1).gen(),
+        );
+        load(
+            &m,
+            &mut b,
+            &Layout::default(),
+            StdRng::seed_from_u64(2).gen(),
+        );
         assert_eq!(
             a, b,
             "deterministic weak cells with F=1 must flip identically"
@@ -940,8 +930,7 @@ mod tests {
         let count_per_line = |m: &ErrorModel| {
             let clean = stored(8192, Precision::Int8);
             let mut c = clean.clone();
-            let mut rng = StdRng::seed_from_u64(3);
-            m.inject(&mut c, &layout, &mut rng);
+            load(m, &mut c, &layout, StdRng::seed_from_u64(3).gen());
             let mut per_line = vec![0u32; 256];
             for i in 0..clean.len() {
                 for b in 0..8u32 {
@@ -969,8 +958,7 @@ mod tests {
         let wordline = ErrorModel::wordline(0.05, 0.8, 1.0, 8);
         let clean = stored(8192, Precision::Int8);
         let mut c = clean.clone();
-        let mut rng = StdRng::seed_from_u64(4);
-        wordline.inject(&mut c, &layout, &mut rng);
+        load(&wordline, &mut c, &layout, StdRng::seed_from_u64(4).gen());
         let rows = 8192 * 8 / 256;
         let mut per_row = vec![0u32; rows];
         for i in 0..clean.len() {
@@ -1002,8 +990,12 @@ mod tests {
         let m = ErrorModel::data_dependent(0.05, 0.9, 0.01, 6);
         let flips = |clean: &QuantTensor| {
             let mut c = clean.clone();
-            let mut rng = StdRng::seed_from_u64(5);
-            m.inject(&mut c, &Layout::default(), &mut rng)
+            load(
+                &m,
+                &mut c,
+                &Layout::default(),
+                StdRng::seed_from_u64(5).gen(),
+            )
         };
         // -1.0 in two's complement int8 is 0xFF (all ones).
         assert!(flips(&ones) > 10 * flips(&zeros).max(1));

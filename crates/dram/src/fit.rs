@@ -155,13 +155,12 @@ fn spread_of(model: &ErrorModel) -> f64 {
 fn model_flip_one(model: &ErrorModel) -> f64 {
     // For the data-dependent model the mean flip_prob stores (f1+f0)/2; the
     // asymmetry is recovered from expected_ber bookkeeping. ErrorModel keeps
-    // f1/f0 internally; expose them through weak_flip_prob at an arbitrary
-    // location (data-dependent probabilities do not vary spatially).
-    model.weak_flip_prob(0, 0, true)
+    // f1/f0 internally and exposes them through weak_flip_prob.
+    model.weak_flip_prob(true)
 }
 
 fn model_flip_zero(model: &ErrorModel) -> f64 {
-    model.weak_flip_prob(0, 0, false)
+    model.weak_flip_prob(false)
 }
 
 /// Binomial probability mass function.
@@ -273,7 +272,7 @@ mod tests {
         // fitted model's BER for all-ones data exceeds that of all-zeros.
         let obs = observe(Vendor::A, OperatingPoint::with_vdd_reduction(0.35), 2);
         let m = fit_model(ErrorModelKind::DataDependent, &obs, 0);
-        assert!(m.weak_flip_prob(0, 0, true) > m.weak_flip_prob(0, 0, false));
+        assert!(m.weak_flip_prob(true) > m.weak_flip_prob(false));
     }
 
     #[test]
@@ -327,9 +326,7 @@ mod tests {
         );
         let selected = select_model(&obs, 0);
         assert_eq!(selected.model.kind(), ErrorModelKind::DataDependent);
-        assert!(
-            selected.model.weak_flip_prob(0, 0, true) > selected.model.weak_flip_prob(0, 0, false)
-        );
+        assert!(selected.model.weak_flip_prob(true) > selected.model.weak_flip_prob(false));
     }
 
     #[test]

@@ -16,18 +16,12 @@ use crate::geometry::Partition;
 use crate::params::OperatingPoint;
 use crate::util::seed_mix;
 use eden_tensor::{CorruptionOverlay, QuantTensor};
-use rand::rngs::StdRng;
 
 /// Where injected errors come from.
 #[derive(Debug, Clone)]
 pub enum Injector {
     /// A probabilistic error model (Error Models 0–3).
-    Model {
-        /// The error model.
-        model: ErrorModel,
-        /// Data layout used to place tensor bits on rows/bitlines.
-        layout: Layout,
-    },
+    Model(ErrorModel),
     /// The simulated approximate DRAM device read at a given operating point.
     Device {
         /// The device.
@@ -41,8 +35,8 @@ pub enum Injector {
 
 impl Injector {
     /// Creates an injector backed by an error model.
-    pub fn from_model(model: ErrorModel, layout: Layout) -> Self {
-        Injector::Model { model, layout }
+    pub fn from_model(model: ErrorModel) -> Self {
+        Injector::Model(model)
     }
 
     /// Creates an injector backed by the simulated device.
@@ -57,7 +51,7 @@ impl Injector {
     /// Expected bit error rate of this injector.
     pub fn expected_ber(&self) -> f64 {
         match self {
-            Injector::Model { model, .. } => model.expected_ber(),
+            Injector::Model(model) => model.expected_ber(),
             Injector::Device { device, op, .. } => device.expected_ber(op),
         }
     }
@@ -76,18 +70,6 @@ impl Injector {
         self.expected_ber() == 0.0
     }
 
-    /// Corrupts a stored tensor in place; returns the number of flipped bits.
-    pub fn corrupt(&self, tensor: &mut QuantTensor, rng: &mut StdRng) -> u64 {
-        match self {
-            Injector::Model { model, layout } => model.inject(tensor, layout, rng),
-            Injector::Device {
-                device,
-                partition,
-                op,
-            } => device.read_tensor(tensor, partition, op, rng),
-        }
-    }
-
     /// A stable 64-bit fingerprint of everything that determines this
     /// injector's *placed* draws: the error model's parameters, or the
     /// device ([`ApproxDramDevice::fingerprint`]), partition and operating
@@ -95,11 +77,10 @@ impl Injector {
     ///
     /// A [`WeakCellMap`] is a pure function of `(fingerprint, placement,
     /// tensor geometry)`, which is how evaluation sessions share maps
-    /// across memories and probes. A model injector's default [`Layout`] is
-    /// left out: placed loads bring their own.
+    /// across memories and probes.
     pub fn fingerprint(&self) -> u64 {
         match self {
-            Injector::Model { model, .. } => seed_mix(0x5E55_10F1, &[0, model.fingerprint()]),
+            Injector::Model(model) => seed_mix(0x5E55_10F1, &[0, model.fingerprint()]),
             Injector::Device {
                 device,
                 partition,
@@ -120,11 +101,16 @@ impl Injector {
     }
 
     /// The weak cells of a `values × bits` tensor placed according to
-    /// `layout` (for a device injector, `layout.base_row` rows into its
-    /// partition; see [`Injector::corrupt_placed`]).
+    /// `layout`. A model injector uses the layout directly; a device
+    /// injector places the tensor `layout.base_row` rows into its partition.
+    /// This is what lets an allocator give each DNN data type its own DRAM
+    /// rows under either error source. Placements are disjoint as long as
+    /// the combined footprint fits the partition; past its capacity, device
+    /// rows wrap modulo the partition and later sites alias earlier ones,
+    /// exactly as physical re-use of the partition would.
     pub fn weak_map(&self, values: usize, bits: u32, layout: &Layout) -> WeakCellMap {
         match self {
-            Injector::Model { model, .. } => model.weak_map(values, bits, layout),
+            Injector::Model(model) => model.weak_map(values, bits, layout),
             Injector::Device {
                 device,
                 partition,
@@ -137,44 +123,20 @@ impl Injector {
     /// and a one (see [`crate::error_model::flip_threshold`]).
     pub fn flip_thresholds(&self) -> [u64; 2] {
         match self {
-            Injector::Model { model, .. } => model.flip_thresholds(),
+            Injector::Model(model) => model.flip_thresholds(),
             Injector::Device { device, op, .. } => device.flip_thresholds(op),
         }
     }
 
-    /// Corrupts a stored tensor placed according to `layout`, drawing all
-    /// per-access failures from RNG streams derived from `stream_seed`.
-    ///
-    /// Unlike [`Injector::corrupt_placed`] this never consumes from a shared
-    /// RNG, so concurrent corruptions of different tensors cannot perturb
-    /// each other: the flip set is a pure function of
-    /// `(injector, layout, stored bits, stream_seed)` and is bit-identical
-    /// for any thread count. It maps the placement's weak cells
-    /// ([`Injector::weak_map`]) and draws over them
-    /// ([`Injector::corrupt_mapped`]); a placement loaded more than once
-    /// should keep its map and call `corrupt_mapped` directly.
-    pub fn corrupt_placed_seeded(
-        &self,
-        tensor: &mut QuantTensor,
-        layout: &Layout,
-        stream_seed: u64,
-    ) -> u64 {
-        // An error-free source (a model rescaled to BER 0) can never flip a
-        // bit: skip the O(total bits) map scan and leave the tensor
-        // untouched. Skipping the draws is exact because every load derives
-        // its streams from `stream_seed` alone.
-        if self.is_provably_clean() {
-            return 0;
-        }
-        let map = self.weak_map(tensor.len(), tensor.bits_per_value(), layout);
-        self.corrupt_mapped(tensor, stream_seed, &map)
-    }
-
     /// One load of a placement through its precomputed [`WeakCellMap`]
     /// ([`Injector::weak_map`]): corrupts `tensor` in place at O(weak
-    /// cells) and returns the number of flipped bits. The flips are
-    /// bit-identical to the reference scans ([`ErrorModel::inject_seeded`],
-    /// [`ApproxDramDevice::read_tensor_at_seeded`]).
+    /// cells) and returns the number of flipped bits.
+    ///
+    /// Every per-access failure is drawn from RNG streams derived from
+    /// `stream_seed` alone, never from a shared RNG: the flip set is a pure
+    /// function of `(injector, placement, stored bits, stream_seed)`, so
+    /// concurrent loads of different tensors cannot perturb each other and
+    /// the result is the same on any thread.
     ///
     /// # Panics
     ///
@@ -216,31 +178,6 @@ impl Injector {
         );
         map.draw_overlay(clean.stored(), stream_seed, self.flip_thresholds())
     }
-
-    /// Corrupts a stored tensor placed according to `layout` (overriding the
-    /// injector's own default placement). For a model injector the layout is
-    /// used directly; for a device injector the layout's base row offsets the
-    /// tensor within the device partition. This is what lets an allocator
-    /// give each DNN data type its own DRAM rows under either error source.
-    /// Placements are disjoint as long as the combined footprint fits the
-    /// partition; past its capacity, rows wrap (see
-    /// [`ApproxDramDevice::read_tensor_at`]) and later sites alias earlier
-    /// ones, exactly as physical re-use of the partition would.
-    pub fn corrupt_placed(
-        &self,
-        tensor: &mut QuantTensor,
-        layout: &Layout,
-        rng: &mut StdRng,
-    ) -> u64 {
-        match self {
-            Injector::Model { model, .. } => model.inject(tensor, layout, rng),
-            Injector::Device {
-                device,
-                partition,
-                op,
-            } => device.read_tensor_at(tensor, partition, layout.base_row as u64, op, rng),
-        }
-    }
 }
 
 /// Allocates consecutive, non-overlapping row ranges for DNN data types.
@@ -280,7 +217,8 @@ mod tests {
     use crate::geometry::{partitions, DramGeometry, PartitionGranularity};
     use crate::vendor::Vendor;
     use eden_tensor::{Precision, Tensor};
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn stored(n: usize) -> QuantTensor {
         QuantTensor::quantize(
@@ -289,13 +227,18 @@ mod tests {
         )
     }
 
+    /// One load of `tensor` at the injector's default placement.
+    fn load(inj: &Injector, tensor: &mut QuantTensor, stream_seed: u64) -> u64 {
+        let map = inj.weak_map(tensor.len(), tensor.bits_per_value(), &Layout::default());
+        inj.corrupt_mapped(tensor, stream_seed, &map)
+    }
+
     #[test]
     fn model_injector_corrupts_at_expected_rate() {
-        let inj = Injector::from_model(ErrorModel::uniform(0.01, 0.5, 1), Layout::default());
+        let inj = Injector::from_model(ErrorModel::uniform(0.01, 0.5, 1));
         let clean = stored(20_000);
         let mut t = clean.clone();
-        let mut rng = StdRng::seed_from_u64(0);
-        let flips = inj.corrupt(&mut t, &mut rng);
+        let flips = load(&inj, &mut t, StdRng::seed_from_u64(0).gen());
         let observed = flips as f64 / clean.total_bits() as f64;
         assert!((observed - inj.expected_ber()).abs() / inj.expected_ber() < 0.4);
     }
@@ -307,56 +250,20 @@ mod tests {
         let op = OperatingPoint::with_vdd_reduction(0.30);
         let inj = Injector::from_device(dev, part, op);
         let mut t = stored(20_000);
-        let mut rng = StdRng::seed_from_u64(1);
-        let flips = inj.corrupt(&mut t, &mut rng);
+        let flips = load(&inj, &mut t, StdRng::seed_from_u64(1).gen());
         assert!(flips > 0);
         assert!((inj.expected_ber() - dev.expected_ber(&op)).abs() < 1e-12);
     }
 
     #[test]
-    fn seeded_corruption_is_thread_count_invariant() {
-        // The same stream seed must produce the same flip set whether the
-        // chunks run on 1, 2 or 8 workers — and regardless of the chunk
-        // execution order those pools produce.
-        let clean = stored(3 * 4096 + 17); // straddles chunk boundaries
-        for inj in [
-            Injector::from_model(ErrorModel::uniform(0.01, 0.5, 7), Layout::default()),
-            Injector::from_device(
-                ApproxDramDevice::new(Vendor::B, 4),
-                partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank)[0],
-                OperatingPoint::with_vdd_reduction(0.30),
-            ),
-        ] {
-            let layout = Layout::new(1024, 3);
-            let reference: Vec<(QuantTensor, u64)> = [1usize, 2, 8]
-                .iter()
-                .map(|&threads| {
-                    eden_par::ThreadPool::new(threads).install(|| {
-                        let mut t = clean.clone();
-                        let flips = inj.corrupt_placed_seeded(&mut t, &layout, 99);
-                        (t, flips)
-                    })
-                })
-                .collect();
-            assert!(reference[0].1 > 0, "injector must flip something");
-            assert_eq!(reference[0], reference[1], "1 vs 2 threads");
-            assert_eq!(reference[0], reference[2], "1 vs 8 threads");
-        }
-    }
-
-    #[test]
     fn injector_overlay_matches_in_place_corruption() {
         // For both injector kinds, the overlay applied to the clean image
-        // must equal the in-place mapped corruption bit for bit, and so must
-        // the map-computing `corrupt_placed_seeded`.
+        // must equal the in-place mapped corruption bit for bit.
         let clean = stored(3 * 4096 + 17);
         let layout = Layout::new(1024, 3);
         for inj in [
-            Injector::from_model(ErrorModel::uniform(0.01, 0.5, 7), Layout::default()),
-            Injector::from_model(
-                ErrorModel::data_dependent(0.02, 0.8, 0.1, 2),
-                Layout::default(),
-            ),
+            Injector::from_model(ErrorModel::uniform(0.01, 0.5, 7)),
+            Injector::from_model(ErrorModel::data_dependent(0.02, 0.8, 0.1, 2)),
             Injector::from_device(
                 ApproxDramDevice::new(Vendor::B, 4),
                 partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank)[0],
@@ -367,9 +274,6 @@ mod tests {
             let mut corrupted = clean.clone();
             let flips = inj.corrupt_mapped(&mut corrupted, 99, &map);
             assert!(flips > 0, "injector must flip something");
-            let mut placed = clean.clone();
-            assert_eq!(inj.corrupt_placed_seeded(&mut placed, &layout, 99), flips);
-            assert_eq!(placed, corrupted);
             let overlay = inj.overlay_mapped(&clean, 99, &map);
             assert_eq!(overlay.bit_flips(), flips);
             let mut patched = clean.clone();
@@ -382,15 +286,12 @@ mod tests {
 
     #[test]
     fn error_free_injector_skips_corruption_without_stat_churn() {
-        // The `corrupt_placed_seeded` fast path: a zero-BER source returns 0
-        // flips and leaves the tensor untouched (no RNG streams constructed).
+        // A zero-BER source maps no weak cell, so a load returns 0 flips and
+        // leaves the tensor untouched (no RNG streams constructed).
         let clean = stored(5_000);
         let layout = Layout::new(1024, 0);
-        // A model rescaled to BER 0 takes the injector-level fast path…
-        let zero_ber = Injector::from_model(
-            ErrorModel::uniform(0.05, 0.5, 3).with_ber(0.0),
-            Layout::default(),
-        );
+        // A model rescaled to BER 0 is provably clean…
+        let zero_ber = Injector::from_model(ErrorModel::uniform(0.05, 0.5, 3).with_ber(0.0));
         assert_eq!(zero_ber.expected_ber(), 0.0);
         // …while a device at its nominal operating point (whose vendor curve
         // is merely *negligible*, not exactly zero) relies on the device's
@@ -401,17 +302,16 @@ mod tests {
             OperatingPoint::nominal(),
         );
         assert!(
-            !Injector::from_model(ErrorModel::uniform(0.05, 0.5, 3), Layout::default())
-                .is_provably_clean(),
+            !Injector::from_model(ErrorModel::uniform(0.05, 0.5, 3)).is_provably_clean(),
             "a nonzero-BER model must not be provably clean"
         );
         for inj in [zero_ber, nominal] {
             assert_eq!(inj.is_provably_clean(), inj.expected_ber() == 0.0);
-            let mut t = clean.clone();
-            assert_eq!(inj.corrupt_placed_seeded(&mut t, &layout, 42), 0);
-            assert_eq!(t, clean, "error-free injector must not touch the tensor");
             let map = inj.weak_map(clean.len(), clean.bits_per_value(), &layout);
             assert!(map.is_empty(), "error-free injector maps no weak cell");
+            let mut t = clean.clone();
+            assert_eq!(inj.corrupt_mapped(&mut t, 42, &map), 0);
+            assert_eq!(t, clean, "error-free injector must not touch the tensor");
             assert!(inj.overlay_mapped(&clean, 42, &map).is_empty());
         }
     }
@@ -438,8 +338,10 @@ mod tests {
         let mut a = clean.clone();
         let mut b = clean.clone();
         let mut rng = StdRng::seed_from_u64(2);
-        model.inject(&mut a, &la, &mut rng);
-        model.inject(&mut b, &lb, &mut rng);
+        for (t, layout) in [(&mut a, &la), (&mut b, &lb)] {
+            let map = model.weak_map(t.len(), t.bits_per_value(), layout);
+            map.draw(t.stored_mut(), rng.gen(), model.flip_thresholds());
+        }
         // Same data, same model, different addresses → different flip sets.
         assert_ne!(a, b);
     }

@@ -22,15 +22,17 @@
 //! ```
 //! use eden_dram::error_model::{ErrorModel, Layout};
 //! use eden_tensor::{Precision, QuantTensor, Tensor};
-//! use rand::SeedableRng;
 //!
 //! let model = ErrorModel::uniform(0.01, 0.5, 7);
 //! let t = Tensor::from_vec(vec![1.0; 1024], &[1024]);
 //! let clean = QuantTensor::quantize(&t, Precision::Int8);
+//! // Which cells are weak depends only on the placement: map it once…
+//! let map = model.weak_map(clean.len(), clean.bits_per_value(), &Layout::default());
+//! // …then every load draws its failures over the map from a stream seed.
 //! let mut corrupted = clean.clone();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! model.inject(&mut corrupted, &Layout::default(), &mut rng);
-//! assert!(clean.bit_differences(&corrupted) > 0);
+//! let flips = map.draw(corrupted.stored_mut(), 1, model.flip_thresholds());
+//! assert_eq!(clean.bit_differences(&corrupted), flips);
+//! assert!(flips > 0);
 //! ```
 
 pub mod characterize;

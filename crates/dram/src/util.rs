@@ -43,7 +43,8 @@ pub fn unit_for(seed: u64, a: u64, b: u64, c: u64) -> f64 {
 /// on *which* unit it is, never on when or where it runs:
 ///
 /// * per-chunk injection streams: `seed_mix(stream_seed, &[chunk_index])`
-///   ([`crate::ErrorModel::inject_seeded`], the simulated device's reads);
+///   ([`crate::error_model::WeakCellMap::draw`], for error models and the
+///   simulated device alike);
 /// * per-sample fork lanes of a batch evaluation:
 ///   `seed_mix(salted_seed, &[lane])` (`ApproximateMemory::fork` in the core
 ///   crate);

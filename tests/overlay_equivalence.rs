@@ -27,7 +27,7 @@ use eden::dram::device::ApproxDramDevice;
 use eden::dram::geometry::{partitions, DramGeometry, PartitionGranularity};
 use eden::dram::inject::Injector;
 use eden::dram::util::seed_mix;
-use eden::dram::{ErrorModel, Layout, OperatingPoint, Vendor};
+use eden::dram::{ErrorModel, OperatingPoint, Vendor};
 use eden::tensor::{CorruptionOverlay, Precision, QuantTensor, Tensor};
 use eden_par::ThreadPool;
 use proptest::prelude::*;
@@ -276,7 +276,7 @@ proptest! {
                         let mut memory = ApproximateMemory::reliable(seed);
                         memory.assign_site(
                             site.clone(),
-                            Injector::from_model(template.with_ber(ber), Layout::default()),
+                            Injector::from_model(template.with_ber(ber)),
                         );
                         let acc = session.evaluate_with_faults(samples, &mut memory);
                         (acc.to_bits(), memory.stats())
@@ -445,7 +445,7 @@ fn reference_fine_characterize(
                 ApproximateMemory::reliable(seed_mix(cfg.seed, &[round as u64, i as u64]));
             memory.assign_site(
                 sites[i].site.clone(),
-                Injector::from_model(template.with_ber(ber), Layout::default()),
+                Injector::from_model(template.with_ber(ber)),
             );
             if let Some(b) = bounding {
                 memory = memory.with_bounding(b);

@@ -32,9 +32,10 @@ fn trained_lenet(seed: u64) -> (Network, SyntheticVision) {
     (net, dataset)
 }
 
-/// Runs `f` once per thread count and asserts all results are identical.
-fn assert_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
-    let results: Vec<(usize, R)> = THREAD_COUNTS
+/// Runs `f` once per thread count, asserts all results are identical and
+/// returns the first.
+fn assert_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
+    let mut results: Vec<(usize, R)> = THREAD_COUNTS
         .iter()
         .map(|&threads| (threads, ThreadPool::new(threads).install(&f)))
         .collect();
@@ -45,37 +46,59 @@ fn assert_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
             results[0].0
         );
     }
+    results.swap_remove(0).1
 }
 
 #[test]
-fn injector_corrupt_placed_is_thread_count_invariant() {
-    let values = Tensor::from_vec(
-        (0..20_000).map(|i| (i as f32 * 0.11).sin()).collect(),
-        &[20_000],
-    );
-    let clean = QuantTensor::quantize(&values, Precision::Int8);
-    let layout = Layout::new(2048, 7);
-
-    let model = Injector::from_model(ErrorModel::bitline(0.02, 0.5, 0.8, 5), Layout::default());
-    assert_invariant(|| {
-        let mut t = clean.clone();
-        let flips = model.corrupt_placed_seeded(&mut t, &layout, 42);
-        (t, flips)
-    });
-
-    let device = Injector::from_device(
-        ApproxDramDevice::new(Vendor::C, 11),
-        eden::dram::geometry::partitions(
-            &eden::dram::geometry::DramGeometry::ddr4_module(),
-            eden::dram::geometry::PartitionGranularity::Bank,
-        )[0],
-        eden::dram::OperatingPoint::with_vdd_reduction(0.25),
-    );
-    assert_invariant(|| {
-        let mut t = clean.clone();
-        let flips = device.corrupt_placed_seeded(&mut t, &layout, 43);
-        (t, flips)
-    });
+fn injector_mapped_loads_are_thread_count_invariant() {
+    // A mapped load (`weak_map` + `corrupt_mapped`, and its `overlay_mapped`
+    // form) draws only from streams derived from its stream seed, so its
+    // flips must not depend on the pool it runs under — for model and device
+    // injectors, at placements that straddle injection-chunk boundaries.
+    let part = eden::dram::geometry::partitions(
+        &eden::dram::geometry::DramGeometry::ddr4_module(),
+        eden::dram::geometry::PartitionGranularity::Bank,
+    )[0];
+    let vdd = eden::dram::OperatingPoint::with_vdd_reduction;
+    let stored = |n: usize, value: fn(f32) -> f32| {
+        let values = Tensor::from_vec((0..n).map(|i| value(i as f32)).collect(), &[n]);
+        QuantTensor::quantize(&values, Precision::Int8)
+    };
+    let cases = [
+        (
+            Injector::from_model(ErrorModel::bitline(0.02, 0.5, 0.8, 5)),
+            stored(20_000, |x| (x * 0.11).sin()),
+            Layout::new(2048, 7),
+            42,
+        ),
+        (
+            Injector::from_device(ApproxDramDevice::new(Vendor::C, 11), part, vdd(0.25)),
+            stored(20_000, |x| (x * 0.11).sin()),
+            Layout::new(2048, 7),
+            43,
+        ),
+        (
+            Injector::from_model(ErrorModel::uniform(0.01, 0.5, 7)),
+            stored(3 * 4096 + 17, |x| (x * 0.3).cos()),
+            Layout::new(1024, 3),
+            99,
+        ),
+        (
+            Injector::from_device(ApproxDramDevice::new(Vendor::B, 4), part, vdd(0.30)),
+            stored(3 * 4096 + 17, |x| (x * 0.3).cos()),
+            Layout::new(1024, 3),
+            99,
+        ),
+    ];
+    for (inj, clean, layout, stream_seed) in cases {
+        let (_, flips, _) = assert_invariant(|| {
+            let map = inj.weak_map(clean.len(), clean.bits_per_value(), &layout);
+            let mut t = clean.clone();
+            let flips = inj.corrupt_mapped(&mut t, stream_seed, &map);
+            (t, flips, inj.overlay_mapped(&clean, stream_seed, &map))
+        });
+        assert!(flips > 0, "injector must flip something");
+    }
 }
 
 #[test]
