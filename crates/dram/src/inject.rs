@@ -256,6 +256,42 @@ mod tests {
     }
 
     #[test]
+    fn seeded_corruption_is_thread_count_invariant() {
+        // A load draws only from streams derived from its stream seed and
+        // keeps no state in the injector, so the same seed must produce the
+        // same flip set whether 1, 2 or 8 threads load at once, and on
+        // whichever thread each load runs.
+        let clean = stored(3 * 4096 + 17); // straddles chunk boundaries
+        let layout = Layout::new(1024, 3);
+        for inj in [
+            Injector::from_model(ErrorModel::uniform(0.01, 0.5, 7)),
+            Injector::from_device(
+                ApproxDramDevice::new(Vendor::B, 4),
+                partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank)[0],
+                OperatingPoint::with_vdd_reduction(0.30),
+            ),
+        ] {
+            let map = inj.weak_map(clean.len(), clean.bits_per_value(), &layout);
+            let seeded_load = || {
+                let mut t = clean.clone();
+                let flips = inj.corrupt_mapped(&mut t, 99, &map);
+                (t, flips)
+            };
+            let reference = seeded_load();
+            assert!(reference.1 > 0, "injector must flip something");
+            for threads in [1usize, 2, 8] {
+                let loads: Vec<(QuantTensor, u64)> = std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..threads).map(|_| s.spawn(seeded_load)).collect();
+                    workers.into_iter().map(|w| w.join().unwrap()).collect()
+                });
+                for load in &loads {
+                    assert_eq!(load, &reference, "{threads} concurrent threads");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn injector_overlay_matches_in_place_corruption() {
         // For both injector kinds, the overlay applied to the clean image
         // must equal the in-place mapped corruption bit for bit.

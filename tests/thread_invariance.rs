@@ -50,11 +50,12 @@ fn assert_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
 }
 
 #[test]
-fn injector_mapped_loads_are_thread_count_invariant() {
-    // A mapped load (`weak_map` + `corrupt_mapped`, and its `overlay_mapped`
-    // form) draws only from streams derived from its stream seed, so its
-    // flips must not depend on the pool it runs under — for model and device
-    // injectors, at placements that straddle injection-chunk boundaries.
+fn injector_corrupt_placed_is_thread_count_invariant() {
+    // A load at a placement (`weak_map` + `corrupt_mapped`, and its
+    // `overlay_mapped` form) draws only from streams derived from its stream
+    // seed, so its flips must not depend on the pool it runs under — for
+    // model and device injectors, at placements that straddle
+    // injection-chunk boundaries.
     let part = eden::dram::geometry::partitions(
         &eden::dram::geometry::DramGeometry::ddr4_module(),
         eden::dram::geometry::PartitionGranularity::Bank,
