@@ -1,9 +1,10 @@
 //! Golden paper outputs: a Figure 8-shaped tolerance sweep, one Figure 11
 //! fine-grained characterization and Figure 12-shaped multi-module plans on
 //! LeNet, output-logit digests of the native integer backend on VGG, a
-//! baseline training run on ResNet and a Table 3-shaped chain (curricular
-//! retraining, coarse characterization, coarse mapping) on LeNet, pinned to
-//! committed values.
+//! baseline training run on ResNet, a Table 3-shaped chain (curricular
+//! retraining, coarse characterization, coarse mapping) on LeNet and Table
+//! 2-shaped logits of the trained LeNet and ResNet quantized at every
+//! precision, pinned to committed values.
 //!
 //! Every other equivalence suite compares two executors of the same code
 //! base against each other; this one compares against numbers recorded once
@@ -29,6 +30,7 @@ use eden::core::inference::InferenceBackend;
 use eden::core::mapping::{benefit_traffic_score, coarse_map, multi_module_map, MultiModuleConfig};
 use eden::core::session::EvalSession;
 use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
+use eden::dnn::quantized::quantize_network;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
 use eden::dram::characterize::CharacterizeConfig;
@@ -356,8 +358,9 @@ fn param_digest(net: &Network) -> u64 {
 /// Baseline training of `resnet_mini` (convolutions, channel norms, residual
 /// projections, a dense classifier): per-epoch loss bits, every trained
 /// parameter bit, and the output logits of pure forward passes — which read
-/// the norms' running statistics, so those are pinned too.
-fn baseline_training(out: &mut String) {
+/// the norms' running statistics, so those are pinned too. Returns the
+/// trained network and its dataset for the Table 2 lines.
+fn baseline_training(out: &mut String) -> (Network, SyntheticVision) {
     let dataset = SyntheticVision::tiny(6);
     let mut net = zoo::resnet_mini(&dataset.spec(), 6);
     let report = Trainer::new(TrainConfig {
@@ -386,6 +389,7 @@ fn baseline_training(out: &mut String) {
         logit_digest(&logits)
     )
     .unwrap();
+    (net, dataset)
 }
 
 /// The Table 3 chain on LeNet: curricular retraining (boost), then
@@ -453,6 +457,26 @@ fn table3_chain(out: &mut String) {
     }
 }
 
+/// The Table 2 weights: each trained network post-training quantized at
+/// every precision, pinned by the logits of pure forward passes.
+fn table2_quantized_logits(out: &mut String, nets: &[(&str, &Network, &SyntheticVision)]) {
+    for &(name, net, dataset) in nets {
+        for precision in Precision::all() {
+            let quantized = quantize_network(net, precision);
+            let logits: Vec<Tensor> = dataset.test()[..8]
+                .iter()
+                .map(|(x, _)| quantized.forward(x))
+                .collect();
+            writeln!(
+                out,
+                "table2 {name} {precision} logits={:#018x}",
+                logit_digest(&logits)
+            )
+            .unwrap();
+        }
+    }
+}
+
 #[test]
 fn paper_outputs_match_the_committed_golden_values() {
     let mut actual = String::new();
@@ -460,8 +484,12 @@ fn paper_outputs_match_the_committed_golden_values() {
     let (net, dataset, bounding, fine) = fine_characterization(&mut actual);
     multi_module_plans(&mut actual, &net, &dataset, bounding, &fine);
     vgg_logits(&mut actual);
-    baseline_training(&mut actual);
+    let (resnet, resnet_data) = baseline_training(&mut actual);
     table3_chain(&mut actual);
+    table2_quantized_logits(
+        &mut actual,
+        &[("lenet", &net, &dataset), ("resnet", &resnet, &resnet_data)],
+    );
     if actual != GOLDEN {
         let expected: Vec<&str> = GOLDEN.lines().collect();
         for (i, line) in actual.lines().enumerate() {
