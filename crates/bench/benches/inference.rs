@@ -20,8 +20,8 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eden_core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden_core::characterize::{
-    coarse_characterize, fine_characterize, fine_characterize_session, CoarseConfig,
-    FineCharacterization, FineConfig,
+    coarse_characterize_session, fine_characterize_session, CoarseConfig, FineCharacterization,
+    FineConfig,
 };
 use eden_core::curricular::{CurricularConfig, CurricularTrainer};
 use eden_core::faults::ApproximateMemory;
@@ -344,37 +344,39 @@ fn bench_characterization(c: &mut Criterion) {
     // minimum wobbly enough to trip the gate on healthy builds.
     group.sample_size(30);
     group.measurement_time(Duration::from_secs(4));
+    // Each iteration builds its own session, as a one-off characterization
+    // does.
+    let coarse_cfg = CoarseConfig {
+        eval_samples: 32,
+        iterations: 4,
+        accuracy_drop: 0.02,
+        ..CoarseConfig::default()
+    };
     group.bench_function("coarse_lenet", |b| {
         b.iter(|| {
-            coarse_characterize(
-                &net,
+            coarse_characterize_session(
+                &mut EvalSession::new(&net, Precision::Int8, coarse_cfg.backend),
                 &dataset,
-                Precision::Int8,
                 black_box(&template),
                 Some(bounding),
-                &CoarseConfig {
-                    eval_samples: 32,
-                    iterations: 4,
-                    accuracy_drop: 0.02,
-                    ..CoarseConfig::default()
-                },
+                &coarse_cfg,
             )
         })
     });
+    let fine_cfg = FineConfig {
+        eval_samples: 24,
+        max_rounds: 2,
+        bootstrap_ber: 5e-4,
+        ..FineConfig::default()
+    };
     group.bench_function("fine_lenet", |b| {
         b.iter(|| {
-            fine_characterize(
-                &net,
+            fine_characterize_session(
+                &mut EvalSession::new(&net, Precision::Int8, fine_cfg.backend),
                 &dataset,
-                Precision::Int8,
                 black_box(&template),
                 Some(bounding),
-                &FineConfig {
-                    eval_samples: 24,
-                    max_rounds: 2,
-                    bootstrap_ber: 5e-4,
-                    ..FineConfig::default()
-                },
+                &fine_cfg,
             )
         })
     });

@@ -3,7 +3,7 @@
 
 use eden_bench::report;
 use eden_dnn::zoo::ModelId;
-use eden_dnn::{quantized, Dataset};
+use eden_dnn::Dataset;
 use eden_tensor::Precision;
 
 fn main() {
@@ -17,15 +17,16 @@ fn main() {
         let spec = id.spec();
         let dataset = id.dataset(0);
         let net = id.build(&dataset.spec(), 0);
-        let fp = quantized::footprint(&net, Precision::Fp32);
+        let weight_bytes = net.weight_bytes(Precision::Fp32);
+        let ifm_bytes = net.ifm_bytes(Precision::Fp32);
         println!(
             "{:<14} {:<12} {:>10.1} {:>14.1} | {:>12.1} {:>16.1} {:>9}",
             spec.display_name,
             spec.paper_dataset,
             spec.paper.model_size_mb,
             spec.paper.ifm_weight_size_mb,
-            fp.weight_bytes as f64 / 1024.0,
-            fp.total_bytes() as f64 / 1024.0,
+            weight_bytes as f64 / 1024.0,
+            (weight_bytes + ifm_bytes) as f64 / 1024.0,
             net.param_count()
         );
     }

@@ -3,7 +3,7 @@
 
 use eden_bench::report;
 use eden_dnn::zoo::ModelId;
-use eden_dnn::{metrics, quantized, Dataset};
+use eden_dnn::{metrics, Dataset};
 use eden_tensor::Precision;
 
 fn main() {
@@ -20,7 +20,10 @@ fn main() {
         let (net, dataset) = eden_bench::report::train_model(id, 6, 1);
         print!("{:<14}", id.spec().display_name);
         for precision in Precision::all() {
-            let q = quantized::quantize_network(&net, precision);
+            // Post-training quantization: a clone loaded with the clean
+            // stored bits of every weight.
+            let mut q = net.clone();
+            q.load_clean_weights(&net.weight_images(precision));
             let acc = metrics::accuracy(&q, dataset.test());
             print!(" {:>8}", eden_bench::report::pct(acc as f64));
         }

@@ -13,11 +13,11 @@ use crate::faults::ApproximateMemory;
 use crate::inference::InferenceBackend;
 use crate::session::EvalSession;
 use eden_dnn::network::DataTypeInfo;
-use eden_dnn::{Dataset, Network};
+use eden_dnn::Dataset;
 use eden_dram::inject::Injector;
 use eden_dram::util::seed_mix;
 use eden_dram::ErrorModel;
-use eden_tensor::{Precision, Tensor};
+use eden_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of coarse-grained characterization.
@@ -36,7 +36,9 @@ pub struct CoarseConfig {
     pub iterations: usize,
     /// Injection seed.
     pub seed: u64,
-    /// Execution backend used for every accuracy evaluation.
+    /// The backend the caller builds its [`EvalSession`] with. The
+    /// characterization itself reads the session's backend, never this
+    /// field; it records which backend a configuration was meant for.
     pub backend: InferenceBackend,
 }
 
@@ -67,31 +69,14 @@ pub struct CoarseCharacterization {
     pub probes: Vec<(f64, f32)>,
 }
 
-/// Finds the maximum BER the whole DNN tolerates (coarse-grained, Table 3).
+/// Finds the maximum BER the whole DNN tolerates (coarse-grained, Table 3)
+/// on a caller-provided [`EvalSession`].
 ///
-/// Convenience wrapper that builds a throwaway [`EvalSession`] from
-/// `(net, precision, cfg.backend)` and delegates to
-/// [`coarse_characterize_session`]. Callers running several
-/// characterizations of the same network (e.g. a coarse bootstrap followed
-/// by a fine-grained sweep, as Figure 11 does) should construct one session
-/// and call the `_session` variants directly to share the cached weight
-/// images, pools and weak-cell maps.
-pub fn coarse_characterize(
-    net: &Network,
-    dataset: &dyn Dataset,
-    precision: Precision,
-    template: &ErrorModel,
-    bounding: Option<BoundingLogic>,
-    cfg: &CoarseConfig,
-) -> CoarseCharacterization {
-    let mut session = EvalSession::new(net, precision, cfg.backend);
-    coarse_characterize_session(&mut session, dataset, template, bounding, cfg)
-}
-
-/// [`coarse_characterize`] on a caller-provided [`EvalSession`].
-///
-/// The session's network, precision and backend are authoritative;
-/// `cfg.backend` is only read by the non-session wrapper.
+/// The session's network, precision and backend are authoritative, and
+/// `cfg.backend` is not read. Callers running several characterizations of
+/// the same network (e.g. a coarse bootstrap followed by a fine-grained
+/// sweep, as Figure 11 does) share one session, and with it the cached
+/// weight images, pools and weak-cell maps.
 pub fn coarse_characterize_session(
     session: &mut EvalSession<'_>,
     dataset: &dyn Dataset,
@@ -184,7 +169,9 @@ pub struct FineConfig {
     pub max_rounds: usize,
     /// Injection seed.
     pub seed: u64,
-    /// Execution backend used for every accuracy evaluation.
+    /// The backend the caller builds its [`EvalSession`] with. The
+    /// characterization itself reads the session's backend, never this
+    /// field; it records which backend a configuration was meant for.
     pub backend: InferenceBackend,
 }
 
@@ -236,23 +223,8 @@ fn probe_seed(seed: u64, round: u64, site: u64) -> u64 {
 }
 
 /// Characterizes the tolerable BER of every weight tensor and IFM
-/// individually (Section 3.3, "Fine-Grained Characterization").
-///
-/// Convenience wrapper over [`fine_characterize_session`]; see
-/// [`coarse_characterize`] for when to hold a session instead.
-pub fn fine_characterize(
-    net: &Network,
-    dataset: &dyn Dataset,
-    precision: Precision,
-    template: &ErrorModel,
-    bounding: Option<BoundingLogic>,
-    cfg: &FineConfig,
-) -> FineCharacterization {
-    let mut session = EvalSession::new(net, precision, cfg.backend);
-    fine_characterize_session(&mut session, dataset, template, bounding, cfg)
-}
-
-/// [`fine_characterize`] on a caller-provided [`EvalSession`].
+/// individually (Section 3.3, "Fine-Grained Characterization") on a
+/// caller-provided [`EvalSession`].
 ///
 /// This is the `sites × rounds` probe loop of Figure 11, and the workload
 /// the session layer pays off most on. Each probe perturbs exactly **one**
@@ -265,8 +237,8 @@ pub fn fine_characterize(
 /// probed site's layer, so the clean prefix of every sample resumes from a
 /// checkpointed boundary activation and only the suffix re-executes —
 /// O(suffix from the probed site) per probe instead of O(layers). The
-/// session's precision and backend are authoritative; `cfg.backend` is only
-/// read by the non-session wrapper.
+/// session's precision and backend are authoritative, and `cfg.backend` is
+/// not read.
 ///
 /// Within a round, each still-active site's probe is independent, so the
 /// probes fan out across the `eden-par` pool via
@@ -344,7 +316,8 @@ mod tests {
     use crate::bounding::CorrectionPolicy;
     use eden_dnn::data::SyntheticVision;
     use eden_dnn::train::{TrainConfig, Trainer};
-    use eden_dnn::{zoo, DataKind};
+    use eden_dnn::{zoo, DataKind, Network};
+    use eden_tensor::Precision;
 
     fn trained(seed: u64) -> (Network, SyntheticVision) {
         let dataset = SyntheticVision::tiny(seed);
@@ -355,6 +328,30 @@ mod tests {
         })
         .train(&mut net, &dataset);
         (net, dataset)
+    }
+
+    /// Coarse characterization on a fresh int8 session of `net`.
+    fn coarse(
+        net: &Network,
+        dataset: &SyntheticVision,
+        template: &ErrorModel,
+        bounding: BoundingLogic,
+        cfg: &CoarseConfig,
+    ) -> CoarseCharacterization {
+        let mut session = EvalSession::new(net, Precision::Int8, cfg.backend);
+        coarse_characterize_session(&mut session, dataset, template, Some(bounding), cfg)
+    }
+
+    /// Fine characterization on a fresh int8 session of `net`.
+    fn fine(
+        net: &Network,
+        dataset: &SyntheticVision,
+        template: &ErrorModel,
+        bounding: BoundingLogic,
+        cfg: &FineConfig,
+    ) -> FineCharacterization {
+        let mut session = EvalSession::new(net, Precision::Int8, cfg.backend);
+        fine_characterize_session(&mut session, dataset, template, Some(bounding), cfg)
     }
 
     fn quick_coarse() -> CoarseConfig {
@@ -372,14 +369,7 @@ mod tests {
         let template = ErrorModel::uniform(0.01, 0.5, 1);
         let bounding =
             BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
-        let result = coarse_characterize(
-            &net,
-            &dataset,
-            Precision::Int8,
-            &template,
-            Some(bounding),
-            &quick_coarse(),
-        );
+        let result = coarse(&net, &dataset, &template, bounding, &quick_coarse());
         assert!(result.max_tolerable_ber > 0.0);
         assert!(result.max_tolerable_ber <= 0.3);
         assert!(result.probes.len() >= 3);
@@ -400,23 +390,21 @@ mod tests {
         let template = ErrorModel::uniform(0.01, 0.5, 2);
         let bounding =
             BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
-        let loose = coarse_characterize(
+        let loose = coarse(
             &net,
             &dataset,
-            Precision::Int8,
             &template,
-            Some(bounding),
+            bounding,
             &CoarseConfig {
                 accuracy_drop: 0.10,
                 ..quick_coarse()
             },
         );
-        let tight = coarse_characterize(
+        let tight = coarse(
             &net,
             &dataset,
-            Precision::Int8,
             &template,
-            Some(bounding),
+            bounding,
             &CoarseConfig {
                 accuracy_drop: 0.005,
                 ..quick_coarse()
@@ -440,14 +428,7 @@ mod tests {
             bootstrap_ber: 5e-4,
             ..FineConfig::default()
         };
-        let fine = fine_characterize(
-            &net,
-            &dataset,
-            Precision::Int8,
-            &template,
-            Some(bounding),
-            &cfg,
-        );
+        let fine = fine(&net, &dataset, &template, bounding, &cfg);
         assert_eq!(fine.tolerances.len(), net.data_sites().len());
         // Every tolerance is at least the bootstrap value.
         for (_, ber) in &fine.tolerances {
@@ -490,9 +471,9 @@ mod tests {
 
     #[test]
     fn session_variant_matches_the_one_shot_wrappers() {
-        // The wrappers construct a throwaway session, so wrapper == session
-        // pins that *reusing* one session across the probe loop (and across
-        // coarse + fine) is bit-identical to per-call construction.
+        // A fresh session per call against one session reused across the
+        // probe loop (and across coarse + fine): reuse must be bit-identical
+        // to per-call construction.
         let (net, dataset) = trained(5);
         let template = ErrorModel::uniform(0.01, 0.5, 6);
         let bounding =
@@ -504,22 +485,8 @@ mod tests {
             bootstrap_ber: 5e-4,
             ..FineConfig::default()
         };
-        let coarse_oneshot = coarse_characterize(
-            &net,
-            &dataset,
-            Precision::Int8,
-            &template,
-            Some(bounding),
-            &coarse_cfg,
-        );
-        let fine_oneshot = fine_characterize(
-            &net,
-            &dataset,
-            Precision::Int8,
-            &template,
-            Some(bounding),
-            &fine_cfg,
-        );
+        let coarse_oneshot = coarse(&net, &dataset, &template, bounding, &coarse_cfg);
+        let fine_oneshot = fine(&net, &dataset, &template, bounding, &fine_cfg);
 
         let mut session = EvalSession::new(&net, Precision::Int8, InferenceBackend::SimulatedF32);
         let coarse_session = coarse_characterize_session(
@@ -544,12 +511,11 @@ mod tests {
         let template = ErrorModel::uniform(0.01, 0.5, 4);
         let bounding =
             BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
-        let fine = fine_characterize(
+        let fine = fine(
             &net,
             &dataset,
-            Precision::Int8,
             &template,
-            Some(bounding),
+            bounding,
             &FineConfig {
                 eval_samples: 24,
                 max_rounds: 3,

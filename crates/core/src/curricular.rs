@@ -178,8 +178,8 @@ impl CurricularTrainer {
     /// batch's sparse fault draw
     /// ([`ApproximateMemory::corrupt_overlay`] / [`Network::apply_overlay`]).
     /// This consumes the same load streams and produces the same parameter
-    /// values as corrupting a fresh clone — or a full
-    /// [`Network::load_corrupted_weights`] image reload — would.
+    /// values as corrupting a copy of every clean image and loading the
+    /// copies whole would.
     ///
     /// The batch's samples then train data-parallel on lane replicas of
     /// `corrupted` ([`eden_dnn::train::minibatch_step`]). Each sample makes
@@ -189,8 +189,9 @@ impl CurricularTrainer {
     /// [`ApproximateMemory::preallocate`] has placed every IFM site in the
     /// order that loop allocates them lazily (weights at the fetch, then
     /// IFMs in layer order). Sequential references in the test suites (one
-    /// clone-based, one on a persistent copy) pin the whole epoch bit for
-    /// bit: losses, parameters, running statistics and memory statistics.
+    /// reloading every image into a fresh clone, one on a persistent copy)
+    /// pin the whole epoch bit for bit: losses, parameters, running
+    /// statistics and memory statistics.
     pub fn train_epoch(
         &self,
         net: &mut Network,
@@ -246,8 +247,9 @@ impl CurricularTrainer {
 mod tests {
     use super::*;
     use eden_dnn::data::SyntheticVision;
-    use eden_dnn::train::{sequential_minibatch_step, TrainConfig, Trainer};
-    use eden_dnn::{zoo, Dataset};
+    use eden_dnn::train::{TrainConfig, Trainer};
+    use eden_dnn::{loss, zoo, Dataset};
+    use eden_tensor::Tensor;
 
     fn baseline(seed: u64) -> (Network, SyntheticVision) {
         let dataset = SyntheticVision::tiny(seed);
@@ -338,14 +340,37 @@ mod tests {
         assert!(reliable > chance + 0.15);
     }
 
+    /// The sequential per-sample minibatch loop: zero `net`'s gradients,
+    /// then per sample of `batch` in order run `forward` on `net` itself,
+    /// take the cross-entropy loss and back-propagate its gradient scaled by
+    /// `1 / batch.len()`. Returns the summed sample losses.
+    fn sequential_minibatch_step(
+        net: &mut Network,
+        data: &[(Tensor, usize)],
+        batch: &[usize],
+        mut forward: impl FnMut(&mut Network, &Tensor) -> Tensor,
+    ) -> f32 {
+        net.zero_grads();
+        let mut batch_loss = 0.0;
+        for &i in batch {
+            let (x, label) = &data[i];
+            let logits = forward(net, x);
+            let (l, d_logits) = loss::cross_entropy(&logits, *label);
+            batch_loss += l;
+            net.backward(&d_logits.scale(1.0 / batch.len() as f32));
+        }
+        batch_loss
+    }
+
     #[test]
     fn persistent_corrupted_copy_matches_clone_based_epochs() {
         // Reference implementation of the pre-session algorithm: a fresh
-        // `net.clone()` corrupted per batch, its samples run one after the
-        // other on one memory. The production path re-loads a persistent
-        // copy from per-batch bit images, trains the samples on lane
-        // replicas served by memory cursors, and must match it bit for bit
-        // — same losses, same final weights.
+        // `net.clone()` loaded with corrupted copies of the batch's clean
+        // images, its samples run one after the other on one memory. The
+        // production path re-loads a persistent copy from per-batch bit
+        // images, trains the samples on lane replicas served by memory
+        // cursors, and must match it bit for bit — same losses, same final
+        // weights.
         fn retrain_clone_based(
             trainer: &CurricularTrainer,
             net: &mut Network,
@@ -375,7 +400,10 @@ mod tests {
                 let mut batches = 0usize;
                 for chunk in order.chunks(cfg.batch_size) {
                     let mut corrupted = net.clone();
-                    corrupted.corrupt_weights(cfg.precision, &mut memory);
+                    corrupted.load_clean_weights(&crate::corrupted_images(
+                        &net.weight_images(cfg.precision),
+                        &mut memory,
+                    ));
                     let batch_loss = sequential_minibatch_step(
                         &mut corrupted,
                         dataset.train(),

@@ -27,25 +27,21 @@
 //! stored bits through the same [`FaultHook`] entry point and consume load
 //! streams in the same order.
 //!
-//! # Weight loads: sparse overlays vs image reloads
+//! # Weight loads as sparse overlays
 //!
 //! Weight sites are served from cached clean bit images
-//! ([`Network::weight_images`]), in one of two equivalent forms:
+//! ([`Network::weight_images`]). A load is answered with a
+//! [`CorruptionOverlay`] ([`ApproximateMemory::corrupt_overlay`]): the
+//! `(word, xor mask)` deltas of the draw's flips, with any bounding
+//! corrections folded in sparsely, which the evaluator patches into (and
+//! later reverts from) a persistent corrupted copy. Per refetch this costs
+//! O(flips), not O(total weights).
 //!
-//! * **Sparse overlays** ([`ApproximateMemory::corrupt_overlay`], the
-//!   production path): the load is answered with a [`CorruptionOverlay`] —
-//!   the `(word, xor mask)` deltas of the draw's flips, with any bounding
-//!   corrections folded in sparsely — which the evaluator patches into (and
-//!   later reverts from) a persistent corrupted copy. Per refetch this
-//!   costs O(flips), not O(total weights).
-//! * **Image reloads** ([`FaultHook::corrupt`] via
-//!   [`Network::load_corrupted_weights`], the reference path): each refetch
-//!   corrupts a fresh *copy* of the stored bits and rewrites every
-//!   parameter word.
-//!
-//! Both forms consume the same load streams and produce bit-identical
-//! results and statistics; the workspace `overlay_equivalence` suite pins
-//! them against each other.
+//! The overlay consumes the same load stream, and records the same
+//! statistics, as corrupting a copy of the clean image in place through
+//! [`FaultHook::corrupt`]; the workspace `overlay_equivalence` suite pins
+//! the two against each other with a test-local reference that loads such
+//! copies whole.
 //!
 //! # Multi-module span placement
 //!

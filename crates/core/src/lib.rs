@@ -59,3 +59,20 @@ pub use faults::{ApproximateMemory, PlacedSpan, SpanComposition, WeakMapCache};
 pub use mapping::{CoarseMapping, FineMapping, PlacementPlan};
 pub use pipeline::{EdenConfig, EdenOutcome, EdenPipeline};
 pub use session::EvalSession;
+
+/// The reference weight load of the unit tests: a copy of every image's
+/// clean bits, corrupted by `hook` in image order.
+#[cfg(test)]
+fn corrupted_images(
+    images: &[eden_dnn::network::WeightImage],
+    hook: &mut dyn eden_dnn::FaultHook,
+) -> Vec<eden_dnn::network::WeightImage> {
+    images
+        .iter()
+        .map(|img| {
+            let mut img = img.clone();
+            hook.corrupt(&img.site, &mut img.clean);
+            img
+        })
+        .collect()
+}

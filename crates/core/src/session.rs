@@ -31,16 +31,17 @@
 //!
 //! Every weight refetch is served as a set of sparse [`CorruptionOverlay`]s
 //! ([`ApproximateMemory::corrupt_overlay`]): the pool's corrupted copies are
-//! held at the dequantized-clean baseline and only the words a fault draw
+//! held at the dequantized-clean baseline
+//! ([`NativeWeights::refresh_clean`]) and only the words a fault draw
 //! touches are patched — and reverted before the next draw
 //! (`apply ∘ revert` is the identity). At the BERs the paper operates at
 //! this makes the per-refetch weight cost O(flips) instead of O(total
 //! weights), which is the dominant cost of the characterization and
-//! tolerance-curve probe loops. The full image reload
-//! ([`Network::load_corrupted_weights`], [`NativeWeights::refresh`]) survives
-//! as a test oracle: the workspace `overlay_equivalence` suite pins the
-//! session bit for bit against a test-local reference that reloads every
-//! image per refetch and runs each sample on its own.
+//! tolerance-curve probe loops. It is the only way the library loads
+//! weights; the workspace `overlay_equivalence` suite pins the session bit
+//! for bit against a test-local reference that corrupts a copy of every
+//! clean image per refetch, loads the copies whole and runs each sample on
+//! its own.
 //!
 //! # One executor
 //!
@@ -203,7 +204,7 @@ struct SessionCore<'a> {
     precision: Precision,
     backend: InferenceBackend,
     /// Clean quantized bit images of every weight parameter, in
-    /// [`Network::corrupt_weights`] visit order — captured once per session.
+    /// [`Network::weight_images`] order — captured once per session.
     images: Vec<WeightImage>,
     /// Weak-cell maps and placements shared by every memory this session
     /// evaluates with.
@@ -889,7 +890,8 @@ impl SessionCore<'_> {
     /// Serves one weight refetch as overlays: one
     /// [`ApproximateMemory::corrupt_overlay`] per weight image, in image
     /// order — consuming exactly the load streams (and accumulating exactly
-    /// the statistics) that [`Network::load_corrupted_weights`] would.
+    /// the statistics) that corrupting a copy of every image through
+    /// [`eden_dnn::FaultHook::corrupt`] would.
     fn refetch_overlays(
         &self,
         memory: &mut ApproximateMemory,
@@ -1128,7 +1130,7 @@ mod tests {
             let corrections = core.clean_corrections(&a);
             core.refetch_slot(&mut simulated, &mut a, corrections.as_deref());
             let mut reloaded = net.clone();
-            reloaded.load_corrupted_weights(&core.images, &mut b);
+            reloaded.load_clean_weights(&crate::corrupted_images(&core.images, &mut b));
             let reference = reloaded.forward_with_ifm_hook(x, Precision::Int8, &mut NoFaults);
             assert_eq!(out(&simulated.weights), reference, "{ber}");
             assert_eq!(a.stats(), b.stats(), "{ber}");
@@ -1136,7 +1138,7 @@ mod tests {
             let (mut a, mut b) = (make(), make());
             core.refetch_slot(&mut native, &mut a, corrections.as_deref());
             let mut refreshed = NativeWeights::prepare(&net);
-            refreshed.refresh(&core.images, &mut b);
+            refreshed.refresh_clean(&crate::corrupted_images(&core.images, &mut b));
             assert_eq!(out(&native.weights), out(&refreshed), "{ber}");
             assert_eq!(a.stats(), b.stats(), "{ber}");
         }

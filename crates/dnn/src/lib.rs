@@ -32,7 +32,6 @@ pub mod metrics;
 pub mod network;
 pub mod optimizer;
 pub mod qexec;
-pub mod quantized;
 pub mod train;
 pub mod zoo;
 

@@ -9,22 +9,6 @@ pub fn cross_entropy(logits: &Tensor, label: usize) -> (f32, Tensor) {
     ops::softmax_cross_entropy(logits, label)
 }
 
-/// Mean softmax cross-entropy loss over a batch of `(logits, label)` pairs.
-///
-/// Returns the mean loss and the per-sample logit gradients scaled by `1/n`.
-pub fn batch_cross_entropy(batch: &[(Tensor, usize)]) -> (f32, Vec<Tensor>) {
-    assert!(!batch.is_empty(), "empty batch");
-    let n = batch.len() as f32;
-    let mut total = 0.0;
-    let mut grads = Vec::with_capacity(batch.len());
-    for (logits, label) in batch {
-        let (l, g) = ops::softmax_cross_entropy(logits, *label);
-        total += l;
-        grads.push(g.scale(1.0 / n));
-    }
-    (total / n, grads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,17 +20,6 @@ mod tests {
         let (high, _) = cross_entropy(&confident, 1);
         assert!(low < 0.01);
         assert!(high > 5.0);
-    }
-
-    #[test]
-    fn batch_loss_is_mean_of_sample_losses() {
-        let a = Tensor::from_vec(vec![1.0, 0.0], &[2]);
-        let b = Tensor::from_vec(vec![0.0, 1.0], &[2]);
-        let (la, _) = cross_entropy(&a, 0);
-        let (lb, _) = cross_entropy(&b, 0);
-        let (batch, grads) = batch_cross_entropy(&[(a, 0), (b, 0)]);
-        assert!((batch - (la + lb) / 2.0).abs() < 1e-6);
-        assert_eq!(grads.len(), 2);
     }
 
     #[test]

@@ -2,24 +2,18 @@
 //!
 //! # Serving weights from approximate DRAM
 //!
-//! Weight corruption has two forms, both driven by the cached clean bit
-//! images of [`Network::weight_images`]:
+//! Every weight load starts from the cached clean bit images of
+//! [`Network::weight_images`]. The parameters are held at the dequantized
+//! clean baseline ([`Network::load_clean_weights`]), and each fault draw is
+//! patched in as sparse [`CorruptionOverlay`]s ([`Network::apply_overlay`] /
+//! [`Network::revert_overlay`]): only the words an overlay touches are
+//! rewritten, so a refetch costs O(flips), and `apply ∘ revert` restores the
+//! baseline exactly. One persistent corrupted copy therefore serves any
+//! number of fault draws without full reloads.
 //!
-//! * **Image reload** ([`Network::load_corrupted_weights`]): per refetch,
-//!   clone each clean image, corrupt it through a [`FaultHook`], dequantize
-//!   into the parameter buffers — O(total weights) per refetch. This is the
-//!   test oracle the sparse path is pinned against.
-//! * **Sparse overlays** ([`Network::apply_overlay`] /
-//!   [`Network::revert_overlay`]): hold the parameters at the dequantized
-//!   clean baseline ([`Network::load_clean_weights`]) and patch only the
-//!   words a [`CorruptionOverlay`] touches — O(flips) per refetch, and
-//!   `apply ∘ revert` restores the baseline exactly, so one persistent
-//!   corrupted copy serves any number of fault draws without full reloads.
-//!
-//! Both forms produce bit-identical parameters for the same fault draw; the
-//! workspace `overlay_equivalence` suite pins the evaluation session (which
-//! refetches through overlays only) against a reference that reloads
-//! images.
+//! The workspace `overlay_equivalence` suite pins this path bit for bit
+//! against a test-local reference that corrupts a copy of every clean image
+//! per refetch and loads the result with [`Network::load_clean_weights`].
 
 use crate::hooks::{DataKind, DataSite, FaultHook};
 use crate::layer::{Layer, ParamEntry};
@@ -54,9 +48,8 @@ impl DataTypeInfo {
 /// the whole network.
 #[derive(Debug, Clone)]
 pub struct WeightImage {
-    /// The weight data site the parameter belongs to (one per layer — a
-    /// layer's weight and bias share the site, as in
-    /// [`Network::corrupt_weights`]).
+    /// The weight data site the parameter belongs to (one per layer: a
+    /// layer's weight and bias share the site).
     pub site: DataSite,
     /// Index of the owning layer.
     pub layer_index: usize,
@@ -226,14 +219,6 @@ impl Network {
         self.forward(input).argmax()
     }
 
-    /// The output logits dimension (class count), derived from shapes.
-    pub fn output_classes(&self) -> usize {
-        self.data_flow_shapes()
-            .last()
-            .map(|s| s.iter().product())
-            .unwrap_or(0)
-    }
-
     /// The shape of every layer's output (last entry is the network output).
     pub fn data_flow_shapes(&self) -> Vec<Vec<usize>> {
         let mut shapes = Vec::with_capacity(self.layers.len());
@@ -306,28 +291,13 @@ impl Network {
         total
     }
 
-    /// Corrupts all layer weights in place by round-tripping them through the
-    /// stored representation at `precision` and applying `hook` — modelling
-    /// weights that reside in approximate DRAM.
-    pub fn corrupt_weights(&mut self, precision: Precision, hook: &mut dyn FaultHook) {
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let site = DataSite::new(i, layer.name(), DataKind::Weight);
-            layer.visit_params(&mut |p| {
-                let mut q = QuantTensor::quantize(p.value, precision);
-                hook.corrupt(&site, &mut q);
-                *p.value = q.dequantize();
-            });
-        }
-    }
-
     /// Captures the clean quantized bit image of every layer parameter, in
-    /// the exact order [`Network::corrupt_weights`] visits them.
+    /// layer order and, within a layer, in [`Network::visit_params`] order.
     ///
-    /// Computed once per evaluation, the images let each weight refetch
-    /// corrupt a *copy* of the stored bits
-    /// ([`Network::load_corrupted_weights`]) instead of re-cloning and
-    /// re-quantizing the network — quantization is deterministic, so the
-    /// corrupted results are bit-identical to the clone-based path.
+    /// Computed once per evaluation, the images are the stored bits every
+    /// weight load reads: [`Network::load_clean_weights`] loads them as they
+    /// are, and each fault draw is patched on top as sparse overlays
+    /// ([`Network::apply_overlay`]) instead of re-quantizing the network.
     pub fn weight_images(&self, precision: Precision) -> Vec<WeightImage> {
         let mut out = Vec::new();
         for (i, layer) in self.layers.iter().enumerate() {
@@ -344,33 +314,10 @@ impl Network {
         out
     }
 
-    /// Overwrites this network's parameters with freshly corrupted copies of
-    /// the cached clean bit images: per parameter, clone the stored bits,
-    /// apply `hook`, dequantize into the existing parameter buffer. Consumes
-    /// `hook` load streams in exactly the same order (and with exactly the
-    /// same tensors) as [`Network::corrupt_weights`] on a clean copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` does not match this network's parameter structure.
-    pub fn load_corrupted_weights(&mut self, images: &[WeightImage], hook: &mut dyn FaultHook) {
-        let mut cursor = 0usize;
-        self.visit_params_layers(&mut |layer_index, p| {
-            let img = images.get(cursor).expect("missing weight image");
-            cursor += 1;
-            debug_assert_eq!(img.layer_index, layer_index, "weight image order");
-            debug_assert_eq!(img.param_name, p.name, "weight image order");
-            let mut q = img.clean.clone();
-            hook.corrupt(&img.site, &mut q);
-            q.dequantize_into(p.value.data_mut());
-        });
-        assert_eq!(cursor, images.len(), "unconsumed weight images");
-    }
-
     /// Overwrites this network's parameters with the **dequantized clean**
     /// bit images — the baseline state of the sparse-overlay refetch path.
-    /// Equivalent to [`Network::load_corrupted_weights`] with a no-op hook,
-    /// without consuming any load streams.
+    /// Without faults this is post-training quantization: FP32 images load
+    /// the parameters unchanged.
     ///
     /// # Panics
     ///
@@ -395,8 +342,8 @@ impl Network {
     /// The parameters must currently hold the dequantized clean images —
     /// either via [`Network::load_clean_weights`] or after
     /// [`Network::revert_overlay`] of the previously applied overlays. The
-    /// result is then bit-identical to [`Network::load_corrupted_weights`]
-    /// with a hook producing the same corruption.
+    /// result is then bit-identical to loading images whose stored bits carry
+    /// the same corruption.
     ///
     /// # Panics
     ///
@@ -491,11 +438,47 @@ impl std::fmt::Debug for Network {
     }
 }
 
+/// The reference weight load of the unit tests: a copy of every image's
+/// clean bits, corrupted by `hook` in image order.
+#[cfg(test)]
+pub(crate) fn corrupted_images(
+    images: &[WeightImage],
+    hook: &mut dyn FaultHook,
+) -> Vec<WeightImage> {
+    images
+        .iter()
+        .map(|img| {
+            let mut img = img.clone();
+            hook.corrupt(&img.site, &mut img.clean);
+            img
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::SyntheticVision;
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
+    use crate::metrics;
+    use crate::train::{TrainConfig, Trainer};
+    use crate::Dataset;
     use eden_tensor::init::{seeded_rng, uniform};
+
+    /// `net` post-training quantized at `precision`: a clone loaded with
+    /// its clean weight images.
+    fn quantized(net: &Network, precision: Precision) -> Network {
+        let mut out = net.clone();
+        out.load_clean_weights(&net.weight_images(precision));
+        out
+    }
+
+    /// Corrupts `net`'s weights in place, loading its clean images at
+    /// `precision` through `hook`.
+    fn corrupt(net: &mut Network, precision: Precision, hook: &mut dyn FaultHook) {
+        let images = corrupted_images(&net.weight_images(precision), hook);
+        net.load_clean_weights(&images);
+    }
 
     fn tiny_net(seed: u64) -> Network {
         let mut rng = seeded_rng(seed);
@@ -515,7 +498,6 @@ mod tests {
         let y = net.forward(&x);
         assert_eq!(y.shape(), &[3]);
         assert_eq!(net.data_flow_shapes().last().unwrap(), &vec![3]);
-        assert_eq!(net.output_classes(), 3);
     }
 
     #[test]
@@ -574,34 +556,10 @@ mod tests {
     }
 
     #[test]
-    fn load_corrupted_weights_matches_clone_based_corruption() {
-        let net = tiny_net(8);
-        // A content-independent hook that flips bit 0 of every value.
-        let mut flip_all = |_: &DataSite, q: &mut QuantTensor| {
-            for i in 0..q.len() {
-                q.flip_bit(i, 0);
-            }
-        };
-        let mut cloned = net.clone();
-        cloned.corrupt_weights(Precision::Int8, &mut flip_all);
-
-        let images = net.weight_images(Precision::Int8);
-        let mut refreshed = net.clone();
-        refreshed.load_corrupted_weights(&images, &mut flip_all);
-
-        let x = Tensor::full(&[1, 8, 8], 0.3);
-        assert_eq!(cloned.forward(&x), refreshed.forward(&x));
-        // Refreshing again from the same clean images replays identically
-        // (no cumulative corruption).
-        refreshed.load_corrupted_weights(&images, &mut flip_all);
-        assert_eq!(cloned.forward(&x), refreshed.forward(&x));
-    }
-
-    #[test]
     fn overlay_patching_matches_image_reload() {
         // The sparse refetch path: a persistent copy held at the clean
-        // baseline, patched per draw, must track load_corrupted_weights bit
-        // for bit — and revert must restore the exact baseline.
+        // baseline, patched per draw, must track a full load of corrupted
+        // images bit for bit — and revert must restore the exact baseline.
         let net = tiny_net(9);
         let images = net.weight_images(Precision::Int8);
         // Per-image overlays flipping a few scattered bits.
@@ -621,10 +579,13 @@ mod tests {
         // deltas.
         let mut cursor = 0usize;
         let mut reference = net.clone();
-        reference.load_corrupted_weights(&images, &mut |_: &DataSite, q: &mut QuantTensor| {
-            overlays[cursor].apply(q);
-            cursor += 1;
-        });
+        reference.load_clean_weights(&corrupted_images(
+            &images,
+            &mut |_: &DataSite, q: &mut QuantTensor| {
+                overlays[cursor].apply(q);
+                cursor += 1;
+            },
+        ));
 
         let mut patched = net.clone();
         patched.load_clean_weights(&images);
@@ -666,11 +627,15 @@ mod tests {
         let x = uniform(&[1, 8, 8], -1.0, 1.0, &mut rng);
         let clean = net.forward(&x);
         // Flip the MSB of every weight value — output must change.
-        net.corrupt_weights(Precision::Int8, &mut |_: &DataSite, q: &mut QuantTensor| {
-            for i in 0..q.len() {
-                q.flip_bit(i, 7);
-            }
-        });
+        corrupt(
+            &mut net,
+            Precision::Int8,
+            &mut |_: &DataSite, q: &mut QuantTensor| {
+                for i in 0..q.len() {
+                    q.flip_bit(i, 7);
+                }
+            },
+        );
         let corrupted = net.forward(&x);
         assert_ne!(clean, corrupted);
     }
@@ -690,12 +655,75 @@ mod tests {
     fn cloned_network_is_independent() {
         let net = tiny_net(7);
         let mut copy = net.clone();
-        copy.corrupt_weights(Precision::Int8, &mut |_: &DataSite, q: &mut QuantTensor| {
-            for i in 0..q.len() {
-                q.flip_bit(i, 0);
-            }
-        });
+        corrupt(
+            &mut copy,
+            Precision::Int8,
+            &mut |_: &DataSite, q: &mut QuantTensor| {
+                for i in 0..q.len() {
+                    q.flip_bit(i, 0);
+                }
+            },
+        );
         let x = Tensor::full(&[1, 8, 8], 0.5);
         assert_ne!(net.forward(&x), copy.forward(&x));
+    }
+
+    fn small_conv_net(d: &SyntheticVision) -> Network {
+        let spec = d.spec();
+        let mut rng = seeded_rng(0);
+        let mut net = Network::new("cnn", &spec.input_shape());
+        net.push(Conv2d::new("conv", spec.channels, 6, 3, 1, 1, &mut rng))
+            .push(Relu::new("relu"))
+            .push(Flatten::new("flatten"))
+            .push(Dense::new(
+                "fc",
+                6 * spec.height * spec.width,
+                spec.num_classes,
+                &mut rng,
+            ));
+        net
+    }
+
+    #[test]
+    fn fp32_quantization_does_not_change_outputs() {
+        let d = SyntheticVision::tiny(0);
+        let net = small_conv_net(&d);
+        let q = quantized(&net, Precision::Fp32);
+        let x = &d.test()[0].0;
+        assert_eq!(net.forward(x), q.forward(x));
+    }
+
+    #[test]
+    fn int16_quantization_keeps_accuracy_int4_may_collapse() {
+        let d = SyntheticVision::tiny(1);
+        let mut net = small_conv_net(&d);
+        let mut trainer = Trainer::new(TrainConfig {
+            epochs: 4,
+            ..TrainConfig::default()
+        });
+        trainer.train(&mut net, &d);
+        let base = metrics::accuracy(&net, d.test());
+        let a16 = metrics::accuracy(&quantized(&net, Precision::Int16), d.test());
+        let a4 = metrics::accuracy(&quantized(&net, Precision::Int4), d.test());
+        assert!(
+            a16 >= base - 0.1,
+            "int16 accuracy {a16} dropped far below {base}"
+        );
+        // int4 is allowed to be worse (Table 2 shows collapse for some nets),
+        // but it must still be a valid accuracy.
+        assert!((0.0..=1.0).contains(&a4));
+    }
+
+    #[test]
+    fn footprint_scales_linearly_with_precision() {
+        let d = SyntheticVision::tiny(2);
+        let net = small_conv_net(&d);
+        let (f32_weights, f32_ifms) = (
+            net.weight_bytes(Precision::Fp32),
+            net.ifm_bytes(Precision::Fp32),
+        );
+        assert_eq!(f32_weights, 4 * net.weight_bytes(Precision::Int8));
+        assert_eq!(f32_ifms, 4 * net.ifm_bytes(Precision::Int8));
+        assert!(f32_weights + f32_ifms > 0);
     }
 }

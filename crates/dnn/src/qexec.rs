@@ -13,15 +13,18 @@
 //! ([`eden_tensor::ops::gemm_i16_packed`]) everywhere else (int16, and
 //! int4/int8 reductions too deep for i32) — and a single fused epilogue
 //! applies the per-sample scale product and the bias. Weights are packed
-//! into their panel form once per refetch, and sparse corruption overlays
-//! patch the packed lanes in place. Convolution weight lanes follow the
-//! patch rows' `(ky, kx, ic)` order ([`eden_tensor::ops::conv_patch_lane`]);
-//! dense weight lanes keep their column order. ReLU, pooling and flatten
-//! run in the quantized domain; layers without a native implementation
-//! (normalization, composite blocks) run their f32 forward on a
-//! weight-refreshed clone of the network, so any architecture runs under
-//! either backend. The simulated plan ([`NativeWeights::simulated`]) runs
-//! every layer that way: dequantize the corrupted IFM, then the f32 layer.
+//! into their panel form from the clean images once
+//! ([`NativeWeights::refresh_clean`]), and each refetch's sparse corruption
+//! overlays patch the packed lanes in place. Convolution weight lanes follow
+//! the patch rows' `(ky, kx, ic)` order
+//! ([`eden_tensor::ops::conv_patch_lane`]); dense weight lanes keep their
+//! column order. ReLU, pooling and flatten run in the quantized domain;
+//! layers without a native implementation (normalization, composite blocks)
+//! run their f32 forward on a clone of the network whose parameters take
+//! the same clean loads and overlays ([`Network::load_clean_weights`],
+//! [`Network::apply_overlay`]), so any architecture runs under either
+//! backend. The simulated plan ([`NativeWeights::simulated`]) runs every
+//! layer that way: dequantize the corrupted IFM, then the f32 layer.
 //!
 //! There is one executor, [`forward_native_batch_observed`]: a group of
 //! samples sharing one corrupted weight state runs layer by layer, each
@@ -384,57 +387,52 @@ impl NativeWeights {
         self.f32_net.is_some()
     }
 
-    /// Re-loads every weight site from approximate memory: corrupts a copy of
-    /// each cached clean bit image (consuming `hook` load streams in the same
-    /// order as [`Network::load_corrupted_weights`]) and rebuilds the integer
-    /// parameters and the f32 network's weights. The O(total weights)
-    /// image-reload oracle the sparse overlay path
-    /// ([`NativeWeights::apply_overlay`]) is pinned against.
-    pub fn refresh(&mut self, images: &[WeightImage], hook: &mut dyn FaultHook) {
-        // Corrupted in image order, so both plans consume identical load
-        // streams.
-        let corrupted = images.iter().map(|img| {
-            let mut q = img.clean.clone();
-            hook.corrupt(&img.site, &mut q);
-            (img, q)
-        });
-        self.route(
-            corrupted,
-            |params, img, q| params.load(&img.param_name, &q),
-            |data, _, q| q.dequantize_into(data),
-        );
-    }
-
     /// Re-loads every weight site with its **clean** bit image — the
-    /// baseline state of the sparse-overlay refetch path. Produces exactly
-    /// the state [`NativeWeights::refresh`] with a no-op hook would, without
-    /// consuming load streams or cloning any bit image (the clean images are
-    /// read in place).
+    /// baseline state of the sparse-overlay refetch path: each GEMM layer's
+    /// integer parameters are packed from its images, and the f32 copy, when
+    /// there is one, loads every image ([`Network::load_clean_weights`]).
+    /// The clean images are read in place; no load stream is consumed.
     pub fn refresh_clean(&mut self, images: &[WeightImage]) {
-        self.route(
-            images.iter().map(|img| (img, ())),
-            |params, img, ()| params.load(&img.param_name, &img.clean),
-            |data, img, ()| img.clean.dequantize_into(data),
-        );
+        for img in images {
+            match self.plan.get_mut(img.layer_index) {
+                Some(LayerPlan::Gemm(params)) => params.load(&img.param_name, &img.clean),
+                _ => assert!(
+                    self.f32_net.is_some(),
+                    "weight image for an f32 layer but no f32 network"
+                ),
+            }
+        }
+        if let Some(net) = &mut self.f32_net {
+            net.load_clean_weights(images);
+        }
     }
 
     /// Patches the weight state with one [`CorruptionOverlay`] per weight
     /// image, touching only the overlaid words — the analogue of
-    /// [`crate::Network::apply_overlay`]. The state must currently be the
-    /// clean baseline ([`NativeWeights::refresh_clean`] or after
+    /// [`Network::apply_overlay`], which patches the f32 copy. The state
+    /// must currently be the clean baseline
+    /// ([`NativeWeights::refresh_clean`] or after
     /// [`NativeWeights::revert_overlay`]); the result is bit-identical to
-    /// [`NativeWeights::refresh`] under a hook producing the same
-    /// corruption, at O(flips) instead of O(total weights).
+    /// [`NativeWeights::refresh_clean`] of images whose stored bits carry
+    /// the same corruption, at O(flips) instead of O(total weights).
     pub fn apply_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
         self.patch_overlay(images, overlays, true);
+        if let Some(net) = &mut self.f32_net {
+            net.apply_overlay(images, overlays);
+        }
     }
 
     /// Undoes [`NativeWeights::apply_overlay`], restoring every touched word
     /// to its clean value in O(flips).
     pub fn revert_overlay(&mut self, images: &[WeightImage], overlays: &[CorruptionOverlay]) {
         self.patch_overlay(images, overlays, false);
+        if let Some(net) = &mut self.f32_net {
+            net.revert_overlay(images, overlays);
+        }
     }
 
+    /// Writes each overlay's patched words into the integer parameters of
+    /// its GEMM layer; images of other layers live only in the f32 copy.
     fn patch_overlay(
         &mut self,
         images: &[WeightImage],
@@ -442,68 +440,20 @@ impl NativeWeights {
         apply: bool,
     ) {
         assert_eq!(images.len(), overlays.len(), "one overlay per image");
-        self.route(
-            images.iter().zip(overlays),
-            |params, img, overlay| {
-                let words = overlay.patched_words(&img.clean, apply);
-                if img.param_name == "weight" {
-                    // The scale is a property of the clean quantization and
-                    // is untouched by bit corruption, so it never needs
-                    // re-patching.
-                    params.patch_weights(&img.clean, words);
-                } else {
-                    for (i, word) in words {
-                        params.bias[i] = img.clean.word_value(word);
-                    }
+        for (img, overlay) in images.iter().zip(overlays) {
+            let Some(LayerPlan::Gemm(params)) = self.plan.get_mut(img.layer_index) else {
+                continue;
+            };
+            let words = overlay.patched_words(&img.clean, apply);
+            if img.param_name == "weight" {
+                // The scale is a property of the clean quantization and is
+                // untouched by bit corruption, so it never needs re-patching.
+                params.patch_weights(&img.clean, words);
+            } else {
+                for (i, word) in words {
+                    params.bias[i] = img.clean.word_value(word);
                 }
-            },
-            |data, img, overlay| {
-                for (i, word) in overlay.patched_words(&img.clean, apply) {
-                    data[i] = img.clean.word_value(word);
-                }
-            },
-        );
-    }
-
-    /// The one weight-routing walk behind every refetch: each `(image,
-    /// item)` goes to `gemm` with its layer's integer parameters when the
-    /// layer runs as a GEMM, and otherwise to `f32` with the f32 network's
-    /// matching parameter buffer. `items` are consumed in image order before
-    /// the f32 network is walked, so a lazily corrupting iterator draws its
-    /// load streams in image order.
-    fn route<'i, T>(
-        &mut self,
-        items: impl IntoIterator<Item = (&'i WeightImage, T)>,
-        mut gemm: impl FnMut(&mut QuantLayerParams, &WeightImage, T),
-        mut f32: impl FnMut(&mut [f32], &WeightImage, T),
-    ) {
-        let mut for_f32 = std::collections::VecDeque::new();
-        for (img, item) in items {
-            match self.plan.get_mut(img.layer_index) {
-                Some(LayerPlan::Gemm(params)) => gemm(params, img, item),
-                _ => for_f32.push_back((img, item)),
             }
-        }
-        let plan = &self.plan;
-        match &mut self.f32_net {
-            Some(net) => {
-                net.visit_params_layers(&mut |layer_index, p| {
-                    // GEMM layers keep their integer parameters; the f32
-                    // network only refreshes the layers that run as f32.
-                    if matches!(plan.get(layer_index), Some(LayerPlan::Gemm(_))) {
-                        return;
-                    }
-                    let (img, item) = for_f32.pop_front().expect("f32 weight image missing");
-                    assert_eq!(img.layer_index, layer_index, "weight image order mismatch");
-                    debug_assert_eq!(img.param_name, p.name, "weight image order mismatch");
-                    f32(p.value.data_mut(), img, item);
-                });
-                assert!(for_f32.is_empty(), "unconsumed f32 weight image");
-            }
-            None => assert!(
-                for_f32.is_empty(),
-                "weight image for an f32 layer but no f32 network"
-            ),
         }
     }
 
@@ -796,6 +746,7 @@ fn epilogue_batch<A: Copy>(
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
+    use crate::network::corrupted_images;
     use crate::NoFaults;
     use eden_tensor::init::{seeded_rng, uniform};
 
@@ -832,9 +783,8 @@ mod tests {
     }
 
     fn native_forward(net: &Network, x: &Tensor, precision: Precision) -> Tensor {
-        let images = net.weight_images(precision);
         let mut weights = NativeWeights::prepare(net);
-        weights.refresh(&images, &mut NoFaults);
+        weights.refresh_clean(&net.weight_images(precision));
         forward_one(net, &weights, x, precision, &mut QuantScratch::new())
     }
 
@@ -842,7 +792,7 @@ mod tests {
     /// representation (as a weight refetch does), IFMs quantized per layer.
     fn simulated_forward(net: &Network, x: &Tensor, precision: Precision) -> Tensor {
         let mut c = net.clone();
-        c.corrupt_weights(precision, &mut NoFaults);
+        c.load_clean_weights(&net.weight_images(precision));
         c.forward_with_ifm_hook(x, precision, &mut NoFaults)
     }
 
@@ -903,9 +853,8 @@ mod tests {
             .map(|_| uniform(&[2, 7, 7], -1.0, 1.0, &mut rng))
             .collect();
         for p in [Precision::Int4, Precision::Int8, Precision::Int16] {
-            let images = net.weight_images(p);
             let mut weights = NativeWeights::prepare(&net);
-            weights.refresh(&images, &mut NoFaults);
+            weights.refresh_clean(&net.weight_images(p));
             let per: Vec<Tensor> = inputs
                 .iter()
                 .map(|x| forward_one(&net, &weights, x, p, &mut QuantScratch::new()))
@@ -934,9 +883,8 @@ mod tests {
         let net = tiny_net(6);
         let mut rng = seeded_rng(13);
         let p = Precision::Int8;
-        let images = net.weight_images(p);
         let mut weights = NativeWeights::prepare(&net);
-        weights.refresh(&images, &mut NoFaults);
+        weights.refresh_clean(&net.weight_images(p));
         let x0 = uniform(&[2, 7, 7], -1.0, 1.0, &mut rng);
         // Sample 1 "resumes" from layer 2 with the boundary activation a full
         // pass produces there.
@@ -1031,8 +979,8 @@ mod tests {
     #[test]
     fn native_overlay_patching_matches_refresh() {
         // Both a fully-native net and one with a fallback layer: applying
-        // overlays to clean native state must equal a full refresh through a
-        // hook producing the same corruption, and revert must restore clean.
+        // overlays to clean native state must equal a full refresh from
+        // images carrying the same corruption, and revert must restore clean.
         let mut rng = seeded_rng(2);
         let mut norm_net = Network::new("norm", &[2, 4, 4]);
         norm_net
@@ -1057,10 +1005,13 @@ mod tests {
 
                 let mut cursor = 0usize;
                 let mut reference = NativeWeights::prepare(&net);
-                reference.refresh(&images, &mut |_: &DataSite, q: &mut QuantTensor| {
-                    overlays[cursor].apply(q);
-                    cursor += 1;
-                });
+                reference.refresh_clean(&corrupted_images(
+                    &images,
+                    &mut |_: &DataSite, q: &mut QuantTensor| {
+                        overlays[cursor].apply(q);
+                        cursor += 1;
+                    },
+                ));
 
                 let mut patched = NativeWeights::prepare(&net);
                 patched.refresh_clean(&images);

@@ -10,8 +10,9 @@
 //! the other lanes of its wave. The master then folds the wave's lanes
 //! **in sample order** ([`Network::fold_lane`]). Every layer's fold replays
 //! exactly the updates the sample would have made on the master, so the
-//! step is bit-identical to [`sequential_minibatch_step`] — the per-sample
-//! loop kept as the reference it is tested against — at any pool size.
+//! step is bit-identical to running the samples one after the other on the
+//! master at any pool size; the workspace `training_equivalence` suite pins
+//! it against that sequential loop.
 
 use crate::data::Dataset;
 use crate::loss;
@@ -132,7 +133,7 @@ impl Trainer {
 ///
 /// `batch` indexes the samples of `data`. `net`'s gradients are zeroed
 /// first; afterwards they (and any running statistics) are bit-identical to
-/// [`sequential_minibatch_step`]'s, as is the returned loss. Each sample
+/// those of the sequential per-sample loop, as is the returned loss. Each sample
 /// calls `forward(lane, position, input)` on a lane replica, where
 /// `position` is the sample's index within `batch`: the training forward
 /// pass must be a pure function of the lane's parameters, the position and
@@ -173,33 +174,6 @@ where
         }
     }
     (batch_loss, results)
-}
-
-/// The sequential per-sample minibatch loop: zero `net`'s gradients, then
-/// per sample of `batch` in order run `forward` on `net` itself, take the
-/// cross-entropy loss and back-propagate its gradient scaled by
-/// `1 / batch.len()`. Returns the summed sample losses.
-///
-/// This is the reference [`minibatch_step`] is pinned against (the
-/// training equivalence suite compares the two bit for bit); `forward` may
-/// carry state from sample to sample, such as one fault hook serving every
-/// load in turn.
-pub fn sequential_minibatch_step(
-    net: &mut Network,
-    data: &[(Tensor, usize)],
-    batch: &[usize],
-    mut forward: impl FnMut(&mut Network, &Tensor) -> Tensor,
-) -> f32 {
-    net.zero_grads();
-    let mut batch_loss = 0.0;
-    for &i in batch {
-        let (x, label) = &data[i];
-        let logits = forward(net, x);
-        let (l, d_logits) = loss::cross_entropy(&logits, *label);
-        batch_loss += l;
-        net.backward(&d_logits.scale(1.0 / batch.len() as f32));
-    }
-    batch_loss
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! Run with: `cargo run --release --example fine_grained_mapping`
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
-use eden::core::characterize::{fine_characterize, FineConfig};
+use eden::core::characterize::{fine_characterize_session, FineConfig};
 use eden::core::mapping::fine_map;
+use eden::core::session::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::zoo::ModelId;
 use eden::dnn::{DataKind, Dataset};
@@ -34,19 +35,14 @@ fn main() {
     let bounding =
         BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
     println!("characterizing per-data-type error tolerance ...");
-    let fine = fine_characterize(
-        &net,
-        &dataset,
-        Precision::Int8,
-        &template,
-        Some(bounding),
-        &FineConfig {
-            eval_samples: 48,
-            bootstrap_ber: 1e-3,
-            max_rounds: 3,
-            ..FineConfig::default()
-        },
-    );
+    let cfg = FineConfig {
+        eval_samples: 48,
+        bootstrap_ber: 1e-3,
+        max_rounds: 3,
+        ..FineConfig::default()
+    };
+    let mut session = EvalSession::new(&net, Precision::Int8, cfg.backend);
+    let fine = fine_characterize_session(&mut session, &dataset, &template, Some(bounding), &cfg);
     println!("{:<28} {:>8} {:>12}", "data type", "elements", "max BER");
     for (info, ber) in &fine.tolerances {
         println!(

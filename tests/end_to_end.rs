@@ -2,7 +2,7 @@
 //! device characterization, boosting, mapping and system-level accounting.
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
-use eden::core::characterize::{coarse_characterize, CoarseConfig};
+use eden::core::characterize::{coarse_characterize_session, CoarseConfig};
 use eden::core::curricular::{CurricularConfig, CurricularTrainer};
 use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
@@ -125,19 +125,15 @@ fn boosting_then_mapping_yields_reduced_parameters_and_valid_accuracy() {
     // Characterize.
     let bounding =
         BoundingLogic::calibrated(&net, &dataset.train()[..16], 1.5, CorrectionPolicy::Zero);
-    let coarse = coarse_characterize(
-        &net,
-        &dataset,
-        Precision::Int8,
-        &template,
-        Some(bounding),
-        &CoarseConfig {
-            eval_samples: 32,
-            iterations: 5,
-            accuracy_drop: 0.02,
-            ..CoarseConfig::default()
-        },
-    );
+    let cfg = CoarseConfig {
+        eval_samples: 32,
+        iterations: 5,
+        accuracy_drop: 0.02,
+        ..CoarseConfig::default()
+    };
+    let mut session = EvalSession::new(&net, Precision::Int8, cfg.backend);
+    let coarse =
+        coarse_characterize_session(&mut session, &dataset, &template, Some(bounding), &cfg);
     assert!(coarse.max_tolerable_ber > 0.0);
 
     // Map to vendor A and verify the mapping's BER budget is honoured.

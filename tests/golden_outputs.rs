@@ -29,10 +29,10 @@ use eden::core::faults::ApproximateMemory;
 use eden::core::inference::InferenceBackend;
 use eden::core::mapping::{benefit_traffic_score, coarse_map, multi_module_map, MultiModuleConfig};
 use eden::core::session::EvalSession;
+use eden::dnn::network::WeightImage;
 use eden::dnn::qexec::{forward_native_batch_observed, NativeWeights, QuantScratch};
-use eden::dnn::quantized::quantize_network;
 use eden::dnn::train::{TrainConfig, Trainer};
-use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
+use eden::dnn::{data::SyntheticVision, zoo, Dataset, FaultHook, Network};
 use eden::dram::characterize::CharacterizeConfig;
 use eden::dram::geometry::{DramGeometry, Partition};
 use eden::dram::{ApproxDramDevice, DramModule, ErrorModel, MemorySystem, OperatingPoint, Vendor};
@@ -259,6 +259,19 @@ fn multi_module_plans(
     }
 }
 
+/// A copy of every weight image's clean bits, corrupted by `hook` in image
+/// order: a whole weight load from approximate memory.
+fn corrupted_images(images: &[WeightImage], hook: &mut dyn FaultHook) -> Vec<WeightImage> {
+    images
+        .iter()
+        .map(|img| {
+            let mut img = img.clone();
+            hook.corrupt(&img.site, &mut img.clean);
+            img
+        })
+        .collect()
+}
+
 /// FNV-1a over the bit patterns of every logit of every output.
 fn logit_digest(outputs: &[Tensor]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -274,9 +287,9 @@ fn logit_digest(outputs: &[Tensor]) -> u64 {
 /// (reduction depths 27 to 512, padded 3×3 convolutions) at BER 1e-1,
 /// where corrupted int16 words reach −32768. Two paths per point:
 ///
-/// * `group`: weights loaded by full image reload
-///   ([`NativeWeights::refresh`]) and 16 samples as one group, each on its
-///   own lane `memory.fork(j)`;
+/// * `group`: weights loaded whole from corrupted copies of the clean
+///   images ([`corrupted_images`], [`NativeWeights::refresh_clean`]) and 16
+///   samples as one group, each on its own lane `memory.fork(j)`;
 /// * `session`: 4 samples one at a time through
 ///   [`EvalSession::forward_with_faults`], whose weights are sparse
 ///   corruption overlays on the clean baseline.
@@ -299,9 +312,9 @@ fn vgg_logits(out: &mut String) {
 
             let mut memory = ApproximateMemory::from_model(model, seed);
             memory.preallocate(&net, precision);
-            let images = net.weight_images(precision);
+            let images = corrupted_images(&net.weight_images(precision), &mut memory);
             let mut weights = NativeWeights::prepare(&net);
-            weights.refresh(&images, &mut memory);
+            weights.refresh_clean(&images);
             let mut lanes: Vec<ApproximateMemory> =
                 (0..inputs.len() as u64).map(|j| memory.fork(j)).collect();
             let logits = forward_native_batch_observed(
@@ -462,7 +475,8 @@ fn table3_chain(out: &mut String) {
 fn table2_quantized_logits(out: &mut String, nets: &[(&str, &Network, &SyntheticVision)]) {
     for &(name, net, dataset) in nets {
         for precision in Precision::all() {
-            let quantized = quantize_network(net, precision);
+            let mut quantized = net.clone();
+            quantized.load_clean_weights(&net.weight_images(precision));
             let logits: Vec<Tensor> = dataset.test()[..8]
                 .iter()
                 .map(|(x, _)| quantized.forward(x))

@@ -69,8 +69,7 @@ enum ReferenceWeights {
 /// The seed evaluation protocol, written out independently of the session:
 /// every site's DRAM placement is pinned up front; per window, each
 /// 16-sample refetch slot's weights are re-loaded from the parent memory by
-/// full image reload ([`Network::load_corrupted_weights`] /
-/// [`NativeWeights::refresh`]), in slot order; then every sample runs alone
+/// full image reload ([`reference_slot`]), in slot order; then every sample runs alone
 /// on its slot's weights with its own lane `memory.fork(global index)`
 /// ([`Network::forward_with_ifm_hook`], or [`reference_logits`]' layer walk
 /// on the native backend), and the lanes' statistics merge back in sample order. Returns
@@ -107,26 +106,38 @@ fn reference_evaluate(
     )
 }
 
-/// One refetch slot of the reference: every weight image re-loaded from
-/// `memory` by full image reload. The native slot's f32 copy reloads from a
-/// clone of `memory`, so it draws the same corruption without consuming the
-/// load streams twice.
+/// One refetch slot of the reference: a copy of every weight image's clean
+/// bits corrupted by `memory` in image order, and loaded whole into a
+/// network copy (and the native slot's integer panels).
 fn reference_slot(
     net: &Network,
     images: &[WeightImage],
     native: bool,
     memory: &mut ApproximateMemory,
 ) -> ReferenceWeights {
+    let images = corrupted_images(images, memory);
     let mut copy = net.clone();
+    copy.load_clean_weights(&images);
     if native {
-        copy.load_corrupted_weights(images, &mut memory.clone());
         let mut weights = NativeWeights::prepare(net);
-        weights.refresh(images, memory);
+        weights.refresh_clean(&images);
         ReferenceWeights::Native(weights, copy)
     } else {
-        copy.load_corrupted_weights(images, memory);
         ReferenceWeights::Simulated(copy)
     }
+}
+
+/// A copy of every weight image's clean bits, corrupted by `hook` in image
+/// order: a whole weight load from approximate memory.
+fn corrupted_images(images: &[WeightImage], hook: &mut dyn FaultHook) -> Vec<WeightImage> {
+    images
+        .iter()
+        .map(|img| {
+            let mut img = img.clone();
+            hook.corrupt(&img.site, &mut img.clean);
+            img
+        })
+        .collect()
 }
 
 /// One sample's logits on a reference slot, with `lane` serving its IFM

@@ -167,7 +167,7 @@ fn fine_characterization_is_thread_count_invariant() {
     // round, site)` stream and acceptances fold in site order after the
     // fan-out, so the full tolerance table — and the baseline/floor pair —
     // must be bit-identical at any worker count.
-    use eden::core::characterize::{fine_characterize, FineConfig};
+    use eden::core::characterize::{fine_characterize_session, FineConfig};
     let (net, dataset) = trained_lenet(37);
     let template = ErrorModel::uniform(0.02, 0.5, 5);
     let cfg = FineConfig {
@@ -177,7 +177,8 @@ fn fine_characterization_is_thread_count_invariant() {
         ..FineConfig::default()
     };
     assert_invariant(|| {
-        let fine = fine_characterize(&net, &dataset, Precision::Int8, &template, None, &cfg);
+        let mut session = EvalSession::new(&net, Precision::Int8, cfg.backend);
+        let fine = fine_characterize_session(&mut session, &dataset, &template, None, &cfg);
         let tolerances: Vec<(String, u64)> = fine
             .tolerances
             .iter()

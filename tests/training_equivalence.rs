@@ -18,8 +18,8 @@ use eden::core::curricular::{CurricularConfig, CurricularTrainer};
 use eden::core::faults::{ApproximateMemory, MemoryStats};
 use eden::dnn::data::{DatasetSpec, SyntheticConfig};
 use eden::dnn::optimizer::Sgd;
-use eden::dnn::train::{sequential_minibatch_step, TrainConfig, Trainer};
-use eden::dnn::{data::SyntheticVision, zoo, Dataset, Network};
+use eden::dnn::train::{TrainConfig, Trainer};
+use eden::dnn::{data::SyntheticVision, loss, zoo, Dataset, Network};
 use eden::dram::ErrorModel;
 use eden::tensor::{Precision, Tensor};
 use eden_par::ThreadPool;
@@ -96,6 +96,30 @@ fn train_config() -> TrainConfig {
 
 fn optimizer(cfg: &TrainConfig) -> Sgd {
     Sgd::new(cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+}
+
+/// The sequential per-sample minibatch loop: zero `net`'s gradients, then
+/// per sample of `batch` in order run `forward` on `net` itself, take the
+/// cross-entropy loss and back-propagate its gradient scaled by
+/// `1 / batch.len()`. Returns the summed sample losses. `forward` may carry
+/// state from sample to sample, such as one fault hook serving every load
+/// in turn.
+fn sequential_minibatch_step(
+    net: &mut Network,
+    data: &[(Tensor, usize)],
+    batch: &[usize],
+    mut forward: impl FnMut(&mut Network, &Tensor) -> Tensor,
+) -> f32 {
+    net.zero_grads();
+    let mut batch_loss = 0.0;
+    for &i in batch {
+        let (x, label) = &data[i];
+        let logits = forward(net, x);
+        let (l, d_logits) = loss::cross_entropy(&logits, *label);
+        batch_loss += l;
+        net.backward(&d_logits.scale(1.0 / batch.len() as f32));
+    }
+    batch_loss
 }
 
 /// The baseline epoch with every minibatch run by the sequential oracle.
