@@ -1,6 +1,7 @@
 //! Golden paper outputs: a Figure 8-shaped tolerance sweep, one Figure 11
 //! fine-grained characterization and Figure 12-shaped multi-module plans on
-//! LeNet, output-logit digests of the native integer backend on VGG, a
+//! LeNet, output-logit digests of the native integer backend on VGG and of
+//! the f32-plan layers on ResNet, MobileNet and simulated VGG, a
 //! baseline training run on ResNet, a Table 3-shaped chain (curricular
 //! retraining, coarse characterization, coarse mapping) on LeNet and Table
 //! 2-shaped logits of the trained LeNet and ResNet quantized at every
@@ -283,13 +284,65 @@ fn logit_digest(outputs: &[Tensor]) -> u64 {
     h
 }
 
+/// One `group` line: weights loaded whole from corrupted copies of the
+/// clean images ([`corrupted_images`], [`NativeWeights::refresh_clean`])
+/// into `weights`' plan, then `inputs` as one group, each sample on its own
+/// lane `memory.fork(j)`. `label` names the point.
+#[allow(clippy::too_many_arguments)]
+fn group_logits(
+    out: &mut String,
+    label: &str,
+    net: &Network,
+    mut weights: NativeWeights,
+    inputs: &[Tensor],
+    precision: Precision,
+    model: ErrorModel,
+    seed: u64,
+) {
+    let mut memory = ApproximateMemory::from_model(model, seed);
+    memory.preallocate(net, precision);
+    let images = corrupted_images(&net.weight_images(precision), &mut memory);
+    weights.refresh_clean(&images);
+    let mut lanes: Vec<ApproximateMemory> =
+        (0..inputs.len() as u64).map(|j| memory.fork(j)).collect();
+    let logits = forward_native_batch_observed(
+        net,
+        &weights,
+        inputs,
+        &vec![0; inputs.len()],
+        precision,
+        &mut lanes,
+        &mut QuantScratch::new(),
+        |_, _, _, _| {},
+    );
+    for lane in &lanes {
+        memory.merge_stats(lane.stats());
+    }
+    let s = memory.stats();
+    writeln!(
+        out,
+        "logits group {label} ber=1e-1 digest={:#018x} loads={} flips={} corrections={}",
+        logit_digest(&logits),
+        s.loads,
+        s.bit_flips,
+        s.corrections
+    )
+    .unwrap();
+}
+
+/// The error models of the logit lines, before their BER is set.
+fn logit_templates() -> [(&'static str, ErrorModel); 2] {
+    [
+        ("uniform", ErrorModel::uniform(0.02, 0.5, 7)),
+        ("wordline", ErrorModel::wordline(0.02, 0.5, 0.9, 7)),
+    ]
+}
+
 /// Output logits of the native integer backend on an untrained `vgg_mini`
 /// (reduction depths 27 to 512, padded 3×3 convolutions) at BER 1e-1,
 /// where corrupted int16 words reach −32768. Two paths per point:
 ///
-/// * `group`: weights loaded whole from corrupted copies of the clean
-///   images ([`corrupted_images`], [`NativeWeights::refresh_clean`]) and 16
-///   samples as one group, each on its own lane `memory.fork(j)`;
+/// * `group`: 16 samples as one group ([`group_logits`]);
 /// * `session`: 4 samples one at a time through
 ///   [`EvalSession::forward_with_faults`], whose weights are sparse
 ///   corruption overlays on the clean baseline.
@@ -301,45 +354,13 @@ fn vgg_logits(out: &mut String) {
         .map(|(x, _)| x.clone())
         .collect();
     let seed = 17;
-    let templates = [
-        ("uniform", ErrorModel::uniform(0.02, 0.5, 7)),
-        ("wordline", ErrorModel::wordline(0.02, 0.5, 0.9, 7)),
-    ];
     for precision in [Precision::Int4, Precision::Int8, Precision::Int16] {
         let session = EvalSession::new(&net, precision, InferenceBackend::NativeInt);
-        for (name, template) in &templates {
+        for (name, template) in &logit_templates() {
             let model = template.with_ber(1e-1);
-
-            let mut memory = ApproximateMemory::from_model(model, seed);
-            memory.preallocate(&net, precision);
-            let images = corrupted_images(&net.weight_images(precision), &mut memory);
-            let mut weights = NativeWeights::prepare(&net);
-            weights.refresh_clean(&images);
-            let mut lanes: Vec<ApproximateMemory> =
-                (0..inputs.len() as u64).map(|j| memory.fork(j)).collect();
-            let logits = forward_native_batch_observed(
-                &net,
-                &weights,
-                &inputs,
-                &vec![0; inputs.len()],
-                precision,
-                &mut lanes,
-                &mut QuantScratch::new(),
-                |_, _, _, _| {},
-            );
-            for lane in &lanes {
-                memory.merge_stats(lane.stats());
-            }
-            let s = memory.stats();
-            writeln!(
-                out,
-                "logits group native-int {precision} {name} ber=1e-1 digest={:#018x} loads={} flips={} corrections={}",
-                logit_digest(&logits),
-                s.loads,
-                s.bit_flips,
-                s.corrections
-            )
-            .unwrap();
+            let label = format!("native-int {precision} {name}");
+            let weights = NativeWeights::prepare(&net);
+            group_logits(out, &label, &net, weights, &inputs, precision, model, seed);
 
             let mut memory = ApproximateMemory::from_model(model, seed);
             let logits: Vec<Tensor> = inputs[..4]
@@ -356,6 +377,47 @@ fn vgg_logits(out: &mut String) {
                 s.corrections
             )
             .unwrap();
+        }
+    }
+}
+
+/// Group logits at BER 1e-1 of the plans whose layers run on f32 over
+/// dequantized IFMs, 16 samples per group on untrained networks:
+/// `resnet_mini` native at every integer precision (its residual blocks
+/// run on the f32 plan), `mobilenet_mini` native int8 (its depthwise convs
+/// are single-channel f32 convolutions) and `vgg_mini` simulated int8
+/// (every layer on f32).
+fn f32_plan_logits(out: &mut String) {
+    let dataset = SyntheticVision::small(4);
+    let inputs: Vec<Tensor> = dataset.test()[..16]
+        .iter()
+        .map(|(x, _)| x.clone())
+        .collect();
+    let resnet = zoo::resnet_mini(&dataset.spec(), 4);
+    let mobilenet = zoo::mobilenet_mini(&dataset.spec(), 4);
+    let vgg = zoo::vgg_mini(&dataset.spec(), 4);
+    let seed = 19;
+    let points = [
+        ("resnet", &resnet, Precision::Int4, false),
+        ("resnet", &resnet, Precision::Int8, false),
+        ("resnet", &resnet, Precision::Int16, false),
+        ("mobilenet", &mobilenet, Precision::Int8, false),
+        ("vgg", &vgg, Precision::Int8, true),
+    ];
+    for (model_name, net, precision, simulated) in points {
+        let (backend, weights) = if simulated {
+            (
+                InferenceBackend::SimulatedF32,
+                NativeWeights::simulated(net),
+            )
+        } else {
+            (InferenceBackend::NativeInt, NativeWeights::prepare(net))
+        };
+        for (name, template) in &logit_templates() {
+            let label = format!("{backend} {precision} {model_name} {name}");
+            let model = template.with_ber(1e-1);
+            let weights = weights.clone();
+            group_logits(out, &label, net, weights, &inputs, precision, model, seed);
         }
     }
 }
@@ -498,6 +560,7 @@ fn paper_outputs_match_the_committed_golden_values() {
     let (net, dataset, bounding, fine) = fine_characterization(&mut actual);
     multi_module_plans(&mut actual, &net, &dataset, bounding, &fine);
     vgg_logits(&mut actual);
+    f32_plan_logits(&mut actual);
     let (resnet, resnet_data) = baseline_training(&mut actual);
     table3_chain(&mut actual);
     table2_quantized_logits(
