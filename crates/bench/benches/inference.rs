@@ -103,10 +103,12 @@ fn bench_inference(c: &mut Criterion) {
 /// int4/int8 and int16 layer runs — at every ISA level this host supports,
 /// on a VGG-conv-shaped problem (the dominant shape behind the
 /// `quantized_backend` group); the tiled f32 GEMM on `vgg_mini`'s `conv1_2`
-/// at a group of 16 samples (the simulated and FP32 conv); and the
-/// layer-boundary quantizer on 16 int8 IFMs of that layer's shape; and the
-/// tiled f32 GEMM on the `res1` conv backward's weight-gradient shape
-/// (12×256×108, whose last 12 columns are a zero-padded tail strip). One
+/// at a group of 16 samples; the layer-boundary quantizer on 16 int8 IFMs
+/// of that layer's shape; the tiled f32 GEMM on the `res1` conv backward's
+/// weight-gradient shape (12×256×108, whose last 12 columns are a
+/// zero-padded tail strip); and the implicit-GEMM f32 convolution on
+/// `resnet_mini`'s `res1` conv, one sample (the simulated, FP32 and
+/// f32-plan conv, which `ops::conv2d` runs per sample). One
 /// entry per (kernel, ISA) via the explicit `_with` dispatch or the table
 /// entry, so the gate pins each
 /// SIMD tier individually: a regression in, say, the AVX2 panel kernel
@@ -147,6 +149,24 @@ fn bench_simd_kernels(c: &mut Criterion) {
         .collect();
     let tb: Vec<f32> = (0..tk * tn).map(|i| (i % 23) as f32 * 0.1).collect();
     let mut tout = vec![0.0f32; tm * tn];
+    // res1 of resnet_mini (12 → 12 channels, 3×3, stride 1) on one
+    // [12, 16, 16] sample, padded by 1: [m=12, k=108] · patches [k=108,
+    // n=256] gathered from the [12, 18, 18] image.
+    let res1 = simd::PaddedConv {
+        in_c: 12,
+        out_c: 12,
+        hp: 18,
+        wp: 18,
+        kernel: 3,
+        stride: 1,
+    };
+    let cw: Vec<f32> = (0..12 * 108)
+        .map(|i| (i % 17) as f32 * 0.02 - 0.16)
+        .collect();
+    let cimg: Vec<f32> = (0..12 * 18 * 18)
+        .map(|i| (i % 41) as f32 * 0.05 - 1.0)
+        .collect();
+    let mut cout = vec![0.0f32; 12 * 256];
     // 16 IFMs of [12, 16, 16] quantized to int8 at scale abs_max / 127.
     let ifm: Vec<f32> = (0..16 * 12 * 16 * 16)
         .map(|i| ((i * 7919) % 2001) as f32 * 0.003 - 3.0)
@@ -194,6 +214,12 @@ fn bench_simd_kernels(c: &mut Criterion) {
             b.iter(|| {
                 ops::gemm_with(&kr, tm, tk, tn, black_box(&ta), black_box(&tb), &mut tout);
                 black_box(tout[0])
+            })
+        });
+        group.bench_function(format!("conv_f32_res1_{isa}"), |b| {
+            b.iter(|| {
+                (kr.conv_f32)(&res1, black_box(&cw), black_box(&cimg), &mut cout);
+                black_box(cout[0])
             })
         });
         group.bench_function(format!("quantize_int8_{isa}"), |b| {

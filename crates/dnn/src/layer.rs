@@ -132,11 +132,13 @@ pub trait Layer: LayerClone + Send + Sync {
         false
     }
 
-    /// Batched pure forward pass over a group of same-shape samples:
-    /// im2col/pack once per sample into a single rhs, then **one** GEMM whose
-    /// B matrix holds the whole batch of activation columns
+    /// Batched pure forward pass over a group of same-shape samples: **one**
+    /// GEMM whose B matrix holds the whole batch of activation columns
     /// (weight-stationary dataflow — the layer's weights stream through the
-    /// cache once per batch instead of once per sample).
+    /// cache once per batch instead of once per sample). The dense layer
+    /// implements it; convolutions run per sample, where the implicit GEMM
+    /// of [`eden_tensor::ops::conv2d`] reads the input in place instead of
+    /// packing a batch-wide patch matrix.
     ///
     /// Implementations must be **bit-identical** to calling
     /// [`Layer::forward`] on each input independently: the f32 GEMM keeps

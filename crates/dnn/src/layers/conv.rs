@@ -1,12 +1,15 @@
 //! Standard and depthwise 2-D convolution layers.
 //!
-//! Both layers lower their convolutions to a patch gather + the
-//! register-tiled GEMM kernel in `eden_tensor::ops` (forward *and*
-//! backward), sharing the matmul hot path with the dense layers. The
-//! lowering is bit-identical to a direct loop nest — see
-//! [`eden_tensor::ops::conv2d`] and [`eden_tensor::ops::conv2d_backward`];
-//! the backward's working buffers come from the [`ConvScratch`] the
-//! network passes to [`Layer::backward`].
+//! Both layers run their f32 convolutions on the register-tiled GEMM
+//! kernel in `eden_tensor::ops`, sharing the matmul hot path with the dense
+//! layers: the forward pass per sample as an implicit GEMM whose rhs panels
+//! are gathered straight from the padded input
+//! ([`eden_tensor::ops::conv2d`]), the backward pass through a patch
+//! gather ([`eden_tensor::ops::conv2d_backward`]), whose working buffers
+//! come from the [`ConvScratch`] the network passes to [`Layer::backward`].
+//! Both are bit-identical to a direct loop nest. The standard layer's
+//! quantized form packs a multi-sample integer patch matrix for one panel
+//! GEMM per group ([`Layer::quant_forward_batch`]).
 
 use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};
@@ -132,55 +135,6 @@ impl Layer for Conv2d {
     fn macs(&self, input_shape: &[usize]) -> u64 {
         let out = self.output_shape(input_shape);
         (out[1] * out[2]) as u64 * self.weight.len() as u64
-    }
-
-    /// Weight-stationary batched convolution: every sample's patch columns
-    /// pack into one `[ck, batch·oh·ow]` rhs ([`ops::im2col_strided`] writes
-    /// every lane of its columns, so the rhs needs no pre-zeroing), the bias
-    /// seeds each output row (participating first in every accumulation
-    /// chain, exactly like [`eden_tensor::ops::conv2d`]), and a single
-    /// [`eden_tensor::ops::gemm`] produces the whole batch. Per output
-    /// element the k-ascending chain is untouched, so the result is
-    /// bit-identical to per-sample [`Layer::forward`] calls.
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
-        let first = inputs.first()?;
-        let shape = first.shape().to_vec();
-        assert_eq!(shape.len(), 3, "conv forward_batch input must be [c, h, w]");
-        assert!(
-            inputs.iter().all(|x| x.shape() == shape),
-            "conv forward_batch requires same-shape samples"
-        );
-        let (in_c, h, w) = (shape[0], shape[1], shape[2]);
-        assert_eq!(
-            in_c, self.in_channels,
-            "conv forward_batch channel mismatch"
-        );
-        let p = self.params;
-        let (oh, ow) = (p.out_size(h), p.out_size(w));
-        let (ohw, ck) = (oh * ow, in_c * p.kernel * p.kernel);
-        let n = inputs.len() * ohw;
-        let mut b = vec![0.0f32; ck * n];
-        for (j, x) in inputs.iter().enumerate() {
-            ops::im2col_strided(x.data(), in_c, h, w, p, j * ohw, n, &mut b);
-        }
-        let bd = self.bias.data();
-        let mut out = vec![0.0f32; self.out_channels * n];
-        for oc in 0..self.out_channels {
-            out[oc * n..(oc + 1) * n].fill(bd[oc]);
-        }
-        ops::gemm(self.out_channels, ck, n, self.weight.data(), &b, &mut out);
-        Some(
-            (0..inputs.len())
-                .map(|j| {
-                    let mut y = vec![0.0f32; self.out_channels * ohw];
-                    for oc in 0..self.out_channels {
-                        y[oc * ohw..(oc + 1) * ohw]
-                            .copy_from_slice(&out[oc * n + j * ohw..oc * n + (j + 1) * ohw]);
-                    }
-                    Tensor::from_vec(y, &[self.out_channels, oh, ow])
-                })
-                .collect(),
-        )
     }
 
     fn supports_quant_forward(&self) -> bool {

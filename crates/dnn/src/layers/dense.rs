@@ -1,8 +1,8 @@
 //! Fully-connected (dense) layers.
 //!
 //! The forward pass is one call into the register-tiled GEMM kernel in
-//! `eden_tensor::ops` — the same kernel that backs the convolution layers
-//! after their im2col lowering.
+//! `eden_tensor::ops` — the same tiles that run the convolution layers'
+//! implicit GEMM.
 
 use crate::layer::{lane_as, Layer, ParamEntry};
 use crate::qexec::{self, QuantLayerParams, QuantScratch};

@@ -4,6 +4,12 @@
 //! the `[channels, height, width]` (CHW) layout for single samples and
 //! `[batch, channels, height, width]` (NCHW) for batches where noted.
 //!
+//! The f32 convolution ([`conv2d`]) is an implicit GEMM: the dispatched
+//! `conv_f32` kernel packs the tiled GEMM's rhs panels straight from a
+//! zero-padded copy of the input, so no im2col matrix is written or read
+//! back. Its backward pass ([`conv2d_backward`]) still gathers patch rows
+//! for its weight-gradient GEMM.
+//!
 //! The native integer backend runs on two packed panel GEMMs that share one
 //! operand layout: rows of `k` sign-extended lanes, zero-padded to a fixed
 //! stride, with weights as lhs rows and patch-major activation rows as the
@@ -23,8 +29,8 @@ use crate::tensor::Tensor;
 /// Dense f32 matrix multiply-accumulate over raw slices:
 /// `out (m×n) += a (m×k) · b (k×n)`, all row-major.
 ///
-/// This is the shared kernel behind [`matmul`], [`conv2d`] (via
-/// [`im2col`]), [`conv2d_backward`] and the dense layers. It runs the
+/// This is the shared kernel behind [`matmul`], [`conv2d_backward`] and
+/// the dense layers, and [`conv2d`] runs its tiles too. It runs the
 /// dispatched `gemm_f32` kernel ([`crate::simd::Kernels`]): a register tile
 /// of 4 output rows × 2 vectors walks the whole of `k` in ascending order
 /// with a separate multiply and add, reading each rhs column strip from a
@@ -280,10 +286,10 @@ impl Conv2dParams {
 /// `[in_c·k·k, oh·ow]`: row `(ic·k + ky)·k + kx`, column `oy·ow + ox` holds
 /// the input pixel the kernel tap `(ic, ky, kx)` sees at output position
 /// `(oy, ox)` (zero where the tap falls into the padding). It is
-/// [`im2col_strided`] at column offset 0 and row stride `oh·ow`.
-///
-/// With this layout a convolution is one GEMM: `W [out_c × in_c·k²] · cols`.
-pub fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
+/// [`im2col_strided`] at column offset 0 and row stride `oh·ow`: the
+/// reference layout of the packers' tests ([`conv2d`] never writes it).
+#[cfg(test)]
+fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
     let (in_c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let ohw = p.out_size(h) * p.out_size(w);
     let mut cols = vec![0.0f32; in_c * p.kernel * p.kernel * ohw];
@@ -293,12 +299,13 @@ pub fn im2col(input: &Tensor, p: Conv2dParams) -> Tensor {
 
 /// The panel lane of a convolution tap in the native integer backend's
 /// patch order. `tap` is the tap's `(ic, ky, kx)` index `(ic·k + ky)·k +
-/// kx`: the row of [`im2col`] and the column of a row-major `[out_c, in_c,
-/// k, k]` weight. Its lane is `(ky·k + kx)·in_c + ic`, the channel-interleaved
-/// `(ky, kx, ic)` order [`im2col_t_stored_strided`] writes, so each kernel
-/// row of a patch is one contiguous run of `k·in_c` lanes. Weight panels
-/// must use the same permutation; integer sums are exact, so permuting both
-/// operands' `k` alike leaves every product sum unchanged.
+/// kx`: the row of the im2col patch matrix and the column of a row-major
+/// `[out_c, in_c, k, k]` weight. Its lane is `(ky·k + kx)·in_c + ic`, the
+/// channel-interleaved `(ky, kx, ic)` order [`im2col_t_stored_strided`]
+/// writes, so each kernel row of a patch is one contiguous run of `k·in_c`
+/// lanes. Weight panels must use the same permutation; integer sums are
+/// exact, so permuting both operands' `k` alike leaves every product sum
+/// unchanged.
 pub fn conv_patch_lane(in_c: usize, kernel: usize, tap: usize) -> usize {
     let taps = kernel * kernel;
     tap % taps * in_c + tap / taps
@@ -499,8 +506,8 @@ fn tap_columns(p: Conv2dParams, w: usize, ow: usize, kx: usize) -> (usize, usize
     (ox_lo, ox_hi)
 }
 
-/// Strided f32 im2col for batched convolution: writes one sample's
-/// `[in_c·k·k, oh·ow]` patch matrix (the layout of [`im2col`]) into columns
+/// Strided f32 im2col: writes one sample's `[in_c·k·k, oh·ow]` patch matrix
+/// (row `(ic·k + ky)·k + kx`, column `oy·ow + ox`) into columns
 /// `[col_offset, col_offset + oh·ow)` of a `[in_c·k·k, row_stride]` batch
 /// matrix, so a whole batch of samples packs into one rhs for
 /// [`gemm`]. Every lane of those columns is written: each in-bounds
@@ -568,8 +575,8 @@ pub fn im2col_strided(
 }
 
 /// Folds an im2col-shaped gradient `[in_c·k·k, oh·ow]` (the layout of
-/// [`im2col`]) back onto the input grid `[in_c, h, w]`, adding where
-/// receptive fields overlap — the adjoint of [`im2col`]. The adds run in
+/// [`im2col_strided`]) back onto the input grid `[in_c, h, w]`, adding
+/// where receptive fields overlap — the adjoint of im2col. The adds run in
 /// `(ic, ky, kx, oy, ox)` order; for one `(tap, oy)` the in-bounds output
 /// columns land on distinct pixels of one input row, so each is one
 /// contiguous (stride 1) or strided row-slice add, and every pixel still
@@ -609,9 +616,13 @@ fn col2im_add(d_cols: &[f32], in_c: usize, h: usize, w: usize, p: Conv2dParams, 
     }
 }
 
-/// 2-D convolution forward pass for a single sample, computed as
-/// [`im2col`] (which writes every lane of its patch matrix) + one
-/// register-tiled [`gemm`].
+/// 2-D convolution forward pass for a single sample, as an implicit GEMM:
+/// the input is copied once into a zero-padded image (read in place when
+/// `padding` is 0), every output row is seeded with its bias, and the
+/// dispatched `conv_f32` kernel ([`crate::simd::ConvF32Fn`]) runs the
+/// register-tiled f32 GEMM `weight [out_c × in_c·k²] · patches` with its
+/// rhs panels gathered straight from that image. No im2col matrix is
+/// written.
 ///
 /// * `input` — `[in_c, h, w]`
 /// * `weight` — `[out_c, in_c, k, k]`
@@ -619,7 +630,7 @@ fn col2im_add(d_cols: &[f32], in_c: usize, h: usize, w: usize, p: Conv2dParams, 
 ///
 /// Returns `[out_c, oh, ow]`. Each output accumulates its terms in the same
 /// `(ic, ky, kx)`-ascending order (bias first) as a direct loop nest would,
-/// so the GEMM path matches a naive implementation bit for bit on finite
+/// so the result matches a naive implementation bit for bit on finite
 /// activations (exactly-zero weights skip their terms — see [`gemm`] for the
 /// NaN/Inf edge).
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, p: Conv2dParams) -> Tensor {
@@ -630,24 +641,43 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, p: Conv2dParams) -
     assert_eq!(bias.len(), out_c, "conv2d bias size mismatch");
     assert_eq!(k, p.kernel, "conv2d weight kernel disagrees with params");
     let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let bd = bias.data();
-
-    let cols = im2col(input, p);
+    let g = simd::PaddedConv {
+        in_c,
+        out_c,
+        hp: h + 2 * p.padding,
+        wp: w + 2 * p.padding,
+        kernel: k,
+        stride: p.stride,
+    };
+    let padded;
+    let image = if p.padding == 0 {
+        input.data()
+    } else {
+        padded = padded_image(input.data(), in_c, h, w, p.padding);
+        &padded[..]
+    };
     // Seed every output row with its bias so the bias participates first in
     // each accumulation chain, exactly like `acc = bias; acc += ...`.
     let mut out = vec![0.0f32; out_c * oh * ow];
-    for oc in 0..out_c {
-        out[oc * oh * ow..(oc + 1) * oh * ow].fill(bd[oc]);
+    for (row, &b) in out.chunks_exact_mut(oh * ow).zip(bias.data()) {
+        row.fill(b);
     }
-    gemm(
-        out_c,
-        in_c * k * k,
-        oh * ow,
-        weight.data(),
-        cols.data(),
-        &mut out,
-    );
+    (simd::kernels().conv_f32)(&g, weight.data(), image, &mut out);
     Tensor::from_vec(out, &[out_c, oh, ow])
+}
+
+/// A copy of the `[in_c, h, w]` image with `padding` rows and columns of
+/// `+0.0` on every side (the value im2col writes for a padding tap).
+fn padded_image(input: &[f32], in_c: usize, h: usize, w: usize, padding: usize) -> Vec<f32> {
+    let wp = w + 2 * padding;
+    let plane = (h + 2 * padding) * wp;
+    let mut img = vec![0.0f32; in_c * plane];
+    for (r, src) in input[..in_c * h * w].chunks_exact(w).enumerate() {
+        let (c, y) = (r / h, r % h);
+        let start = c * plane + (y + padding) * wp + padding;
+        img[start..start + w].copy_from_slice(src);
+    }
+    img
 }
 
 /// Gradients produced by [`conv2d_backward`].
@@ -917,7 +947,7 @@ mod tests {
         assert!(approx(out.get(&[0, 0, 0]), 4.0)); // corner sees 2x2 window
     }
 
-    /// Reference naive conv used to validate the im2col + GEMM path.
+    /// Reference naive conv used to validate the implicit-GEMM path.
     fn conv2d_naive(input: &Tensor, weight: &Tensor, bias: &Tensor, p: Conv2dParams) -> Tensor {
         let (in_c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let (out_c, k) = (weight.shape()[0], weight.shape()[2]);

@@ -13,6 +13,9 @@
 //! * `axpy_f32`: the f32 row update `out += a·b` behind
 //!   [`crate::Tensor::axpy`];
 //! * `gemm_f32`: the register-tiled f32 GEMM behind [`crate::ops::gemm`];
+//! * `conv_f32`: the implicit-GEMM f32 convolution behind
+//!   [`crate::ops::conv2d`], the same tiled GEMM with its rhs panels
+//!   gathered straight from a zero-padded image;
 //! * `quantize_f32`: the layer-boundary quantizer behind
 //!   [`crate::quant::QuantTensor::requantize_from`].
 //!
@@ -21,8 +24,11 @@
 //! The SIMD tiers differ only in which intrinsics they call, so each
 //! algorithm is written once, generic over a small lane trait that every
 //! tier implements for its vector type: `F32Lanes` (f32 lanes) carries the
-//! tiled f32 GEMM and `axpy_f32`; `I16Lanes` (16-bit integer lanes, i32
-//! after a multiply–add) carries the i8 widening panel body and the i16
+//! tiled f32 GEMM and `axpy_f32`. The tiled GEMM's one strip/tile driver is
+//! also generic over where its rhs column panels come from (`RhsColumns`):
+//! a dense row-major matrix (`gemm_f32`) or the implicit patch matrix of a
+//! padded image (`conv_f32`). `I16Lanes` (16-bit integer lanes, i32 after a
+//! multiply–add) carries the i8 widening panel body and the i16
 //! split-digit panel body. One column-pair driver runs a panel body over
 //! every column pair of a transposed rhs, and at one column for an odd last
 //! column. The AVX512-VNNI i8 body is a different algorithm and keeps its
@@ -62,7 +68,11 @@
 //!   same tile on a stack copy of the output rows, of which only the valid
 //!   columns are copied back. Each valid lane is still the scalar chain,
 //!   and a padding lane (where `NaN·0` may appear) never reaches the
-//!   output. Only a rhs narrower than one vector runs as scalar chains.
+//!   output. Only a dense rhs narrower than one vector runs as scalar
+//!   chains. The convolution's rhs panels hold exactly the values the
+//!   im2col matrix would (the image's padding is `+0.0`, as im2col writes
+//!   it), so `conv_f32` is `gemm_f32` over that matrix, bit for bit, and
+//!   its scalar oracle is the plain loop nest in ascending tap order.
 //! * The quantizer is purely element-wise with no reduction: an IEEE
 //!   division, a clamp whose min/max operand order passes NaN through as
 //!   the scalar `f32::clamp` does, NaN lanes forced to `0` before a
@@ -106,7 +116,7 @@
 //! path it never ran.
 
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::__m128i;
+use std::arch::x86_64::{__m128i, _mm_loadu_ps, _mm_storeu_ps};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -202,6 +212,67 @@ pub type GemmPanelFn<T, A> = fn(&[T], &[T], &[T], usize, &mut [A], &mut [A]);
 /// shorter than its geometry.
 pub type GemmF32Fn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
 
+/// The geometry of an f32 convolution over an image whose zero padding is
+/// already in place: `in_c` channel planes of `hp × wp` pixels, convolved
+/// with `out_c` square `kernel × kernel` filters at `stride`. The argument
+/// of [`ConvF32Fn`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PaddedConv {
+    /// Input channels.
+    pub in_c: usize,
+    /// Output channels (filters).
+    pub out_c: usize,
+    /// Padded image height.
+    pub hp: usize,
+    /// Padded image width.
+    pub wp: usize,
+    /// Square kernel size.
+    pub kernel: usize,
+    /// Stride in both spatial dimensions.
+    pub stride: usize,
+}
+
+impl PaddedConv {
+    /// Output height and width `(oh, ow)`.
+    pub fn out_size(&self) -> (usize, usize) {
+        let out = |len: usize| (len - self.kernel) / self.stride + 1;
+        (out(self.hp), out(self.wp))
+    }
+
+    /// Taps per output, `in_c·kernel²`: the depth of the GEMM.
+    pub fn depth(&self) -> usize {
+        self.in_c * self.kernel * self.kernel
+    }
+
+    /// Panics unless the geometry is well formed and the slices hold an
+    /// `out_c × depth` weight, the `in_c × hp × wp` image and the
+    /// `out_c × oh·ow` output — the bounds every [`ConvF32Fn`] relies on.
+    fn check(&self, weight: &[f32], image: &[f32], out: &[f32]) {
+        assert!(
+            self.kernel > 0 && self.stride > 0 && self.hp >= self.kernel && self.wp >= self.kernel,
+            "conv: bad geometry {self:?}"
+        );
+        let (oh, ow) = self.out_size();
+        let (filters, pixels) = (self.out_c * self.depth(), self.in_c * self.hp * self.wp);
+        assert!(weight.len() >= filters, "conv: weight slice too short");
+        assert!(image.len() >= pixels, "conv: image slice too short");
+        assert!(
+            out.len() >= self.out_c * oh * ow,
+            "conv: out slice too short"
+        );
+    }
+}
+
+/// A whole f32 convolution as an implicit GEMM: `out (out_c × oh·ow) +=
+/// weight (out_c × in_c·k²) · patches`, where entry `((ic·k + ky)·k + kx,
+/// oy·ow + ox)` of the patch matrix is pixel `(oy·stride + ky, ox·stride +
+/// kx)` of channel `ic` of the padded image. Each output accumulates its
+/// taps in ascending `(ic, ky, kx)` order with a separate multiply and add,
+/// skipping every exact-zero weight: the [`GemmF32Fn`] chain over the
+/// im2col matrix, which is never written. Arguments: `(geometry, weight,
+/// image, out)`; panics if a slice is shorter than its geometry.
+pub type ConvF32Fn = fn(&PaddedConv, &[f32], &[f32], &mut [f32]);
+
 /// The stored words of linearly quantized f32 values:
 /// `out[i] = round_half_away(clamp(src[i] / scale, q_min, q_max)) as u32 &
 /// mask`, with NaN (which the clamp passes through) rounding to `0`.
@@ -269,6 +340,10 @@ pub struct Kernels {
     /// tile held in registers over ascending `k`, with the per-row exact-zero
     /// lhs skip (see [`GemmF32Fn`]).
     pub gemm_f32: GemmF32Fn,
+    /// The implicit-GEMM f32 convolution behind [`crate::ops::conv2d`]:
+    /// `gemm_f32`'s tiles over rhs panels gathered from the padded image
+    /// (see [`ConvF32Fn`]).
+    pub conv_f32: ConvF32Fn,
     /// The integer-precision quantizer behind
     /// [`crate::quant::QuantTensor::requantize_from`] (see [`QuantizeFn`]).
     pub quantize_f32: QuantizeFn,
@@ -299,6 +374,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: scalar::gemm2_i16,
             axpy_f32: scalar::axpy_f32,
             gemm_f32: scalar::gemm_f32,
+            conv_f32: scalar::conv_f32,
             quantize_f32: scalar::quantize_f32,
         },
         #[cfg(target_arch = "x86_64")]
@@ -308,6 +384,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: sse2::gemm2_i16,
             axpy_f32: sse2::axpy_f32,
             gemm_f32: sse2::gemm_f32,
+            conv_f32: sse2::conv_f32,
             quantize_f32: sse2::quantize_f32,
         },
         #[cfg(target_arch = "x86_64")]
@@ -317,6 +394,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: avx2::gemm2_i16,
             axpy_f32: avx2::axpy_f32,
             gemm_f32: avx2::gemm_f32,
+            conv_f32: avx2::conv_f32,
             quantize_f32: avx2::quantize_f32,
         },
         #[cfg(target_arch = "x86_64")]
@@ -334,6 +412,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: avx512::gemm2_i16,
             axpy_f32: avx512::axpy_f32,
             gemm_f32: avx512::gemm_f32,
+            conv_f32: avx512::conv_f32,
             quantize_f32: avx512::quantize_f32,
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -371,11 +450,11 @@ pub fn active_isa() -> Isa {
     kernels().isa
 }
 
-/// Panics unless the slices hold an `m×k` lhs, a `k×n` rhs and an `m×n`
-/// output — the bounds every [`GemmF32Fn`] relies on.
-fn check_gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &[f32]) {
+/// Panics unless the slices hold an `m×k` lhs and an `m×n` output — with
+/// a rhs of `k` rows and `n` columns, the bounds every [`GemmF32Fn`] relies
+/// on.
+fn check_gemm_f32(m: usize, k: usize, n: usize, a: &[f32], out: &[f32]) {
     assert!(a.len() >= m * k, "gemm: lhs slice too short");
-    assert!(b.len() >= k * n, "gemm: rhs slice too short");
     assert!(out.len() >= m * n, "gemm: out slice too short");
 }
 
@@ -500,17 +579,157 @@ unsafe fn gemm_f32_rows<V: F32Lanes, const NV: usize, const SKIP: bool>(
     }
 }
 
+/// Where the column panels of the tiled f32 GEMM come from: rows `p` and
+/// columns `j` of a `k × n` rhs. The entry point that builds a source
+/// checks that its `k` rows and `n` columns lie in bounds.
+#[cfg(target_arch = "x86_64")]
+trait RhsColumns {
+    /// The row-major rhs itself, when the source is a dense matrix (`n`
+    /// columns per row): its tiles may then read it in place.
+    fn dense(&self) -> Option<&[f32]>;
+
+    /// Writes rows `[kb, kb + kc)` of columns `[j, j + width)` (`rows =
+    /// (kb, kc)`, `cols = (j, width)`) to `dst`, one row every `full ≥
+    /// width` lanes, and zeroes each row's lanes `[width, full)`.
+    ///
+    /// # Safety
+    ///
+    /// The rows and columns lie inside the source's geometry, `dst` holds
+    /// `kc·full` writable lanes, and the CPU has `V`'s features.
+    unsafe fn pack<V: F32Lanes>(
+        &self,
+        rows: (usize, usize),
+        cols: (usize, usize),
+        full: usize,
+        dst: *mut f32,
+    );
+}
+
+/// A dense row-major `k × n` rhs: the columns of [`GemmF32Fn`].
+#[cfg(target_arch = "x86_64")]
+struct DenseRhs<'a> {
+    b: &'a [f32],
+    n: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RhsColumns for DenseRhs<'_> {
+    fn dense(&self) -> Option<&[f32]> {
+        Some(self.b)
+    }
+
+    #[inline(always)]
+    unsafe fn pack<V: F32Lanes>(
+        &self,
+        (kb, kc): (usize, usize),
+        (j, width): (usize, usize),
+        full: usize,
+        dst: *mut f32,
+    ) {
+        for p in 0..kc {
+            let src = &self.b[(kb + p) * self.n + j..][..width];
+            std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(p * full), width);
+            std::ptr::write_bytes(dst.add(p * full + width), 0, full - width);
+        }
+    }
+}
+
+/// The implicit patch matrix of a padded image (see [`ConvF32Fn`]): row
+/// `(ic·k + ky)·k + kx`, column `oy·ow + ox` is pixel `(oy·stride + ky,
+/// ox·stride + kx)` of channel `ic`.
+#[cfg(target_arch = "x86_64")]
+struct PatchRhs<'a> {
+    g: PaddedConv,
+    image: &'a [f32],
+    ow: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RhsColumns for PatchRhs<'_> {
+    fn dense(&self) -> Option<&[f32]> {
+        None
+    }
+
+    /// Gathers the panel per output-row segment of the strip: for every
+    /// tap, one run of pixels of one image row, copied whole vectors at a
+    /// time at stride 1.
+    #[inline(always)]
+    unsafe fn pack<V: F32Lanes>(
+        &self,
+        (kb, kc): (usize, usize),
+        (j, width): (usize, usize),
+        full: usize,
+        dst: *mut f32,
+    ) {
+        let (hp, wp, k, s) = (self.g.hp, self.g.wp, self.g.kernel, self.g.stride);
+        // The strip's segments, one per output row it touches: (first
+        // lane, pixel offset of its first column from the tap's origin,
+        // length).
+        let mut segs = [(0usize, 0usize, 0usize); GEMM_F32_MAX_STRIP];
+        let mut count = 0;
+        let mut col = j;
+        while col < j + width {
+            let (oy, ox) = (col / self.ow, col % self.ow);
+            let len = (self.ow - ox).min(j + width - col);
+            segs[count] = (col - j, oy * s * wp + ox * s, len);
+            count += 1;
+            col += len;
+        }
+        let segs = &segs[..count];
+        // Each panel row's tap origin: the pixel offset of `(ic, ky, kx)`.
+        let mut origins = [0usize; GEMM_F32_KC];
+        let (mut ic, mut ky, mut kx) = (kb / (k * k), kb / k % k, kb % k);
+        for o in &mut origins[..kc] {
+            *o = (ic * hp + ky) * wp + kx;
+            kx += 1;
+            if kx == k {
+                (kx, ky) = (0, ky + 1);
+                if ky == k {
+                    (ky, ic) = (0, ic + 1);
+                }
+            }
+        }
+        let img = self.image.as_ptr();
+        for &(d, off, len) in segs {
+            // At stride 1 a segment is one run: whole vectors, then
+            // four-lane (SSE2) chunks, then single lanes.
+            let (body, quads) = if s == 1 {
+                (len - len % V::W, len - len % 4)
+            } else {
+                (0, 0)
+            };
+            for (p, &o) in origins[..kc].iter().enumerate() {
+                let (src, out) = (img.add(o + off), dst.add(p * full + d));
+                for x in (0..body).step_by(V::W) {
+                    V::load(src.add(x)).store(out.add(x));
+                }
+                for x in (body..quads).step_by(4) {
+                    _mm_storeu_ps(out.add(x), _mm_loadu_ps(src.add(x)));
+                }
+                for x in quads..len {
+                    *out.add(x) = *src.add(x * s);
+                }
+            }
+        }
+        if width < full {
+            for p in 0..kc {
+                std::ptr::write_bytes(dst.add(p * full + width), 0, full - width);
+            }
+        }
+    }
+}
+
 /// One strip of output columns `[j, j + width)`, `k` deep, for all `m`
 /// rows: [`GEMM_F32_MR`]-row tiles, then one tile of the remaining rows
 /// (`SKIP` as for [`gemm_f32_tile`]). A full strip is `NV·W` columns wide;
-/// when more than one tile shares it, its rhs is first packed (in
-/// [`GEMM_F32_KC`]-deep panels) into `panel`, so the tiles read it from L1
-/// rather than at the rhs row stride. A narrower strip — the last `n mod W`
-/// columns, at `NV = 1` — is always packed, zero-padded to a whole vector,
-/// and each tile runs on a stack copy of its output rows, of which only the
-/// `width` valid columns are copied back. The panels run in ascending `p`,
-/// so the accumulation order is unchanged, and a padding lane never reaches
-/// a valid output.
+/// a dense rhs shared by more than one tile, and every other source, is
+/// first packed (in [`GEMM_F32_KC`]-deep panels) into `panel`, so the tiles
+/// read it from L1 rather than at the rhs row stride. A narrower strip —
+/// the last `n mod W` columns, at `NV = 1` — is always packed, zero-padded
+/// to a whole vector, and each tile runs on a stack copy of its output
+/// rows, of which only the `width` valid columns are copied back. The
+/// panels run in ascending `p`, so the accumulation order is unchanged,
+/// and a padding lane never reaches a valid output.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -519,50 +738,48 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
     j: usize,
     width: usize,
     a: &[f32],
-    b: &[f32],
+    b: &impl RhsColumns,
     out: &mut [f32],
     panel: &mut std::mem::MaybeUninit<[f32; GEMM_F32_KC * GEMM_F32_MAX_STRIP]>,
 ) {
     const MR: usize = GEMM_F32_MR;
     let full = NV * V::W;
-    check_gemm_f32(m, k, n, a, b, out);
+    check_gemm_f32(m, k, n, a, out);
     assert!(
         full <= GEMM_F32_MAX_STRIP && width <= full && j + width <= n,
         "gemm: strip outside the output"
     );
     let tail = width < full;
-    let pack = tail || m > MR;
+    let dense = b.dense().filter(|_| !tail && m <= MR);
     let op = out.as_mut_ptr();
     for kb in (0..k).step_by(GEMM_F32_KC) {
         let kc = (k - kb).min(GEMM_F32_KC);
-        let (bp, ldb) = if pack {
-            let dst = panel.as_mut_ptr() as *mut f32;
-            for p in 0..kc {
-                let src = &b[(kb + p) * n + j..][..width];
-                // SAFETY: row `p < kc ≤ GEMM_F32_KC` of `full ≤
-                // GEMM_F32_MAX_STRIP` lanes lies inside the panel; its
-                // `width` valid lanes are copied and the rest zeroed, and the
-                // tiles below read only these `kc` written rows.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(p * full), width);
-                    std::ptr::write_bytes(dst.add(p * full + width), 0, full - width);
-                }
+        let (bp, ldb) = match dense {
+            Some(b) => (b[kb * n + j..].as_ptr(), n),
+            None => {
+                let dst = panel.as_mut_ptr() as *mut f32;
+                // SAFETY: rows `[kb, kb + kc) ⊆ [0, k)` and columns `[j, j +
+                // width) ⊆ [0, n)` lie inside the source, as its entry point
+                // checked; `kc ≤ GEMM_F32_KC` rows of `full ≤
+                // GEMM_F32_MAX_STRIP` lanes fit the panel, and the tiles
+                // below read only these written rows. The caller's tier has
+                // `V`'s features.
+                unsafe { b.pack::<V>((kb, kc), (j, width), full, dst) };
+                (dst as *const f32, full)
             }
-            (dst as *const f32, full)
-        } else {
-            (b[kb * n + j..].as_ptr(), n)
         };
         let ap = a[kb..].as_ptr();
         let mut i = 0;
         while i < m {
             let rows = (m - i).min(MR);
-            // SAFETY: checked above: `a` holds `m×k`, `b` `k×n` and `out` `m×n`
-            // values and `[j, j + width) ⊆ [0, n)`. Lhs rows `[i, i + rows)`
-            // start at `kb` and run `kc ≤ k − kb` entries; the rhs is either
-            // `kc` packed rows of `full` lanes or `kc` rows of `b` at columns
-            // `[j, j + full)` with `full = width`. A full strip's tile writes
-            // output rows `[i, i + rows)` at those columns; a tail tile works
-            // on the `rows × full` stack tile (`rows ≤ GEMM_F32_MR`, `full ≤
+            // SAFETY: checked above: `a` holds `m×k` and `out` `m×n` values
+            // and `[j, j + width) ⊆ [0, n)`. Lhs rows `[i, i + rows)` start
+            // at `kb` and run `kc ≤ k − kb` entries; the rhs is either `kc`
+            // packed rows of `full` lanes or `kc` rows of the dense `b`
+            // (`k×n`, checked by its caller) at columns `[j, j + full)` with
+            // `full = width`. A full strip's tile writes output rows `[i, i
+            // + rows)` at those columns; a tail tile works on the `rows ×
+            // full` stack tile (`rows ≤ GEMM_F32_MR`, `full ≤
             // GEMM_F32_MAX_STRIP`), whose `width` valid columns are copied
             // from and back to those output rows. The caller's tier has
             // `V`'s features.
@@ -596,10 +813,10 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
     }
 }
 
-/// The f32 GEMM of a rhs narrower than one vector (`n < W`), by scalar
-/// loops that run four rows' independent accumulation chains at once, each
-/// in ascending `p` with the exact-zero lhs skip — the n = 1 matrix–vector
-/// product of a per-sample dense layer is this loop alone.
+/// The f32 GEMM of a dense rhs narrower than one vector (`n < W`), by
+/// scalar loops that run four rows' independent accumulation chains at
+/// once, each in ascending `p` with the exact-zero lhs skip — the n = 1
+/// matrix–vector product of a per-sample dense layer is this loop alone.
 #[cfg(target_arch = "x86_64")]
 fn gemm_f32_columns(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     for j in 0..n {
@@ -640,15 +857,17 @@ fn gemm_f32_columns(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
     }
 }
 
-/// The SIMD tiers' [`GemmF32Fn`]: column strips of [`GEMM_F32_NV`] vectors
-/// (the outer loop, so a strip of `b` is packed once and reused by every
-/// row tile), one single-vector strip for a last whole vector, and one
-/// zero-padded single-vector strip for the last `n mod W` columns. Only a
-/// rhs narrower than one vector runs as scalar chains
-/// ([`gemm_f32_columns`]). The tiles mask their adds only when the lhs
-/// holds an exact zero (one scan per call); a zero-free lhs, such as a
-/// layer's weights, skips nothing. Each output element sees the scalar
-/// table's accumulation chain exactly.
+/// The SIMD tiers' f32 GEMM over any [`RhsColumns`] source (their
+/// [`GemmF32Fn`] and [`ConvF32Fn`]): column strips of [`GEMM_F32_NV`]
+/// vectors (the outer loop, so a strip of the rhs is packed once and reused
+/// by every row tile), one single-vector strip for a last whole vector, and
+/// one zero-padded single-vector strip for the last `n mod W` columns. Only
+/// a dense rhs narrower than one vector runs as scalar chains
+/// ([`gemm_f32_columns`]); any other narrow source is one zero-padded
+/// strip. The tiles mask their adds only when the lhs holds an exact zero
+/// (one scan per call); a zero-free lhs, such as a layer's weights, skips
+/// nothing. Each output element sees the scalar table's accumulation chain
+/// exactly.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn gemm_f32_tiled<V: F32Lanes>(
@@ -656,13 +875,15 @@ fn gemm_f32_tiled<V: F32Lanes>(
     k: usize,
     n: usize,
     a: &[f32],
-    b: &[f32],
+    b: &impl RhsColumns,
     out: &mut [f32],
 ) {
-    check_gemm_f32(m, k, n, a, b, out);
+    check_gemm_f32(m, k, n, a, out);
     if n < V::W {
-        gemm_f32_columns(m, k, n, a, b, out);
-        return;
+        if let Some(b) = b.dense() {
+            gemm_f32_columns(m, k, n, a, b, out);
+            return;
+        }
     }
     let strip = GEMM_F32_NV * V::W;
     let wide = n - n % strip;
@@ -690,6 +911,32 @@ fn gemm_f32_tiled<V: F32Lanes>(
             gemm_f32_strip::<V, 1, false>((m, k, n), j, width, a, b, out, panel);
         }
     }
+}
+
+/// The SIMD tiers' [`GemmF32Fn`]: [`gemm_f32_tiled`] over a dense rhs.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gemm_f32_dense<V: F32Lanes>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    assert!(b.len() >= k * n, "gemm: rhs slice too short");
+    gemm_f32_tiled::<V>(m, k, n, a, &DenseRhs { b, n }, out);
+}
+
+/// The SIMD tiers' [`ConvF32Fn`]: [`gemm_f32_tiled`] over the patch matrix
+/// of the padded image.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn conv_f32_tiled<V: F32Lanes>(g: &PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+    g.check(weight, image, out);
+    let (oh, ow) = g.out_size();
+    let rhs = PatchRhs { g: *g, image, ow };
+    gemm_f32_tiled::<V>(g.out_c, g.depth(), oh * ow, weight, &rhs, out);
 }
 
 /// `out[j] += a · b[j]` over one tier's f32 vectors (the SIMD tiers'
@@ -971,7 +1218,8 @@ mod scalar {
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::check_gemm_f32(m, k, n, a, b, out);
+        super::check_gemm_f32(m, k, n, a, out);
+        assert!(b.len() >= k * n, "gemm: rhs slice too short");
         if n == 0 {
             return;
         }
@@ -985,6 +1233,38 @@ mod scalar {
                     continue;
                 }
                 axpy_f32(av, &b[p * n..(p + 1) * n], orow);
+            }
+        }
+    }
+
+    /// The loop-nest oracle of every tier's `conv_f32`: per filter, taps in
+    /// ascending `(ic, ky, kx)` order (exact-zero weights skipped), each
+    /// added to every output pixel.
+    pub fn conv_f32(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+        g.check(weight, image, out);
+        let (oh, ow) = g.out_size();
+        let (k, s) = (g.kernel, g.stride);
+        let filters = weight.chunks_exact(g.depth().max(1));
+        for (filter, plane) in filters.zip(out.chunks_exact_mut(oh * ow)).take(g.out_c) {
+            for (tap, &wv) in filter[..g.depth()].iter().enumerate() {
+                if wv == 0.0 {
+                    continue;
+                }
+                let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+                for (oy, orow) in plane.chunks_exact_mut(ow).enumerate() {
+                    let irow = &image[(ic * g.hp + oy * s + ky) * g.wp + kx..];
+                    // Stride 1 as a plain zip, which the compiler vectorizes
+                    // (element-wise, so still exact).
+                    if s == 1 {
+                        for (o, &x) in orow.iter_mut().zip(&irow[..ow]) {
+                            *o += wv * x;
+                        }
+                    } else {
+                        for (o, &x) in orow.iter_mut().zip(irow.iter().step_by(s)) {
+                            *o += wv * x;
+                        }
+                    }
+                }
             }
         }
     }
@@ -1108,7 +1388,11 @@ mod sse2 {
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::gemm_f32_tiled::<__m128>(m, k, n, a, b, out);
+        super::gemm_f32_dense::<__m128>(m, k, n, a, b, out);
+    }
+
+    pub fn conv_f32(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+        super::conv_f32_tiled::<__m128>(g, weight, image, out);
     }
 
     pub fn quantize_f32(
@@ -1271,13 +1555,23 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn gemm_f32_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::gemm_f32_tiled::<__m256>(m, k, n, a, b, out);
+        super::gemm_f32_dense::<__m256>(m, k, n, a, b, out);
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         // SAFETY: this table entry is only constructed after `avx2` was
         // runtime-detected.
         unsafe { gemm_f32_impl(m, k, n, a, b, out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn conv_f32_impl(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+        super::conv_f32_tiled::<__m256>(g, weight, image, out);
+    }
+
+    pub fn conv_f32(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { conv_f32_impl(g, weight, image, out) }
     }
 
     #[target_feature(enable = "avx2")]
@@ -1538,13 +1832,23 @@ mod avx512 {
 
     #[target_feature(enable = "avx512f")]
     unsafe fn gemm_f32_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::gemm_f32_tiled::<__m512>(m, k, n, a, b, out);
+        super::gemm_f32_dense::<__m512>(m, k, n, a, b, out);
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         // SAFETY: this table entry is only constructed after `avx512f` was
         // runtime-detected.
         unsafe { gemm_f32_impl(m, k, n, a, b, out) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn conv_f32_impl(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+        super::conv_f32_tiled::<__m512>(g, weight, image, out);
+    }
+
+    pub fn conv_f32(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { conv_f32_impl(g, weight, image, out) }
     }
 
     #[target_feature(enable = "avx512f")]

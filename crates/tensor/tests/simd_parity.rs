@@ -1,6 +1,7 @@
 //! Bit-for-bit parity of every dispatched SIMD kernel against the scalar
-//! reference, and of the packed i8 and i16 GEMMs built on them against a
-//! naive triple loop, at every ISA level this CPU supports.
+//! reference, of the packed i8 and i16 GEMMs built on them against a naive
+//! triple loop, and of the implicit-GEMM f32 convolution against a naive
+//! loop nest, at every ISA level this CPU supports.
 //!
 //! The repo's determinism contract says results never depend on which
 //! kernel table happened to be resolved, so each property here runs the
@@ -14,7 +15,8 @@
 
 use eden_par::ThreadPool;
 use eden_tensor::ops::{self, PanelLane};
-use eden_tensor::simd::{kernels_for, Isa, Kernels, GEMM_I16_FLUSH_K};
+use eden_tensor::simd::{kernels_for, Isa, Kernels, PaddedConv, GEMM_I16_FLUSH_K};
+use eden_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Every kernel table this CPU can run, scalar first.
@@ -403,6 +405,15 @@ fn f32_operand(h: u32, every: u32, specials: &[f32]) -> f32 {
     }
 }
 
+/// A well-mixed hash of element `i` of the operand `salt` under `seed`.
+fn operand_hash(seed: u32, i: usize, salt: u32) -> u32 {
+    (i as u32 ^ seed.wrapping_mul(0x9e37_79b9))
+        .wrapping_mul(0x85eb_ca6b)
+        .wrapping_add(salt)
+        .rotate_left(13)
+        .wrapping_mul(0xc2b2_ae35)
+}
+
 /// Raw bits with every NaN collapsed to one pattern: which NaN an f32 add
 /// propagates is unspecified (see `QuantTensor`'s FP32 storage), so NaN
 /// payloads are not part of the kernels' contract; everything else is,
@@ -420,13 +431,7 @@ fn bits_modulo_nan(xs: &[f32]) -> Vec<u32> {
 /// tile that adds `0·b` instead of skipping it turns those into NaN or
 /// `+0.0`.
 fn check_gemm_f32_at_every_isa(m: usize, k: usize, n: usize, seed: u32) {
-    let hash = |i: usize, salt: u32| {
-        (i as u32 ^ seed.wrapping_mul(0x9e37_79b9))
-            .wrapping_mul(0x85eb_ca6b)
-            .wrapping_add(salt)
-            .rotate_left(13)
-            .wrapping_mul(0xc2b2_ae35)
-    };
+    let hash = |i: usize, salt: u32| operand_hash(seed, i, salt);
     let zeros: &[f32] = if seed % 2 == 1 { &[0.0, -0.0] } else { &[] };
     let a: Vec<f32> = (0..m * k)
         .map(|i| f32_operand(hash(i, 1), 5, zeros))
@@ -555,5 +560,140 @@ proptest! {
                 check_gemm_f32_at_every_isa(m, k, n, seed);
             }
         }
+    }
+}
+
+/// The implicit-GEMM f32 convolution at every supported level, and
+/// `ops::conv2d` on the active table, against the naive loop nest over the
+/// unpadded input: each output starts at its bias, then adds its taps in
+/// ascending `(ic, ky, kx)` order, skipping exact-zero weights and reading
+/// `+0.0` for a tap in the padding (the value an im2col matrix holds
+/// there). Operands hashed from `seed` hold exact `±0.0` inputs and
+/// weights and `-0.0` biases, so a kernel that adds a skipped term, or
+/// reads padding as anything but `+0.0`, flips the sign of a zero.
+fn check_conv_f32_at_every_isa(
+    (in_c, out_c): (usize, usize),
+    (kernel, stride, padding): (usize, usize, usize),
+    (h, w): (usize, usize),
+    seed: u32,
+) {
+    let hash = |i: usize, salt: u32| operand_hash(seed, i, salt);
+    let p = ops::Conv2dParams::new(kernel, stride, padding);
+    let (oh, ow) = (p.out_size(h), p.out_size(w));
+    let depth = in_c * kernel * kernel;
+    let input: Vec<f32> = (0..in_c * h * w)
+        .map(|i| f32_operand(hash(i, 1), 5, &[0.0, -0.0]))
+        .collect();
+    let weight: Vec<f32> = (0..out_c * depth)
+        .map(|i| f32_operand(hash(i, 2), 7, &[0.0, -0.0]))
+        .collect();
+    let bias: Vec<f32> = (0..out_c)
+        .map(|i| f32_operand(hash(i, 3), 2, &[-0.0]))
+        .collect();
+    let mut naive = vec![0.0f32; out_c * oh * ow];
+    for oc in 0..out_c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = bias[oc];
+                for tap in 0..depth {
+                    let wv = weight[oc * depth + tap];
+                    if wv == 0.0 {
+                        continue;
+                    }
+                    let (ic, ky, kx) =
+                        (tap / (kernel * kernel), tap / kernel % kernel, tap % kernel);
+                    let iy = (oy * stride + ky).wrapping_sub(padding);
+                    let ix = (ox * stride + kx).wrapping_sub(padding);
+                    let x = if iy < h && ix < w {
+                        input[(ic * h + iy) * w + ix]
+                    } else {
+                        0.0
+                    };
+                    acc += wv * x;
+                }
+                naive[(oc * oh + oy) * ow + ox] = acc;
+            }
+        }
+    }
+    let want = bits_modulo_nan(&naive);
+    let (hp, wp) = (h + 2 * padding, w + 2 * padding);
+    let mut image = vec![0.0f32; in_c * hp * wp];
+    for (r, row) in input.chunks_exact(w).enumerate() {
+        let start = ((r / h) * hp + r % h + padding) * wp + padding;
+        image[start..start + w].copy_from_slice(row);
+    }
+    let g = PaddedConv {
+        in_c,
+        out_c,
+        hp,
+        wp,
+        kernel,
+        stride,
+    };
+    let seeded: Vec<f32> = bias
+        .iter()
+        .flat_map(|&b| std::iter::repeat_n(b, oh * ow))
+        .collect();
+    let geometry = format!("c{in_c}→{out_c} k{kernel} s{stride} p{padding} {h}×{w}");
+    for t in supported_tables() {
+        let mut got = seeded.clone();
+        (t.conv_f32)(&g, &weight, &image, &mut got);
+        prop_assert_eq!(
+            bits_modulo_nan(&got),
+            want.clone(),
+            "{} conv_f32 {}",
+            t.isa,
+            geometry
+        );
+    }
+    let got = ops::conv2d(
+        &Tensor::from_vec(input, &[in_c, h, w]),
+        &Tensor::from_vec(weight, &[out_c, in_c, kernel, kernel]),
+        &Tensor::from_vec(bias, &[out_c]),
+        p,
+    );
+    prop_assert_eq!(
+        bits_modulo_nan(got.data()),
+        want,
+        "ops::conv2d {}",
+        geometry
+    );
+}
+
+proptest! {
+    /// [`check_conv_f32_at_every_isa`] over random geometry: padding up to
+    /// 2 with kernels from 1 to 5 (so padding reaches past `k / 2`, and
+    /// past the kernel itself), strides up to 3, non-square images small
+    /// enough that many outputs are narrower than one vector of every
+    /// tier.
+    #[test]
+    fn conv_f32_matches_the_naive_loop_nest_at_every_isa(
+        channels in (1usize..8, 1usize..10),
+        conv in (1usize..6, 1usize..4, 0usize..3),
+        extra in (0usize..12, 0usize..12),
+        seed in 0u32..1000,
+    ) {
+        let (kernel, _, padding) = conv;
+        let min = kernel.saturating_sub(2 * padding).max(1);
+        let h = min + extra.0;
+        let w = if min + extra.1 == h { h + 1 } else { min + extra.1 };
+        check_conv_f32_at_every_isa(channels, conv, (h, w), seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same check with 275 to 400 taps per output, past the 256-deep
+    /// rhs panel, so a panel starts mid-filter.
+    #[test]
+    fn conv_f32_matches_the_naive_loop_nest_past_the_panel_depth(
+        channels in (11usize..17, 1usize..10),
+        stride in 1usize..3,
+        padding in 0usize..3,
+        h in 5usize..11,
+        seed in 0u32..1000,
+    ) {
+        check_conv_f32_at_every_isa(channels, (5, stride, padding), (h, h + 3), seed);
     }
 }

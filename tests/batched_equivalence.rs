@@ -6,7 +6,8 @@
 //! (`qexec::forward_native_batch_observed`) and differ only in the
 //! per-layer plan: the native plan packs every sample of a group into one
 //! weight-stationary integer GEMM per dense/conv layer, the simulated plan
-//! runs each layer's f32 `forward_batch` over the group's dequantized IFMs.
+//! runs each layer on f32 over the group's dequantized IFMs (one
+//! `forward_batch` GEMM for a dense layer, a per-sample implicit-GEMM conv).
 //! The properties here assert the strongest contract the implementation
 //! claims: for any backend, integer precision, worker-thread
 //! count and batch cap, the accuracy bits AND the memory's injection
