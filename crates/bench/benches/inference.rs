@@ -106,7 +106,9 @@ fn bench_inference(c: &mut Criterion) {
 /// at a group of 16 samples; the layer-boundary quantizer on 16 int8 IFMs
 /// of that layer's shape; the tiled f32 GEMM on the `res1` conv backward's
 /// weight-gradient shape (12×256×108, whose last 12 columns are a
-/// zero-padded tail strip); and the implicit-GEMM f32 convolution on
+/// zero-padded tail strip); the transposed-lhs f32 GEMM on the `res2.conv2`
+/// input-gradient shape (216×24×64, `weightᵀ` read in place); and the
+/// implicit-GEMM f32 convolution on
 /// `resnet_mini`'s `res1` conv, one sample (the simulated, FP32 and
 /// f32-plan conv, which `ops::conv2d` runs per sample). One
 /// entry per (kernel, ISA) via the explicit `_with` dispatch or the table
@@ -149,6 +151,17 @@ fn bench_simd_kernels(c: &mut Criterion) {
         .collect();
     let tb: Vec<f32> = (0..tk * tn).map(|i| (i % 23) as f32 * 0.1).collect();
     let mut tout = vec![0.0f32; tm * tn];
+    // The input-gradient GEMM of resnet_mini's res2.conv2 (24 → 24
+    // channels, 3×3, 8×8): weightᵀ [m=216, k=24] read in place from the
+    // row-major [24, 216] weight, times d_out [k=24, n=64].
+    let (lm, lk, ln) = (216usize, 24usize, 64usize);
+    let la: Vec<f32> = (0..lk * lm)
+        .map(|i| (i % 17) as f32 * 0.02 - 0.16)
+        .collect();
+    let lb: Vec<f32> = (0..lk * ln)
+        .map(|i| (i % 13) as f32 * 0.01 - 0.06)
+        .collect();
+    let mut lout = vec![0.0f32; lm * ln];
     // res1 of resnet_mini (12 → 12 channels, 3×3, stride 1) on one
     // [12, 16, 16] sample, padded by 1: [m=12, k=108] · patches [k=108,
     // n=256] gathered from the [12, 18, 18] image.
@@ -214,6 +227,12 @@ fn bench_simd_kernels(c: &mut Criterion) {
             b.iter(|| {
                 ops::gemm_with(&kr, tm, tk, tn, black_box(&ta), black_box(&tb), &mut tout);
                 black_box(tout[0])
+            })
+        });
+        group.bench_function(format!("gemm_f32_lhs_t_{isa}"), |b| {
+            b.iter(|| {
+                (kr.gemm_f32_lhs_t)(lm, lk, ln, black_box(&la), black_box(&lb), &mut lout);
+                black_box(lout[0])
             })
         });
         group.bench_function(format!("conv_f32_res1_{isa}"), |b| {
@@ -797,7 +816,7 @@ fn bench_faults(c: &mut Criterion) {
 /// * `conv2d_backward_res1` — one single-sample backward pass of
 ///   `resnet_mini`'s `res1` conv (`[12, 16, 16]` → 12 channels, 3×3,
 ///   stride 1, padding 1) on a reused scratch: the patch gather, both
-///   GEMMs and the input-gradient scatter.
+///   GEMMs, the in-place gradient adds and the input-gradient scatter.
 ///
 /// Each epoch iteration restarts from the same untrained network.
 fn bench_training(c: &mut Criterion) {
@@ -850,16 +869,19 @@ fn bench_training(c: &mut Criterion) {
         &[12, 16, 16],
     );
     let mut scratch = ops::ConvScratch::default();
+    let (mut d_w, mut d_b) = (vec![0.0f32; w.len()], vec![0.0f32; 12]);
     group.bench_function("conv2d_backward_res1", |b| {
         b.iter(|| {
-            let g = ops::conv2d_backward(
+            let d_in = ops::conv2d_backward(
                 black_box(&x),
                 black_box(&w),
                 black_box(&d_out),
                 p,
+                &mut d_w,
+                &mut d_b,
                 &mut scratch,
             );
-            black_box(g.d_input.data()[0])
+            black_box(d_in.data()[0])
         })
     });
     group.bench_function("curricular_lenet_epoch", |b| {

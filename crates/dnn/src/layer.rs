@@ -31,8 +31,8 @@ pub struct ParamEntry<'a> {
 ///
 /// Minibatches are trained data-parallel by
 /// [`crate::train::minibatch_step`]: each sample runs `forward_train` +
-/// `backward` on a *lane replica* of the network, and the master folds the
-/// lanes in sample order — bit-identical to running every sample on the
+/// `backward` (`backward_params` for the first layer) on a *lane replica*
+/// of the network, and the master folds the lanes in sample order — bit-identical to running every sample on the
 /// master in turn.
 ///
 /// Layers are `Send + Sync`: the batch-parallel inference engine shares one
@@ -63,9 +63,23 @@ pub trait Layer: LayerClone + Send + Sync {
     /// [`Layer::forward_train`].
     fn backward(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) -> Tensor;
 
+    /// [`Layer::backward`] for a network's first layer, whose input
+    /// gradient nobody reads: adds the same parameter gradients, bit for
+    /// bit, and returns nothing. The default runs `backward` and drops its
+    /// result; a layer whose input gradient costs real work (a convolution)
+    /// overrides it to skip that work.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) {
+        self.backward(d_out, scratch);
+    }
+
     /// Folds one sample's training updates from `lane` — a replica of this
     /// layer (same type and structure) that ran `zero_grads`,
-    /// `forward_train` and `backward` on that sample — into this layer,
+    /// `forward_train` and `backward` (or `backward_params`) on that
+    /// sample — into this layer,
     /// leaving it bit-identical to having run the sample itself.
     ///
     /// Folding the lanes of a minibatch **in sample order** therefore

@@ -5,8 +5,10 @@
 //! layers: the forward pass per sample as an implicit GEMM whose rhs panels
 //! are gathered straight from the padded input
 //! ([`eden_tensor::ops::conv2d`]), the backward pass through a patch
-//! gather ([`eden_tensor::ops::conv2d_backward`]), whose working buffers
-//! come from the [`ConvScratch`] the network passes to [`Layer::backward`].
+//! gather ([`eden_tensor::ops::conv2d_backward`]), which adds the
+//! parameter gradients in place and whose working buffers come from the
+//! [`ConvScratch`] the network passes to [`Layer::backward`]. A first
+//! layer's [`Layer::backward_params`] stops before the input gradient.
 //! Both are bit-identical to a direct loop nest. The standard layer's
 //! quantized form packs a multi-sample integer patch matrix for one panel
 //! GEMM per group ([`Layer::quant_forward_batch`]).
@@ -94,10 +96,32 @@ impl Layer for Conv2d {
             .cache_input
             .as_ref()
             .expect("backward before forward_train");
-        let grads = ops::conv2d_backward(input, &self.weight, d_out, self.params, scratch);
-        self.grad_weight.axpy(1.0, &grads.d_weight);
-        self.grad_bias.axpy(1.0, &grads.d_bias);
-        grads.d_input
+        ops::conv2d_backward(
+            input,
+            &self.weight,
+            d_out,
+            self.params,
+            self.grad_weight.data_mut(),
+            self.grad_bias.data_mut(),
+            scratch,
+        )
+    }
+
+    /// Only the parameter half of [`Layer::backward`]: no input-gradient
+    /// GEMM and no scatter.
+    fn backward_params(&mut self, d_out: &Tensor, scratch: &mut ConvScratch) {
+        let input = self
+            .cache_input
+            .as_ref()
+            .expect("backward before forward_train");
+        ops::conv2d_param_grads(
+            input,
+            d_out,
+            self.params,
+            self.grad_weight.data_mut(),
+            self.grad_bias.data_mut(),
+            scratch,
+        );
     }
 
     fn fold_lane(&mut self, lane: &dyn Layer) {
@@ -336,12 +360,15 @@ impl Layer for DepthwiseConv2d {
             let x = Self::channel_slice(input, c);
             let wt = self.kernel_slice(c);
             let d_c = Self::channel_slice(d_out, c);
-            let g = ops::conv2d_backward(&x, &wt, &d_c, self.params, scratch);
-            for (i, v) in g.d_weight.data().iter().enumerate() {
-                self.grad_weight.data_mut()[c * k * k + i] += v;
-            }
-            self.grad_bias.data_mut()[c] += g.d_bias.data()[0];
-            d_in.push(g.d_input);
+            d_in.push(ops::conv2d_backward(
+                &x,
+                &wt,
+                &d_c,
+                self.params,
+                &mut self.grad_weight.data_mut()[c * k * k..(c + 1) * k * k],
+                &mut self.grad_bias.data_mut()[c..c + 1],
+                scratch,
+            ));
         }
         let out = concat_channels(&d_in);
         out.reshape(&[self.channels, h, w])

@@ -25,6 +25,10 @@ pub struct ChannelNorm {
     cache: Option<NormCache>,
 }
 
+/// Channels whose `gamma`/`beta` gradient chains
+/// [`ChannelNorm`]'s gradient accumulation advances together.
+const NORM_FOLD_CHANNELS: usize = 4;
+
 /// One sample's training intermediates: what `backward` needs, plus what
 /// [`Layer::fold_lane`] replays on the master (the sample's channel
 /// statistics for the running-statistic updates, and its `d_out` for the
@@ -104,17 +108,33 @@ impl ChannelNorm {
     /// Adds one sample's `gamma`/`beta` gradients, element by element in
     /// spatial order — a chain of `spatial` additions per channel, which is
     /// why this layer's lanes fold by replaying it rather than by adding
-    /// their gradients.
+    /// their gradients. The chains of [`NORM_FOLD_CHANNELS`] channels
+    /// advance together (they are independent, so the additions overlap);
+    /// each channel still adds its terms in spatial order.
     fn accumulate_grads(&mut self, normalized: &Tensor, d_out: &Tensor, spatial: usize) {
+        const C: usize = NORM_FOLD_CHANNELS;
+        let channels = self.grad_gamma.len();
+        let (go, nz) = (&d_out.data()[..channels * spatial], normalized.data());
         let gg = self.grad_gamma.data_mut();
         let gb = self.grad_beta.data_mut();
-        for (ch, (go, n)) in d_out
-            .data()
-            .chunks_exact(spatial)
-            .zip(normalized.data().chunks_exact(spatial))
-            .enumerate()
-        {
-            for (&go, &n) in go.iter().zip(n) {
+        let whole = channels - channels % C;
+        for ch in (0..whole).step_by(C) {
+            let g: [&[f32]; C] = std::array::from_fn(|c| &go[(ch + c) * spatial..][..spatial]);
+            let n: [&[f32]; C] = std::array::from_fn(|c| &nz[(ch + c) * spatial..][..spatial]);
+            let mut sg: [f32; C] = std::array::from_fn(|c| gg[ch + c]);
+            let mut sb: [f32; C] = std::array::from_fn(|c| gb[ch + c]);
+            for i in 0..spatial {
+                for c in 0..C {
+                    sg[c] += g[c][i] * n[c][i];
+                    sb[c] += g[c][i];
+                }
+            }
+            gg[ch..ch + C].copy_from_slice(&sg);
+            gb[ch..ch + C].copy_from_slice(&sb);
+        }
+        for ch in whole..channels {
+            let rows = go[ch * spatial..].iter().zip(&nz[ch * spatial..]);
+            for (&go, &n) in rows.take(spatial) {
                 gg[ch] += go * n;
                 gb[ch] += go;
             }
@@ -263,6 +283,62 @@ mod tests {
         assert_eq!(d.shape(), x.shape());
         assert!(d.data().iter().all(|v| v.is_finite()));
         l.visit_params(&mut |p| assert!(p.grad.data().iter().all(|v| v.is_finite())));
+    }
+
+    /// Folding lanes equals running the same samples in order on one
+    /// layer, and both equal the naive per-channel chains, bit for bit: for
+    /// every channel count 1–9 (each remainder of the interleave width) and
+    /// spatial size 1–70, three samples whose `d_out` holds exact `±0.0`
+    /// entries, checked on the gradients and the running statistics.
+    #[test]
+    fn folded_lanes_match_the_sequential_samples_and_the_naive_chains() {
+        let bits = |l: &ChannelNorm| {
+            [&l.grad_gamma, &l.grad_beta, &l.running_mean, &l.running_var]
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let mut rng = seeded_rng(3);
+        for channels in 1..=9 {
+            for spatial in 1..=70 {
+                let shape = [channels, 1, spatial];
+                let mut sequential = ChannelNorm::new("norm", channels);
+                let mut folded = sequential.clone();
+                let mut lane = sequential.clone();
+                let (mut gamma, mut beta) = (vec![0.0f32; channels], vec![0.0f32; channels]);
+                for _ in 0..3 {
+                    let x = uniform(&shape, -2.0, 2.0, &mut rng);
+                    let mut d = uniform(&shape, -1.0, 1.0, &mut rng);
+                    for (i, v) in d.data_mut().iter_mut().enumerate() {
+                        match i % 5 {
+                            1 => *v = 0.0,
+                            3 => *v = -0.0,
+                            _ => {}
+                        }
+                    }
+                    sequential.forward_train(&x);
+                    let cache = sequential.cache.as_ref().unwrap();
+                    let rows = d
+                        .data()
+                        .chunks(spatial)
+                        .zip(cache.normalized.data().chunks(spatial));
+                    for ((g, b), (d, n)) in gamma.iter_mut().zip(&mut beta).zip(rows) {
+                        for (&d, &n) in d.iter().zip(n) {
+                            *g += d * n;
+                            *b += d;
+                        }
+                    }
+                    sequential.backward(&d, &mut Default::default());
+                    lane.zero_grads();
+                    lane.forward_train(&x);
+                    lane.backward(&d, &mut Default::default());
+                    folded.fold_lane(&lane);
+                }
+                let want = bits(&sequential);
+                assert_eq!(bits(&folded), want, "{channels} channels × {spatial}");
+                let naive: [Vec<u32>; 2] =
+                    [&gamma, &beta].map(|g| g.iter().map(|v| v.to_bits()).collect());
+                assert_eq!(want[..2], naive, "{channels} channels × {spatial}");
+            }
+        }
     }
 
     #[test]

@@ -131,23 +131,44 @@ impl Network {
         x
     }
 
-    /// Backward pass through all layers; returns the gradient with respect to
-    /// the network input.
+    /// Backward pass through all layers: adds every layer's parameter
+    /// gradients and returns the gradient with respect to the network
+    /// input.
     pub fn backward(&mut self, d_out: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return d_out.clone();
+        self.backward_pass(d_out, true)
+            .expect("the input gradient was asked for")
+    }
+
+    /// The trainers' backward pass: adds exactly the parameter gradients of
+    /// [`Network::backward`], bit for bit, but stops before the first
+    /// layer's input gradient ([`Layer::backward_params`]), which no
+    /// trainer reads.
+    pub fn backward_params(&mut self, d_out: &Tensor) {
+        self.backward_pass(d_out, false);
+    }
+
+    /// Runs every layer's backward pass, last to first, and the first
+    /// layer's input gradient only if `input_grad` is set (returning it).
+    fn backward_pass(&mut self, d_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input_grad.then(|| d_out.clone());
         };
-        let mut d = last.backward(d_out, &mut self.scratch);
-        for layer in layers {
-            d = layer.backward(&d, &mut self.scratch);
+        let mut d: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            d = Some(layer.backward(d.as_ref().unwrap_or(d_out), &mut self.scratch));
         }
-        d
+        let d = d.as_ref().unwrap_or(d_out);
+        if input_grad {
+            Some(first.backward(d, &mut self.scratch))
+        } else {
+            first.backward_params(d, &mut self.scratch);
+            None
+        }
     }
 
     /// Folds one sample's training updates from `lane` — a replica of this
-    /// network that ran `zero_grads`, `forward_train` and `backward` on the
-    /// sample — into this network, layer by layer ([`Layer::fold_lane`]).
+    /// network that ran `zero_grads`, `forward_train` and `backward` (or
+    /// `backward_params`) on the sample — into this network, layer by layer ([`Layer::fold_lane`]).
     /// Folding a minibatch's lanes in sample order is bit-identical to
     /// running each sample on this network in turn.
     ///

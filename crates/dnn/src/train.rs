@@ -6,8 +6,9 @@
 //! [`minibatch_step`] trains one minibatch on the [`eden_par`] pool.
 //! It clones at most pool-size *lane replicas* of the network once per
 //! batch and runs the samples wave by wave: each sample zeroes its lane's
-//! gradients and runs `forward_train` + `backward` there, in parallel with
-//! the other lanes of its wave. The master then folds the wave's lanes
+//! gradients and runs `forward_train` + `backward_params` there (the
+//! backward pass without the first layer's unused input gradient), in
+//! parallel with the other lanes of its wave. The master then folds the wave's lanes
 //! **in sample order** ([`Network::fold_lane`]). Every layer's fold replays
 //! exactly the updates the sample would have made on the master, so the
 //! step is bit-identical to running the samples one after the other on the
@@ -139,8 +140,8 @@ impl Trainer {
 /// pass must be a pure function of the lane's parameters, the position and
 /// the input (callers that draw faults derive the draw from the position).
 /// The cross-entropy loss and its gradient, scaled by `1 / batch.len()`,
-/// are then back-propagated on the lane, and the lane is folded into `net`
-/// in sample order (see the module docs).
+/// are then back-propagated on the lane ([`Network::backward_params`]), and
+/// the lane is folded into `net` in sample order (see the module docs).
 pub fn minibatch_step<T, F>(
     net: &mut Network,
     data: &[(Tensor, usize)],
@@ -164,7 +165,7 @@ where
             lane.zero_grads();
             let (logits, result) = forward(lane, w * width + k, x);
             let (l, d_logits) = loss::cross_entropy(&logits, *label);
-            lane.backward(&d_logits.scale(scale));
+            lane.backward_params(&d_logits.scale(scale));
             (l, result)
         });
         for (lane, (l, result)) in lanes.iter().zip(outputs) {

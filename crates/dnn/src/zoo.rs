@@ -576,6 +576,41 @@ mod tests {
         }
     }
 
+    /// The trainers' backward entry ([`Network::backward_params`]) skips
+    /// only the first layer's input gradient: over two accumulated samples
+    /// every parameter gradient of every zoo model, the first layer's
+    /// included, is bit-identical to the full [`Network::backward`]'s.
+    #[test]
+    fn backward_params_adds_the_full_backwards_gradients() {
+        // (layer index, gradient bits) per parameter.
+        let grads = |net: &mut Network| {
+            let mut all = Vec::new();
+            net.visit_params_layers(&mut |layer, p| {
+                all.push((layer, p.grad.data().iter().map(|v| v.to_bits()).collect()))
+            });
+            all
+        };
+        for id in ModelId::all() {
+            let dataset = id.dataset(0);
+            let spec = dataset.spec();
+            let mut full = id.build(&spec, 1);
+            let mut trained = full.clone();
+            for (x, label) in &dataset.train()[..2] {
+                let (_, d) = crate::loss::cross_entropy(&full.forward_train(x), *label);
+                full.backward(&d);
+                let (_, d) = crate::loss::cross_entropy(&trained.forward_train(x), *label);
+                trained.backward_params(&d);
+            }
+            let want: Vec<(usize, Vec<u32>)> = grads(&mut full);
+            let first = want.iter().filter(|(layer, _)| *layer == 0);
+            assert!(
+                first.flat_map(|(_, g)| g).any(|&b| b << 1 != 0),
+                "{id}: the first layer has no nonzero gradient to compare"
+            );
+            assert_eq!(grads(&mut trained), want, "{id}");
+        }
+    }
+
     #[test]
     fn data_flow_shapes_are_consistent_with_forward() {
         for id in [ModelId::ResNet, ModelId::SqueezeNet, ModelId::DenseNet] {

@@ -680,24 +680,14 @@ fn padded_image(input: &[f32], in_c: usize, h: usize, w: usize, padding: usize) 
     img
 }
 
-/// Gradients produced by [`conv2d_backward`].
-#[derive(Debug, Clone)]
-pub struct Conv2dGrads {
-    /// Gradient with respect to the input, `[in_c, h, w]`.
-    pub d_input: Tensor,
-    /// Gradient with respect to the weights, `[out_c, in_c, k, k]`.
-    pub d_weight: Tensor,
-    /// Gradient with respect to the bias, `[out_c]`.
-    pub d_bias: Tensor,
-}
-
-/// The reusable working buffer of [`conv2d_backward`], split per call into
-/// the channel-interleaved input, its patch-major rows, the transposed
-/// weights, the lane-ordered weight gradient and the patch-shaped input
-/// gradient. It grows to its high-water size and is reused from then on;
-/// no call reads a value an earlier call left behind, so which scratch a
-/// call gets never changes a result. One scratch serves every convolution
-/// of a backward pass.
+/// The reusable working buffer of the convolution backward pass
+/// ([`conv2d_param_grads`] and [`conv2d_backward`]). The parameter
+/// gradients split it into the channel-interleaved input, its patch-major
+/// rows and the weight-gradient GEMM's output; the input gradient then
+/// reuses its front as the patch-shaped `weightᵀ · d_out`. It grows to its
+/// high-water size and is reused from then on; no call reads a value an
+/// earlier call left behind, so which scratch a call gets never changes a
+/// result. One scratch serves every convolution of a backward pass.
 ///
 /// Cloning yields an empty scratch, so replicating its owner (a training
 /// lane) copies no buffer.
@@ -712,94 +702,131 @@ impl Clone for ConvScratch {
     }
 }
 
-/// 2-D convolution backward pass for a single sample, expressed as two GEMMs
-/// over the input's patch matrix:
-///
-/// * `d_weight = d_out (out_c × oh·ow) · patches (oh·ow × in_c·k²)`, with
-///   the patch-major rows gathered straight from the input in the `(ky, kx,
-///   ic)` lane order of [`conv_patch_lane`] (whole kernel rows per copy),
-///   and the result's columns permuted back to `[out_c, in_c, k, k]`;
-/// * `d_input = col2im(weightᵀ · d_out)`, the fold a row-slice add per
-///   `(tap, oy)`.
-///
-/// `d_out` has shape `[out_c, oh, ow]` and matches the forward output. The
-/// accumulation orders are fixed: `d_bias` is a sequential sum; each
-/// `d_weight` entry starts at `+0.0` and adds its terms in ascending output
-/// position, skipping exact-zero `d_out` entries (the [`gemm`] lhs rule);
-/// each `weightᵀ · d_out` entry adds in ascending `oc`, skipping exact-zero
-/// weights; and `d_input` adds in `(ic, ky, kx, oy, ox)` order. Permuting
-/// the gathered lanes only moves whole output columns of a GEMM, so no
-/// chain changes. Working buffers come from `scratch`; only the three
-/// returned gradients are allocated.
-pub fn conv2d_backward(
+/// The geometry of a single-sample convolution backward pass: `(in_c, h,
+/// w, out_c, oh·ow, in_c·k²)`, with `d_out`'s shape checked against the
+/// forward output's.
+fn backward_geometry(
     input: &Tensor,
-    weight: &Tensor,
     d_out: &Tensor,
     p: Conv2dParams,
-    scratch: &mut ConvScratch,
-) -> Conv2dGrads {
+) -> (usize, usize, usize, usize, usize, usize) {
     let (in_c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let (out_c, _, k) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
+    let out_c = d_out.shape()[0];
     let (oh, ow) = (p.out_size(h), p.out_size(w));
     assert_eq!(
         d_out.shape(),
         &[out_c, oh, ow],
         "conv2d_backward d_out shape"
     );
-    let ck = in_c * k * k;
-    let ohw = oh * ow;
+    (in_c, h, w, out_c, oh * ow, in_c * p.kernel * p.kernel)
+}
+
+/// Adds the weight and bias gradients of a single-sample convolution onto
+/// `grad_weight` (`[out_c, in_c, k, k]`, row-major) and `grad_bias`
+/// (`[out_c]`): the parameter half of [`conv2d_backward`], for a first
+/// layer whose input gradient nobody reads.
+///
+/// The weight gradient is one GEMM, `d_out (out_c × oh·ow) · patches (oh·ow
+/// × in_c·k²)`, over patch-major rows gathered straight from the input in
+/// the `(ky, kx, ic)` lane order of [`conv_patch_lane`] (whole kernel rows
+/// per copy). Its lane-ordered result is added straight into the caller's
+/// tap-ordered gradient, `grad[ic·k² + t] += lanes[t·in_c + ic]`.
+///
+/// The accumulation orders are fixed: each weight-gradient term starts at
+/// `+0.0` and adds its terms in ascending output position, skipping
+/// exact-zero `d_out` entries (the [`gemm`] lhs rule), before it is added
+/// to `grad_weight`; each bias term is a sequential sum of its `d_out`
+/// channel, then added to `grad_bias`. Permuting the gathered lanes only
+/// moves whole output columns of the GEMM, so no chain changes.
+///
+/// # Panics
+///
+/// Panics if `d_out` is not the forward output's shape or a gradient slice
+/// has the wrong length.
+pub fn conv2d_param_grads(
+    input: &Tensor,
+    d_out: &Tensor,
+    p: Conv2dParams,
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
+    scratch: &mut ConvScratch,
+) {
+    let (in_c, h, w, out_c, ohw, ck) = backward_geometry(input, d_out, p);
+    assert_eq!(grad_weight.len(), out_c * ck, "conv2d_backward weight grad");
+    assert_eq!(grad_bias.len(), out_c, "conv2d_backward bias grad");
     let dd = d_out.data();
+    for (g, oc) in grad_bias.iter_mut().zip(0..) {
+        *g += dd[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
+    }
 
-    // d_bias: total gradient per output channel.
-    let d_b: Vec<f32> = (0..out_c)
-        .map(|oc| dd[oc * ohw..(oc + 1) * ohw].iter().sum())
-        .collect();
-
-    // The HWC image, the patch rows and `weightᵀ` are written whole before
-    // they are read; the two GEMM outputs start at `+0.0`.
+    // The HWC image and the patch rows are written whole before they are
+    // read; the GEMM output starts at `+0.0`.
     let buf = &mut scratch.buf;
-    buf.resize(in_c * h * w + 2 * ohw * ck + 2 * ck * out_c, 0.0);
+    buf.resize(buf.len().max(in_c * h * w + ohw * ck + out_c * ck), 0.0);
     let (vals, rest) = buf.split_at_mut(in_c * h * w);
     let (patches, rest) = rest.split_at_mut(ohw * ck);
-    let (w_t, rest) = rest.split_at_mut(ck * out_c);
-    let (d_lanes, d_cols) = rest.split_at_mut(out_c * ck);
-    d_lanes.fill(0.0);
-    d_cols.fill(0.0);
-
-    // d_weight = d_out · patches, in lane order, then back to tap order.
+    let lanes = &mut rest[..out_c * ck];
+    lanes.fill(0.0);
     for (ic, plane) in input.data()[..in_c * h * w].chunks_exact(h * w).enumerate() {
         for (dst, &v) in vals[ic..].iter_mut().step_by(in_c).zip(plane) {
             *dst = v;
         }
     }
     gather_patch_rows(vals, in_c, h, w, p, ck, patches);
-    gemm(out_c, ohw, ck, dd, patches, d_lanes);
-    let mut d_w = vec![0.0f32; out_c * ck];
-    for (dst, src) in d_w.chunks_exact_mut(ck).zip(d_lanes.chunks_exact(ck)) {
+    gemm(out_c, ohw, ck, dd, patches, lanes);
+    let taps = p.kernel * p.kernel;
+    for (g, lanes) in grad_weight.chunks_exact_mut(ck).zip(lanes.chunks_exact(ck)) {
         // Tap `ic·k² + t` sits in lane `t·in_c + ic` ([`conv_patch_lane`]).
-        for (ic, taps) in dst.chunks_exact_mut(k * k).enumerate() {
-            for (d, &v) in taps.iter_mut().zip(src[ic..].iter().step_by(in_c)) {
-                *d = v;
+        for (ic, g) in g.chunks_exact_mut(taps).enumerate() {
+            for (d, &v) in g.iter_mut().zip(lanes[ic..].iter().step_by(in_c)) {
+                *d += v;
             }
         }
     }
+}
 
-    // d_input = col2im(weightᵀ · d_out).
-    let wd = &weight.data()[..out_c * ck];
-    for (tap, row) in w_t.chunks_exact_mut(out_c).enumerate() {
-        for (oc, dst) in row.iter_mut().enumerate() {
-            *dst = wd[oc * ck + tap];
-        }
-    }
-    gemm(ck, out_c, ohw, w_t, dd, d_cols);
+/// 2-D convolution backward pass for a single sample: adds the weight and
+/// bias gradients onto `grad_weight` and `grad_bias` exactly as
+/// [`conv2d_param_grads`] does, and returns the input gradient `[in_c, h,
+/// w]`, `col2im(weightᵀ · d_out)`.
+///
+/// * `input` — `[in_c, h, w]`, the forward input;
+/// * `weight` — `[out_c, in_c, k, k]`;
+/// * `d_out` — `[out_c, oh, ow]`, matching the forward output.
+///
+/// The input-gradient GEMM reads the row-major weight through the
+/// dispatched `gemm_f32_lhs_t` kernel, so no `weightᵀ` is built: each
+/// `weightᵀ · d_out` entry starts at `+0.0` and adds in ascending `oc`,
+/// skipping exact-zero weights. The fold is a row-slice add per `(tap,
+/// oy)`, and each input pixel adds its terms in `(ic, ky, kx, oy, ox)`
+/// order. Working buffers come from `scratch`; only the returned gradient
+/// is allocated.
+///
+/// # Panics
+///
+/// Panics if a shape or gradient slice disagrees with the geometry.
+pub fn conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    d_out: &Tensor,
+    p: Conv2dParams,
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
+    scratch: &mut ConvScratch,
+) -> Tensor {
+    let (in_c, h, w, out_c, ohw, ck) = backward_geometry(input, d_out, p);
+    assert_eq!(
+        weight.shape(),
+        &[out_c, in_c, p.kernel, p.kernel],
+        "conv2d_backward weight shape"
+    );
+    conv2d_param_grads(input, d_out, p, grad_weight, grad_bias, scratch);
+    let d_cols = &mut scratch.buf[..ck * ohw];
+    d_cols.fill(0.0);
+    (simd::kernels().gemm_f32_lhs_t)(ck, out_c, ohw, weight.data(), d_out.data(), d_cols);
     let mut d_in = vec![0.0f32; in_c * h * w];
     col2im_add(d_cols, in_c, h, w, p, &mut d_in);
-
-    Conv2dGrads {
-        d_input: Tensor::from_vec(d_in, &[in_c, h, w]),
-        d_weight: Tensor::from_vec(d_w, weight.shape()),
-        d_bias: Tensor::from_vec(d_b, &[out_c]),
-    }
+    Tensor::from_vec(d_in, &[in_c, h, w])
 }
 
 /// 2×2 (or general) max pooling forward pass for a single `[c, h, w]` sample.
@@ -1257,10 +1284,20 @@ mod tests {
         // Loss = sum of outputs.
         let out = conv2d(&input, &weight, &bias, p);
         let d_out = Tensor::full(out.shape(), 1.0);
-        let grads = conv2d_backward(&input, &weight, &d_out, p, &mut ConvScratch::default());
+        let (mut d_weight, mut d_bias) = ([0.0f32; 4], [0.0f32]);
+        let scratch = &mut ConvScratch::default();
+        conv2d_backward(
+            &input,
+            &weight,
+            &d_out,
+            p,
+            &mut d_weight,
+            &mut d_bias,
+            scratch,
+        );
 
         let eps = 1e-3;
-        for wi in 0..weight.len() {
+        for (wi, &analytic) in d_weight.iter().enumerate() {
             let orig = weight.data()[wi];
             weight.data_mut()[wi] = orig + eps;
             let lp = conv2d(&input, &weight, &bias, p).sum();
@@ -1269,9 +1306,8 @@ mod tests {
             weight.data_mut()[wi] = orig;
             let num = (lp - lm) / (2.0 * eps);
             assert!(
-                (num - grads.d_weight.data()[wi]).abs() < 1e-2,
-                "weight grad mismatch at {wi}: numerical {num} vs analytic {}",
-                grads.d_weight.data()[wi]
+                (num - analytic).abs() < 1e-2,
+                "weight grad mismatch at {wi}: numerical {num} vs analytic {analytic}"
             );
         }
     }

@@ -13,6 +13,9 @@
 //! * `axpy_f32`: the f32 row update `out += a·b` behind
 //!   [`crate::Tensor::axpy`];
 //! * `gemm_f32`: the register-tiled f32 GEMM behind [`crate::ops::gemm`];
+//! * `gemm_f32_lhs_t`: the same GEMM reading its lhs through the transpose
+//!   of a row-major matrix, the input-gradient GEMM `weightᵀ · d_out` of
+//!   [`crate::ops::conv2d_backward`] without a `weightᵀ` copy;
 //! * `conv_f32`: the implicit-GEMM f32 convolution behind
 //!   [`crate::ops::conv2d`], the same tiled GEMM with its rhs panels
 //!   gathered straight from a zero-padded image;
@@ -27,8 +30,10 @@
 //! tiled f32 GEMM and `axpy_f32`. The tiled GEMM's one strip/tile driver is
 //! also generic over where its rhs column panels come from (`RhsColumns`):
 //! a dense row-major matrix (`gemm_f32`) or the implicit patch matrix of a
-//! padded image (`conv_f32`). `I16Lanes` (16-bit integer lanes, i32 after a
-//! multiply–add) carries the i8 widening panel body and the i16
+//! padded image (`conv_f32`); and over how its lhs entries are laid out
+//! (`LhsLayout`): row-major, or the transpose of a row-major matrix read
+//! in place (`gemm_f32_lhs_t`). `I16Lanes` (16-bit integer lanes, i32
+//! after a multiply–add) carries the i8 widening panel body and the i16
 //! split-digit panel body. One column-pair driver runs a panel body over
 //! every column pair of a transposed rhs, and at one column for an odd last
 //! column. The AVX512-VNNI i8 body is a different algorithm and keeps its
@@ -68,11 +73,14 @@
 //!   same tile on a stack copy of the output rows, of which only the valid
 //!   columns are copied back. Each valid lane is still the scalar chain,
 //!   and a padding lane (where `NaN·0` may appear) never reaches the
-//!   output. Only a dense rhs narrower than one vector runs as scalar
-//!   chains. The convolution's rhs panels hold exactly the values the
-//!   im2col matrix would (the image's padding is `+0.0`, as im2col writes
-//!   it), so `conv_f32` is `gemm_f32` over that matrix, bit for bit, and
-//!   its scalar oracle is the plain loop nest in ascending tap order.
+//!   output. Only a dense rhs narrower than one vector, under a row-major
+//!   lhs, runs as scalar chains. The lhs layout only moves where a tile
+//!   reads `a[i][p]` from, so `gemm_f32_lhs_t` is `gemm_f32` over the
+//!   transpose, bit for bit. The convolution's rhs panels hold exactly the
+//!   values the im2col matrix would (the image's padding is `+0.0`, as
+//!   im2col writes it), so `conv_f32` is `gemm_f32` over that matrix, bit
+//!   for bit, and its scalar oracle is the plain loop nest in ascending tap
+//!   order.
 //! * The quantizer is purely element-wise with no reduction: an IEEE
 //!   division, a clamp whose min/max operand order passes NaN through as
 //!   the scalar `f32::clamp` does, NaN lanes forced to `0` before a
@@ -340,6 +348,11 @@ pub struct Kernels {
     /// tile held in registers over ascending `k`, with the per-row exact-zero
     /// lhs skip (see [`GemmF32Fn`]).
     pub gemm_f32: GemmF32Fn,
+    /// `gemm_f32` with a transposed lhs read in place: its `a` is the
+    /// row-major `k × m` matrix whose transpose is the lhs, and each output
+    /// sees exactly `gemm_f32`'s chain over that transpose — the input
+    /// gradient GEMM `weightᵀ · d_out` of [`crate::ops::conv2d_backward`].
+    pub gemm_f32_lhs_t: GemmF32Fn,
     /// The implicit-GEMM f32 convolution behind [`crate::ops::conv2d`]:
     /// `gemm_f32`'s tiles over rhs panels gathered from the padded image
     /// (see [`ConvF32Fn`]).
@@ -374,6 +387,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: scalar::gemm2_i16,
             axpy_f32: scalar::axpy_f32,
             gemm_f32: scalar::gemm_f32,
+            gemm_f32_lhs_t: scalar::gemm_f32_lhs_t,
             conv_f32: scalar::conv_f32,
             quantize_f32: scalar::quantize_f32,
         },
@@ -384,6 +398,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: sse2::gemm2_i16,
             axpy_f32: sse2::axpy_f32,
             gemm_f32: sse2::gemm_f32,
+            gemm_f32_lhs_t: sse2::gemm_f32_lhs_t,
             conv_f32: sse2::conv_f32,
             quantize_f32: sse2::quantize_f32,
         },
@@ -394,6 +409,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: avx2::gemm2_i16,
             axpy_f32: avx2::axpy_f32,
             gemm_f32: avx2::gemm_f32,
+            gemm_f32_lhs_t: avx2::gemm_f32_lhs_t,
             conv_f32: avx2::conv_f32,
             quantize_f32: avx2::quantize_f32,
         },
@@ -412,6 +428,7 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm2_i16: avx512::gemm2_i16,
             axpy_f32: avx512::axpy_f32,
             gemm_f32: avx512::gemm_f32,
+            gemm_f32_lhs_t: avx512::gemm_f32_lhs_t,
             conv_f32: avx512::conv_f32,
             quantize_f32: avx512::quantize_f32,
         },
@@ -506,16 +523,23 @@ const GEMM_F32_MAX_STRIP: usize = 32;
 /// One `R × NV·W` output tile at `out`: loads it into registers, adds
 /// `a[r][p] · b[p][..]` for `p` in `0..k` ascending, and stores it back.
 /// With `SKIP`, a term whose lhs entry is exactly `0.0` is skipped row by
-/// row (a masked add); without it the lhs must hold no exact zero. Row
-/// strides: `lda` for the lhs, `ldb` for the rhs, `ldo` for the output.
+/// row (a masked add); without it the lhs must hold no exact zero. Lhs
+/// entry `(r, p)` sits at `L::offset(lda, r, p)`; row strides: `ldb` for
+/// the rhs, `ldo` for the output.
 ///
 /// # Safety
 ///
-/// The `R` lhs rows of `k` entries, the `k` rhs rows and the `R` output rows
-/// of `NV·W` columns must all be in bounds.
+/// The `R × k` lhs entries, the `k` rhs rows and the `R` output rows of
+/// `NV·W` columns must all be in bounds.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn gemm_f32_tile<V: F32Lanes, const R: usize, const NV: usize, const SKIP: bool>(
+unsafe fn gemm_f32_tile<
+    V: F32Lanes,
+    L: LhsLayout,
+    const R: usize,
+    const NV: usize,
+    const SKIP: bool,
+>(
     k: usize,
     (lda, ldb, ldo): (usize, usize, usize),
     a: *const f32,
@@ -534,7 +558,7 @@ unsafe fn gemm_f32_tile<V: F32Lanes, const R: usize, const NV: usize, const SKIP
             *x = V::load(b.add(p * ldb + v * V::W));
         }
         for (r, row) in acc.iter_mut().enumerate() {
-            let va = V::splat(*a.add(r * lda + p));
+            let va = V::splat(*a.add(L::offset(lda, r, p)));
             if SKIP {
                 let keep = va.nonzero();
                 for (c, &x) in row.iter_mut().zip(&bv) {
@@ -562,7 +586,7 @@ unsafe fn gemm_f32_tile<V: F32Lanes, const R: usize, const NV: usize, const SKIP
 /// As for [`gemm_f32_tile`] at `R = rows`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn gemm_f32_rows<V: F32Lanes, const NV: usize, const SKIP: bool>(
+unsafe fn gemm_f32_rows<V: F32Lanes, L: LhsLayout, const NV: usize, const SKIP: bool>(
     rows: usize,
     k: usize,
     strides: (usize, usize, usize),
@@ -571,11 +595,62 @@ unsafe fn gemm_f32_rows<V: F32Lanes, const NV: usize, const SKIP: bool>(
     out: *mut f32,
 ) {
     match rows {
-        GEMM_F32_MR => gemm_f32_tile::<V, GEMM_F32_MR, NV, SKIP>(k, strides, a, b, out),
-        3 => gemm_f32_tile::<V, 3, NV, SKIP>(k, strides, a, b, out),
-        2 => gemm_f32_tile::<V, 2, NV, SKIP>(k, strides, a, b, out),
-        1 => gemm_f32_tile::<V, 1, NV, SKIP>(k, strides, a, b, out),
+        GEMM_F32_MR => gemm_f32_tile::<V, L, GEMM_F32_MR, NV, SKIP>(k, strides, a, b, out),
+        3 => gemm_f32_tile::<V, L, 3, NV, SKIP>(k, strides, a, b, out),
+        2 => gemm_f32_tile::<V, L, 2, NV, SKIP>(k, strides, a, b, out),
+        1 => gemm_f32_tile::<V, L, 1, NV, SKIP>(k, strides, a, b, out),
         _ => {}
+    }
+}
+
+/// Where the tiled f32 GEMM's lhs entries come from: entry `(i, p)` of the
+/// `m × k` lhs sits [`LhsLayout::offset`] lanes into its slice. The lhs
+/// counterpart of [`RhsColumns`]; both layouts hold the same `m·k` entries,
+/// so the entry point's bounds check and the exact-zero scan cover either.
+#[cfg(target_arch = "x86_64")]
+trait LhsLayout {
+    /// Whether each lhs row is `k` contiguous entries, so the scalar
+    /// narrow-rhs loop ([`gemm_f32_columns`]) may read rows in place.
+    const ROW_MAJOR: bool;
+    /// The leading dimension of an `m × k` lhs.
+    fn ld(m: usize, k: usize) -> usize;
+    /// The offset of entry `(i, p)` at leading dimension `ld`.
+    fn offset(ld: usize, i: usize, p: usize) -> usize;
+}
+
+/// A row-major `m × k` lhs: the lhs of [`GemmF32Fn`] and [`ConvF32Fn`].
+#[cfg(target_arch = "x86_64")]
+enum RowMajor {}
+
+#[cfg(target_arch = "x86_64")]
+impl LhsLayout for RowMajor {
+    const ROW_MAJOR: bool = true;
+    #[inline(always)]
+    fn ld(_: usize, k: usize) -> usize {
+        k
+    }
+    #[inline(always)]
+    fn offset(ld: usize, i: usize, p: usize) -> usize {
+        i * ld + p
+    }
+}
+
+/// The transpose of a row-major `k × m` matrix: the lhs of
+/// `Kernels::gemm_f32_lhs_t`, read in place. Entry `(i, p)` is the
+/// matrix's `(p, i)`, so a tile's rows at one depth are contiguous.
+#[cfg(target_arch = "x86_64")]
+enum Transposed {}
+
+#[cfg(target_arch = "x86_64")]
+impl LhsLayout for Transposed {
+    const ROW_MAJOR: bool = false;
+    #[inline(always)]
+    fn ld(m: usize, _: usize) -> usize {
+        m
+    }
+    #[inline(always)]
+    fn offset(ld: usize, i: usize, p: usize) -> usize {
+        p * ld + i
     }
 }
 
@@ -733,7 +808,7 @@ impl RhsColumns for PatchRhs<'_> {
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
+fn gemm_f32_strip<V: F32Lanes, L: LhsLayout, const NV: usize, const SKIP: bool>(
     (m, k, n): (usize, usize, usize),
     j: usize,
     width: usize,
@@ -744,6 +819,7 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
 ) {
     const MR: usize = GEMM_F32_MR;
     let full = NV * V::W;
+    let lda = L::ld(m, k);
     check_gemm_f32(m, k, n, a, out);
     assert!(
         full <= GEMM_F32_MAX_STRIP && width <= full && j + width <= n,
@@ -768,13 +844,13 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
                 (dst as *const f32, full)
             }
         };
-        let ap = a[kb..].as_ptr();
         let mut i = 0;
         while i < m {
             let rows = (m - i).min(MR);
             // SAFETY: checked above: `a` holds `m×k` and `out` `m×n` values
-            // and `[j, j + width) ⊆ [0, n)`. Lhs rows `[i, i + rows)` start
-            // at `kb` and run `kc ≤ k − kb` entries; the rhs is either `kc`
+            // and `[j, j + width) ⊆ [0, n)`. The tile reads lhs entries `(i
+            // + r, kb + p)` for `r < rows`, `p < kc ≤ k − kb`, all inside the
+            // `m × k` lhs in either layout; the rhs is either `kc`
             // packed rows of `full` lanes or `kc` rows of the dense `b`
             // (`k×n`, checked by its caller) at columns `[j, j + full)` with
             // `full = width`. A full strip's tile writes output rows `[i, i
@@ -784,7 +860,7 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
             // from and back to those output rows. The caller's tier has
             // `V`'s features.
             unsafe {
-                let a_rows = ap.add(i * k);
+                let a_rows = a.as_ptr().add(L::offset(lda, i, kb));
                 if tail {
                     let mut tile = [0.0f32; GEMM_F32_MR * GEMM_F32_MAX_STRIP];
                     let t = tile.as_mut_ptr();
@@ -795,7 +871,7 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
                             width,
                         );
                     }
-                    gemm_f32_rows::<V, NV, SKIP>(rows, kc, (k, ldb, full), a_rows, bp, t);
+                    gemm_f32_rows::<V, L, NV, SKIP>(rows, kc, (lda, ldb, full), a_rows, bp, t);
                     for r in 0..rows {
                         std::ptr::copy_nonoverlapping(
                             t.add(r * full),
@@ -805,7 +881,7 @@ fn gemm_f32_strip<V: F32Lanes, const NV: usize, const SKIP: bool>(
                     }
                 } else {
                     let o = op.add(i * n + j);
-                    gemm_f32_rows::<V, NV, SKIP>(rows, kc, (k, ldb, n), a_rows, bp, o);
+                    gemm_f32_rows::<V, L, NV, SKIP>(rows, kc, (lda, ldb, n), a_rows, bp, o);
                 }
             }
             i += rows;
@@ -857,20 +933,20 @@ fn gemm_f32_columns(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
     }
 }
 
-/// The SIMD tiers' f32 GEMM over any [`RhsColumns`] source (their
-/// [`GemmF32Fn`] and [`ConvF32Fn`]): column strips of [`GEMM_F32_NV`]
-/// vectors (the outer loop, so a strip of the rhs is packed once and reused
-/// by every row tile), one single-vector strip for a last whole vector, and
-/// one zero-padded single-vector strip for the last `n mod W` columns. Only
-/// a dense rhs narrower than one vector runs as scalar chains
-/// ([`gemm_f32_columns`]); any other narrow source is one zero-padded
-/// strip. The tiles mask their adds only when the lhs holds an exact zero
-/// (one scan per call); a zero-free lhs, such as a layer's weights, skips
-/// nothing. Each output element sees the scalar table's accumulation chain
-/// exactly.
+/// The SIMD tiers' f32 GEMM over any [`RhsColumns`] source and
+/// [`LhsLayout`] (their [`GemmF32Fn`]s and [`ConvF32Fn`]): column strips of
+/// [`GEMM_F32_NV`] vectors (the outer loop, so a strip of the rhs is packed
+/// once and reused by every row tile), one single-vector strip for a last
+/// whole vector, and one zero-padded single-vector strip for the last
+/// `n mod W` columns. Only a dense rhs narrower than one vector, under a
+/// row-major lhs, runs as scalar chains ([`gemm_f32_columns`]); any other
+/// narrow product is one zero-padded strip. The tiles mask their adds only
+/// when the lhs holds an exact zero (one scan per call); a zero-free lhs,
+/// such as a layer's weights, skips nothing. Each output element sees the
+/// scalar table's accumulation chain exactly.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn gemm_f32_tiled<V: F32Lanes>(
+fn gemm_f32_tiled<V: F32Lanes, L: LhsLayout>(
     m: usize,
     k: usize,
     n: usize,
@@ -879,7 +955,7 @@ fn gemm_f32_tiled<V: F32Lanes>(
     out: &mut [f32],
 ) {
     check_gemm_f32(m, k, n, a, out);
-    if n < V::W {
+    if n < V::W && L::ROW_MAJOR {
         if let Some(b) = b.dense() {
             gemm_f32_columns(m, k, n, a, b, out);
             return;
@@ -895,9 +971,9 @@ fn gemm_f32_tiled<V: F32Lanes>(
     let panel = &mut std::mem::MaybeUninit::uninit();
     for j in (0..wide).step_by(strip) {
         if skip {
-            gemm_f32_strip::<V, GEMM_F32_NV, true>((m, k, n), j, strip, a, b, out, panel);
+            gemm_f32_strip::<V, L, GEMM_F32_NV, true>((m, k, n), j, strip, a, b, out, panel);
         } else {
-            gemm_f32_strip::<V, GEMM_F32_NV, false>((m, k, n), j, strip, a, b, out, panel);
+            gemm_f32_strip::<V, L, GEMM_F32_NV, false>((m, k, n), j, strip, a, b, out, panel);
         }
     }
     // At most GEMM_F32_NV − 1 = 1 whole vector is left, then the tail.
@@ -906,17 +982,19 @@ fn gemm_f32_tiled<V: F32Lanes>(
             continue;
         }
         if skip {
-            gemm_f32_strip::<V, 1, true>((m, k, n), j, width, a, b, out, panel);
+            gemm_f32_strip::<V, L, 1, true>((m, k, n), j, width, a, b, out, panel);
         } else {
-            gemm_f32_strip::<V, 1, false>((m, k, n), j, width, a, b, out, panel);
+            gemm_f32_strip::<V, L, 1, false>((m, k, n), j, width, a, b, out, panel);
         }
     }
 }
 
-/// The SIMD tiers' [`GemmF32Fn`]: [`gemm_f32_tiled`] over a dense rhs.
+/// The SIMD tiers' [`GemmF32Fn`]s: [`gemm_f32_tiled`] over a dense rhs,
+/// with the lhs in layout `L` (row-major for `gemm_f32`, transposed for
+/// `gemm_f32_lhs_t`).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn gemm_f32_dense<V: F32Lanes>(
+fn gemm_f32_dense<V: F32Lanes, L: LhsLayout>(
     m: usize,
     k: usize,
     n: usize,
@@ -925,7 +1003,7 @@ fn gemm_f32_dense<V: F32Lanes>(
     out: &mut [f32],
 ) {
     assert!(b.len() >= k * n, "gemm: rhs slice too short");
-    gemm_f32_tiled::<V>(m, k, n, a, &DenseRhs { b, n }, out);
+    gemm_f32_tiled::<V, L>(m, k, n, a, &DenseRhs { b, n }, out);
 }
 
 /// The SIMD tiers' [`ConvF32Fn`]: [`gemm_f32_tiled`] over the patch matrix
@@ -936,7 +1014,7 @@ fn conv_f32_tiled<V: F32Lanes>(g: &PaddedConv, weight: &[f32], image: &[f32], ou
     g.check(weight, image, out);
     let (oh, ow) = g.out_size();
     let rhs = PatchRhs { g: *g, image, ow };
-    gemm_f32_tiled::<V>(g.out_c, g.depth(), oh * ow, weight, &rhs, out);
+    gemm_f32_tiled::<V, RowMajor>(g.out_c, g.depth(), oh * ow, weight, &rhs, out);
 }
 
 /// `out[j] += a · b[j]` over one tier's f32 vectors (the SIMD tiers'
@@ -1237,6 +1315,25 @@ mod scalar {
         }
     }
 
+    /// `gemm_f32` with the lhs read through its transpose: `a` is the
+    /// row-major `k × m` matrix whose entry `(p, i)` is lhs entry `(i, p)`.
+    pub fn gemm_f32_lhs_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::check_gemm_f32(m, k, n, a, out);
+        assert!(b.len() >= k * n, "gemm: rhs slice too short");
+        if n == 0 {
+            return;
+        }
+        for (i, orow) in out.chunks_exact_mut(n).take(m).enumerate() {
+            for p in 0..k {
+                let av = a[p * m + i];
+                if av == 0.0 {
+                    continue;
+                }
+                axpy_f32(av, &b[p * n..(p + 1) * n], orow);
+            }
+        }
+    }
+
     /// The loop-nest oracle of every tier's `conv_f32`: per filter, taps in
     /// ascending `(ic, ky, kx)` order (exact-zero weights skipped), each
     /// added to every output pixel.
@@ -1388,7 +1485,11 @@ mod sse2 {
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::gemm_f32_dense::<__m128>(m, k, n, a, b, out);
+        super::gemm_f32_dense::<__m128, super::RowMajor>(m, k, n, a, b, out);
+    }
+
+    pub fn gemm_f32_lhs_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::gemm_f32_dense::<__m128, super::Transposed>(m, k, n, a, b, out);
     }
 
     pub fn conv_f32(g: &super::PaddedConv, weight: &[f32], image: &[f32], out: &mut [f32]) {
@@ -1555,13 +1656,30 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn gemm_f32_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::gemm_f32_dense::<__m256>(m, k, n, a, b, out);
+        super::gemm_f32_dense::<__m256, super::RowMajor>(m, k, n, a, b, out);
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         // SAFETY: this table entry is only constructed after `avx2` was
         // runtime-detected.
         unsafe { gemm_f32_impl(m, k, n, a, b, out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemm_f32_lhs_t_impl(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        super::gemm_f32_dense::<__m256, super::Transposed>(m, k, n, a, b, out);
+    }
+
+    pub fn gemm_f32_lhs_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { gemm_f32_lhs_t_impl(m, k, n, a, b, out) }
     }
 
     #[target_feature(enable = "avx2")]
@@ -1832,13 +1950,30 @@ mod avx512 {
 
     #[target_feature(enable = "avx512f")]
     unsafe fn gemm_f32_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::gemm_f32_dense::<__m512>(m, k, n, a, b, out);
+        super::gemm_f32_dense::<__m512, super::RowMajor>(m, k, n, a, b, out);
     }
 
     pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         // SAFETY: this table entry is only constructed after `avx512f` was
         // runtime-detected.
         unsafe { gemm_f32_impl(m, k, n, a, b, out) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_f32_lhs_t_impl(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        super::gemm_f32_dense::<__m512, super::Transposed>(m, k, n, a, b, out);
+    }
+
+    pub fn gemm_f32_lhs_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { gemm_f32_lhs_t_impl(m, k, n, a, b, out) }
     }
 
     #[target_feature(enable = "avx512f")]

@@ -255,7 +255,9 @@ proptest! {
     /// [`naive_conv2d_backward`] over random geometry (in_c 1–7, out_c 1–9,
     /// kernel 1–5, stride 1–3, padding 0–2, `h ≠ w`), with exact `±0.0`
     /// entries in `d_out` and in the weights, so every zero-skip and every
-    /// signed-zero sum is exercised, on a scratch a larger call left dirty.
+    /// signed-zero sum is exercised, on a scratch a larger call left dirty;
+    /// and [`ops::conv2d_param_grads`], its parameter half, to the same
+    /// parameter gradients.
     #[test]
     fn conv2d_backward_matches_the_naive_accumulation_orders(
         chans in (1usize..8, 1usize..10),
@@ -290,6 +292,7 @@ proptest! {
         let mut scratch = ops::ConvScratch::default();
         let (big_h, big_w) = (h + 3, w + 2);
         let big_ohw = p.out_size(big_h) * p.out_size(big_w);
+        let ck = in_c * kernel * kernel;
         ops::conv2d_backward(
             &Tensor::from_vec(draw(in_c * big_h * big_w, 16), &[in_c, big_h, big_w]),
             &Tensor::from_vec(weight.clone(), &[out_c, in_c, kernel, kernel]),
@@ -298,23 +301,37 @@ proptest! {
                 &[out_c, p.out_size(big_h), p.out_size(big_w)],
             ),
             p,
+            &mut vec![0.0; out_c * ck],
+            &mut vec![0.0; out_c],
             &mut scratch,
         );
-        let grads = ops::conv2d_backward(
-            &Tensor::from_vec(input.clone(), &[in_c, h, w]),
+        // The gradients are added onto `-0.0`, the identity of IEEE
+        // addition, so they come back exactly as computed.
+        let (mut d_w, mut d_b) = (vec![-0.0f32; out_c * ck], vec![-0.0f32; out_c]);
+        let input_t = Tensor::from_vec(input.clone(), &[in_c, h, w]);
+        let d_out_t = Tensor::from_vec(d_out.clone(), &[out_c, p.out_size(h), p.out_size(w)]);
+        let d_in = ops::conv2d_backward(
+            &input_t,
             &Tensor::from_vec(weight.clone(), &[out_c, in_c, kernel, kernel]),
-            &Tensor::from_vec(d_out.clone(), &[out_c, p.out_size(h), p.out_size(w)]),
+            &d_out_t,
             p,
+            &mut d_w,
+            &mut d_b,
             &mut scratch,
         );
         let [d_input, d_weight, d_bias] =
             naive_conv2d_backward(&input, &weight, &d_out, (in_c, h, w, out_c), p);
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(grads.d_input.shape(), &[in_c, h, w][..]);
-        prop_assert_eq!(grads.d_weight.shape(), &[out_c, in_c, kernel, kernel][..]);
-        prop_assert_eq!(bits(grads.d_input.data()), bits(&d_input));
-        prop_assert_eq!(bits(grads.d_weight.data()), bits(&d_weight));
-        prop_assert_eq!(bits(grads.d_bias.data()), bits(&d_bias));
+        prop_assert_eq!(d_in.shape(), &[in_c, h, w][..]);
+        prop_assert_eq!(bits(d_in.data()), bits(&d_input));
+        prop_assert_eq!(bits(&d_w), bits(&d_weight));
+        prop_assert_eq!(bits(&d_b), bits(&d_bias));
+        // The parameter half alone adds the same gradients, on a scratch the
+        // input gradient just left dirty.
+        let (mut p_w, mut p_b) = (vec![-0.0f32; out_c * ck], vec![-0.0f32; out_c]);
+        ops::conv2d_param_grads(&input_t, &d_out_t, p, &mut p_w, &mut p_b, &mut scratch);
+        prop_assert_eq!(bits(&p_w), bits(&d_weight));
+        prop_assert_eq!(bits(&p_b), bits(&d_bias));
     }
 }
 

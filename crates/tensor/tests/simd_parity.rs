@@ -431,11 +431,24 @@ fn bits_modulo_nan(xs: &[f32]) -> Vec<u32> {
 /// tile that adds `0·b` instead of skipping it turns those into NaN or
 /// `+0.0`.
 fn check_gemm_f32_at_every_isa(m: usize, k: usize, n: usize, seed: u32) {
+    check_gemm_f32_layout_at_every_isa(m, k, n, seed, false);
+}
+
+/// [`check_gemm_f32_at_every_isa`] for `gemm_f32` (`transposed` unset) or
+/// for `gemm_f32_lhs_t`, whose `a` is the row-major `k × m` matrix holding
+/// lhs entry `(i, p)` at `(p, i)`. Both read the same hashed entry `(i,
+/// p)`, so a kernel that reads the transposed operand row-major sees other
+/// values and fails.
+fn check_gemm_f32_layout_at_every_isa(m: usize, k: usize, n: usize, seed: u32, transposed: bool) {
     let hash = |i: usize, salt: u32| operand_hash(seed, i, salt);
     let zeros: &[f32] = if seed % 2 == 1 { &[0.0, -0.0] } else { &[] };
-    let a: Vec<f32> = (0..m * k)
-        .map(|i| f32_operand(hash(i, 1), 5, zeros))
-        .collect();
+    let at = |i: usize, p: usize| if transposed { p * m + i } else { i * k + p };
+    let mut a = vec![0.0f32; m * k];
+    for i in 0..m {
+        for p in 0..k {
+            a[at(i, p)] = f32_operand(hash(i * k + p, 1), 5, zeros);
+        }
+    }
     let b: Vec<f32> = (0..k * n)
         .map(|i| {
             f32_operand(
@@ -451,7 +464,7 @@ fn check_gemm_f32_at_every_isa(m: usize, k: usize, n: usize, seed: u32) {
     let mut naive = seed_out.clone();
     for i in 0..m {
         for p in 0..k {
-            let av = a[i * k + p];
+            let av = a[at(i, p)];
             if av == 0.0 {
                 continue;
             }
@@ -463,12 +476,17 @@ fn check_gemm_f32_at_every_isa(m: usize, k: usize, n: usize, seed: u32) {
     let want = bits_modulo_nan(&naive);
     for t in supported_tables() {
         let mut got = seed_out.clone();
-        ops::gemm_with(&t, m, k, n, &a, &b, &mut got);
+        if transposed {
+            (t.gemm_f32_lhs_t)(m, k, n, &a, &b, &mut got);
+        } else {
+            ops::gemm_with(&t, m, k, n, &a, &b, &mut got);
+        }
         prop_assert_eq!(
             bits_modulo_nan(&got),
             want.clone(),
-            "{} gemm_f32 ({},{},{})",
+            "{} gemm_f32 (transposed lhs: {}) ({},{},{})",
             t.isa,
+            transposed,
             m,
             k,
             n
@@ -558,6 +576,33 @@ proptest! {
         for k in [k0, 256 + k0] {
             for n in (1..=32).chain([108, 216]) {
                 check_gemm_f32_at_every_isa(m, k, n, seed);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The transposed-lhs GEMM (`gemm_f32_lhs_t`, the conv backward's
+    /// `weightᵀ · d_out`) at every supported level against the naive loop
+    /// and so against the scalar table: `m` from a single row through two
+    /// whole 4-row tiles and a ragged last tile, depths `k₀` and `256 + k₀`
+    /// (past the packed panel depth), every `n` in `1..=32` (below one
+    /// vector, the zero-padded tail strip, whole strips) plus 64, the
+    /// `res2.conv2` input-gradient width, and both zero-free lhs operands
+    /// and operands with exact `±0.0` entries (the masked skip path).
+    #[test]
+    fn f32_gemm_lhs_t_matches_scalar_past_the_panel_depth(
+        m in 1usize..12,
+        k0 in 1usize..45,
+        seed in 0u32..1000,
+    ) {
+        for seed in [seed * 2, seed * 2 + 1] {
+            for k in [k0, 256 + k0] {
+                for n in (1..=32).chain([64]) {
+                    check_gemm_f32_layout_at_every_isa(m, k, n, seed, true);
+                }
             }
         }
     }
