@@ -943,6 +943,27 @@ mod tests {
         )
     }
 
+    /// Algorithm 1's placements of `synthetic_characterization()` on the
+    /// Vendor A `device_profile()` (4 bank partitions, 4 VDD points):
+    /// `(layer index, partition, operating-point index)` per site, in the
+    /// strict-to-tolerant processing order.
+    const ALGORITHM1_PIN: [(usize, usize, usize); 3] = [(0, 0, 0), (1, 1, 1), (2, 2, 3)];
+
+    #[test]
+    fn algorithm1_placements_are_pinned() {
+        let mapping = fine_map(
+            &synthetic_characterization(),
+            &device_profile(),
+            Precision::Int8,
+        );
+        let got: Vec<(usize, usize, usize)> = mapping
+            .assignments
+            .iter()
+            .map(|a| (a.data.site.layer_index, a.partition_index, a.op_index))
+            .collect();
+        assert_eq!(got, ALGORITHM1_PIN);
+    }
+
     #[test]
     fn fine_mapping_places_every_data_type() {
         let mapping = fine_map(
