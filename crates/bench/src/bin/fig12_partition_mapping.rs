@@ -10,30 +10,17 @@ use eden_bench::report;
 use eden_core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden_core::characterize::{fine_characterize_session, FineConfig};
 use eden_core::faults::ApproximateMemory;
-use eden_core::mapping::{multi_module_map, MultiModuleConfig, PlacementPlan, SlotTraffic};
+use eden_core::mapping::{multi_module_map, MultiModuleConfig, PlacementPlan};
 use eden_core::session::EvalSession;
 use eden_dnn::zoo::ModelId;
 use eden_dnn::Dataset;
 use eden_dram::characterize::CharacterizeConfig;
 use eden_dram::geometry::{DramGeometry, Partition};
-use eden_dram::system::{DramModule, MemorySystem};
+use eden_dram::system::{DramModule, MemorySystem, TrafficShare};
 use eden_dram::{ApproxDramDevice, ErrorModel, OperatingPoint, Vendor};
 use eden_sysim::workload::WorkloadProfile;
-use eden_sysim::{CpuSim, SystemSim, TrafficShare};
+use eden_sysim::{CpuSim, SystemSim};
 use eden_tensor::Precision;
-
-/// Adapts the search's per-slot traffic accounting to the system simulator's
-/// traffic-share model (same shape, different layer of the stack).
-fn to_shares(shares: &[SlotTraffic]) -> Vec<TrafficShare> {
-    shares
-        .iter()
-        .map(|s| TrafficShare {
-            bytes: s.bytes,
-            vdd_reduction: s.vdd_reduction,
-            trcd_reduction_ns: s.trcd_reduction_ns,
-        })
-        .collect()
-}
 
 fn main() {
     report::init_threads();
@@ -142,10 +129,9 @@ fn main() {
     // off (the accelerators hide activation latency almost entirely).
     let sim = CpuSim::table4();
     let workload = WorkloadProfile::from_network(&net, precision, 0.05);
-    let score = |shares: &[SlotTraffic]| -> f64 {
-        let shares = to_shares(shares);
-        sim.mixed_energy_saving(&workload, &shares)
-            + (sim.mixed_trcd_speedup(&workload, &shares) - 1.0)
+    let score = |shares: &[TrafficShare]| -> f64 {
+        sim.mixed_energy_saving(&workload, shares)
+            + (sim.mixed_trcd_speedup(&workload, shares) - 1.0)
     };
 
     let samples = &dataset.test()[..48];
@@ -162,7 +148,7 @@ fn main() {
             &score,
         );
         println!("\n{name}: per-partition operating points");
-        let shares = plan.traffic_shares(system, precision);
+        let mut shares = plan.traffic_shares(system, precision);
         let mut share = shares.iter();
         for (m, p) in system.slots() {
             match plan.partition_ops[m][p] {
@@ -172,8 +158,8 @@ fn main() {
                     println!(
                         "  module {m} ({:?}) partition {p}: {} (BER {:.2e}, {} KiB placed)",
                         module.device().vendor(),
-                        module.operating_points()[o],
-                        module.ber(p, o),
+                        module.operating_points[o],
+                        module.ber[p][o],
                         bytes / 1024,
                     );
                 }
@@ -189,7 +175,6 @@ fn main() {
         let accuracy = session.evaluate_with_faults(samples, &mut memory);
         // Unmapped data stays on nominal DRAM; it must weigh into the
         // workload-wide energy/latency numbers as a zero-reduction share.
-        let mut shares = to_shares(&shares);
         shares.push(TrafficShare {
             bytes: plan.unmapped.iter().map(|d| d.bytes(precision)).sum(),
             vdd_reduction: 0.0,

@@ -380,17 +380,6 @@ impl ApproximateMemory {
         self
     }
 
-    /// Replaces the default error source for all unassigned sites.
-    pub fn set_default(&mut self, injector: Option<Injector>) {
-        let state = Arc::make_mut(&mut self.placement);
-        // Keep only maps pinned by per-site overrides and span placements;
-        // default-backed maps are stale under the new error source.
-        state.weak_maps.retain(|s, _| {
-            state.site_injectors.contains_key(s) || state.site_spans.contains_key(s)
-        });
-        state.default_injector = injector;
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> MemoryStats {
         self.stats
@@ -1322,8 +1311,7 @@ mod tests {
         let coarse = ApproximateMemory::from_model(ErrorModel::uniform(0.01, 0.5, 1), 0);
         assert_eq!(coarse.first_dirty_layer(5), 0);
         // …but a zero-BER default is provably clean.
-        let mut zeroed = coarse.clone();
-        zeroed.set_default(Some(clean_inj.clone()));
+        let zeroed = ApproximateMemory::from_injector(clean_inj.clone(), 0);
         assert_eq!(zeroed.first_dirty_layer(5), 5);
 
         // Span placements: dirty iff any span is dirty.

@@ -56,7 +56,7 @@ pub use bounding::{BoundingLogic, CorrectionPolicy};
 pub use characterize::{CoarseCharacterization, FineCharacterization};
 pub use curricular::{CurricularConfig, CurricularTrainer};
 pub use faults::{ApproximateMemory, PlacedSpan, SpanComposition, WeakMapCache};
-pub use mapping::{CoarseMapping, FineMapping, PlacementPlan};
+pub use mapping::{CoarseMapping, PlacementPlan};
 pub use pipeline::{EdenConfig, EdenOutcome, EdenPipeline};
 pub use session::EvalSession;
 

@@ -1,36 +1,38 @@
-//! DNN→DRAM mapping (Section 3.4), at three granularities:
+//! DNN→DRAM mapping (Section 3.4), at two granularities:
 //!
 //! * **Coarse-grained** ([`coarse_map`]): pick the single most aggressive
 //!   voltage and `tRCD` reduction whose module-level BER stays below the
 //!   DNN's maximum tolerable BER (the ΔVDD / ΔtRCD columns of Table 3).
-//! * **Fine-grained (Algorithm 1)** ([`fine_map`]): place every DNN data
-//!   type into the partition of *one* module with the largest parameter
-//!   reduction whose BER it tolerates and which still has space, tracking
-//!   per-partition operating points (Figure 12).
-//! * **Multi-module** ([`multi_module_map`]): generalize Algorithm 1 across
-//!   a whole [`MemorySystem`] — several modules with their own vendors,
-//!   geometries and candidate operating points. The result is a
-//!   [`PlacementPlan`] whose spans may split one site across partitions
-//!   (capacity spill), seeded greedily and then refined by a deterministic
-//!   parallel local search (site moves and swaps between modules) scored by
-//!   a pluggable per-slot traffic cost — the experiment binaries wire in
-//!   `eden-sysim` energy/latency there. [`PlacementPlan::apply_to`] lowers a
-//!   plan onto an [`ApproximateMemory`] as per-span device injectors, whose
+//! * **Fine-grained** ([`multi_module_map`]): Algorithm 1 over a whole
+//!   [`MemorySystem`] — one or more modules with their own vendors,
+//!   geometries and candidate operating points. Every DNN data type goes to
+//!   the partition with the largest parameter reduction whose BER it
+//!   tolerates and which still has space, tracking per-partition operating
+//!   points (Figure 12). The result is a [`PlacementPlan`] whose spans may
+//!   split one site across partitions (capacity spill), seeded by that
+//!   greedy pass and then refined by a deterministic parallel local search
+//!   (site moves and swaps between modules) scored by a pluggable per-slot
+//!   traffic cost — the experiment binaries wire in `eden-sysim`
+//!   energy/latency there. [`PlacementPlan::apply_to`] lowers a plan onto
+//!   an [`ApproximateMemory`] as per-span device injectors, whose
 //!   per-partition overlays the session composes in O(flips).
 
 use crate::characterize::FineCharacterization;
 use crate::faults::{ApproximateMemory, PlacedSpan};
 use crate::session::EvalSession;
 use eden_dnn::network::DataTypeInfo;
-use eden_dram::characterize::DramErrorProfile;
 use eden_dram::error_model::Layout;
 use eden_dram::inject::Injector;
 use eden_dram::params::{MAX_TRCD_REDUCTION_NS, MAX_VDD_REDUCTION, NOMINAL_TRCD_NS, NOMINAL_VDD};
-use eden_dram::system::MemorySystem;
+use eden_dram::system::{MemorySystem, TrafficShare};
 use eden_dram::vendor::VendorProfile;
 use eden_dram::OperatingPoint;
 use eden_tensor::{Precision, Tensor};
 use serde::{Deserialize, Serialize};
+
+/// The per-slot traffic a plan cost model scores, under the name the
+/// benchmark harness imports.
+pub use eden_dram::system::TrafficShare as SlotTraffic;
 
 /// Voltage step used when sweeping candidate reductions (volts).
 pub const VDD_STEP: f32 = 0.05;
@@ -103,137 +105,39 @@ pub fn coarse_map(max_tolerable_ber: f64, vendor: &VendorProfile) -> CoarseMappi
     }
 }
 
-/// One data type placed into one partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Assignment {
-    /// The data type.
-    pub data: DataTypeInfo,
-    /// Tolerable BER of the data type.
-    pub tolerable_ber: f64,
-    /// Index of the partition it was placed in.
-    pub partition_index: usize,
-    /// Index (into the profile's operating points) the partition runs at.
-    pub op_index: usize,
-}
-
-/// Result of fine-grained mapping (Algorithm 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FineMapping {
-    /// Successful placements.
-    pub assignments: Vec<Assignment>,
-    /// Data types that did not fit in any suitable partition; they must be
-    /// stored in a DRAM module operating at nominal parameters.
-    pub unmapped: Vec<DataTypeInfo>,
-    /// Chosen operating-point index per partition (`None` = unused).
-    pub partition_ops: Vec<Option<usize>>,
-}
-
-impl FineMapping {
-    /// Fraction of mapped bytes placed in partitions running below nominal
-    /// parameters.
-    pub fn mapped_fraction(&self, precision: Precision) -> f64 {
-        let mapped: u64 = self
-            .assignments
-            .iter()
-            .map(|a| a.data.bytes(precision))
-            .sum();
-        let unmapped: u64 = self.unmapped.iter().map(|d| d.bytes(precision)).sum();
-        if mapped + unmapped == 0 {
-            return 0.0;
-        }
-        mapped as f64 / (mapped + unmapped) as f64
-    }
-}
-
-/// Benefit score of an operating point: how much its parameters are reduced
+/// Benefit score of a reduction: how much the parameters are reduced
 /// relative to the most aggressive reductions EDEN considers. Algorithm 1
 /// picks the partition/operating point with the highest benefit that still
 /// meets the data type's BER requirement.
-fn benefit(op: &OperatingPoint) -> f64 {
-    (op.vdd_reduction() / MAX_VDD_REDUCTION) as f64
-        + (op.trcd_reduction_ns() / MAX_TRCD_REDUCTION_NS) as f64
+fn benefit(vdd_reduction: f32, trcd_reduction_ns: f32) -> f64 {
+    (vdd_reduction / MAX_VDD_REDUCTION) as f64 + (trcd_reduction_ns / MAX_TRCD_REDUCTION_NS) as f64
 }
 
-/// Fine-grained DNN→DRAM mapping (Algorithm 1 of the paper).
-///
-/// Data types are processed from least to most error tolerant, so the
-/// operating point of each partition is constrained by the strictest data
-/// assigned to it.
-pub fn fine_map(
-    characterization: &FineCharacterization,
-    profile: &DramErrorProfile,
-    precision: Precision,
-) -> FineMapping {
-    let mut sorted: Vec<(DataTypeInfo, f64)> = characterization.tolerances.clone();
-    sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+/// Bytes `values` stored values of `bits` bits each occupy.
+fn value_bytes(values: usize, bits: u32) -> u64 {
+    (values as u64 * bits as u64).div_ceil(8)
+}
 
-    let mut remaining_bytes: Vec<u64> = profile
-        .partitions
-        .iter()
-        .map(|p| p.capacity_bytes)
-        .collect();
-    let mut partition_ops: Vec<Option<usize>> = vec![None; profile.partition_count()];
-    let mut assignments = Vec::new();
-    let mut unmapped = Vec::new();
-
-    for (data, tolerable_ber) in sorted {
-        let size = data.bytes(precision);
-        let mut best: Option<(usize, usize, f64)> = None; // (partition, op, benefit)
-        for p_idx in 0..profile.partition_count() {
-            if remaining_bytes[p_idx] < size {
-                continue;
-            }
-            // The candidate operating point for this partition: either the
-            // one already imposed by stricter data, or the most beneficial
-            // point this data type tolerates.
-            let candidate_op = match partition_ops[p_idx] {
-                Some(existing) => {
-                    if profile.ber(p_idx, existing) <= tolerable_ber {
-                        Some(existing)
-                    } else {
-                        None
-                    }
-                }
-                None => {
-                    let mut best_op: Option<(usize, f64)> = None;
-                    for (o_idx, op) in profile.operating_points.iter().enumerate() {
-                        if profile.ber(p_idx, o_idx) <= tolerable_ber {
-                            let b = benefit(op);
-                            if best_op.map(|(_, bb)| b > bb).unwrap_or(true) {
-                                best_op = Some((o_idx, b));
-                            }
-                        }
-                    }
-                    best_op.map(|(o, _)| o)
-                }
-            };
-            if let Some(o_idx) = candidate_op {
-                let b = benefit(&profile.operating_points[o_idx]);
-                if best.map(|(_, _, bb)| b > bb).unwrap_or(true) {
-                    best = Some((p_idx, o_idx, b));
-                }
-            }
-        }
-        match best {
-            Some((p_idx, o_idx, _)) => {
-                remaining_bytes[p_idx] -= size;
-                partition_ops[p_idx] = Some(o_idx);
-                assignments.push(Assignment {
-                    data,
-                    tolerable_ber,
-                    partition_index: p_idx,
-                    op_index: o_idx,
-                });
-            }
-            None => unmapped.push(data),
-        }
-    }
-
-    FineMapping {
-        assignments,
-        unmapped,
-        partition_ops,
-    }
+/// The per-slot traffic a plan cost model scores: one share per slot that
+/// runs at an operating point, in slot order. `bytes` and `ops` are indexed
+/// by flat slot ([`MemorySystem::slots`] order).
+fn used_slot_shares(
+    system: &MemorySystem,
+    bytes: &[u64],
+    ops: &[Option<usize>],
+) -> Vec<TrafficShare> {
+    system
+        .slots()
+        .zip(bytes.iter().zip(ops))
+        .filter_map(|((m, _), (&bytes, &op_idx))| {
+            let op = system.module(m).operating_points[op_idx?];
+            Some(TrafficShare {
+                bytes,
+                vdd_reduction: op.vdd_reduction(),
+                trcd_reduction_ns: op.trcd_reduction_ns(),
+            })
+        })
+        .collect()
 }
 
 /// One span of a [`PlacementPlan`]: `values` stored values of a site,
@@ -280,35 +184,17 @@ pub struct PlacementPlan {
     pub partition_ops: Vec<Vec<Option<usize>>>,
 }
 
-/// Per-slot traffic summary a plan cost model scores: bytes resident in one
-/// `(module, partition)` slot plus the reductions of its operating point.
-/// The experiment binaries translate these into `eden-sysim` mixed
-/// energy/latency; [`benefit_traffic_score`] is the simulator-free default.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlotTraffic {
-    /// Bytes of DNN data resident in the slot.
-    pub bytes: u64,
-    /// Voltage reduction of the slot's operating point (volts).
-    pub vdd_reduction: f32,
-    /// `tRCD` reduction of the slot's operating point (nanoseconds).
-    pub trcd_reduction_ns: f32,
-}
-
 /// Scores a traffic distribution without a system simulator: the
 /// bytes-weighted mean of the normalized operating-point benefit. Higher is
 /// better; 0 means everything sits at nominal.
-pub fn benefit_traffic_score(shares: &[SlotTraffic]) -> f64 {
+pub fn benefit_traffic_score(shares: &[TrafficShare]) -> f64 {
     let total: u64 = shares.iter().map(|s| s.bytes).sum();
     if total == 0 {
         return 0.0;
     }
     shares
         .iter()
-        .map(|s| {
-            let b = (s.vdd_reduction / MAX_VDD_REDUCTION) as f64
-                + (s.trcd_reduction_ns / MAX_TRCD_REDUCTION_NS) as f64;
-            b * s.bytes as f64 / total as f64
-        })
+        .map(|s| benefit(s.vdd_reduction, s.trcd_reduction_ns) * s.bytes as f64 / total as f64)
         .sum()
 }
 
@@ -345,31 +231,16 @@ impl PlacementPlan {
 
     /// The plan's per-slot traffic, one entry per *used* slot in module-major
     /// order — the input to a plan cost model.
-    pub fn traffic_shares(&self, system: &MemorySystem, precision: Precision) -> Vec<SlotTraffic> {
+    pub fn traffic_shares(&self, system: &MemorySystem, precision: Precision) -> Vec<TrafficShare> {
         let mut bytes: Vec<Vec<u64>> = system
             .modules()
             .iter()
-            .map(|m| vec![0u64; m.partition_count()])
+            .map(|m| vec![0u64; m.partitions.len()])
             .collect();
-        for placement in &self.placements {
-            for span in &placement.spans {
-                bytes[span.module][span.partition] +=
-                    (span.values as u64 * precision.bits() as u64).div_ceil(8);
-            }
+        for span in self.placements.iter().flat_map(|p| &p.spans) {
+            bytes[span.module][span.partition] += value_bytes(span.values, precision.bits());
         }
-        let mut shares = Vec::new();
-        for (m, p) in system.slots() {
-            let Some(op_idx) = self.partition_ops[m][p] else {
-                continue;
-            };
-            let op = system.module(m).operating_points()[op_idx];
-            shares.push(SlotTraffic {
-                bytes: bytes[m][p],
-                vdd_reduction: op.vdd_reduction(),
-                trcd_reduction_ns: op.trcd_reduction_ns(),
-            });
-        }
-        shares
+        used_slot_shares(system, &bytes.concat(), &self.partition_ops.concat())
     }
 
     /// Lowers the plan onto a memory: every mapped site becomes a span
@@ -389,8 +260,8 @@ impl PlacementPlan {
                     PlacedSpan {
                         injector: Injector::from_device(
                             *module.device(),
-                            module.partitions()[ps.partition],
-                            module.operating_points()[op_idx],
+                            module.partitions[ps.partition],
+                            module.operating_points[op_idx],
                         ),
                         start_value: ps.start_value,
                         values: ps.values,
@@ -400,44 +271,6 @@ impl PlacementPlan {
                 .collect();
             memory.assign_site_spans(placement.data.site.clone(), spans);
         }
-    }
-
-    /// First network layer a lowering of this plan could corrupt — the
-    /// plan-level mirror of [`ApproximateMemory::first_dirty_layer`], equal
-    /// to it on any reliable memory the plan was
-    /// [`apply_to`](PlacementPlan::apply_to)'d, without having to lower the
-    /// plan first.
-    ///
-    /// A placement is dirty iff any of its spans runs at an operating point
-    /// whose device injector is not provably clean. Note that vendor BER
-    /// curves keep a small nonzero error floor even at nominal parameters,
-    /// so device-backed spans are conservatively dirty unless their curve
-    /// reports exactly zero — correctness over resume reach. Unmapped sites
-    /// live in nominal (error-free) memory and never dirty a layer. Returns
-    /// `num_layers` when every span is clean — the whole forward pass is
-    /// checkpoint-resumable.
-    pub fn first_dirty_layer(&self, system: &MemorySystem, num_layers: usize) -> usize {
-        let mut first = num_layers;
-        for placement in &self.placements {
-            if placement.data.site.layer_index >= first {
-                continue;
-            }
-            let dirty = placement.spans.iter().any(|ps| {
-                let module = system.module(ps.module);
-                let op_idx = self.partition_ops[ps.module][ps.partition]
-                    .expect("plan span in a partition with no operating point");
-                !Injector::from_device(
-                    *module.device(),
-                    module.partitions()[ps.partition],
-                    module.operating_points()[op_idx],
-                )
-                .is_provably_clean()
-            });
-            if dirty {
-                first = placement.data.site.layer_index;
-            }
-        }
-        first
     }
 
     /// Classification accuracy of the session's network with this plan's
@@ -502,9 +335,9 @@ struct DerivedState {
 fn slot_op(system: &MemorySystem, slot: &SlotInfo, min_tol: f64) -> Option<usize> {
     let module = system.module(slot.module);
     let mut best: Option<(usize, f64)> = None;
-    for (o_idx, op) in module.operating_points().iter().enumerate() {
-        if module.ber(slot.partition, o_idx) <= min_tol {
-            let b = benefit(op);
+    for (o_idx, op) in module.operating_points.iter().enumerate() {
+        if module.ber[slot.partition][o_idx] <= min_tol {
+            let b = benefit(op.vdd_reduction(), op.trcd_reduction_ns());
             if best.map(|(_, bb)| b > bb).unwrap_or(true) {
                 best = Some((o_idx, b));
             }
@@ -550,28 +383,15 @@ fn score_state(
     system: &MemorySystem,
     slots: &[SlotInfo],
     bits: u32,
-    score: &(dyn Fn(&[SlotTraffic]) -> f64 + Sync),
+    score: &(dyn Fn(&[TrafficShare]) -> f64 + Sync),
 ) -> f64 {
     let mut bytes = vec![0u64; slots.len()];
     for pieces in state.pieces.iter().flatten() {
         for &(s, values) in pieces {
-            bytes[s] += (values as u64 * bits as u64).div_ceil(8);
+            bytes[s] += value_bytes(values, bits);
         }
     }
-    let shares: Vec<SlotTraffic> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(s, slot)| {
-            let op_idx = derived.ops[s]?;
-            let op = system.module(slot.module).operating_points()[op_idx];
-            Some(SlotTraffic {
-                bytes: bytes[s],
-                vdd_reduction: op.vdd_reduction(),
-                trcd_reduction_ns: op.trcd_reduction_ns(),
-            })
-        })
-        .collect();
-    score(&shares)
+    score(&used_slot_shares(system, &bytes, &derived.ops))
 }
 
 /// A local-search candidate: move one site to another slot, or swap the
@@ -587,9 +407,11 @@ enum Candidate {
 /// [`MemorySystem`], with capacity spill and a deterministic parallel local
 /// search.
 ///
-/// The greedy seed processes data types from least to most tolerant (as
-/// [`fine_map`] does) over every `(module, partition)` slot of the system,
-/// splitting a site across several slots when no single partition has room.
+/// The greedy seed is Algorithm 1: it processes data types from least to
+/// most tolerant, so the operating point of each partition is constrained
+/// by the strictest data assigned to it, over every `(module, partition)`
+/// slot of the system, splitting a site across several slots when no single
+/// partition has room. With `config.max_rounds == 0` the plan is that seed.
 /// `config.max_rounds` rounds of local search then move/swap whole sites
 /// between slots, keeping any strict improvement of `score` (per-slot
 /// operating points are re-derived from the residents' tolerances after
@@ -602,7 +424,7 @@ pub fn multi_module_map(
     system: &MemorySystem,
     precision: Precision,
     config: &MultiModuleConfig,
-    score: &(dyn Fn(&[SlotTraffic]) -> f64 + Sync),
+    score: &(dyn Fn(&[TrafficShare]) -> f64 + Sync),
 ) -> PlacementPlan {
     let bits = precision.bits();
     let mut sorted: Vec<(DataTypeInfo, f64)> = characterization.tolerances.clone();
@@ -616,7 +438,7 @@ pub fn multi_module_map(
             SlotInfo {
                 module: m,
                 partition: p,
-                cap_rows: module.partitions()[p].capacity_bytes * 8 / row_bits,
+                cap_rows: module.partitions[p].capacity_bytes * 8 / row_bits,
                 row_bits,
             }
         })
@@ -636,10 +458,8 @@ pub fn multi_module_map(
             .enumerate()
             .filter_map(|(s, slot)| {
                 let op = slot_op(system, slot, min_tol[s].min(tol))?;
-                Some((
-                    s,
-                    benefit(&system.module(slot.module).operating_points()[op]),
-                ))
+                let op = system.module(slot.module).operating_points[op];
+                Some((s, benefit(op.vdd_reduction(), op.trcd_reduction_ns())))
             })
             .collect();
         ranked.sort_by(|a, b| {
@@ -785,7 +605,7 @@ pub fn multi_module_map(
     let mut partition_ops: Vec<Vec<Option<usize>>> = system
         .modules()
         .iter()
-        .map(|m| vec![None; m.partition_count()])
+        .map(|m| vec![None; m.partitions.len()])
         .collect();
     for (s, slot) in slots.iter().enumerate() {
         partition_ops[slot.module][slot.partition] = derived.ops[s];
@@ -921,8 +741,8 @@ mod tests {
         }
     }
 
-    fn device_profile() -> DramErrorProfile {
-        let device = ApproxDramDevice::new(Vendor::A, 3);
+    /// Vendor A module over 4 bank partitions with 4 VDD points.
+    fn device_module() -> DramModule {
         let parts = partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank);
         let ops = vec![
             OperatingPoint::nominal(),
@@ -930,8 +750,8 @@ mod tests {
             OperatingPoint::with_vdd_reduction(0.25),
             OperatingPoint::with_vdd_reduction(0.35),
         ];
-        DramErrorProfile::characterize(
-            &device,
+        DramModule::characterize(
+            ApproxDramDevice::new(Vendor::A, 3),
             &parts[..4],
             &ops,
             &CharacterizeConfig {
@@ -943,61 +763,78 @@ mod tests {
         )
     }
 
-    /// Algorithm 1's placements of `synthetic_characterization()` on the
-    /// Vendor A `device_profile()` (4 bank partitions, 4 VDD points):
-    /// `(layer index, partition, operating-point index)` per site, in the
-    /// strict-to-tolerant processing order.
+    /// Algorithm 1 alone: the planner's greedy seed, no local search.
+    fn algorithm1(characterization: &FineCharacterization, module: DramModule) -> PlacementPlan {
+        multi_module_map(
+            characterization,
+            &MemorySystem::new(vec![module]),
+            Precision::Int8,
+            &MultiModuleConfig { max_rounds: 0 },
+            &benefit_traffic_score,
+        )
+    }
+
+    /// The single span of every placement of a one-module plan, as
+    /// `(placement, partition, operating-point index)`.
+    fn single_spans(plan: &PlacementPlan) -> Vec<(&SitePlacement, usize, usize)> {
+        plan.placements
+            .iter()
+            .map(|p| {
+                let [span] = p.spans.as_slice() else {
+                    panic!("{:?} is not a single span", p.spans)
+                };
+                assert_eq!(span.module, 0);
+                (
+                    p,
+                    span.partition,
+                    plan.partition_ops[0][span.partition].unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Algorithm 1's placements of `synthetic_characterization()` on
+    /// `device_module()`: `(layer index, partition, operating-point index)`
+    /// per site, in the strict-to-tolerant processing order.
     const ALGORITHM1_PIN: [(usize, usize, usize); 3] = [(0, 0, 0), (1, 1, 1), (2, 2, 3)];
 
     #[test]
     fn algorithm1_placements_are_pinned() {
-        let mapping = fine_map(
-            &synthetic_characterization(),
-            &device_profile(),
-            Precision::Int8,
-        );
-        let got: Vec<(usize, usize, usize)> = mapping
-            .assignments
-            .iter()
-            .map(|a| (a.data.site.layer_index, a.partition_index, a.op_index))
+        let plan = algorithm1(&synthetic_characterization(), device_module());
+        let got: Vec<(usize, usize, usize)> = single_spans(&plan)
+            .into_iter()
+            .map(|(p, partition, op)| (p.data.site.layer_index, partition, op))
             .collect();
         assert_eq!(got, ALGORITHM1_PIN);
     }
 
     #[test]
     fn fine_mapping_places_every_data_type() {
-        let mapping = fine_map(
-            &synthetic_characterization(),
-            &device_profile(),
-            Precision::Int8,
-        );
-        assert_eq!(mapping.assignments.len(), 3);
-        assert!(mapping.unmapped.is_empty());
-        assert!(mapping.mapped_fraction(Precision::Int8) > 0.999);
+        let plan = algorithm1(&synthetic_characterization(), device_module());
+        assert_eq!(plan.placements.len(), 3);
+        assert!(plan.unmapped.is_empty());
+        assert!(plan.mapped_fraction(Precision::Int8) > 0.999);
     }
 
     #[test]
     fn tolerant_data_lands_in_more_aggressive_partitions() {
-        let profile = device_profile();
-        let mapping = fine_map(&synthetic_characterization(), &profile, Precision::Int8);
-        let op_reduction = |a: &Assignment| profile.operating_points[a.op_index].vdd_reduction();
-        let strict = mapping
-            .assignments
-            .iter()
-            .find(|a| a.tolerable_ber == 1e-4)
-            .unwrap();
-        let tolerant = mapping
-            .assignments
-            .iter()
-            .find(|a| a.tolerable_ber == 5e-2)
-            .unwrap();
+        let module = device_module();
+        let plan = algorithm1(&synthetic_characterization(), module.clone());
+        let placed = single_spans(&plan);
+        let op_reduction = |tol: f64| {
+            let &(_, _, op) = placed
+                .iter()
+                .find(|(p, ..)| p.tolerable_ber == tol)
+                .unwrap();
+            module.operating_points[op].vdd_reduction()
+        };
         assert!(
-            op_reduction(tolerant) >= op_reduction(strict),
+            op_reduction(5e-2) >= op_reduction(1e-4),
             "more tolerant data should run at least as aggressively"
         );
-        // Every assignment respects its BER budget.
-        for a in &mapping.assignments {
-            assert!(profile.ber(a.partition_index, a.op_index) <= a.tolerable_ber);
+        // Every placement respects its BER budget.
+        for (p, partition, op) in placed {
+            assert!(module.ber[partition][op] <= p.tolerable_ber);
         }
     }
 
@@ -1073,7 +910,7 @@ mod tests {
                 // Every span respects its partition's BER at the chosen op.
                 let op = plan.partition_ops[span.module][span.partition].unwrap();
                 assert!(
-                    system.module(span.module).ber(span.partition, op) <= placement.tolerable_ber
+                    system.module(span.module).ber[span.partition][op] <= placement.tolerable_ber
                 );
             }
             assert_eq!(next, placement.data.elements);
@@ -1131,34 +968,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_first_dirty_layer_matches_the_lowered_memory() {
-        let system = tiny_system(8192);
-        let plan = multi_module_map(
-            &synthetic_characterization(),
-            &system,
-            Precision::Int8,
-            &MultiModuleConfig::default(),
-            &benefit_traffic_score,
-        );
-        // The plan-level prediction must agree with the memory-level query
-        // after lowering, at every depth.
-        let mut memory = ApproximateMemory::reliable(0);
-        plan.apply_to(&mut memory, &system);
-        for depth in [0, 1, 2, 3, 8] {
-            assert_eq!(
-                plan.first_dirty_layer(&system, depth),
-                memory.first_dirty_layer(depth),
-                "plan and lowered memory disagree at depth {depth}"
-            );
-        }
-    }
-
-    #[test]
     fn nominal_device_spans_are_conservatively_dirty() {
         // Vendor curves keep a ~1e-9 error floor even at nominal parameters,
         // so a device-backed span is never *provably* clean: an all-nominal
-        // plan must still report its lowest mapped layer as dirty, and agree
-        // with the lowered memory about it.
+        // plan lowered onto a memory must still leave its lowest mapped
+        // layer dirty.
         let system = tiny_system(8192);
         let mut plan = multi_module_map(
             &synthetic_characterization(),
@@ -1172,7 +986,6 @@ mod tests {
                 *op = Some(0); // index 0 is nominal in `tiny_system`
             }
         }
-        assert_eq!(plan.first_dirty_layer(&system, 8), 0);
         let mut memory = ApproximateMemory::reliable(0);
         plan.apply_to(&mut memory, &system);
         assert_eq!(memory.first_dirty_layer(8), 0);
@@ -1254,11 +1067,11 @@ mod tests {
     fn intolerant_data_is_left_unmapped_when_no_partition_qualifies() {
         // A characterization whose only data type tolerates essentially no
         // errors cannot be mapped to any reduced-parameter partition unless
-        // the profile includes the nominal point — remove it to force the
+        // the module offers the nominal point — remove it to force the
         // unmapped path.
-        let mut profile = device_profile();
-        profile.operating_points.remove(0);
-        for row in &mut profile.ber {
+        let mut module = device_module();
+        module.operating_points.remove(0);
+        for row in &mut module.ber {
             row.remove(0);
         }
         let characterization = FineCharacterization {
@@ -1272,8 +1085,8 @@ mod tests {
                 1e-12,
             )],
         };
-        let mapping = fine_map(&characterization, &profile, Precision::Int8);
-        assert_eq!(mapping.assignments.len(), 0);
-        assert_eq!(mapping.unmapped.len(), 1);
+        let plan = algorithm1(&characterization, module);
+        assert_eq!(plan.placements.len(), 0);
+        assert_eq!(plan.unmapped.len(), 1);
     }
 }

@@ -4,10 +4,10 @@
 //! partition) by writing known data patterns into rows, reading them back
 //! with reduced parameters several times, and recording which cells flipped.
 //! The records feed the error-model fitting of [`crate::fit`] and the
-//! per-partition error profile used by DNN→DRAM mapping.
+//! per-partition BER table of a [`DramModule`](crate::system::DramModule),
+//! which DNN→DRAM mapping reads.
 
 use crate::device::ApproxDramDevice;
-use crate::geometry::Partition;
 use crate::params::OperatingPoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,66 +216,11 @@ pub fn measured_pattern_ber(
     flips as f64 / reads.max(1) as f64
 }
 
-/// Per-partition BER profile of a device across candidate operating points —
-/// the "DRAM Error Profile" consumed by DNN→DRAM mapping (Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DramErrorProfile {
-    /// Partitions covered by the profile.
-    pub partitions: Vec<Partition>,
-    /// Candidate operating points (same order as the inner BER vectors).
-    pub operating_points: Vec<OperatingPoint>,
-    /// `ber[partition][op]` — measured BER of each partition at each point.
-    pub ber: Vec<Vec<f64>>,
-}
-
-impl DramErrorProfile {
-    /// Characterizes the given partitions of a device at each operating point.
-    pub fn characterize(
-        device: &ApproxDramDevice,
-        partitions: &[Partition],
-        operating_points: &[OperatingPoint],
-        cfg: &CharacterizeConfig,
-    ) -> Self {
-        let mut ber = Vec::with_capacity(partitions.len());
-        for p in partitions {
-            let base_row = (p.first_subarray * device.geometry().rows_per_subarray) as u64;
-            let mut row = Vec::with_capacity(operating_points.len());
-            for op in operating_points {
-                let result = characterize_rows(device, p.bank as u64, base_row, op, cfg);
-                row.push(result.observed_ber());
-            }
-            ber.push(row);
-        }
-        Self {
-            partitions: partitions.to_vec(),
-            operating_points: operating_points.to_vec(),
-            ber,
-        }
-    }
-
-    /// Measured BER of a partition at the `op_index`-th operating point.
-    pub fn ber(&self, partition_index: usize, op_index: usize) -> f64 {
-        self.ber[partition_index][op_index]
-    }
-
-    /// Mean BER across all partitions at the `op_index`-th operating point.
-    pub fn module_ber(&self, op_index: usize) -> f64 {
-        if self.ber.is_empty() {
-            return 0.0;
-        }
-        self.ber.iter().map(|row| row[op_index]).sum::<f64>() / self.ber.len() as f64
-    }
-
-    /// Number of partitions in the profile.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::{partitions, DramGeometry, PartitionGranularity};
+    use crate::system::DramModule;
     use crate::vendor::Vendor;
 
     fn small_cfg() -> CharacterizeConfig {
@@ -345,16 +290,15 @@ mod tests {
             OperatingPoint::with_vdd_reduction(0.25),
             OperatingPoint::with_vdd_reduction(0.35),
         ];
-        let profile = DramErrorProfile::characterize(&dev, &parts[..4], &ops, &small_cfg());
-        assert_eq!(profile.partition_count(), 4);
-        assert_eq!(profile.ber.len(), 4);
-        assert_eq!(profile.ber[0].len(), 3);
+        let module = DramModule::characterize(dev, &parts[..4], &ops, &small_cfg());
+        assert_eq!(module.partitions.len(), 4);
+        assert_eq!(module.ber.len(), 4);
+        assert_eq!(module.ber[0].len(), 3);
         // BER grows with the aggressiveness of the operating point.
-        for p in 0..4 {
-            assert!(profile.ber(p, 0) <= profile.ber(p, 1));
-            assert!(profile.ber(p, 1) <= profile.ber(p, 2));
+        for row in &module.ber {
+            assert!(row[0] <= row[1]);
+            assert!(row[1] <= row[2]);
         }
-        assert!(profile.module_ber(2) > profile.module_ber(0));
     }
 
     #[test]
@@ -362,8 +306,8 @@ mod tests {
         let dev = ApproxDramDevice::new(Vendor::A, 11);
         let parts = partitions(&DramGeometry::ddr4_module(), PartitionGranularity::Bank);
         let ops = vec![OperatingPoint::with_vdd_reduction(0.30)];
-        let profile = DramErrorProfile::characterize(&dev, &parts[..6], &ops, &small_cfg());
-        let bers: Vec<f64> = (0..6).map(|p| profile.ber(p, 0)).collect();
+        let module = DramModule::characterize(dev, &parts[..6], &ops, &small_cfg());
+        let bers: Vec<f64> = module.ber.iter().map(|row| row[0]).collect();
         let min = bers.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = bers.iter().cloned().fold(0.0, f64::max);
         assert!(max > min, "partition BERs should not all be identical");

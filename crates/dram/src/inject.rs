@@ -204,11 +204,6 @@ impl AddressAllocator {
         self.next_row += rows;
         layout
     }
-
-    /// Number of rows handed out so far.
-    pub fn rows_used(&self) -> usize {
-        self.next_row
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +356,7 @@ mod tests {
         assert_eq!(a.base_row, 0);
         assert_eq!(b.base_row, 4); // 4096 bits / 1024 bits-per-row
         assert_eq!(c.base_row, 5);
-        assert_eq!(alloc.rows_used(), 8);
+        assert_eq!(alloc.allocate(1).base_row, 8);
     }
 
     #[test]

@@ -52,16 +52,6 @@ impl TimingParams {
             cl_ns: NOMINAL_CL_NS,
         }
     }
-
-    /// Random-access latency of a row-buffer miss: precharge + activate + CAS.
-    pub fn row_miss_latency_ns(&self) -> f32 {
-        self.trp_ns + self.trcd_ns + self.cl_ns
-    }
-
-    /// Latency of a row-buffer hit: CAS only.
-    pub fn row_hit_latency_ns(&self) -> f32 {
-        self.cl_ns
-    }
 }
 
 impl Default for TimingParams {
@@ -184,14 +174,6 @@ mod tests {
         assert!((op.vdd_reduction() - 0.30).abs() < 1e-6);
         assert!((op.trcd_reduction_ns() - 5.5).abs() < 1e-6);
         assert!(!op.is_nominal());
-    }
-
-    #[test]
-    fn row_miss_latency_shrinks_with_trcd() {
-        let nominal = TimingParams::nominal();
-        let reduced = OperatingPoint::with_trcd_reduction(5.0).timing;
-        assert!(reduced.row_miss_latency_ns() < nominal.row_miss_latency_ns());
-        assert_eq!(reduced.row_hit_latency_ns(), nominal.row_hit_latency_ns());
     }
 
     #[test]

@@ -3,95 +3,86 @@
 //! EDEN's fine-grained mapping (Section 3.4, Figure 12) generalizes beyond a
 //! single DRAM module: a real deployment has several modules/channels, each
 //! with its own vendor error behaviour, geometry and independently tunable
-//! (VDD, tRCD) operating point per partition. [`DramModule`] bundles one
-//! characterized device with its partitions and candidate operating points;
-//! [`MemorySystem`] composes several modules and addresses their partitions
-//! through flat `(module, partition)` slots.
+//! (VDD, tRCD) operating point per partition. [`DramModule`] is one
+//! characterized device together with its partitions, candidate operating
+//! points and measured per-partition BER table (the "DRAM Error Profile" of
+//! Figure 4); [`MemorySystem`] composes several modules and addresses their
+//! partitions through flat `(module, partition)` slots. [`TrafficShare`] is
+//! the per-slot traffic a placement over the system puts on DRAM, the unit
+//! both the mapping search and the system simulators score.
 
-use crate::characterize::{CharacterizeConfig, DramErrorProfile};
+use crate::characterize::{characterize_rows, CharacterizeConfig};
 use crate::device::ApproxDramDevice;
-use crate::geometry::{partitions, Partition, PartitionGranularity};
+use crate::geometry::Partition;
 use crate::params::OperatingPoint;
 use serde::{Deserialize, Serialize};
 
 /// One DRAM module of a [`MemorySystem`]: a characterized approximate device
-/// plus the partitions and candidate operating points mapping may use.
+/// plus the partitions and candidate operating points mapping may use, and
+/// the bit error rate measured for every pair of them.
 ///
-/// The per-partition × per-operating-point bit error rates live in the
-/// embedded [`DramErrorProfile`]; the device itself is retained so placement
-/// can read real (seeded, reproducible) corruption for any partition at any
-/// of the module's operating points.
+/// The device itself is retained so placement can read real (seeded,
+/// reproducible) corruption for any partition at any of the module's
+/// operating points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DramModule {
     device: ApproxDramDevice,
-    profile: DramErrorProfile,
+    /// The module's partitions.
+    pub partitions: Vec<Partition>,
+    /// Candidate operating points (same order as the inner BER vectors).
+    pub operating_points: Vec<OperatingPoint>,
+    /// `ber[partition][op]` — measured BER of each partition at each point.
+    pub ber: Vec<Vec<f64>>,
 }
 
 impl DramModule {
-    /// Characterizes `parts` of `device` at each of `operating_points` and
-    /// bundles the result into a module.
+    /// Characterizes `partitions` of `device` at each of `operating_points`
+    /// and bundles the measured BER table into a module.
     pub fn characterize(
         device: ApproxDramDevice,
-        parts: &[Partition],
+        partitions: &[Partition],
         operating_points: &[OperatingPoint],
         cfg: &CharacterizeConfig,
     ) -> Self {
-        let profile = DramErrorProfile::characterize(&device, parts, operating_points, cfg);
-        Self { device, profile }
-    }
-
-    /// Bank-granular module over the device's own geometry, keeping the first
-    /// `banks` bank partitions (a small count keeps characterization cheap in
-    /// tests and figures while exercising real addresses).
-    pub fn bank_partitioned(
-        device: ApproxDramDevice,
-        banks: usize,
-        operating_points: &[OperatingPoint],
-        cfg: &CharacterizeConfig,
-    ) -> Self {
-        let parts = partitions(device.geometry(), PartitionGranularity::Bank);
-        assert!(
-            banks >= 1 && banks <= parts.len(),
-            "bank count {banks} outside 1..={}",
-            parts.len()
-        );
-        Self::characterize(device, &parts[..banks], operating_points, cfg)
+        let ber = partitions
+            .iter()
+            .map(|p| {
+                let base_row = (p.first_subarray * device.geometry().rows_per_subarray) as u64;
+                operating_points
+                    .iter()
+                    .map(|op| {
+                        characterize_rows(&device, p.bank as u64, base_row, op, cfg).observed_ber()
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            device,
+            partitions: partitions.to_vec(),
+            operating_points: operating_points.to_vec(),
+            ber,
+        }
     }
 
     /// The underlying approximate device.
     pub fn device(&self) -> &ApproxDramDevice {
         &self.device
     }
+}
 
-    /// The module's characterized error profile.
-    pub fn profile(&self) -> &DramErrorProfile {
-        &self.profile
-    }
-
-    /// The module's partitions (in profile order).
-    pub fn partitions(&self) -> &[Partition] {
-        &self.profile.partitions
-    }
-
-    /// The module's candidate operating points (in profile order).
-    pub fn operating_points(&self) -> &[OperatingPoint] {
-        &self.profile.operating_points
-    }
-
-    /// Measured BER of partition `p` at operating point `o`.
-    pub fn ber(&self, p: usize, o: usize) -> f64 {
-        self.profile.ber(p, o)
-    }
-
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.profile.partition_count()
-    }
-
-    /// Total capacity of the module's partitions in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.partitions().iter().map(|p| p.capacity_bytes).sum()
-    }
+/// One slice of DRAM traffic resident on memory running at its own operating
+/// point: the bytes a placement puts in one `(module, partition)` slot plus
+/// the reductions of that slot's operating point. A plan cost model scores a
+/// list of these; the system simulators turn them into mixed energy and
+/// latency.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrafficShare {
+    /// Bytes of DNN data resident in the share.
+    pub bytes: u64,
+    /// Voltage reduction of the share's operating point (volts).
+    pub vdd_reduction: f32,
+    /// `tRCD` reduction of the share's operating point (nanoseconds).
+    pub trcd_reduction_ns: f32,
 }
 
 /// A memory system of one or more [`DramModule`]s.
@@ -128,34 +119,20 @@ impl MemorySystem {
         &self.modules[m]
     }
 
-    /// Number of modules.
-    pub fn module_count(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Total number of `(module, partition)` slots.
-    pub fn slot_count(&self) -> usize {
-        self.modules.iter().map(|m| m.partition_count()).sum()
-    }
-
     /// All `(module, partition)` slots in module-major order — the canonical
     /// iteration order every deterministic search over the system uses.
     pub fn slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.modules
             .iter()
             .enumerate()
-            .flat_map(|(m, module)| (0..module.partition_count()).map(move |p| (m, p)))
-    }
-
-    /// Total capacity of every module's partitions in bytes.
-    pub fn total_capacity_bytes(&self) -> u64 {
-        self.modules.iter().map(|m| m.capacity_bytes()).sum()
+            .flat_map(|(m, module)| (0..module.partitions.len()).map(move |p| (m, p)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::{partitions, PartitionGranularity};
     use crate::vendor::Vendor;
 
     fn tiny_cfg() -> CharacterizeConfig {
@@ -165,6 +142,13 @@ mod tests {
             reads_per_row: 1,
             seed: 5,
         }
+    }
+
+    /// A module over the first `banks` bank partitions of a fresh device.
+    fn bank_module(vendor: Vendor, seed: u64, banks: usize, ops: &[OperatingPoint]) -> DramModule {
+        let device = ApproxDramDevice::new(vendor, seed);
+        let parts = partitions(device.geometry(), PartitionGranularity::Bank);
+        DramModule::characterize(device, &parts[..banks], ops, &tiny_cfg())
     }
 
     fn two_module_system() -> MemorySystem {
@@ -177,26 +161,14 @@ mod tests {
             OperatingPoint::with_trcd_reduction(4.0),
         ];
         MemorySystem::new(vec![
-            DramModule::bank_partitioned(
-                ApproxDramDevice::new(Vendor::A, 11),
-                2,
-                &ops_a,
-                &tiny_cfg(),
-            ),
-            DramModule::bank_partitioned(
-                ApproxDramDevice::new(Vendor::B, 12),
-                3,
-                &ops_b,
-                &tiny_cfg(),
-            ),
+            bank_module(Vendor::A, 11, 2, &ops_a),
+            bank_module(Vendor::B, 12, 3, &ops_b),
         ])
     }
 
     #[test]
     fn slots_enumerate_module_major() {
         let sys = two_module_system();
-        assert_eq!(sys.module_count(), 2);
-        assert_eq!(sys.slot_count(), 5);
         let slots: Vec<_> = sys.slots().collect();
         assert_eq!(slots, vec![(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]);
     }
@@ -206,23 +178,15 @@ mod tests {
         let sys = two_module_system();
         assert_eq!(sys.module(0).device().vendor(), Vendor::A);
         assert_eq!(sys.module(1).device().vendor(), Vendor::B);
-        assert_eq!(sys.module(0).operating_points().len(), 2);
+        assert_eq!(sys.module(0).operating_points.len(), 2);
         // Reduced points produce strictly more errors than nominal on every
         // partition of both modules.
         for module in sys.modules() {
-            for p in 0..module.partition_count() {
-                assert_eq!(module.ber(p, 0), 0.0, "nominal point must be error-free");
-                assert!(module.ber(p, 1) > 0.0, "reduced point must show errors");
+            for row in &module.ber {
+                assert_eq!(row[0], 0.0, "nominal point must be error-free");
+                assert!(row[1] > 0.0, "reduced point must show errors");
             }
         }
-    }
-
-    #[test]
-    fn capacity_sums_partitions() {
-        let sys = two_module_system();
-        let per_bank = sys.module(0).partitions()[0].capacity_bytes;
-        assert_eq!(sys.module(0).capacity_bytes(), 2 * per_bank);
-        assert_eq!(sys.total_capacity_bytes(), 5 * per_bank);
     }
 
     #[test]

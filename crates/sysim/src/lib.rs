@@ -38,7 +38,8 @@ pub mod workload;
 
 pub use accelerator::{AcceleratorConfig, AcceleratorSim};
 pub use cpu::{CpuConfig, CpuSim};
+pub use eden_dram::system::TrafficShare;
 pub use gpu::{GpuConfig, GpuSim};
 pub use result::SystemResult;
-pub use sim::{accelerator_sims, standard_sims, SystemSim, TrafficShare};
+pub use sim::{accelerator_sims, standard_sims, SystemSim};
 pub use workload::WorkloadProfile;

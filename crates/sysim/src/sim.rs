@@ -15,23 +15,8 @@ use crate::cpu::CpuSim;
 use crate::gpu::GpuSim;
 use crate::result::SystemResult;
 use crate::workload::WorkloadProfile;
+use eden_dram::system::TrafficShare;
 use eden_dram::OperatingPoint;
-
-/// One slice of a workload's DRAM traffic resident on memory running at its
-/// own operating point — the per-`(module, partition)` accounting unit of a
-/// multi-module placement plan ([Figure 12]'s fine-grained mapping
-/// generalized across modules).
-///
-/// [Figure 12]: https://arxiv.org/abs/1905.03853
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficShare {
-    /// Bytes of the workload's DRAM data resident in this share.
-    pub bytes: u64,
-    /// Voltage reduction of the share's operating point (volts).
-    pub vdd_reduction: f32,
-    /// `tRCD` reduction of the share's operating point (nanoseconds).
-    pub trcd_reduction_ns: f32,
-}
 
 /// A system-level simulator: runs one DNN inference against DRAM at a given
 /// operating point and reports time, traffic and energy.

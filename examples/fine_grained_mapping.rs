@@ -2,20 +2,22 @@
 //! weight tensor and IFM of a ResNet-style network, characterize the BER of
 //! each DRAM bank at several voltage levels, and run Algorithm 1 to place
 //! each data type in the most aggressive partition it tolerates (the flow of
-//! Figures 11 and 12).
+//! Figures 11 and 12). Algorithm 1 is the greedy seed of the multi-module
+//! planner: on a one-module system with no local-search rounds, the plan is
+//! exactly that seed.
 //!
 //! Run with: `cargo run --release --example fine_grained_mapping`
 
 use eden::core::bounding::{BoundingLogic, CorrectionPolicy};
 use eden::core::characterize::{fine_characterize_session, FineConfig};
-use eden::core::mapping::fine_map;
+use eden::core::mapping::{benefit_traffic_score, multi_module_map, MultiModuleConfig};
 use eden::core::session::EvalSession;
 use eden::dnn::train::{TrainConfig, Trainer};
 use eden::dnn::zoo::ModelId;
 use eden::dnn::{DataKind, Dataset};
-use eden::dram::characterize::{CharacterizeConfig, DramErrorProfile};
+use eden::dram::characterize::CharacterizeConfig;
 use eden::dram::geometry::{partitions, PartitionGranularity};
-use eden::dram::{ApproxDramDevice, ErrorModel, OperatingPoint, Vendor};
+use eden::dram::{ApproxDramDevice, DramModule, ErrorModel, MemorySystem, OperatingPoint, Vendor};
 use eden::tensor::Precision;
 
 fn main() {
@@ -64,8 +66,8 @@ fn main() {
         OperatingPoint::with_vdd_reduction(0.35),
     ];
     println!("\ncharacterizing 4 DRAM bank partitions at 4 voltage levels ...");
-    let profile = DramErrorProfile::characterize(
-        &device,
+    let module = DramModule::characterize(
+        device,
         &parts[..4],
         &ops,
         &CharacterizeConfig {
@@ -77,26 +79,36 @@ fn main() {
     );
 
     // Algorithm 1.
-    let mapping = fine_map(&fine, &profile, Precision::Int8);
+    let system = MemorySystem::new(vec![module]);
+    let plan = multi_module_map(
+        &fine,
+        &system,
+        Precision::Int8,
+        &MultiModuleConfig { max_rounds: 0 },
+        &benefit_traffic_score,
+    );
     println!("\nfine-grained mapping (Algorithm 1):");
-    for a in &mapping.assignments {
-        let op = &profile.operating_points[a.op_index];
+    for placement in &plan.placements {
+        let data = &placement.data;
+        // Bank partitions hold any site whole, so every placement is one span.
+        let partition = placement.spans[0].partition;
+        let op_index = plan.partition_ops[0][partition].expect("used partition has an op");
         println!(
             "  {:<26} ({:>5} {}) → partition {} @ {}",
-            a.data.site.to_string(),
-            a.data.elements,
-            if a.data.site.kind == DataKind::Weight {
+            data.site.to_string(),
+            data.elements,
+            if data.site.kind == DataKind::Weight {
                 "weights"
             } else {
                 "ifm"
             },
-            a.partition_index,
-            op
+            partition,
+            system.module(0).operating_points[op_index]
         );
     }
     println!(
         "\nmapped {:.1}% of DNN bytes to reduced-voltage partitions ({} unmapped data types)",
-        100.0 * mapping.mapped_fraction(Precision::Int8),
-        mapping.unmapped.len()
+        100.0 * plan.mapped_fraction(Precision::Int8),
+        plan.unmapped.len()
     );
 }
