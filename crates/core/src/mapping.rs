@@ -381,11 +381,10 @@ fn score_state(
     state: &SearchState,
     derived: &DerivedState,
     system: &MemorySystem,
-    slots: &[SlotInfo],
     bits: u32,
     score: &(dyn Fn(&[TrafficShare]) -> f64 + Sync),
 ) -> f64 {
-    let mut bytes = vec![0u64; slots.len()];
+    let mut bytes = vec![0u64; derived.ops.len()];
     for pieces in state.pieces.iter().flatten() {
         for &(s, values) in pieces {
             bytes[s] += value_bytes(values, bits);
@@ -500,7 +499,7 @@ pub fn multi_module_map(
     // --- Local search ----------------------------------------------------
     let derived =
         derive_state(&state, &sorted, system, &slots, bits).expect("greedy seed must be feasible");
-    let mut best_score = score_state(&state, &derived, system, &slots, bits, score);
+    let mut best_score = score_state(&state, &derived, system, bits, score);
     for _ in 0..config.max_rounds {
         let mut candidates: Vec<Candidate> = Vec::new();
         let single_slot: Vec<Option<usize>> = state
@@ -541,7 +540,7 @@ pub fn multi_module_map(
                 }
             }
             derive_state(&trial, &sorted, system, &slots, bits)
-                .map(|d| score_state(&trial, &d, system, &slots, bits, score))
+                .map(|d| score_state(&trial, &d, system, bits, score))
         });
         // Keep the best strict improvement; ties break towards the earliest
         // candidate, so the accepted move is order-independent.
