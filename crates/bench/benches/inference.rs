@@ -110,7 +110,9 @@ fn bench_inference(c: &mut Criterion) {
 /// input-gradient shape (216×24×64, `weightᵀ` read in place); and the
 /// implicit-GEMM f32 convolution on
 /// `resnet_mini`'s `res1` conv, one sample (the simulated, FP32 and
-/// f32-plan conv, which `ops::conv2d` runs per sample). One
+/// f32-plan conv, which `ops::conv2d` runs per sample); and, over the same
+/// 16 IFMs one sample at a time, the requantize `abs_max` scan and
+/// `vgg_mini`'s `pool1` max pooling on f32 values and on int8 words. One
 /// entry per (kernel, ISA) via the explicit `_with` dispatch or the table
 /// entry, so the gate pins each
 /// SIMD tier individually: a regression in, say, the AVX2 panel kernel
@@ -185,6 +187,27 @@ fn bench_simd_kernels(c: &mut Criterion) {
         .map(|i| ((i * 7919) % 2001) as f32 * 0.003 - 3.0)
         .collect();
     let mut words = vec![0u32; ifm.len()];
+    // The same IFMs one sample at a time: the requantize scale scan and
+    // vgg_mini's `pool1` (2×2, stride 2), on the f32 values and on their
+    // int8 words.
+    let sample = 12 * 16 * 16;
+    let pool1 = simd::Pool2d {
+        c: 12,
+        h: 16,
+        w: 16,
+        size: 2,
+        stride: 2,
+    };
+    let mut int8 = vec![0u32; ifm.len()];
+    (simd::kernels_for(simd::Isa::Scalar).quantize_f32)(
+        &ifm,
+        3.0 / 127.0,
+        -128.0,
+        127.0,
+        0xff,
+        &mut int8,
+    );
+    let mut pooled = vec![0.0f32; 12 * 8 * 8];
     let mut group = c.benchmark_group("simd_kernels");
     // Same sampling pin as the characterization groups: 15 samples under the
     // default 2 s budget left the per-run minimum wobbly enough (especially
@@ -239,6 +262,28 @@ fn bench_simd_kernels(c: &mut Criterion) {
             b.iter(|| {
                 (kr.conv_f32)(&res1, black_box(&cw), black_box(&cimg), &mut cout);
                 black_box(cout[0])
+            })
+        });
+        group.bench_function(format!("abs_max_{isa}"), |b| {
+            b.iter(|| {
+                let scans = ifm.chunks_exact(sample).map(|x| (kr.abs_max)(black_box(x)));
+                black_box(scans.fold(0, u32::max))
+            })
+        });
+        group.bench_function(format!("maxpool_f32_{isa}"), |b| {
+            b.iter(|| {
+                for x in ifm.chunks_exact(sample) {
+                    (kr.maxpool_f32)(&pool1, black_box(x), &mut pooled);
+                }
+                black_box(pooled[0])
+            })
+        });
+        group.bench_function(format!("maxpool_int8_{isa}"), |b| {
+            b.iter(|| {
+                for x in int8.chunks_exact(sample) {
+                    (kr.maxpool_quant)(&pool1, black_box(x), 8, 3.0 / 127.0, &mut pooled);
+                }
+                black_box(pooled[0])
             })
         });
         group.bench_function(format!("quantize_int8_{isa}"), |b| {

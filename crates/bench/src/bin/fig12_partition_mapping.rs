@@ -187,7 +187,7 @@ fn main() {
 
     println!(
         "\n{:<20} {:>8} {:>10} {:>9} {:>14} {:>9}",
-        "system", "mapped", "accuracy", "vs base", "energy saving", "speedup"
+        "system", "placed", "accuracy", "vs base", "energy saving", "speedup"
     );
     for (name, plan, accuracy, energy, speedup) in &rows {
         println!(
@@ -200,8 +200,9 @@ fn main() {
             speedup,
         );
     }
+    println!("(placed: the share of DNN bytes in any partition, nominal-point ones included)");
     println!("\npaper shape: tolerant data lands in strongly-reduced partitions, sensitive");
-    println!("data in mildly-reduced ones; extra modules raise the mapped fraction and the");
+    println!("data in mildly-reduced ones; extra modules raise the placed fraction and the");
     println!("workload-wide energy saving, with the tRCD module adding capacity at a");
     println!("modest (sub-percent on the CPU) latency gain.");
 }

@@ -215,7 +215,11 @@ impl Default for MultiModuleConfig {
 }
 
 impl PlacementPlan {
-    /// Fraction of the DNN's bytes placed in reduced-parameter partitions.
+    /// Fraction of the DNN's bytes the plan places in some partition, at
+    /// whatever operating point that partition runs — placements at the
+    /// nominal point count too, so this is not the share of bytes in
+    /// reduced-voltage or reduced-latency DRAM. The rest is `unmapped` data,
+    /// which stays in nominal memory.
     pub fn mapped_fraction(&self, precision: Precision) -> f64 {
         let mapped: u64 = self
             .placements

@@ -2,6 +2,7 @@
 
 use crate::layer::{Layer, ParamEntry};
 use eden_tensor::ops::{self, ConvScratch};
+use eden_tensor::simd::{self, Pool2d};
 use eden_tensor::{QuantTensor, Tensor};
 
 /// Rectified linear unit activation.
@@ -92,6 +93,26 @@ impl MaxPool2d {
             cache: None,
         }
     }
+
+    /// The pooling geometry over a `[c, h, w]` input.
+    fn geometry(&self, input_shape: &[usize]) -> Pool2d {
+        Pool2d {
+            c: input_shape[0],
+            h: input_shape[1],
+            w: input_shape[2],
+            size: self.size,
+            stride: self.stride,
+        }
+    }
+
+    /// Runs `kernel` into a fresh `[c, oh, ow]` output tensor.
+    fn pooled(&self, input_shape: &[usize], kernel: impl FnOnce(&Pool2d, &mut [f32])) -> Tensor {
+        let g = self.geometry(input_shape);
+        let (oh, ow) = g.out_size();
+        let mut out = vec![0.0f32; g.c * oh * ow];
+        kernel(&g, &mut out);
+        Tensor::from_vec(out, &[g.c, oh, ow])
+    }
 }
 
 impl Layer for MaxPool2d {
@@ -99,8 +120,11 @@ impl Layer for MaxPool2d {
         &self.name
     }
 
+    /// The dispatched `maxpool_f32` kernel: the values of
+    /// [`ops::maxpool2d`] without its argmax.
     fn forward(&self, input: &Tensor) -> Tensor {
-        ops::maxpool2d(input, self.size, self.stride).0
+        let pool = simd::kernels().maxpool_f32;
+        self.pooled(input.shape(), |g, out| pool(g, input.data(), out))
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
@@ -119,52 +143,20 @@ impl Layer for MaxPool2d {
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&str, &Tensor)) {}
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (c, h, w) = (input_shape[0], input_shape[1], input_shape[2]);
-        vec![
-            c,
-            (h - self.size) / self.stride + 1,
-            (w - self.size) / self.stride + 1,
-        ]
+        let g = self.geometry(input_shape);
+        let (oh, ow) = g.out_size();
+        vec![g.c, oh, ow]
     }
 
     /// Dequantization is strictly monotone on the quantized integers, so
-    /// selecting window maxima by integer comparison (first strict maximum
-    /// wins, like [`ops::maxpool2d`]) picks values that dequantize to
-    /// exactly the f32-path output — without materializing the f32 input or
-    /// the training-path argmax buffer.
+    /// selecting window maxima by integer comparison picks values that
+    /// dequantize to exactly the f32-path output. The dispatched
+    /// `maxpool_quant` kernel does so on the stored words, without
+    /// materializing the f32 input.
     fn quant_forward_activation(&self, input: &QuantTensor) -> Option<Tensor> {
-        let shape = input.shape();
-        let (c, h, w) = (shape[0], shape[1], shape[2]);
-        let (oh, ow) = (
-            (h - self.size) / self.stride + 1,
-            (w - self.size) / self.stride + 1,
-        );
-        let scale = input.scale();
-        let bits = input.bits_per_value();
-        let stored = input.stored();
-        let mut out = vec![0.0f32; c * oh * ow];
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = i32::MIN;
-                    for ky in 0..self.size {
-                        let iy = oy * self.stride + ky;
-                        for kx in 0..self.size {
-                            let ix = ox * self.stride + kx;
-                            let q = eden_tensor::bits::sign_extend(
-                                stored[ch * h * w + iy * w + ix],
-                                bits,
-                            );
-                            if q > best {
-                                best = q;
-                            }
-                        }
-                    }
-                    out[ch * oh * ow + oy * ow + ox] = best as f32 * scale;
-                }
-            }
-        }
-        Some(Tensor::from_vec(out, &[c, oh, ow]))
+        let pool = simd::kernels().maxpool_quant;
+        let (words, bits, scale) = (input.stored(), input.bits_per_value(), input.scale());
+        Some(self.pooled(input.shape(), |g, out| pool(g, words, bits, scale, out)))
     }
 }
 
@@ -359,5 +351,101 @@ mod tests {
         let l: Box<dyn Layer> = Box::new(Relu::new("r"));
         let c = l.clone();
         assert_eq!(c.name(), "r");
+    }
+
+    /// A well-mixed hash of element `i` under `seed`.
+    fn hash(seed: u32, i: usize) -> u32 {
+        (i as u32 ^ seed.wrapping_mul(0x9e37_79b9))
+            .wrapping_mul(0x85eb_ca6b)
+            .rotate_left(13)
+            .wrapping_mul(0xc2b2_ae35)
+    }
+
+    proptest::proptest! {
+        /// The inference forward (the dispatched `maxpool_f32` kernel)
+        /// against `ops::maxpool2d(..).0`, bit for bit, and the training
+        /// forward against both, over random geometry: `c` 1–7, `h` and `w`
+        /// 1–20, window 1–3, stride 1–3. `mode` 0 mixes NaN, `±Inf` and
+        /// `±0.0` into ordinary values; mode 1 holds only NaN and `±0.0`, so
+        /// every window is a tie of zeros or NaN only; mode 2 only NaN and
+        /// `−Inf`.
+        #[test]
+        fn maxpool_forward_matches_ops_maxpool2d(
+            geometry in (1usize..8, 1usize..21, 1usize..21, 1usize..4, 1usize..4),
+            mode in 0u32..3,
+            seed in 0u32..1000,
+        ) {
+            let (c, h, w, size, stride) = geometry;
+            let size = size.min(h).min(w);
+            let specials: &[f32] = match mode {
+                0 => &[f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY],
+                1 => &[f32::NAN, -0.0, 0.0],
+                _ => &[f32::NAN, f32::NEG_INFINITY],
+            };
+            let every = if mode == 0 { 9 } else { specials.len() as u32 };
+            let data: Vec<f32> = (0..c * h * w)
+                .map(|i| {
+                    let x = hash(seed, i);
+                    match specials.get((x % every) as usize) {
+                        Some(&v) => v,
+                        None => (x >> 8) as f32 * 1.0e-6 - 8.0,
+                    }
+                })
+                .collect();
+            let t = Tensor::from_vec(data, &[c, h, w]);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut layer = MaxPool2d::new("pool", size, stride);
+            let want = ops::maxpool2d(&t, size, stride).0;
+            proptest::prop_assert_eq!(bits(&layer.forward(&t)), bits(&want));
+            proptest::prop_assert_eq!(bits(&layer.forward_train(&t)), bits(&want));
+            proptest::prop_assert_eq!(layer.output_shape(t.shape()), want.shape().to_vec());
+        }
+
+        /// The native forward (the dispatched `maxpool_quant` kernel) on
+        /// corrupted stored words against a naive loop over
+        /// `QuantTensor::q_value`, at 4, 8 and 16 bits over random
+        /// geometry. Words are random in the low `bits` bits, with the most
+        /// negative word and `−1` frequent.
+        #[test]
+        fn maxpool_quant_forward_matches_the_naive_loop(
+            geometry in (1usize..8, 1usize..21, 1usize..21, 1usize..4, 1usize..4),
+            precision in 0usize..3,
+            seed in 0u32..1000,
+        ) {
+            use eden_tensor::Precision;
+            let (c, h, w, size, stride) = geometry;
+            let size = size.min(h).min(w);
+            let p = [Precision::Int4, Precision::Int8, Precision::Int16][precision];
+            let data: Vec<f32> = (0..c * h * w).map(|i| hash(seed, i) as f32 * 1e-9).collect();
+            let mut q = QuantTensor::quantize(&Tensor::from_vec(data, &[c, h, w]), p);
+            let mask = (1u32 << p.bits()) - 1;
+            for (i, word) in q.stored_mut().iter_mut().enumerate() {
+                let x = hash(seed ^ 0x5bd1, i);
+                *word = match x % 4 {
+                    0 => 1 << (p.bits() - 1),
+                    1 => mask,
+                    _ => (x >> 3) & mask,
+                };
+            }
+            let (oh, ow) = ((h - size) / stride + 1, (w - size) / stride + 1);
+            let mut want = vec![0.0f32; c * oh * ow];
+            for (o, y) in want.iter_mut().enumerate() {
+                let (ch, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+                let mut best = i32::MIN;
+                for ky in 0..size {
+                    for kx in 0..size {
+                        let i = (ch * h + oy * stride + ky) * w + ox * stride + kx;
+                        best = best.max(q.q_value(i));
+                    }
+                }
+                *y = best as f32 * q.scale();
+            }
+            let got = MaxPool2d::new("pool", size, stride)
+                .quant_forward_activation(&q)
+                .expect("max pooling runs in the quantized domain");
+            proptest::prop_assert_eq!(got.shape(), &[c, oh, ow]);
+            let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(got.data()), bits(&want), "{}", p);
+        }
     }
 }

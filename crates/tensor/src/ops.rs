@@ -829,10 +829,16 @@ pub fn conv2d_backward(
     Tensor::from_vec(d_in, &[in_c, h, w])
 }
 
-/// 2×2 (or general) max pooling forward pass for a single `[c, h, w]` sample.
+/// 2×2 (or general) max pooling forward pass for a single `[c, h, w]` sample,
+/// the training form.
 ///
 /// Returns the pooled output and the flat argmax indices used by the backward
-/// pass.
+/// pass. Each window folds in row-major order from `−Inf`, taking an element
+/// only if it is strictly greater, so the first maximum wins and NaN never
+/// does; a window with no element above `−Inf` (all NaN or all `−Inf`)
+/// outputs `−Inf` and routes its gradient to its own first element. The
+/// outputs are the values of the inference kernel `Kernels::maxpool_f32`
+/// (see [`crate::simd::MaxPoolF32Fn`]), whose oracle this is.
 pub fn maxpool2d(input: &Tensor, size: usize, stride: usize) -> (Tensor, Vec<usize>) {
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let oh = (h - size) / stride + 1;
@@ -844,6 +850,7 @@ pub fn maxpool2d(input: &Tensor, size: usize, stride: usize) -> (Tensor, Vec<usi
         for oy in 0..oh {
             for ox in 0..ow {
                 let oi = ch * oh * ow + oy * ow + ox;
+                arg[oi] = ch * h * w + oy * stride * w + ox * stride;
                 for ky in 0..size {
                     for kx in 0..size {
                         let iy = oy * stride + ky;
@@ -1320,6 +1327,35 @@ mod tests {
         let d_out = Tensor::from_vec(vec![5.0], &[1, 1, 1]);
         let d_in = maxpool2d_backward(&[1, 2, 2], &d_out, &arg);
         assert_eq!(d_in.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    /// A window with nothing above `−Inf` (all NaN, or all `−Inf`) outputs
+    /// `−Inf` and routes its gradient to its own first element, never to
+    /// another window's or channel's.
+    #[test]
+    fn maxpool_window_without_a_maximum_routes_to_its_first_element() {
+        let nan = f32::NAN;
+        let neg = f32::NEG_INFINITY;
+        // Two channels of 2×4, 2×2 windows: channel 0's left window is all
+        // NaN, channel 1's right window all −Inf.
+        #[rustfmt::skip]
+        let input = Tensor::from_vec(
+            vec![
+                nan, nan, 1.0, 2.0,
+                nan, nan, 3.0, 0.5,
+                4.0, -1.0, neg, neg,
+                nan, 2.5, neg, neg,
+            ],
+            &[2, 2, 4],
+        );
+        let (out, arg) = maxpool2d(&input, 2, 2);
+        assert_eq!(out.data(), &[neg, 3.0, 4.0, neg]);
+        assert_eq!(arg, vec![0, 6, 8, 10]);
+        let d_out = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 1, 2]);
+        let d_in = maxpool2d_backward(&[2, 2, 4], &d_out, &arg);
+        let mut want = vec![0.0f32; 16];
+        (want[0], want[6], want[8], want[10]) = (1.0, 2.0, 3.0, 4.0);
+        assert_eq!(d_in.data(), want.as_slice());
     }
 
     #[test]

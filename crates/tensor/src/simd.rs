@@ -20,7 +20,12 @@
 //!   [`crate::ops::conv2d`], the same tiled GEMM with its rhs panels
 //!   gathered straight from a zero-padded image;
 //! * `quantize_f32`: the layer-boundary quantizer behind
-//!   [`crate::quant::QuantTensor::requantize_from`].
+//!   [`crate::quant::QuantTensor::requantize_from`];
+//! * `abs_max`: the integer max over absolute-value bit patterns behind
+//!   [`crate::Tensor::abs_max`], the scale scan of that requantize;
+//! * `maxpool_f32` and `maxpool_quant`: 2-D max pooling for inference, on
+//!   f32 values (the simulated backend's and FP32's pool layer) and on
+//!   stored integer words (the native backend's).
 //!
 //! # One body per algorithm
 //!
@@ -38,6 +43,10 @@
 //! every column pair of a transposed rhs, and at one column for an odd last
 //! column. The AVX512-VNNI i8 body is a different algorithm and keeps its
 //! own code, run by the same driver; the quantizer stays per tier.
+//! `U32Lanes` (32-bit lanes of raw words, compared as `i32` or as `f32`)
+//! carries the per-element scans: the `abs_max` fold, and one max-pooling
+//! body whose two forms (`PoolForm`) differ only in how a word is read,
+//! compared and written.
 //!
 //! The lane traits' safety contract: every method is `#[inline(always)]`
 //! with no target feature of its own, and may only run inlined into a tier
@@ -87,6 +96,14 @@
 //!   truncating conversion (the scalar `as i32`), and the exact `±0.5`
 //!   compare fix-up of the scalar round-half-away. Every step is exactly
 //!   rounded or exact, so each lane is the scalar result.
+//! * The scans compare and never accumulate. `abs_max` is an integer max,
+//!   associative like the integer sums. Max pooling vectorizes across
+//!   outputs, never within a window: each lane folds its own window in the
+//!   scalar order, by an `i32` max on sign-extended words or by `maxps x,
+//!   m`, which is exactly the scalar `if x > m { x } else { m }` (first
+//!   maximum wins, so a `±0.0` tie keeps its first zero; NaN never wins).
+//!   The quantized form then converts and scales each maximum once, the
+//!   scalar's `q as f32 * scale`.
 //!
 //! The int8 panel bodies deliberately avoid the classic `pmaddubsw`
 //! sign-trick (`maddubs(|a|, sign(b, a))`): corrupted int8 storage spans the
@@ -289,6 +306,74 @@ pub type ConvF32Fn = fn(&PaddedConv, &[f32], &[f32], &mut [f32]);
 /// mask, out)` over the common length of `src` and `out`.
 pub type QuantizeFn = fn(&[f32], f32, f32, f32, u32, &mut [u32]);
 
+/// The largest absolute-value bit pattern `bits & 0x7fff_ffff` of the
+/// values, or `0` for none. Every pattern is below 2³¹, so the kernels
+/// compare them as `i32`. Patterns order as the absolute values do, except
+/// that every NaN lies above `+Inf`'s `0x7f80_0000`.
+pub type AbsMaxFn = fn(&[f32]) -> u32;
+
+/// The geometry of a 2-D max pooling: `c` channel planes of `h × w`
+/// values, pooled over square `size × size` windows at `stride`. The
+/// argument of [`MaxPoolF32Fn`] and [`MaxPoolQuantFn`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pool2d {
+    /// Channels.
+    pub c: usize,
+    /// Input height.
+    pub h: usize,
+    /// Input width.
+    pub w: usize,
+    /// Square window size.
+    pub size: usize,
+    /// Stride in both spatial dimensions.
+    pub stride: usize,
+}
+
+impl Pool2d {
+    /// Output height and width `(oh, ow)`.
+    pub fn out_size(&self) -> (usize, usize) {
+        let out = |len: usize| (len - self.size) / self.stride + 1;
+        (out(self.h), out(self.w))
+    }
+
+    /// Panics unless the geometry is well formed and the slices hold the
+    /// `c × h × w` input and the `c × oh × ow` output — the bounds every
+    /// pooling kernel relies on.
+    fn check(&self, input: usize, out: usize) {
+        assert!(
+            self.size > 0 && self.stride > 0 && self.h >= self.size && self.w >= self.size,
+            "maxpool: bad geometry {self:?}"
+        );
+        let (oh, ow) = self.out_size();
+        // Checked, so no wrapped product can pass for a short slice; the
+        // output is no larger than the input.
+        let words = self
+            .c
+            .checked_mul(self.h)
+            .and_then(|n| n.checked_mul(self.w));
+        assert!(
+            words.is_some_and(|n| input >= n),
+            "maxpool: input slice too short"
+        );
+        assert!(out >= self.c * oh * ow, "maxpool: out slice too short");
+    }
+}
+
+/// f32 max pooling for inference: each output folds its window in
+/// row-major `(ky, kx)` order by `m = if x > m { x } else { m }` from `m =
+/// −Inf`. The first maximum wins (so a `±0.0` tie keeps the first zero),
+/// NaN never wins, and a window of only NaN and `−Inf` gives `−Inf` — the
+/// values of [`crate::ops::maxpool2d`], without its argmax. Arguments:
+/// `(geometry, input, out)`.
+pub type MaxPoolF32Fn = fn(&Pool2d, &[f32], &mut [f32]);
+
+/// Max pooling over stored integer words: each output is the largest
+/// window value `q` of the words sign-extended from their low `bits` bits,
+/// written as `q as f32 * scale` — the dequantized maximum, since
+/// dequantization is monotone. `bits` is in `1..=32`. Arguments:
+/// `(geometry, words, bits, scale, out)`.
+pub type MaxPoolQuantFn = fn(&Pool2d, &[u32], u32, f32, &mut [f32]);
+
 /// Depth, in i16 lanes, of one i32 accumulation block of the i16 panel
 /// kernels: after each block the split digit sums are flushed into i64
 /// (see the module docs). A multiple of every tier's vector width.
@@ -360,6 +445,15 @@ pub struct Kernels {
     /// The integer-precision quantizer behind
     /// [`crate::quant::QuantTensor::requantize_from`] (see [`QuantizeFn`]).
     pub quantize_f32: QuantizeFn,
+    /// The integer max over absolute-value bit patterns behind
+    /// [`crate::Tensor::abs_max`], the scale scan of every requantize (see
+    /// [`AbsMaxFn`]).
+    pub abs_max: AbsMaxFn,
+    /// Inference f32 max pooling (see [`MaxPoolF32Fn`]).
+    pub maxpool_f32: MaxPoolF32Fn,
+    /// Max pooling over stored integer words, the native executor's pool
+    /// layer (see [`MaxPoolQuantFn`]).
+    pub maxpool_quant: MaxPoolQuantFn,
 }
 
 impl fmt::Debug for Kernels {
@@ -390,6 +484,9 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm_f32_lhs_t: scalar::gemm_f32_lhs_t,
             conv_f32: scalar::conv_f32,
             quantize_f32: scalar::quantize_f32,
+            abs_max: scalar::abs_max,
+            maxpool_f32: scalar::maxpool_f32,
+            maxpool_quant: scalar::maxpool_quant,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Sse2 => Kernels {
@@ -401,6 +498,9 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm_f32_lhs_t: sse2::gemm_f32_lhs_t,
             conv_f32: sse2::conv_f32,
             quantize_f32: sse2::quantize_f32,
+            abs_max: sse2::abs_max,
+            maxpool_f32: sse2::maxpool_f32,
+            maxpool_quant: sse2::maxpool_quant,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => Kernels {
@@ -412,6 +512,9 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm_f32_lhs_t: avx2::gemm_f32_lhs_t,
             conv_f32: avx2::conv_f32,
             quantize_f32: avx2::quantize_f32,
+            abs_max: avx2::abs_max,
+            maxpool_f32: avx2::maxpool_f32,
+            maxpool_quant: avx2::maxpool_quant,
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => Kernels {
@@ -431,6 +534,9 @@ pub fn kernels_for(isa: Isa) -> Kernels {
             gemm_f32_lhs_t: avx512::gemm_f32_lhs_t,
             conv_f32: avx512::conv_f32,
             quantize_f32: avx512::quantize_f32,
+            abs_max: avx512::abs_max,
+            maxpool_f32: avx512::maxpool_f32,
+            maxpool_quant: avx512::maxpool_quant,
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar ISA levels never pass is_supported off x86-64"),
@@ -1247,6 +1353,254 @@ impl<V: I16Lanes> PanelBody for SplitI16<V> {
     }
 }
 
+/// One tier's vector of 32-bit lanes, as the per-element scans
+/// ([`abs_max_lanes`], [`maxpool_lanes`]) use it: raw words, compared as
+/// `i32` or as `f32`. Every method is `#[inline(always)]` with no target
+/// feature of its own, as for [`F32Lanes`].
+///
+/// # Safety
+///
+/// Every method may only run on a CPU with the tier's features (the tier's
+/// table entries are built only after detecting them). `load` and `store`
+/// of `n ≤ W` lanes need those `n` lanes valid at `p` and touch no other;
+/// `load_strided` needs the lanes it reads (see there).
+#[cfg(target_arch = "x86_64")]
+trait U32Lanes: Copy {
+    /// 32-bit lanes per vector.
+    const W: usize;
+    /// `x` in every lane.
+    unsafe fn splat(x: u32) -> Self;
+    /// Lanes `[0, n)` from `p`, the rest zero.
+    unsafe fn load(p: *const u32, n: usize) -> Self;
+    /// Stores lanes `[0, n)` to `p`.
+    unsafe fn store(self, p: *mut u32, n: usize);
+    /// The even lanes of `a` followed by `b`: lane `j` is lane `2j` of the
+    /// `2W` lanes `a ++ b`.
+    unsafe fn even(a: Self, b: Self) -> Self;
+    /// Bitwise and.
+    unsafe fn and(self, b: Self) -> Self;
+    /// The `i32` maximum of each lane pair.
+    unsafe fn max_i32(x: Self, m: Self) -> Self;
+    /// `if x > m { x } else { m }` per `f32` lane: `x86`'s `maxps x, m`,
+    /// which returns `m` for a NaN or a `±0.0` tie.
+    unsafe fn max_f32(x: Self, m: Self) -> Self;
+    /// Each lane's low `32 − shift` bits sign-extended (`shift < 32`).
+    unsafe fn sign_extend(self, shift: u32) -> Self;
+    /// The `f32` bits of each `i32` lane's `q as f32 * scale`.
+    unsafe fn scale_i32(self, scale: f32) -> Self;
+
+    /// Lanes `[0, n)` read at stride `s` from `p` (`p[j·s]`), the rest
+    /// zero, for `1 ≤ n ≤ W`: one load at stride 1; at stride 2,
+    /// [`U32Lanes::even`] of two loads of the first `min(2n, avail)` lanes
+    /// (two whole vectors unless `n < W` or the data ends); at any other
+    /// stride, lane by lane through a stack copy.
+    ///
+    /// # Safety
+    ///
+    /// As for the trait, with the `avail ≥ (n − 1)·s + 1` lanes from `p`
+    /// valid.
+    #[inline(always)]
+    unsafe fn load_strided(p: *const u32, s: usize, n: usize, avail: usize) -> Self {
+        match s {
+            1 => Self::load(p, n),
+            2 => {
+                let span = (2 * n).min(avail);
+                let lo = span.min(Self::W);
+                Self::even(
+                    Self::load(p, lo),
+                    Self::load(p.wrapping_add(Self::W), span - lo),
+                )
+            }
+            _ => {
+                let mut lanes = [0u32; 16];
+                for (j, lane) in lanes[..n].iter_mut().enumerate() {
+                    *lane = *p.add(j * s);
+                }
+                Self::load(lanes.as_ptr(), n)
+            }
+        }
+    }
+}
+
+/// The SIMD tiers' [`AbsMaxFn`]: the absolute-value patterns of whole
+/// vectors folded by an `i32` max (the last `len mod W` values as one
+/// partial vector, whose missing lanes load as zero), then one horizontal
+/// max. Integer max is associative, so the lane order changes nothing.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn abs_max_lanes<V: U32Lanes>(data: &[f32]) -> u32 {
+    let p = data.as_ptr() as *const u32;
+    let mut lanes = [0u32; 16];
+    // SAFETY: the loads read `W` lanes at `i + W ≤ body` and the `len −
+    // body < W` lanes at `body`, all inside `data`; the store writes `W ≤
+    // 16` lanes of `lanes`. The caller's tier has `V`'s features.
+    unsafe {
+        let abs = V::splat(0x7fff_ffff);
+        let mut acc = V::splat(0);
+        let body = data.len() - data.len() % V::W;
+        for i in (0..body).step_by(V::W) {
+            acc = V::max_i32(V::load(p.add(i), V::W).and(abs), acc);
+        }
+        let tail = V::load(p.add(body), data.len() - body);
+        V::max_i32(tail.and(abs), acc).store(lanes.as_mut_ptr(), V::W);
+    }
+    lanes.into_iter().fold(0, u32::max)
+}
+
+/// How one form of max pooling reads, compares and writes words
+/// ([`maxpool_lanes`]).
+///
+/// # Safety
+///
+/// Every method may only run on a CPU with `V`'s features.
+#[cfg(target_arch = "x86_64")]
+trait PoolForm: Copy {
+    /// The word each window's fold starts from.
+    const LOWEST: u32;
+    /// A loaded vector of input words as compared values.
+    unsafe fn value<V: U32Lanes>(self, v: V) -> V;
+    /// One step of the fold.
+    unsafe fn max<V: U32Lanes>(x: V, m: V) -> V;
+    /// A window maximum as the `f32` bits of its output.
+    unsafe fn output<V: U32Lanes>(self, m: V) -> V;
+}
+
+/// f32 words ([`MaxPoolF32Fn`]).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct F32Pool;
+
+#[cfg(target_arch = "x86_64")]
+impl PoolForm for F32Pool {
+    const LOWEST: u32 = 0xff80_0000; // −Inf
+    #[inline(always)]
+    unsafe fn value<V: U32Lanes>(self, v: V) -> V {
+        v
+    }
+    #[inline(always)]
+    unsafe fn max<V: U32Lanes>(x: V, m: V) -> V {
+        V::max_f32(x, m)
+    }
+    #[inline(always)]
+    unsafe fn output<V: U32Lanes>(self, m: V) -> V {
+        m
+    }
+}
+
+/// Stored integer words ([`MaxPoolQuantFn`]): sign-extended by `shift =
+/// 32 − bits`, scaled by `scale` on output.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct QuantPool {
+    shift: u32,
+    scale: f32,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PoolForm for QuantPool {
+    const LOWEST: u32 = i32::MIN as u32;
+    #[inline(always)]
+    unsafe fn value<V: U32Lanes>(self, v: V) -> V {
+        v.sign_extend(self.shift)
+    }
+    #[inline(always)]
+    unsafe fn max<V: U32Lanes>(x: V, m: V) -> V {
+        V::max_i32(x, m)
+    }
+    #[inline(always)]
+    unsafe fn output<V: U32Lanes>(self, m: V) -> V {
+        m.scale_i32(self.scale)
+    }
+}
+
+/// The SIMD tiers' max pooling in either form: each output row in vectors
+/// of `W` outputs (the last one partial), each vector folding its
+/// windows' taps in row-major `(ky, kx)` order, every tap one strided load
+/// ([`U32Lanes::load_strided`]). The fold of each lane is the scalar
+/// table's, step for step, with no branch on the data.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn maxpool_lanes<V: U32Lanes, F: PoolForm>(g: &Pool2d, form: F, input: &[u32], out: &mut [f32]) {
+    g.check(input.len(), out.len());
+    // One inlined copy per common stride, each specialized to its constant.
+    match g.stride {
+        1 => maxpool_rows::<V, F>(g, 1, form, input, out),
+        2 => maxpool_rows::<V, F>(g, 2, form, input, out),
+        s => maxpool_rows::<V, F>(g, s, form, input, out),
+    }
+}
+
+/// [`maxpool_lanes`] at stride `s`, on a checked geometry.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn maxpool_rows<V: U32Lanes, F: PoolForm>(
+    g: &Pool2d,
+    s: usize,
+    form: F,
+    input: &[u32],
+    out: &mut [f32],
+) {
+    let (oh, ow) = g.out_size();
+    let w = g.w;
+    let dst = out.as_mut_ptr() as *mut u32;
+    let mut o = 0;
+    for ch in 0..g.c {
+        for oy in 0..oh {
+            let top = (ch * g.h + oy * s) * w;
+            for ox in (0..ow).step_by(V::W) {
+                let n = (ow - ox).min(V::W);
+                // SAFETY: `maxpool_lanes` checked the geometry and that
+                // `input` holds `c·h·w` and `out` `c·oh·ow` words. Lane `j <
+                // n` of tap `(ky, kx)` reads input `at + j·s`, pixel `(oy·s +
+                // ky, (ox + j)·s + kx)` of plane `ch`, inside it as `(oh −
+                // 1)·s + size ≤ h` and `(ow − 1)·s + size ≤ w`; the store
+                // writes outputs `[o, o + n)` of the `c·oh·ow`. The caller's
+                // tier has `V`'s features.
+                unsafe {
+                    let mut m = V::splat(F::LOWEST);
+                    for ky in 0..g.size {
+                        for kx in 0..g.size {
+                            let at = top + ky * w + ox * s + kx;
+                            let x = V::load_strided(input.as_ptr().add(at), s, n, input.len() - at);
+                            m = F::max(form.value(x), m);
+                        }
+                    }
+                    form.output(m).store(dst.add(o), n);
+                }
+                o += n;
+            }
+        }
+    }
+}
+
+/// The SIMD tiers' [`MaxPoolF32Fn`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn maxpool_f32_lanes<V: U32Lanes>(g: &Pool2d, input: &[f32], out: &mut [f32]) {
+    // SAFETY: `f32` and `u32` have the same size and alignment, and every
+    // bit pattern is a valid `u32`.
+    let words = unsafe { std::slice::from_raw_parts(input.as_ptr() as *const u32, input.len()) };
+    maxpool_lanes::<V, _>(g, F32Pool, words, out);
+}
+
+/// The SIMD tiers' [`MaxPoolQuantFn`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn maxpool_quant_lanes<V: U32Lanes>(
+    g: &Pool2d,
+    words: &[u32],
+    bits: u32,
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert!((1..=32).contains(&bits), "maxpool: bad word width {bits}");
+    let form = QuantPool {
+        shift: 32 - bits,
+        scale,
+    };
+    maxpool_lanes::<V, _>(g, form, words, out);
+}
+
 /// Bit-for-bit reference implementations. Plain loops; the compiler may
 /// auto-vectorize the integer reductions (associative, so still exact) but
 /// never the f32 ones.
@@ -1377,6 +1731,55 @@ mod scalar {
         for (o, &v) in out.iter_mut().zip(src) {
             *o = (super::round_half_away((v / scale).clamp(q_min, q_max)) as u32) & mask;
         }
+    }
+
+    pub fn abs_max(data: &[f32]) -> u32 {
+        // As `i32`, which baseline x86-64 compares in vectors.
+        let patterns = data.iter().map(|x| (x.to_bits() & 0x7fff_ffff) as i32);
+        patterns.fold(0, i32::max) as u32
+    }
+
+    /// Folds every window of `g` in row-major `(ky, kx)` order from `init`
+    /// by `step`, and writes `finish` of the fold to its output.
+    fn pool<T: Copy, A: Copy>(
+        g: &super::Pool2d,
+        input: &[T],
+        out: &mut [f32],
+        init: A,
+        step: impl Fn(A, T) -> A,
+        finish: impl Fn(A) -> f32,
+    ) {
+        g.check(input.len(), out.len());
+        let (oh, ow) = g.out_size();
+        let (w, s) = (g.w, g.stride);
+        let mut o = 0;
+        for ch in 0..g.c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let top = (ch * g.h + oy * s) * w + ox * s;
+                    let mut m = init;
+                    for ky in 0..g.size {
+                        for kx in 0..g.size {
+                            m = step(m, input[top + ky * w + kx]);
+                        }
+                    }
+                    out[o] = finish(m);
+                    o += 1;
+                }
+            }
+        }
+    }
+
+    pub fn maxpool_f32(g: &super::Pool2d, input: &[f32], out: &mut [f32]) {
+        let step = |m: f32, x: f32| if x > m { x } else { m };
+        pool(g, input, out, f32::NEG_INFINITY, step, |m| m);
+    }
+
+    pub fn maxpool_quant(g: &super::Pool2d, words: &[u32], bits: u32, scale: f32, out: &mut [f32]) {
+        assert!((1..=32).contains(&bits), "maxpool: bad word width {bits}");
+        let shift = 32 - bits;
+        let step = |m: i32, w: u32| m.max(((w << shift) as i32) >> shift);
+        pool(g, words, out, i32::MIN, step, |m| m as f32 * scale);
     }
 }
 
@@ -1532,6 +1935,74 @@ mod sse2 {
             }
         }
         super::scalar::quantize_f32(&src[body..n], scale, q_min, q_max, mask, &mut out[body..n]);
+    }
+
+    impl super::U32Lanes for __m128i {
+        const W: usize = 4;
+        #[inline(always)]
+        unsafe fn splat(x: u32) -> Self {
+            _mm_set1_epi32(x as i32)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u32, n: usize) -> Self {
+            if n == 4 {
+                return _mm_loadu_si128(p as *const __m128i);
+            }
+            // SSE2 has no masked load: a partial vector goes through the
+            // stack.
+            let mut lanes = [0u32; 4];
+            std::ptr::copy_nonoverlapping(p, lanes.as_mut_ptr(), n);
+            _mm_loadu_si128(lanes.as_ptr() as *const __m128i)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u32, n: usize) {
+            if n == 4 {
+                return _mm_storeu_si128(p as *mut __m128i, self);
+            }
+            let mut lanes = [0u32; 4];
+            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, self);
+            std::ptr::copy_nonoverlapping(lanes.as_ptr(), p, n);
+        }
+        #[inline(always)]
+        unsafe fn even(a: Self, b: Self) -> Self {
+            let (a, b) = (_mm_castsi128_ps(a), _mm_castsi128_ps(b));
+            _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(a, b))
+        }
+        #[inline(always)]
+        unsafe fn and(self, b: Self) -> Self {
+            _mm_and_si128(self, b)
+        }
+        #[inline(always)]
+        unsafe fn max_i32(x: Self, m: Self) -> Self {
+            // SSE2 has no `pmaxsd`: select by the compare mask.
+            let gt = _mm_cmpgt_epi32(x, m);
+            _mm_or_si128(_mm_and_si128(gt, x), _mm_andnot_si128(gt, m))
+        }
+        #[inline(always)]
+        unsafe fn max_f32(x: Self, m: Self) -> Self {
+            _mm_castps_si128(_mm_max_ps(_mm_castsi128_ps(x), _mm_castsi128_ps(m)))
+        }
+        #[inline(always)]
+        unsafe fn sign_extend(self, shift: u32) -> Self {
+            let count = _mm_cvtsi32_si128(shift as i32);
+            _mm_sra_epi32(_mm_sll_epi32(self, count), count)
+        }
+        #[inline(always)]
+        unsafe fn scale_i32(self, scale: f32) -> Self {
+            _mm_castps_si128(_mm_mul_ps(_mm_cvtepi32_ps(self), _mm_set1_ps(scale)))
+        }
+    }
+
+    pub fn abs_max(data: &[f32]) -> u32 {
+        super::abs_max_lanes::<__m128i>(data)
+    }
+
+    pub fn maxpool_f32(g: &super::Pool2d, input: &[f32], out: &mut [f32]) {
+        super::maxpool_f32_lanes::<__m128i>(g, input, out);
+    }
+
+    pub fn maxpool_quant(g: &super::Pool2d, words: &[u32], bits: u32, scale: f32, out: &mut [f32]) {
+        super::maxpool_quant_lanes::<__m128i>(g, words, bits, scale, out);
     }
 }
 
@@ -1739,6 +2210,108 @@ mod avx2 {
     ) {
         // SAFETY: as `gemm_f32`; loads and stores stay below `body`.
         unsafe { quantize_f32_impl(src, scale, q_min, q_max, mask, out) }
+    }
+
+    /// The `vpmaskmovd` mask of lanes `[0, n)`.
+    #[inline(always)]
+    unsafe fn first(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    impl super::U32Lanes for __m256i {
+        const W: usize = 8;
+        #[inline(always)]
+        unsafe fn splat(x: u32) -> Self {
+            _mm256_set1_epi32(x as i32)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u32, n: usize) -> Self {
+            if n == 8 {
+                return _mm256_loadu_si256(p as *const __m256i);
+            }
+            _mm256_maskload_epi32(p as *const i32, first(n))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u32, n: usize) {
+            if n == 8 {
+                return _mm256_storeu_si256(p as *mut __m256i, self);
+            }
+            _mm256_maskstore_epi32(p as *mut i32, first(n), self)
+        }
+        #[inline(always)]
+        unsafe fn even(a: Self, b: Self) -> Self {
+            // Per 128-bit half `[a0 a2 b0 b2]`, then the 64-bit pairs
+            // reordered to `a`'s evens before `b`'s.
+            let (a, b) = (_mm256_castsi256_ps(a), _mm256_castsi256_ps(b));
+            let halves = _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
+            _mm256_permute4x64_epi64::<0b11_01_10_00>(halves)
+        }
+        #[inline(always)]
+        unsafe fn and(self, b: Self) -> Self {
+            _mm256_and_si256(self, b)
+        }
+        #[inline(always)]
+        unsafe fn max_i32(x: Self, m: Self) -> Self {
+            _mm256_max_epi32(x, m)
+        }
+        #[inline(always)]
+        unsafe fn max_f32(x: Self, m: Self) -> Self {
+            _mm256_castps_si256(_mm256_max_ps(
+                _mm256_castsi256_ps(x),
+                _mm256_castsi256_ps(m),
+            ))
+        }
+        #[inline(always)]
+        unsafe fn sign_extend(self, shift: u32) -> Self {
+            let count = _mm_cvtsi32_si128(shift as i32);
+            _mm256_sra_epi32(_mm256_sll_epi32(self, count), count)
+        }
+        #[inline(always)]
+        unsafe fn scale_i32(self, scale: f32) -> Self {
+            _mm256_castps_si256(_mm256_mul_ps(
+                _mm256_cvtepi32_ps(self),
+                _mm256_set1_ps(scale),
+            ))
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn abs_max_impl(data: &[f32]) -> u32 {
+        super::abs_max_lanes::<__m256i>(data)
+    }
+
+    pub fn abs_max(data: &[f32]) -> u32 {
+        // SAFETY: as `gemm_f32`.
+        unsafe { abs_max_impl(data) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn maxpool_f32_impl(g: &super::Pool2d, input: &[f32], out: &mut [f32]) {
+        super::maxpool_f32_lanes::<__m256i>(g, input, out);
+    }
+
+    pub fn maxpool_f32(g: &super::Pool2d, input: &[f32], out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { maxpool_f32_impl(g, input, out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn maxpool_quant_impl(
+        g: &super::Pool2d,
+        words: &[u32],
+        bits: u32,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        super::maxpool_quant_lanes::<__m256i>(g, words, bits, scale, out);
+    }
+
+    pub fn maxpool_quant(g: &super::Pool2d, words: &[u32], bits: u32, scale: f32, out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { maxpool_quant_impl(g, words, bits, scale, out) }
     }
 }
 
@@ -2033,6 +2606,103 @@ mod avx512 {
     ) {
         // SAFETY: as `gemm_f32`; loads and stores stay below `body`.
         unsafe { quantize_f32_impl(src, scale, q_min, q_max, mask, out) }
+    }
+
+    /// The write mask of lanes `[0, n)`.
+    #[inline(always)]
+    fn first(n: usize) -> __mmask16 {
+        ((1u32 << n) - 1) as __mmask16
+    }
+
+    impl super::U32Lanes for __m512i {
+        const W: usize = 16;
+        #[inline(always)]
+        unsafe fn splat(x: u32) -> Self {
+            _mm512_set1_epi32(x as i32)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u32, n: usize) -> Self {
+            if n == 16 {
+                return _mm512_loadu_si512(p as *const __m512i);
+            }
+            _mm512_maskz_loadu_epi32(first(n), p as *const i32)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u32, n: usize) {
+            if n == 16 {
+                return _mm512_storeu_si512(p as *mut __m512i, self);
+            }
+            _mm512_mask_storeu_epi32(p as *mut i32, first(n), self)
+        }
+        #[inline(always)]
+        unsafe fn even(a: Self, b: Self) -> Self {
+            let evens =
+                _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            _mm512_permutex2var_epi32(a, evens, b)
+        }
+        #[inline(always)]
+        unsafe fn and(self, b: Self) -> Self {
+            _mm512_and_si512(self, b)
+        }
+        #[inline(always)]
+        unsafe fn max_i32(x: Self, m: Self) -> Self {
+            _mm512_max_epi32(x, m)
+        }
+        #[inline(always)]
+        unsafe fn max_f32(x: Self, m: Self) -> Self {
+            _mm512_castps_si512(_mm512_max_ps(
+                _mm512_castsi512_ps(x),
+                _mm512_castsi512_ps(m),
+            ))
+        }
+        #[inline(always)]
+        unsafe fn sign_extend(self, shift: u32) -> Self {
+            let count = _mm_cvtsi32_si128(shift as i32);
+            _mm512_sra_epi32(_mm512_sll_epi32(self, count), count)
+        }
+        #[inline(always)]
+        unsafe fn scale_i32(self, scale: f32) -> Self {
+            _mm512_castps_si512(_mm512_mul_ps(
+                _mm512_cvtepi32_ps(self),
+                _mm512_set1_ps(scale),
+            ))
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn abs_max_impl(data: &[f32]) -> u32 {
+        super::abs_max_lanes::<__m512i>(data)
+    }
+
+    pub fn abs_max(data: &[f32]) -> u32 {
+        // SAFETY: as `gemm_f32`.
+        unsafe { abs_max_impl(data) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn maxpool_f32_impl(g: &super::Pool2d, input: &[f32], out: &mut [f32]) {
+        super::maxpool_f32_lanes::<__m512i>(g, input, out);
+    }
+
+    pub fn maxpool_f32(g: &super::Pool2d, input: &[f32], out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { maxpool_f32_impl(g, input, out) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn maxpool_quant_impl(
+        g: &super::Pool2d,
+        words: &[u32],
+        bits: u32,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        super::maxpool_quant_lanes::<__m512i>(g, words, bits, scale, out);
+    }
+
+    pub fn maxpool_quant(g: &super::Pool2d, words: &[u32], bits: u32, scale: f32, out: &mut [f32]) {
+        // SAFETY: as `gemm_f32`.
+        unsafe { maxpool_quant_impl(g, words, bits, scale, out) }
     }
 }
 

@@ -198,18 +198,16 @@ impl Tensor {
     /// element counts.
     pub fn abs_max(&self) -> f32 {
         // An integer max over the absolute bit patterns, which order as the
-        // floats do for every non-NaN value. A plain max reduction
-        // vectorizes where an `f32::max` fold does not (as `i32`: baseline
-        // x86-64 has a signed 32-bit compare but no unsigned one). A result
-        // above `+Inf`'s pattern means a NaN was present, and only then does
-        // a second pass leave the NaN patterns out.
+        // floats do for every non-NaN value, by the dispatched `abs_max`
+        // kernel. A result above `+Inf`'s pattern means a NaN was present,
+        // and only then does a second pass leave the NaN patterns out.
         const INF: i32 = 0x7f80_0000;
-        let patterns = || self.data.iter().map(|x| (x.to_bits() & 0x7fff_ffff) as i32);
-        let mut max = patterns().fold(0, i32::max);
-        if max > INF {
-            max = patterns().filter(|&a| a <= INF).fold(0, i32::max);
+        let max = (crate::simd::kernels().abs_max)(&self.data);
+        if max <= INF as u32 {
+            return f32::from_bits(max);
         }
-        f32::from_bits(max as u32)
+        let patterns = self.data.iter().map(|x| (x.to_bits() & 0x7fff_ffff) as i32);
+        f32::from_bits(patterns.filter(|&a| a <= INF).fold(0, i32::max) as u32)
     }
 
     /// Index of the maximum element in the flat data.

@@ -1,7 +1,9 @@
 //! Bit-for-bit parity of every dispatched SIMD kernel against the scalar
 //! reference, of the packed i8 and i16 GEMMs built on them against a naive
-//! triple loop, and of the implicit-GEMM f32 convolution against a naive
-//! loop nest, at every ISA level this CPU supports.
+//! triple loop, of the implicit-GEMM f32 convolution against a naive loop
+//! nest, of the absolute-value scan against its definition, and of the two
+//! max-pooling forms against `ops::maxpool2d` and a naive loop, at every
+//! ISA level this CPU supports.
 //!
 //! The repo's determinism contract says results never depend on which
 //! kernel table happened to be resolved, so each property here runs the
@@ -15,8 +17,8 @@
 
 use eden_par::ThreadPool;
 use eden_tensor::ops::{self, PanelLane};
-use eden_tensor::simd::{kernels_for, Isa, Kernels, PaddedConv, GEMM_I16_FLUSH_K};
-use eden_tensor::Tensor;
+use eden_tensor::simd::{kernels_for, Isa, Kernels, PaddedConv, Pool2d, GEMM_I16_FLUSH_K};
+use eden_tensor::{bits, Tensor};
 use proptest::prelude::*;
 
 /// Every kernel table this CPU can run, scalar first.
@@ -740,5 +742,170 @@ proptest! {
         seed in 0u32..1000,
     ) {
         check_conv_f32_at_every_isa(channels, (5, stride, padding), (h, h + 3), seed);
+    }
+}
+
+/// The absolute-value scan's hard inputs: signed zeros, NaN payloads of
+/// either sign (quiet and signalling), infinities, subnormals and the
+/// extremes of f32.
+fn abs_max_corner_values() -> Vec<f32> {
+    [
+        0x0000_0000u32,
+        0x8000_0000,
+        0x7fc0_0000,
+        0xffc0_0000,
+        0x7f80_0001,
+        0xffc1_2345,
+        0x7fff_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+        0x0000_0001,
+        0x8000_0001,
+        0x807f_ffff,
+        0x7f7f_ffff,
+        0xff7f_ffff,
+    ]
+    .into_iter()
+    .map(f32::from_bits)
+    .collect()
+}
+
+proptest! {
+    /// The `abs_max` kernel at every supported level against its naive
+    /// definition — the largest `bits & 0x7fff_ffff` — on the corner values
+    /// mixed into random words at random positions, at every length up to
+    /// a few vectors of every tier and at unaligned starts. `Tensor::abs_max`
+    /// on the active table must also equal the `f32::max` fold of `|x|`,
+    /// which ignores NaN.
+    #[test]
+    fn abs_max_kernels_match_the_naive_scan_at_every_isa(
+        words in prop::collection::vec(any::<u32>(), 0..70),
+        picks in prop::collection::vec(0usize..64, 0..70),
+        off in 0usize..4,
+    ) {
+        let corners = abs_max_corner_values();
+        // Mostly corner values: a NaN or an infinity in most runs, and runs
+        // of NaN only.
+        let mut data: Vec<f32> = words.iter().map(|&w| f32::from_bits(w)).collect();
+        for (i, &p) in picks.iter().enumerate() {
+            if i < data.len() && p < 2 * corners.len() {
+                data[i] = corners[p % corners.len()];
+            }
+        }
+        let data = &data[off.min(data.len())..];
+        for t in supported_tables() {
+            for len in 0..=data.len() {
+                let naive = data[..len].iter().map(|x| x.to_bits() & 0x7fff_ffff).max();
+                prop_assert_eq!(
+                    (t.abs_max)(&data[..len]),
+                    naive.unwrap_or(0),
+                    "{} abs_max of {} values", t.isa, len
+                );
+            }
+        }
+        if !data.is_empty() {
+            let fold = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+            let got = Tensor::from_vec(data.to_vec(), &[data.len()]).abs_max();
+            prop_assert_eq!(got.to_bits(), fold.to_bits(), "Tensor::abs_max");
+        }
+    }
+}
+
+/// A random pooling geometry: `c` 1–7, `h` 1–20 and `w` 1–49 (odd
+/// included; past 32, a stride-2 row fills a whole AVX-512 vector), `size`
+/// 1–3 clamped to the plane, `stride` 1–3.
+fn pool_geometry((c, h, w, size, stride): (usize, usize, usize, usize, usize)) -> Pool2d {
+    Pool2d {
+        c,
+        h,
+        w,
+        size: size.min(h).min(w),
+        stride,
+    }
+}
+
+proptest! {
+    /// The inference f32 max pooling at every supported level against its
+    /// oracle `ops::maxpool2d(..).0`, bit for bit, over random geometry.
+    /// `mode` picks the values: ordinary values with NaN, `±Inf` and `±0.0`
+    /// mixed in; only NaN and `±0.0` (so every window is a tie of zeros, or
+    /// NaN only, and the first zero must win); or only NaN and `−Inf` (every
+    /// window outputs `−Inf`).
+    #[test]
+    fn maxpool_f32_kernels_match_ops_maxpool2d_at_every_isa(
+        geometry in (1usize..8, 1usize..21, 1usize..50, 1usize..4, 1usize..4),
+        mode in 0u32..3,
+        seed in 0u32..1000,
+    ) {
+        let g = pool_geometry(geometry);
+        let specials: &[f32] = match mode {
+            0 => &[f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY],
+            1 => &[f32::NAN, -0.0, 0.0],
+            _ => &[f32::NAN, f32::NEG_INFINITY],
+        };
+        let every = if mode == 0 { 9 } else { specials.len() as u32 };
+        let input: Vec<f32> = (0..g.c * g.h * g.w)
+            .map(|i| f32_operand(operand_hash(seed, i, 1), every, specials))
+            .collect();
+        let tensor = Tensor::from_vec(input.clone(), &[g.c, g.h, g.w]);
+        let want: Vec<u32> =
+            ops::maxpool2d(&tensor, g.size, g.stride).0.data().iter().map(|v| v.to_bits()).collect();
+        for t in supported_tables() {
+            let mut got = vec![f32::NAN; want.len()];
+            (t.maxpool_f32)(&g, &input, &mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "{} maxpool_f32 {:?}", t.isa, g);
+        }
+    }
+
+    /// Max pooling over stored words at every supported level against a
+    /// naive loop over `bits::sign_extend`, at 4, 8, 16 and 32 bits, over
+    /// random geometry. Words are random in the low `bits` bits, with the
+    /// most negative word (`1 << (bits − 1)`) and `−1` frequent, and whole
+    /// planes of the most negative word on some seeds.
+    #[test]
+    fn maxpool_quant_kernels_match_the_naive_loop_at_every_isa(
+        geometry in (1usize..8, 1usize..21, 1usize..50, 1usize..4, 1usize..4),
+        bits_idx in 0usize..4,
+        scale in 1.0e-3f32..10.0,
+        seed in 0u32..1000,
+    ) {
+        let g = pool_geometry(geometry);
+        let bits = [4u32, 8, 16, 32][bits_idx];
+        let mask = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
+        let most_negative = 1u32 << (bits - 1);
+        let words: Vec<u32> = (0..g.c * g.h * g.w)
+            .map(|i| {
+                let h = operand_hash(seed, i, 2);
+                match h % if seed % 5 == 0 { 1 } else { 4 } {
+                    0 => most_negative,
+                    1 => mask,
+                    _ => (h >> 3) & mask,
+                }
+            })
+            .collect();
+        let (oh, ow) = g.out_size();
+        let mut want = vec![0.0f32; g.c * oh * ow];
+        for ch in 0..g.c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = i32::MIN;
+                    for ky in 0..g.size {
+                        for kx in 0..g.size {
+                            let i = (ch * g.h + oy * g.stride + ky) * g.w + ox * g.stride + kx;
+                            best = best.max(bits::sign_extend(words[i], bits));
+                        }
+                    }
+                    want[(ch * oh + oy) * ow + ox] = best as f32 * scale;
+                }
+            }
+        }
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        for t in supported_tables() {
+            let mut got = vec![f32::NAN; want.len()];
+            (t.maxpool_quant)(&g, &words, bits, scale, &mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "{} maxpool_quant {:?} at {} bits", t.isa, g, bits);
+        }
     }
 }

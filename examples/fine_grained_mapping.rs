@@ -107,7 +107,8 @@ fn main() {
         );
     }
     println!(
-        "\nmapped {:.1}% of DNN bytes to reduced-voltage partitions ({} unmapped data types)",
+        "\nplaced {:.1}% of DNN bytes in the module's partitions, at any operating point \
+         ({} unmapped data types)",
         100.0 * plan.mapped_fraction(Precision::Int8),
         plan.unmapped.len()
     );
