@@ -1522,9 +1522,9 @@ impl PoolForm for QuantPool {
 #[inline(always)]
 fn maxpool_lanes<V: U32Lanes, F: PoolForm>(g: &Pool2d, form: F, input: &[u32], out: &mut [f32]) {
     g.check(input.len(), out.len());
-    // One inlined copy per common stride, each specialized to its constant.
+    // Stride 2 gets its own inlined copy, specialized to the constant:
+    // every pool layer in the model zoo is 2×2 at stride 2.
     match g.stride {
-        1 => maxpool_rows::<V, F>(g, 1, form, input, out),
         2 => maxpool_rows::<V, F>(g, 2, form, input, out),
         s => maxpool_rows::<V, F>(g, s, form, input, out),
     }
